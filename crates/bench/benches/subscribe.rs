@@ -4,7 +4,7 @@
 //! The claim under test: matching a subscription set against a document
 //! costs one tokenization pass plus automaton work that scales with the
 //! *shared-prefix trie*, not with the subscription count. The control
-//! runs the same N patterns as N independent `StreamMatcher` passes,
+//! runs the same N patterns as N independent single-pattern passes,
 //! each re-tokenizing the document.
 //!
 //! The `disjoint` group is the honest negative: patterns with no common
@@ -14,7 +14,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xqr_core::Engine;
-use xqr_subscribe::{run_document, CombinedAutomaton, SubscriptionRegistry};
+use xqr_runtime::{run_document, CombinedAutomaton};
+use xqr_subscribe::SubscriptionRegistry;
 use xqr_tokenstream::ParserTokenIterator;
 use xqr_xdm::Limits;
 

@@ -5,8 +5,9 @@ use crate::explain::explain;
 use std::sync::Arc;
 use xqr_compiler::{compile, CompileOptions, CompiledQuery};
 use xqr_runtime::{
-    serialize_sequence, Counters, DynamicContext, Evaluator, ExecState, Item, ParallelConfig,
-    RuntimeOptions, ScanCache, Sequence, StreamMatcher, StreamPattern, StreamStats,
+    pull, serialize_sequence, CombinedAutomaton, CombinedRun, Counters, DynamicContext, Evaluator,
+    ExecState, Item, ParallelConfig, RuntimeOptions, ScanCache, Sequence, StreamPattern,
+    StreamStats,
 };
 use xqr_store::{DocId, NodeRef, Store};
 use xqr_tokenstream::ParserTokenIterator;
@@ -165,7 +166,7 @@ impl Engine {
         let compiled = compile(query, &self.options.compile)?;
         let streamable = StreamPattern::extract(&compiled.module.body);
         // `count(//path)` runs in streaming counting mode: matches are
-        // skipped over, never serialized.
+        // counted, never serialized.
         let streamable_count = match &compiled.module.body {
             xqr_compiler::Core::Builtin("count", args) if args.len() == 1 => {
                 StreamPattern::extract(&args[0])
@@ -293,9 +294,10 @@ impl PreparedQuery {
         self.streamable.is_some()
     }
 
-    /// The extracted streamable pattern, if any. The subscription
-    /// subsystem compiles these into a combined shared-prefix automaton
-    /// so one document pass serves every standing query.
+    /// The extracted streamable pattern, if any. Streaming runs it as a
+    /// one-pattern automaton; the subscription subsystem compiles many
+    /// into one shared-prefix automaton so one document pass serves
+    /// every standing query.
     pub fn stream_pattern(&self) -> Option<&StreamPattern> {
         self.streamable.as_ref()
     }
@@ -312,32 +314,45 @@ impl PreparedQuery {
         engine: &Engine,
         xml: &str,
     ) -> Result<(u64, StreamStats)> {
-        let pattern = self.streamable_count.clone().ok_or_else(|| {
+        let pattern = self.streamable_count.as_ref().ok_or_else(|| {
             xqr_xdm::Error::new(
                 xqr_xdm::ErrorCode::Internal,
                 "query is not a streamable count; use execute()",
             )
         })?;
+        let automaton = CombinedAutomaton::build(std::slice::from_ref(pattern));
+        let mut run = CombinedRun::counting(&automaton);
+        self.pull_over(engine, xml, &automaton, &mut run, |_| Ok(()))?;
+        let stats = *run.stats();
+        Ok((stats.matches, stats))
+    }
+
+    /// Pull `xml` through `run` under this plan's limits: the token
+    /// budget rides on the iterator, the output-byte budget is charged
+    /// per match, and a panic surfaces as `err:XQRL0000`.
+    fn pull_over(
+        &self,
+        engine: &Engine,
+        xml: &str,
+        automaton: &CombinedAutomaton,
+        run: &mut CombinedRun,
+        on_ready: impl FnMut(&mut CombinedRun) -> Result<()>,
+    ) -> Result<()> {
         let guard = QueryGuard::new(self.runtime.limits);
-        let it = if guard.is_unlimited() {
+        let mut it = if guard.is_unlimited() {
             ParserTokenIterator::new(xml, engine.names().clone())
         } else {
             ParserTokenIterator::with_guard(xml, engine.names().clone(), guard.clone())
         };
-        let mut matcher = StreamMatcher::new(it, pattern);
         contain_panic(|| {
-            let n = matcher.count_matches()?;
-            Ok((n, matcher.stats))
+            pull(
+                automaton,
+                run,
+                &mut it,
+                |_, bytes| guard.note_output_bytes(bytes),
+                on_ready,
+            )
         })
-    }
-
-    /// Streaming emits *outermost* matches; for child-only patterns this
-    /// equals materialized evaluation exactly (matches cannot nest).
-    pub fn streaming_is_exact(&self) -> bool {
-        self.streamable
-            .as_ref()
-            .map(|p| p.is_exact())
-            .unwrap_or(false)
     }
 
     /// Whether execution needs node identities (E11's analysis).
@@ -349,11 +364,7 @@ impl PreparedQuery {
     pub fn explain(&self) -> String {
         let mut text = explain(&self.compiled);
         match &self.streamable {
-            Some(p) => text.push_str(&format!(
-                "streamable: true (steps: {}, exact: {})\n",
-                p.steps.len(),
-                p.is_exact()
-            )),
+            Some(p) => text.push_str(&format!("streamable: true (steps: {})\n", p.steps.len())),
             None => text.push_str("streamable: false\n"),
         }
         text.push_str(&format!("limits: {}\n", self.runtime.limits));
@@ -455,34 +466,31 @@ impl PreparedQuery {
     }
 
     /// Execute in token-streaming mode directly over XML text, invoking
-    /// `on_match` for each serialized result subtree as soon as its end
-    /// tag is parsed. Errors if the query is not streamable.
+    /// `on_match` for each serialized result subtree — every match, in
+    /// document order, exactly what [`PreparedQuery::execute`] returns —
+    /// as soon as its end tag is parsed and no match opened before it is
+    /// still open. Errors if the query is not streamable.
     pub fn execute_streaming<F: FnMut(&str)>(
         &self,
         engine: &Engine,
         xml: &str,
         mut on_match: F,
     ) -> Result<StreamStats> {
-        let pattern = self.streamable.clone().ok_or_else(|| {
+        let pattern = self.streamable.as_ref().ok_or_else(|| {
             xqr_xdm::Error::new(
                 xqr_xdm::ErrorCode::Internal,
                 "query is not streamable; use execute()",
             )
         })?;
-        let guard = QueryGuard::new(self.runtime.limits);
-        let mut matcher = if guard.is_unlimited() {
-            let it = ParserTokenIterator::new(xml, engine.names().clone());
-            StreamMatcher::new(it, pattern)
-        } else {
-            let it = ParserTokenIterator::with_guard(xml, engine.names().clone(), guard.clone());
-            StreamMatcher::new(it, pattern).with_guard(guard)
-        };
-        contain_panic(|| {
-            while let Some(m) = matcher.next_match()? {
+        let automaton = CombinedAutomaton::build(std::slice::from_ref(pattern));
+        let mut run = CombinedRun::new(&automaton);
+        self.pull_over(engine, xml, &automaton, &mut run, |run| {
+            for m in run.take_matches(0)? {
                 on_match(&m);
             }
-            Ok(matcher.stats)
-        })
+            Ok(())
+        })?;
+        Ok(*run.stats())
     }
 }
 

@@ -7,7 +7,7 @@
 //! Runs `--cases` seeded chaos cases: each derives a random (query,
 //! document) pair *and* a random fault schedule from its seed, installs
 //! the schedule, and replays the case through the faulted legs (bare
-//! engine, resilient service, streaming when exact). The invariant: an
+//! engine, resilient service, streaming when streamable). The invariant: an
 //! injected fault yields the correct result (after retry/degradation)
 //! or a stable coded error — never a wrong answer, an escaped panic, or
 //! a leaked store document. On violation a replay line is printed

@@ -8,7 +8,9 @@
 //! seed and checks the chunked-ingestion invariant twice: once
 //! un-faulted (`publish_chunked` over several re-splits of each
 //! document — a 1-byte split always included — must produce a report
-//! identical to `publish`), once with a seeded fault schedule over the
+//! identical to `publish`, and every streamable query fed through
+//! `open_stream_query` in the same re-splits must equal its one-shot
+//! evaluation), once with a seeded fault schedule over the
 //! ingestion faultpoints (every service chunk session ends correct or
 //! coded, is cleaned up on failure, and leaks nothing into the store).
 //! On violation a replay line is printed (`ingest --seed S+i --cases 1`
@@ -84,12 +86,14 @@ fn main() -> ExitCode {
         }
     }));
 
-    let (mut chunkings, mut agreed, mut coded, mut fired) = (0u64, 0u64, 0u64, 0u64);
+    let (mut chunkings, mut stream_queries, mut agreed, mut coded, mut fired) =
+        (0u64, 0u64, 0u64, 0u64, 0u64);
     for i in 0..args.cases {
         let cseed = case_seed(args.seed, i);
         for faulted in [false, true] {
             let case = run_case(cseed, faulted);
             chunkings += case.chunkings;
+            stream_queries += case.stream_queries;
             agreed += case.agreed;
             coded += case.coded;
             fired += case.fired;
@@ -120,9 +124,9 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "cases: {} (x2 legs)  chunked publishes: {}  comparisons agreed: {}  coded: {}  \
-         injections fired: {}",
-        args.cases, chunkings, agreed, coded, fired
+        "cases: {} (x2 legs)  chunked publishes: {}  chunked stream queries: {}  \
+         comparisons agreed: {}  coded: {}  injections fired: {}",
+        args.cases, chunkings, stream_queries, agreed, coded, fired
     );
     println!("no violations.");
     ExitCode::SUCCESS

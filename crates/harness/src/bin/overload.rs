@@ -69,7 +69,7 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         producers: 20,
         ops: 150,
-        ceiling: 128 << 10,
+        ceiling: OverloadConfig::default().ceiling,
         verbose: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();

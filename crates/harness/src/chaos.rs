@@ -8,8 +8,8 @@
 //! [`FaultSchedule`] from one seed, computes the un-faulted reference
 //! outcome, then replays the case with the schedule installed through
 //! three faulted legs: a bare engine, the retrying/degrading
-//! [`QueryService`], and (when the plan is streamable and exact) the
-//! token-streaming matcher.
+//! [`QueryService`], and (when the plan is streamable) the
+//! token-streaming automaton.
 //!
 //! The invariant every leg must uphold under injection:
 //!
@@ -315,13 +315,12 @@ impl ChaosRunner {
                 panics_scheduled,
             );
 
-            // Leg 3: token streaming, when the plan qualifies. Streaming
-            // semantics differ from materialized evaluation only in ways
-            // `streaming_is_exact` excludes, so the reference still
-            // applies.
+            // Leg 3: token streaming, for every streamable plan — it
+            // emits the node set materialized evaluation returns, so the
+            // reference applies.
             let streaming_engine = Engine::with_options(self.options.clone());
             if let Ok(prepared) = streaming_engine.compile(&query) {
-                if prepared.is_streamable() && prepared.streaming_is_exact() {
+                if prepared.is_streamable() {
                     let mut out = String::new();
                     let streamed = outcome(contain_panic(|| {
                         prepared

@@ -18,7 +18,10 @@
 //! is published whole for the reference report, then re-published
 //! through the chunked session under several seeded chunkings — a
 //! degenerate 1-byte split is always among them, which drags every
-//! token construct across a boundary.
+//! token construct across a boundary. Every streamable subscription
+//! query additionally runs alone through the service's
+//! `open_stream_query` under the same re-splits and must equal its
+//! one-shot evaluation — result or error code.
 //!
 //! In faulted mode the same traffic runs through the *service* chunk
 //! sessions with a schedule over the ingestion faultpoints
@@ -62,6 +65,8 @@ pub struct IngestCase {
     pub documents: usize,
     /// Chunked publishes compared against their whole-document twin.
     pub chunkings: u64,
+    /// Chunked stream queries compared against one-shot evaluation.
+    pub stream_queries: u64,
     /// Comparisons that ended byte-identical (results and stats).
     pub agreed: u64,
     /// Comparisons that ended in matching (or fault-coded) errors.
@@ -161,6 +166,7 @@ pub fn run_case(seed: u64, faulted: bool) -> IngestCase {
         subscriptions: n_subs,
         documents: n_docs,
         chunkings: 0,
+        stream_queries: 0,
         agreed: 0,
         coded: 0,
         fired: 0,
@@ -175,15 +181,25 @@ pub fn run_case(seed: u64, faulted: bool) -> IngestCase {
     case
 }
 
-/// Un-faulted leg: `publish_chunked` vs `publish` on one registry.
+/// Un-faulted leg: `publish_chunked` vs `publish` on one registry, then
+/// each streamable query alone through `open_stream_query` vs one-shot
+/// evaluation.
 fn run_strict(rng: &mut StdRng, docs: &[String], queries: &[String], case: &mut IngestCase) {
     let engine = Engine::new();
     let reg = SubscriptionRegistry::new();
+    let svc = QueryService::new(ServiceConfig {
+        per_query_limits: case_limits(),
+        ..Default::default()
+    });
     let mut subs: Vec<(usize, SubId)> = Vec::new();
+    let mut streamable: Vec<(usize, &str)> = Vec::new();
     for (si, q) in queries.iter().enumerate() {
         // Compile rejections are the pubsub leg's business; here only
         // registered subscriptions matter.
         if let Ok(plan) = engine.compile_shared(q) {
+            if plan.is_streamable() {
+                streamable.push((si, q));
+            }
             subs.push((si, reg.register(q, plan, case_limits(), None)));
         }
     }
@@ -256,6 +272,28 @@ fn run_strict(rng: &mut StdRng, docs: &[String], queries: &[String], case: &mut 
                         at,
                         detail: format!("outcome drift: whole {w:?} vs chunked {c:?}"),
                     });
+                }
+            }
+        }
+
+        for &(si, q) in &streamable {
+            let one_shot = outcome(&contain_panic(|| svc.engine().query_xml(xml, q)));
+            for (ci, lens) in lens_list.iter().enumerate() {
+                case.stream_queries += 1;
+                let chunked = outcome(&contain_panic(|| {
+                    let mut sq = svc.open_stream_query(q)?;
+                    for c in chunks(xml.as_bytes(), lens) {
+                        sq.feed(c)?;
+                    }
+                    sq.finish()
+                }));
+                match (&one_shot, &chunked) {
+                    (a, b) if a != b => case.violations.push(Violation {
+                        at: format!("stream query {si} doc {di} chunking {ci}"),
+                        detail: format!("one-shot {a:?} vs chunked {b:?}"),
+                    }),
+                    (Ok(_), _) => case.agreed += 1,
+                    (Err(_), _) => case.coded += 1,
                 }
             }
         }
@@ -403,6 +441,7 @@ mod tests {
         assert!(case.violations.is_empty(), "{:?}", case.violations);
         assert!(case.agreed + case.coded > 0);
         assert!(case.chunkings >= 4, "1-byte split plus seeded chunkings");
+        assert!(case.stream_queries >= 4, "seed 7 has a streamable query");
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub struct CaseResult {
     /// Optimizer rule firings for the optimized compilation (empty when
     /// compilation failed).
     pub rewrite_stats: RewriteStats,
-    /// Whether the streaming leg ran (streamable + exact).
+    /// Whether the streaming leg ran (the plan is streamable).
     pub streamed: bool,
 }
 
@@ -239,11 +239,10 @@ impl Oracle {
         }
         self.service.remove_document(&doc_name);
 
-        // Streaming leg: only when the plan is streamable *and* exact
-        // (descendant patterns stream outermost matches only — a
-        // documented semantic difference, not a divergence).
+        // Streaming leg: every streamable plan, descendant patterns
+        // included — streaming emits every match in document order.
         if let Ok(prepared) = opt_engine.compile(query) {
-            if prepared.is_streamable() && prepared.streaming_is_exact() {
+            if prepared.is_streamable() {
                 streamed = true;
                 let mut out = String::new();
                 let streaming = outcome_of(
@@ -365,11 +364,17 @@ mod tests {
     }
 
     #[test]
-    fn streaming_leg_runs_for_exact_child_paths() {
+    fn streaming_leg_runs_for_child_and_descendant_paths() {
         let mut oracle = Oracle::new(false);
-        let r = oracle.run_case("/root/a", DOC);
-        assert!(matches!(r.verdict, Verdict::Agree), "{:?}", r.verdict);
-        assert!(r.streamed);
+        for query in ["/root/a", "//a", "/root//*"] {
+            let r = oracle.run_case(query, DOC);
+            assert!(
+                matches!(r.verdict, Verdict::Agree),
+                "{query}: {:?}",
+                r.verdict
+            );
+            assert!(r.streamed, "{query}");
+        }
     }
 
     #[test]

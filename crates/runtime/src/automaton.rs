@@ -1,12 +1,14 @@
-//! The combined matcher: every registered streamable pattern compiled
-//! into ONE shared-prefix automaton, run once per published document.
+//! The streaming matcher: any number of streamable patterns compiled
+//! into ONE shared-prefix automaton, run once per document. A single
+//! streaming query is the N=1 case; a subscription set is the N-pattern
+//! case — the same run either way.
 //!
 //! # Construction
 //!
 //! The automaton is a trie over `(descendant, QName)` steps: patterns
 //! sharing a step prefix share the trie path (YFilter-style), so
 //! matching cost scales with the *distinct structure* of the
-//! subscription set, not its cardinality — 256 subscriptions over
+//! pattern set, not its cardinality — 256 subscriptions over
 //! common `//a/b/...` stems cost barely more than one.
 //!
 //! # Execution
@@ -23,20 +25,27 @@
 //!   fan-out correct — a plain self-loop over the trie node would let
 //!   child edges fire at arbitrary depth.
 //!
-//! A pattern accepts when its trie leaf is entered in full mode. Unlike
-//! the single-query [`StreamMatcher`](xqr_runtime::StreamMatcher)
-//! (outermost-match semantics), the combined run emits **every** match,
-//! nested ones included, in document order — exactly the node set
-//! materialized evaluation returns, so one shared pass substitutes for
-//! N independent one-shot queries byte-for-byte.
+//! A pattern accepts when its trie leaf is entered in full mode. The run
+//! emits **every** match, nested ones included, in document order —
+//! exactly the node set materialized evaluation returns, so one pass
+//! substitutes for N independent one-shot queries byte-for-byte.
 //!
 //! When the state set of an element comes up empty and no capture is in
 //! flight, the whole subtree is `skip()`ed — the paper's pruning,
-//! shared across every subscription at once.
+//! shared across every pattern at once.
+//!
+//! # Drivers
+//!
+//! Two, selected by what the caller holds: [`pull`] / [`run_document`]
+//! over a [`TokenIterator`] (a whole document in hand; skip hints become
+//! real `skip_subtree` calls) and [`StreamingPass`] over a
+//! [`PushTokenizer`] (byte chunks arriving; dead subtrees are absorbed
+//! token by token). Both produce identical [`CombinedOutcome`]s.
 
-use xqr_runtime::{StreamPattern, StreamStats};
-use xqr_tokenstream::{Token, TokenIterator, TokenResolve};
-use xqr_xdm::{QName, Result};
+use crate::stream_path::{StreamPattern, StreamStats};
+use std::sync::Arc;
+use xqr_tokenstream::{PushTokenizer, Token, TokenIterator, TokenResolve};
+use xqr_xdm::{NamePool, QName, QueryGuard, Result};
 use xqr_xmlparse::{Attribute, NamespaceDecl, WriterOptions, XmlEvent, XmlWriter};
 
 /// Index of a pattern in the slice the automaton was built from.
@@ -110,6 +119,9 @@ impl CombinedAutomaton {
     /// One NFA step: from the parent element's state set and a child
     /// element's name, compute the child's state set and the patterns
     /// accepting at it. `out`/`accepted` are scratch, cleared here.
+    // `push` is generic, so it is instantiated in the caller's crate;
+    // without the hint this per-element call would not inline there.
+    #[inline]
     fn advance(
         &self,
         parent: &[u32],
@@ -119,19 +131,31 @@ impl CombinedAutomaton {
     ) {
         out.clear();
         accepted.clear();
+        // Enter trie node `t` in full mode: collect its accepts, and keep
+        // it live only if it has out-edges — an accept-only leaf
+        // contributes nothing below its element, and leaving it in the
+        // set would stop a counting run from skipping the matched
+        // subtree.
+        let mut enter = |t: u32, out: &mut Vec<u32>| {
+            let node = &self.nodes[t as usize];
+            accepted.extend_from_slice(&node.accepts);
+            if !(node.child_edges.is_empty() && node.desc_edges.is_empty()) {
+                out.push(t << 1);
+            }
+        };
         for &s in parent {
             let node = &self.nodes[(s >> 1) as usize];
             let residual = s & 1 == 1;
             if !residual {
                 for (n, t) in &node.child_edges {
                     if n.as_ref().is_none_or(|q| q == name) {
-                        out.push(t << 1);
+                        enter(*t, out);
                     }
                 }
             }
             for (n, t) in &node.desc_edges {
                 if n.as_ref().is_none_or(|q| q == name) {
-                    out.push(t << 1);
+                    enter(*t, out);
                 }
             }
             if !node.desc_edges.is_empty() {
@@ -142,11 +166,6 @@ impl CombinedAutomaton {
         }
         out.sort_unstable();
         out.dedup();
-        for &s in out.iter() {
-            if s & 1 == 0 {
-                accepted.extend(self.nodes[(s >> 1) as usize].accepts.iter().copied());
-            }
-        }
         accepted.sort_unstable();
         accepted.dedup();
     }
@@ -179,15 +198,20 @@ struct Capture {
 pub enum PushAction {
     /// Keep feeding tokens.
     Continue,
-    /// The element just opened cannot contribute to any subscription:
+    /// The element just opened cannot contribute to any pattern:
     /// a *pull* driver should `skip_subtree()` on its iterator and
     /// report the count via [`CombinedRun::note_skipped`]. A *push*
     /// driver (tokens arrive whether it wants them or not) may ignore
     /// the hint — the run absorbs the dead subtree internally, at one
     /// depth-counter tick per token.
     SkipSubtree,
+    /// The outermost open capture just closed: every match collected so
+    /// far is complete and [`CombinedRun::take_matches`] will hand it
+    /// over — results before the end of input.
+    MatchReady,
 }
 
+#[inline]
 fn flush_pending(
     pending: &mut Option<(QName, Vec<Attribute>, Vec<NamespaceDecl>)>,
     captures: &mut [Capture],
@@ -205,8 +229,8 @@ fn flush_pending(
     Ok(())
 }
 
-/// The resumable state of one document pass: everything `run_document`
-/// used to keep on its stack, liftable across chunk boundaries.
+/// The resumable state of one document pass, liftable across chunk
+/// boundaries.
 ///
 /// A pull driver (whole document in hand) loops `next_token` → [`push`]
 /// and honours [`PushAction::SkipSubtree`] with a real `skip_subtree`.
@@ -214,8 +238,8 @@ fn flush_pending(
 /// arrive) calls [`push`] for whatever is available, in any number of
 /// installments, and [`finish`]es when the producer signals end of
 /// document. Both drivers produce identical [`CombinedOutcome`]s —
-/// results, errors, and stats — which is what makes `publish_chunked`
-/// byte-equivalent to `publish`.
+/// results, errors, and stats — which is what makes chunked evaluation
+/// byte-equivalent to whole-document evaluation.
 ///
 /// The automaton is passed to [`push`] rather than stored so sessions
 /// can own the run alongside the `Arc` of the plan that holds the
@@ -240,6 +264,9 @@ pub struct CombinedRun {
     // Nonzero while inside a dead subtree a push driver couldn't skip:
     // open-element depth below the dead element's parent.
     skip_depth: usize,
+    // False for a counting run: accepts bump `stats.matches` and nothing
+    // is serialized, so matched subtrees can be skipped too.
+    capture: bool,
 }
 
 impl CombinedRun {
@@ -256,6 +283,18 @@ impl CombinedRun {
             captures: Vec::new(),
             pending: None,
             skip_depth: 0,
+            capture: true,
+        }
+    }
+
+    /// A run that only counts: every accept bumps `stats.matches`, no
+    /// match is serialized or charged, and a subtree is skipped whenever
+    /// the live state set is empty — `count(//path)` in pure streaming
+    /// mode.
+    pub fn counting(automaton: &CombinedAutomaton) -> CombinedRun {
+        CombinedRun {
+            capture: false,
+            ..CombinedRun::new(automaton)
         }
     }
 
@@ -305,6 +344,10 @@ impl CombinedRun {
                 self.bounds.push(self.states.len() as u32);
                 self.states.extend_from_slice(&self.scratch);
                 let depth = self.bounds.len();
+                if !self.capture {
+                    self.stats.matches += self.accepted.len() as u64;
+                    self.accepted.clear();
+                }
                 // Open at most one capture per element; all accepting
                 // patterns still collecting share its writer.
                 let mut recipients: Vec<(PatternId, usize)> = Vec::new();
@@ -325,8 +368,8 @@ impl CombinedRun {
                     self.pending = Some((name, Vec::new(), Vec::new()));
                 } else if self.scratch.is_empty() {
                     // No live state and nothing being serialized: no
-                    // subscription can match anything below — skip the
-                    // whole subtree, once, for all of them.
+                    // pattern can match anything below — skip the whole
+                    // subtree, once, for all of them.
                     self.states
                         .truncate(self.bounds.pop().expect("pushed above") as usize);
                     self.skip_depth = 1;
@@ -416,10 +459,36 @@ impl CombinedRun {
                             }
                         }
                     }
+                    if self.captures.is_empty() {
+                        return Ok(PushAction::MatchReady);
+                    }
                 }
             }
         }
         Ok(PushAction::Continue)
+    }
+
+    /// Hand over `pattern`'s matches completed so far, in document
+    /// order, or the error that stopped its collection. A match waits
+    /// while any capture opened before it is still open — an
+    /// earlier-closing nested match must not overtake its ancestor.
+    pub fn take_matches(&mut self, pattern: PatternId) -> Result<Vec<String>> {
+        let slots = match &mut self.per_pattern[pattern as usize] {
+            Ok(slots) => slots,
+            Err(e) => return Err(e.clone()),
+        };
+        // Slots are reserved in start-tag order and open captures nest,
+        // so everything before the outermost open capture's slot is
+        // final.
+        let mut open = self
+            .captures
+            .iter_mut()
+            .flat_map(|c| c.recipients.iter_mut())
+            .filter(|(pid, _)| *pid == pattern)
+            .peekable();
+        let ready = open.peek().map_or(slots.len(), |(_, slot)| *slot);
+        open.for_each(|(_, slot)| *slot -= ready);
+        Ok(slots.drain(..ready).collect())
     }
 
     /// A pull driver skipped the dead subtree itself (in response to
@@ -445,21 +514,24 @@ impl CombinedRun {
     }
 }
 
-/// Run one whole document through the automaton — the pull driver over
-/// [`CombinedRun`], honouring skip hints with the iterator's own
-/// `skip_subtree` (O(1) on materialized streams). A top-level error
-/// means the document itself could not be read (parse error, token
-/// budget): no per-pattern results exist in that case.
-pub fn run_document<I, F>(
+/// The pull driver over [`CombinedRun`]: feed `run` every token of
+/// `it`, honouring skip hints with the iterator's own `skip_subtree`
+/// (O(1) on materialized streams) and calling `on_ready` each time the
+/// matches collected so far are complete. An error means the document
+/// itself could not be read (parse error, token budget) or `on_ready`
+/// refused to go on.
+pub fn pull<I, F, G>(
     automaton: &CombinedAutomaton,
+    run: &mut CombinedRun,
     it: &mut I,
     mut charge: F,
-) -> Result<CombinedOutcome>
+    mut on_ready: G,
+) -> Result<()>
 where
     I: TokenIterator,
     F: FnMut(PatternId, u64) -> Result<()>,
+    G: FnMut(&mut CombinedRun) -> Result<()>,
 {
-    let mut run = CombinedRun::new(automaton);
     while let Some(tok) = it.next_token()? {
         match run.push(automaton, &tok, it, &mut charge)? {
             PushAction::Continue => {}
@@ -467,25 +539,113 @@ where
                 let skipped = it.skip_subtree()?;
                 run.note_skipped(skipped);
             }
+            PushAction::MatchReady => on_ready(run)?,
         }
     }
+    Ok(())
+}
+
+/// Run one whole document through the automaton and collect every
+/// pattern's matches. A top-level error means the document itself could
+/// not be read: no per-pattern results exist in that case.
+pub fn run_document<I, F>(
+    automaton: &CombinedAutomaton,
+    it: &mut I,
+    charge: F,
+) -> Result<CombinedOutcome>
+where
+    I: TokenIterator,
+    F: FnMut(PatternId, u64) -> Result<()>,
+{
+    let mut run = CombinedRun::new(automaton);
+    pull(automaton, &mut run, it, charge, |_| Ok(()))?;
     Ok(run.finish())
+}
+
+/// The push driver over [`CombinedRun`]: a [`PushTokenizer`] fed byte
+/// chunks split at any boundary, every completed token pushed through
+/// the run as it appears. Memory is bounded by the largest single
+/// syntactic unit plus the matches not yet taken. Skip hints are
+/// ignored — tokens arrive whether wanted or not; the run absorbs dead
+/// subtrees internally.
+pub struct StreamingPass {
+    tokenizer: PushTokenizer,
+    run: CombinedRun,
+    guards: Vec<QueryGuard>,
+}
+
+impl StreamingPass {
+    /// `pass_guard` bounds the shared work (tokens, depth, deadline);
+    /// `guards[p]` is charged the output bytes of pattern `p`'s matches,
+    /// so a budget trip degrades that pattern alone.
+    pub fn new(
+        automaton: &CombinedAutomaton,
+        names: Arc<NamePool>,
+        pass_guard: QueryGuard,
+        guards: Vec<QueryGuard>,
+    ) -> StreamingPass {
+        let tokenizer = if pass_guard.is_unlimited() {
+            PushTokenizer::new(names)
+        } else {
+            PushTokenizer::with_guard(names, pass_guard)
+        };
+        StreamingPass {
+            tokenizer,
+            run: CombinedRun::new(automaton),
+            guards,
+        }
+    }
+
+    /// Feed one chunk; the run advances by however many tokens completed.
+    pub fn feed(&mut self, automaton: &CombinedAutomaton, chunk: &[u8]) -> Result<()> {
+        self.tokenizer.feed(chunk)?;
+        self.drain(automaton)
+    }
+
+    /// End of input: resolve constructs waiting on more bytes and yield
+    /// the per-pattern outcomes.
+    pub fn finish(mut self, automaton: &CombinedAutomaton) -> Result<CombinedOutcome> {
+        self.tokenizer.finish()?;
+        self.drain(automaton)?;
+        Ok(self.run.finish())
+    }
+
+    fn drain(&mut self, automaton: &CombinedAutomaton) -> Result<()> {
+        while let Some(tok) = self.tokenizer.poll_token()? {
+            let guards = &self.guards;
+            self.run
+                .push(automaton, &tok, &self.tokenizer, &mut |pid, bytes| {
+                    guards[pid as usize].note_output_bytes(bytes)
+                })?;
+        }
+        Ok(())
+    }
+
+    /// Bytes parked in the lexer awaiting a complete syntactic unit.
+    pub fn buffered_bytes(&self) -> usize {
+        self.tokenizer.buffered_bytes()
+    }
+
+    /// Live instrumentation: matches so far, tokens seen/skipped.
+    pub fn stats(&self) -> &StreamStats {
+        self.run.stats()
+    }
+
+    /// See [`CombinedRun::take_matches`].
+    pub fn take_matches(&mut self, pattern: PatternId) -> Result<Vec<String>> {
+        self.run.take_matches(pattern)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use xqr_compiler::{compile, CompileOptions};
     use xqr_tokenstream::ParserTokenIterator;
-    use xqr_xdm::NamePool;
 
     fn pat(query: &str) -> StreamPattern {
-        xqr_core::Engine::new()
-            .compile(query)
-            .expect("compiles")
-            .stream_pattern()
-            .expect("streamable")
-            .clone()
+        let q = compile(query, &CompileOptions::default()).expect("compiles");
+        StreamPattern::extract_required(&q.module.body).expect("streamable")
     }
 
     fn run_all(patterns: &[&str], xml: &str) -> (Vec<Result<Vec<String>>>, StreamStats) {
@@ -498,6 +658,144 @@ mod tests {
 
     fn oks(r: &[Result<Vec<String>>]) -> Vec<Vec<String>> {
         r.iter().map(|x| x.as_ref().unwrap().clone()).collect()
+    }
+
+    /// The N=1 case: one pattern's matches and the pass's stats.
+    fn run_one(query: &str, xml: &str) -> (Vec<String>, StreamStats) {
+        let (mut r, stats) = run_all(&[query], xml);
+        (r.remove(0).unwrap(), stats)
+    }
+
+    /// The N=1 counting run.
+    fn count_one(query: &str, xml: &str) -> StreamStats {
+        let a = CombinedAutomaton::build(&[pat(query)]);
+        let mut run = CombinedRun::counting(&a);
+        let mut it = ParserTokenIterator::new(xml, Arc::new(NamePool::new()));
+        pull(&a, &mut run, &mut it, |_, _| Ok(()), |_| Ok(())).unwrap();
+        run.finish().stats
+    }
+
+    #[test]
+    fn single_pattern_child_descendant_and_mixed_paths() {
+        let (out, _) = run_one("/a/b", "<a><b>1</b><c><b>no</b></c><b>2</b></a>");
+        assert_eq!(out, vec!["<b>1</b>", "<b>2</b>"]);
+        let (out, _) = run_one("//b", "<a><b>1</b><c><b x=\"y\">2</b></c></a>");
+        assert_eq!(out, vec!["<b>1</b>", "<b x=\"y\">2</b>"]);
+        let xml = "<bib><group><book><title>T1</title></book></group><book><title>T2</title></book></bib>";
+        let (out, _) = run_one("/bib//book/title", xml);
+        assert_eq!(out, vec!["<title>T1</title>", "<title>T2</title>"]);
+        // `/a/descendant::*/b` needs an element strictly between a and b.
+        let (out, _) = run_one("/a/descendant::*/b", "<a><b>shallow</b></a>");
+        assert_eq!(out, Vec::<String>::new());
+        let (out, _) = run_one("/a/descendant::*/b", "<a><z><b>deep</b></z></a>");
+        assert_eq!(out, vec!["<b>deep</b>"]);
+        let (out, _) = run_one("/a/*", "<a><b>1</b><c>2</c></a>");
+        assert_eq!(out, vec!["<b>1</b>", "<c>2</c>"]);
+    }
+
+    #[test]
+    fn recursive_descendant_chains_emit_every_match() {
+        let (out, _) = run_one("//a//a", "<a><a><a/></a></a>");
+        assert_eq!(out, vec!["<a><a/></a>", "<a/>"]);
+    }
+
+    #[test]
+    fn skip_avoids_unmatchable_subtrees() {
+        // Pattern /a/b cannot match inside <z>…</z>: the run must skip
+        // the whole subtree.
+        let mut xml = String::from("<a><z>");
+        for i in 0..1000 {
+            xml.push_str(&format!("<junk>{i}</junk>"));
+        }
+        xml.push_str("</z><b>hit</b></a>");
+        let (out, stats) = run_one("/a/b", &xml);
+        assert_eq!(out, vec!["<b>hit</b>"]);
+        assert!(
+            stats.tokens_skipped > 2500,
+            "expected bulk skipping, got {stats:?}"
+        );
+        // Descendant steps keep every subtree live.
+        let (out, stats) = run_one("//b", "<a><z><b>deep</b></z></a>");
+        assert_eq!(out, vec!["<b>deep</b>"]);
+        assert_eq!(stats.tokens_skipped, 0);
+    }
+
+    #[test]
+    fn counting_run_counts_every_match_and_skips_matched_subtrees() {
+        let stats = count_one("/a/b", "<a><b>1<x/></b><z><b>not-child</b></z><b>2</b></a>");
+        assert_eq!(stats.matches, 2);
+        // Both b subtrees and the z subtree are skipped: only <a>, the
+        // three child start tags, </a> and the document brackets are seen.
+        assert_eq!(stats.tokens_seen, 7, "{stats:?}");
+        assert!(stats.tokens_skipped > 0);
+        // Nested matches all count, as materialized count() does.
+        assert_eq!(count_one("//b", "<a><b><b/></b><b/></a>").matches, 3);
+        assert_eq!(
+            count_one("//d", "<a><d>1<d>2</d></d><d>3</d></a>").matches,
+            3
+        );
+    }
+
+    #[test]
+    fn first_match_is_ready_before_the_document_ends() {
+        let a = CombinedAutomaton::build(&[pat("/a/b")]);
+        let mut pass = StreamingPass::new(
+            &a,
+            Arc::new(NamePool::new()),
+            QueryGuard::unlimited(),
+            vec![QueryGuard::unlimited()],
+        );
+        pass.feed(&a, b"<a><b>first</b><b>sec").unwrap();
+        assert_eq!(pass.take_matches(0).unwrap(), vec!["<b>first</b>"]);
+        // The open second match is not ready; taking again is a no-op.
+        assert_eq!(pass.take_matches(0).unwrap(), Vec::<String>::new());
+        pass.feed(&a, b"ond</b></a>").unwrap();
+        assert_eq!(pass.take_matches(0).unwrap(), vec!["<b>second</b>"]);
+        assert_eq!(pass.finish(&a).unwrap().stats.matches, 2);
+
+        // A closed nested match waits for its still-open ancestor.
+        let a = CombinedAutomaton::build(&[pat("//b")]);
+        let mut pass = StreamingPass::new(
+            &a,
+            Arc::new(NamePool::new()),
+            QueryGuard::unlimited(),
+            vec![QueryGuard::unlimited()],
+        );
+        pass.feed(&a, b"<a><b>outer<b>inner</b>").unwrap();
+        assert_eq!(pass.take_matches(0).unwrap(), Vec::<String>::new());
+        pass.feed(&a, b"</b><b/>").unwrap();
+        assert_eq!(
+            pass.take_matches(0).unwrap(),
+            vec!["<b>outer<b>inner</b></b>", "<b>inner</b>", "<b/>"]
+        );
+    }
+
+    #[test]
+    fn empty_and_elementless_input_ends_cleanly() {
+        // Either a clean end-of-stream or a coded parse error — never a
+        // panic, a match, or an internal error.
+        for xml in ["", "   "] {
+            let a = CombinedAutomaton::build(&[pat("/a/b")]);
+            let mut it = ParserTokenIterator::new(xml, Arc::new(NamePool::new()));
+            match run_document(&a, &mut it, |_, _| Ok(())) {
+                Ok(out) => assert_eq!(oks(&out.per_pattern), vec![Vec::<String>::new()]),
+                Err(e) => assert_ne!(e.code, xqr_xdm::ErrorCode::Internal, "{xml:?}: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn forty_step_child_path_streams() {
+        // The trie has no step cap (the former matcher's u32 prefix mask
+        // stopped at 31).
+        let depth = 40;
+        let query: String = (0..depth).map(|i| format!("/e{i}")).collect();
+        assert_eq!(pat(&query).steps.len(), depth);
+        let mut xml: String = (0..depth).map(|i| format!("<e{i}>")).collect();
+        xml.push('x');
+        xml.extend((0..depth).rev().map(|i| format!("</e{i}>")));
+        let (out, _) = run_one(&query, &xml);
+        assert_eq!(out, vec!["<e39>x</e39>"]);
     }
 
     #[test]
@@ -530,8 +828,8 @@ mod tests {
 
     #[test]
     fn emits_nested_matches_in_document_order() {
-        // Unlike StreamMatcher's outermost semantics: materialized
-        // evaluation of //b returns BOTH b elements, outer first.
+        // Materialized evaluation of //b returns BOTH b elements, outer
+        // first.
         let (r, _) = run_all(&["//b"], "<a><b>outer<b>inner</b></b></a>");
         assert_eq!(
             oks(&r),
@@ -639,7 +937,7 @@ mod tests {
     fn run_pushed(patterns: &[&str], xml: &str) -> (Vec<Result<Vec<String>>>, StreamStats) {
         let pats: Vec<StreamPattern> = patterns.iter().map(|q| pat(q)).collect();
         let a = CombinedAutomaton::build(&pats);
-        let mut tok = xqr_tokenstream::PushTokenizer::new(Arc::new(NamePool::new()));
+        let mut tok = PushTokenizer::new(Arc::new(NamePool::new()));
         tok.feed(xml.as_bytes()).unwrap();
         tok.finish().unwrap();
         let mut run = CombinedRun::new(&a);
@@ -686,7 +984,7 @@ mod tests {
         let (want, _) = run_all(&["//b", "/a/c"], doc);
         let pats = vec![pat("//b"), pat("/a/c")];
         let a = CombinedAutomaton::build(&pats);
-        let mut tok = xqr_tokenstream::PushTokenizer::new(Arc::new(NamePool::new()));
+        let mut tok = PushTokenizer::new(Arc::new(NamePool::new()));
         let mut run = CombinedRun::new(&a);
         let mut charge = |_: PatternId, _: u64| Ok(());
         for byte in doc.as_bytes() {

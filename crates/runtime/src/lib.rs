@@ -1,10 +1,11 @@
 //! # xqr-runtime — the streaming evaluator
 //!
 //! Push-based, lazily short-circuiting interpreter over the compiled
-//! core tree, plus the token-level streaming path matcher, the built-in
+//! core tree, plus the token-level streaming path automaton, the built-in
 //! function library, node construction, the three comparison families,
 //! and a small regex engine for the string functions.
 
+pub mod automaton;
 pub mod compare;
 pub mod construct;
 pub mod env;
@@ -15,10 +16,14 @@ pub mod regex;
 pub mod stream_path;
 pub mod value;
 
+pub use automaton::{
+    pull, run_document, CombinedAutomaton, CombinedOutcome, CombinedRun, PatternId, PushAction,
+    StreamingPass,
+};
 pub use env::{DynamicContext, ExecState, Focus, Frame};
 pub use eval::{Counters, Evaluator, Flow, RuntimeOptions, Sink};
 pub use index_scan::ScanCache;
-pub use stream_path::{StreamMatcher, StreamPattern, StreamStats, StreamStep};
+pub use stream_path::{StreamPattern, StreamStats, StreamStep};
 pub use value::{effective_boolean_value, serialize_sequence, Item, Sequence};
 pub use xqr_parallel::{ParallelConfig, ParallelRun};
 

@@ -5,15 +5,14 @@
 //!
 //! When the compiled query is a forward path of child/descendant name
 //! steps (the message-broker use case: "simple path expressions, single
-//! input message"), the engine bypasses the store entirely and runs this
-//! matcher over a [`TokenIterator`], emitting matched subtrees as
-//! serialized XML the moment their end tag arrives — and `skip()`ping
-//! whole subtrees that no pattern state can match.
+//! input message"), the engine bypasses the store entirely: the path is
+//! extracted here as a [`StreamPattern`] and run by the automaton in
+//! [`crate::automaton`] over the token stream, emitting matched subtrees
+//! as serialized XML as their end tags arrive — and `skip()`ping whole
+//! subtrees that no pattern state can match.
 
 use xqr_compiler::Core;
-use xqr_tokenstream::{Token, TokenIterator};
-use xqr_xdm::{Error, QName, QueryGuard, Result};
-use xqr_xmlparse::{WriterOptions, XmlWriter};
+use xqr_xdm::{Error, QName, Result};
 use xqr_xqparser::ast::{AxisName, NodeTest};
 
 /// One step of a streamable pattern.
@@ -26,26 +25,14 @@ pub struct StreamStep {
 }
 
 /// A streamable pattern: a chain of steps from the document root.
-///
-/// **Match semantics.** The matcher emits *outermost* matches: when a
-/// match contains another match in its subtree, only the outer one is
-/// emitted (its serialization includes the inner one). For patterns
-/// whose steps are all child edges, matches sit at a fixed depth and
-/// can never nest, so streaming results equal materialized evaluation
-/// exactly — [`StreamPattern::is_exact`] reports this.
+/// Streaming it yields every matching element in document order, nested
+/// matches included — the node set materialized evaluation returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamPattern {
     pub steps: Vec<StreamStep>,
 }
 
 impl StreamPattern {
-    /// Longest recognizable pattern. The matcher keeps per-element state
-    /// as a `u32` bitmask of matched prefix lengths (bit `p` = prefix of
-    /// length `p`, bit `len` = full match), so a pattern may have at
-    /// most 31 steps; longer paths silently stay on the navigational
-    /// plan, which answers them correctly without streaming.
-    pub const MAX_STEPS: usize = 31;
-
     /// Try to recognize the compiled core as a streamable path rooted at
     /// the document: nests of `Ddo(PathMap(..))` over `Root` with
     /// child/descendant(-or-self) element name steps and no predicates.
@@ -62,7 +49,7 @@ impl StreamPattern {
         if pending_dos {
             return None;
         }
-        if steps.is_empty() || steps.len() > Self::MAX_STEPS {
+        if steps.is_empty() {
             return None;
         }
         Some(StreamPattern { steps })
@@ -74,13 +61,6 @@ impl StreamPattern {
     pub fn extract_required(core: &Core) -> Result<StreamPattern> {
         StreamPattern::extract(core)
             .ok_or_else(|| Error::internal(format!("not streamable: {core:?}")))
-    }
-
-    /// Child-only patterns match at a fixed depth: matches cannot nest
-    /// and streaming equals materialized evaluation exactly. Patterns
-    /// with descendant edges use outermost-match semantics.
-    pub fn is_exact(&self) -> bool {
-        self.steps.iter().all(|s| !s.descendant)
     }
 }
 
@@ -152,256 +132,14 @@ pub struct StreamStats {
     pub matches: u64,
 }
 
-/// The running matcher.
-pub struct StreamMatcher<I: TokenIterator> {
-    it: I,
-    pattern: StreamPattern,
-    /// Per-open-element state: bitmask of pattern prefix lengths
-    /// currently satisfied (bit p = "steps[..p] matched along this
-    /// path"). Bit `len` = full match.
-    states: Vec<u32>,
-    /// Depth at which a capture started (serializing until it closes).
-    capture_depth: Option<usize>,
-    writer: Option<XmlWriter>,
-    pending: Vec<(
-        QName,
-        Vec<xqr_xmlparse::Attribute>,
-        Vec<xqr_xmlparse::NamespaceDecl>,
-    )>,
-    /// Optional budget: emitted matches charge the output-byte cap (the
-    /// token/depth budgets are charged by a guarded token iterator).
-    guard: Option<QueryGuard>,
-    pub stats: StreamStats,
-}
-
-impl<I: TokenIterator> StreamMatcher<I> {
-    pub fn new(it: I, pattern: StreamPattern) -> Self {
-        StreamMatcher {
-            it,
-            pattern,
-            states: vec![1], // bit 0: empty prefix matched at the root
-            capture_depth: None,
-            writer: None,
-            pending: Vec::new(),
-            guard: None,
-            stats: StreamStats::default(),
-        }
-    }
-
-    pub fn with_guard(mut self, guard: QueryGuard) -> Self {
-        self.guard = Some(guard);
-        self
-    }
-
-    fn advance_mask(&self, parent_mask: u32, name: &QName) -> u32 {
-        let n = self.pattern.steps.len();
-        let mut mask = 0u32;
-        for p in 0..=n {
-            if parent_mask & (1 << p) == 0 {
-                continue;
-            }
-            if p < n {
-                let step = &self.pattern.steps[p];
-                // Does this element advance prefix p → p+1?
-                if step.name.as_ref().is_none_or(|q| q == name) {
-                    mask |= 1 << (p + 1);
-                }
-                // Descendant steps keep the prefix alive below.
-                if step.descendant {
-                    mask |= 1 << p;
-                }
-            }
-        }
-        mask
-    }
-
-    /// Pull until the next full match; returns the serialized subtree.
-    pub fn next_match(&mut self) -> Result<Option<String>> {
-        loop {
-            let Some(tok) = self.it.next_token()? else {
-                return Ok(None);
-            };
-            self.stats.tokens_seen += 1;
-            match tok {
-                Token::StartDocument | Token::EndDocument => {}
-                Token::StartElement(nid) => {
-                    let name = self.it.name(nid);
-                    // Flush any pending start tag into the writer first.
-                    self.flush_pending()?;
-                    let parent = *self.states.last().expect("root state");
-                    let mask = self.advance_mask(parent, &name);
-                    self.states.push(mask);
-                    let full_bit = 1u32 << self.pattern.steps.len();
-                    if self.capture_depth.is_none() && mask & full_bit != 0 {
-                        self.capture_depth = Some(self.states.len() - 1);
-                        self.writer = Some(XmlWriter::new(WriterOptions::default()));
-                    }
-                    if self.capture_depth.is_some() {
-                        self.pending.push((name, Vec::new(), Vec::new()));
-                    } else if mask == 0 {
-                        // Nothing below can match: the talk's skip().
-                        let skipped = self.it.skip_subtree()?;
-                        self.stats.tokens_skipped += skipped as u64;
-                        self.states.pop();
-                    }
-                }
-                Token::Attribute(nid, vid) => {
-                    if self.capture_depth.is_some() {
-                        if let Some((_, attrs, _)) = self.pending.last_mut() {
-                            attrs.push(xqr_xmlparse::Attribute {
-                                name: self.it.name(nid),
-                                value: self.it.pooled_str(vid),
-                            });
-                        }
-                    }
-                }
-                Token::NamespaceDecl(pid, uid) => {
-                    if self.capture_depth.is_some() {
-                        if let Some((_, _, decls)) = self.pending.last_mut() {
-                            let prefix = self.it.pooled_str(pid);
-                            decls.push(xqr_xmlparse::NamespaceDecl {
-                                prefix: if prefix.is_empty() {
-                                    None
-                                } else {
-                                    Some(prefix)
-                                },
-                                uri: self.it.pooled_str(uid),
-                            });
-                        }
-                    }
-                }
-                Token::Text(sid) => {
-                    if self.capture_depth.is_some() {
-                        self.flush_pending()?;
-                        let w = self.writer.as_mut().expect("writer during capture");
-                        w.write(&xqr_xmlparse::XmlEvent::Text(self.it.pooled_str(sid)))?;
-                    }
-                }
-                Token::Comment(sid) => {
-                    if self.capture_depth.is_some() {
-                        self.flush_pending()?;
-                        let w = self.writer.as_mut().expect("writer during capture");
-                        w.write(&xqr_xmlparse::XmlEvent::Comment(self.it.pooled_str(sid)))?;
-                    }
-                }
-                Token::ProcessingInstruction(nid, did) => {
-                    if self.capture_depth.is_some() {
-                        self.flush_pending()?;
-                        let w = self.writer.as_mut().expect("writer during capture");
-                        w.write(&xqr_xmlparse::XmlEvent::ProcessingInstruction {
-                            target: std::sync::Arc::from(self.it.name(nid).local_name()),
-                            data: self.it.pooled_str(did),
-                        })?;
-                    }
-                }
-                Token::EndElement => {
-                    if self.capture_depth.is_some() {
-                        self.flush_pending()?;
-                        let w = self.writer.as_mut().expect("writer during capture");
-                        w.write(&xqr_xmlparse::XmlEvent::EndElement {
-                            name: QName::local(""),
-                        })?;
-                    }
-                    let depth = self.states.len() - 1;
-                    self.states.pop();
-                    if self.capture_depth == Some(depth) {
-                        self.capture_depth = None;
-                        let out = self.writer.take().expect("writer").into_string();
-                        self.stats.matches += 1;
-                        if let Some(guard) = &self.guard {
-                            guard.note_output_bytes(out.len() as u64)?;
-                        }
-                        return Ok(Some(out));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Collect every match (driver for tests/benches).
-    pub fn all_matches(&mut self) -> Result<Vec<String>> {
-        let mut out = Vec::new();
-        while let Some(m) = self.next_match()? {
-            out.push(m);
-        }
-        Ok(out)
-    }
-
-    /// Count matches without serializing them — `count(//path)` in pure
-    /// streaming mode. Matched subtrees are `skip()`ed over entirely
-    /// (outermost-match semantics, like [`Self::next_match`]).
-    pub fn count_matches(&mut self) -> Result<u64> {
-        let mut count = 0u64;
-        loop {
-            let Some(tok) = self.it.next_token()? else {
-                return Ok(count);
-            };
-            self.stats.tokens_seen += 1;
-            match tok {
-                Token::StartElement(nid) => {
-                    let name = self.it.name(nid);
-                    let parent = *self.states.last().expect("root state");
-                    let mask = self.advance_mask(parent, &name);
-                    let full_bit = 1u32 << self.pattern.steps.len();
-                    if mask & full_bit != 0 {
-                        count += 1;
-                        self.stats.matches += 1;
-                        // The whole match subtree can be skipped.
-                        let skipped = self.it.skip_subtree()?;
-                        self.stats.tokens_skipped += skipped as u64;
-                    } else if mask == 0 {
-                        let skipped = self.it.skip_subtree()?;
-                        self.stats.tokens_skipped += skipped as u64;
-                    } else {
-                        self.states.push(mask);
-                    }
-                }
-                Token::EndElement => {
-                    self.states.pop();
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn flush_pending(&mut self) -> Result<()> {
-        if self.capture_depth.is_none() {
-            self.pending.clear();
-            return Ok(());
-        }
-        if let Some(w) = self.writer.as_mut() {
-            for (name, attributes, namespaces) in self.pending.drain(..) {
-                w.write(&xqr_xmlparse::XmlEvent::StartElement {
-                    name,
-                    attributes,
-                    namespaces,
-                    empty: false,
-                })?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use xqr_compiler::{compile, CompileOptions};
-    use xqr_tokenstream::ParserTokenIterator;
-    use xqr_xdm::NamePool;
 
     fn pattern(query: &str) -> StreamPattern {
         let q = compile(query, &CompileOptions::default()).unwrap();
         StreamPattern::extract_required(&q.module.body).unwrap()
-    }
-
-    fn run(query: &str, xml: &str) -> (Vec<String>, StreamStats) {
-        let p = pattern(query);
-        let it = ParserTokenIterator::new(xml, Arc::new(NamePool::new()));
-        let mut m = StreamMatcher::new(it, p);
-        let out = m.all_matches().unwrap();
-        (out, m.stats)
     }
 
     #[test]
@@ -426,120 +164,11 @@ mod tests {
     }
 
     #[test]
-    fn child_path_matches() {
-        let (out, _) = run("/a/b", "<a><b>1</b><c><b>no</b></c><b>2</b></a>");
-        assert_eq!(out, vec!["<b>1</b>", "<b>2</b>"]);
-    }
-
-    #[test]
-    fn descendant_path_matches() {
-        let (out, _) = run("//b", "<a><b>1</b><c><b x=\"y\">2</b></c></a>");
-        assert_eq!(out, vec!["<b>1</b>", "<b x=\"y\">2</b>"]);
-    }
-
-    #[test]
-    fn mixed_path() {
-        let xml = "<bib><group><book><title>T1</title></book></group><book><title>T2</title></book></bib>";
-        let (out, _) = run("/bib//book/title", xml);
-        assert_eq!(out, vec!["<title>T1</title>", "<title>T2</title>"]);
-    }
-
-    #[test]
-    fn skip_avoids_unmatchable_subtrees() {
-        // Pattern /a/b cannot match inside <z>…</z>: the matcher must
-        // skip the whole subtree.
-        let mut xml = String::from("<a><z>");
-        for i in 0..1000 {
-            xml.push_str(&format!("<junk>{i}</junk>"));
-        }
-        xml.push_str("</z><b>hit</b></a>");
-        let (out, stats) = run("/a/b", &xml);
-        assert_eq!(out, vec!["<b>hit</b>"]);
-        assert!(
-            stats.tokens_skipped > 2500,
-            "expected bulk skipping, got {stats:?}"
-        );
-    }
-
-    #[test]
-    fn no_skip_under_descendant_steps() {
-        let (out, stats) = run("//b", "<a><z><b>deep</b></z></a>");
-        assert_eq!(out, vec!["<b>deep</b>"]);
-        assert_eq!(stats.tokens_skipped, 0);
-    }
-
-    #[test]
-    fn count_matches_without_serializing() {
-        let p = pattern("/a/b");
-        let it = ParserTokenIterator::new(
-            "<a><b>1</b><z><b>not-child</b></z><b>2</b></a>",
-            Arc::new(NamePool::new()),
-        );
-        let mut m = StreamMatcher::new(it, p);
-        assert_eq!(m.count_matches().unwrap(), 2);
-        assert!(m.stats.tokens_skipped > 0);
-        // Outermost semantics for nested descendants.
-        let p = pattern("//b");
-        let it = ParserTokenIterator::new("<a><b><b/></b><b/></a>", Arc::new(NamePool::new()));
-        let mut m = StreamMatcher::new(it, p);
-        assert_eq!(m.count_matches().unwrap(), 2);
-    }
-
-    #[test]
-    fn nested_matches_capture_outermost() {
-        let (out, _) = run("//b", "<a><b>outer<b>inner</b></b></a>");
-        assert_eq!(out, vec!["<b>outer<b>inner</b></b>"]);
-    }
-
-    #[test]
     fn extract_required_reports_internal_error() {
         let q = compile("1 + 1", &CompileOptions::default()).unwrap();
         let e = StreamPattern::extract_required(&q.module.body).unwrap_err();
         assert_eq!(e.code, xqr_xdm::ErrorCode::Internal);
         assert!(e.to_string().contains("not streamable"));
-    }
-
-    #[test]
-    fn output_cap_stops_streaming_matches() {
-        use xqr_xdm::{ErrorCode, Limits, QueryGuard};
-        let p = pattern("/a/b");
-        let it =
-            ParserTokenIterator::new("<a><b>1</b><b>2</b><b>3</b></a>", Arc::new(NamePool::new()));
-        let guard = QueryGuard::new(Limits::unlimited().with_max_output_bytes(10));
-        let mut m = StreamMatcher::new(it, p).with_guard(guard);
-        // "<b>1</b>" is 8 bytes — under the cap.
-        assert!(m.next_match().unwrap().is_some());
-        // The second match takes the total to 16 bytes.
-        let err = m.next_match().unwrap_err();
-        assert_eq!(err.code, ErrorCode::Limit);
-    }
-
-    #[test]
-    fn recursive_descendant_chains() {
-        let (out, _) = run("//a//a", "<a><a><a/></a></a>");
-        // outer capture at the first nested a
-        assert_eq!(out, vec!["<a><a/></a>"]);
-    }
-
-    #[test]
-    fn step_cap_rejects_long_paths() {
-        // The per-element state is a u32 prefix bitmask, so patterns cap
-        // at MAX_STEPS; one past it must fall off the streaming plan
-        // (the navigational path still answers it — pinned in
-        // tests/regressions.rs at the workspace root).
-        let at_cap: String = (0..StreamPattern::MAX_STEPS)
-            .map(|i| format!("/e{i}"))
-            .collect();
-        assert_eq!(pattern(&at_cap).steps.len(), StreamPattern::MAX_STEPS);
-        let over: String = (0..StreamPattern::MAX_STEPS + 1)
-            .map(|i| format!("/e{i}"))
-            .collect();
-        let q = compile(&over, &CompileOptions::default()).unwrap();
-        assert!(
-            StreamPattern::extract(&q.module.body).is_none(),
-            "a {}-step path must not extract",
-            StreamPattern::MAX_STEPS + 1
-        );
     }
 
     #[test]
@@ -586,50 +215,13 @@ mod tests {
         assert_eq!(p.steps.len(), 3);
         assert!(p.steps[1].descendant && p.steps[1].name.is_none());
         assert!(!p.steps[2].descendant);
-        let it = ParserTokenIterator::new("<a><b>shallow</b></a>", Arc::new(NamePool::new()));
-        let mut m = StreamMatcher::new(it, p.clone());
-        assert_eq!(m.all_matches().unwrap(), Vec::<String>::new());
-        let it = ParserTokenIterator::new("<a><z><b>deep</b></z></a>", Arc::new(NamePool::new()));
-        let mut m = StreamMatcher::new(it, p);
-        assert_eq!(m.all_matches().unwrap(), vec!["<b>deep</b>"]);
     }
 
     #[test]
-    fn wildcard_steps_match_any_element() {
-        let (out, _) = run("/a/*", "<a><b>1</b><c>2</c></a>");
-        assert_eq!(out, vec!["<b>1</b>", "<c>2</c>"]);
+    fn wildcard_steps_extract_without_a_name() {
         let p = pattern("//*");
         assert_eq!(p.steps.len(), 1);
         assert!(p.steps[0].descendant && p.steps[0].name.is_none());
-        let it = ParserTokenIterator::new("<a><b/></a>", Arc::new(NamePool::new()));
-        let mut m = StreamMatcher::new(it, p);
-        // Outermost semantics: the document element swallows everything.
-        assert_eq!(m.all_matches().unwrap(), vec!["<a><b/></a>"]);
-    }
-
-    #[test]
-    fn empty_and_elementless_input_through_next_match() {
-        // A document with no elements at all still terminates cleanly.
-        let p = pattern("/a/b");
-        let it = ParserTokenIterator::new("", Arc::new(NamePool::new()));
-        let mut m = StreamMatcher::new(it, p.clone());
-        match m.next_match() {
-            Ok(None) => {}
-            Ok(Some(m)) => panic!("match from empty input: {m:?}"),
-            Err(e) => assert_ne!(
-                e.code,
-                xqr_xdm::ErrorCode::Internal,
-                "empty input must not surface an internal error: {e}"
-            ),
-        }
-        // Whitespace-only input likewise: either a clean end-of-stream
-        // or a coded parse error, never a panic or a match.
-        let it = ParserTokenIterator::new("   ", Arc::new(NamePool::new()));
-        let mut m = StreamMatcher::new(it, p);
-        match m.next_match() {
-            Ok(None) => {}
-            Ok(Some(m)) => panic!("match from whitespace input: {m:?}"),
-            Err(e) => assert_ne!(e.code, xqr_xdm::ErrorCode::Internal),
-        }
+        assert_eq!(pattern("/a/*").steps[1].name, None);
     }
 }

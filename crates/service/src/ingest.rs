@@ -17,32 +17,28 @@
 //!   opens fail with `err:XQRL0004 Overloaded`.
 //!
 //! * **Stream queries** ([`QueryService::open_stream_query`]) run one
-//!   query over a chunked document. Streamable plans run on a live
-//!   bounded channel (`xqr-ingest`): a worker thread drives the token
-//!   matcher while the caller feeds bytes, memory stays O(channel), and
-//!   the producer parks when the evaluator falls behind (backpressure).
+//!   query over a chunked document. Streamable plans run the same
+//!   in-thread push pass a chunk session does, as a one-pattern
+//!   automaton on the caller's thread: each feed matches whatever tokens
+//!   completed, and memory stays O(largest syntactic unit + output).
 //!   Non-streamable plans buffer and evaluate at finish — same results,
 //!   same error codes, just without the bounded-memory guarantee.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::resilience::lock_recover;
 use crate::service::QueryService;
-use xqr_ingest::IngestPipeline;
 use xqr_pressure::{Category, Charge};
-use xqr_runtime::{StreamMatcher, StreamStats};
+use xqr_runtime::{CombinedAutomaton, StreamingPass};
 use xqr_subscribe::{PublishReport, PublishSession};
 use xqr_xdm::{Error, QueryGuard, Result};
 
-/// Baseline ledger charge for a live chunk session or buffered stream
-/// query (slot bookkeeping, lexer state); fed bytes grow it.
+/// Baseline ledger charge for a live chunk session or stream query
+/// (slot bookkeeping, lexer state); fed or matched bytes grow it.
 const SESSION_BASE_BYTES: u64 = 4096;
-/// Estimated bytes per event slot in a stream query's bounded channel.
-const CHANNEL_EVENT_BYTES: u64 = 64;
 
 /// Generation-checked handle to a live chunk session. Stale ids (the
 /// session finished, aborted, or was reaped, and the slot may have been
@@ -79,7 +75,6 @@ pub(crate) struct IngestState {
     slots: Box<[Mutex<Option<SessionEntry>>]>,
     next_generation: AtomicU64,
     idle_timeout: Duration,
-    channel_capacity: usize,
     sessions_opened: AtomicU64,
     sessions_finished: AtomicU64,
     sessions_aborted: AtomicU64,
@@ -88,10 +83,6 @@ pub(crate) struct IngestState {
     chunks_fed: AtomicU64,
     bytes_fed: AtomicU64,
     stream_queries: AtomicU64,
-    /// High-water mark of any stream query's event channel — with
-    /// backpressure working this never exceeds `channel_capacity`, no
-    /// matter how large the document.
-    channel_peak: AtomicU64,
 }
 
 /// Point-in-time copy of the ingest counters for [`crate::ServiceStats`].
@@ -105,16 +96,10 @@ pub(crate) struct IngestSnapshot {
     pub chunks: u64,
     pub bytes: u64,
     pub stream_queries: u64,
-    pub channel_capacity: u64,
-    pub channel_peak: u64,
 }
 
 impl IngestState {
-    pub(crate) fn new(
-        max_sessions: usize,
-        idle_timeout: Duration,
-        channel_capacity: usize,
-    ) -> Self {
+    pub(crate) fn new(max_sessions: usize, idle_timeout: Duration) -> Self {
         let slots = (0..max_sessions.max(1))
             .map(|_| Mutex::new(None))
             .collect::<Vec<_>>()
@@ -123,7 +108,6 @@ impl IngestState {
             slots,
             next_generation: AtomicU64::new(0),
             idle_timeout,
-            channel_capacity: channel_capacity.max(1),
             sessions_opened: AtomicU64::new(0),
             sessions_finished: AtomicU64::new(0),
             sessions_aborted: AtomicU64::new(0),
@@ -132,7 +116,6 @@ impl IngestState {
             chunks_fed: AtomicU64::new(0),
             bytes_fed: AtomicU64::new(0),
             stream_queries: AtomicU64::new(0),
-            channel_peak: AtomicU64::new(0),
         }
     }
 
@@ -146,11 +129,6 @@ impl IngestState {
         self.slots
             .get(id.slot as usize)
             .ok_or_else(|| Self::stale(id))
-    }
-
-    fn fold_gauges(&self, gauges: &xqr_ingest::ChannelGauges) {
-        self.channel_peak
-            .fetch_max(gauges.peak() as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> IngestSnapshot {
@@ -169,8 +147,6 @@ impl IngestState {
             chunks: self.chunks_fed.load(Ordering::Relaxed),
             bytes: self.bytes_fed.load(Ordering::Relaxed),
             stream_queries: self.stream_queries.load(Ordering::Relaxed),
-            channel_capacity: self.channel_capacity as u64,
-            channel_peak: self.channel_peak.load(Ordering::Relaxed),
         }
     }
 }
@@ -365,62 +341,41 @@ impl QueryService {
     }
 
     /// Run one query over a document that arrives as chunks. Streamable
-    /// plans evaluate on a live bounded channel — first results exist
-    /// before the last byte arrives, and memory stays O(channel
-    /// capacity); everything else buffers and evaluates at
+    /// plans evaluate as bytes arrive — first results exist before the
+    /// last byte does, and memory stays O(largest syntactic unit +
+    /// output); everything else buffers and evaluates at
     /// [`StreamQuery::finish`] with identical results and error codes.
     pub fn open_stream_query(&self, query: &str) -> Result<StreamQuery<'_>> {
         self.check_red("stream query")?;
-        let st = self.ingest_state();
         let plan = self.acquire_plan_for_ingest(query)?;
         let inner = match plan.stream_pattern() {
-            Some(p) if plan.streaming_is_exact() => {
-                let pattern = p.clone();
+            Some(pattern) => {
+                let automaton = CombinedAutomaton::build(std::slice::from_ref(pattern));
                 let guard = QueryGuard::new(self.limits());
-                let pipe_guard = (!guard.is_unlimited()).then(|| guard.clone());
-                let (pipeline, rx) = xqr_ingest::pipeline(
+                let pass = StreamingPass::new(
+                    &automaton,
                     self.engine().names().clone(),
-                    st.channel_capacity,
-                    pipe_guard.clone(),
+                    guard.clone(),
+                    vec![guard],
                 );
-                // A dedicated thread, not a pool worker: a drip-fed
-                // document can straddle seconds, and parking a pool slot
-                // on it would starve interactive queries.
-                let worker = std::thread::spawn(move || {
-                    let mut matcher = StreamMatcher::new(rx, pattern);
-                    if let Some(g) = pipe_guard {
-                        matcher = matcher.with_guard(g);
-                    }
-                    xqr_core::contain_panic(|| {
-                        let mut out = String::new();
-                        while let Some(m) = matcher.next_match()? {
-                            out.push_str(&m);
-                        }
-                        Ok((out, matcher.stats))
-                    })
-                });
                 StreamQueryInner::Streamed {
-                    pipeline: Box::new(pipeline),
-                    worker,
+                    automaton,
+                    pass: Box::new(pass),
+                    out: String::new(),
                 }
             }
-            _ => StreamQueryInner::Buffered {
+            None => StreamQueryInner::Buffered {
                 query: query.to_string(),
                 buf: Vec::new(),
             },
         };
-        st.stream_queries.fetch_add(1, Ordering::Relaxed);
-        // Streamed mode's footprint is the bounded channel; buffered
-        // mode starts at the baseline and grows with every fed chunk.
+        self.ingest_state()
+            .stream_queries
+            .fetch_add(1, Ordering::Relaxed);
         let charge = Charge::new(
             Arc::clone(self.ledger()),
             Category::IngestChannels,
-            match &inner {
-                StreamQueryInner::Streamed { .. } => {
-                    st.channel_capacity as u64 * CHANNEL_EVENT_BYTES
-                }
-                StreamQueryInner::Buffered { .. } => SESSION_BASE_BYTES,
-            },
+            SESSION_BASE_BYTES,
         );
         Ok(StreamQuery {
             service: self,
@@ -458,15 +413,20 @@ fn finish_entry(service: &QueryService, entry: SessionEntry) -> Result<PublishRe
 
 enum StreamQueryInner {
     Streamed {
-        // Boxed: the pipeline embeds the tokenizer's lexer state and
-        // would otherwise dwarf the Buffered variant.
-        pipeline: Box<IngestPipeline>,
-        worker: JoinHandle<Result<(String, StreamStats)>>,
+        automaton: CombinedAutomaton,
+        // Boxed: the pass embeds the tokenizer's lexer state and would
+        // otherwise dwarf the other variants.
+        pass: Box<StreamingPass>,
+        /// Matches completed so far, concatenated in document order.
+        out: String,
     },
     Buffered {
         query: String,
         buf: Vec<u8>,
     },
+    /// A streamed feed failed: the error is sticky, so a half-matched
+    /// document can never finish as a short valid answer.
+    Failed(Error),
 }
 
 /// An in-flight chunked query from [`QueryService::open_stream_query`].
@@ -474,69 +434,86 @@ enum StreamQueryInner {
 pub struct StreamQuery<'s> {
     service: &'s QueryService,
     inner: StreamQueryInner,
-    /// Ledger charge for this query's channel or buffer; released when
-    /// the query finishes or is dropped.
+    /// Ledger charge for this query's accumulated output (streamed) or
+    /// input buffer (buffered); released when the query finishes or is
+    /// dropped.
     charge: Charge,
 }
 
 impl StreamQuery<'_> {
-    /// Feed one chunk. In streamed mode this blocks only while the
-    /// bounded channel is full — backpressure, not buffering.
+    /// Feed one chunk. In streamed mode the query advances by however
+    /// many tokens completed, on the caller's thread; the charge grows
+    /// with the matches collected, ceiling-checked (`err:XQRL0004`).
     pub fn feed(&mut self, chunk: &[u8]) -> Result<()> {
         match &mut self.inner {
-            StreamQueryInner::Streamed { pipeline, .. } => pipeline.feed(chunk),
+            StreamQueryInner::Streamed {
+                automaton,
+                pass,
+                out,
+            } => {
+                let fed = xqr_core::contain_panic(|| {
+                    pass.feed(automaton, chunk)?;
+                    pass.take_matches(0)
+                })
+                .and_then(|ready| {
+                    let bytes: usize = ready.iter().map(String::len).sum();
+                    self.charge.try_grow(bytes as u64)?;
+                    out.extend(ready);
+                    Ok(())
+                });
+                if let Err(e) = &fed {
+                    self.inner = StreamQueryInner::Failed(e.clone());
+                }
+                fed
+            }
             StreamQueryInner::Buffered { buf, .. } => {
                 buf.extend_from_slice(chunk);
                 self.charge.grow(chunk.len() as u64);
                 Ok(())
             }
+            StreamQueryInner::Failed(e) => Err(e.clone()),
         }
     }
 
     /// Is this query evaluating while bytes arrive (bounded memory), or
     /// buffering for a whole-document evaluation at finish?
     pub fn is_streamed(&self) -> bool {
-        matches!(self.inner, StreamQueryInner::Streamed { .. })
+        !matches!(self.inner, StreamQueryInner::Buffered { .. })
     }
 
-    /// The channel's high-water mark so far (streamed mode; 0 buffered).
-    pub fn channel_peak(&self) -> usize {
+    /// Input bytes held right now: in streamed mode only what the lexer
+    /// parked awaiting a complete syntactic unit, in buffered mode
+    /// everything fed so far.
+    pub fn buffered_bytes(&self) -> usize {
         match &self.inner {
-            StreamQueryInner::Streamed { pipeline, .. } => pipeline.gauges().peak(),
-            StreamQueryInner::Buffered { .. } => 0,
+            StreamQueryInner::Streamed { pass, .. } => pass.buffered_bytes(),
+            StreamQueryInner::Buffered { buf, .. } => buf.len(),
+            StreamQueryInner::Failed(_) => 0,
         }
     }
 
     /// End of input: complete the evaluation and return the serialized
-    /// result. The evaluator's own error (a budget trip, a match-time
-    /// failure) wins over the producer's view of it (a dropped channel).
+    /// result.
     pub fn finish(self) -> Result<String> {
-        let st = self.service.ingest_state();
-        match self.inner {
+        let outcome = match self.inner {
             StreamQueryInner::Streamed {
-                mut pipeline,
-                worker,
-            } => {
-                let fed = pipeline.finish();
-                st.fold_gauges(&pipeline.gauges());
-                let outcome = match worker.join() {
-                    Ok(Ok((out, stats))) => {
-                        fed?;
-                        self.service.record_publish_stream(&stats);
-                        Ok(out)
-                    }
-                    Ok(Err(e)) => Err(e),
-                    Err(_) => Err(Error::internal("stream-query worker panicked")),
-                };
-                self.service.note_stream_query_outcome(&outcome);
-                outcome
-            }
+                automaton,
+                pass,
+                mut out,
+            } => xqr_core::contain_panic(|| pass.finish(&automaton)).and_then(|mut done| {
+                self.service.record_publish_stream(&done.stats);
+                out.extend(done.per_pattern.remove(0)?);
+                Ok(out)
+            }),
             StreamQueryInner::Buffered { query, buf } => {
                 let xml = String::from_utf8(buf)
                     .map_err(|_| Error::syntax("invalid UTF-8 in document"))?;
-                self.service.run_on_xml(&query, &xml)
+                return self.service.run_on_xml(&query, &xml);
             }
-        }
+            StreamQueryInner::Failed(e) => Err(e),
+        };
+        self.service.note_stream_query_outcome(&outcome);
+        outcome
     }
 }
 
@@ -665,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_query_evaluates_over_a_live_channel() {
+    fn stream_query_evaluates_while_chunks_arrive() {
         let svc = service();
         let mut q = svc.open_stream_query("/order/date").unwrap();
         assert!(q.is_streamed());
@@ -676,9 +653,19 @@ mod tests {
         assert_eq!(q.finish().unwrap(), "<date>2003-08-19</date>");
         let s = svc.stats();
         assert_eq!(s.ingest_stream_queries, 1);
-        assert!(s.ingest_channel_peak >= 1);
-        assert!(s.ingest_channel_peak <= s.ingest_channel_capacity);
         assert!(s.stream_tokens_seen > 0);
+    }
+
+    #[test]
+    fn descendant_stream_queries_stream_with_every_nested_match() {
+        let svc = service();
+        let xml = "<a><d>1<d>2</d></d><d>3</d></a>";
+        let mut q = svc.open_stream_query("//d").unwrap();
+        assert!(q.is_streamed());
+        for c in xml.as_bytes().chunks(4) {
+            q.feed(c).unwrap();
+        }
+        assert_eq!(q.finish().unwrap(), svc.run_on_xml("//d", xml).unwrap());
     }
 
     #[test]
@@ -701,39 +688,9 @@ mod tests {
         let svc = service();
         let mut q = svc.open_stream_query("/a/b").unwrap();
         q.feed(b"<a><b>x</b>").unwrap();
-        let fed = q.feed(b"</wrong>");
-        // The producer may or may not see the error first depending on
-        // scheduling; finish must surface it either way.
-        let err = match fed {
-            Err(e) => e,
-            Ok(()) => q.finish().unwrap_err(),
-        };
+        let err = q.feed(b"</wrong>").unwrap_err();
         assert_eq!(err.code, ErrorCode::Syntax);
-    }
-
-    #[test]
-    fn bounded_channel_holds_peak_at_capacity_for_large_documents() {
-        let svc = QueryService::new(ServiceConfig {
-            ingest_channel_capacity: 8,
-            ..Default::default()
-        });
-        // A document orders of magnitude larger than the channel: with
-        // backpressure the peak occupancy still never exceeds 8 events.
-        let mut xml = String::from("<log>");
-        for i in 0..20_000 {
-            xml.push_str(&format!("<e id=\"{i}\">payload {i}</e>"));
-        }
-        xml.push_str("<hit/></log>");
-        let mut q = svc.open_stream_query("/log/hit").unwrap();
-        for c in xml.as_bytes().chunks(4096) {
-            q.feed(c).unwrap();
-        }
-        assert!(q.channel_peak() <= 8);
-        assert_eq!(q.finish().unwrap(), "<hit/>");
-        let s = svc.stats();
-        assert!(
-            s.ingest_channel_peak <= 8,
-            "backpressure must bound the channel: {s}"
-        );
+        // Sticky: the half-matched document cannot finish as an answer.
+        assert_eq!(q.finish().unwrap_err().code, ErrorCode::Syntax);
     }
 }

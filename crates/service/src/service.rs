@@ -73,9 +73,6 @@ pub struct ServiceConfig {
     /// sweep (or an explicit [`QueryService::reap_idle_sessions`])
     /// frees their slots and their buffered state.
     pub chunk_session_idle: Duration,
-    /// Event capacity of a stream query's bounded channel — the memory
-    /// ceiling of chunked evaluation is O(this), not O(document).
-    pub ingest_channel_capacity: usize,
     /// Process-wide memory governance: ceiling, watermark fractions and
     /// hysteresis for the service's [`MemoryLedger`]. The default has no
     /// ceiling — every category is tracked, nothing is shed. With a
@@ -100,7 +97,6 @@ impl Default for ServiceConfig {
             persist_dir: None,
             max_chunk_sessions: 64,
             chunk_session_idle: Duration::from_secs(30),
-            ingest_channel_capacity: 256,
             pressure: PressureConfig::default(),
         }
     }
@@ -354,7 +350,6 @@ impl QueryService {
             ingest: crate::ingest::IngestState::new(
                 config.max_chunk_sessions,
                 config.chunk_session_idle,
-                config.ingest_channel_capacity,
             ),
         })
     }
@@ -673,9 +668,9 @@ impl QueryService {
     /// Run `query` against `xml` bound as the context item, with one
     /// more degradation rung below the retry loop: if the pool is still
     /// shedding (`XQRL0004`) after every retry and the plan is
-    /// streamable with exact semantics, the query runs on the *caller's*
-    /// thread through the token-streaming matcher — trading the pool's
-    /// parallelism for guaranteed progress under overload.
+    /// streamable, the query runs on the *caller's* thread through the
+    /// token-streaming automaton — trading the pool's parallelism for
+    /// guaranteed progress under overload.
     pub fn run_on_xml(&self, query: &str, xml: &str) -> Result<String> {
         let id = self.shared.engine.store().load_xml(xml, None)?;
         let mut ctx = DynamicContext::new();
@@ -685,7 +680,7 @@ impl QueryService {
         match pooled {
             Err(e) if e.code == ErrorCode::Overloaded => {
                 let plan = self.shared.acquire_plan(query)?;
-                if plan.is_streamable() && plan.streaming_is_exact() {
+                if plan.is_streamable() {
                     self.shared
                         .shed_to_streaming
                         .fetch_add(1, Ordering::Relaxed);
@@ -841,8 +836,6 @@ impl QueryService {
             ingest_chunks: ingest.chunks,
             ingest_bytes: ingest.bytes,
             ingest_stream_queries: ingest.stream_queries,
-            ingest_channel_capacity: ingest.channel_capacity,
-            ingest_channel_peak: ingest.channel_peak,
             latency_count: self.shared.latency.count(),
             latency_mean: self.shared.latency.mean(),
             latency_p50: self.shared.latency.p50(),
@@ -989,11 +982,6 @@ pub struct ServiceStats {
     pub ingest_bytes: u64,
     /// Stream queries opened ([`QueryService::open_stream_query`]).
     pub ingest_stream_queries: u64,
-    /// Configured event capacity of stream-query channels.
-    pub ingest_channel_capacity: u64,
-    /// High-water mark over every stream query's channel: backpressure
-    /// holds this at or under the capacity regardless of document size.
-    pub ingest_channel_peak: u64,
     pub latency_count: u64,
     pub latency_mean: Duration,
     pub latency_p50: Duration,
@@ -1144,7 +1132,7 @@ delivery-failures: {}",
         writeln!(
             f,
             "ingest:  sessions: {} active: {} finished: {} aborted: {} reaped: {} failed: {} \
-chunks: {} bytes: {} stream-queries: {} channel-peak: {}/{}",
+chunks: {} bytes: {} stream-queries: {}",
             self.ingest_sessions_opened,
             self.ingest_sessions_active,
             self.ingest_sessions_finished,
@@ -1153,9 +1141,7 @@ chunks: {} bytes: {} stream-queries: {} channel-peak: {}/{}",
             self.ingest_sessions_failed,
             self.ingest_chunks,
             self.ingest_bytes,
-            self.ingest_stream_queries,
-            self.ingest_channel_peak,
-            self.ingest_channel_capacity
+            self.ingest_stream_queries
         )?;
         writeln!(
             f,

@@ -6,10 +6,11 @@
 //!
 //! Three pieces:
 //!
-//! - [`CombinedAutomaton`] / [`run_document`] — the subscription set's
-//!   streamable patterns compiled into one shared-prefix trie run as an
-//!   NFA state-set per document, with subtree `skip()` pruning when no
-//!   live state can match;
+//! - [`CombinedAutomaton`] / [`run_document`] (from `xqr-runtime`, where
+//!   a single streaming query is the same run at N=1) — the subscription
+//!   set's streamable patterns compiled into one shared-prefix trie run
+//!   as an NFA state-set per document, with subtree `skip()` pruning
+//!   when no live state can match;
 //! - [`SubscriptionRegistry`] — generation-checked [`SubId`]s, per-
 //!   subscription budgets and delivery sinks, and the publish path
 //!   (shared pass + one-shot fallback over a single materialized
@@ -22,13 +23,12 @@
 //! one-shot queries per document — byte-for-byte, or the same stable
 //! coded error, never cross-contamination.
 
-mod automaton;
 mod registry;
 
-pub use automaton::{
-    run_document, CombinedAutomaton, CombinedOutcome, CombinedRun, PatternId, PushAction,
-};
+// The automaton lives in `xqr-runtime`; the frozen `perfbench/` package
+// imports it through these paths.
 pub use registry::{
     CollectingSink, Delivery, PublishReport, PublishSession, SubId, SubscribeStats,
     SubscriptionRegistry, SubscriptionSink,
 };
+pub use xqr_runtime::{run_document, CombinedAutomaton};

@@ -21,11 +21,13 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::automaton::{run_document, CombinedAutomaton, CombinedOutcome, CombinedRun};
 use xqr_core::{contain_panic, Engine, Item, NodeId, NodeRef, PreparedQuery};
-use xqr_runtime::{Counters, DynamicContext, StreamPattern, StreamStats};
+use xqr_runtime::{
+    run_document, CombinedAutomaton, CombinedOutcome, Counters, DynamicContext, StreamPattern,
+    StreamStats, StreamingPass,
+};
 use xqr_store::DocId;
-use xqr_tokenstream::{ParserTokenIterator, PushTokenizer};
+use xqr_tokenstream::ParserTokenIterator;
 use xqr_xdm::{Error, Limits, QueryGuard, Result};
 
 /// Generation-checked subscription handle: slots are reused, but a
@@ -544,17 +546,12 @@ impl SubscriptionRegistry {
                 .iter()
                 .map(|(_, s)| QueryGuard::new(s.limits))
                 .collect();
-            let pass_guard = QueryGuard::new(publish_limits);
-            let tokenizer = if pass_guard.is_unlimited() {
-                PushTokenizer::new(engine.names().clone())
-            } else {
-                PushTokenizer::with_guard(engine.names().clone(), pass_guard)
-            };
-            Some(StreamingPass {
-                tokenizer,
-                run: CombinedRun::new(&plan.automaton),
+            Some(StreamingPass::new(
+                &plan.automaton,
+                engine.names().clone(),
+                QueryGuard::new(publish_limits),
                 guards,
-            })
+            ))
         };
         let fallback_buf = if plan.fallback.is_empty() {
             None
@@ -615,15 +612,6 @@ impl SubscriptionRegistry {
     }
 }
 
-/// The incremental half of a chunked publish: the push tokenizer and
-/// the resumable automaton run, present only when at least one
-/// streamable subscription exists.
-struct StreamingPass {
-    tokenizer: PushTokenizer,
-    run: CombinedRun,
-    guards: Vec<QueryGuard>,
-}
-
 /// An in-flight chunked publish (see
 /// [`SubscriptionRegistry::begin_publish`]). Feed byte chunks as they
 /// arrive; streamable subscriptions are matched incrementally against
@@ -637,6 +625,9 @@ struct StreamingPass {
 pub struct PublishSession {
     plan: Arc<PublishPlan>,
     document: String,
+    /// The incremental half: push tokenizer plus resumable automaton
+    /// run, present only when at least one streamable subscription
+    /// exists.
     streaming: Option<StreamingPass>,
     /// Raw document bytes, accumulated only when `plan.fallback` is
     /// non-empty (a materialized copy will be needed at finish).
@@ -672,7 +663,7 @@ impl PublishSession {
     pub fn buffered_bytes(&self) -> usize {
         self.streaming
             .as_ref()
-            .map(|s| s.tokenizer.buffered_bytes())
+            .map(|s| s.buffered_bytes())
             .unwrap_or(0)
     }
 
@@ -681,7 +672,7 @@ impl PublishSession {
     pub fn matches_so_far(&self) -> u64 {
         self.streaming
             .as_ref()
-            .map(|s| s.run.stats().matches)
+            .map(|s| s.stats().matches)
             .unwrap_or(0)
     }
 
@@ -702,12 +693,7 @@ impl PublishSession {
         let Some(pass) = &mut self.streaming else {
             return Ok(());
         };
-        let plan = &self.plan;
-        let r = contain_panic(|| {
-            pass.tokenizer.feed(chunk)?;
-            drain_pass(pass, plan)
-        });
-        match r {
+        match contain_panic(|| pass.feed(&self.plan.automaton, chunk)) {
             Ok(()) => Ok(()),
             Err(e) => self.fail(e),
         }
@@ -728,17 +714,10 @@ impl PublishSession {
     {
         self.check_failed()?;
         let shared = match self.streaming.take() {
-            Some(mut pass) => {
-                let plan = &self.plan;
-                let r = contain_panic(|| {
-                    pass.tokenizer.finish()?;
-                    drain_pass(&mut pass, plan)
-                });
-                if let Err(e) = r {
-                    return self.fail(e);
-                }
-                Some(pass.run.finish())
-            }
+            Some(pass) => match contain_panic(|| pass.finish(&self.plan.automaton)) {
+                Ok(outcome) => Some(outcome),
+                Err(e) => return self.fail(e),
+            },
             None => None,
         };
         let doc_text = match self.fallback_buf.take() {
@@ -763,20 +742,6 @@ impl PublishSession {
             materialize(doc_text.as_deref().unwrap_or(""))
         })
     }
-}
-
-/// Push every completed token through the combined run. Skip hints are
-/// ignored — tokens arrive whether we want them or not; the run absorbs
-/// dead subtrees internally.
-fn drain_pass(pass: &mut StreamingPass, plan: &PublishPlan) -> Result<()> {
-    while let Some(tok) = pass.tokenizer.poll_token()? {
-        let guards = &pass.guards;
-        pass.run
-            .push(&plan.automaton, &tok, &pass.tokenizer, &mut |pid, bytes| {
-                guards[pid as usize].note_output_bytes(bytes)
-            })?;
-    }
-    Ok(())
 }
 
 /// Deliver one outcome through the subscription's sink, behind the

@@ -47,8 +47,8 @@ fn publish_matches_one_shot_evaluation_for_mixed_sets() {
 
 #[test]
 fn nested_descendant_matches_equal_materialized_results() {
-    // The single-query StreamMatcher is outermost-only here; the
-    // combined pass must emit ALL matches to equal one-shot results.
+    // The combined pass must emit ALL matches, nested ones included, to
+    // equal one-shot results.
     let engine = Engine::new();
     let reg = SubscriptionRegistry::new();
     let id = register(&reg, &engine, "//b");

@@ -24,15 +24,15 @@
 //! [`xqr_xmlgen`] (workload generators), [`xqr_parallel`] (the
 //! morsel-driven parallel join executor and worker pool), and [`xqr_service`] (the
 //! concurrent query service: plan cache, document catalog, admission
-//! control), [`xqr_subscribe`] (standing continuous queries over
-//! document streams), and [`xqr_ingest`] (chunked push-based ingestion:
-//! resumable lexing over a bounded, backpressured token channel).
+//! control), and [`xqr_subscribe`] (standing continuous queries over
+//! document streams). Chunked push-based ingestion is the resumable
+//! lexer in [`xqr_xmlparse`], `PushTokenizer` in [`xqr_tokenstream`] and
+//! the service's chunk sessions and stream queries.
 
 pub use xqr_core::*;
 
 pub use xqr_compiler;
 pub use xqr_index;
-pub use xqr_ingest;
 pub use xqr_joins;
 pub use xqr_parallel;
 pub use xqr_pressure;

@@ -1,5 +1,5 @@
-//! Integration tests for chunked ingestion: the `xqr-ingest` pipeline,
-//! the service chunk sessions, and the streaming query front-end.
+//! Integration tests for chunked ingestion: the resumable lexer, the
+//! service chunk sessions, and the streaming query front-end.
 //!
 //! The invariant under test everywhere: **a document fed in chunks —
 //! split at any byte boundary, including mid-tag, mid-entity, mid-CDATA,
@@ -265,38 +265,35 @@ fn session_admission_is_bounded_and_aborts_free_slots() {
     assert_eq!(service.chunk_sessions(), 0);
 }
 
-/// A large document pushed through a stream query holds the token
-/// channel at (or under) its configured capacity: memory is bounded by
-/// the channel, not the document.
+/// A large document pushed through a stream query is never buffered:
+/// after every feed the query holds at most one chunk plus the largest
+/// syntactic unit (in fact only the unit the chunk boundary cut) —
+/// memory is bounded by the feed granularity, not the document.
 #[test]
-fn stream_queries_hold_the_token_channel_at_its_cap() {
-    let capacity = 32;
-    let service = QueryService::new(ServiceConfig {
-        ingest_channel_capacity: capacity,
-        ..Default::default()
-    });
+fn stream_queries_buffer_no_more_than_a_chunk() {
+    let service = QueryService::new(ServiceConfig::default());
 
-    // ~1.4 MiB, tens of thousands of tokens — far beyond the channel.
+    // ~1.4 MiB, tens of thousands of tokens.
     let mut xml = String::from("<log><first>0</first>");
     for i in 0..40_000 {
         xml.push_str(&format!("<hit>{i}</hit>"));
     }
     xml.push_str("</log>");
+    let largest_unit = "</first>".len();
 
     let mut q = service.open_stream_query("/log/first").unwrap();
-    assert!(q.is_streamed(), "a child-only path streams");
+    assert!(q.is_streamed(), "a path query streams");
     for chunk in xml.as_bytes().chunks(64 * 1024) {
         q.feed(chunk).unwrap();
+        assert!(
+            q.buffered_bytes() <= chunk.len() + largest_unit,
+            "{} bytes parked after a {}-byte chunk",
+            q.buffered_bytes(),
+            chunk.len()
+        );
     }
     let out = q.finish().unwrap();
     assert_eq!(out, "<first>0</first>");
-
-    let stats = service.stats();
-    assert_eq!(stats.ingest_channel_capacity, capacity as u64, "{stats}");
-    assert!(
-        stats.ingest_channel_peak > 0 && stats.ingest_channel_peak <= capacity as u64,
-        "the channel gauge proves bounded buffering: {stats}"
-    );
 
     // And the answer matches materialized evaluation exactly.
     let engine = Engine::new();

@@ -124,7 +124,6 @@ proptest! {
         let engine = Engine::new();
         let q = engine.compile(pattern).unwrap();
         prop_assume!(q.is_streamable());
-        prop_assert!(q.streaming_is_exact());
         let mut streamed = String::new();
         q.execute_streaming(&engine, &xml, |m| streamed.push_str(m)).unwrap();
         let materialized = engine.query_xml(&xml, pattern).unwrap();
@@ -132,21 +131,21 @@ proptest! {
     }
 
     #[test]
-    fn streaming_outermost_semantics(xml in arb_tree(), tag in prop_oneof![
-        Just("a"), Just("d")
+    fn streaming_matches_materialized(xml in arb_tree(), pattern in prop_oneof![
+        Just("//a"), Just("//d"), Just("/root//a/d")
     ]) {
-        // Descendant patterns emit outermost matches: exactly the nodes
-        // with no same-pattern ancestor.
+        // Descendant patterns: matches nest, and streaming still emits
+        // every one in document order; the streamed count agrees too.
         let engine = Engine::new();
-        let q = engine.compile(&format!("//{tag}")).unwrap();
+        let q = engine.compile(pattern).unwrap();
         prop_assert!(q.is_streamable());
-        prop_assert!(!q.streaming_is_exact());
-        let mut count = 0u64;
-        q.execute_streaming(&engine, &xml, |_| count += 1).unwrap();
-        let outermost = engine
-            .query_xml(&xml, &format!("count(//{tag}[empty(ancestor::{tag})])"))
-            .unwrap();
-        prop_assert_eq!(count.to_string(), outermost, "tag {}", tag);
+        let mut streamed = String::new();
+        q.execute_streaming(&engine, &xml, |m| streamed.push_str(m)).unwrap();
+        let materialized = engine.query_xml(&xml, pattern).unwrap();
+        prop_assert_eq!(streamed, materialized, "pattern {}", pattern);
+        let count = format!("count({pattern})");
+        let (n, _) = engine.compile(&count).unwrap().execute_streaming_count(&engine, &xml).unwrap();
+        prop_assert_eq!(n.to_string(), engine.query_xml(&xml, &count).unwrap(), "{}", count);
     }
 
     #[test]

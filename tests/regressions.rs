@@ -65,25 +65,33 @@ fn semantics_seed_doc_joins_agree_on_slash_slash_d() {
     assert_eq!(want.len(), 8);
 }
 
-/// The engine side of the pinned case: optimized and unoptimized
-/// evaluation agree on `//d` (and friends) over the seed document, and
-/// the streaming matcher reports exactly the outermost matches.
+/// The engine side of the pinned case: streaming `//d` emits all 8 `d`
+/// elements — the nested `d/d` one included — and the streamed count
+/// says 8, both exactly as materialized evaluation does. (The former
+/// single-pattern matcher emitted outermost matches only: 7 here, and
+/// 2 of 3 on the second document.)
 #[test]
-fn semantics_seed_doc_streaming_outermost() {
+fn semantics_seed_doc_streaming_equals_materialized() {
     let engine = Engine::new();
-    let q = engine.compile("//d").unwrap();
-    assert!(q.is_streamable());
-    assert!(!q.streaming_is_exact());
-    let mut count = 0u64;
-    q.execute_streaming(&engine, SEMANTICS_SEED_DOC, |_| count += 1)
-        .unwrap();
-    // 8 `d` elements, but the `d/d` inner one has a `d` ancestor:
-    // streaming emits outermost matches only.
-    assert_eq!(count, 7);
-    let outermost = engine
-        .query_xml(SEMANTICS_SEED_DOC, "count(//d[empty(ancestor::d)])")
-        .unwrap();
-    assert_eq!(outermost, "7");
+    for (doc, want) in [
+        (SEMANTICS_SEED_DOC, 8),
+        ("<a><d>1<d>2</d></d><d>3</d></a>", 3),
+    ] {
+        let q = engine.compile("//d").unwrap();
+        assert!(q.is_streamable());
+        let mut streamed = String::new();
+        let stats = q
+            .execute_streaming(&engine, doc, |m| streamed.push_str(m))
+            .unwrap();
+        assert_eq!(stats.matches, want);
+        assert_eq!(streamed, engine.query_xml(doc, "//d").unwrap());
+
+        let counted = engine.compile("count(//d)").unwrap();
+        assert!(counted.is_streamable_count());
+        let (n, _) = counted.execute_streaming_count(&engine, doc).unwrap();
+        assert_eq!(n, want);
+        assert_eq!(n.to_string(), engine.query_xml(doc, "count(//d)").unwrap());
+    }
 }
 
 #[test]
@@ -102,46 +110,25 @@ fn semantics_seed_doc_optimizer_agrees() {
     }
 }
 
-/// The streaming extractor silently caps patterns at
-/// [`StreamPattern::MAX_STEPS`] steps (the matcher's per-element prefix
-/// state is a `u32` bitmask, so step 32 would shift out of it). A path
-/// one step past the cap must still answer — via the navigational
-/// path — not stream wrongly and not error.
+/// The streaming extractor once capped patterns at 31 steps (the
+/// former matcher kept per-element state in a `u32` prefix bitmask, so
+/// step 32 shifted out of it). The automaton's trie has no cap: a
+/// 40-step child path streams, byte-identical to materialized
+/// evaluation.
 #[test]
-fn paths_beyond_the_streaming_step_cap_answer_navigationally() {
-    use xqr::xqr_runtime::StreamPattern;
-
-    let depth = StreamPattern::MAX_STEPS + 1;
-    let mut xml = String::new();
-    for _ in 0..depth {
-        xml.push_str("<s>");
-    }
-    xml.push('x');
-    for _ in 0..depth {
-        xml.push_str("</s>");
-    }
+fn forty_step_child_paths_stream_identically_to_materialized() {
+    let depth = 40;
+    let xml = format!("{}x{}", "<s>".repeat(depth), "</s>".repeat(depth));
+    let path = "/s".repeat(depth);
     let engine = Engine::new();
-
-    // At the cap: still streamable, and streaming agrees with
-    // materialized evaluation byte-for-byte.
-    let at_cap = "/s".repeat(StreamPattern::MAX_STEPS);
-    let plan = engine.compile(&at_cap).unwrap();
-    assert!(plan.is_streamable() && plan.streaming_is_exact());
+    let plan = engine.compile(&path).unwrap();
+    assert!(plan.is_streamable());
+    assert_eq!(plan.stream_pattern().unwrap().steps.len(), depth);
     let mut streamed = String::new();
     plan.execute_streaming(&engine, &xml, |m| streamed.push_str(m))
         .unwrap();
-    assert_eq!(streamed, engine.query_xml(&xml, &at_cap).unwrap());
-
-    // One past the cap: the plan quietly refuses to stream and the
-    // navigational path answers correctly.
-    let past_cap = "/s".repeat(depth);
-    let plan = engine.compile(&past_cap).unwrap();
-    assert!(
-        !plan.is_streamable(),
-        "{depth} steps exceed the streaming cap of {}",
-        StreamPattern::MAX_STEPS
-    );
-    assert_eq!(engine.query_xml(&xml, &past_cap).unwrap(), "<s>x</s>");
+    assert_eq!(streamed, "<s>x</s>");
+    assert_eq!(streamed, engine.query_xml(&xml, &path).unwrap());
 }
 
 /// Guard against the root-cause class of the roundtrip seed: documents
