@@ -13,7 +13,9 @@
 //! service layer itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use xqr_core::{DynamicContext, Engine};
+use xqr_pressure::MemoryLedger;
 use xqr_service::{PlanCache, QueryService, ServiceConfig};
 use xqr_xmlgen::bibliography;
 
@@ -41,7 +43,7 @@ fn bench_compile_vs_hit(c: &mut Criterion) {
             b.iter(|| engine.compile(q).unwrap())
         });
 
-        let cache = PlanCache::new(64, 8);
+        let cache = PlanCache::new(64, 8, Arc::new(MemoryLedger::unbounded()));
         cache.get_or_compile(&engine, q).unwrap();
         group.bench_with_input(BenchmarkId::new("cache_hit", label), q, |b, q| {
             b.iter(|| cache.get_or_compile(&engine, q).unwrap())

@@ -12,7 +12,7 @@
 //! * `mmap_load` — segment cold start: open + verify + materialize the
 //!   document (the index stays mapped);
 //! * `mmap_open` — catalog adoption cost alone: open + verify, document
-//!   untouched (what `DocumentCatalog::with_persistence` defers).
+//!   untouched (what `DocumentCatalog::open` defers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::path::{Path, PathBuf};

@@ -91,6 +91,8 @@ impl EngineOptions {
     /// Derived from the `Debug` rendering of the options, which covers
     /// every field (rewrite rule set, typing, memoization, call depth,
     /// limits); any new option field automatically perturbs the print.
+    /// Formatting costs microseconds: per-lookup callers read the value
+    /// an engine computed once, [`Engine::fingerprint`].
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -115,6 +117,9 @@ impl EngineOptions {
 pub struct Engine {
     store: Arc<Store>,
     options: EngineOptions,
+    /// `options.fingerprint()`; the options never change after
+    /// construction.
+    fingerprint: u64,
 }
 
 impl Engine {
@@ -129,6 +134,7 @@ impl Engine {
         }
         Engine {
             store: Store::new(),
+            fingerprint: options.fingerprint(),
             options,
         }
     }
@@ -139,6 +145,12 @@ impl Engine {
 
     pub fn options(&self) -> &EngineOptions {
         &self.options
+    }
+
+    /// [`EngineOptions::fingerprint`] of this engine's options, computed
+    /// once at construction — the plan-cache key component.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     pub fn names(&self) -> &Arc<NamePool> {
@@ -522,22 +534,6 @@ impl QueryResult {
         self.items.is_empty()
     }
 
-    /// Serialize per the sequence serialization rules.
-    ///
-    /// Delegates to [`QueryResult::serialize_guarded`] so output-byte
-    /// budgets can never be bypassed; because this signature cannot
-    /// report the failure, it **panics** when the execution's budget is
-    /// exceeded. Prefer `serialize_guarded` in any code that configures
-    /// [`xqr_xdm::Limits::with_max_output_bytes`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use serialize_guarded(): this panics when an output-byte budget is exceeded"
-    )]
-    pub fn serialize(&self) -> String {
-        self.serialize_guarded()
-            .unwrap_or_else(|e| panic!("QueryResult::serialize: {e}"))
-    }
-
     /// Serialize per the sequence serialization rules, charging the
     /// execution's output-byte budget: errors with `err:XQRL0001` when
     /// the serialized form exceeds the cap set in
@@ -847,6 +843,10 @@ mod tests {
         let on = EngineOptions::default();
         let off = EngineOptions::default().with_parallel(xqr_runtime::ParallelConfig::off());
         assert_ne!(on.fingerprint(), off.fingerprint());
+        // The engine's cached print is the print of the options it
+        // actually runs with (construction adjusts the call depth).
+        let engine = Engine::with_options(off);
+        assert_eq!(engine.fingerprint(), engine.options().fingerprint());
     }
 
     #[test]

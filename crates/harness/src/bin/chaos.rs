@@ -127,16 +127,8 @@ fn main() -> ExitCode {
         args.cases, fired, correct, coded, survived
     );
     println!(
-        "service: retries={} shed-to-streaming={} cache-only={} no-index={} \
-         build-failures={} breaker-opens={}/{} lock-recoveries={}",
-        stats.retries,
-        stats.shed_to_streaming,
-        stats.degraded_cache_only,
-        stats.degraded_no_index,
-        stats.index_build_failures,
-        stats.index_breaker_opens,
-        stats.plan_breaker_opens,
-        stats.lock_recoveries
+        "service: retries={} uncached-compiles={} build-failures={} lock-recoveries={}",
+        stats.retries, stats.uncached_compiles, stats.index_build_failures, stats.lock_recoveries
     );
     println!("no violations.");
     ExitCode::SUCCESS

@@ -105,8 +105,6 @@ pub struct ChaosCase {
     pub legs: Vec<(&'static str, LegEnd)>,
     /// Service-side retries observed during this case.
     pub retries: u64,
-    /// Degradations observed during this case (cache-only + no-index).
-    pub degraded: u64,
     pub violations: Vec<Violation>,
 }
 
@@ -238,7 +236,6 @@ impl ChaosRunner {
             fired: 0,
             legs: Vec::new(),
             retries: 0,
-            degraded: 0,
             violations: Vec::new(),
         };
         let stats_before = self.service.stats();
@@ -411,10 +408,7 @@ impl ChaosRunner {
             });
         }
 
-        let stats_after = self.service.stats();
-        case.retries = stats_after.retries - stats_before.retries;
-        case.degraded = (stats_after.degraded_cache_only + stats_after.degraded_no_index)
-            - (stats_before.degraded_cache_only + stats_before.degraded_no_index);
+        case.retries = self.service.stats().retries - stats_before.retries;
         case
     }
 
@@ -492,15 +486,5 @@ mod tests {
         };
         assert_eq!(mk(7), mk(7));
         assert_ne!(mk(7), mk(8));
-    }
-
-    #[test]
-    fn a_single_case_upholds_the_invariant() {
-        // The full suite (tests/chaos.rs) runs hundreds of seeds; this
-        // just exercises the path end to end once.
-        let mut runner = ChaosRunner::new();
-        let case = runner.run_case(1);
-        assert!(case.violations.is_empty(), "{:?}", case.violations);
-        assert!(!case.legs.is_empty());
     }
 }

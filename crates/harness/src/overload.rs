@@ -20,7 +20,10 @@
 //! 4. **return to Green** — once load stops, the pressure state walks
 //!    back to Green and every transient ledger category (sessions,
 //!    channels, query output, publish buffers, morsels) drains to
-//!    zero bytes. Brownout is a mode, not a ratchet.
+//!    zero bytes. Brownout is a mode, not a ratchet. The resident
+//!    categories close as well: the ledger's catalog share equals the
+//!    catalog's own byte count, and nothing stays charged once the
+//!    service has dropped.
 //!
 //! Hangs are covered operationally, like the chaos suite: a wedged run
 //! blows the CI timeout. Leak detection at the *process* level (a
@@ -357,6 +360,35 @@ pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> OverloadReport {
         report.violations.push(format!(
             "admission accounting leak: dropped {} + executed {} != admitted {}",
             stats.dropped_expired, stats.latency_count, stats.admitted
+        ));
+    }
+
+    // The two resident categories close too, charged directly where
+    // the bytes change: the catalog's share is exactly what it holds,
+    // and every cached plan carries at least its fixed 1 KiB estimate.
+    let resident = snap.category(Category::CatalogResident).current;
+    if resident != svc.catalog().total_bytes() {
+        report.violations.push(format!(
+            "ledger holds {resident} catalog bytes, the catalog {}",
+            svc.catalog().total_bytes()
+        ));
+    }
+    let plan_bytes = snap.category(Category::PlanCache).current;
+    let plans = stats.plan_entries;
+    if plan_bytes < plans * 1024 || (plans == 0 && plan_bytes != 0) {
+        report.violations.push(format!(
+            "ledger holds {plan_bytes} plan-cache bytes for {plans} cached plans"
+        ));
+    }
+
+    // Every thread holding the service was joined: dropping it now
+    // drops the catalog and the plan cache, which hand their bytes back.
+    let ledger = Arc::clone(svc.ledger());
+    drop(svc);
+    if ledger.total() != 0 {
+        report.violations.push(format!(
+            "{} bytes still charged after the service dropped",
+            ledger.total()
         ));
     }
 

@@ -1,6 +1,6 @@
 //! Poison-recovering locks, shared by the worker pool and every layer
-//! above it (the service re-exports these so its own structures count
-//! into the same process-wide gauge).
+//! above it (the service locks its own structures through these, so
+//! they count into the same process-wide gauge).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -28,4 +28,25 @@ pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Total poisoned-lock recoveries since process start.
 pub fn lock_recoveries() -> u64 {
     LOCK_RECOVERIES.load(Ordering::Relaxed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lock_recover_survives_a_poisoning_panic() {
+        let m = Mutex::new(7u32);
+        let before = lock_recoveries();
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = m.lock().unwrap();
+            panic!("poison it");
+        }));
+        assert!(m.is_poisoned());
+        assert_eq!(*lock_recover(&m), 7, "data still readable");
+        // The gauge is process-wide: concurrent tests may bump it too.
+        assert!(lock_recoveries() > before);
+        *lock_recover(&m) = 8;
+        assert_eq!(*lock_recover(&m), 8);
+    }
 }

@@ -18,7 +18,7 @@
 //!
 //! # Persistence
 //!
-//! [`DocumentCatalog::with_persistence`] puts an `xqr-segment` store
+//! [`DocumentCatalog::open`] with a directory puts an `xqr-segment` store
 //! behind the catalog. Every `put` additionally serializes the document
 //! (tree + tokens + structural index) into a checksummed segment file,
 //! written crash-safely (temp file → fsync → atomic rename → directory
@@ -43,27 +43,31 @@
 //! instead of dropping it: the tree leaves memory, the entry stays, and
 //! the next `fn:doc` call reloads it through the store's URI-miss
 //! resolver hook.
+//!
+//! # Memory ledger
+//!
+//! The catalog is born with the service's [`MemoryLedger`]: every byte
+//! that enters or leaves `total_bytes` is charged to or released from
+//! [`Category::CatalogResident`] in the same step, under the catalog
+//! lock, so the two never disagree. The ledger's pressure state gates
+//! index builds (the Yellow brownout rung of the ladder in
+//! [`crate::resilience`]).
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, Weak};
+use std::time::Instant;
 
-use crate::resilience::{lock_recover, CircuitBreaker};
 use xqr_index::{DocIndex, IndexedAccess, SharedIndex};
+use xqr_parallel::lock_recover;
 use xqr_pressure::{Category, MemoryLedger, PressureState};
 use xqr_segment::{
     clean_orphans, segment_bytes, write_segment_file, Manifest, ManifestRecord, Segment,
 };
 use xqr_store::{DocId, Store};
 use xqr_xdm::{Error, ErrorCode, Limits, QueryGuard, Result};
-
-/// Consecutive index-build failures that open the catalog's breaker.
-const INDEX_BREAKER_THRESHOLD: u32 = 3;
-/// How long an open breaker skips index builds before probing again.
-const INDEX_BREAKER_COOLDOWN: Duration = Duration::from_millis(250);
 
 /// Catalog counters, snapshotted via [`DocumentCatalog::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,15 +89,9 @@ pub struct CatalogStats {
     pub index_builds: u64,
     /// Total wall-clock nanoseconds spent building structural indexes.
     pub index_build_nanos: u64,
-    /// Index builds that failed (budget trip or injected fault); their
-    /// documents stay live, unindexed.
+    /// Index builds that failed (budget trip, injected fault or panic);
+    /// their documents stay live, unindexed.
     pub index_build_failures: u64,
-    /// Times the index-build circuit breaker opened after
-    /// consecutive failures.
-    pub index_breaker_opens: u64,
-    /// Loads served in `Degraded::NoIndex` mode: the breaker was open,
-    /// so no build was attempted and queries fall back to navigation.
-    pub degraded_no_index: u64,
     /// Segments written durably by `put`.
     pub segments_written: u64,
     /// Segments loaded back from disk (verified, mmapped, re-registered).
@@ -109,8 +107,7 @@ pub struct CatalogStats {
     /// the byte budget.
     pub quarantined_bytes: u64,
     /// Loads that skipped the index build because the memory ledger was
-    /// at Yellow or worse (brownout `Degraded::NoIndex`). Also counted
-    /// in `degraded_no_index`.
+    /// at Yellow or worse; their documents stay live, unindexed.
     pub pressure_no_index: u64,
 }
 
@@ -179,19 +176,31 @@ struct CatalogInner {
     entries: HashMap<String, CatEntry>,
     total_bytes: u64,
     total_index_bytes: u64,
+    /// `total_bytes` is charged here as [`Category::CatalogResident`].
+    ledger: Arc<MemoryLedger>,
 }
 
 impl CatalogInner {
-    fn charge_entry(&mut self, e: &CatEntry) {
-        let (b, ib) = e.charge();
-        self.total_bytes += b;
-        self.total_index_bytes += ib;
+    fn charge(&mut self, bytes: u64, index_bytes: u64) {
+        self.total_bytes += bytes;
+        self.total_index_bytes += index_bytes;
+        self.ledger.charge(Category::CatalogResident, bytes);
     }
 
     fn uncharge_entry(&mut self, e: &CatEntry) {
         let (b, ib) = e.charge();
         self.total_bytes = self.total_bytes.saturating_sub(b);
         self.total_index_bytes = self.total_index_bytes.saturating_sub(ib);
+        self.ledger.release(Category::CatalogResident, b);
+    }
+}
+
+/// The ledger outlives the catalog (the service hands clones out), so a
+/// dropped catalog gives its resident bytes back.
+impl Drop for CatalogInner {
+    fn drop(&mut self) {
+        self.ledger
+            .release(Category::CatalogResident, self.total_bytes);
     }
 }
 
@@ -236,264 +245,193 @@ pub struct DocumentCatalog {
     index_builds: AtomicU64,
     index_build_nanos: AtomicU64,
     index_build_failures: AtomicU64,
-    degraded_no_index: AtomicU64,
     segments_written: AtomicU64,
     segments_recovered: AtomicU64,
     segments_quarantined: AtomicU64,
     /// Set once by the persistent open; 0 for memory-only catalogs.
     cold_start_nanos: u64,
-    /// Opens after repeated build failures; while open, loads skip the
-    /// build entirely (`Degraded::NoIndex`) instead of failing it again.
-    index_breaker: CircuitBreaker,
     /// Disk bytes held by quarantined segments (gauge; never budgeted).
     quarantined_bytes: AtomicU64,
     /// Index builds skipped because the memory ledger said Yellow+.
     pressure_no_index: AtomicU64,
-    /// Service-wide memory ledger this catalog mirrors its resident
-    /// bytes into (`Category::CatalogResident`); set once via
-    /// [`DocumentCatalog::attach_ledger`].
-    ledger: OnceLock<Arc<MemoryLedger>>,
-    /// Last `total_bytes` value pushed to the ledger; mutated only under
-    /// the inner lock, so the mirrored delta is exact.
-    ledger_synced: AtomicU64,
+    /// The service-wide ledger (the one `inner` charges), read here for
+    /// its pressure state: Yellow or worse skips index builds.
+    ledger: Arc<MemoryLedger>,
 }
 
 impl DocumentCatalog {
-    pub fn new(store: Arc<Store>, max_bytes: Option<u64>) -> Self {
-        Self::with_indexing(store, max_bytes, None)
-    }
-
-    /// A catalog that additionally builds a structural index for every
-    /// document it loads (when `index_limits` is `Some`). Index bytes
-    /// count against the byte budget and are freed with the document on
-    /// eviction, replacement, and removal. A build that trips its
-    /// budget leaves the document loaded but unindexed — queries fall
-    /// back to navigation.
-    pub fn with_indexing(
+    /// Open a catalog over `store`, charging resident bytes to `ledger`.
+    ///
+    /// `index_limits: Some(limits)` builds a structural index for every
+    /// document loaded, the build guarded by `limits`. Index bytes count
+    /// against the byte budget and are freed with the document on
+    /// eviction, replacement, and removal.
+    ///
+    /// `persist_dir: Some(dir)` opens (or creates) the durable segment
+    /// store there: the manifest is replayed, orphan files (`*.tmp` and
+    /// segments no live record references) are swept, and every recorded
+    /// document is adopted as a lazily-loaded entry — O(manifest) work,
+    /// no segment is read yet. Checksums are verified on first touch; a
+    /// failing segment is quarantined, never served. The store's
+    /// URI-miss resolver is wired to this catalog (via a `Weak`, so the
+    /// pair still drops), which is what lets `fn:doc("name")`
+    /// transparently reload evicted or not-yet-touched documents.
+    /// Without a directory the catalog is memory-only and opening it
+    /// cannot fail.
+    pub fn open(
         store: Arc<Store>,
         max_bytes: Option<u64>,
         index_limits: Option<Limits>,
-    ) -> Self {
-        DocumentCatalog {
+        persist_dir: Option<PathBuf>,
+        ledger: Arc<MemoryLedger>,
+    ) -> Result<Arc<Self>> {
+        let started = Instant::now();
+        let mut entries = HashMap::new();
+        let mut quarantined = 0u64;
+        let persist = match persist_dir {
+            None => None,
+            Some(dir) => {
+                let manifest = Manifest::open(&dir)?;
+                let replay = manifest.replay()?;
+                let live = replay.live();
+                clean_orphans(&dir, |f| live.values().any(|l| l.file == f))?;
+                for (uri, l) in &live {
+                    // Adoption only needs the file's existence and size;
+                    // content verification is deferred to first touch. A
+                    // manifest record whose file is missing (externally
+                    // deleted) is quarantined up front — it can never be
+                    // served. Neither residency holds memory, so nothing
+                    // is charged yet.
+                    let (residency, disk_bytes) = match fs::metadata(dir.join(&l.file)) {
+                        Ok(m) => (Residency::OnDisk, m.len()),
+                        Err(_) => {
+                            quarantined += 1;
+                            (Residency::Quarantined, 0)
+                        }
+                    };
+                    entries.insert(
+                        uri.clone(),
+                        CatEntry {
+                            residency,
+                            durable: Some(Durable {
+                                generation: l.generation,
+                                file: l.file.clone(),
+                                disk_bytes,
+                            }),
+                            last_used: 0,
+                        },
+                    );
+                }
+                Some(Persistence {
+                    dir,
+                    manifest,
+                    next_generation: AtomicU64::new(replay.next_generation()),
+                })
+            }
+        };
+        let cold_start_nanos = persist
+            .as_ref()
+            .map_or(0, |_| started.elapsed().as_nanos() as u64);
+        let catalog = Arc::new(DocumentCatalog {
             store,
             max_bytes,
             index_limits,
-            persist: None,
+            persist,
             inner: Mutex::new(CatalogInner {
-                entries: HashMap::new(),
+                entries,
                 total_bytes: 0,
                 total_index_bytes: 0,
+                ledger: Arc::clone(&ledger),
             }),
             tick: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             index_builds: AtomicU64::new(0),
             index_build_nanos: AtomicU64::new(0),
             index_build_failures: AtomicU64::new(0),
-            degraded_no_index: AtomicU64::new(0),
             segments_written: AtomicU64::new(0),
             segments_recovered: AtomicU64::new(0),
-            segments_quarantined: AtomicU64::new(0),
-            cold_start_nanos: 0,
-            index_breaker: CircuitBreaker::new(INDEX_BREAKER_THRESHOLD, INDEX_BREAKER_COOLDOWN),
+            segments_quarantined: AtomicU64::new(quarantined),
+            cold_start_nanos,
             quarantined_bytes: AtomicU64::new(0),
             pressure_no_index: AtomicU64::new(0),
-            ledger: OnceLock::new(),
-            ledger_synced: AtomicU64::new(0),
-        }
-    }
-
-    /// Mirror this catalog's resident bytes into a service-wide memory
-    /// ledger (`Category::CatalogResident`) and let pressure states
-    /// drive the brownout ladder (Yellow+ skips index builds). First
-    /// call wins; callable on a shared catalog (`Arc<Self>`).
-    pub fn attach_ledger(&self, ledger: Arc<MemoryLedger>) {
-        if self.ledger.set(ledger).is_ok() {
-            // Adopted entries (persistent open) may already be charged.
-            let inner = lock_recover(&self.inner);
-            self.sync_ledger(&inner);
-        }
-    }
-
-    /// Push the delta between the catalog's charged bytes and what the
-    /// ledger last saw. Must be called with the inner lock held (the
-    /// caller passes the guard's target to prove it), so deltas from
-    /// concurrent mutations cannot interleave.
-    fn sync_ledger(&self, inner: &CatalogInner) {
-        let Some(ledger) = self.ledger.get() else {
-            return;
-        };
-        let now = inner.total_bytes;
-        let prev = self.ledger_synced.swap(now, Ordering::Relaxed);
-        if now > prev {
-            ledger.charge(Category::CatalogResident, now - prev);
-        } else {
-            ledger.release(Category::CatalogResident, prev - now);
-        }
-    }
-
-    /// Brownout rung: is the attached ledger at Yellow or worse?
-    fn pressure_brownout(&self) -> bool {
-        self.ledger
-            .get()
-            .is_some_and(|l| l.state() >= PressureState::Yellow)
-    }
-
-    /// Open (or create) a persistent catalog over `dir`.
-    ///
-    /// Replays the manifest, sweeps orphan files (`*.tmp` and segments
-    /// no live record references), and adopts every recorded document as
-    /// a lazily-loaded entry — O(manifest) work, no segment is read yet.
-    /// Checksums are verified on first touch; a failing segment is
-    /// quarantined, never served. The store's URI-miss resolver is wired
-    /// to this catalog (via a `Weak`, so the pair still drops), which is
-    /// what lets `fn:doc("name")` transparently reload evicted or
-    /// not-yet-touched documents.
-    pub fn with_persistence(
-        store: Arc<Store>,
-        max_bytes: Option<u64>,
-        index_limits: Option<Limits>,
-        dir: impl Into<PathBuf>,
-    ) -> Result<Arc<Self>> {
-        let started = Instant::now();
-        let dir = dir.into();
-        let manifest = Manifest::open(&dir)?;
-        let replay = manifest.replay()?;
-        let live = replay.live();
-        clean_orphans(&dir, |f| live.values().any(|l| l.file == f))?;
-
-        let mut entries = HashMap::new();
-        let mut quarantined = 0u64;
-        let mut total_bytes = 0u64;
-        for (uri, l) in &live {
-            // Adoption only needs the file's existence and size; content
-            // verification is deferred to first touch. A manifest record
-            // whose file is missing (externally deleted) is quarantined
-            // up front — it can never be served.
-            let (residency, disk_bytes) = match fs::metadata(dir.join(&l.file)) {
-                Ok(m) => (Residency::OnDisk, m.len()),
-                Err(_) => {
-                    quarantined += 1;
-                    (Residency::Quarantined, 0)
-                }
-            };
-            let entry = CatEntry {
-                residency,
-                durable: Some(Durable {
-                    generation: l.generation,
-                    file: l.file.clone(),
-                    disk_bytes,
-                }),
-                last_used: 0,
-            };
-            total_bytes += entry.charge().0;
-            entries.insert(uri.clone(), entry);
-        }
-
-        let mut catalog = Self::with_indexing(store, max_bytes, index_limits);
-        catalog.persist = Some(Persistence {
-            dir,
-            manifest,
-            next_generation: AtomicU64::new(replay.next_generation()),
+            ledger,
         });
-        catalog.inner = Mutex::new(CatalogInner {
-            entries,
-            total_bytes,
-            total_index_bytes: 0,
-        });
-        catalog.segments_quarantined = AtomicU64::new(quarantined);
-        catalog.cold_start_nanos = started.elapsed().as_nanos() as u64;
-
-        let catalog = Arc::new(catalog);
-        let weak: Weak<DocumentCatalog> = Arc::downgrade(&catalog);
-        catalog
-            .store
-            .set_doc_resolver(Some(Arc::new(move |uri: &str| match weak.upgrade() {
-                Some(cat) => cat.resolve(uri),
-                None => Ok(None),
-            })));
+        if catalog.persist.is_some() {
+            let weak: Weak<DocumentCatalog> = Arc::downgrade(&catalog);
+            catalog
+                .store
+                .set_doc_resolver(Some(Arc::new(move |uri: &str| match weak.upgrade() {
+                    Some(cat) => cat.resolve(uri),
+                    None => Ok(None),
+                })));
+        }
         Ok(catalog)
-    }
-
-    /// Is this catalog backed by a durable segment store?
-    pub fn is_persistent(&self) -> bool {
-        self.persist.is_some()
-    }
-
-    /// Is the catalog currently serving loads unindexed because the
-    /// index-build breaker is open?
-    pub fn index_degraded(&self) -> bool {
-        self.index_breaker.is_open()
     }
 
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Parse (and, breaker permitting, index) a document WITHOUT
-    /// creating a catalog entry: the caller owns the returned id and
-    /// must remove it from the store when done. The publish path uses
-    /// this for the shared fallback document of one publish — index
-    /// accounting and the build breaker apply exactly as for [`put`],
-    /// but the document never competes for the catalog byte budget,
-    /// is never persisted, and is invisible to `doc()` resolution.
+    /// Build `id`'s structural index under the catalog's limits. `None`
+    /// means the document stays unindexed and queries navigate: indexing
+    /// is off, the ledger is at Yellow or worse (an index build is pure
+    /// memory amplification right when memory is the problem), or the
+    /// build failed — a budget trip, an injected fault, or a panic,
+    /// which is contained here so the caller keeps ownership of `id`.
+    fn build_index(&self, id: DocId) -> Option<SharedIndex> {
+        let limits = self.index_limits?;
+        if self.ledger.state() >= PressureState::Yellow {
+            self.pressure_no_index.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let started = Instant::now();
+        let guard = QueryGuard::new(limits);
+        match xqr_core::contain_panic(|| xqr_index::ensure_indexed(&self.store, id, &guard)) {
+            Ok(Some(index)) => {
+                self.index_builds.fetch_add(1, Ordering::Relaxed);
+                self.index_build_nanos
+                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                Some(index)
+            }
+            // Removed concurrently — nothing to index, nothing failed.
+            Ok(None) => None,
+            Err(_) => {
+                self.index_build_failures.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Parse (and index, as [`put`] would) a document WITHOUT creating a
+    /// catalog entry: the caller owns the returned id and must remove it
+    /// from the store when done. The publish path uses this for the
+    /// shared fallback document of one publish — index accounting and
+    /// the unindexed fallbacks apply exactly as for [`put`], but the
+    /// document never competes for the catalog byte budget, is never
+    /// persisted, and is invisible to `doc()` resolution.
     ///
     /// [`put`]: DocumentCatalog::put
     pub fn load_transient_indexed(&self, xml: &str) -> Result<DocId> {
         xqr_faults::faultpoint!("catalog.load");
         let id = self.store.load_xml(xml, None)?;
-        if let Some(limits) = self.index_limits {
-            if self.pressure_brownout() {
-                // Brownout Yellow+: an index build is pure memory
-                // amplification right when memory is the problem. Serve
-                // unindexed (`Degraded::NoIndex`), same as an open
-                // breaker.
-                self.pressure_no_index.fetch_add(1, Ordering::Relaxed);
-                self.degraded_no_index.fetch_add(1, Ordering::Relaxed);
-            } else if self.index_breaker.allow() {
-                let started = Instant::now();
-                let guard = QueryGuard::new(limits);
-                // Panic-contained: unlike `put`, there is no rollback
-                // guard here — an unwind would leak the un-entried
-                // document past the caller's ownership.
-                let built =
-                    xqr_core::contain_panic(|| xqr_index::ensure_indexed(&self.store, id, &guard));
-                match built {
-                    Ok(Some(_)) => {
-                        self.index_builds.fetch_add(1, Ordering::Relaxed);
-                        self.index_build_nanos
-                            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        self.index_breaker.record_success();
-                    }
-                    Ok(None) => {}
-                    Err(_) => {
-                        // Budget trip or injected fault: the transient
-                        // document stays usable unindexed; fallback
-                        // evaluations navigate instead.
-                        self.index_build_failures.fetch_add(1, Ordering::Relaxed);
-                        self.index_breaker.record_failure();
-                    }
-                }
-            } else {
-                self.degraded_no_index.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.build_index(id);
         Ok(id)
     }
 
     /// Parse `xml` and register it under `name` (reachable from queries
     /// as `doc("name")`). Replaces any previous document of the same
-    /// name, then evicts least-recently-used documents until the catalog
-    /// fits its byte budget again. The just-loaded document is never its
-    /// own eviction victim — a single document larger than the whole
-    /// budget is admitted alone (and will be evicted by the next load).
+    /// name, after evicting least-recently-used documents until the new
+    /// one fits the byte budget. The incoming document is never its own
+    /// eviction victim — a single document larger than the whole budget
+    /// is admitted alone (and will be evicted by the next load).
     ///
     /// Under persistence the document is also serialized into a new
     /// segment file and recorded in the manifest before the entry
     /// becomes visible; a persist failure fails the whole `put`, so a
     /// successful return means the document is durable. Exception: a
-    /// document whose *guarded index build* failed stays memory-only
-    /// (serializing it would require an unguarded build, circumventing
-    /// the very limits that tripped).
+    /// document whose *guarded index build* failed or was skipped under
+    /// memory pressure stays memory-only (serializing it would require
+    /// an unguarded build, circumventing the very limits that tripped).
     pub fn put(&self, name: &str, xml: &str) -> Result<DocId> {
         xqr_faults::faultpoint!("catalog.load");
         // Parse (and index) outside the catalog lock: loads can be large.
@@ -503,55 +441,16 @@ impl DocumentCatalog {
             id,
             armed: true,
         };
-        let mut bytes = self.store.document(id).memory_bytes() as u64;
-        let mut index_bytes = 0;
-        let mut built: Option<SharedIndex> = None;
-        let mut build_failed = false;
-        if let Some(limits) = self.index_limits {
-            if self.pressure_brownout() {
-                // Brownout Yellow+: skip the build (and the durable
-                // write below, which would rebuild throwaway lists) —
-                // the document loads, queries navigate.
-                build_failed = true;
-                self.pressure_no_index.fetch_add(1, Ordering::Relaxed);
-                self.degraded_no_index.fetch_add(1, Ordering::Relaxed);
-            } else if self.index_breaker.allow() {
-                let started = Instant::now();
-                let guard = QueryGuard::new(limits);
-                match xqr_index::ensure_indexed(&self.store, id, &guard) {
-                    Ok(Some(index)) => {
-                        index_bytes = index.memory_bytes() as u64;
-                        bytes += index_bytes;
-                        built = Some(index);
-                        self.index_builds.fetch_add(1, Ordering::Relaxed);
-                        self.index_build_nanos
-                            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        self.index_breaker.record_success();
-                    }
-                    // Removed concurrently — nothing to index, nothing
-                    // failed.
-                    Ok(None) => {}
-                    Err(_) => {
-                        // Budget trip or injected fault: the document
-                        // stays live, unindexed; queries fall back to
-                        // navigation. Enough of these in a row open the
-                        // breaker.
-                        build_failed = true;
-                        self.index_build_failures.fetch_add(1, Ordering::Relaxed);
-                        self.index_breaker.record_failure();
-                    }
-                }
-            } else {
-                // Degraded::NoIndex — don't pay for a build that keeps
-                // failing; probe again after the cooldown.
-                build_failed = true;
-                self.degraded_no_index.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let built = self.build_index(id);
+        // Wanted an index and got none: the document stays memory-only
+        // (see above).
+        let unindexed = self.index_limits.is_some() && built.is_none();
+        let index_bytes = built.as_ref().map_or(0, |i| i.memory_bytes() as u64);
+        let bytes = self.store.document(id).memory_bytes() as u64 + index_bytes;
         // Serialize and write the segment file outside the lock; the
         // manifest append happens under it, so record order and entry
         // order can't disagree between racing puts of the same name.
-        let durable = match (&self.persist, build_failed) {
+        let durable = match (&self.persist, unindexed) {
             (Some(p), false) => Some(self.write_segment(p, id, built.as_deref())?),
             _ => None,
         };
@@ -571,7 +470,7 @@ impl DocumentCatalog {
                     }
                     self.segments_written.fetch_add(1, Ordering::Relaxed);
                 }
-                // Degraded memory-only replace: retire any stale durable
+                // Unindexed memory-only replace: retire any stale durable
                 // copy, or a restart would serve the *old* version of
                 // this name — a wrong answer, not just a missing one.
                 None => {
@@ -603,7 +502,7 @@ impl DocumentCatalog {
                 let _ = fs::remove_file(p.dir.join(&d.file));
             }
         }
-        let tick = self.next_tick();
+        self.make_room(&mut inner, bytes);
         let entry = CatEntry {
             residency: Residency::Loaded {
                 id,
@@ -611,15 +510,12 @@ impl DocumentCatalog {
                 index_bytes,
             },
             durable,
-            last_used: tick,
+            last_used: self.next_tick(),
         };
-        inner.charge_entry(&entry);
+        inner.charge(bytes, index_bytes);
         inner.entries.insert(name.to_string(), entry);
-        // Committed: the entry owns the document from here on, so a
-        // later unwind (eviction loop) must not remove it.
+        // Committed: the entry owns the document from here on.
         rollback.armed = false;
-        self.evict_to_budget(&mut inner, id);
-        self.sync_ledger(&inner);
         Ok(id)
     }
 
@@ -656,14 +552,14 @@ impl DocumentCatalog {
         })
     }
 
-    /// Evict least-recently-used *loaded* entries until the budget fits.
-    /// Under persistence a victim is demoted to its segment (the entry
-    /// stays, reloadable); memory-only victims are dropped entirely.
-    fn evict_to_budget(&self, inner: &mut CatalogInner, protect: DocId) {
-        let Some(budget) = self.max_bytes else {
-            return;
-        };
-        self.evict_to(inner, budget, Some(protect));
+    /// Evict until `incoming` more bytes fit the budget — *before* the
+    /// incoming document becomes an entry, so it cannot be its own
+    /// victim and neither the catalog nor the ledger ever holds budget
+    /// plus one document.
+    fn make_room(&self, inner: &mut CatalogInner, incoming: u64) {
+        if let Some(budget) = self.max_bytes {
+            self.evict_to(inner, budget.saturating_sub(incoming));
+        }
     }
 
     /// Shed resident documents until the catalog holds at most
@@ -672,25 +568,23 @@ impl DocumentCatalog {
     /// memory-only victims are dropped. Cheap when already under the
     /// target (one lock, no scan).
     pub fn shed_cold(&self, target_bytes: u64) {
-        let mut inner = lock_recover(&self.inner);
-        if inner.total_bytes <= target_bytes {
-            return;
-        }
-        self.evict_to(&mut inner, target_bytes, None);
-        self.sync_ledger(&inner);
+        self.evict_to(&mut lock_recover(&self.inner), target_bytes);
     }
 
-    fn evict_to(&self, inner: &mut CatalogInner, budget: u64, protect: Option<DocId>) {
+    /// Evict least-recently-used *loaded* entries until at most `budget`
+    /// bytes are resident. Under persistence a victim is demoted to its
+    /// segment (the entry stays, reloadable); memory-only victims are
+    /// dropped entirely.
+    fn evict_to(&self, inner: &mut CatalogInner, budget: u64) {
         while inner.total_bytes > budget {
             let Some(victim) = inner
                 .entries
                 .iter()
-                .filter(|(_, e)| e.loaded_id().is_some_and(|id| Some(id) != protect))
+                .filter(|(_, e)| e.loaded_id().is_some())
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             else {
-                // Nothing left to evict (only the protected document
-                // and on-disk entries remain).
+                // Nothing left to evict (only on-disk entries remain).
                 break;
             };
             let entry = inner.entries.get(&victim).expect("victim exists");
@@ -700,10 +594,10 @@ impl DocumentCatalog {
             let mut evicted = inner.entries.remove(&victim).expect("victim exists");
             inner.uncharge_entry(&evicted);
             if evicted.durable.is_some() {
-                // Demote: the document lives on in its segment and
-                // reloads on the next access.
+                // Demote: the document lives on in its segment (which
+                // holds no memory, so charges nothing) and reloads on
+                // the next access.
                 evicted.residency = Residency::OnDisk;
-                inner.charge_entry(&evicted);
                 inner.entries.insert(victim, evicted);
             }
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -726,7 +620,7 @@ impl DocumentCatalog {
             .and_then(|e| e.durable.clone())
             .expect("on-disk entry has a segment");
         let path = persist.dir.join(&durable.file);
-        let loaded = (|| -> Result<(DocId, u64, u64)> {
+        let loaded = (|| {
             let seg = Segment::open(&path)?;
             if seg.uri() != Some(name) {
                 return Err(Error::corrupt_segment(format!(
@@ -735,33 +629,34 @@ impl DocumentCatalog {
                     seg.uri()
                 )));
             }
-            let (doc, index) = seg.load(self.store.names())?;
-            let index_bytes = index.memory_bytes() as u64;
-            let bytes = doc.memory_bytes() as u64 + index_bytes;
-            let id = self.store.add_document(doc);
-            xqr_index::attach_index(&self.store, id, index);
-            Ok((id, bytes, index_bytes))
+            seg.load(self.store.names())
         })();
-        let tick = self.next_tick();
-        let entry = inner.entries.get_mut(name).expect("caller checked");
         match loaded {
-            Ok((id, bytes, index_bytes)) => {
+            Ok((doc, index)) => {
+                let index_bytes = index.memory_bytes() as u64;
+                let bytes = doc.memory_bytes() as u64 + index_bytes;
+                // Room first (the entry is still `OnDisk`, so not a
+                // victim); the store only gets the document once nothing
+                // between here and the entry update can unwind.
+                self.make_room(inner, bytes);
+                let id = self.store.add_document(doc);
+                xqr_index::attach_index(&self.store, id, index);
+                let entry = inner.entries.get_mut(name).expect("caller checked");
                 // OnDisk charged nothing, so no uncharge needed.
                 entry.residency = Residency::Loaded {
                     id,
                     bytes,
                     index_bytes,
                 };
-                entry.last_used = tick;
-                inner.total_bytes += bytes;
-                inner.total_index_bytes += index_bytes;
+                entry.last_used = self.next_tick();
+                inner.charge(bytes, index_bytes);
                 self.segments_recovered.fetch_add(1, Ordering::Relaxed);
-                self.evict_to_budget(inner, id);
                 Ok(id)
             }
             Err(e) if e.code == ErrorCode::CorruptSegment => {
                 // Quarantine holds no memory, so the budget is untouched;
                 // the disk footprint goes to the observability gauge.
+                let entry = inner.entries.get_mut(name).expect("caller checked");
                 entry.residency = Residency::Quarantined;
                 self.quarantined_bytes
                     .fetch_add(durable.disk_bytes, Ordering::Relaxed);
@@ -781,7 +676,7 @@ impl DocumentCatalog {
     pub fn resolve(&self, name: &str) -> Result<Option<DocId>> {
         let mut inner = lock_recover(&self.inner);
         let tick = self.next_tick();
-        let out = match inner.entries.get_mut(name) {
+        match inner.entries.get_mut(name) {
             None => Ok(None),
             Some(e) => match e.residency {
                 Residency::Loaded { id, .. } => {
@@ -794,9 +689,7 @@ impl DocumentCatalog {
                      verification"
                 ))),
             },
-        };
-        self.sync_ledger(&inner);
-        out
+        }
     }
 
     /// Resolve a name, refreshing its LRU position. `None` if the name
@@ -847,7 +740,6 @@ impl DocumentCatalog {
         inner.uncharge_entry(&e);
         self.quarantined_bytes
             .fetch_sub(e.quarantined_disk_bytes(), Ordering::Relaxed);
-        self.sync_ledger(&inner);
         true
     }
 
@@ -880,8 +772,6 @@ impl DocumentCatalog {
             index_builds: self.index_builds.load(Ordering::Relaxed),
             index_build_nanos: self.index_build_nanos.load(Ordering::Relaxed),
             index_build_failures: self.index_build_failures.load(Ordering::Relaxed),
-            index_breaker_opens: self.index_breaker.opens(),
-            degraded_no_index: self.degraded_no_index.load(Ordering::Relaxed),
             segments_written: self.segments_written.load(Ordering::Relaxed),
             segments_recovered: self.segments_recovered.load(Ordering::Relaxed),
             segments_quarantined: self.segments_quarantined.load(Ordering::Relaxed),
@@ -901,6 +791,28 @@ mod tests {
         format!("<d>{}</d>", "x".repeat(n))
     }
 
+    /// A catalog on a ledger of its own.
+    fn open(
+        store: Arc<Store>,
+        max_bytes: Option<u64>,
+        index_limits: Option<Limits>,
+        dir: Option<&Path>,
+    ) -> Arc<DocumentCatalog> {
+        let ledger = Arc::new(MemoryLedger::unbounded());
+        open_on(&ledger, store, max_bytes, index_limits, dir)
+    }
+
+    fn open_on(
+        ledger: &Arc<MemoryLedger>,
+        store: Arc<Store>,
+        max_bytes: Option<u64>,
+        index_limits: Option<Limits>,
+        dir: Option<&Path>,
+    ) -> Arc<DocumentCatalog> {
+        let dir = dir.map(Path::to_path_buf);
+        DocumentCatalog::open(store, max_bytes, index_limits, dir, Arc::clone(ledger)).unwrap()
+    }
+
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("xqr-catalog-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -910,7 +822,7 @@ mod tests {
     #[test]
     fn put_get_remove_roundtrip() {
         let store = Store::new();
-        let cat = DocumentCatalog::new(store.clone(), None);
+        let cat = open(store.clone(), None, None, None);
         let id = cat.put("a.xml", "<a/>").unwrap();
         assert_eq!(cat.get("a.xml"), Some(id));
         assert_eq!(store.doc_count(), 1);
@@ -923,7 +835,7 @@ mod tests {
     #[test]
     fn replacement_frees_the_old_document() {
         let store = Store::new();
-        let cat = DocumentCatalog::new(store.clone(), None);
+        let cat = open(store.clone(), None, None, None);
         let old = cat.put("d.xml", &doc_of_bytes(10_000)).unwrap();
         let bytes_before = cat.total_bytes();
         let new = cat.put("d.xml", "<tiny/>").unwrap();
@@ -942,7 +854,9 @@ mod tests {
             let id = probe.load_xml(&doc_of_bytes(10_000), None).unwrap();
             probe.document(id).memory_bytes() as u64
         };
-        let cat = DocumentCatalog::new(store.clone(), Some(one_doc * 2 + one_doc / 2));
+        let ledger = Arc::new(MemoryLedger::unbounded());
+        let budget = Some(one_doc * 2 + one_doc / 2);
+        let cat = open_on(&ledger, store.clone(), budget, None, None);
         cat.put("a.xml", &doc_of_bytes(10_000)).unwrap();
         cat.put("b.xml", &doc_of_bytes(10_000)).unwrap();
         cat.get("a.xml"); // refresh a: b becomes the LRU victim
@@ -954,12 +868,17 @@ mod tests {
         assert_eq!(cat.stats().evictions, 1);
         assert_eq!(store.doc_count(), 2);
         assert!(cat.total_bytes() <= one_doc * 2 + one_doc / 2);
+        assert_eq!(
+            ledger.total(),
+            cat.total_bytes(),
+            "the dropped victim was released"
+        );
     }
 
     #[test]
     fn oversized_document_is_admitted_alone() {
         let store = Store::new();
-        let cat = DocumentCatalog::new(store.clone(), Some(64));
+        let cat = open(store.clone(), Some(64), None, None);
         cat.put("small.xml", "<s/>").unwrap();
         cat.put("big.xml", &doc_of_bytes(100_000)).unwrap();
         // The oversized doc evicted everything else but stays itself.
@@ -969,9 +888,8 @@ mod tests {
 
     #[test]
     fn indexing_catalog_attaches_and_accounts_indexes() {
-        use xqr_xdm::Limits;
         let store = Store::new();
-        let cat = DocumentCatalog::with_indexing(store.clone(), None, Some(Limits::unlimited()));
+        let cat = open(store.clone(), None, Some(Limits::unlimited()), None);
         let id = cat.put("a.xml", "<a><b/><b/></a>").unwrap();
         let index = xqr_index::index_of(&store, id).expect("index attached");
         assert!(index.memory_bytes() > 0);
@@ -992,12 +910,12 @@ mod tests {
 
     #[test]
     fn index_build_budget_trip_leaves_document_unindexed() {
-        use xqr_xdm::Limits;
         let store = Store::new();
-        let cat = DocumentCatalog::with_indexing(
+        let cat = open(
             store.clone(),
             None,
             Some(Limits::unlimited().with_max_items(2)),
+            None,
         );
         let id = cat.put("a.xml", "<a><b/><b/><b/><b/></a>").unwrap();
         assert!(xqr_index::index_of(&store, id).is_none());
@@ -1011,7 +929,7 @@ mod tests {
     fn evicted_documents_vanish_from_doc_function() {
         use xqr_core::Engine;
         let engine = Engine::new();
-        let cat = DocumentCatalog::new(engine.store().clone(), Some(1));
+        let cat = open(engine.store().clone(), Some(1), None, None);
         cat.put("a.xml", "<a><b/></a>").unwrap();
         assert_eq!(engine.query(r#"count(doc("a.xml")//b)"#).unwrap(), "1");
         cat.put("z.xml", "<z/>").unwrap(); // budget of 1 byte: evicts a.xml
@@ -1024,14 +942,13 @@ mod tests {
     fn persistent_put_survives_reopen() {
         let dir = scratch("reopen");
         let store = Store::new();
-        let cat = DocumentCatalog::with_persistence(store, None, Some(Limits::unlimited()), &dir)
-            .unwrap();
+        let cat = open(store, None, Some(Limits::unlimited()), Some(&dir));
         cat.put("a.xml", "<a><b/><b/></a>").unwrap();
         assert_eq!(cat.stats().segments_written, 1);
         drop(cat); // simulated shutdown: only the fsynced files survive
 
         let store = Store::new();
-        let cat = DocumentCatalog::with_persistence(store.clone(), None, None, &dir).unwrap();
+        let cat = open(store.clone(), None, None, Some(&dir));
         assert!(cat.contains("a.xml"));
         assert_eq!(store.doc_count(), 0, "adoption is lazy");
         let id = cat.get("a.xml").expect("reloads from segment");
@@ -1043,61 +960,61 @@ mod tests {
     }
 
     #[test]
-    fn persistent_eviction_demotes_and_reloads() {
-        let dir = scratch("demote");
-        let store = Store::new();
-        let cat = DocumentCatalog::with_persistence(store.clone(), Some(1), None, &dir).unwrap();
-        cat.put("a.xml", "<a>one</a>").unwrap();
-        cat.put("b.xml", "<b>two</b>").unwrap(); // 1-byte budget: evicts a
-        assert!(cat.contains("a.xml"), "demoted, not dropped");
+    fn ledger_tracks_resident_bytes_through_every_transition() {
+        let dir = scratch("ledger");
+        let ledger = Arc::new(MemoryLedger::unbounded());
+        let resident = || {
+            ledger
+                .snapshot()
+                .category(Category::CatalogResident)
+                .current
+        };
+        let cat = open_on(
+            &ledger,
+            Store::new(),
+            None,
+            Some(Limits::unlimited()),
+            Some(&dir),
+        );
+        assert_eq!(resident(), 0);
+
+        cat.put("a.xml", &doc_of_bytes(2_000)).unwrap();
+        assert!(resident() > 2_000);
+        assert_eq!(resident(), cat.total_bytes(), "put");
+        cat.put("b.xml", &doc_of_bytes(1_000)).unwrap();
+        assert_eq!(resident(), cat.total_bytes(), "second put");
+        let before = resident();
+        cat.put("a.xml", &doc_of_bytes(500)).unwrap();
+        assert!(resident() < before, "the replaced document was released");
+        assert_eq!(resident(), cat.total_bytes(), "replace");
+
+        let half = cat.total_bytes() / 2;
+        cat.shed_cold(half);
+        assert!(cat.total_bytes() <= half, "shed to the target");
         assert!(cat.stats().evictions >= 1);
-        // The next access transparently reloads from the segment.
-        let id = cat.get("a.xml").expect("reload after demotion");
-        assert!(store.try_document(id).is_some());
+        assert!(
+            cat.contains("a.xml") && cat.contains("b.xml"),
+            "demoted, not dropped"
+        );
+        assert_eq!(resident(), cat.total_bytes(), "demote");
+        cat.shed_cold(0);
+        assert_eq!((resident(), cat.total_bytes()), (0, 0), "all demoted");
+        cat.get("a.xml").expect("reload after demotion");
+        assert!(resident() > 500);
+        assert_eq!(resident(), cat.total_bytes(), "reload");
+
+        assert!(cat.remove("a.xml"));
+        assert_eq!(resident(), 0, "remove");
+        cat.get("b.xml").expect("reload after demotion");
+        assert_eq!(resident(), cat.total_bytes());
+        assert!(resident() > 0);
+        drop(cat);
+        assert_eq!(ledger.total(), 0, "a dropped catalog gives its bytes back");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn ledger_mirrors_resident_bytes_through_put_evict_remove() {
-        let ledger = Arc::new(MemoryLedger::unbounded());
-        let store = Store::new();
-        let cat = DocumentCatalog::new(store, None);
-        cat.attach_ledger(Arc::clone(&ledger));
-        assert_eq!(ledger.total(), 0);
-
-        cat.put("a.xml", &doc_of_bytes(2_000)).unwrap();
-        let after_a = ledger.total();
-        assert_eq!(after_a, cat.total_bytes(), "ledger tracks the catalog");
-        assert!(after_a > 2_000);
-
-        cat.put("b.xml", &doc_of_bytes(1_000)).unwrap();
-        assert_eq!(ledger.total(), cat.total_bytes());
-        assert_eq!(
-            ledger
-                .snapshot()
-                .category(Category::CatalogResident)
-                .current,
-            cat.total_bytes()
-        );
-
-        cat.remove("a.xml");
-        cat.remove("b.xml");
-        assert_eq!(ledger.total(), 0, "all resident bytes released");
-    }
-
-    #[test]
-    fn attach_ledger_charges_preexisting_residents() {
-        let store = Store::new();
-        let cat = DocumentCatalog::new(store, None);
-        cat.put("a.xml", &doc_of_bytes(500)).unwrap();
-        let ledger = Arc::new(MemoryLedger::unbounded());
-        cat.attach_ledger(Arc::clone(&ledger));
-        assert_eq!(ledger.total(), cat.total_bytes(), "late attach syncs");
-    }
-
-    #[test]
     fn brownout_skips_index_builds_but_serves_documents() {
-        use xqr_xdm::Limits;
         // A tiny ceiling already in Yellow before the catalog charges.
         let ledger = Arc::new(MemoryLedger::new(
             xqr_pressure::PressureConfig::with_ceiling(1_000),
@@ -1106,8 +1023,13 @@ mod tests {
         assert!(ledger.state() >= PressureState::Yellow);
 
         let store = Store::new();
-        let cat = DocumentCatalog::with_indexing(store.clone(), None, Some(Limits::unlimited()));
-        cat.attach_ledger(Arc::clone(&ledger));
+        let cat = open_on(
+            &ledger,
+            store.clone(),
+            None,
+            Some(Limits::unlimited()),
+            None,
+        );
         let id = cat.put("a.xml", "<a><b/><b/></a>").unwrap();
         assert!(
             xqr_index::index_of(&store, id).is_none(),
@@ -1116,7 +1038,6 @@ mod tests {
         let stats = cat.stats();
         assert_eq!(stats.index_builds, 0);
         assert_eq!(stats.pressure_no_index, 1);
-        assert_eq!(stats.degraded_no_index, 1);
         assert_eq!(stats.docs, 1, "the document itself still loads");
 
         // Pressure clears: the next load builds its index again.
@@ -1127,34 +1048,15 @@ mod tests {
     }
 
     #[test]
-    fn shed_cold_demotes_down_to_target() {
-        let dir = scratch("shed-cold");
-        let store = Store::new();
-        let cat = DocumentCatalog::with_persistence(store, None, None, &dir).unwrap();
-        cat.put("a.xml", &doc_of_bytes(4_000)).unwrap();
-        cat.put("b.xml", &doc_of_bytes(4_000)).unwrap();
-        let full = cat.total_bytes();
-        assert!(full > 8_000);
-
-        cat.shed_cold(full / 2);
-        assert!(cat.total_bytes() <= full / 2, "shed to the target");
-        assert!(cat.contains("a.xml"), "demoted entries survive on disk");
-        assert!(cat.contains("b.xml"));
-        // And reload transparently once pressure is gone.
-        assert!(cat.get("a.xml").is_some());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn persistent_remove_is_durable() {
         let dir = scratch("remove");
         {
-            let cat = DocumentCatalog::with_persistence(Store::new(), None, None, &dir).unwrap();
+            let cat = open(Store::new(), None, None, Some(&dir));
             cat.put("a.xml", "<a/>").unwrap();
             cat.put("b.xml", "<b/>").unwrap();
             assert!(cat.remove("a.xml"));
         }
-        let cat = DocumentCatalog::with_persistence(Store::new(), None, None, &dir).unwrap();
+        let cat = open(Store::new(), None, None, Some(&dir));
         assert!(!cat.contains("a.xml"), "deletion replayed from manifest");
         assert!(cat.contains("b.xml"));
         let _ = fs::remove_dir_all(&dir);

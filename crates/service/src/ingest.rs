@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::resilience::lock_recover;
 use crate::service::QueryService;
+use xqr_parallel::lock_recover;
 use xqr_pressure::{Category, Charge};
 use xqr_runtime::{CombinedAutomaton, StreamingPass};
 use xqr_subscribe::{PublishReport, PublishSession};

@@ -11,8 +11,8 @@
 //! * a **document catalog** ([`DocumentCatalog`]) that owns named
 //!   documents under a total-bytes budget with LRU eviction, built on
 //!   `Store::remove_document`;
-//! * **admission control** ([`WorkerPool`]): a bounded run queue in front
-//!   of a fixed set of workers — when both the workers and the queue are
+//! * **admission control** ([`xqr_parallel::WorkerPool`]): a bounded run
+//!   queue in front of a fixed set of workers — when both the workers and the queue are
 //!   full, new queries are rejected with the stable error
 //!   `err:XQRL0004 Overloaded` instead of queueing without bound;
 //! * **standing queries** (`xqr-subscribe`): register subscriptions with
@@ -23,7 +23,9 @@
 //!
 //! [`QueryService`] composes the three and surfaces a [`ServiceStats`]
 //! snapshot (cache hit rate, p50/p99 latency, active/queued gauges) both
-//! as a struct and as `explain`-style text.
+//! as a struct and as `explain`-style text. What the service does when a
+//! subsystem fails or memory runs short is one ordered ladder, tabulated
+//! in [`resilience`].
 //!
 //! ```
 //! use xqr_service::{QueryService, ServiceConfig};
@@ -38,15 +40,13 @@
 pub mod catalog;
 pub mod ingest;
 pub mod plan_cache;
-pub mod pool;
 pub mod resilience;
 pub mod service;
 
 pub use catalog::{CatalogStats, DocumentCatalog};
 pub use ingest::{SessionId, StreamQuery};
 pub use plan_cache::{PlanCache, PlanCacheStats};
-pub use pool::{PoolStats, WorkerPool};
-pub use resilience::{CircuitBreaker, Degraded, RetryPolicy};
+pub use resilience::RetryPolicy;
 pub use service::{QueryService, ServiceConfig, ServiceStats};
 pub use xqr_subscribe::{
     CollectingSink, Delivery, PublishReport, SubId, SubscribeStats, SubscriptionSink,

@@ -5,8 +5,8 @@
 //! and over — the paper's production deployment made prepared plans a
 //! first-class citizen for exactly this reason. The cache is keyed by
 //! `(query text, engine-options fingerprint)`
-//! ([`xqr_core::EngineOptions::fingerprint`]): a plan is only reused
-//! under options that would have compiled it identically.
+//! ([`xqr_core::Engine::fingerprint`]): a plan is only reused under
+//! options that would have compiled it identically.
 //!
 //! Sharding: the key hash picks one of N independently locked shards, so
 //! concurrent lookups from a worker pool contend only 1/N of the time.
@@ -21,10 +21,10 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use crate::resilience::lock_recover;
 use xqr_core::{Engine, PreparedQuery};
+use xqr_parallel::lock_recover;
 use xqr_pressure::{Category, MemoryLedger};
 use xqr_xdm::Result;
 
@@ -72,6 +72,17 @@ struct Shard {
     map: HashMap<Key, Entry>,
 }
 
+impl Shard {
+    /// Remove the least-recently-used entry (the shard must hold one);
+    /// returns the bytes it was charged.
+    fn evict_oldest(&mut self) -> u64 {
+        let oldest = self.map.iter().min_by_key(|(_, e)| e.last_used);
+        let oldest = oldest.map(|(key, _)| key.clone());
+        let oldest = oldest.expect("evicting from a non-empty shard");
+        self.map.remove(&oldest).map_or(0, |victim| victim.bytes)
+    }
+}
+
 /// A sharded, capacity-bounded LRU cache of compiled plans.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
@@ -83,15 +94,15 @@ pub struct PlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Optional memory ledger mirroring estimated plan bytes under
-    /// [`Category::PlanCache`].
-    ledger: OnceLock<Arc<MemoryLedger>>,
+    /// Every live entry's estimated bytes are charged here under
+    /// [`Category::PlanCache`], from insert to eviction (or drop).
+    ledger: Arc<MemoryLedger>,
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans across `shards` shards.
-    /// Both are clamped to at least 1.
-    pub fn new(capacity: usize, shards: usize) -> Self {
+    /// A cache holding at most `capacity` plans across `shards` shards
+    /// (both clamped to at least 1), charging its entries to `ledger`.
+    pub fn new(capacity: usize, shards: usize, ledger: Arc<MemoryLedger>) -> Self {
         let shards = shards.max(1);
         let shard_capacity = capacity.max(1).div_ceil(shards);
         PlanCache {
@@ -108,32 +119,7 @@ impl PlanCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            ledger: OnceLock::new(),
-        }
-    }
-
-    /// Mirror estimated plan bytes into `ledger` under
-    /// [`Category::PlanCache`]. First attach wins; entries inserted
-    /// before the attach are not retro-charged (the cache usually
-    /// attaches empty, at service construction).
-    pub fn attach_ledger(&self, ledger: Arc<MemoryLedger>) {
-        let _ = self.ledger.set(ledger);
-    }
-
-    /// Estimated footprint of one cached plan for `query`.
-    fn entry_bytes(query: &str) -> u64 {
-        query.len() as u64 + PLAN_OVERHEAD_BYTES
-    }
-
-    fn ledger_charge(&self, bytes: u64) {
-        if let Some(l) = self.ledger.get() {
-            l.charge(Category::PlanCache, bytes);
-        }
-    }
-
-    fn ledger_release(&self, bytes: u64) {
-        if let Some(l) = self.ledger.get() {
-            l.release(Category::PlanCache, bytes);
+            ledger,
         }
     }
 
@@ -152,7 +138,7 @@ impl PlanCache {
     /// mistyped query costs a compile each time, which keeps the cache
     /// free of dead entries.
     pub fn get_or_compile(&self, engine: &Engine, query: &str) -> Result<Arc<PreparedQuery>> {
-        let key: Key = (Arc::from(query), engine.options().fingerprint());
+        let key: Key = (Arc::from(query), engine.fingerprint());
         self.lookups.fetch_add(1, Ordering::Relaxed);
         {
             let mut shard = lock_recover(self.shard_of(&key));
@@ -171,19 +157,11 @@ impl PlanCache {
         // storage; an injected fault here fails the lookup, and the
         // service degrades to compiling without caching.
         xqr_faults::faultpoint!("plans.insert");
-        let bytes = Self::entry_bytes(query);
+        let bytes = query.len() as u64 + PLAN_OVERHEAD_BYTES;
         let mut freed = 0u64;
         let mut shard = lock_recover(self.shard_of(&key));
         while shard.map.len() >= self.shard_capacity && !shard.map.contains_key(&key) {
-            let oldest = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("shard at capacity is non-empty");
-            if let Some(victim) = shard.map.remove(&oldest) {
-                freed += victim.bytes;
-            }
+            freed += shard.evict_oldest();
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         let tick = self.next_tick();
@@ -197,8 +175,8 @@ impl PlanCache {
         );
         drop(shard);
         freed += replaced.map_or(0, |e| e.bytes);
-        self.ledger_charge(bytes);
-        self.ledger_release(freed);
+        self.ledger.charge(Category::PlanCache, bytes);
+        self.ledger.release(Category::PlanCache, freed);
         Ok(plan)
     }
 
@@ -213,41 +191,13 @@ impl PlanCache {
         for shard in &self.shards {
             let mut shard = lock_recover(shard);
             while shard.map.len() > per_shard {
-                let oldest = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty while over target");
-                if let Some(victim) = shard.map.remove(&oldest) {
-                    freed += victim.bytes;
-                }
+                freed += shard.evict_oldest();
                 shed += 1;
             }
         }
         self.evictions.fetch_add(shed, Ordering::Relaxed);
-        self.ledger_release(freed);
+        self.ledger.release(Category::PlanCache, freed);
         shed
-    }
-
-    /// Look up a cached plan without compiling on a miss — the
-    /// `Degraded::CacheOnly` read path when the insert side of the cache
-    /// is unhealthy. Hits refresh LRU position and count as lookups.
-    pub fn get_cached(&self, engine: &Engine, query: &str) -> Option<Arc<PreparedQuery>> {
-        let key: Key = (Arc::from(query), engine.options().fingerprint());
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut shard = lock_recover(self.shard_of(&key));
-        match shard.map.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = self.next_tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.plan.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
     }
 
     /// Drop every cached plan (counters are preserved).
@@ -258,7 +208,7 @@ impl PlanCache {
             freed += shard.map.values().map(|e| e.bytes).sum::<u64>();
             shard.map.clear();
         }
-        self.ledger_release(freed);
+        self.ledger.release(Category::PlanCache, freed);
     }
 
     /// Live entries across all shards.
@@ -281,14 +231,37 @@ impl PlanCache {
     }
 }
 
+/// The ledger outlives the cache (the service hands clones out), so a
+/// dropped cache gives its bytes back.
+impl Drop for PlanCache {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn cache(capacity: usize, shards: usize) -> PlanCache {
+        PlanCache::new(capacity, shards, Arc::new(MemoryLedger::unbounded()))
+    }
+
+    /// What the live entries were charged, summed shard by shard.
+    fn live_bytes(cache: &PlanCache) -> u64 {
+        let per_shard =
+            |s: &Mutex<Shard>| lock_recover(s).map.values().map(|e| e.bytes).sum::<u64>();
+        cache.shards.iter().map(per_shard).sum()
+    }
+
+    fn charged(ledger: &MemoryLedger) -> u64 {
+        ledger.snapshot().category(Category::PlanCache).current
+    }
+
     #[test]
     fn repeated_queries_hit_the_cache() {
         let engine = Engine::new();
-        let cache = PlanCache::new(64, 4);
+        let cache = cache(64, 4);
         for _ in 0..10 {
             cache.get_or_compile(&engine, "1 + 1").unwrap();
         }
@@ -303,7 +276,7 @@ mod tests {
     #[test]
     fn distinct_queries_are_distinct_entries() {
         let engine = Engine::new();
-        let cache = PlanCache::new(64, 4);
+        let cache = cache(64, 4);
         cache.get_or_compile(&engine, "1").unwrap();
         cache.get_or_compile(&engine, "2").unwrap();
         assert_eq!(cache.len(), 2);
@@ -315,8 +288,8 @@ mod tests {
         use xqr_core::EngineOptions;
         let a = Engine::new();
         let b = Engine::with_options(EngineOptions::unoptimized());
-        assert_ne!(a.options().fingerprint(), b.options().fingerprint());
-        let cache = PlanCache::new(64, 4);
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        let cache = cache(64, 4);
         cache.get_or_compile(&a, "//x").unwrap();
         cache.get_or_compile(&b, "//x").unwrap();
         assert_eq!(
@@ -330,7 +303,7 @@ mod tests {
     fn capacity_bound_evicts_lru() {
         let engine = Engine::new();
         // One shard so the LRU order is total.
-        let cache = PlanCache::new(2, 1);
+        let cache = cache(2, 1);
         cache.get_or_compile(&engine, "1").unwrap();
         cache.get_or_compile(&engine, "2").unwrap();
         cache.get_or_compile(&engine, "1").unwrap(); // refresh "1"
@@ -348,8 +321,7 @@ mod tests {
     fn ledger_tracks_inserts_evictions_and_shrink() {
         let engine = Engine::new();
         let ledger = Arc::new(MemoryLedger::unbounded());
-        let cache = PlanCache::new(8, 2);
-        cache.attach_ledger(Arc::clone(&ledger));
+        let cache = PlanCache::new(8, 2, Arc::clone(&ledger));
 
         for i in 0..8 {
             cache
@@ -359,41 +331,41 @@ mod tests {
         // Shard skew may evict during the fill; the live charge matches
         // whatever actually stayed resident.
         let live = cache.len() as u64;
-        let full = ledger.snapshot().category(Category::PlanCache).current;
+        let full = charged(&ledger);
+        assert_eq!(full, live_bytes(&cache));
         assert!(full >= live * PLAN_OVERHEAD_BYTES, "{full} for {live}");
 
         let shed = cache.shrink_to(2);
         assert!(shed >= live - 2, "shed {shed} of {live}");
         assert!(cache.len() <= 2);
-        let after = ledger.snapshot().category(Category::PlanCache).current;
-        assert!(after < full, "shrink released bytes: {after} vs {full}");
+        assert_eq!(charged(&ledger), live_bytes(&cache));
+        assert!(charged(&ledger) < full, "shrink released bytes");
         assert!(cache.stats().evictions >= shed);
 
         cache.clear();
-        assert_eq!(
-            ledger.snapshot().category(Category::PlanCache).current,
-            0,
-            "clear releases everything"
-        );
+        assert_eq!(charged(&ledger), 0, "clear releases everything");
         // The cache regrows after a shrink — capacity was untouched.
         cache.get_or_compile(&engine, "1 + 1").unwrap();
         assert_eq!(cache.len(), 1);
-        assert!(ledger.snapshot().category(Category::PlanCache).current > 0);
+        assert_eq!(charged(&ledger), live_bytes(&cache));
+        assert!(charged(&ledger) > 0);
+        drop(cache);
+        assert_eq!(charged(&ledger), 0, "a dropped cache gives its bytes back");
     }
 
     #[test]
     fn eviction_churn_keeps_ledger_balanced() {
         let engine = Engine::new();
         let ledger = Arc::new(MemoryLedger::unbounded());
-        let cache = PlanCache::new(2, 1);
-        cache.attach_ledger(Arc::clone(&ledger));
+        let cache = PlanCache::new(2, 1, Arc::clone(&ledger));
         for i in 0..20 {
             cache
                 .get_or_compile(&engine, &format!("{} + 1", i % 7))
                 .unwrap();
         }
         // Live charge equals the sum over live entries, not the churn.
-        let live = ledger.snapshot().category(Category::PlanCache).current;
+        let live = charged(&ledger);
+        assert_eq!(live, live_bytes(&cache));
         assert!(
             live <= 2 * (PLAN_OVERHEAD_BYTES + 16),
             "charge bounded by capacity: {live}"
@@ -405,7 +377,7 @@ mod tests {
     #[test]
     fn compile_errors_are_not_cached() {
         let engine = Engine::new();
-        let cache = PlanCache::new(8, 1);
+        let cache = cache(8, 1);
         assert!(cache.get_or_compile(&engine, "1 +").is_err());
         assert!(cache.get_or_compile(&engine, "1 +").is_err());
         assert_eq!(cache.len(), 0);
@@ -418,7 +390,7 @@ mod tests {
     #[test]
     fn stats_invariant_holds_under_eviction_pressure() {
         let engine = std::sync::Arc::new(Engine::new());
-        let cache = std::sync::Arc::new(PlanCache::new(4, 2));
+        let cache = std::sync::Arc::new(cache(4, 2));
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let engine = engine.clone();
@@ -453,9 +425,9 @@ mod tests {
     #[test]
     fn a_poisoned_shard_does_not_take_down_the_cache() {
         let engine = Engine::new();
-        let cache = PlanCache::new(64, 4);
+        let cache = cache(64, 4);
         cache.get_or_compile(&engine, "1 + 1").unwrap();
-        let before = crate::resilience::lock_recoveries();
+        let before = xqr_parallel::lock_recoveries();
         // Poison every shard: whichever one "1 + 1" hashes into is
         // certainly covered.
         for shard in &cache.shards {
@@ -468,18 +440,17 @@ mod tests {
         // Reads, writes and stats all still work...
         cache.get_or_compile(&engine, "1 + 1").unwrap();
         cache.get_or_compile(&engine, "2 + 2").unwrap();
-        assert!(cache.get_cached(&engine, "1 + 1").is_some());
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, s.lookups, "{s:?}");
         assert_eq!(s.entries, 2);
         // ...and the recoveries were counted for the operator.
-        assert!(crate::resilience::lock_recoveries() >= before + 4);
+        assert!(xqr_parallel::lock_recoveries() >= before + 4);
     }
 
     #[test]
     fn concurrent_lookups_are_consistent() {
         let engine = std::sync::Arc::new(Engine::new());
-        let cache = std::sync::Arc::new(PlanCache::new(16, 4));
+        let cache = std::sync::Arc::new(cache(16, 4));
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let engine = engine.clone();

@@ -1,37 +1,28 @@
-//! Resilience primitives: poison-recovering locks, bounded retry with
-//! deterministic backoff, and circuit breakers.
+//! The service's degradation ladder, and the bounded retry at its top.
 //!
-//! The service's stance on failure comes from the error-code taxonomy
+//! The stance on failure comes from the error-code taxonomy
 //! ([`xqr_xdm::ErrorCode::is_retryable`]): *transient* codes
 //! (`XQRL0002/0004/0005`) describe a moment — queue pressure, a starved
 //! deadline, an injected subsystem fault — and deserve a bounded retry;
 //! every other code is deterministic and retrying it only burns
-//! capacity. When retries keep failing, the circuit breaker converts
-//! "try and fail every time" into an explicit degradation mode
-//! (`Degraded::NoIndex`, `Degraded::CacheOnly`) that is reported in
-//! [`crate::ServiceStats`] instead of being silently absorbed.
+//! capacity. Below the retry, each subsystem failure has exactly one
+//! fallback, taken where the failure is observed and counted in
+//! [`crate::ServiceStats`]. The rungs, in the order a request meets them:
+//!
+//! | # | Rung | Trigger | Effect | Counter |
+//! |---|------|---------|--------|---------|
+//! | 1 | retry | a `run`-family call ends in a transient code | re-submit up to [`RetryPolicy::max_retries`] times, jittered exponential backoff | `retries` |
+//! | 2 | uncached compile | the plan cache's insert side fails with `XQRL0005` | compile for this execution only; nothing is cached | `uncached_compiles` |
+//! | 3 | unindexed load | an index build fails (budget trip, fault) or panics | the document is resident but unindexed (and memory-only under persistence); queries navigate | `index_build_failures` |
+//! | 4 | Yellow brownout | the memory ledger is at Yellow or worse | loads skip the index build; once per transition the plan cache shrinks to half and (under persistence) cold catalog documents demote to their segments; new queries run joins inline | `pressure_no_index`, `plan_evictions`, `catalog_evictions`, `joins_shed_pressure` |
+//! | 5 | Red shed | the ledger is Red | chunk sessions, stream queries, publishes and batches fail at admission with `XQRL0004` | `pressure_sheds` |
+//! | 6 | queue full | workers and run queue are both full | the submission fails with `XQRL0004` | `rejected` |
+//! | 7 | expired in queue | a queued query's deadline passes before a worker takes it | dropped at dequeue with `XQRL0002`, never executed | `dropped_expired` |
+//!
+//! Nothing wraps the rungs: there is no breaker and no service-wide
+//! degraded mode, so every request tries the normal path first.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-// The poison-recovering lock moved to `xqr-parallel` with the worker
-// pool (the morsel executor's structures recover through it too);
-// re-exported here so service-layer code and embedders keep their
-// import path, and so every recovery still lands in one process-wide
-// gauge.
-pub use xqr_parallel::{lock_recover, lock_recoveries};
-
-/// The degradation modes the service can enter instead of failing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Degraded {
-    /// The index-build breaker is open: catalog loads serve documents
-    /// unindexed and queries fall back to navigational evaluation.
-    NoIndex,
-    /// The plan-cache breaker is open: queries compile per-execution
-    /// (cached plans still hit) instead of going through cache inserts.
-    CacheOnly,
-}
+use std::time::Duration;
 
 /// Bounded retry with exponential backoff and deterministic jitter.
 #[derive(Debug, Clone, Copy)]
@@ -87,117 +78,9 @@ impl RetryPolicy {
     }
 }
 
-/// A consecutive-failure circuit breaker.
-///
-/// * **Closed** (normal): operations run; each failure increments a
-///   consecutive-failure count, any success resets it.
-/// * **Open**: after `threshold` consecutive failures, [`allow`] returns
-///   `false` for `cooldown` — callers take their degraded path without
-///   paying for the doomed operation.
-/// * **Half-open**: once the cooldown elapses, a single probe is let
-///   through; success closes the breaker, failure re-opens it for
-///   another cooldown.
-///
-/// [`allow`]: CircuitBreaker::allow
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    threshold: u32,
-    cooldown: Duration,
-    state: Mutex<BreakerState>,
-    opens: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct BreakerState {
-    consecutive_failures: u32,
-    open_until: Option<Instant>,
-    /// A half-open probe is in flight; further callers stay degraded
-    /// until it reports.
-    probing: bool,
-}
-
-impl CircuitBreaker {
-    /// Opens after `threshold` consecutive failures (clamped to ≥ 1),
-    /// for `cooldown` per open period.
-    pub fn new(threshold: u32, cooldown: Duration) -> Self {
-        CircuitBreaker {
-            threshold: threshold.max(1),
-            cooldown,
-            state: Mutex::new(BreakerState::default()),
-            opens: AtomicU64::new(0),
-        }
-    }
-
-    /// Should the caller attempt the protected operation? `false` means
-    /// take the degraded path. A `true` during cooldown expiry admits
-    /// exactly one half-open probe; the caller must report the outcome
-    /// via [`record_success`] / [`record_failure`].
-    ///
-    /// [`record_success`]: CircuitBreaker::record_success
-    /// [`record_failure`]: CircuitBreaker::record_failure
-    pub fn allow(&self) -> bool {
-        let mut state = lock_recover(&self.state);
-        match state.open_until {
-            None => true,
-            Some(until) if Instant::now() < until => false,
-            Some(_) => {
-                if state.probing {
-                    false
-                } else {
-                    state.probing = true;
-                    true
-                }
-            }
-        }
-    }
-
-    pub fn record_success(&self) {
-        let mut state = lock_recover(&self.state);
-        state.consecutive_failures = 0;
-        state.open_until = None;
-        state.probing = false;
-    }
-
-    pub fn record_failure(&self) {
-        let mut state = lock_recover(&self.state);
-        state.consecutive_failures = state.consecutive_failures.saturating_add(1);
-        state.probing = false;
-        if state.consecutive_failures >= self.threshold {
-            state.open_until = Some(Instant::now() + self.cooldown);
-            self.opens.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Is the breaker currently refusing operations?
-    pub fn is_open(&self) -> bool {
-        let state = lock_recover(&self.state);
-        matches!(state.open_until, Some(until) if Instant::now() < until)
-    }
-
-    /// Times the breaker has transitioned closed → open.
-    pub fn opens(&self) -> u64 {
-        self.opens.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lock_recover_survives_a_poisoning_panic() {
-        let m = Mutex::new(7u32);
-        let before = lock_recoveries();
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = m.lock().unwrap();
-            panic!("poison it");
-        }));
-        assert!(m.is_poisoned());
-        assert_eq!(*lock_recover(&m), 7, "data still readable");
-        assert_eq!(lock_recoveries(), before + 1);
-        *lock_recover(&m) = 8;
-        assert_eq!(*lock_recover(&m), 8);
-    }
 
     #[test]
     fn backoff_grows_exponentially_within_bounds() {
@@ -217,41 +100,5 @@ mod tests {
         // Deterministic: same (attempt, salt) → same backoff.
         assert_eq!(p.backoff(2, 9), p.backoff(2, 9));
         assert_ne!(p.backoff(2, 9), p.backoff(2, 10), "salt de-synchronizes");
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_and_probes_half_open() {
-        let b = CircuitBreaker::new(3, Duration::from_millis(20));
-        assert!(b.allow());
-        b.record_failure();
-        b.record_failure();
-        assert!(b.allow(), "below threshold: still closed");
-        b.record_failure();
-        assert!(b.is_open());
-        assert!(!b.allow(), "open: callers degrade");
-        assert_eq!(b.opens(), 1);
-
-        std::thread::sleep(Duration::from_millis(25));
-        assert!(b.allow(), "cooldown over: one half-open probe");
-        assert!(!b.allow(), "second caller waits for the probe");
-        b.record_failure();
-        assert!(!b.allow(), "probe failed: re-opened");
-        assert_eq!(b.opens(), 2);
-
-        std::thread::sleep(Duration::from_millis(25));
-        assert!(b.allow());
-        b.record_success();
-        assert!(b.allow(), "probe succeeded: closed again");
-        assert!(!b.is_open());
-    }
-
-    #[test]
-    fn success_resets_the_failure_streak() {
-        let b = CircuitBreaker::new(2, Duration::from_secs(60));
-        b.record_failure();
-        b.record_success();
-        b.record_failure();
-        assert!(b.allow(), "streak was reset; one failure is not two");
-        assert_eq!(b.opens(), 0);
     }
 }

@@ -19,9 +19,9 @@ use std::time::{Duration, Instant};
 
 use crate::catalog::DocumentCatalog;
 use crate::plan_cache::PlanCache;
-use crate::pool::WorkerPool;
-use crate::resilience::{self, CircuitBreaker, RetryPolicy};
+use crate::resilience::RetryPolicy;
 use xqr_core::{Engine, EngineOptions, PreparedQuery};
+use xqr_parallel::WorkerPool;
 use xqr_pressure::{Category, Charge, MemoryLedger, MorselSink, PressureConfig, PressureState};
 use xqr_runtime::{DynamicContext, Item, StreamStats};
 use xqr_store::{DocId, NodeId, NodeRef};
@@ -29,11 +29,6 @@ use xqr_subscribe::{PublishReport, SubId, SubscriptionRegistry, SubscriptionSink
 use xqr_xdm::{
     CancelHandle, Error, ErrorCode, LatencyHistogram, Limits, MemorySink, QueryGuard, Result,
 };
-
-/// Consecutive plan-cache failures that open the service's breaker.
-const PLAN_BREAKER_THRESHOLD: u32 = 3;
-/// How long the open plan breaker serves `Degraded::CacheOnly`.
-const PLAN_BREAKER_COOLDOWN: Duration = Duration::from_millis(250);
 
 /// Configuration for a [`QueryService`].
 #[derive(Debug, Clone)]
@@ -125,16 +120,12 @@ struct ServiceShared {
     retries: AtomicU64,
     /// De-synchronizes concurrent retriers' jittered backoff.
     retry_salt: AtomicU64,
-    /// Shed queries served by the caller-thread streaming fallback.
-    shed_to_streaming: AtomicU64,
-    /// Plan acquisitions served in `Degraded::CacheOnly` mode.
-    degraded_cache_only: AtomicU64,
-    /// Opens after repeated plan-cache failures; while open, queries
-    /// serve cached plans or compile uncached (`Degraded::CacheOnly`).
-    plans_breaker: CircuitBreaker,
+    /// Plans compiled for one execution because the cache's insert side
+    /// failed.
+    uncached_compiles: AtomicU64,
     latency: LatencyHistogram,
-    /// Streaming-pass gauges, fed by both the shed-to-streaming rung
-    /// and the publish path's shared automaton pass.
+    /// Streaming-pass gauges, fed by the publish path's shared automaton
+    /// pass.
     stream_tokens_seen: AtomicU64,
     stream_tokens_skipped: AtomicU64,
     stream_matches: AtomicU64,
@@ -151,35 +142,20 @@ struct ServiceShared {
 }
 
 impl ServiceShared {
-    /// Get a plan for `query`, degrading around an unhealthy plan cache.
+    /// Get a plan for `query` through the plan cache.
     ///
     /// A cache whose *insert* side is failing (`err:XQRL0005`, e.g. an
     /// injected fault at `plans.insert`) must not take query execution
     /// down with it: the failed lookup falls back to an uncached
-    /// compile, and enough consecutive failures open the breaker so the
-    /// cache is bypassed wholesale (cached plans still hit) until a
-    /// cooldown probe succeeds. Deterministic compile errors are the
-    /// query's own problem and pass through untouched.
+    /// compile. Deterministic compile errors are the query's own
+    /// problem and pass through untouched.
     fn acquire_plan(&self, query: &str) -> Result<Arc<PreparedQuery>> {
-        if self.plans_breaker.allow() {
-            match self.plans.get_or_compile(&self.engine, query) {
-                Ok(plan) => {
-                    self.plans_breaker.record_success();
-                    Ok(plan)
-                }
-                Err(e) if e.code == ErrorCode::Unavailable => {
-                    self.plans_breaker.record_failure();
-                    self.degraded_cache_only.fetch_add(1, Ordering::Relaxed);
-                    self.engine.compile_shared(query)
-                }
-                Err(e) => Err(e),
+        match self.plans.get_or_compile(&self.engine, query) {
+            Err(e) if e.code == ErrorCode::Unavailable => {
+                self.uncached_compiles.fetch_add(1, Ordering::Relaxed);
+                self.engine.compile_shared(query)
             }
-        } else {
-            self.degraded_cache_only.fetch_add(1, Ordering::Relaxed);
-            match self.plans.get_cached(&self.engine, query) {
-                Some(plan) => Ok(plan),
-                None => self.engine.compile_shared(query),
-            }
+            plan => plan,
         }
     }
 
@@ -295,23 +271,20 @@ impl QueryService {
             .engine
             .index_documents
             .then_some(config.per_query_limits);
-        let catalog = match &config.persist_dir {
-            Some(dir) => DocumentCatalog::with_persistence(
-                engine.store().clone(),
-                config.catalog_max_bytes,
-                index_limits,
-                dir.clone(),
-            )?,
-            None => Arc::new(DocumentCatalog::with_indexing(
-                engine.store().clone(),
-                config.catalog_max_bytes,
-                index_limits,
-            )),
-        };
+        // Every subsystem that holds memory is born with the one ledger.
         let ledger = Arc::new(MemoryLedger::new(config.pressure));
-        let plans = PlanCache::new(config.plan_cache_capacity, config.plan_cache_shards);
-        plans.attach_ledger(Arc::clone(&ledger));
-        catalog.attach_ledger(Arc::clone(&ledger));
+        let catalog = DocumentCatalog::open(
+            engine.store().clone(),
+            config.catalog_max_bytes,
+            index_limits,
+            config.persist_dir.clone(),
+            Arc::clone(&ledger),
+        )?;
+        let plans = PlanCache::new(
+            config.plan_cache_capacity,
+            config.plan_cache_shards,
+            Arc::clone(&ledger),
+        );
         let pool = WorkerPool::new(config.max_concurrent, config.max_queued);
         pool.set_pressure(Arc::clone(&ledger));
         Ok(QueryService {
@@ -331,9 +304,7 @@ impl QueryService {
                 batch_queries: AtomicU64::new(0),
                 retries: AtomicU64::new(0),
                 retry_salt: AtomicU64::new(0),
-                shed_to_streaming: AtomicU64::new(0),
-                degraded_cache_only: AtomicU64::new(0),
-                plans_breaker: CircuitBreaker::new(PLAN_BREAKER_THRESHOLD, PLAN_BREAKER_COOLDOWN),
+                uncached_compiles: AtomicU64::new(0),
                 latency: LatencyHistogram::new(),
                 stream_tokens_seen: AtomicU64::new(0),
                 stream_tokens_skipped: AtomicU64::new(0),
@@ -520,7 +491,7 @@ impl QueryService {
     /// Publish a transient document at every standing subscription:
     /// one tokenization pass drives the combined automaton for all
     /// streamable subscriptions; non-streamable ones share a single
-    /// materialized (and, breaker permitting, indexed) copy routed
+    /// materialized (and, where the build succeeds, indexed) copy routed
     /// through the catalog's accounting, removed again before this
     /// returns. The document is NOT retained — it is never reachable
     /// via `doc("name")`.
@@ -613,8 +584,10 @@ impl QueryService {
                 Ok(_) => shared.served.fetch_add(1, Ordering::Relaxed),
                 Err(_) => shared.failed.fetch_add(1, Ordering::Relaxed),
             };
-            // The serialized result is live until the waiter receives
-            // it; charge it for exactly that window.
+            // The serialized result is this service's until the waiter
+            // is handed it; charge it for exactly that window (released
+            // before the send, so a waiter never observes its own
+            // result still charged).
             let charge = outcome.as_ref().ok().map(|s| {
                 Charge::new(
                     Arc::clone(&shared.ledger),
@@ -626,8 +599,8 @@ impl QueryService {
             // time the waiter wakes, so "wait, then submit" never sheds.
             // The submitter may have stopped waiting; that's fine.
             Some(Box::new(move || {
-                let _ = tx.send(outcome);
                 drop(charge);
+                let _ = tx.send(outcome);
             }) as Box<dyn FnOnce() + Send>)
         })?;
         Ok(QueryTicket { rx, cancel })
@@ -665,37 +638,15 @@ impl QueryService {
         }
     }
 
-    /// Run `query` against `xml` bound as the context item, with one
-    /// more degradation rung below the retry loop: if the pool is still
-    /// shedding (`XQRL0004`) after every retry and the plan is
-    /// streamable, the query runs on the *caller's* thread through the
-    /// token-streaming automaton — trading the pool's parallelism for
-    /// guaranteed progress under overload.
+    /// Run `query` against `xml` bound as the context item; the
+    /// transient document is removed again before this returns.
     pub fn run_on_xml(&self, query: &str, xml: &str) -> Result<String> {
         let id = self.shared.engine.store().load_xml(xml, None)?;
         let mut ctx = DynamicContext::new();
         ctx.context_item = Some(Item::Node(NodeRef::new(id, NodeId(0))));
-        let pooled = self.run_with_context(query, ctx);
+        let outcome = self.run_with_context(query, ctx);
         self.shared.engine.store().remove_document(id);
-        match pooled {
-            Err(e) if e.code == ErrorCode::Overloaded => {
-                let plan = self.shared.acquire_plan(query)?;
-                if plan.is_streamable() {
-                    self.shared
-                        .shed_to_streaming
-                        .fetch_add(1, Ordering::Relaxed);
-                    let mut out = String::new();
-                    let stats =
-                        plan.execute_streaming(&self.shared.engine, xml, |m| out.push_str(m))?;
-                    self.shared.record_stream(&stats);
-                    self.shared.served.fetch_add(1, Ordering::Relaxed);
-                    Ok(out)
-                } else {
-                    Err(e)
-                }
-            }
-            other => other,
-        }
+        outcome
     }
 
     /// Run many queries against one catalog document in a single pass,
@@ -811,13 +762,9 @@ impl QueryService {
             batches: self.shared.batches.load(Ordering::Relaxed),
             batch_queries: self.shared.batch_queries.load(Ordering::Relaxed),
             retries: self.shared.retries.load(Ordering::Relaxed),
-            shed_to_streaming: self.shared.shed_to_streaming.load(Ordering::Relaxed),
-            degraded_cache_only: self.shared.degraded_cache_only.load(Ordering::Relaxed),
-            degraded_no_index: catalog.degraded_no_index,
+            uncached_compiles: self.shared.uncached_compiles.load(Ordering::Relaxed),
             index_build_failures: catalog.index_build_failures,
-            index_breaker_opens: catalog.index_breaker_opens,
-            plan_breaker_opens: self.shared.plans_breaker.opens(),
-            lock_recoveries: resilience::lock_recoveries(),
+            lock_recoveries: xqr_parallel::lock_recoveries(),
             subscriptions_active: subs.active,
             documents_published: subs.documents_published,
             matches_delivered: subs.matches_delivered,
@@ -924,20 +871,12 @@ pub struct ServiceStats {
     pub batch_queries: u64,
     /// Transient-failure re-submissions by the `run` family.
     pub retries: u64,
-    /// Shed queries served by the caller-thread streaming fallback.
-    pub shed_to_streaming: u64,
-    /// Plan acquisitions that bypassed the cache (`Degraded::CacheOnly`).
-    pub degraded_cache_only: u64,
-    /// Catalog loads served unindexed under an open breaker
-    /// (`Degraded::NoIndex`).
-    pub degraded_no_index: u64,
+    /// Plans compiled for one execution only because the plan cache's
+    /// insert side failed with `err:XQRL0005`.
+    pub uncached_compiles: u64,
     /// Structural-index builds that failed (their documents stay live,
     /// unindexed).
     pub index_build_failures: u64,
-    /// Times the catalog's index-build breaker opened.
-    pub index_breaker_opens: u64,
-    /// Times the service's plan-cache breaker opened.
-    pub plan_breaker_opens: u64,
     /// Poisoned-lock recoveries in the service layer (process-wide).
     pub lock_recoveries: u64,
     /// Live standing subscriptions.
@@ -956,8 +895,7 @@ pub struct ServiceStats {
     /// Sink deliveries that errored or panicked (each degraded only its
     /// own subscription).
     pub delivery_failures: u64,
-    /// Tokens inspected by streaming passes (publish shared pass +
-    /// shed-to-streaming rung).
+    /// Tokens inspected by the publish path's shared streaming pass.
     pub stream_tokens_seen: u64,
     /// Tokens pruned by `skip()` without inspection.
     pub stream_tokens_skipped: u64,
@@ -1012,7 +950,7 @@ pub struct ServiceStats {
     /// never charged against the catalog budget).
     pub quarantined_bytes: u64,
     /// Catalog loads served unindexed because the ledger was at Yellow
-    /// or worse (also counted in `degraded_no_index`).
+    /// or worse.
     pub pressure_no_index: u64,
     /// Jobs admitted into the worker pool (ran or expired in queue).
     pub admitted: u64,
@@ -1102,16 +1040,8 @@ dropped-expired: {}",
         )?;
         writeln!(
             f,
-            "resilience: retries: {} shed-to-streaming: {} cache-only: {} no-index: {} \
-build-failures: {} breaker-opens: {}/{} lock-recoveries: {}",
-            self.retries,
-            self.shed_to_streaming,
-            self.degraded_cache_only,
-            self.degraded_no_index,
-            self.index_build_failures,
-            self.index_breaker_opens,
-            self.plan_breaker_opens,
-            self.lock_recoveries
+            "resilience: retries: {} uncached-compiles: {} build-failures: {} lock-recoveries: {}",
+            self.retries, self.uncached_compiles, self.index_build_failures, self.lock_recoveries
         )?;
         writeln!(
             f,

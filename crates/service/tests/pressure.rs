@@ -190,7 +190,7 @@ fn query_output_and_session_bytes_flow_through_the_ledger() {
 }
 
 #[test]
-fn catalog_bytes_mirror_into_the_ledger_through_the_service() {
+fn catalog_bytes_are_charged_to_the_ledger_through_the_service() {
     let svc = governed(1 << 30);
     svc.load_document("a.xml", &format!("<a>{}</a>", "x".repeat(5_000)))
         .unwrap();

@@ -3,12 +3,13 @@
 //! manifest replay edge cases observed at the catalog level. The
 //! kill-and-recover harness (`xqr-harness --bin recover`) sweeps the
 //! same ground with seeded schedules; these tests pin the individual
-//! contracts.
+//! contracts. Nothing here arms a failpoint — `xqr_faults::install` arms
+//! the whole process, so the tests that do live in `tests/faults.rs`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
+use xqr_pressure::MemoryLedger;
 use xqr_segment::{segment_bytes, write_segment_file, Manifest, ManifestRecord};
 use xqr_service::{DocumentCatalog, QueryService, ServiceConfig};
 use xqr_store::{Document, Store};
@@ -25,6 +26,12 @@ fn config(dir: &Path) -> ServiceConfig {
         persist_dir: Some(dir.to_path_buf()),
         ..Default::default()
     }
+}
+
+/// A persistent, unindexed catalog over `dir` on a ledger of its own.
+fn persistent(store: Arc<Store>, max_bytes: Option<u64>, dir: &Path) -> Arc<DocumentCatalog> {
+    let ledger = Arc::new(MemoryLedger::unbounded());
+    DocumentCatalog::open(store, max_bytes, None, Some(dir.to_path_buf()), ledger).unwrap()
 }
 
 /// Flip one byte in the only `.seg` file under `dir`.
@@ -71,7 +78,7 @@ fn quarantined_bytes_are_a_gauge_not_a_budget_charge() {
     let file_len;
     {
         let store = Store::new();
-        let catalog = DocumentCatalog::with_persistence(store, None, None, &dir).unwrap();
+        let catalog = persistent(store, None, &dir);
         catalog.put("a.xml", "<a><b/><b/><c>txt</c></a>").unwrap();
         file_len = std::fs::read_dir(&dir)
             .unwrap()
@@ -85,7 +92,7 @@ fn quarantined_bytes_are_a_gauge_not_a_budget_charge() {
     flip_a_byte(&dir);
 
     let store = Store::new();
-    let catalog = DocumentCatalog::with_persistence(store, None, None, &dir).unwrap();
+    let catalog = persistent(store, None, &dir);
     // Adopted but untouched: on-disk entries charge nothing.
     assert_eq!(catalog.total_bytes(), 0);
     let err = catalog.resolve("a.xml").unwrap_err();
@@ -111,7 +118,7 @@ fn quarantine_does_not_shrink_effective_capacity() {
     let dir = scratch("quarantine-capacity");
     {
         let store = Store::new();
-        let catalog = DocumentCatalog::with_persistence(store, None, None, &dir).unwrap();
+        let catalog = persistent(store, None, &dir);
         catalog.put("bad.xml", "<a><b/><b/><c>txt</c></a>").unwrap();
     }
     flip_a_byte(&dir);
@@ -120,8 +127,7 @@ fn quarantine_does_not_shrink_effective_capacity() {
     // segment's disk bytes were still charged, this load would thrash or
     // evict the healthy document immediately.
     let store = Store::new();
-    let catalog =
-        DocumentCatalog::with_persistence(store.clone(), Some(64 * 1024), None, &dir).unwrap();
+    let catalog = persistent(store.clone(), Some(64 * 1024), &dir);
     assert_eq!(
         catalog.resolve("bad.xml").unwrap_err().code,
         ErrorCode::CorruptSegment
@@ -130,37 +136,6 @@ fn quarantine_does_not_shrink_effective_capacity() {
     assert_eq!(catalog.get("good.xml"), Some(id), "stays resident");
     assert_eq!(catalog.stats().evictions, 0, "no pressure from quarantine");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn crash_at_each_persist_site_reopens_cleanly() {
-    for site in [
-        "segment.write",
-        "segment.fsync",
-        "segment.rename",
-        "manifest.append",
-    ] {
-        let dir = scratch(&format!("crash-{}", site.replace('.', "-")));
-        let acked;
-        {
-            let service = QueryService::open(config(&dir)).unwrap();
-            let _guard = xqr_faults::install(
-                FaultSchedule::new(7).rule(FaultRule::new(site, FaultKind::ErrorReturn).one_in(1)),
-            );
-            acked = service.load_document("a.xml", "<a/>").is_ok();
-        }
-        assert!(!acked, "{site}: injected persist fault must fail the load");
-
-        // Whatever the crash left behind, reopening is clean and the
-        // unacknowledged document is absent — not partial, not stale.
-        let service = QueryService::open(config(&dir)).unwrap();
-        let err = service.run(r#"doc("a.xml")"#).unwrap_err();
-        assert_eq!(err.code, ErrorCode::DocumentNotFound, "{site}: {err}");
-        // The directory still works for new loads.
-        service.load_document("b.xml", "<b/>").unwrap();
-        assert_eq!(service.run(r#"count(doc("b.xml"))"#).unwrap(), "1");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 #[test]
@@ -185,7 +160,7 @@ fn duplicate_generation_records_replay_idempotently() {
     }
 
     let store = Store::new();
-    let catalog = DocumentCatalog::with_persistence(store, None, None, &dir).unwrap();
+    let catalog = persistent(store, None, &dir);
     assert_eq!(catalog.len(), 1, "one live document, not two");
     let id = catalog.get("a.xml").expect("reloads");
     assert!(id.index() < u32::MAX);
@@ -220,7 +195,7 @@ fn eviction_demotes_to_disk_and_queries_reload_transparently() {
     let store = Store::new();
     // A 1-byte budget: every put immediately demotes the previous
     // resident to its on-disk segment.
-    let catalog = DocumentCatalog::with_persistence(store.clone(), Some(1), None, &dir).unwrap();
+    let catalog = persistent(store.clone(), Some(1), &dir);
     catalog.put("a.xml", "<a>alpha</a>").unwrap();
     catalog.put("b.xml", "<b>beta</b>").unwrap();
     assert!(catalog.stats().evictions >= 1);

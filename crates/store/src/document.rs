@@ -230,29 +230,6 @@ impl Document {
         }
     }
 
-    /// The Dewey label of a node: child ordinals from the root. Used by
-    /// tests comparing labeling schemes and by `order by` tiebreaks.
-    pub fn dewey(&self, n: NodeId) -> Vec<u32> {
-        let mut path = Vec::new();
-        let mut cur = n;
-        while let Some(p) = self.parent(cur) {
-            // ordinal among *all* preceding siblings (attrs included).
-            let mut ord = 0;
-            let mut c = self.first_child(p);
-            while let Some(ch) = c {
-                if ch == cur {
-                    break;
-                }
-                ord += 1;
-                c = self.next_sibling(ch);
-            }
-            path.push(ord);
-            cur = p;
-        }
-        path.reverse();
-        path
-    }
-
     /// All elements (and attributes) with the given name, in document
     /// order — the inverted list structural joins consume.
     pub fn elements_named(&self, name: NameId) -> &[u32] {
@@ -857,19 +834,6 @@ mod tests {
         assert_eq!(d.kind(t), NodeKind::Text);
         assert_eq!(d.value(t), Some("xyz"));
         assert!(d.next_sibling(t).is_none());
-    }
-
-    #[test]
-    fn dewey_labels() {
-        let d = doc("<a><b/><b><c/></b></a>");
-        let a = d.first_child(d.root()).unwrap();
-        let b1 = d.first_child(a).unwrap();
-        let b2 = d.next_sibling(b1).unwrap();
-        let c = d.first_child(b2).unwrap();
-        assert_eq!(d.dewey(a), vec![0]);
-        assert_eq!(d.dewey(b1), vec![0, 0]);
-        assert_eq!(d.dewey(b2), vec![0, 1]);
-        assert_eq!(d.dewey(c), vec![0, 1, 0]);
     }
 
     #[test]

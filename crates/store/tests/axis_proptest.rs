@@ -117,19 +117,4 @@ proptest! {
             );
         }
     }
-
-    #[test]
-    fn dewey_orders_like_preorder(doc in arb_doc()) {
-        // Dewey labels compare lexicographically exactly like node ids —
-        // both encode document order.
-        let nodes = tree_nodes(&doc);
-        for pair in nodes.windows(2).take(50) {
-            let (a, b) = (pair[0], pair[1]);
-            let da = doc.dewey(a);
-            let db = doc.dewey(b);
-            // a < b in preorder ⇒ dewey(a) < dewey(b) OR a is an
-            // ancestor of b (prefix relation).
-            prop_assert!(da < db || db.starts_with(&da));
-        }
-    }
 }
