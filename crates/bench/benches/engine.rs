@@ -103,6 +103,9 @@ fn main() {
             !xqr_faults::compiled_with_failpoints(),
             "bench build was compiled with the failpoints feature"
         );
+        // ...and that the thread hand-offs then carry nothing.
+        assert_eq!(std::mem::size_of::<xqr_faults::FaultScope>(), 0);
+        assert_eq!(std::mem::size_of::<xqr_faults::FaultGuard>(), 0);
     }
     benches();
 }

@@ -440,11 +440,13 @@ impl PreparedQuery {
         let store = engine.store.clone();
         let compiled = &self.compiled;
         let runtime = self.runtime.clone();
+        let faults = xqr_faults::current();
         std::thread::scope(|scope| {
             let handle = std::thread::Builder::new()
                 .name("xqr-eval".into())
                 .stack_size(EVAL_STACK_BYTES)
                 .spawn_scoped(scope, move || -> Result<QueryResult> {
+                    let _faults = faults.enter();
                     let ev = Evaluator::new(&compiled.module, ctx).with_options(runtime);
                     let mut st =
                         ExecState::with_guard(store.clone(), compiled.module.var_count, guard);
@@ -772,14 +774,18 @@ mod tests {
 
     #[test]
     fn injected_panic_becomes_internal_error() {
-        let engine = Engine::with_options(EngineOptions {
-            runtime: RuntimeOptions {
-                debug_inject_panic: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let err = engine.query("1 + 1").unwrap_err();
+        use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
+        let engine = Engine::new();
+        // Installed here, fires on the `xqr-eval` thread: the hand-off
+        // in `execute_inner` carries the schedule across.
+        let err = {
+            let _faults = xqr_faults::install(
+                FaultSchedule::new(1).rule(FaultRule::new("eval.next", FaultKind::Panic)),
+            );
+            let err = engine.query("1 + 1").unwrap_err();
+            assert!(xqr_faults::fires_at("eval.next") > 0);
+            err
+        };
         assert_eq!(err.code, xqr_xdm::ErrorCode::Internal);
         assert!(err.to_string().contains("panicked"), "{err}");
         // The process survived; a normal engine still works.

@@ -18,7 +18,7 @@
 //! With the `failpoints` feature **off** (the default) the macro expands
 //! to nothing — zero code, zero branches, verified by the bench guard in
 //! `benches/engine.rs`. With the feature **on**, each site costs one
-//! relaxed atomic load until a schedule is installed.
+//! thread-local read until the thread runs under a schedule.
 //!
 //! ## Schedules
 //!
@@ -30,25 +30,40 @@
 //! panic boundary as `err:XQRL0000`), a delay, a budget trip
 //! (`err:XQRL0001`), or a spurious cancellation (`err:XQRL0003`).
 //!
-//! [`install`] takes a process-wide exclusive lock held by the returned
-//! [`FaultGuard`]; concurrent chaos tests serialize on it instead of
-//! trampling each other's schedules.
+//! ## Scoping: a schedule belongs to the thread that installed it
 //!
-//! ## Armed tests get a binary of their own
+//! [`install`] puts the schedule — rules, per-site hit and fire
+//! counters, the fire total — in a thread-local of the *calling*
+//! thread and returns a [`FaultGuard`] that takes it out again. A
+//! faultpoint consults only its own thread's schedule, so nothing is
+//! process-wide: an armed test and an un-armed test run side by side in
+//! one binary, two armed tests each read only their own [`fires_at`],
+//! and there is no install lock to take turns on.
 //!
-//! A schedule arms every faultpoint in the *process*, and the install
-//! lock only orders installs against each other: an un-armed test
-//! running beside an armed one in the same test binary sees its
-//! injections. So a `#[test]` that calls [`install`] lives in a test
-//! binary where every test does (`tests/faults.rs`, `tests/armed.rs`,
-//! …), and those tests take turns behind a file-local mutex for their
-//! whole bodies, because each also does work it expects to be
-//! fault-free (references, cleanup, post-drop assertions).
+//! A query does not stay on the thread that submitted it, so the
+//! schedule follows the work across the three places it changes
+//! threads. Each captures [`current`] on the handing-off thread and
+//! [`enter`](FaultScope::enter)s it on the receiving thread for the
+//! duration of the hand-off:
+//!
+//! 1. `WorkerPool::submit_governed` (`xqr-parallel`) — captured at
+//!    submission, entered by the worker around the job, its `expire`
+//!    notifier and its publish closure. This is how a schedule
+//!    installed by a client thread reaches a service worker.
+//! 2. The `xqr-eval` thread `PreparedQuery::execute_inner` (`xqr-core`)
+//!    spawns for every materialized execution.
+//! 3. The morsel submit in `parallel_twig_stack` (`xqr-parallel`) — the
+//!    morsels go through `morsel_pool().submit`, i.e. through (1), so
+//!    the process-wide morsel pool runs each morsel under the schedule
+//!    of the query that split, and no other.
+//!
+//! Code that spawns its own threads and wants them armed (a test with
+//! several clients, say) does the same two calls. With the
+//! `failpoints` feature off, [`FaultScope`] and the guard are
+//! zero-sized and `current`/`enter` are empty inline functions, so the
+//! hand-offs cost release and benchmark builds nothing.
 
 use std::time::Duration;
-#[cfg(feature = "failpoints")]
-use xqr_xdm::Error;
-use xqr_xdm::Result;
 
 /// What an armed faultpoint does when its rule fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,87 +188,119 @@ pub const fn compiled_with_failpoints() -> bool {
 #[cfg(feature = "failpoints")]
 mod active {
     use super::*;
+    use std::cell::RefCell;
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, MutexGuard};
+    use std::marker::PhantomData;
+    use std::sync::{Arc, Mutex, MutexGuard};
+    use xqr_xdm::{Error, Result};
 
+    /// One installed schedule and everything it has counted. Shared by
+    /// `Arc` between the installing thread and every thread a hand-off
+    /// entered it on, so the installer reads fires from all of them.
     struct Registry {
         schedule: FaultSchedule,
+        counters: Mutex<Counters>,
+    }
+
+    #[derive(Default)]
+    struct Counters {
         /// Per-site hit counters (every traversal of an armed site).
         hits: HashMap<&'static str, u64>,
         /// Per-site fire counters (hits where a rule injected).
-        site_fires: HashMap<&'static str, u64>,
+        fires: HashMap<&'static str, u64>,
     }
 
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    static TOTAL_FIRES: AtomicU64 = AtomicU64::new(0);
-    static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
-    /// Serializes installations: chaos tests in one binary take turns.
-    static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-    fn registry() -> MutexGuard<'static, Option<Registry>> {
-        // A panic *injected while the registry lock is held* cannot
-        // happen (fault execution runs after release), but a panicking
-        // chaos test thread can still poison it; recover — the registry
-        // is only counters.
-        REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
+    impl Registry {
+        fn counters(&self) -> MutexGuard<'_, Counters> {
+            // Fault execution runs after release, so an injected panic
+            // never holds this lock; a panicking test thread still can,
+            // and the contents are only counters — recover.
+            self.counters.lock().unwrap_or_else(|p| p.into_inner())
+        }
     }
 
-    /// Keeps a schedule installed; uninstalls on drop. Holds the
-    /// process-wide installation lock, so at most one schedule is ever
-    /// active and concurrent chaos tests serialize.
+    const INJECTED_PANIC: &str = "injected panic at faultpoint";
+
+    thread_local! {
+        /// The schedule this thread runs under, if any.
+        static CURRENT: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
+    }
+
+    fn current_registry() -> Option<Arc<Registry>> {
+        CURRENT.with(|c| c.borrow().clone())
+    }
+
+    /// The schedule the current thread runs under (possibly none),
+    /// captured so a hand-off can [`enter`](FaultScope::enter) it on
+    /// the thread that takes the work over.
+    #[derive(Clone)]
+    pub struct FaultScope(Option<Arc<Registry>>);
+
+    /// The calling thread's schedule, to carry across a thread hand-off.
+    pub fn current() -> FaultScope {
+        FaultScope(current_registry())
+    }
+
+    impl FaultScope {
+        /// Run the calling thread under the captured schedule (or under
+        /// none, if none was captured) until the returned guard drops,
+        /// which restores whatever the thread ran under before.
+        pub fn enter(&self) -> FaultGuard {
+            FaultGuard {
+                previous: CURRENT.with(|c| c.replace(self.0.clone())),
+                _this_thread: PhantomData,
+            }
+        }
+    }
+
+    /// Keeps a schedule current on the thread that created the guard;
+    /// dropping it restores the thread's previous schedule. Not `Send`:
+    /// it names a thread-local.
     pub struct FaultGuard {
-        _exclusive: MutexGuard<'static, ()>,
+        previous: Option<Arc<Registry>>,
+        _this_thread: PhantomData<*const ()>,
     }
 
     impl Drop for FaultGuard {
         fn drop(&mut self) {
-            ACTIVE.store(false, Ordering::SeqCst);
-            *registry() = None;
+            CURRENT.with(|c| *c.borrow_mut() = self.previous.take());
         }
     }
 
-    /// Install `schedule`, arming every faultpoint in the process until
-    /// the returned guard drops. Blocks while another schedule is live.
+    /// Install `schedule` on the calling thread until the returned guard
+    /// drops. Faultpoints on other threads are unaffected unless the
+    /// work reached them through one of the hand-off points (see the
+    /// crate docs), so armed and un-armed tests share a process freely.
     pub fn install(schedule: FaultSchedule) -> FaultGuard {
-        let exclusive = INSTALL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        *registry() = Some(Registry {
+        FaultScope(Some(Arc::new(Registry {
             schedule,
-            hits: HashMap::new(),
-            site_fires: HashMap::new(),
-        });
-        TOTAL_FIRES.store(0, Ordering::SeqCst);
-        ACTIVE.store(true, Ordering::SeqCst);
-        FaultGuard {
-            _exclusive: exclusive,
-        }
+            counters: Mutex::default(),
+        })))
+        .enter()
     }
 
-    /// The fast gate the faultpoint macros consult: one relaxed load.
+    /// The gate the faultpoint macros consult: is this thread under a
+    /// schedule?
     #[inline]
     pub fn armed() -> bool {
-        ACTIVE.load(Ordering::Relaxed)
+        CURRENT.with(|c| c.borrow().is_some())
     }
 
-    /// Injections fired since the current schedule was installed.
+    /// Injections fired under the calling thread's schedule, on every
+    /// thread it reached.
     pub fn fires() -> u64 {
-        TOTAL_FIRES.load(Ordering::Relaxed)
+        current_registry().map_or(0, |r| r.counters().fires.values().sum())
     }
 
-    /// Hits (armed traversals) of one site under the current schedule.
+    /// Hits (armed traversals) of one site under the calling thread's
+    /// schedule.
     pub fn hits_at(site: &'static str) -> u64 {
-        registry()
-            .as_ref()
-            .and_then(|r| r.hits.get(site).copied())
-            .unwrap_or(0)
+        current_registry().map_or(0, |r| r.counters().hits.get(site).copied().unwrap_or(0))
     }
 
-    /// Injections fired at one site under the current schedule.
+    /// Injections fired at one site under the calling thread's schedule.
     pub fn fires_at(site: &'static str) -> u64 {
-        registry()
-            .as_ref()
-            .and_then(|r| r.site_fires.get(site).copied())
-            .unwrap_or(0)
+        current_registry().map_or(0, |r| r.counters().fires.get(site).copied().unwrap_or(0))
     }
 
     /// Decide whether a rule fires for hit number `hit` of `site`.
@@ -274,12 +321,12 @@ mod active {
     /// Evaluate a faultpoint. Called by the macros only when [`armed`].
     /// Error-class kinds return `Err`; `Panic` panics; `Delay` sleeps.
     pub fn evaluate(site: &'static str) -> Result<()> {
+        let Some(reg) = current_registry() else {
+            return Ok(());
+        };
         let kind = {
-            let mut reg = registry();
-            let Some(reg) = reg.as_mut() else {
-                return Ok(());
-            };
-            let hit = reg.hits.entry(site).or_insert(0);
+            let mut counters = reg.counters();
+            let hit = counters.hits.entry(site).or_insert(0);
             let this_hit = *hit;
             *hit += 1;
             let mut fired = None;
@@ -287,7 +334,7 @@ mod active {
                 // Bound per-rule firing via the site fire counter: rules
                 // are per-site in practice, and the bound is what lets a
                 // retry eventually succeed.
-                let fires = reg.site_fires.entry(site).or_insert(0);
+                let fires = counters.fires.entry(site).or_insert(0);
                 let cap = reg
                     .schedule
                     .rules
@@ -301,53 +348,61 @@ mod active {
             }
             fired
             // Lock released here: fault execution (sleep, panic) must
-            // never hold the registry.
+            // never hold the counters.
         };
         match kind {
             None => Ok(()),
-            Some(k) => {
-                TOTAL_FIRES.fetch_add(1, Ordering::Relaxed);
-                match k {
-                    FaultKind::ErrorReturn => {
-                        Err(Error::unavailable(format!("injected fault at {site}")))
-                    }
-                    FaultKind::Cancel => Err(Error::cancelled(format!(
-                        "injected spurious cancellation at {site}"
-                    ))),
-                    FaultKind::BudgetTrip => {
-                        Err(Error::limit(format!("injected budget trip at {site}")))
-                    }
-                    FaultKind::Delay(d) => {
-                        std::thread::sleep(d);
-                        Ok(())
-                    }
-                    FaultKind::Panic => panic!("injected panic at faultpoint {site}"),
-                }
+            Some(FaultKind::ErrorReturn) => {
+                Err(Error::unavailable(format!("injected fault at {site}")))
             }
+            Some(FaultKind::Cancel) => Err(Error::cancelled(format!(
+                "injected spurious cancellation at {site}"
+            ))),
+            Some(FaultKind::BudgetTrip) => {
+                Err(Error::limit(format!("injected budget trip at {site}")))
+            }
+            Some(FaultKind::Delay(d)) => {
+                std::thread::sleep(d);
+                Ok(())
+            }
+            Some(FaultKind::Panic) => panic!("{INJECTED_PANIC} {site}"),
         }
+    }
+
+    /// Keep injected panics off stderr: they are expected traffic in a
+    /// chaos run, and the default hook prints a backtrace for each. Every
+    /// other panic still reaches the hook that was installed before.
+    /// Process-wide (panic hooks are) and idempotent.
+    pub fn silence_injected_panics() {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            let previous = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let payload = info.payload();
+                let injected = payload
+                    .downcast_ref::<String>()
+                    .is_some_and(|m| m.starts_with(INJECTED_PANIC));
+                if !injected {
+                    previous(info);
+                }
+            }));
+        });
     }
 
     /// [`evaluate`] for sites that cannot return an error: error-class
     /// kinds are skipped, `Panic` and `Delay` still execute.
     pub fn evaluate_infallible(site: &'static str) {
-        match evaluate(site) {
-            Ok(()) => {}
-            Err(_) => {
-                // The fire was counted; an error-class kind at an
-                // infallible site degrades to "nothing happened".
-            }
-        }
+        // The fire was counted; an error-class kind at an infallible
+        // site degrades to "nothing happened".
+        let _ = evaluate(site);
     }
 }
 
 #[cfg(feature = "failpoints")]
-pub use active::{evaluate, evaluate_infallible, fires, fires_at, hits_at, install, FaultGuard};
-
-#[cfg(feature = "failpoints")]
-#[inline]
-pub fn armed() -> bool {
-    active::armed()
-}
+pub use active::{
+    armed, current, evaluate, evaluate_infallible, fires, fires_at, hits_at, install,
+    silence_injected_panics, FaultGuard, FaultScope,
+};
 
 /// Feature-off stub: never armed, so `check`/the macros fold away.
 #[cfg(not(feature = "failpoints"))]
@@ -356,17 +411,29 @@ pub fn armed() -> bool {
     false
 }
 
-/// Evaluate the faultpoint `site` if a schedule is armed. The callable
-/// form of [`faultpoint!`] for sites that want to branch on the outcome
-/// instead of propagating it. Always `Ok(())` when the feature is off.
-#[inline]
-pub fn check(site: &'static str) -> Result<()> {
-    #[cfg(feature = "failpoints")]
-    if armed() {
-        return evaluate(site);
+/// Feature-off stub of the hand-off handle: zero-sized, so capturing and
+/// entering it at a thread hand-off compiles to nothing.
+#[cfg(not(feature = "failpoints"))]
+#[derive(Clone, Copy)]
+pub struct FaultScope;
+
+/// Feature-off stub: there is never a schedule to carry.
+#[cfg(not(feature = "failpoints"))]
+#[inline(always)]
+pub fn current() -> FaultScope {
+    FaultScope
+}
+
+/// Feature-off stub of the guard [`FaultScope::enter`] returns.
+#[cfg(not(feature = "failpoints"))]
+pub struct FaultGuard;
+
+#[cfg(not(feature = "failpoints"))]
+impl FaultScope {
+    #[inline(always)]
+    pub fn enter(&self) -> FaultGuard {
+        FaultGuard
     }
-    let _ = site;
-    Ok(())
 }
 
 /// Faultpoint in a function returning [`xqr_xdm::Result`]: injected
@@ -412,17 +479,164 @@ macro_rules! faultpoint_infallible {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xqr_xdm::Result;
 
-    /// The armed tests are in `tests/armed.rs`: a schedule arms the
-    /// whole process, so this binary never installs one.
+    // (`_site`: the macro expands to nothing with the feature off.)
+    fn probe(_site: &'static str) -> Result<()> {
+        faultpoint!(_site);
+        Ok(())
+    }
+
     #[test]
     fn unarmed_faultpoints_pass() {
-        // (`_site`: the macro expands to nothing with the feature off.)
-        fn probe(_site: &'static str) -> Result<()> {
-            faultpoint!(_site);
-            Ok(())
-        }
         assert!(!armed());
         probe("nowhere").unwrap();
+    }
+
+    #[cfg(feature = "failpoints")]
+    mod armed {
+        use super::*;
+        use xqr_xdm::ErrorCode;
+
+        #[test]
+        fn error_rule_fires_with_stable_code_and_uninstalls_on_drop() {
+            {
+                let _g = install(
+                    FaultSchedule::new(1)
+                        .rule(FaultRule::new("store.read", FaultKind::ErrorReturn)),
+                );
+                assert!(armed());
+                let err = probe("store.read").unwrap_err();
+                assert_eq!(err.code, ErrorCode::Unavailable);
+                assert_eq!(err.code.as_str(), "XQRL0005");
+                assert!(err.is_retryable());
+                probe("store.load").unwrap(); // unmatched site passes
+                assert_eq!(fires(), 1);
+                assert_eq!(fires_at("store.read"), 1);
+                assert_eq!(hits_at("store.read"), 1);
+            }
+            assert!(!armed());
+            probe("store.read").unwrap();
+        }
+
+        #[test]
+        fn skip_first_and_max_fires_bound_injection() {
+            let _g = install(
+                FaultSchedule::new(7).rule(
+                    FaultRule::new("eval.next", FaultKind::BudgetTrip)
+                        .skip_first(2)
+                        .max_fires(1),
+                ),
+            );
+            probe("eval.next").unwrap();
+            probe("eval.next").unwrap();
+            let err = probe("eval.next").unwrap_err();
+            assert_eq!(err.code, ErrorCode::Limit);
+            // Bounded: later hits pass — the shape retry loops rely on.
+            for _ in 0..10 {
+                probe("eval.next").unwrap();
+            }
+            assert_eq!(fires(), 1);
+        }
+
+        #[test]
+        fn wildcard_rules_match_prefixes() {
+            let _g =
+                install(FaultSchedule::new(3).rule(FaultRule::new("store.*", FaultKind::Cancel)));
+            assert_eq!(
+                probe("store.remove").unwrap_err().code,
+                ErrorCode::Cancelled
+            );
+            probe("plans.insert").unwrap();
+        }
+
+        #[test]
+        fn decisions_are_deterministic_in_the_seed() {
+            let run = |seed: u64| -> Vec<bool> {
+                let _g = install(
+                    FaultSchedule::new(seed)
+                        .rule(FaultRule::new("xml.read", FaultKind::ErrorReturn).one_in(3)),
+                );
+                (0..32).map(|_| probe("xml.read").is_err()).collect()
+            };
+            let a = run(42);
+            let b = run(42);
+            let c = run(43);
+            assert_eq!(a, b, "same seed, same decisions");
+            assert_ne!(a, c, "different seed, different decisions");
+            assert!(a.iter().any(|f| *f) && a.iter().any(|f| !*f), "{a:?}");
+        }
+
+        #[test]
+        fn infallible_sites_only_panic_or_delay() {
+            let _g = install(
+                FaultSchedule::new(5).rule(FaultRule::new("store.remove", FaultKind::ErrorReturn)),
+            );
+            // Error kind at an infallible site: counted, but nothing thrown.
+            evaluate_infallible("store.remove");
+            assert_eq!(fires(), 1);
+        }
+
+        #[test]
+        fn injected_panic_carries_the_site_name() {
+            let _g = install(
+                FaultSchedule::new(9).rule(FaultRule::new("pool.dispatch", FaultKind::Panic)),
+            );
+            let payload = std::panic::catch_unwind(|| probe("pool.dispatch")).unwrap_err();
+            let msg = payload.downcast_ref::<String>().expect("string payload");
+            assert!(msg.contains("pool.dispatch"), "{msg}");
+        }
+
+        /// The scoping rule itself: a schedule is invisible to other
+        /// threads until a hand-off enters it there, counts are shared
+        /// with the installer, and leaving restores what was there.
+        #[test]
+        fn a_schedule_reaches_another_thread_only_through_enter() {
+            let _g = install(
+                FaultSchedule::new(2).rule(FaultRule::new("xml.read", FaultKind::ErrorReturn)),
+            );
+            let scope = current();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    assert!(!armed(), "a fresh thread runs under no schedule");
+                    probe("xml.read").unwrap();
+                    {
+                        let _entered = scope.enter();
+                        assert!(probe("xml.read").is_err());
+                    }
+                    assert!(!armed(), "leaving restores the previous (no) schedule");
+                });
+            });
+            assert_eq!(fires_at("xml.read"), 1, "the other thread's fire is ours");
+            assert_eq!(hits_at("xml.read"), 1, "its un-entered probe never counted");
+        }
+
+        /// Two armed tests' worth of schedules side by side: each thread
+        /// decides by its own seed and reads only its own counters.
+        #[test]
+        fn concurrent_schedules_do_not_see_each_other() {
+            let run = |seed: u64, site: &'static str, other: &'static str| {
+                let _g = install(
+                    FaultSchedule::new(seed)
+                        .rule(FaultRule::new(site, FaultKind::ErrorReturn).one_in(3)),
+                );
+                let fired = (0..300).filter(|_| probe(site).is_err()).count() as u64;
+                for _ in 0..300 {
+                    probe(other).unwrap();
+                }
+                assert_eq!(fires_at(site), fired);
+                assert_eq!(fires(), fired);
+                assert_eq!(fires_at(other), 0);
+                assert_eq!(hits_at(other), 300);
+                fired
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(|| run(42, "xml.read", "store.read"));
+                let b = s.spawn(|| run(43, "store.read", "xml.read"));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert!(a > 0 && b > 0);
+            assert!(!armed());
+        }
     }
 }

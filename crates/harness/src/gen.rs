@@ -30,6 +30,68 @@ use std::collections::BTreeMap;
 use xqr_xdm::{AtomicValue, QName};
 use xqr_xqparser::ast::*;
 
+/// The document shape for one case: a `random_tree` of 20 to
+/// `max_nodes` nodes, 3 to `max_depth` deep, over the four-tag alphabet
+/// the generated queries name.
+pub fn doc_config(
+    rng: &mut StdRng,
+    seed: u64,
+    max_nodes: usize,
+    max_depth: usize,
+) -> xqr_xmlgen::RandomTreeConfig {
+    xqr_xmlgen::RandomTreeConfig {
+        seed,
+        nodes: rng.gen_range(20..max_nodes),
+        max_depth: rng.gen_range(3..max_depth),
+        alphabet: 4,
+        p_ancestor: 0.15,
+        p_descendant: 0.2,
+        p_text: 0.3,
+        p_attribute: 0.25,
+    }
+}
+
+/// A random path expression over the tag alphabet `random_tree` emits:
+/// child/descendant steps, wildcards included. These are the queries
+/// that ride the shared combined-automaton pass.
+pub fn random_path(rng: &mut StdRng) -> String {
+    const NAMES: &[&str] = &["root", "a", "d", "t0", "t1", "t2", "t3", "*"];
+    let steps = rng.gen_range(1usize..5);
+    let mut q = String::new();
+    for _ in 0..steps {
+        q.push_str(if rng.gen_bool(0.4) { "//" } else { "/" });
+        q.push_str(NAMES[rng.gen_range(0..NAMES.len())]);
+    }
+    q
+}
+
+/// A small document stream (1 to 3 documents, seeds salted with `salt`)
+/// and a set of fewer than `max_subs` subscription queries over it: a
+/// random path with probability `p_path`, which rides the shared pass,
+/// else a grammar-generated query, which mostly falls back to one-shot
+/// evaluation.
+pub fn stream_case(
+    rng: &mut StdRng,
+    seed: u64,
+    salt: u64,
+    max_subs: usize,
+    p_path: f64,
+) -> (Vec<String>, Vec<String>) {
+    let docs = (0..rng.gen_range(1u64..4))
+        .map(|i| xqr_xmlgen::random_tree(&doc_config(rng, seed ^ (salt + i), 120, 8)))
+        .collect();
+    let queries = (0..rng.gen_range(1..max_subs))
+        .map(|_| {
+            if rng.gen_bool(p_path) {
+                random_path(rng)
+            } else {
+                QueryGen::new(rng, GenConfig::default()).generate().text
+            }
+        })
+        .collect();
+    (docs, queries)
+}
+
 /// The sort (static value family) a generated expression produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sort {

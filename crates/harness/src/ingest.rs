@@ -33,48 +33,34 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
-use crate::gen::{GenConfig, QueryGen};
-use crate::pubsub::{case_limits, doc_config, random_path, Violation};
+use crate::gen::stream_case;
+use crate::pubsub::tally;
+use crate::schedule::{gen_schedule, panics_scheduled, SiteWeights};
+use crate::verdict::{judge, outcome, Contract, Outcome, Violation};
+use crate::{case_limits, Case};
 use xqr_core::{contain_panic, Engine};
-use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
 use xqr_service::{QueryService, ServiceConfig};
-use xqr_subscribe::{SubId, SubscriptionRegistry};
-use xqr_xdm::ErrorCode;
-use xqr_xmlgen::random_tree;
+use xqr_subscribe::{PublishReport, SubId, SubscriptionRegistry};
+use xqr_xdm::{Error, ErrorCode};
 
 /// Faultpoint sites on the chunked-ingestion path, the two
-/// ingest-specific ones first — the schedule generator favours them so
-/// mid-chunk failure handling is exercised constantly.
-pub const INGEST_SITES: &[&str] = &[
-    "ingest.chunk",
-    "ingest.flush",
-    "xml.read",
-    "tokens.buffer",
-    "subscribe.deliver",
-    "store.load",
-];
-
-/// Everything one ingest case reports.
-#[derive(Debug)]
-pub struct IngestCase {
-    pub seed: u64,
-    pub faulted: bool,
-    pub subscriptions: usize,
-    pub documents: usize,
-    /// Chunked publishes compared against their whole-document twin.
-    pub chunkings: u64,
-    /// Chunked stream queries compared against one-shot evaluation.
-    pub stream_queries: u64,
-    /// Comparisons that ended byte-identical (results and stats).
-    pub agreed: u64,
-    /// Comparisons that ended in matching (or fault-coded) errors.
-    pub coded: u64,
-    /// Injections that fired (faulted mode).
-    pub fired: u64,
-    pub violations: Vec<Violation>,
-}
+/// ingest-specific ones first — the first rule draws from them six
+/// times in ten, so mid-chunk failure handling is exercised constantly.
+/// No budget trips: the path has no budget of its own to trip.
+pub const SITES: SiteWeights = SiteWeights {
+    sites: &[
+        "ingest.chunk",
+        "ingest.flush",
+        "xml.read",
+        "tokens.buffer",
+        "subscribe.deliver",
+        "store.load",
+    ],
+    favoured: (2, 0.6),
+    kinds: [6, 2, 1, 1, 0],
+    max_skip: 8,
+};
 
 /// Split `len` bytes into seeded chunk lengths: mostly small (1–16
 /// bytes, crossing every construct), occasionally large.
@@ -103,80 +89,37 @@ fn chunks<'a>(bytes: &'a [u8], lens: &[usize]) -> Vec<&'a [u8]> {
     out
 }
 
-/// Derive a fault schedule for the ingestion path: one or two rules,
-/// the first over `ingest.chunk`/`ingest.flush` most of the time.
-pub fn gen_schedule(rng: &mut StdRng, seed: u64) -> FaultSchedule {
-    let mut schedule = FaultSchedule::new(seed);
-    for rule_no in 0..rng.gen_range(1..3u32) {
-        let site = if rule_no == 0 && rng.gen_bool(0.6) {
-            INGEST_SITES[rng.gen_range(0..2)]
-        } else {
-            INGEST_SITES[rng.gen_range(0..INGEST_SITES.len())]
-        };
-        let kind = match rng.gen_range(0..10u32) {
-            0..=5 => FaultKind::ErrorReturn,
-            6 | 7 => FaultKind::Panic,
-            8 => FaultKind::Delay(Duration::from_millis(rng.gen_range(1..4))),
-            _ => FaultKind::Cancel,
-        };
-        let mut rule = FaultRule::new(site, kind)
-            .one_in(rng.gen_range(1..6))
-            .skip_first(rng.gen_range(0..8));
-        if rng.gen_range(0..4u32) > 0 {
-            rule = rule.max_fires(rng.gen_range(1..4));
-        }
-        schedule = schedule.rule(rule);
-    }
-    schedule
+/// One subscription's entry in a publish report, as an [`Outcome`].
+fn result_for(report: &PublishReport, id: SubId) -> Outcome {
+    outcome(match report.result_for(id) {
+        Some(r) => r.clone(),
+        None => Err(Error::internal("live subscription missing from the report")),
+    })
 }
 
-type Outcome = Result<String, ErrorCode>;
-
-fn outcome(r: &xqr_xdm::Result<String>) -> Outcome {
-    r.clone().map_err(|e| e.code)
-}
-
-/// Run one seeded case. Un-faulted: strict chunked-vs-whole report
-/// equivalence at the registry layer. Faulted: service chunk sessions
+/// Run one seeded case: un-faulted (strict chunked-vs-whole report
+/// equivalence at the registry layer), then service chunk sessions
 /// under an ingestion fault schedule, judged correct-or-coded with
-/// cleanup checks.
-pub fn run_case(seed: u64, faulted: bool) -> IngestCase {
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    let n_docs = rng.gen_range(1usize..4);
-    let docs: Vec<String> = (0..n_docs)
-        .map(|i| random_tree(&doc_config(&mut rng, seed ^ (0x1A6E57 + i as u64))))
-        .collect();
-    let n_subs = rng.gen_range(1usize..6);
-    let queries: Vec<String> = (0..n_subs)
-        .map(|_| {
-            if rng.gen_bool(0.6) {
-                random_path(&mut rng)
-            } else {
-                QueryGen::new(&mut rng, GenConfig::default())
-                    .generate()
-                    .text
-            }
-        })
-        .collect();
-
-    let mut case = IngestCase {
-        seed,
-        faulted,
-        subscriptions: n_subs,
-        documents: n_docs,
-        chunkings: 0,
-        stream_queries: 0,
-        agreed: 0,
-        coded: 0,
-        fired: 0,
-        violations: Vec::new(),
-    };
-
-    if faulted {
-        run_faulted(&mut rng, seed, &docs, &queries, &mut case);
-    } else {
-        run_strict(&mut rng, &docs, &queries, &mut case);
+/// cleanup checks. Tallies: `chunked publishes`, `chunked stream
+/// queries`, `comparisons agreed`, `coded`, `skipped`, `injections
+/// fired`.
+pub fn run_case(seed: u64) -> Case {
+    let mut case = Case::tallying(&[
+        "chunked publishes",
+        "chunked stream queries",
+        "comparisons agreed",
+        "coded",
+        "skipped",
+        "injections fired",
+    ]);
+    for faulted in [false, true] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (docs, queries) = stream_case(&mut rng, seed, 0x1A6E57, 6, 0.6);
+        if faulted {
+            run_faulted(&mut rng, seed, &docs, &queries, &mut case);
+        } else {
+            run_strict(&mut rng, &docs, &queries, &mut case);
+        }
     }
     case
 }
@@ -184,7 +127,7 @@ pub fn run_case(seed: u64, faulted: bool) -> IngestCase {
 /// Un-faulted leg: `publish_chunked` vs `publish` on one registry, then
 /// each streamable query alone through `open_stream_query` vs one-shot
 /// evaluation.
-fn run_strict(rng: &mut StdRng, docs: &[String], queries: &[String], case: &mut IngestCase) {
+fn run_strict(rng: &mut StdRng, docs: &[String], queries: &[String], case: &mut Case) {
     let engine = Engine::new();
     let reg = SubscriptionRegistry::new();
     let svc = QueryService::new(ServiceConfig {
@@ -213,7 +156,7 @@ fn run_strict(rng: &mut StdRng, docs: &[String], queries: &[String], case: &mut 
         lens_list.push(vec![1; xml.len()]);
 
         for (ci, lens) in lens_list.iter().enumerate() {
-            case.chunkings += 1;
+            case.add("chunked publishes", 1);
             let split = chunks(xml.as_bytes(), lens);
             let chunked = contain_panic(|| {
                 reg.publish_chunked(&engine, &name, split.iter().copied(), case_limits())
@@ -222,25 +165,18 @@ fn run_strict(rng: &mut StdRng, docs: &[String], queries: &[String], case: &mut 
             match (&whole, &chunked) {
                 (Ok(w), Ok(c)) => {
                     for &(si, id) in &subs {
-                        let wr = w.result_for(id).map(outcome);
-                        let cr = c.result_for(id).map(outcome);
-                        if wr == cr {
-                            case.agreed += 1;
-                        } else {
-                            case.violations.push(Violation {
-                                at: format!("sub {si} {at}"),
-                                detail: format!("whole {wr:?} vs chunked {cr:?}"),
-                            });
-                        }
+                        let verdict =
+                            judge(Contract::Strict, &result_for(w, id), &result_for(c, id));
+                        tally(case, format!("sub {si} {at}"), verdict);
                     }
                     if (w.stats.tokens_seen, w.stats.tokens_skipped, w.stats.matches)
                         != (c.stats.tokens_seen, c.stats.tokens_skipped, c.stats.matches)
                         || w.shared_pass != c.shared_pass
                         || w.fallback != c.fallback
                     {
-                        case.violations.push(Violation {
+                        case.violations.push(Violation::new(
                             at,
-                            detail: format!(
+                            format!(
                                 "report drift: whole stats {:?} pass {}/{} vs \
                                  chunked stats {:?} pass {}/{}",
                                 w.stats,
@@ -250,82 +186,59 @@ fn run_strict(rng: &mut StdRng, docs: &[String], queries: &[String], case: &mut 
                                 c.shared_pass,
                                 c.fallback
                             ),
-                        });
+                        ));
                     }
                 }
-                (Err(we), Err(ce)) => {
-                    if we.code == ce.code {
-                        case.coded += 1;
-                    } else {
-                        case.violations.push(Violation {
-                            at,
-                            detail: format!(
-                                "error drift: whole {} vs chunked {}",
-                                we.code.as_str(),
-                                ce.code.as_str()
-                            ),
-                        });
-                    }
-                }
-                (w, c) => {
-                    case.violations.push(Violation {
-                        at,
-                        detail: format!("outcome drift: whole {w:?} vs chunked {c:?}"),
-                    });
-                }
+                // The document itself was refused: identically, or not.
+                (Err(we), Err(ce)) if we.code == ce.code => case.add("coded", 1),
+                (w, c) => case.violations.push(Violation::new(
+                    at,
+                    format!("outcome drift: whole {w:?} vs chunked {c:?}"),
+                )),
             }
         }
 
         for &(si, q) in &streamable {
-            let one_shot = outcome(&contain_panic(|| svc.engine().query_xml(xml, q)));
+            let one_shot = outcome(contain_panic(|| svc.engine().query_xml(xml, q)));
             for (ci, lens) in lens_list.iter().enumerate() {
-                case.stream_queries += 1;
-                let chunked = outcome(&contain_panic(|| {
+                case.add("chunked stream queries", 1);
+                let chunked = outcome(contain_panic(|| {
                     let mut sq = svc.open_stream_query(q)?;
                     for c in chunks(xml.as_bytes(), lens) {
                         sq.feed(c)?;
                     }
                     sq.finish()
                 }));
-                match (&one_shot, &chunked) {
-                    (a, b) if a != b => case.violations.push(Violation {
-                        at: format!("stream query {si} doc {di} chunking {ci}"),
-                        detail: format!("one-shot {a:?} vs chunked {b:?}"),
-                    }),
-                    (Ok(_), _) => case.agreed += 1,
-                    (Err(_), _) => case.coded += 1,
-                }
+                tally(
+                    case,
+                    format!("stream query {si} doc {di} chunking {ci}"),
+                    judge(Contract::Strict, &one_shot, &chunked),
+                );
             }
         }
     }
 
     if engine.store().doc_count() != 0 {
-        case.violations.push(Violation {
-            at: "store".into(),
-            detail: format!(
+        case.violations.push(Violation::new(
+            "store",
+            format!(
                 "chunked publishes leaked {} document(s)",
                 engine.store().doc_count()
             ),
-        });
+        ));
     }
 }
 
 /// Faulted leg: service chunk sessions under an ingestion schedule.
 /// Chaos rules: correct or coded, sessions cleaned up, no store leak,
 /// `XQRL0000` only with a scheduled panic.
-fn run_faulted(
-    rng: &mut StdRng,
-    seed: u64,
-    docs: &[String],
-    queries: &[String],
-    case: &mut IngestCase,
-) {
+fn run_faulted(rng: &mut StdRng, seed: u64, docs: &[String], queries: &[String], case: &mut Case) {
     let svc = QueryService::new(ServiceConfig {
         per_query_limits: case_limits(),
         max_chunk_sessions: 8,
         ..Default::default()
     });
-    let mut subs: Vec<(usize, xqr_subscribe::SubId)> = Vec::new();
+    let mut subs: Vec<(usize, SubId)> = Vec::new();
     for (si, q) in queries.iter().enumerate() {
         if let Ok(id) = svc.subscribe(q) {
             subs.push((si, id));
@@ -336,23 +249,22 @@ fn run_faulted(
         .iter()
         .map(|q| {
             docs.iter()
-                .map(|d| outcome(&contain_panic(|| svc.engine().query_xml(d, q))))
+                .map(|d| outcome(contain_panic(|| svc.engine().query_xml(d, q))))
                 .collect()
         })
         .collect();
 
-    let schedule = gen_schedule(rng, seed);
-    let panics_scheduled = schedule
-        .rules
-        .iter()
-        .any(|r| matches!(r.kind, FaultKind::Panic));
+    let schedule = gen_schedule(rng, seed, &SITES);
+    let panics = panics_scheduled(&schedule);
+    let contract = Contract::Faulted {
+        panics_scheduled: panics,
+    };
     let lens_list: Vec<Vec<usize>> = docs.iter().map(|d| chunk_lens(rng, d.len())).collect();
 
     {
         let _guard = xqr_faults::install(schedule);
         for (di, xml) in docs.iter().enumerate() {
-            case.chunkings += 1;
-            let at = |si: usize| format!("sub {si} doc {di} [faulted]");
+            case.add("chunked publishes", 1);
             let session = contain_panic(|| {
                 let sid = svc.open_chunk_session(&format!("doc-{di}"))?;
                 for c in chunks(xml.as_bytes(), &lens_list[di]) {
@@ -363,71 +275,38 @@ fn run_faulted(
             match session {
                 Ok(report) => {
                     for &(si, id) in &subs {
-                        let got = report.result_for(id).map(outcome);
-                        match got {
-                            Some(Ok(v)) => match &reference[si][di] {
-                                Ok(want) if *want == v => case.agreed += 1,
-                                Ok(want) => case.violations.push(Violation {
-                                    at: at(si),
-                                    detail: format!(
-                                        "wrong answer under injection: want {want:?}, got {v:?}"
-                                    ),
-                                }),
-                                // The un-faulted reference failed but the
-                                // faulted session succeeded: resource
-                                // verdicts aside this cannot happen; be
-                                // lenient like the chaos judge and count
-                                // it as coded agreement.
-                                Err(_) => case.coded += 1,
-                            },
-                            Some(Err(code)) => {
-                                if code == ErrorCode::Internal && !panics_scheduled {
-                                    case.violations.push(Violation {
-                                        at: at(si),
-                                        detail: "XQRL0000 without a scheduled panic".into(),
-                                    });
-                                } else {
-                                    case.coded += 1;
-                                }
-                            }
-                            None => case.violations.push(Violation {
-                                at: at(si),
-                                detail: "live subscription missing from the report".into(),
-                            }),
-                        }
+                        let verdict = judge(contract, &reference[si][di], &result_for(&report, id));
+                        tally(case, format!("sub {si} doc {di} [faulted]"), verdict);
                     }
                 }
-                Err(e) => {
-                    if e.code == ErrorCode::Internal && !panics_scheduled {
-                        case.violations.push(Violation {
-                            at: format!("doc {di} [faulted]"),
-                            detail: format!("XQRL0000 without a scheduled panic: {e}"),
-                        });
-                    } else {
-                        case.coded += 1;
-                    }
+                Err(e) if e.code == ErrorCode::Internal && !panics => {
+                    case.violations.push(Violation::new(
+                        format!("doc {di} [faulted]"),
+                        format!("XQRL0000 without a scheduled panic: {e}"),
+                    ));
                 }
+                Err(_) => case.add("coded", 1),
             }
         }
-        case.fired = xqr_faults::fires();
+        case.add("injections fired", xqr_faults::fires());
     }
 
     // Cleanup invariants, checked un-faulted: a failed session is
     // removed, and nothing reached the store.
     if svc.chunk_sessions() != 0 {
-        case.violations.push(Violation {
-            at: "sessions".into(),
-            detail: format!("{} chunk session(s) leaked", svc.chunk_sessions()),
-        });
+        case.violations.push(Violation::new(
+            "sessions",
+            format!("{} chunk session(s) leaked", svc.chunk_sessions()),
+        ));
     }
     if svc.engine().store().doc_count() != 0 {
-        case.violations.push(Violation {
-            at: "store".into(),
-            detail: format!(
+        case.violations.push(Violation::new(
+            "store",
+            format!(
                 "faulted sessions leaked {} document(s)",
                 svc.engine().store().doc_count()
             ),
-        });
+        ));
     }
 }
 
@@ -436,12 +315,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_single_unfaulted_case_agrees() {
-        let case = run_case(7, false);
+    fn a_single_case_upholds_both_contracts() {
+        let case = run_case(7);
         assert!(case.violations.is_empty(), "{:?}", case.violations);
-        assert!(case.agreed + case.coded > 0);
-        assert!(case.chunkings >= 4, "1-byte split plus seeded chunkings");
-        assert!(case.stream_queries >= 4, "seed 7 has a streamable query");
+        assert!(case.count("comparisons agreed") + case.count("coded") > 0);
+        assert!(
+            case.count("chunked publishes") >= 5,
+            "1-byte split, seeded chunkings and a faulted session"
+        );
+        assert!(
+            case.count("chunked stream queries") >= 4,
+            "seed 7 has a streamable query"
+        );
     }
 
     #[test]

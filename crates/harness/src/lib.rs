@@ -18,24 +18,21 @@
 //! * the token-streaming automaton, whenever the optimized plan reports
 //!   `is_streamable()`.
 //!
-//! The oracle's contract mirrors the optimizer's documented one (see
-//! `tests/proptest_semantics.rs`): the optimizer may **avoid** errors —
-//! lazy two-valued logic, dead-code elimination — but may never
-//! **introduce** them, and may never change a successful result.
-//! Concretely, with the reference outcome on the left:
+//! What "the same thing" means — the optimizer may **avoid** errors but
+//! never **introduce** them, never change a successful result, and
+//! `err:XQRL0000` is always a bug — is the [`verdict`] module: one
+//! `judge` for every leg, with the differential leg's relaxation spelled
+//! [`verdict::Contract::Optimizer`].
 //!
-//! * `Ok(a)` vs `Ok(b)` — divergence unless `a == b` byte-for-byte;
-//! * `Ok(_)` vs `Err(_)` — divergence (an optimization introduced an
-//!   error), except resource verdicts (`XQRL0001`/`0002`/`0003`/
-//!   `0004`), which are timing-dependent and mark the case *skipped*;
-//! * `Err(_)` vs `Ok(_)` — agreement (the optimizer avoided the error);
-//! * `Err(a)` vs `Err(b)` — agreement even when the codes differ:
-//!   rewrites legally reorder evaluation, so *which* of several
-//!   pending errors fires first may change. The codes are still
-//!   recorded in the run report.
-//! * `err:XQRL0000 Internal` anywhere — always a divergence: that code
-//!   is the engine's "this is a bug" verdict (contained panics,
-//!   broken invariants), never a legitimate query outcome.
+//! The same driver runs five more legs over the same generators, each
+//! holding the stack to that contract under a different kind of stress:
+//! [`chaos`] (seeded fault schedules against engine and service),
+//! [`pubsub`] (standing subscriptions ≡ one-shot queries), [`ingest`]
+//! (chunked ≡ whole documents), [`recover`] (kill mid-persist, reopen)
+//! and [`overload`] (10× offered load under a memory ceiling). A leg is
+//! a function from a case seed to a [`Case`] (a method, where state
+//! carries across cases); [`run_cases`] is the one case loop, and
+//! `src/bin/harness.rs` the one command line.
 //!
 //! Divergent cases are auto-shrunk ([`shrink`]) by structural greedy
 //! reduction of both the query AST and the document, and every case is
@@ -50,7 +47,88 @@ pub mod overload;
 pub mod pubsub;
 pub mod recover;
 pub mod report;
+pub mod schedule;
 pub mod shrink;
+pub mod verdict;
+
+use verdict::Violation;
+
+/// What one seeded case of any leg hands the driver.
+#[derive(Debug, Default)]
+pub struct Case {
+    /// Tallies, summed over the run into the summary line, in print
+    /// order.
+    pub counts: Vec<(&'static str, u64)>,
+    /// Lines for `--verbose`.
+    pub notes: Vec<String>,
+    /// Empty means the case held its invariant.
+    pub violations: Vec<Violation>,
+}
+
+impl Case {
+    /// An empty report whose tallies print in the order of `labels`.
+    pub fn tallying(labels: &[&'static str]) -> Case {
+        Case {
+            counts: labels.iter().map(|l| (*l, 0)).collect(),
+            ..Default::default()
+        }
+    }
+
+    /// The tally under `label` (0 when the case did not report it).
+    pub fn count(&self, label: &str) -> u64 {
+        self.counts
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map_or(0, |(_, n)| *n)
+    }
+
+    /// Add `n` to the tally under `label`.
+    pub fn add(&mut self, label: &'static str, n: u64) {
+        match self.counts.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, total)) => *total += n,
+            None => self.counts.push((label, n)),
+        }
+    }
+}
+
+/// The one case loop: run `cases` cases derived from `master`, summing
+/// their tallies, and stop at the first that breaks its invariant.
+/// `Ok` is the run's totals; `Err` is the failing case's index (replay
+/// it alone with master seed `master + index`) and its report.
+pub fn run_cases(
+    master: u64,
+    cases: u64,
+    verbose: bool,
+    mut run_case: impl FnMut(u64) -> Case,
+) -> Result<Case, (u64, Case)> {
+    let mut totals = Case::default();
+    for i in 0..cases {
+        let case = run_case(case_seed(master, i));
+        if verbose {
+            for note in &case.notes {
+                println!("case {i}: {note}");
+            }
+        }
+        if !case.violations.is_empty() {
+            return Err((i, case));
+        }
+        for (label, n) in case.counts {
+            totals.add(label, n);
+        }
+    }
+    Ok(totals)
+}
+
+/// Budgets for one generated case outside the differential leg (which
+/// has its own, larger ones): bounded so a pathological generated query
+/// cannot wedge a run or stretch an injected delay to seconds, generous
+/// enough that resource trips stay rare (each one skips a comparison).
+pub fn case_limits() -> xqr_xdm::Limits {
+    xqr_xdm::Limits::unlimited()
+        .with_deadline(std::time::Duration::from_secs(10))
+        .with_max_items(200_000)
+        .with_max_output_bytes(4 * 1024 * 1024)
+}
 
 /// The per-case seed derivation: case `i` under master seed `s` uses
 /// `splitmix64(s + i)`, so `--seed s+i --cases 1` replays exactly case

@@ -3,16 +3,25 @@
 //! One case = one query text + one document. The oracle executes the
 //! case through every leg of the configuration lattice and compares
 //! outcomes against the **reference** leg (materialized, unoptimized
-//! engine) under the optimizer contract spelled out in the crate docs:
-//! optimizations may avoid errors but may never introduce them, and
-//! may never change a successful result.
+//! engine) under [`Contract::Optimizer`]: optimizations may avoid errors
+//! but may never introduce them, and may never change a successful
+//! result. [`Fuzz`] is the leg the driver runs: generate a case from a
+//! seed, put it through the oracle, shrink what diverges.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::Duration;
+
+use crate::gen::{doc_config, GenConfig, QueryGen};
+use crate::report::RunReport;
+use crate::verdict::{judge, outcome, Contract, Outcome, Verdict, Violation};
+use crate::{shrink, Case};
 use xqr_compiler::{CompileOptions, RewriteConfig, RewriteStats};
 use xqr_core::{Engine, EngineOptions, Item, NodeId, NodeRef};
 use xqr_runtime::{DynamicContext, RuntimeOptions};
 use xqr_service::{QueryService, ServiceConfig};
-use xqr_xdm::{Error, ErrorCode, Limits};
+use xqr_xdm::{ErrorCode, Limits};
+use xqr_xmlgen::random_tree;
 
 /// Budgets applied to every leg of every case. Generous enough that a
 /// legitimate case never trips them; tight enough that a pathological
@@ -24,30 +33,9 @@ pub fn fuzz_limits() -> Limits {
         .with_max_output_bytes(8 * 1024 * 1024)
 }
 
-/// One leg's outcome: serialized result or stable error code + message.
-pub type LegOutcome = Result<String, (ErrorCode, String)>;
-
-fn outcome_of(r: Result<String, Error>) -> LegOutcome {
-    r.map_err(|e| (e.code, e.to_string()))
-}
-
-/// Is this a resource verdict (deadline, budget, shedding) rather than
-/// a semantic outcome? Those are timing-dependent, so a leg reporting
-/// one makes the case *skipped*, not divergent.
-fn is_resource(code: ErrorCode) -> bool {
-    matches!(
-        code,
-        ErrorCode::Limit
-            | ErrorCode::Timeout
-            | ErrorCode::Cancelled
-            | ErrorCode::Overloaded
-            | ErrorCode::Unavailable
-    )
-}
-
-/// The comparison verdict for one case.
+/// How one case ended across the whole lattice.
 #[derive(Debug)]
-pub enum Verdict {
+pub enum CaseVerdict {
     /// Every leg agreed with the reference (all `Ok`, equal bytes).
     Agree,
     /// The reference failed; every leg either failed too or legally
@@ -64,13 +52,15 @@ pub struct Divergence {
     /// Which leg disagreed (`optimized`, `indexed`, `parallel`,
     /// `service`, `service-cached`, `streaming`).
     pub leg: &'static str,
-    pub reference: LegOutcome,
-    pub actual: LegOutcome,
+    pub reference: Outcome,
+    pub actual: Outcome,
+    /// [`judge`]'s account of how the contract broke.
+    pub detail: String,
 }
 
 /// Everything the oracle learned about one case.
 pub struct CaseResult {
-    pub verdict: Verdict,
+    pub verdict: CaseVerdict,
     /// Optimizer rule firings for the optimized compilation (empty when
     /// compilation failed).
     pub rewrite_stats: RewriteStats,
@@ -170,99 +160,24 @@ impl Oracle {
     /// Run one (query, document) case through every leg and compare.
     pub fn run_case(&mut self, query: &str, xml: &str) -> CaseResult {
         self.case_no += 1;
-
         // Reference: materialized, unoptimized.
         let reference = run_engine(&self.ref_options, query, xml);
-
-        // Optimized engine. Keep the prepared query around for the
-        // streaming leg and the rewrite stats.
-        let opt_engine = Engine::with_options(self.opt_options.clone());
         let mut rewrite_stats = RewriteStats::default();
         let mut streamed = false;
-        let optimized = outcome_of((|| {
-            let prepared = opt_engine.compile(query)?;
-            rewrite_stats = prepared.compiled().stats.clone();
-            let ctx = xqr_core::context_with_doc(&opt_engine, "fuzz.xml", xml)?;
-            prepared.execute(&opt_engine, &ctx)?.serialize_guarded()
-        })());
-
-        if let Some(v) = self.compare("optimized", &reference, &optimized) {
-            return CaseResult {
-                verdict: v,
-                rewrite_stats,
-                streamed,
-            };
-        }
-
-        // Indexed: identical compilation, but the document is loaded
-        // with a structural index attached, so index-backed access paths
-        // actually fire instead of falling back.
-        let indexed = run_engine(&self.idx_options, query, xml);
-        if let Some(v) = self.compare("indexed", &reference, &indexed) {
-            return CaseResult {
-                verdict: v,
-                rewrite_stats,
-                streamed,
-            };
-        }
-
-        // Parallel: the indexed leg again with forced morsel splitting —
-        // the parallel-vs-serial differential. Byte-for-byte agreement
-        // with the reference is required, exactly like every other leg.
-        let parallel = run_engine(&self.par_options, query, xml);
-        if let Some(v) = self.compare("parallel", &reference, &parallel) {
-            return CaseResult {
-                verdict: v,
-                rewrite_stats,
-                streamed,
-            };
-        }
-
-        // Service legs: same plan text twice — the second run is a plan
-        // cache hit by construction (capacity 64 ≫ 1 case in flight).
         let doc_name = format!("fuzz-{}.xml", self.case_no);
-        for leg in ["service", "service-cached"] {
-            let outcome = outcome_of((|| {
-                let id = self.service.load_document(&doc_name, xml)?;
-                let mut ctx = DynamicContext::new();
-                ctx.context_item = Some(Item::Node(NodeRef::new(id, NodeId(0))));
-                self.service.run_with_context(query, ctx)
-            })());
-            if let Some(v) = self.compare(leg, &reference, &outcome) {
-                self.service.remove_document(&doc_name);
-                return CaseResult {
-                    verdict: v,
-                    rewrite_stats,
-                    streamed,
-                };
-            }
-        }
+        let legs = self.run_legs(
+            query,
+            xml,
+            &doc_name,
+            &reference,
+            &mut rewrite_stats,
+            &mut streamed,
+        );
         self.service.remove_document(&doc_name);
-
-        // Streaming leg: every streamable plan, descendant patterns
-        // included — streaming emits every match in document order.
-        if let Ok(prepared) = opt_engine.compile(query) {
-            if prepared.is_streamable() {
-                streamed = true;
-                let mut out = String::new();
-                let streaming = outcome_of(
-                    prepared
-                        .execute_streaming(&opt_engine, xml, |m| out.push_str(m))
-                        .map(|_| out),
-                );
-                if let Some(v) = self.compare("streaming", &reference, &streaming) {
-                    return CaseResult {
-                        verdict: v,
-                        rewrite_stats,
-                        streamed,
-                    };
-                }
-            }
-        }
-
-        let verdict = match &reference {
-            Ok(_) => Verdict::Agree,
-            Err((code, _)) => Verdict::AgreeError(*code),
+        let verdict = match (legs, &reference) {
+            (Err(decided), _) => decided,
+            (Ok(()), Ok(_)) => CaseVerdict::Agree,
+            (Ok(()), Err((code, _))) => CaseVerdict::AgreeError(*code),
         };
         CaseResult {
             verdict,
@@ -271,57 +186,178 @@ impl Oracle {
         }
     }
 
-    /// Compare one leg against the reference. `None` = keep going;
-    /// `Some(verdict)` = the case is decided (skip or divergence).
-    fn compare(
+    /// Every leg in turn, stopping at the first that decides the case
+    /// (a skip or a divergence).
+    fn run_legs(
         &self,
-        leg: &'static str,
-        reference: &LegOutcome,
-        actual: &LegOutcome,
-    ) -> Option<Verdict> {
-        // XQRL0000 is the engine saying "bug": contained panic, broken
-        // invariant. It is never a legitimate outcome, on any leg.
-        for outcome in [reference, actual] {
-            if let Err((ErrorCode::Internal, _)) = outcome {
-                return Some(Verdict::Diverged(Divergence {
-                    leg,
-                    reference: reference.clone(),
-                    actual: actual.clone(),
-                }));
+        query: &str,
+        xml: &str,
+        doc_name: &str,
+        reference: &Outcome,
+        rewrite_stats: &mut RewriteStats,
+        streamed: &mut bool,
+    ) -> Result<(), CaseVerdict> {
+        // Optimized engine. Keep the prepared query around for the
+        // streaming leg and the rewrite stats.
+        let opt_engine = Engine::with_options(self.opt_options.clone());
+        let optimized = outcome((|| {
+            let prepared = opt_engine.compile(query)?;
+            *rewrite_stats = prepared.compiled().stats.clone();
+            let ctx = xqr_core::context_with_doc(&opt_engine, "fuzz.xml", xml)?;
+            prepared.execute(&opt_engine, &ctx)?.serialize_guarded()
+        })());
+        compare("optimized", reference, &optimized)?;
+
+        // Indexed: identical compilation, but the document is loaded
+        // with a structural index attached, so index-backed access paths
+        // actually fire instead of falling back.
+        let indexed = run_engine(&self.idx_options, query, xml);
+        compare("indexed", reference, &indexed)?;
+
+        // Parallel: the indexed leg again with forced morsel splitting —
+        // the parallel-vs-serial differential. Byte-for-byte agreement
+        // with the reference is required, exactly like every other leg.
+        let parallel = run_engine(&self.par_options, query, xml);
+        compare("parallel", reference, &parallel)?;
+
+        // Service legs: same plan text twice — the second run is a plan
+        // cache hit by construction (capacity 64 ≫ 1 case in flight).
+        for leg in ["service", "service-cached"] {
+            let served = outcome((|| {
+                let id = self.service.load_document(doc_name, xml)?;
+                let mut ctx = DynamicContext::new();
+                ctx.context_item = Some(Item::Node(NodeRef::new(id, NodeId(0))));
+                self.service.run_with_context(query, ctx)
+            })());
+            compare(leg, reference, &served)?;
+        }
+
+        // Streaming leg: every streamable plan, descendant patterns
+        // included — streaming emits every match in document order.
+        if let Ok(prepared) = opt_engine.compile(query) {
+            if prepared.is_streamable() {
+                *streamed = true;
+                let mut out = String::new();
+                let streaming = outcome(
+                    prepared
+                        .execute_streaming(&opt_engine, xml, |m| out.push_str(m))
+                        .map(|_| out),
+                );
+                compare("streaming", reference, &streaming)?;
             }
         }
-        match (reference, actual) {
-            (_, Err((code, _))) | (Err((code, _)), _) if is_resource(*code) => {
-                Some(Verdict::Skipped(leg))
-            }
-            (Ok(a), Ok(b)) if a == b => None,
-            (Ok(_), Ok(_)) => Some(Verdict::Diverged(Divergence {
-                leg,
-                reference: reference.clone(),
-                actual: actual.clone(),
-            })),
-            // The optimizer introduced an error the reference didn't hit.
-            (Ok(_), Err(_)) => Some(Verdict::Diverged(Divergence {
-                leg,
-                reference: reference.clone(),
-                actual: actual.clone(),
-            })),
-            // Reference failed: the leg may fail (with any stable,
-            // non-internal code — rewrites legally reorder which error
-            // fires) or may have legally avoided the error.
-            (Err(_), _) => None,
-        }
+        Ok(())
+    }
+}
+
+/// Hold one leg to the optimizer contract. `Err` decides the case.
+fn compare(leg: &'static str, reference: &Outcome, actual: &Outcome) -> Result<(), CaseVerdict> {
+    match judge(Contract::Optimizer, reference, actual) {
+        Verdict::Agree | Verdict::Coded(_) => Ok(()),
+        Verdict::Skipped => Err(CaseVerdict::Skipped(leg)),
+        Verdict::Violation(detail) => Err(CaseVerdict::Diverged(Divergence {
+            leg,
+            reference: reference.clone(),
+            actual: actual.clone(),
+            detail,
+        })),
     }
 }
 
 /// Run a case on a fresh engine with the given options.
-pub fn run_engine(options: &EngineOptions, query: &str, xml: &str) -> LegOutcome {
+pub fn run_engine(options: &EngineOptions, query: &str, xml: &str) -> Outcome {
     let engine = Engine::with_options(options.clone());
-    outcome_of((|| {
+    outcome((|| {
         let prepared = engine.compile(query)?;
         let ctx = xqr_core::context_with_doc(&engine, "fuzz.xml", xml)?;
         prepared.execute(&engine, &ctx)?.serialize_guarded()
     })())
+}
+
+/// The differential leg as the driver runs it: one seeded (query,
+/// document) pair per case through the [`Oracle`], divergences shrunk,
+/// coverage accumulated for the end-of-run report.
+pub struct Fuzz {
+    oracle: Oracle,
+    report: RunReport,
+    mutate: bool,
+}
+
+impl Fuzz {
+    /// `mutate` plants the deliberate miscompile (see [`Oracle::new`]);
+    /// the driver then *requires* a divergence.
+    pub fn new(mutate: bool) -> Fuzz {
+        Fuzz {
+            oracle: Oracle::new(mutate),
+            report: RunReport::default(),
+            mutate,
+        }
+    }
+
+    /// Tallies: `agreed`, `agreed-error`, `skipped`, `streamed`. A
+    /// divergence is the case's violation, shrunk and ready to paste.
+    pub fn run_case(&mut self, seed: u64) -> Case {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dcfg = doc_config(&mut rng, seed ^ 0xD0C, 200, 9);
+        let xml = random_tree(&dcfg);
+        let q = QueryGen::new(&mut rng, GenConfig::default()).generate();
+
+        let mut case = Case::tallying(&["agreed", "agreed-error", "skipped", "streamed"]);
+        case.notes.push(q.text.replace('\n', " "));
+        let result = self.oracle.run_case(&q.text, &xml);
+        self.report.note_kinds(&q.kinds);
+        self.report.note_rewrites(&result.rewrite_stats);
+        case.add("streamed", result.streamed as u64);
+        match result.verdict {
+            CaseVerdict::Agree => case.add("agreed", 1),
+            CaseVerdict::AgreeError(code) => {
+                case.add("agreed-error", 1);
+                self.report.note_error(code);
+            }
+            CaseVerdict::Skipped(_) => case.add("skipped", 1),
+            CaseVerdict::Diverged(d) => {
+                let shrunk = shrink::shrink(&q.module, &xml, Some(&dcfg), self.mutate, 200);
+                // The generator only emits ASCII documents, so byte
+                // slicing is char-safe here.
+                let doc = &shrunk.xml[..shrunk.xml.len().min(400)];
+                case.violations.push(Violation::new(
+                    d.leg,
+                    format!(
+                        "{}\nquery:\n{}\nreference: {:?}\nactual:    {:?}\n\
+                         shrunk ({} steps, {} query bytes, {} doc bytes):\n  \
+                         query: {}\n  doc:   {doc}",
+                        d.detail,
+                        q.text,
+                        d.reference,
+                        d.actual,
+                        shrunk.steps,
+                        shrunk.text.len(),
+                        shrunk.xml.len(),
+                        shrunk.text.replace('\n', " "),
+                    ),
+                ));
+            }
+        }
+        case
+    }
+
+    /// Coverage (error codes, expression kinds, rewrite rules) and the
+    /// long-lived service's plan-cache traffic.
+    pub fn finish(&self) -> Vec<String> {
+        let stats = self.oracle.service_stats();
+        vec![
+            self.report.render(),
+            format!(
+                "service: served={} failed={} plan lookups={} hits={} misses={} evictions={}",
+                stats.served,
+                stats.failed,
+                stats.plan_lookups,
+                stats.plan_hits,
+                stats.plan_misses,
+                stats.plan_evictions
+            ),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -347,7 +383,11 @@ mod tests {
             "//a[d]/d",
         ] {
             let r = oracle.run_case(q, DOC);
-            assert!(matches!(r.verdict, Verdict::Agree), "{q}: {:?}", r.verdict);
+            assert!(
+                matches!(r.verdict, CaseVerdict::Agree),
+                "{q}: {:?}",
+                r.verdict
+            );
         }
     }
 
@@ -357,7 +397,10 @@ mod tests {
         // Division by zero: deterministic FOAR0001 in every leg.
         let r = oracle.run_case("1 idiv 0", DOC);
         assert!(
-            matches!(r.verdict, Verdict::AgreeError(ErrorCode::DivisionByZero)),
+            matches!(
+                r.verdict,
+                CaseVerdict::AgreeError(ErrorCode::DivisionByZero)
+            ),
             "{:?}",
             r.verdict
         );
@@ -369,7 +412,7 @@ mod tests {
         for query in ["/root/a", "//a", "/root//*"] {
             let r = oracle.run_case(query, DOC);
             assert!(
-                matches!(r.verdict, Verdict::Agree),
+                matches!(r.verdict, CaseVerdict::Agree),
                 "{query}: {:?}",
                 r.verdict
             );
@@ -385,7 +428,7 @@ mod tests {
         let mut oracle = Oracle::new(true);
         let r = oracle.run_case("7 - 3", DOC);
         match r.verdict {
-            Verdict::Diverged(d) => {
+            CaseVerdict::Diverged(d) => {
                 assert_eq!(d.leg, "optimized");
                 assert_eq!(d.reference.as_deref(), Ok("4"));
                 assert_eq!(d.actual.as_deref(), Ok("-4"));

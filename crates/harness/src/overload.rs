@@ -27,7 +27,7 @@
 //!
 //! Hangs are covered operationally, like the chaos suite: a wedged run
 //! blows the CI timeout. Leak detection at the *process* level (a
-//! counting allocator) lives in the binary (`src/bin/overload.rs`),
+//! counting allocator) lives in the binary (`src/bin/harness.rs`),
 //! because a `#[global_allocator]` must be installed by the final
 //! artifact, not a library.
 //!
@@ -43,7 +43,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::case_seed;
+use crate::verdict::{is_resource, Violation};
+use crate::{case_seed, Case};
 use xqr_pressure::{Category, PressureConfig, PressureState};
 use xqr_service::{QueryService, ServiceConfig};
 use xqr_xdm::{Error, ErrorCode, Limits};
@@ -84,47 +85,11 @@ impl Default for OverloadConfig {
     }
 }
 
-/// Outcome tallies and violations from one overload run.
-#[derive(Debug, Default)]
-pub struct OverloadReport {
-    /// Operations attempted across all producers.
-    pub ops: u64,
-    /// Operations that completed successfully.
-    pub ok: u64,
-    /// `XQRL0004` sheds (admission control or pressure Red).
-    pub shed: u64,
-    /// `XQRL0002` deadline expiries (queued or mid-run).
-    pub expired: u64,
-    /// Other acceptable coded errors (limits, not-found races, …).
-    pub other_coded: u64,
-    /// Highest ledger total the watcher sampled during the run.
-    pub peak_sampled: u64,
-    /// Ledger's own all-time peak (catches spikes between samples).
-    pub peak_ledger: u64,
-    /// Pressure transitions observed (into Yellow + into Red).
-    pub transitions: u64,
-    /// Contract breaches; empty means the run passed.
-    pub violations: Vec<String>,
-}
-
-impl OverloadReport {
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Error codes an overloaded-but-correct service may return. Anything
-/// else — above all `Internal` — is a violation.
+/// Error codes an overloaded-but-correct service may return: the
+/// resource verdicts, plus `FODC0002` for a document a sibling thread
+/// removed. Anything else — above all `Internal` — is a violation.
 fn acceptable(err: &Error) -> bool {
-    matches!(
-        err.code,
-        ErrorCode::Limit
-            | ErrorCode::Timeout
-            | ErrorCode::Cancelled
-            | ErrorCode::Overloaded
-            | ErrorCode::Unavailable
-            | ErrorCode::DocumentNotFound
-    )
+    is_resource(err.code) || err.code == ErrorCode::DocumentNotFound
 }
 
 /// Ledger categories that must drain to zero once load stops. Resident
@@ -160,7 +125,9 @@ fn doc_xml(items: usize) -> String {
 
 /// Run one seeded overload session and check every invariant the
 /// governance stack promises. See the module docs for the contract.
-pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> OverloadReport {
+/// Tallies: `ops`, `ok`, `shed` (`XQRL0004`), `expired` (`XQRL0002`),
+/// `other-coded`, `pressure transitions`; the ledger peaks are a note.
+pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> Case {
     let svc = Arc::new(QueryService::new(ServiceConfig {
         max_concurrent: cfg.max_concurrent,
         max_queued: 8,
@@ -188,7 +155,9 @@ pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> OverloadReport {
     const EXPIRED: usize = 3;
     const OTHER: usize = 4;
 
-    let mut report = OverloadReport::default();
+    // Contract breaches found after the producers stop; theirs (and the
+    // watcher's) go through the shared list.
+    let mut breaches: Vec<String> = Vec::new();
     let violations: Arc<std::sync::Mutex<Vec<String>>> = Arc::new(Default::default());
 
     // Watcher: sample the ledger total against ceiling + slack while
@@ -318,7 +287,7 @@ pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> OverloadReport {
         }
     }
     stop.store(true, Ordering::Relaxed);
-    report.peak_sampled = watcher.join().unwrap_or(0);
+    let peak_sampled = watcher.join().unwrap_or(0);
 
     // Load has stopped: the ledger must walk back to Green and every
     // transient category must drain. Charges are released by RAII on
@@ -335,7 +304,7 @@ pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> OverloadReport {
     }
     let snap = svc.ledger().snapshot();
     if snap.state != PressureState::Green {
-        report.violations.push(format!(
+        breaches.push(format!(
             "pressure did not return to Green after load stopped: {} ({} bytes held)",
             snap.state.as_str(),
             snap.total
@@ -344,7 +313,7 @@ pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> OverloadReport {
     for &c in TRANSIENT {
         let held = snap.category(c).current;
         if held != 0 {
-            report.violations.push(format!(
+            breaches.push(format!(
                 "transient category {} leaked {held} bytes after drain",
                 c.as_str()
             ));
@@ -357,7 +326,7 @@ pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> OverloadReport {
     // neither.
     let stats = svc.stats();
     if stats.dropped_expired + stats.latency_count != stats.admitted {
-        report.violations.push(format!(
+        breaches.push(format!(
             "admission accounting leak: dropped {} + executed {} != admitted {}",
             stats.dropped_expired, stats.latency_count, stats.admitted
         ));
@@ -368,7 +337,7 @@ pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> OverloadReport {
     // and every cached plan carries at least its fixed 1 KiB estimate.
     let resident = snap.category(Category::CatalogResident).current;
     if resident != svc.catalog().total_bytes() {
-        report.violations.push(format!(
+        breaches.push(format!(
             "ledger holds {resident} catalog bytes, the catalog {}",
             svc.catalog().total_bytes()
         ));
@@ -376,7 +345,7 @@ pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> OverloadReport {
     let plan_bytes = snap.category(Category::PlanCache).current;
     let plans = stats.plan_entries;
     if plan_bytes < plans * 1024 || (plans == 0 && plan_bytes != 0) {
-        report.violations.push(format!(
+        breaches.push(format!(
             "ledger holds {plan_bytes} plan-cache bytes for {plans} cached plans"
         ));
     }
@@ -386,40 +355,51 @@ pub fn run_overload(seed: u64, cfg: &OverloadConfig) -> OverloadReport {
     let ledger = Arc::clone(svc.ledger());
     drop(svc);
     if ledger.total() != 0 {
-        report.violations.push(format!(
+        breaches.push(format!(
             "{} bytes still charged after the service dropped",
             ledger.total()
         ));
     }
 
-    report.ops = tallies[OPS].load(Ordering::Relaxed);
-    report.ok = tallies[OK].load(Ordering::Relaxed);
-    report.shed = tallies[SHED].load(Ordering::Relaxed);
-    report.expired = tallies[EXPIRED].load(Ordering::Relaxed);
-    report.other_coded = tallies[OTHER].load(Ordering::Relaxed);
-    report.peak_ledger = snap.peak;
-    report.transitions = stats.pressure_to_yellow + stats.pressure_to_red;
-    report
-        .violations
-        .extend(violations.lock().unwrap().drain(..));
+    breaches.extend(violations.lock().unwrap().drain(..));
+    let unacceptable = breaches
+        .iter()
+        .filter(|v| v.contains("unacceptable"))
+        .count() as u64;
 
-    // Sanity on the tally algebra itself.
-    if report.ok
-        + report.shed
-        + report.expired
-        + report.other_coded
-        + report
-            .violations
-            .iter()
-            .filter(|v| v.contains("unacceptable"))
-            .count() as u64
-        > report.ops
-    {
-        report
-            .violations
-            .push("tally overflow: more outcomes than operations".into());
+    let mut case = Case::default();
+    for (label, slot) in [
+        ("ops", OPS),
+        ("ok", OK),
+        ("shed", SHED),
+        ("expired", EXPIRED),
+        ("other-coded", OTHER),
+    ] {
+        case.add(label, tallies[slot].load(Ordering::Relaxed));
     }
-    report
+    case.add(
+        "pressure transitions",
+        stats.pressure_to_yellow + stats.pressure_to_red,
+    );
+    case.notes.push(format!(
+        "ledger: peak-sampled {peak_sampled}  peak {}",
+        snap.peak
+    ));
+    // Sanity on the tally algebra itself.
+    if case.count("ok")
+        + case.count("shed")
+        + case.count("expired")
+        + case.count("other-coded")
+        + unacceptable
+        > case.count("ops")
+    {
+        breaches.push("tally overflow: more outcomes than operations".into());
+    }
+    case.violations = breaches
+        .into_iter()
+        .map(|v| Violation::new("overload", v))
+        .collect();
+    case
 }
 
 #[cfg(test)]
@@ -429,7 +409,7 @@ mod tests {
     /// A miniature run — the CI smoke drives the full-size one.
     #[test]
     fn small_overload_run_holds_every_invariant() {
-        let report = run_overload(
+        let case = run_overload(
             7,
             &OverloadConfig {
                 producers: 6,
@@ -437,8 +417,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(report.passed(), "{:?}", report.violations);
-        assert_eq!(report.ops, 6 * 25);
-        assert!(report.ok > 0, "some work must get through: {report:?}");
+        assert!(case.violations.is_empty(), "{:?}", case.violations);
+        assert_eq!(case.count("ops"), 6 * 25);
+        assert!(case.count("ok") > 0, "some work must get through: {case:?}");
     }
 }

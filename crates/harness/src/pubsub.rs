@@ -17,7 +17,7 @@
 //! published at the whole set and the per-subscription outcomes are
 //! compared.
 //!
-//! In faulted mode a seeded [`FaultSchedule`] (weighted toward the
+//! In faulted mode a seeded `FaultSchedule` (weighted toward the
 //! `subscribe.deliver` site) is installed around the publishes, and the
 //! judgement switches to the chaos rules: each subscription ends
 //! **correct or coded** — a different successful answer is a violation,
@@ -26,181 +26,64 @@
 //! neighbour, or the store (leak-checked after every case).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Duration;
 
-use crate::gen::{GenConfig, QueryGen};
+use crate::gen::stream_case;
+use crate::schedule::{gen_schedule, panics_scheduled, SiteWeights};
+use crate::verdict::{judge, outcome, Contract, Outcome, Verdict, Violation};
+use crate::{case_limits, Case};
 use xqr_core::{contain_panic, Engine};
-use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
 use xqr_subscribe::{CollectingSink, SubId, SubscriptionRegistry};
-use xqr_xdm::{ErrorCode, Limits};
-use xqr_xmlgen::{random_tree, RandomTreeConfig};
 
 /// Faultpoint sites on the publish path, `subscribe.deliver` first —
-/// the schedule generator picks it half the time so delivery isolation
-/// is exercised constantly, not occasionally.
-pub const PUBSUB_SITES: &[&str] = &[
-    "subscribe.deliver",
-    "xml.read",
-    "tokens.buffer",
-    "store.load",
-    "store.read",
-    "index.build",
-    "eval.next",
-];
+/// the first rule picks it half the time so delivery isolation is
+/// exercised constantly, not occasionally.
+pub const SITES: SiteWeights = SiteWeights {
+    sites: &[
+        "subscribe.deliver",
+        "xml.read",
+        "tokens.buffer",
+        "store.load",
+        "store.read",
+        "index.build",
+        "eval.next",
+    ],
+    favoured: (1, 0.5),
+    kinds: [5, 2, 1, 1, 1],
+    max_skip: 8,
+};
 
-/// An invariant violation — the suite's only failure mode.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// `(subscription index, document index)` or a case-wide marker.
-    pub at: String,
-    pub detail: String,
-}
-
-/// Everything one pub/sub case reports.
-#[derive(Debug)]
-pub struct PubsubCase {
-    pub seed: u64,
-    pub faulted: bool,
-    pub subscriptions: usize,
-    pub documents: usize,
-    /// Subscriptions on the shared combined-automaton pass (last
-    /// publish).
-    pub shared_pass: usize,
-    /// Subscriptions on the one-shot fallback (last publish).
-    pub fallback: usize,
-    /// Injections that fired (faulted mode).
-    pub fired: u64,
-    /// `(sub, doc)` comparisons that ended byte-identical.
-    pub agreed: u64,
-    /// Comparisons that ended in matching (or fault-coded) errors.
-    pub coded: u64,
-    /// Comparisons skipped on timing-dependent resource verdicts.
-    pub skipped: u64,
-    pub violations: Vec<Violation>,
-}
-
-/// Budgets for pub/sub cases: bounded so a pathological generated query
-/// cannot wedge the suite, generous enough that resource trips stay
-/// rare (each one skips a comparison).
-pub(crate) fn case_limits() -> Limits {
-    Limits::unlimited()
-        .with_deadline(Duration::from_secs(10))
-        .with_max_items(200_000)
-        .with_max_output_bytes(4 * 1024 * 1024)
-}
-
-pub(crate) fn doc_config(rng: &mut StdRng, seed: u64) -> RandomTreeConfig {
-    RandomTreeConfig {
-        seed,
-        nodes: rng.gen_range(20usize..120),
-        max_depth: rng.gen_range(3usize..8),
-        alphabet: 4,
-        p_ancestor: 0.15,
-        p_descendant: 0.2,
-        p_text: 0.3,
-        p_attribute: 0.25,
+/// Tally one comparison's verdict under the labels every
+/// comparison-counting leg prints.
+pub(crate) fn tally(case: &mut Case, at: String, verdict: Verdict) {
+    match verdict {
+        Verdict::Agree => case.add("comparisons agreed", 1),
+        Verdict::Coded(_) => case.add("coded", 1),
+        Verdict::Skipped => case.add("skipped", 1),
+        Verdict::Violation(detail) => case.violations.push(Violation::new(at, detail)),
     }
 }
 
-/// A random path expression over the tag alphabet `random_tree` emits.
-/// These are the queries that ride the shared pass: child/descendant
-/// steps, wildcards included.
-pub(crate) fn random_path(rng: &mut StdRng) -> String {
-    const NAMES: &[&str] = &["root", "a", "d", "t0", "t1", "t2", "t3", "*"];
-    let steps = rng.gen_range(1usize..5);
-    let mut q = String::new();
-    for _ in 0..steps {
-        q.push_str(if rng.gen_bool(0.4) { "//" } else { "/" });
-        q.push_str(NAMES[rng.gen_range(0..NAMES.len())]);
+/// Run one seeded case: un-faulted (strict equivalence with independent
+/// one-shot queries), then again with a derived schedule installed
+/// around the publishes (correct or coded). Tallies: `comparisons
+/// agreed`, `coded`, `skipped`, `injections fired`, plus `shared pass`
+/// and `fallback` (subscriptions on each route, last publish).
+pub fn run_case(seed: u64) -> Case {
+    let mut case = Case::tallying(&["comparisons agreed", "coded", "skipped", "injections fired"]);
+    for faulted in [false, true] {
+        run_leg(seed, faulted, &mut case);
     }
-    q
+    case
 }
 
-/// Derive a fault schedule for the publish path: one or two rules, the
-/// first over `subscribe.deliver` half the time.
-pub fn gen_schedule(rng: &mut StdRng, seed: u64) -> FaultSchedule {
-    let mut schedule = FaultSchedule::new(seed);
-    for rule_no in 0..rng.gen_range(1..3u32) {
-        let site = if rule_no == 0 && rng.gen_bool(0.5) {
-            PUBSUB_SITES[0]
-        } else {
-            PUBSUB_SITES[rng.gen_range(0..PUBSUB_SITES.len())]
-        };
-        let kind = match rng.gen_range(0..10u32) {
-            0..=4 => FaultKind::ErrorReturn,
-            5 | 6 => FaultKind::Panic,
-            7 => FaultKind::Delay(Duration::from_millis(rng.gen_range(1..4))),
-            8 => FaultKind::Cancel,
-            _ => FaultKind::BudgetTrip,
-        };
-        let mut rule = FaultRule::new(site, kind)
-            .one_in(rng.gen_range(1..6))
-            .skip_first(rng.gen_range(0..8));
-        if rng.gen_range(0..4u32) > 0 {
-            rule = rule.max_fires(rng.gen_range(1..4));
-        }
-        schedule = schedule.rule(rule);
-    }
-    schedule
-}
-
-/// Timing-dependent resource verdicts (mirrors the chaos skip class).
-fn is_resource(code: ErrorCode) -> bool {
-    matches!(
-        code,
-        ErrorCode::Limit
-            | ErrorCode::Timeout
-            | ErrorCode::Cancelled
-            | ErrorCode::Overloaded
-            | ErrorCode::Unavailable
-    )
-}
-
-type Outcome = Result<String, (ErrorCode, String)>;
-
-fn outcome(r: xqr_xdm::Result<String>) -> Outcome {
-    r.map_err(|e| (e.code, e.to_string()))
-}
-
-/// Run one seeded case. `faulted` installs a derived schedule around
-/// the publishes (requires the `failpoints` feature to do anything).
-pub fn run_case(seed: u64, faulted: bool) -> PubsubCase {
+fn run_leg(seed: u64, faulted: bool, case: &mut Case) {
     let mut rng = StdRng::seed_from_u64(seed);
     let engine = Engine::new();
+    let tag = if faulted { " [faulted]" } else { "" };
 
-    let n_docs = rng.gen_range(1usize..4);
-    let docs: Vec<String> = (0..n_docs)
-        .map(|i| random_tree(&doc_config(&mut rng, seed ^ (0xD0C + i as u64))))
-        .collect();
-
-    let n_subs = rng.gen_range(1usize..7);
-    let queries: Vec<String> = (0..n_subs)
-        .map(|_| {
-            if rng.gen_bool(0.5) {
-                random_path(&mut rng)
-            } else {
-                QueryGen::new(&mut rng, GenConfig::default())
-                    .generate()
-                    .text
-            }
-        })
-        .collect();
-
-    let mut case = PubsubCase {
-        seed,
-        faulted,
-        subscriptions: n_subs,
-        documents: n_docs,
-        shared_pass: 0,
-        fallback: 0,
-        fired: 0,
-        agreed: 0,
-        coded: 0,
-        skipped: 0,
-        violations: Vec::new(),
-    };
+    let (docs, queries) = stream_case(&mut rng, seed, 0xD0C, 7, 0.5);
 
     // Reference outcomes, un-faulted: one independent one-shot query
     // per (subscription, document) pair.
@@ -227,13 +110,13 @@ pub fn run_case(seed: u64, faulted: bool) -> PubsubCase {
             Err(e) => {
                 for (di, r) in reference[si].iter().enumerate() {
                     if !matches!(r, Err((code, _)) if *code == e.code) {
-                        case.violations.push(Violation {
-                            at: format!("sub {si} doc {di}"),
-                            detail: format!(
+                        case.violations.push(Violation::new(
+                            format!("sub {si} doc {di}"),
+                            format!(
                                 "subscribe rejected {q:?} with {} but one-shot said {r:?}",
                                 e.code.as_str()
                             ),
-                        });
+                        ));
                     }
                 }
                 subs.push(None);
@@ -241,10 +124,14 @@ pub fn run_case(seed: u64, faulted: bool) -> PubsubCase {
         }
     }
 
-    let schedule = faulted.then(|| gen_schedule(&mut rng, seed));
-    let panics_scheduled = schedule
-        .as_ref()
-        .is_some_and(|s| s.rules.iter().any(|r| matches!(r.kind, FaultKind::Panic)));
+    let schedule = faulted.then(|| gen_schedule(&mut rng, seed, &SITES));
+    let contract = match &schedule {
+        Some(s) => Contract::Faulted {
+            panics_scheduled: panics_scheduled(s),
+        },
+        None => Contract::Strict,
+    };
+    let (mut shared_pass, mut fallback) = (0, 0);
 
     {
         let _guard = schedule.map(xqr_faults::install);
@@ -255,151 +142,62 @@ pub fn run_case(seed: u64, faulted: bool) -> PubsubCase {
                 Ok(r) => r,
                 Err(e) => {
                     // The whole publish failed (the document itself was
-                    // unreadable under injection). Acceptable only as a
-                    // coded fault, and only when faults are installed.
-                    if !faulted {
-                        case.violations.push(Violation {
-                            at: format!("doc {di}"),
-                            detail: format!("publish failed without faults: {e}"),
-                        });
-                    } else if e.code == ErrorCode::Internal && !panics_scheduled {
-                        case.violations.push(Violation {
-                            at: format!("doc {di}"),
-                            detail: format!("XQRL0000 without a scheduled panic: {e}"),
-                        });
-                    } else {
-                        case.coded += subs.iter().flatten().count() as u64;
+                    // unreadable under injection): that is every live
+                    // subscription's outcome for this document.
+                    let failed = outcome(Err(e));
+                    for (si, _) in subs.iter().enumerate().filter(|(_, s)| s.is_some()) {
+                        let at = format!("sub {si} doc {di}{tag}");
+                        tally(case, at, judge(contract, &reference[si][di], &failed));
                     }
                     continue;
                 }
             };
-            case.shared_pass = report.shared_pass;
-            case.fallback = report.fallback;
+            (shared_pass, fallback) = (report.shared_pass, report.fallback);
             for (si, entry) in subs.iter().enumerate() {
                 let Some((id, sink)) = entry else { continue };
-                let got = match report.result_for(*id) {
-                    Some(r) => outcome(r.clone()),
-                    None => {
-                        case.violations.push(Violation {
-                            at: format!("sub {si} doc {di}"),
-                            detail: "live subscription missing from the report".into(),
-                        });
-                        continue;
-                    }
+                let at = format!("sub {si} doc {di}{tag}");
+                let Some(got) = report.result_for(*id) else {
+                    case.violations.push(Violation::new(
+                        at,
+                        "live subscription missing from the report",
+                    ));
+                    continue;
                 };
-                judge(
-                    &mut case,
-                    si,
-                    di,
-                    &reference[si][di],
-                    got,
-                    faulted,
-                    panics_scheduled,
-                );
+                let got = outcome(got.clone());
                 // Sink agreement: un-faulted, every publish delivers
                 // exactly one outcome and it equals the report's.
                 if !faulted {
                     let received = sink.take();
-                    if received.len() != 1
-                        || outcome(received[0].1.clone()) != outcome_of(&report, *id)
-                    {
-                        case.violations.push(Violation {
-                            at: format!("sub {si} doc {di}"),
-                            detail: format!(
-                                "sink saw {:?}, report says {:?}",
-                                received,
-                                report.result_for(*id)
-                            ),
-                        });
+                    if received.len() != 1 || outcome(received[0].1.clone()) != got {
+                        case.violations.push(Violation::new(
+                            at.clone(),
+                            format!("sink saw {received:?}, report says {got:?}"),
+                        ));
                     }
                 }
+                tally(case, at, judge(contract, &reference[si][di], &got));
             }
         }
-        case.fired = xqr_faults::fires();
+        case.add("injections fired", xqr_faults::fires());
         // Guard drops here; the leak check below runs un-faulted.
     }
+    case.add("shared pass", shared_pass as u64);
+    case.add("fallback", fallback as u64);
+    case.notes.push(format!(
+        "subs={} (shared {shared_pass} / fallback {fallback}) docs={}{tag}",
+        queries.len(),
+        docs.len()
+    ));
 
     // No publish may leak a fallback materialization into the store.
     if engine.store().doc_count() != 0 {
-        case.violations.push(Violation {
-            at: "store".into(),
-            detail: format!(
+        case.violations.push(Violation::new(
+            "store",
+            format!(
                 "publish leaked {} document(s) into the store",
                 engine.store().doc_count()
             ),
-        });
-    }
-    case
-}
-
-fn outcome_of(report: &xqr_subscribe::PublishReport, id: SubId) -> Outcome {
-    outcome(report.result_for(id).expect("checked present").clone())
-}
-
-/// Compare one `(subscription, document)` outcome against its one-shot
-/// reference. Un-faulted the rules are strict equivalence (modulo
-/// resource verdicts); faulted they relax to the chaos invariant:
-/// correct or coded, no wrong answers, no unexplained `Internal`.
-fn judge(
-    case: &mut PubsubCase,
-    si: usize,
-    di: usize,
-    reference: &Outcome,
-    got: Outcome,
-    faulted: bool,
-    panics_scheduled: bool,
-) {
-    let at = format!("sub {si} doc {di}");
-    match (reference, got) {
-        (Ok(want), Ok(got)) => {
-            if *want == got {
-                case.agreed += 1;
-            } else {
-                case.violations.push(Violation {
-                    at,
-                    detail: format!("wrong answer: one-shot {want:?}, subscription {got:?}"),
-                });
-            }
-        }
-        (Err((code, _)), Ok(got)) => {
-            if is_resource(*code) {
-                case.skipped += 1;
-            } else {
-                case.violations.push(Violation {
-                    at,
-                    detail: format!(
-                        "one-shot failed deterministically with {} but the \
-                         subscription succeeded with {got:?}",
-                        code.as_str()
-                    ),
-                });
-            }
-        }
-        (reference, Err((code, msg))) => {
-            if code == ErrorCode::Internal && !panics_scheduled {
-                case.violations.push(Violation {
-                    at,
-                    detail: format!("err:XQRL0000 without a scheduled panic: {msg}"),
-                });
-            } else if faulted {
-                // Under injection any coded error is a legal ending.
-                case.coded += 1;
-            } else {
-                match reference {
-                    Err((want, _)) if *want == code => case.coded += 1,
-                    Err((want, _)) if is_resource(*want) || is_resource(code) => case.skipped += 1,
-                    Ok(_) if is_resource(code) => case.skipped += 1,
-                    other => case.violations.push(Violation {
-                        at,
-                        detail: format!(
-                            "error mismatch without faults: one-shot {other:?}, \
-                             subscription failed with {} ({msg})",
-                            code.as_str()
-                        ),
-                    }),
-                }
-            }
-        }
+        ));
     }
 }
 
@@ -408,23 +206,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_single_unfaulted_case_agrees() {
-        let case = run_case(1, false);
+    fn a_single_case_agrees_with_and_without_faults() {
+        let case = run_case(1);
         assert!(case.violations.is_empty(), "{:?}", case.violations);
-        assert!(case.agreed + case.coded + case.skipped > 0);
-    }
-
-    #[test]
-    fn schedules_are_deterministic_per_seed() {
-        let mk = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let s = gen_schedule(&mut rng, seed);
-            s.rules
-                .iter()
-                .map(|r| (r.site.clone(), r.one_in, r.skip_first, r.max_fires))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(mk(11), mk(11));
-        assert_ne!(mk(11), mk(12));
+        assert!(case.count("comparisons agreed") + case.count("coded") + case.count("skipped") > 0);
     }
 }

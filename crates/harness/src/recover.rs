@@ -39,7 +39,8 @@ use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use crate::chaos::Violation;
+use crate::verdict::Violation;
+use crate::{case_seed, Case};
 use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
 use xqr_service::{QueryService, ServiceConfig};
 use xqr_xdm::ErrorCode;
@@ -72,19 +73,32 @@ pub enum DocEnd {
     Quarantined,
 }
 
-/// Everything one kill-and-recover case reports.
-#[derive(Debug)]
-pub struct RecoverCase {
-    pub seed: u64,
-    pub site: &'static str,
-    pub kind: &'static str,
-    /// Injections that actually fired.
-    pub fired: u64,
-    /// Loads acknowledged (returned `Ok`) before the simulated kill.
-    pub acked: usize,
-    /// Per-document endings after recovery.
-    pub ends: Vec<DocEnd>,
-    pub violations: Vec<Violation>,
+/// Record where one document ended up after recovery.
+fn settle(case: &mut Case, name: &str, end: DocEnd) {
+    case.add("quarantines observed", (end == DocEnd::Quarantined) as u64);
+    case.notes.push(format!("{name}: {end:?}"));
+}
+
+/// One round — one case of the recover leg: every persistence site
+/// crashed with both an error return and a panic, plus one single-byte
+/// corruption, each under its own seed derived from the round's.
+/// Tallies: `crash cases`, `crashes fired`, `loads acknowledged`,
+/// `quarantines observed`.
+pub fn run_round(seed: u64) -> Case {
+    let mut round = Case::tallying(&[
+        "crash cases",
+        "crashes fired",
+        "loads acknowledged",
+        "quarantines observed",
+    ]);
+    for (s, site) in SEGMENT_SITES.iter().enumerate() {
+        for panic_kind in [false, true] {
+            let cseed = case_seed(seed, s as u64 * 2 + panic_kind as u64);
+            run_case(cseed, site, panic_kind, &mut round);
+        }
+    }
+    run_corruption_case(case_seed(seed, 1000), &mut round);
+    round
 }
 
 fn scratch(seed: u64, tag: &str) -> PathBuf {
@@ -145,20 +159,18 @@ fn touch(
     }));
     match run {
         Err(_) => {
-            violations.push(Violation {
-                leg: "recover",
-                detail: format!("panic escaped while touching {name} after restart"),
-            });
+            violations.push(Violation::new(
+                "recover",
+                format!("panic escaped while touching {name} after restart"),
+            ));
             None
         }
         Ok(Ok(got)) if got == want => Some(DocEnd::Correct),
         Ok(Ok(got)) => {
-            violations.push(Violation {
-                leg: "recover",
-                detail: format!(
-                    "wrong answer after restart for {name}: want {want:?}, got {got:?}"
-                ),
-            });
+            violations.push(Violation::new(
+                "recover",
+                format!("wrong answer after restart for {name}: want {want:?}, got {got:?}"),
+            ));
             None
         }
         Ok(Err(e)) if e.code == ErrorCode::DocumentNotFound => Some(DocEnd::Absent),
@@ -167,10 +179,10 @@ fn touch(
         // (and contained panics) are legal intermediate outcomes.
         Ok(Err(_)) if allow_transient => None,
         Ok(Err(e)) => {
-            violations.push(Violation {
-                leg: "recover",
-                detail: format!("unexpected error after restart for {name}: {e}"),
-            });
+            violations.push(Violation::new(
+                "recover",
+                format!("unexpected error after restart for {name}: {e}"),
+            ));
             None
         }
     }
@@ -179,22 +191,16 @@ fn touch(
 /// Crash the persistence pipeline at `site` and hold recovery to the
 /// invariant. `panic_kind` selects `FaultKind::Panic` over
 /// `FaultKind::ErrorReturn`.
-pub fn run_case(seed: u64, site: &'static str, panic_kind: bool) -> RecoverCase {
+pub fn run_case(seed: u64, site: &'static str, panic_kind: bool, case: &mut Case) {
     let kind_name = if panic_kind { "panic" } else { "error" };
     let dir = scratch(seed, &format!("{}-{kind_name}", site.replace('.', "-")));
     let _ = std::fs::remove_dir_all(&dir);
 
     let docs = case_docs(seed);
     let refs = references(&docs);
-    let mut case = RecoverCase {
-        seed,
-        site,
-        kind: kind_name,
-        fired: 0,
-        acked: 0,
-        ends: Vec::new(),
-        violations: Vec::new(),
-    };
+    case.add("crash cases", 1);
+    case.notes
+        .push(format!("seed {seed} site {site} kind {kind_name}"));
     // The crash fires on a seed-chosen hit of the site, so across seeds
     // every document position gets to be the victim.
     let kind = if panic_kind {
@@ -216,11 +222,9 @@ pub fn run_case(seed: u64, site: &'static str, panic_kind: bool) -> RecoverCase 
         let service = match QueryService::open(config(&dir)) {
             Ok(s) => s,
             Err(e) => {
-                case.violations.push(Violation {
-                    leg: "recover",
-                    detail: format!("fresh open failed: {e}"),
-                });
-                return case;
+                case.violations
+                    .push(Violation::new("recover", format!("fresh open failed: {e}")));
+                return;
             }
         };
         let guard = persist_side.then(|| xqr_faults::install(schedule.clone()));
@@ -228,32 +232,35 @@ pub fn run_case(seed: u64, site: &'static str, panic_kind: bool) -> RecoverCase 
             // load_document contains panics; an escape is a violation.
             match catch_unwind(AssertUnwindSafe(|| service.load_document(name, xml))) {
                 Ok(outcome) => acked[i] = outcome.is_ok(),
-                Err(_) => case.violations.push(Violation {
-                    leg: "recover",
-                    detail: format!("panic escaped load_document({name})"),
-                }),
+                Err(_) => case.violations.push(Violation::new(
+                    "recover",
+                    format!("panic escaped load_document({name})"),
+                )),
             }
         }
         if persist_side {
-            case.fired = xqr_faults::fires();
+            case.add("crashes fired", xqr_faults::fires());
         }
         drop(guard);
         // The kill: drop with no shutdown courtesy. Whatever bytes the
         // directory holds are what recovery gets.
         drop(service);
     }
-    case.acked = acked.iter().filter(|a| **a).count();
+    case.add(
+        "loads acknowledged",
+        acked.iter().filter(|a| **a).count() as u64,
+    );
 
     // Phase 2: reopen. Open is O(manifest) and must succeed — the crash
     // left at worst a torn manifest tail and orphan temp files.
     let service = match QueryService::open(config(&dir)) {
         Ok(s) => s,
         Err(e) => {
-            case.violations.push(Violation {
-                leg: "recover",
-                detail: format!("reopen after crash at {site} failed: {e}"),
-            });
-            return case;
+            case.violations.push(Violation::new(
+                "recover",
+                format!("reopen after crash at {site} failed: {e}"),
+            ));
+            return;
         }
     };
 
@@ -264,7 +271,7 @@ pub fn run_case(seed: u64, site: &'static str, panic_kind: bool) -> RecoverCase 
         for (i, (name, _)) in docs.iter().enumerate() {
             touch(&service, name, &refs[i], true, &mut case.violations);
         }
-        case.fired = xqr_faults::fires();
+        case.add("crashes fired", xqr_faults::fires());
     }
 
     // Phase 4: the verdict pass, un-faulted. Every document must land in
@@ -273,46 +280,39 @@ pub fn run_case(seed: u64, site: &'static str, panic_kind: bool) -> RecoverCase 
         let Some(end) = touch(&service, name, &refs[i], false, &mut case.violations) else {
             continue;
         };
-        case.ends.push(end);
+        settle(case, name, end);
         if acked[i] && end != DocEnd::Correct {
-            case.violations.push(Violation {
-                leg: "recover",
-                detail: format!(
+            case.violations.push(Violation::new(
+                "recover",
+                format!(
                     "durability lie: load of {name} was acknowledged but after \
                      restart it is {end:?}"
                 ),
-            });
+            ));
         }
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-    case
 }
 
 /// Flip one seed-chosen byte of one persisted segment file, reopen, and
 /// require quarantine: the victim fails with `err:XQRL0006` on every
 /// touch and is never served; the other documents are unaffected.
-pub fn run_corruption_case(seed: u64) -> RecoverCase {
+pub fn run_corruption_case(seed: u64, case: &mut Case) {
     let dir = scratch(seed, "bitflip");
     let _ = std::fs::remove_dir_all(&dir);
     let docs = case_docs(seed);
     let refs = references(&docs);
-    let mut case = RecoverCase {
-        seed,
-        site: "bitflip",
-        kind: "corruption",
-        fired: 0,
-        acked: 0,
-        ends: Vec::new(),
-        violations: Vec::new(),
-    };
+    case.add("crash cases", 1);
+    case.notes
+        .push(format!("seed {seed} single-byte corruption"));
 
     {
         let service = QueryService::open(config(&dir)).expect("fresh open");
         for (name, xml) in &docs {
             service.load_document(name, xml).expect("clean load");
         }
-        case.acked = docs.len();
+        case.add("loads acknowledged", docs.len() as u64);
     }
 
     // Pick a victim segment and a byte offset from the seed, flip it.
@@ -337,7 +337,7 @@ pub fn run_corruption_case(seed: u64) -> RecoverCase {
         for pass in 0..2 {
             let end = touch(&service, name, &refs[i], false, &mut case.violations);
             match end {
-                Some(e) => case.ends.push(e),
+                Some(e) => settle(case, name, e),
                 None => continue,
             }
             let expect = if i == victim_gen {
@@ -346,26 +346,25 @@ pub fn run_corruption_case(seed: u64) -> RecoverCase {
                 DocEnd::Correct
             };
             if end != Some(expect) {
-                case.violations.push(Violation {
-                    leg: "recover",
-                    detail: format!(
+                case.violations.push(Violation::new(
+                    "recover",
+                    format!(
                         "byte {at} flipped in segment {victim_gen}: document {name} \
                          pass {pass} ended {end:?}, expected {expect:?}"
                     ),
-                });
+                ));
             }
         }
     }
     let stats = service.stats();
     if stats.segments_quarantined == 0 {
-        case.violations.push(Violation {
-            leg: "recover",
-            detail: "byte flip produced no quarantine counter".into(),
-        });
+        case.violations.push(Violation::new(
+            "recover",
+            "byte flip produced no quarantine counter",
+        ));
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-    case
 }
 
 #[cfg(test)]
@@ -373,9 +372,21 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_single_kill_case_upholds_the_invariant() {
+        // One persist-side and one recovery-side site.
+        for site in ["segment.rename", "segment.verify"] {
+            let mut case = Case::default();
+            run_case(3, site, false, &mut case);
+            assert!(case.violations.is_empty(), "{:?}", case.violations);
+            assert_eq!(case.count("crashes fired"), 1, "{case:?}");
+        }
+    }
+
+    #[test]
     fn a_single_byte_flip_is_quarantined() {
-        let case = run_corruption_case(5);
+        let mut case = Case::default();
+        run_corruption_case(5, &mut case);
         assert!(case.violations.is_empty(), "{:?}", case.violations);
-        assert!(case.ends.contains(&DocEnd::Quarantined), "{case:?}");
+        assert!(case.count("quarantines observed") > 0, "{case:?}");
     }
 }

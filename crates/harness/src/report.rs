@@ -1,5 +1,6 @@
-//! Run-level reporting: outcome tallies, expression-kind coverage, and
-//! optimizer-rule coverage, rendered as the fuzz binary's summary.
+//! Run-level coverage for the differential leg: error codes seen,
+//! expression kinds generated and optimizer rules fired, rendered under
+//! the driver's tally line.
 
 use std::collections::BTreeMap;
 use xqr_compiler::RewriteStats;
@@ -7,12 +8,6 @@ use xqr_xdm::ErrorCode;
 
 #[derive(Default)]
 pub struct RunReport {
-    pub cases: usize,
-    pub agreed: usize,
-    pub agreed_error: usize,
-    pub skipped: usize,
-    pub diverged: usize,
-    pub streamed: usize,
     /// Stable error codes observed on agreed-error cases.
     pub error_codes: BTreeMap<&'static str, usize>,
     /// Expression kinds emitted by the generator, summed over the run.
@@ -40,10 +35,6 @@ impl RunReport {
 
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "cases: {}  agreed: {}  agreed-error: {}  skipped: {}  diverged: {}  streamed: {}\n",
-            self.cases, self.agreed, self.agreed_error, self.skipped, self.diverged, self.streamed
-        ));
         if !self.error_codes.is_empty() {
             out.push_str("error codes on agreed-error cases:\n");
             for (code, n) in &self.error_codes {
@@ -74,19 +65,13 @@ mod tests {
 
     #[test]
     fn render_includes_all_sections() {
-        let mut r = RunReport {
-            cases: 3,
-            agreed: 2,
-            agreed_error: 1,
-            ..Default::default()
-        };
+        let mut r = RunReport::default();
         r.note_kinds(&BTreeMap::from([("path", 5usize)]));
         let mut stats = RewriteStats::default();
         stats.insert("constant-fold-arith", 2);
         r.note_rewrites(&stats);
         r.note_error(ErrorCode::DivisionByZero);
         let text = r.render();
-        assert!(text.contains("cases: 3"));
         assert!(text.contains("path"));
         assert!(text.contains("constant-fold-arith"));
         assert!(text.contains("FOAR0001"));

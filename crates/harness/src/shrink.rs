@@ -16,7 +16,7 @@
 //! Shrinking uses fresh oracles per probe (never the run's main oracle)
 //! so probe traffic does not pollute the run's service statistics.
 
-use crate::oracle::{Oracle, Verdict};
+use crate::oracle::{CaseVerdict, Oracle};
 use xqr_xmlgen::RandomTreeConfig;
 use xqr_xqparser::ast::{Expr, FlworClause, Module};
 use xqr_xqparser::printer::print_module;
@@ -25,7 +25,10 @@ use xqr_xqparser::printer::print_module;
 fn still_diverges(module: &Module, xml: &str, mutate: bool) -> bool {
     let text = print_module(module);
     let mut oracle = Oracle::new(mutate);
-    matches!(oracle.run_case(&text, xml).verdict, Verdict::Diverged(_))
+    matches!(
+        oracle.run_case(&text, xml).verdict,
+        CaseVerdict::Diverged(_)
+    )
 }
 
 /// Candidate single-step reductions of an expression: every child

@@ -1,90 +1,67 @@
 //! The chaos suite: fixed-seed fault schedules against the whole stack.
 //!
-//! One test, many seeds, one invariant: every injected fault yields a
-//! correct result (after retry or degradation) or a stable coded error
-//! — never a wrong answer, an escaped panic, or a leaked store
-//! document. The seeds are fixed so the suite is exactly reproducible;
-//! a failing seed replays standalone via
-//! `cargo run -p xqr-harness --bin chaos -- --seed <s> --cases 1`.
-//!
-//! All cases run inside ONE test function on purpose: `install()` holds
-//! a process-wide exclusive lock, so splitting cases across `#[test]`
-//! functions would serialize them anyway while multiplying runner
-//! setup. Directed regression tests that need their own schedule live
-//! in the service/faults crates (separate processes).
+//! Many seeds, one invariant: every injected fault yields a correct
+//! result (after retry or degradation) or a stable coded error — never
+//! a wrong answer, an escaped panic, or a leaked store document. The
+//! seeds are fixed so the suite is exactly reproducible; a failing case
+//! replays standalone via the printed `harness chaos --seed <s>
+//! --cases 1`. The range is cut into slices that run side by side, each
+//! on a runner (and long-lived service) of its own: a schedule belongs
+//! to the thread that installed it.
 
-use xqr_harness::case_seed;
 use xqr_harness::chaos::ChaosRunner;
+use xqr_harness::run_cases;
 
 const MASTER_SEED: u64 = 0xC4405;
-const CASES: u64 = 220;
+const SLICE: u64 = 55;
 
-#[test]
-fn chaos_suite_holds_the_invariant_across_fixed_seeds() {
-    assert!(
-        xqr_faults::compiled_with_failpoints(),
-        "the chaos suite requires the failpoints feature (harness dev graph turns it on)"
-    );
-
-    // Injected panics are expected traffic: silence the default hook's
-    // backtraces while a schedule is armed. Assertion failures in this
-    // test run unarmed and still print normally.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if !xqr_faults::armed() {
-            default_hook(info);
-        }
-    }));
-
+/// Cases `from .. from + SLICE` of the master seed.
+fn slice(from: u64) {
+    xqr_faults::silence_injected_panics();
+    let seed = MASTER_SEED + from;
     let mut runner = ChaosRunner::new();
-    let mut fired = 0u64;
-    let mut survived = 0u64;
-    let mut coded = 0u64;
-    let mut violations = Vec::new();
+    let totals =
+        run_cases(seed, SLICE, false, |s| runner.run_case(s)).unwrap_or_else(|(i, case)| {
+            panic!(
+                "case {} (replay: harness chaos --seed {} --cases 1): {:#?}",
+                from + i,
+                seed + i,
+                case.violations
+            )
+        });
 
-    for i in 0..CASES {
-        let seed = case_seed(MASTER_SEED, i);
-        let case = runner.run_case(seed);
-        fired += case.fired;
-        coded += case
-            .legs
-            .iter()
-            .filter(|(_, e)| matches!(e, xqr_harness::chaos::LegEnd::Coded(_)))
-            .count() as u64;
-        if case.survived_injection() {
-            survived += 1;
-        }
-        for v in case.violations {
-            violations.push(format!(
-                "case {i} (replay: chaos --seed {} --cases 1) leg {}: {}",
-                MASTER_SEED.wrapping_add(i),
-                v.leg,
-                v.detail
-            ));
-        }
-    }
-
+    // The slice must not be a silent no-op: faults actually fired, some
+    // legs absorbed them and still answered correctly, some surfaced
+    // stable coded errors, and the service's ladder engaged somewhere.
+    assert!(totals.count("injections fired") > 0, "{totals:?}");
     assert!(
-        violations.is_empty(),
-        "{} invariant violations:\n{}",
-        violations.len(),
-        violations.join("\n")
+        totals.count("cases surviving injection") > 0,
+        "retry/degradation never engaged: {totals:?}"
     );
-
-    // The suite must not be a silent no-op: faults actually fired, some
-    // legs absorbed them and still answered correctly, and some legs
-    // surfaced stable coded errors.
-    assert!(fired > 0, "no injections fired across {CASES} cases");
-    assert!(
-        survived > 0,
-        "no case survived an injection with a correct answer — retry/degradation never engaged"
-    );
-    assert!(coded > 0, "no leg ever surfaced a coded error");
-
-    // Resilience machinery engaged somewhere across the run.
+    assert!(totals.count("legs coded-error") > 0, "{totals:?}");
     let stats = runner.service_stats();
     assert!(
         stats.retries + stats.index_build_failures + stats.failed > 0,
         "service never exercised retry or a fallback: {stats:?}"
     );
+}
+
+#[test]
+fn chaos_cases_0_to_54_hold_the_invariant() {
+    slice(0);
+}
+
+#[test]
+fn chaos_cases_55_to_109_hold_the_invariant() {
+    slice(SLICE);
+}
+
+#[test]
+fn chaos_cases_110_to_164_hold_the_invariant() {
+    slice(2 * SLICE);
+}
+
+#[test]
+fn chaos_cases_165_to_219_hold_the_invariant() {
+    slice(3 * SLICE);
 }

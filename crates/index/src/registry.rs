@@ -81,11 +81,11 @@ mod tests {
         let x = store.names().intern(&QName::local("x"));
         assert_eq!(old_index.element_labels(x).len(), 2);
 
-        // Remove and reload: the slot index is reused, generation bumped.
+        // Remove and reload: the slot index is reused, the id is not.
         assert!(store.remove_document(old_id));
         let new_id = store.load_xml("<new><y/></new>", Some("new.xml")).unwrap();
         assert_eq!(new_id.index(), old_id.index());
-        assert_ne!(new_id.generation(), old_id.generation());
+        assert_ne!(new_id.created(), old_id.created());
         let new_index = ensure_indexed(&store, new_id, &guard).unwrap().unwrap();
 
         // The stale id resolves no index, and attaching through it fails.

@@ -543,6 +543,54 @@ mod tests {
         check_all_counts("<a><b/></a>", "//a/b");
     }
 
+    /// The morsel submit is a thread hand-off: a schedule installed on
+    /// the thread that runs the join is consulted by every morsel,
+    /// including the ones pool workers ran — and stops it there.
+    #[test]
+    fn the_callers_fault_schedule_follows_its_morsels_onto_pool_workers() {
+        use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
+        let names = Arc::new(NamePool::new());
+        let doc = Document::parse("<r><a/><a/><a/><a/><a/><a/></r>", names.clone()).unwrap();
+        let twig = TwigPattern::parse("//a", &names).unwrap();
+        let lists: Vec<_> = lists_for(&doc, &twig).into_iter().map(Arc::new).collect();
+        let join = || {
+            let guard = QueryGuard::unlimited();
+            parallel_twig_stack(&twig, lists.clone(), &ParallelConfig::forced(3), &guard)
+        };
+        {
+            // A delay of no length: consulted and counted, nothing fails.
+            let _faults = xqr_faults::install(FaultSchedule::new(1).rule(FaultRule::new(
+                "parallel.morsel",
+                FaultKind::Delay(std::time::Duration::ZERO),
+            )));
+            // (Only a morsel pool saturated by other tests runs more
+            // than the caller's own morsel inline; ask again then.)
+            let mut joins = 0;
+            let reached_a_worker = (0..100).any(|_| {
+                let (tuples, run) = join().unwrap();
+                joins += 1;
+                assert_eq!((tuples.len(), run.morsels), (6, 3));
+                assert_eq!(xqr_faults::fires_at("parallel.morsel"), 3 * joins);
+                run.inline_morsels < 3 || {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    false
+                }
+            });
+            assert!(reached_a_worker, "no morsel ever ran on a pool worker");
+        }
+        {
+            // The third morsel to start fails the join, whichever thread
+            // it started on.
+            let _faults = xqr_faults::install(
+                FaultSchedule::new(1)
+                    .rule(FaultRule::new("parallel.morsel", FaultKind::ErrorReturn).skip_first(2)),
+            );
+            assert_eq!(join().unwrap_err().code, ErrorCode::Unavailable);
+        }
+        // Un-armed again, the pool's workers kept nothing.
+        assert_eq!(join().unwrap().0.len(), 6);
+    }
+
     #[test]
     fn default_config_refuses_small_inputs() {
         let cfg = ParallelConfig::default();

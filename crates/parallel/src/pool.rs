@@ -70,6 +70,9 @@ struct Queued {
     /// Runs instead of `job` when the deadline passed in the queue;
     /// delivers the timeout to whoever is waiting on the result.
     expire: Option<Box<dyn FnOnce() + Send + 'static>>,
+    /// The submitter's fault schedule: the worker runs the job, `expire`
+    /// and the publish closure under it (zero-sized without failpoints).
+    faults: xqr_faults::FaultScope,
 }
 
 struct PoolState {
@@ -201,6 +204,7 @@ impl WorkerPool {
             enqueued: Instant::now(),
             deadline,
             expire,
+            faults: xqr_faults::current(),
         });
         self.shared.admitted.fetch_add(1, Ordering::Relaxed);
         drop(state);
@@ -296,6 +300,7 @@ fn worker_loop(shared: Arc<Shared>) {
         for entry in expired {
             shared.queue_wait.record(entry.enqueued.elapsed());
             shared.dropped_expired.fetch_add(1, Ordering::Relaxed);
+            let _faults = entry.faults.enter();
             if let Some(expire) = entry.expire {
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(expire));
             }
@@ -307,6 +312,7 @@ fn worker_loop(shared: Arc<Shared>) {
             continue;
         };
         shared.queue_wait.record(entry.enqueued.elapsed());
+        let _faults = entry.faults.enter();
         // Jobs are expected to contain their own panics (the engine's
         // execute path does); a panic here would poison nothing but this
         // worker, and the catch keeps the pool at full strength anyway.
@@ -500,6 +506,46 @@ mod tests {
         assert_eq!(s.dropped_expired, 1);
         assert_eq!(s.completed, 1, "only the blocker executed");
         assert!(pool.queue_wait().count() >= 2, "both dequeues recorded");
+    }
+
+    /// All three closures of a governed job run under the schedule of
+    /// the thread that submitted it; the worker keeps none of it.
+    #[test]
+    fn job_expire_and_publish_run_under_the_submitters_fault_schedule() {
+        use xqr_faults::{armed, FaultRule, FaultSchedule};
+        let pool = WorkerPool::new(1, 4);
+        let (tx, rx) = mpsc::channel::<(&'static str, bool)>();
+        let report = |what| {
+            let tx = tx.clone();
+            move || tx.send((what, armed())).unwrap()
+        };
+        let past = Some(Instant::now() - Duration::from_millis(1));
+        {
+            let _faults = xqr_faults::install(
+                FaultSchedule::new(1).rule(FaultRule::new("nowhere", xqr_faults::FaultKind::Panic)),
+            );
+            let (job, publish) = (report("job"), report("publish"));
+            pool.submit_with_publish(move || {
+                job();
+                Some(Box::new(publish))
+            })
+            .unwrap();
+            pool.submit_governed(past, Some(Box::new(report("expire"))), || None)
+                .unwrap();
+        }
+        pool.submit(report("un-armed job")).unwrap();
+        let seen: Vec<_> = (0..4)
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap())
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                ("job", true),
+                ("publish", true),
+                ("expire", true),
+                ("un-armed job", false)
+            ]
+        );
     }
 
     /// Satellite invariant: once the queue drains (and absent shutdown,

@@ -577,6 +577,18 @@ mod tests {
     }
 
     #[test]
+    fn injected_fault_at_pressure_charge_is_a_coded_error() {
+        use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
+        let l = bounded(1000);
+        let _g = xqr_faults::install(
+            FaultSchedule::new(7).rule(FaultRule::new("pressure.charge", FaultKind::ErrorReturn)),
+        );
+        let err = l.try_charge(Category::ChunkSessions, 10).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Unavailable);
+        assert_eq!(l.total(), 0, "failed charge charged nothing");
+    }
+
+    #[test]
     fn unbounded_ledger_never_refuses_and_stays_green() {
         let l = MemoryLedger::unbounded();
         l.try_charge(Category::Subscriptions, u64::MAX / 2).unwrap();

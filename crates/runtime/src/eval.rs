@@ -158,10 +158,6 @@ pub struct RuntimeOptions {
     /// nothing. Participates in `Debug` (and therefore in the engine's
     /// options fingerprint — plan caches key on it).
     pub parallel: xqr_parallel::ParallelConfig,
-    /// Test-only fault injection: panic at `eval_module` entry so the
-    /// engine's panic-containment boundary can be exercised. Never set
-    /// outside tests.
-    pub debug_inject_panic: bool,
 }
 
 impl Default for RuntimeOptions {
@@ -171,7 +167,6 @@ impl Default for RuntimeOptions {
             max_call_depth: 64,
             limits: Limits::unlimited(),
             parallel: xqr_parallel::ParallelConfig::default(),
-            debug_inject_panic: false,
         }
     }
 }
@@ -242,9 +237,6 @@ impl<'m> Evaluator<'m> {
 
     /// Evaluate the module body (globals first).
     pub fn eval_module(&self, st: &mut ExecState) -> Result<Sequence> {
-        if self.options.debug_inject_panic {
-            panic!("debug_inject_panic: deliberate internal fault");
-        }
         st.frame.ensure(self.module.var_count);
         for (name, var, value) in &self.module.globals {
             let seq = match value {

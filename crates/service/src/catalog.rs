@@ -925,6 +925,63 @@ mod tests {
         assert_eq!(stats.docs, 1, "the document itself is still live");
     }
 
+    /// The unindexed-load rung of the ladder: an index build that fails
+    /// leaves the document resident and unindexed — for a catalog entry
+    /// and for a publish's transient copy alike — and navigation gives
+    /// the indexed answers.
+    #[test]
+    fn failing_index_builds_serve_put_and_transient_loads_unindexed() {
+        use xqr_core::{DynamicContext, Engine, Item, NodeId, NodeRef};
+        use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
+        let xml = "<bib><book><author/><title>a</title></book><book><title>b</title></book></bib>";
+        let run = |fail_builds: bool| {
+            let engine = Engine::new();
+            let catalog = DocumentCatalog::open(
+                engine.store().clone(),
+                None,
+                Some(Limits::unlimited()),
+                None,
+                Arc::new(MemoryLedger::unbounded()),
+            )
+            .unwrap();
+            let (entry, transient) = {
+                let _guard = fail_builds.then(|| {
+                    xqr_faults::install(
+                        FaultSchedule::new(3)
+                            .rule(FaultRule::new("index.build", FaultKind::ErrorReturn)),
+                    )
+                });
+                (
+                    catalog.put("bib.xml", xml).unwrap(),
+                    catalog.load_transient_indexed(xml).unwrap(),
+                )
+            };
+            let indexed =
+                [entry, transient].map(|id| xqr_index::index_of(engine.store(), id).is_some());
+            let mut ctx = DynamicContext::new();
+            ctx.context_item = Some(Item::Node(NodeRef::new(transient, NodeId(0))));
+            let answers = [
+                engine.query(r#"doc("bib.xml")//book[author]/title"#),
+                engine.query(r#"count(doc("bib.xml")//title)"#),
+                engine
+                    .compile("//book[author]/title")
+                    .and_then(|q| q.execute(&engine, &ctx)?.serialize_guarded()),
+            ]
+            .map(|a| a.unwrap());
+            (indexed, answers, catalog.stats())
+        };
+
+        let (indexed, expected, stats) = run(false);
+        assert_eq!(indexed, [true, true]);
+        assert_eq!((stats.index_builds, stats.index_build_failures), (2, 0));
+
+        let (indexed, answers, stats) = run(true);
+        assert_eq!(indexed, [false, false], "both stay unindexed");
+        assert_eq!((stats.index_builds, stats.index_build_failures), (0, 2));
+        assert_eq!(stats.docs, 1, "the entry is live");
+        assert_eq!(answers, expected, "navigation answers byte-identically");
+    }
+
     #[test]
     fn evicted_documents_vanish_from_doc_function() {
         use xqr_core::Engine;

@@ -2,8 +2,8 @@
 //! states driving the brownout ladder through the service facade, Red
 //! admission sheds with stable coded errors, deadline-aware queue drops,
 //! and the `dropped_expired + completed == admitted` accounting
-//! invariant at the service level. The open-loop overload harness
-//! (`xqr-harness --bin overload`) sweeps the same ground at 10×
+//! invariant at the service level. The open-loop overload leg
+//! (`harness overload`) sweeps the same ground at 10×
 //! capacity; these tests pin the individual contracts.
 
 use std::time::Duration;

@@ -1,14 +1,14 @@
 //! Catalog recovery integration tests: crash-safety, quarantine through
 //! the query path, byte accounting for quarantined segments, and
 //! manifest replay edge cases observed at the catalog level. The
-//! kill-and-recover harness (`xqr-harness --bin recover`) sweeps the
+//! kill-and-recover harness (`harness recover`) sweeps the
 //! same ground with seeded schedules; these tests pin the individual
-//! contracts. Nothing here arms a failpoint — `xqr_faults::install` arms
-//! the whole process, so the tests that do live in `tests/faults.rs`.
+//! contracts.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
 use xqr_pressure::MemoryLedger;
 use xqr_segment::{segment_bytes, write_segment_file, Manifest, ManifestRecord};
 use xqr_service::{DocumentCatalog, QueryService, ServiceConfig};
@@ -208,4 +208,35 @@ fn eviction_demotes_to_disk_and_queries_reload_transparently() {
     }
     assert!(catalog.stats().segments_recovered >= 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn crash_at_each_persist_site_reopens_cleanly() {
+    for site in [
+        "segment.write",
+        "segment.fsync",
+        "segment.rename",
+        "manifest.append",
+    ] {
+        let dir = scratch(&format!("crash-{}", site.replace('.', "-")));
+        let acked;
+        {
+            let service = QueryService::open(config(&dir)).unwrap();
+            let _guard = xqr_faults::install(
+                FaultSchedule::new(7).rule(FaultRule::new(site, FaultKind::ErrorReturn).one_in(1)),
+            );
+            acked = service.load_document("a.xml", "<a/>").is_ok();
+        }
+        assert!(!acked, "{site}: injected persist fault must fail the load");
+
+        // Whatever the crash left behind, reopening is clean and the
+        // unacknowledged document is absent — not partial, not stale.
+        let service = QueryService::open(config(&dir)).unwrap();
+        let err = service.run(r#"doc("a.xml")"#).unwrap_err();
+        assert_eq!(err.code, ErrorCode::DocumentNotFound, "{site}: {err}");
+        // The directory still works for new loads.
+        service.load_document("b.xml", "<b/>").unwrap();
+        assert_eq!(service.run(r#"count(doc("b.xml"))"#).unwrap(), "1");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -16,20 +16,35 @@ use xqr_xdm::{Error, NameId, NamePool, NodeKind, QName, Result};
 
 /// Identifies a document within a [`crate::store::Store`].
 ///
-/// Ids are *generation-checked*: the store reuses the slot of a removed
-/// document (see `Store::remove_document`) but bumps the slot's
-/// generation, so a stale `DocId` held across a removal can never
-/// silently resolve to the wrong document — it fails the generation
-/// check instead.
+/// An id is the slot the document occupies plus the store-wide sequence
+/// number it was created under. The sequence number does two jobs. It
+/// is the *generation check*: the store reuses the slot of a removed
+/// document (see `Store::remove_document`), and a stale `DocId` held
+/// across the removal fails the comparison with the slot's current
+/// occupant instead of silently resolving to the wrong document. And it
+/// is the *order*: ids compare by creation, never by slot, so the data
+/// model's cross-document order is "older document first" for the life
+/// of the store — a node constructed by a query always follows the
+/// input documents it is unioned with, whichever freed slots the two
+/// landed in.
+///
+/// The 64-bit sequence is held as two `u32` halves, high first, so the
+/// derived field-order comparison is the numeric one while the id stays
+/// 4-aligned (a [`crate::store::NodeRef`] is 16 bytes, not 24).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId {
-    pub(crate) index: u32,
-    pub(crate) generation: u32,
+    created_hi: u32,
+    created_lo: u32,
+    index: u32,
 }
 
 impl DocId {
-    pub(crate) fn new(index: u32, generation: u32) -> Self {
-        DocId { index, generation }
+    pub(crate) fn new(index: u32, created: u64) -> Self {
+        DocId {
+            created_hi: (created >> 32) as u32,
+            created_lo: created as u32,
+            index,
+        }
     }
 
     /// The slot index within the store (stable while the document lives).
@@ -37,9 +52,10 @@ impl DocId {
         self.index
     }
 
-    /// The slot generation this id was minted under.
-    pub fn generation(&self) -> u32 {
-        self.generation
+    /// The store-wide creation sequence number: unique per document,
+    /// increasing in load order, and what ids are ordered by.
+    pub fn created(&self) -> u64 {
+        (self.created_hi as u64) << 32 | self.created_lo as u64
     }
 }
 

@@ -26,11 +26,12 @@ impl NodeRef {
     }
 }
 
-/// One document slot. Slots are reused after removal; the generation
-/// counter is bumped on every removal so stale [`DocId`]s fail their
-/// generation check instead of resolving to an unrelated document.
+/// One document slot. Slots are reused after removal; each occupant
+/// carries the creation sequence number it was added under, so stale
+/// [`DocId`]s fail their generation check instead of resolving to an
+/// unrelated document.
 struct Slot {
-    generation: u32,
+    created: u64,
     doc: Option<Arc<Document>>,
     /// Generation-checked side attachment (e.g. a structural index built
     /// by `xqr-index`). Cleared whenever the document leaves the slot, so
@@ -47,6 +48,8 @@ struct StoreInner {
     by_uri: HashMap<String, DocId>,
     /// Sum of `Document::memory_bytes` over live documents.
     live_bytes: u64,
+    /// Documents ever added: the next [`DocId::created`] to hand out.
+    created: u64,
 }
 
 /// A URI-miss hook: given a URI the store has no live document for,
@@ -118,27 +121,29 @@ impl Store {
     }
 
     /// Register a document, returning its id. Slots of previously removed
-    /// documents are reused (with a fresh generation).
+    /// documents are reused; the id's creation number is fresh either
+    /// way, so ids order by when they were added, not where they landed.
     pub fn add_document(&self, doc: Arc<Document>) -> DocId {
         let mut inner = self.write();
         inner.live_bytes += doc.memory_bytes() as u64;
-        let id = match inner.free.pop() {
+        let created = inner.created;
+        inner.created += 1;
+        let slot = Slot {
+            created,
+            doc: Some(doc.clone()),
+            aux: None,
+        };
+        let index = match inner.free.pop() {
             Some(index) => {
-                let slot = &mut inner.slots[index as usize];
-                slot.doc = Some(doc.clone());
-                slot.aux = None;
-                DocId::new(index, slot.generation)
+                inner.slots[index as usize] = slot;
+                index
             }
             None => {
-                let index = inner.slots.len() as u32;
-                inner.slots.push(Slot {
-                    generation: 0,
-                    doc: Some(doc.clone()),
-                    aux: None,
-                });
-                DocId::new(index, 0)
+                inner.slots.push(slot);
+                inner.slots.len() as u32 - 1
             }
         };
+        let id = DocId::new(index, created);
         if let Some(uri) = &doc.uri {
             inner.by_uri.insert(uri.clone(), id);
         }
@@ -160,12 +165,11 @@ impl Store {
         let Some(slot) = inner.slots.get_mut(id.index() as usize) else {
             return false;
         };
-        if slot.generation != id.generation() || slot.doc.is_none() {
+        if slot.created != id.created() || slot.doc.is_none() {
             return false;
         }
         let doc = slot.doc.take().expect("checked live above");
         slot.aux = None;
-        slot.generation = slot.generation.wrapping_add(1);
         inner.free.push(id.index());
         inner.live_bytes = inner.live_bytes.saturating_sub(doc.memory_bytes() as u64);
         if let Some(uri) = &doc.uri {
@@ -257,7 +261,7 @@ impl Store {
     pub fn try_document(&self, id: DocId) -> Option<Arc<Document>> {
         let inner = self.read();
         let slot = inner.slots.get(id.index() as usize)?;
-        if slot.generation != id.generation() {
+        if slot.created != id.created() {
             return None;
         }
         slot.doc.clone()
@@ -272,7 +276,7 @@ impl Store {
         let Some(slot) = inner.slots.get_mut(id.index() as usize) else {
             return false;
         };
-        if slot.generation != id.generation() || slot.doc.is_none() {
+        if slot.created != id.created() || slot.doc.is_none() {
             return false;
         }
         slot.aux = Some(aux);
@@ -284,7 +288,7 @@ impl Store {
     pub fn aux(&self, id: DocId) -> Option<Arc<dyn Any + Send + Sync>> {
         let inner = self.read();
         let slot = inner.slots.get(id.index() as usize)?;
-        if slot.generation != id.generation() {
+        if slot.created != id.created() {
             return None;
         }
         slot.aux.clone()
@@ -394,10 +398,11 @@ mod tests {
         assert!(!store.remove_document(id));
         assert!(store.try_document(id).is_none());
 
-        // The freed slot is reused with a bumped generation.
+        // The freed slot is reused under a later creation number, so
+        // the new occupant orders after the old one despite the slot.
         let id2 = store.load_xml("<d/>", None).unwrap();
         assert_eq!(id2.index(), id.index());
-        assert_ne!(id2.generation(), id.generation());
+        assert!(id2.created() > id.created() && id2 > id);
         assert!(store.try_document(id).is_none());
         assert!(store.try_document(id2).is_some());
     }

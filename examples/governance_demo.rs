@@ -3,6 +3,7 @@
 
 use std::time::{Duration, Instant};
 use xqr::{DynamicContext, Engine, EngineOptions, Limits, QueryGuard, RuntimeOptions};
+use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
 
 fn main() {
     // 1. Deadline: the acceptance query under a 100 ms budget.
@@ -39,14 +40,17 @@ fn main() {
     println!("cancel:   err:{}", err.code.as_str());
 
     // 3. Panic containment: the process keeps going.
-    let engine = Engine::with_options(EngineOptions {
-        runtime: RuntimeOptions {
-            debug_inject_panic: true,
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    let err = engine.query("1").unwrap_err();
+    // (examples build with the dev-dependency graph, which compiles the
+    // failpoints in; the schedule is scoped to this thread and the
+    // evaluation thread the engine hands the query to.)
+    xqr_faults::silence_injected_panics();
+    let engine = Engine::new();
+    let err = {
+        let _faults = xqr_faults::install(
+            FaultSchedule::new(1).rule(FaultRule::new("eval.next", FaultKind::Panic)),
+        );
+        engine.query("1").unwrap_err()
+    };
     println!("panic:    err:{} (process still alive)", err.code.as_str());
     println!("after:    {}", Engine::new().query("6 * 7").unwrap());
 }

@@ -160,16 +160,18 @@ fn token_budget_applies_to_streaming_execution() {
 
 #[test]
 fn panic_on_eval_thread_is_contained() {
-    let engine = Engine::with_options(EngineOptions {
-        runtime: RuntimeOptions {
-            debug_inject_panic: true,
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    let err = engine.query("1 + 1").unwrap_err();
+    use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
+    let engine = Engine::new();
+    let err = {
+        let _faults = xqr_faults::install(
+            FaultSchedule::new(1).rule(FaultRule::new("eval.next", FaultKind::Panic)),
+        );
+        engine.query("1 + 1").unwrap_err()
+    };
     assert_eq!(err.code, ErrorCode::Internal);
     assert_eq!(err.code.as_str(), "XQRL0000");
+    // The same engine answers once the schedule is gone.
+    assert_eq!(engine.query("1 + 1").unwrap(), "2");
     // The process is intact: a fresh engine still evaluates.
     assert_eq!(Engine::new().query("6 * 7").unwrap(), "42");
 }

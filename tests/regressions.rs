@@ -240,3 +240,42 @@ fn morsel_split_of_a_single_node_document() {
         Engine::with_options(EngineOptions::default().with_parallel(ParallelConfig::forced(4)));
     assert_eq!(engine.query_xml("<a/>", "count(//a)").unwrap(), "1");
 }
+
+/// From `fuzz --seed 7` (case 1021) and `chaos --seed 99 --cases 1000`
+/// (case 929), which only diverged on the long-lived service store:
+/// document ids used to order by *slot index*, and slots are reused, so
+/// once earlier documents had come and gone a node constructed by the
+/// query could land in a lower slot than the input document and sort
+/// before it in a union. Ids order by creation now: the input, loaded
+/// first, comes first — whatever the slot history.
+#[test]
+fn constructed_nodes_follow_the_input_document_on_a_reused_store() {
+    let engine = Engine::new();
+    let store = engine.store();
+    // Two documents come and go; the free list hands their slots back
+    // highest first, so the input lands above the next free slot.
+    let a = store.load_xml("<gone/>", None).unwrap();
+    let b = store.load_xml("<gone/>", None).unwrap();
+    assert!(store.remove_document(a) && store.remove_document(b));
+    let input = store.load_xml("<in/>", Some("in.xml")).unwrap();
+    let query = r#"doc("in.xml")/in | <made/>"#;
+    let prepared = engine.compile(query).unwrap();
+    let result = prepared.execute(&engine, &Default::default()).unwrap();
+    let made = result
+        .items
+        .iter()
+        .find_map(|item| match item {
+            xqr::Item::Node(n) if n.doc != input => Some(n.doc),
+            _ => None,
+        })
+        .expect("the union holds a constructed node");
+    assert!(
+        made.index() < input.index(),
+        "the scenario needs the constructed document in the lower slot"
+    );
+    assert_eq!(result.serialize_guarded().unwrap(), "<in/><made/>");
+    // And on a fresh store, where slot order and creation order agree.
+    let fresh = Engine::new();
+    fresh.store().load_xml("<in/>", Some("in.xml")).unwrap();
+    assert_eq!(fresh.query(query).unwrap(), "<in/><made/>");
+}
