@@ -5,14 +5,14 @@ use crate::explain::explain;
 use std::sync::Arc;
 use xqr_compiler::{compile, CompileOptions, CompiledQuery};
 use xqr_runtime::{
-    pull, serialize_sequence, CombinedAutomaton, CombinedRun, Counters, DynamicContext, Evaluator,
-    ExecState, Item, ParallelConfig, RuntimeOptions, ScanCache, Sequence, StreamPattern,
+    evaluate, pull, serialize_sequence, CombinedAutomaton, CombinedRun, Counters, DynamicContext,
+    ExecState, Item, ParallelConfig, Reply, RuntimeOptions, ScanCache, Sequence, StreamPattern,
     StreamStats,
 };
 use xqr_store::{DocId, NodeRef, Store};
 use xqr_tokenstream::ParserTokenIterator;
 use xqr_xdm::{Error, NamePool, QName, QueryGuard, Result};
-use xqr_xmlparse;
+use xqr_xmlparse::{WriterOptions, XmlWriter};
 
 /// Render a panic payload (the engine's fault-containment boundary turns
 /// panics into `err:XQRL0000` instead of aborting the embedder).
@@ -204,20 +204,14 @@ impl Engine {
         let doc = self.store.load_xml(xml, None)?;
         let mut ctx = DynamicContext::new();
         ctx.context_item = Some(Item::Node(NodeRef::new(doc, xqr_store::NodeId(0))));
-        // Serialize before removing: result items may reference nodes of
-        // the input document.
-        let out = prepared
-            .execute(self, &ctx)
-            .and_then(|result| result.serialize_guarded());
+        let out = prepared.serialize(self, &ctx);
         self.store.remove_document(doc);
         out
     }
 
     /// One-shot convenience without input.
     pub fn query(&self, query: &str) -> Result<String> {
-        let prepared = self.compile(query)?;
-        let result = prepared.execute(self, &DynamicContext::new())?;
-        result.serialize_guarded()
+        self.compile(query)?.serialize(self, &DynamicContext::new())
     }
 
     /// [`Engine::compile`] wrapped in an [`Arc`], the form plan caches
@@ -253,8 +247,8 @@ impl Engine {
                 let prepared = self.compile(query)?;
                 let guard = QueryGuard::new(prepared.runtime.limits);
                 prepared
-                    .execute_shared_scans(self, &ctx, guard, cache.clone())
-                    .and_then(|result| result.serialize_guarded())
+                    .execute_serialized(self, &ctx, guard, Some(cache.clone()))
+                    .map(|(out, _)| out)
             })
             .collect();
         self.store.remove_document(doc);
@@ -407,66 +401,86 @@ impl PreparedQuery {
         ctx: &DynamicContext,
         guard: QueryGuard,
     ) -> Result<QueryResult> {
-        self.execute_inner(engine, ctx, guard, None)
+        let result_guard = guard.clone();
+        let (items, counters) = self.on_eval_thread(engine, guard, None, |st| {
+            let mut items = Sequence::new();
+            let mut counters = evaluate(&self.compiled, ctx, self.runtime.clone(), st, &mut items)?;
+            // On success the constructed-document ledger transfers to
+            // the result (freed when it drops); on error or panic,
+            // `ExecState::drop` frees it.
+            counters.constructed_docs = st.take_constructed_docs();
+            Ok((items, counters))
+        })?;
+        Ok(QueryResult {
+            items,
+            store: engine.store.clone(),
+            counters,
+            guard: result_guard,
+        })
     }
 
-    /// [`PreparedQuery::execute_guarded`] with a batch-scoped scan cache
-    /// installed: inverted-list scans this execution builds are shared
-    /// with (and reused from) every other query holding the same cache.
-    /// The batch APIs ([`Engine::query_batch`], the service's
-    /// `run_batch`) call this; standalone executions skip the cache
-    /// entirely.
-    pub fn execute_shared_scans(
-        &self,
-        engine: &Engine,
-        ctx: &DynamicContext,
-        guard: QueryGuard,
-        scans: Arc<ScanCache>,
-    ) -> Result<QueryResult> {
-        self.execute_inner(engine, ctx, guard, Some(scans))
-    }
-
-    fn execute_inner(
+    /// Execute and serialize in one pass, on the evaluation thread: each
+    /// top-level item is written into the reply as the evaluator
+    /// produces it and charged to the guard's output budget there and
+    /// then, and a constructor in result position writes its node
+    /// straight into the reply instead of minting a store document (see
+    /// [`Reply`]). The bytes are those [`QueryResult::serialize_guarded`]
+    /// returns for the same query, or the same error code; every service
+    /// path that answers with a string runs this. `scans` installs a
+    /// batch-scoped scan cache: inverted-list scans this execution
+    /// builds are shared with (and reused from) every other query
+    /// holding the same cache — the batch APIs ([`Engine::query_batch`],
+    /// the service's `run_batch`) pass one.
+    pub fn execute_serialized(
         &self,
         engine: &Engine,
         ctx: &DynamicContext,
         guard: QueryGuard,
         scans: Option<Arc<ScanCache>>,
-    ) -> Result<QueryResult> {
+    ) -> Result<(String, Counters)> {
+        self.on_eval_thread(engine, guard, scans, |st| {
+            let mut reply = Reply::new();
+            let counters = evaluate(&self.compiled, ctx, self.runtime.clone(), st, &mut reply)?;
+            Ok((reply.into_string(), counters))
+        })
+    }
+
+    /// [`PreparedQuery::execute_serialized`] under this plan's limits.
+    fn serialize(&self, engine: &Engine, ctx: &DynamicContext) -> Result<String> {
+        let guard = QueryGuard::new(self.runtime.limits);
+        self.execute_serialized(engine, ctx, guard, None)
+            .map(|(out, _)| out)
+    }
+
+    /// Run `body` over a fresh execution state on a dedicated evaluation
+    /// thread with a roomy stack; a panic there surfaces as
+    /// `err:XQRL0000`. Documents the state still holds when `body`
+    /// returns are freed with it.
+    fn on_eval_thread<T: Send>(
+        &self,
+        engine: &Engine,
+        guard: QueryGuard,
+        scans: Option<Arc<ScanCache>>,
+        body: impl FnOnce(&mut ExecState) -> Result<T> + Send,
+    ) -> Result<T> {
         // A guard that expired (or was cancelled) while the query waited
         // in a run queue must fail here, deterministically — the charge
         // stride never polls the clock on a query this cheap.
         guard.check_startup()?;
         let store = engine.store.clone();
-        let compiled = &self.compiled;
-        let runtime = self.runtime.clone();
+        let var_count = self.compiled.module.var_count;
         let faults = xqr_faults::current();
         std::thread::scope(|scope| {
             let handle = std::thread::Builder::new()
                 .name("xqr-eval".into())
                 .stack_size(EVAL_STACK_BYTES)
-                .spawn_scoped(scope, move || -> Result<QueryResult> {
+                .spawn_scoped(scope, move || -> Result<T> {
                     let _faults = faults.enter();
-                    let ev = Evaluator::new(&compiled.module, ctx).with_options(runtime);
-                    let mut st =
-                        ExecState::with_guard(store.clone(), compiled.module.var_count, guard);
+                    let mut st = ExecState::with_guard(store, var_count, guard);
                     if let Some(cache) = scans {
                         st = st.with_scan_cache(cache);
                     }
-                    let items = ev.eval_module(&mut st);
-                    ev.counters.record_guard_usage(&st.guard.usage());
-                    // On success the constructed-document ledger
-                    // transfers to the result (freed when it drops); on
-                    // error or panic, `ExecState::drop` frees it.
-                    let items = items?;
-                    let mut counters = ev.counters;
-                    counters.constructed_docs = st.take_constructed_docs();
-                    Ok(QueryResult {
-                        items,
-                        store,
-                        counters,
-                        guard: st.guard.clone(),
-                    })
+                    body(&mut st)
                 })
                 .map_err(|e| Error::internal(format!("failed to spawn eval thread: {e}")))?;
             match handle.join() {
@@ -554,9 +568,10 @@ impl QueryResult {
             .collect()
     }
 
-    /// Serialize with pretty-printed (indented) node items.
+    /// Serialize with pretty-printed (indented) node items, charging the
+    /// output-byte budget as [`QueryResult::serialize_guarded`] does.
     pub fn serialize_pretty(&self) -> Result<String> {
-        let opts = xqr_xmlparse::WriterOptions {
+        let opts = WriterOptions {
             indent: Some("  ".into()),
             declaration: false,
         };
@@ -575,12 +590,14 @@ impl QueryResult {
                     if !out.is_empty() {
                         out.push('\n');
                     }
-                    let doc = self.store.doc_of(*n);
-                    out.push_str(&doc.serialize_node_opts(n.node, opts.clone())?);
+                    let mut w = XmlWriter::new(opts.clone());
+                    self.store.doc_of(*n).write_subtree(n.node, &mut w);
+                    out.push_str(w.as_str());
                     prev_atomic = false;
                 }
             }
         }
+        self.guard.note_output_bytes(out.len() as u64)?;
         Ok(out)
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! The public API of the `xqr` XML query processor: create an [`Engine`],
 //! load documents, [`Engine::compile`] queries into [`PreparedQuery`]s,
-//! and execute them materialized ([`PreparedQuery::execute`]) or in
-//! token-streaming mode ([`PreparedQuery::execute_streaming`]) when the
-//! query shape allows — the architecture of the talk's XQRL/BEA engine.
+//! and execute them serialized as they run
+//! ([`PreparedQuery::execute_serialized`], what every string-returning
+//! path uses), materialized into items ([`PreparedQuery::execute`]), or
+//! in token-streaming mode ([`PreparedQuery::execute_streaming`]) when
+//! the query shape allows — the architecture of the talk's XQRL/BEA
+//! engine.
 //!
 //! ```
 //! use xqr_core::Engine;

@@ -20,7 +20,7 @@ use xqr_compiler::{CompileOptions, RewriteConfig, RewriteStats};
 use xqr_core::{Engine, EngineOptions, Item, NodeId, NodeRef};
 use xqr_runtime::{DynamicContext, RuntimeOptions};
 use xqr_service::{QueryService, ServiceConfig};
-use xqr_xdm::{ErrorCode, Limits};
+use xqr_xdm::{ErrorCode, Limits, QueryGuard};
 use xqr_xmlgen::random_tree;
 
 /// Budgets applied to every leg of every case. Generous enough that a
@@ -204,7 +204,10 @@ impl Oracle {
             let prepared = opt_engine.compile(query)?;
             *rewrite_stats = prepared.compiled().stats.clone();
             let ctx = xqr_core::context_with_doc(&opt_engine, "fuzz.xml", xml)?;
-            prepared.execute(&opt_engine, &ctx)?.serialize_guarded()
+            let guard = QueryGuard::new(opt_engine.options().runtime.limits);
+            prepared
+                .execute_serialized(&opt_engine, &ctx, guard, None)
+                .map(|(out, _)| out)
         })());
         compare("optimized", reference, &optimized)?;
 

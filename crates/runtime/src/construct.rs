@@ -1,397 +1,365 @@
 //! Node construction — the side-effecting operation of XQuery.
 //!
-//! Every constructor evaluation creates a fresh document in the store,
-//! giving constructed nodes new identities; enclosed node items are
-//! deep-copied ("XML does not allow cut and paste", as the talk's LET-
-//! folding slide puts it). Content assembly follows the spec: attribute
-//! items must precede everything else, adjacent atomic values join with
-//! a single space into one text node.
+//! A constructor writes its node into a tree target, and *which* target
+//! decides whether the node gets an identity. Handed the reply
+//! ([`crate::Reply`]) or an enclosing constructor's content
+//! ([`Content`]), it writes its tags, attributes and content straight
+//! into that writer and never exists as a node of its own: nothing can
+//! bind, navigate or compare it. Anywhere else — a variable binding, a
+//! path or ddo input, a function argument, a comparison operand, an
+//! `order by` tuple — it mints a fresh store document, giving the node
+//! the new identity those consumers can observe ("XML does not allow cut
+//! and paste", as the talk's LET-folding slide puts it). The paper's
+//! on-demand node identity is exactly this: identity is built only where
+//! something will look at it.
+//!
+//! Content assembly follows the spec in one place, [`Content`], whatever
+//! the target: attribute items must precede everything else and may not
+//! repeat a name, adjacent atomic values join with a single space into
+//! one text node, and enclosed nodes are deep-copied with
+//! [`xqr_store::Document::write_subtree`].
 
-use crate::value::Item;
-use std::sync::Arc;
-use xqr_store::{Document, DocumentBuilder, NodeId, NodeRef, Store};
+use crate::env::ExecState;
+use crate::eval::{Evaluator, Flow, Sink};
+use crate::value::{atomize, Item};
+use xqr_compiler::Core;
+use xqr_store::{DocumentBuilder, NodeId, NodeRef};
 use xqr_xdm::{Error, ErrorCode, NodeKind, QName, Result};
+use xqr_xmlparse::TreeWriter;
 
-/// Build a new element; returns the element node.
-pub fn build_element(
-    store: &Arc<Store>,
-    name: &QName,
-    namespaces: &[(Option<String>, String)],
-    content: &[Item],
-) -> Result<NodeRef> {
-    let mut b = DocumentBuilder::new(store.names().clone());
-    b.start_document();
-    write_element(&mut b, store, name, namespaces, content)?;
-    b.end();
-    let doc = b.finish()?;
-    let id = store.add_document(doc);
-    Ok(NodeRef::new(id, NodeId(1)))
+/// A sink that takes constructed nodes as tree writes instead of as
+/// items (see [`Sink::tree`]).
+pub trait NodeTarget {
+    /// Admit one node of `kind` — an attribute named `attr` — under this
+    /// target's content rules, and hand back the writer it goes into.
+    fn open(&mut self, kind: NodeKind, attr: Option<&QName>) -> Result<&mut dyn TreeWriter>;
+    /// The node opened last is complete.
+    fn close(&mut self, st: &mut ExecState) -> Result<()>;
 }
 
-/// Build a standalone attribute node.
-pub fn build_attribute(store: &Arc<Store>, name: &QName, value: &str) -> Result<NodeRef> {
-    if name.local_name() == "xmlns" {
-        return Err(Error::new(
-            ErrorCode::InvalidConstructor,
-            "cannot construct an attribute named xmlns",
-        ));
-    }
-    let mut b = DocumentBuilder::new(store.names().clone());
-    b.start_document();
-    b.attribute(name, value);
-    b.end();
-    let doc = b.finish()?;
-    let id = store.add_document(doc);
-    Ok(NodeRef::new(id, NodeId(1)))
+/// Element or document content assembled item by item into a tree
+/// writer: the [`Sink`] an element or document constructor evaluates its
+/// content into, and the [`NodeTarget`] nested constructors write into.
+pub(crate) struct Content<'w> {
+    out: &'w mut dyn TreeWriter,
+    /// Still in the leading-attribute phase (element content only).
+    attributes_open: bool,
+    /// Attribute names written so far, for the duplicate check.
+    seen: Vec<QName>,
+    /// Adjacent atomic values not yet written, joined by spaces.
+    atoms: Option<String>,
 }
 
-/// Build a text node. Empty content yields `None` (the constructor's
-/// result is the empty sequence).
-pub fn build_text(store: &Arc<Store>, content: &str) -> Result<NodeRef> {
-    let mut b = DocumentBuilder::new(store.names().clone());
-    b.start_document();
-    b.text(content);
-    b.end();
-    let doc = b.finish()?;
-    let id = store.add_document(doc);
-    Ok(NodeRef::new(id, NodeId(1)))
-}
-
-pub fn build_comment(store: &Arc<Store>, content: &str) -> Result<NodeRef> {
-    if content.contains("--") || content.ends_with('-') {
-        return Err(Error::new(
-            ErrorCode::InvalidConstructor,
-            "comment content must not contain '--' or end with '-'",
-        ));
-    }
-    let mut b = DocumentBuilder::new(store.names().clone());
-    b.start_document();
-    b.comment(content);
-    b.end();
-    let doc = b.finish()?;
-    let id = store.add_document(doc);
-    Ok(NodeRef::new(id, NodeId(1)))
-}
-
-pub fn build_pi(store: &Arc<Store>, target: &str, content: &str) -> Result<NodeRef> {
-    if target.eq_ignore_ascii_case("xml") {
-        return Err(Error::new(
-            ErrorCode::InvalidConstructor,
-            "PI target 'xml' is reserved",
-        ));
-    }
-    if content.contains("?>") {
-        return Err(Error::new(
-            ErrorCode::InvalidConstructor,
-            "PI content must not contain '?>'",
-        ));
-    }
-    let mut b = DocumentBuilder::new(store.names().clone());
-    b.start_document();
-    b.pi(target, content);
-    b.end();
-    let doc = b.finish()?;
-    let id = store.add_document(doc);
-    Ok(NodeRef::new(id, NodeId(1)))
-}
-
-/// Build a document node from content items.
-pub fn build_document(store: &Arc<Store>, content: &[Item]) -> Result<NodeRef> {
-    let mut b = DocumentBuilder::new(store.names().clone());
-    b.start_document();
-    write_content(&mut b, store, content, /*allow_attributes=*/ false)?;
-    b.end();
-    let doc = b.finish()?;
-    let id = store.add_document(doc);
-    Ok(NodeRef::new(id, NodeId(0)))
-}
-
-fn write_element(
-    b: &mut DocumentBuilder,
-    store: &Arc<Store>,
-    name: &QName,
-    namespaces: &[(Option<String>, String)],
-    content: &[Item],
-) -> Result<()> {
-    b.start_element(name);
-    for (prefix, uri) in namespaces {
-        b.namespace(prefix.as_deref().unwrap_or(""), uri);
-    }
-    // Attribute phase.
-    let mut idx = 0;
-    let mut seen: Vec<QName> = Vec::new();
-    while idx < content.len() {
-        match &content[idx] {
-            Item::Node(n) if node_kind(store, *n) == NodeKind::Attribute => {
-                let doc = store.doc_of(*n);
-                let aname = doc.name(n.node).expect("attributes are named");
-                if seen.contains(&aname) {
-                    return Err(Error::new(
-                        ErrorCode::DuplicateAttribute,
-                        format!("duplicate attribute {aname}"),
-                    ));
-                }
-                b.attribute(&aname, doc.value(n.node).unwrap_or(""));
-                seen.push(aname);
-                idx += 1;
-            }
-            _ => break,
+impl<'w> Content<'w> {
+    pub(crate) fn element(out: &'w mut dyn TreeWriter) -> Self {
+        Content {
+            out,
+            attributes_open: true,
+            seen: Vec::new(),
+            atoms: None,
         }
     }
-    // Child phase: no attributes allowed from here on.
-    write_content_from(b, store, &content[idx..], false)?;
-    b.end();
-    Ok(())
+
+    pub(crate) fn document(out: &'w mut dyn TreeWriter) -> Self {
+        Content {
+            attributes_open: false,
+            ..Content::element(out)
+        }
+    }
+
+    /// End of content: write a trailing atomic run.
+    pub(crate) fn finish(mut self) {
+        self.flush_atoms();
+    }
+
+    fn flush_atoms(&mut self) {
+        if let Some(run) = self.atoms.take() {
+            if !run.is_empty() {
+                self.out.text(&run);
+            }
+        }
+    }
+
+    fn admit(&mut self, kind: NodeKind, attr: Option<&QName>) -> Result<()> {
+        self.flush_atoms();
+        if kind != NodeKind::Attribute {
+            self.attributes_open = false;
+            return Ok(());
+        }
+        if !self.attributes_open {
+            return Err(Error::new(
+                ErrorCode::InvalidConstructor,
+                "attribute node follows non-attribute content",
+            ));
+        }
+        let name = attr.expect("attributes are named");
+        if self.seen.contains(name) {
+            return Err(Error::new(
+                ErrorCode::DuplicateAttribute,
+                format!("duplicate attribute {name}"),
+            ));
+        }
+        self.seen.push(name.clone());
+        Ok(())
+    }
 }
 
-fn write_content(
-    b: &mut DocumentBuilder,
-    store: &Arc<Store>,
-    content: &[Item],
-    allow_attributes: bool,
-) -> Result<()> {
-    write_content_from(b, store, content, allow_attributes)
-}
-
-fn write_content_from(
-    b: &mut DocumentBuilder,
-    store: &Arc<Store>,
-    content: &[Item],
-    allow_attributes: bool,
-) -> Result<()> {
-    let mut atom_run: Option<String> = None;
-    for item in content {
+impl Sink for Content<'_> {
+    fn accept(&mut self, _ev: &Evaluator<'_>, st: &mut ExecState, item: Item) -> Result<Flow> {
         match item {
             Item::Atomic(v) => {
+                self.attributes_open = false;
                 let s = v.string_value();
-                match atom_run.as_mut() {
+                match &mut self.atoms {
                     Some(run) => {
                         run.push(' ');
                         run.push_str(&s);
                     }
-                    None => atom_run = Some(s),
+                    None => self.atoms = Some(s),
                 }
             }
             Item::Node(n) => {
-                if let Some(run) = atom_run.take() {
-                    if !run.is_empty() {
-                        b.text(&run);
+                let doc = st.store.doc_of(n);
+                let kind = doc.kind(n.node);
+                let name = if kind == NodeKind::Attribute {
+                    doc.name(n.node)
+                } else {
+                    None
+                };
+                self.admit(kind, name.as_ref())?;
+                doc.write_subtree(n.node, self.out);
+            }
+        }
+        Ok(Flow::More)
+    }
+
+    fn tree(&mut self) -> Option<&mut dyn NodeTarget> {
+        Some(self)
+    }
+}
+
+impl NodeTarget for Content<'_> {
+    fn open(&mut self, kind: NodeKind, attr: Option<&QName>) -> Result<&mut dyn TreeWriter> {
+        self.admit(kind, attr)?;
+        Ok(&mut *self.out)
+    }
+
+    fn close(&mut self, _st: &mut ExecState) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// A constructor with its name and, for the leaf kinds, its value
+/// evaluated and validated — everything that can fail before the node is
+/// admitted to its target.
+enum Ctor<'e> {
+    Element {
+        name: QName,
+        namespaces: &'e [(Option<String>, String)],
+        content: &'e [Core],
+    },
+    Document(&'e Core),
+    Attribute(QName, String),
+    Text(String),
+    Comment(String),
+    Pi(QName, String),
+}
+
+impl Ctor<'_> {
+    fn kind(&self) -> NodeKind {
+        match self {
+            Ctor::Element { .. } => NodeKind::Element,
+            Ctor::Document(_) => NodeKind::Document,
+            Ctor::Attribute(..) => NodeKind::Attribute,
+            Ctor::Text(_) => NodeKind::Text,
+            Ctor::Comment(_) => NodeKind::Comment,
+            Ctor::Pi(..) => NodeKind::ProcessingInstruction,
+        }
+    }
+}
+
+/// Evaluate the constructor `e` into `sink`: written straight into the
+/// sink's tree when it has one, minted as a store document otherwise.
+/// Every constructor kind is counted here, streamed or stored.
+#[inline(never)]
+pub(crate) fn construct(
+    ev: &Evaluator<'_>,
+    e: &Core,
+    st: &mut ExecState,
+    sink: &mut dyn Sink,
+) -> Result<Flow> {
+    let Some(ctor) = prepare(ev, e, st)? else {
+        return Ok(Flow::More);
+    };
+    let counters = &ev.counters;
+    counters
+        .nodes_constructed
+        .set(counters.nodes_constructed.get() + 1);
+    let kind = ctor.kind();
+    if let Some(target) = sink.tree() {
+        let attr = match &ctor {
+            Ctor::Attribute(name, _) => Some(name),
+            _ => None,
+        };
+        let out = target.open(kind, attr)?;
+        write(ev, ctor, st, out)?;
+        target.close(st)?;
+        return Ok(Flow::More);
+    }
+    let mut b = DocumentBuilder::new(st.store.names().clone());
+    b.start_document();
+    write(ev, ctor, st, &mut b)?;
+    let id = st.store.add_document(b.finish()?);
+    st.constructed_docs.push(id);
+    let root = if kind == NodeKind::Document {
+        NodeId(0)
+    } else {
+        NodeId(1)
+    };
+    sink.accept(ev, st, Item::Node(NodeRef::new(id, root)))
+}
+
+/// Resolve and evaluate what the constructor needs before it writes.
+/// `None` for a text constructor over the empty sequence, whose result
+/// is the empty sequence.
+fn prepare<'e>(ev: &Evaluator<'_>, e: &'e Core, st: &mut ExecState) -> Result<Option<Ctor<'e>>> {
+    Ok(Some(match e {
+        Core::ElemCtor {
+            name,
+            namespaces,
+            content,
+        } => Ctor::Element {
+            name: canonical(ev.resolve_ctor_name(name, st)?, st),
+            namespaces,
+            content,
+        },
+        Core::DocCtor(inner) => Ctor::Document(inner),
+        Core::AttrCtor { name, value } => {
+            let name = canonical(ev.resolve_ctor_name(name, st)?, st);
+            let value = attribute_value(ev, value, st)?;
+            if name.local_name() == "xmlns" {
+                return Err(Error::new(
+                    ErrorCode::InvalidConstructor,
+                    "cannot construct an attribute named xmlns",
+                ));
+            }
+            Ctor::Attribute(name, value)
+        }
+        Core::TextCtor(inner) => {
+            let items = ev.eval(inner, st)?;
+            if items.is_empty() {
+                return Ok(None);
+            }
+            Ctor::Text(joined(&items, st)?)
+        }
+        Core::CommentCtor(inner) => {
+            let items = ev.eval(inner, st)?;
+            let content = joined(&items, st)?;
+            if content.contains("--") || content.ends_with('-') {
+                return Err(Error::new(
+                    ErrorCode::InvalidConstructor,
+                    "comment content must not contain '--' or end with '-'",
+                ));
+            }
+            Ctor::Comment(content)
+        }
+        Core::PiCtor { target, value } => {
+            let target = ev.resolve_ctor_name(target, st)?;
+            let items = ev.eval(value, st)?;
+            let content = joined(&items, st)?;
+            if target.local_name().eq_ignore_ascii_case("xml") {
+                return Err(Error::new(
+                    ErrorCode::InvalidConstructor,
+                    "PI target 'xml' is reserved",
+                ));
+            }
+            if content.contains("?>") {
+                return Err(Error::new(
+                    ErrorCode::InvalidConstructor,
+                    "PI content must not contain '?>'",
+                ));
+            }
+            Ctor::Pi(target, content)
+        }
+        other => return Err(Error::internal(format!("not a constructor: {other:?}"))),
+    }))
+}
+
+/// Write the constructor's node into `out`, evaluating element and
+/// document content through a [`Content`] sink over the same writer.
+fn write(
+    ev: &Evaluator<'_>,
+    ctor: Ctor<'_>,
+    st: &mut ExecState,
+    out: &mut dyn TreeWriter,
+) -> Result<()> {
+    match ctor {
+        Ctor::Element {
+            name,
+            namespaces,
+            content,
+        } => {
+            out.start_element(&name);
+            for (prefix, uri) in namespaces {
+                out.namespace(prefix.as_deref().unwrap_or(""), uri);
+            }
+            let mut sink = Content::element(out);
+            for part in content {
+                ev.push(part, st, &mut sink)?;
+            }
+            sink.finish();
+            out.end_element();
+        }
+        Ctor::Document(content) => {
+            let mut sink = Content::document(out);
+            ev.push(content, st, &mut sink)?;
+            sink.finish();
+        }
+        Ctor::Attribute(name, value) => out.attribute(&name, &value),
+        Ctor::Text(content) => out.text(&content),
+        Ctor::Comment(content) => out.comment(&content),
+        Ctor::Pi(target, content) => out.pi(target.local_name(), &content),
+    }
+    Ok(())
+}
+
+/// The store's spelling of `name`. Names compare by namespace and local
+/// part, so the pool keeps the prefix it saw first; a stored node
+/// serializes under that prefix, and a streamed one must too.
+fn canonical(name: QName, st: &ExecState) -> QName {
+    if name.namespace().is_none() {
+        return name;
+    }
+    let names = st.store.names();
+    names.resolve(names.intern(&name))
+}
+
+/// An attribute's value: literal template pieces concatenate directly,
+/// enclosed pieces atomize and join with spaces.
+fn attribute_value(ev: &Evaluator<'_>, parts: &[Core], st: &mut ExecState) -> Result<String> {
+    let mut s = String::new();
+    for part in parts {
+        match part {
+            Core::Const(v) => s.push_str(&v.string_value()),
+            other => {
+                let items = ev.eval(other, st)?;
+                for (j, v) in atomize(&items, &st.store)?.iter().enumerate() {
+                    if j > 0 {
+                        s.push(' ');
                     }
+                    s.push_str(&v.string_value());
                 }
-                if !allow_attributes && node_kind(store, *n) == NodeKind::Attribute {
-                    return Err(Error::new(
-                        ErrorCode::InvalidConstructor,
-                        "attribute node follows non-attribute content",
-                    ));
-                }
-                copy_node(b, store, *n)?;
             }
         }
     }
-    if let Some(run) = atom_run {
-        if !run.is_empty() {
-            b.text(&run);
-        }
-    }
-    Ok(())
+    Ok(s)
 }
 
-/// Deep-copy a node (and its subtree) into the builder.
-pub fn copy_node(b: &mut DocumentBuilder, store: &Arc<Store>, n: NodeRef) -> Result<()> {
-    let doc = store.doc_of(n);
-    copy_from_doc(b, &doc, n.node)
-}
-
-fn copy_from_doc(b: &mut DocumentBuilder, doc: &Document, n: NodeId) -> Result<()> {
-    match doc.kind(n) {
-        NodeKind::Document => {
-            let mut c = doc.first_child(n);
-            while let Some(ch) = c {
-                copy_from_doc(b, doc, ch)?;
-                c = doc.next_sibling(ch);
-            }
-        }
-        NodeKind::Element => {
-            let name = doc.name(n).expect("elements are named");
-            b.start_element(&name);
-            for ns in doc.namespaces(n) {
-                let prefix = doc
-                    .name(ns)
-                    .map(|q| q.local_name().to_string())
-                    .unwrap_or_default();
-                b.namespace(&prefix, doc.value(ns).unwrap_or(""));
-            }
-            for a in doc.attributes(n) {
-                b.attribute(
-                    &doc.name(a).expect("attrs named"),
-                    doc.value(a).unwrap_or(""),
-                );
-            }
-            let mut c = doc.first_child(n);
-            while let Some(ch) = c {
-                copy_from_doc(b, doc, ch)?;
-                c = doc.next_sibling(ch);
-            }
-            b.end();
-        }
-        NodeKind::Text => b.text(doc.value(n).unwrap_or("")),
-        NodeKind::Comment => b.comment(doc.value(n).unwrap_or("")),
-        NodeKind::ProcessingInstruction => {
-            let target = doc
-                .name(n)
-                .map(|q| q.local_name().to_string())
-                .unwrap_or_default();
-            b.pi(&target, doc.value(n).unwrap_or(""));
-        }
-        NodeKind::Attribute => {
-            b.attribute(
-                &doc.name(n).expect("attrs named"),
-                doc.value(n).unwrap_or(""),
-            );
-        }
-        NodeKind::Namespace => {
-            let prefix = doc
-                .name(n)
-                .map(|q| q.local_name().to_string())
-                .unwrap_or_default();
-            b.namespace(&prefix, doc.value(n).unwrap_or(""));
-        }
-    }
-    Ok(())
-}
-
-fn node_kind(store: &Arc<Store>, n: NodeRef) -> NodeKind {
-    store.doc_of(n).kind(n.node)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn serialize(store: &Arc<Store>, n: NodeRef) -> String {
-        store.doc_of(n).serialize_node(n.node)
-    }
-
-    #[test]
-    fn element_with_text_content() {
-        let store = Store::new();
-        let el = build_element(
-            &store,
-            &QName::local("a"),
-            &[],
-            &[Item::integer(1), Item::integer(2)],
-        )
-        .unwrap();
-        assert_eq!(serialize(&store, el), "<a>1 2</a>");
-    }
-
-    #[test]
-    fn attributes_then_children() {
-        let store = Store::new();
-        let attr = build_attribute(&store, &QName::local("x"), "1").unwrap();
-        let child = build_element(&store, &QName::local("b"), &[], &[]).unwrap();
-        let el = build_element(
-            &store,
-            &QName::local("a"),
-            &[],
-            &[Item::Node(attr), Item::Node(child)],
-        )
-        .unwrap();
-        assert_eq!(serialize(&store, el), r#"<a x="1"><b/></a>"#);
-    }
-
-    #[test]
-    fn attribute_after_content_is_an_error() {
-        let store = Store::new();
-        let attr = build_attribute(&store, &QName::local("x"), "1").unwrap();
-        let e = build_element(
-            &store,
-            &QName::local("a"),
-            &[],
-            &[Item::string("text"), Item::Node(attr)],
-        )
-        .unwrap_err();
-        assert_eq!(e.code, ErrorCode::InvalidConstructor);
-    }
-
-    #[test]
-    fn duplicate_attributes_rejected() {
-        let store = Store::new();
-        let a1 = build_attribute(&store, &QName::local("x"), "1").unwrap();
-        let a2 = build_attribute(&store, &QName::local("x"), "2").unwrap();
-        let e = build_element(
-            &store,
-            &QName::local("a"),
-            &[],
-            &[Item::Node(a1), Item::Node(a2)],
-        )
-        .unwrap_err();
-        assert_eq!(e.code, ErrorCode::DuplicateAttribute);
-    }
-
-    #[test]
-    fn copied_nodes_get_new_identity() {
-        let store = Store::new();
-        let d = store.load_xml("<src><b>x</b></src>", None).unwrap();
-        let doc = store.document(d);
-        let src = doc.first_child(doc.root()).unwrap();
-        let b_node = doc.first_child(src).unwrap();
-        let copied = build_element(
-            &store,
-            &QName::local("out"),
-            &[],
-            &[Item::Node(NodeRef::new(d, b_node))],
-        )
-        .unwrap();
-        assert_eq!(serialize(&store, copied), "<out><b>x</b></out>");
-        // New document id → new identity.
-        assert_ne!(copied.doc, d);
-    }
-
-    #[test]
-    fn document_copy_expands_children() {
-        let store = Store::new();
-        let d = store.load_xml("<r><a/></r>", None).unwrap();
-        let el = build_element(
-            &store,
-            &QName::local("wrap"),
-            &[],
-            &[Item::Node(NodeRef::new(d, NodeId(0)))],
-        )
-        .unwrap();
-        assert_eq!(serialize(&store, el), "<wrap><r><a/></r></wrap>");
-    }
-
-    #[test]
-    fn comment_and_pi_validation() {
-        let store = Store::new();
-        assert!(build_comment(&store, "ok comment").is_ok());
-        assert!(build_comment(&store, "bad -- comment").is_err());
-        assert!(build_comment(&store, "ends with -").is_err());
-        assert!(build_pi(&store, "xml", "x").is_err());
-        assert!(build_pi(&store, "t", "has ?> inside").is_err());
-        assert!(build_pi(&store, "t", "fine").is_ok());
-    }
-
-    #[test]
-    fn namespaces_on_constructed_element() {
-        let store = Store::new();
-        let el = build_element(
-            &store,
-            &QName::prefixed("urn:p", "p", "a"),
-            &[(Some("p".to_string()), "urn:p".to_string())],
-            &[],
-        )
-        .unwrap();
-        assert_eq!(serialize(&store, el), r#"<p:a xmlns:p="urn:p"/>"#);
-    }
-
-    #[test]
-    fn standalone_text_node() {
-        let store = Store::new();
-        let t = build_text(&store, "hello").unwrap();
-        let doc = store.doc_of(t);
-        assert_eq!(doc.kind(t.node), NodeKind::Text);
-        assert_eq!(doc.string_value(t.node), "hello");
-    }
+/// The string values of the atomized items, joined by single spaces.
+fn joined(items: &[Item], st: &ExecState) -> Result<String> {
+    Ok(atomize(items, &st.store)?
+        .iter()
+        .map(|v| v.string_value())
+        .collect::<Vec<_>>()
+        .join(" "))
 }

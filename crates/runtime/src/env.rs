@@ -146,11 +146,13 @@ pub struct ExecState {
     /// Resource governance for this execution; `QueryGuard::unlimited()`
     /// when the embedder set no limits.
     pub guard: QueryGuard,
-    /// Store documents allocated by node constructors during this
-    /// execution. Constructed nodes get fresh documents in the *shared*
-    /// store, so a long-lived embedder (the query service) would leak
-    /// them without this ledger: on success they transfer to the result
-    /// (freed when it drops), on error they are freed immediately.
+    /// Store documents minted during this execution — by constructors
+    /// whose nodes needed an identity, and by `fn:doc` for context
+    /// documents. They live in the *shared* store, so a long-lived
+    /// embedder (the query service) would leak them without this
+    /// ledger: a materializing execution hands them to its result on
+    /// success (freed when it drops); otherwise they are freed when this
+    /// state drops.
     pub constructed_docs: Vec<DocId>,
     /// Shared inverted-list scan cache for batch execution: when many
     /// queries run over the same document in one batch, the embedder

@@ -12,7 +12,7 @@
 //! "when should we materialize?" list.
 
 use crate::compare::{general_compare, node_compare, value_compare};
-use crate::construct;
+use crate::construct::{self, NodeTarget};
 use crate::env::{DynamicContext, ExecState, Focus};
 use crate::functions;
 use crate::value::{atomize, atomize_one, effective_boolean_value, Item, Sequence};
@@ -41,22 +41,25 @@ enum SetOp {
     Except,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LeafCtor {
-    Text,
-    Comment,
-}
-
 /// Consumer of a streamed item sequence.
 pub trait Sink {
     fn accept(&mut self, ev: &Evaluator<'_>, st: &mut ExecState, item: Item) -> Result<Flow>;
+
+    /// Where a constructor whose node flows straight into this sink
+    /// writes it, instead of minting a store document and handing the
+    /// node to [`Sink::accept`]: the reply ([`crate::Reply`]) or an
+    /// enclosing constructor's content. `None`, the default, wherever
+    /// items are bound, navigated, compared or reordered — there the
+    /// node needs an identity, so it is stored.
+    fn tree(&mut self) -> Option<&mut dyn NodeTarget> {
+        None
+    }
 }
 
-struct VecSink<'a>(&'a mut Sequence);
-
-impl Sink for VecSink<'_> {
+/// Materialization: collect every item.
+impl Sink for Sequence {
     fn accept(&mut self, _ev: &Evaluator<'_>, _st: &mut ExecState, item: Item) -> Result<Flow> {
-        self.0.push(item);
+        self.push(item);
         Ok(Flow::More)
     }
 }
@@ -81,6 +84,8 @@ impl Sink for LimitSink<'_> {
 #[derive(Debug, Default)]
 pub struct Counters {
     pub items_produced: Cell<u64>,
+    /// Constructor evaluations of every kind, whether the node was
+    /// written straight into its target or minted as a store document.
     pub nodes_constructed: Cell<u64>,
     pub ddo_sorts: Cell<u64>,
     pub early_exits: Cell<u64>,
@@ -112,9 +117,10 @@ pub struct Counters {
     pub stream_tokens_seen: Cell<u64>,
     pub stream_tokens_skipped: Cell<u64>,
     pub stream_matches: Cell<u64>,
-    /// Store documents allocated by constructors, transferred from
+    /// Store documents minted by constructors, transferred from
     /// [`crate::ExecState::constructed_docs`] after a successful
-    /// execution. The result owner frees them when it is done.
+    /// materializing execution. The result owner frees them when it is
+    /// done.
     pub constructed_docs: Vec<DocId>,
 }
 
@@ -235,8 +241,9 @@ impl<'m> Evaluator<'m> {
         self
     }
 
-    /// Evaluate the module body (globals first).
-    pub fn eval_module(&self, st: &mut ExecState) -> Result<Sequence> {
+    /// Evaluate the module body (globals first), streaming the result
+    /// into `sink`.
+    pub fn eval_module(&self, st: &mut ExecState, sink: &mut dyn Sink) -> Result<()> {
         st.frame.ensure(self.module.var_count);
         for (name, var, value) in &self.module.globals {
             let seq = match value {
@@ -257,13 +264,14 @@ impl<'m> Evaluator<'m> {
                 size: Some(1),
             });
         }
-        self.eval(&self.module.body, st)
+        self.push(&self.module.body, st, sink)?;
+        Ok(())
     }
 
     /// Materialize the full result of `e`.
     pub fn eval(&self, e: &Core, st: &mut ExecState) -> Result<Sequence> {
         let mut out = Sequence::new();
-        self.push(e, st, &mut VecSink(&mut out))?;
+        self.push(e, st, &mut out)?;
         Ok(out)
     }
 
@@ -507,27 +515,12 @@ impl<'m> Evaluator<'m> {
                 default_var,
                 default_body,
             } => self.eval_typeswitch(operand, cases, *default_var, default_body, st, sink),
-            Core::ElemCtor {
-                name,
-                namespaces,
-                content,
-            } => self.eval_elem_ctor(name, namespaces, content, st, sink),
-            Core::AttrCtor { name, value } => self.eval_attr_ctor(name, value, st, sink),
-            Core::TextCtor(inner) => self.eval_leaf_ctor(LeafCtor::Text, inner, st, sink),
-            Core::CommentCtor(inner) => self.eval_leaf_ctor(LeafCtor::Comment, inner, st, sink),
-            Core::PiCtor { target, value } => {
-                let tname = self.resolve_ctor_name(target, st, false)?;
-                self.eval_pi_ctor(tname, value, st, sink)
-            }
-            Core::DocCtor(inner) => {
-                let items = self.eval(inner, st)?;
-                let node = construct::build_document(&st.store, &items)?;
-                st.constructed_docs.push(node.doc);
-                self.counters
-                    .nodes_constructed
-                    .set(self.counters.nodes_constructed.get() + 1);
-                sink.accept(self, st, Item::Node(node))
-            }
+            Core::ElemCtor { .. }
+            | Core::AttrCtor { .. }
+            | Core::TextCtor(_)
+            | Core::CommentCtor(_)
+            | Core::PiCtor { .. }
+            | Core::DocCtor(_) => construct::construct(self, e, st, sink),
             Core::OrderedFlwor {
                 clauses,
                 where_clause,
@@ -795,115 +788,6 @@ impl<'m> Evaluator<'m> {
         r
     }
 
-    #[inline(never)]
-    fn eval_elem_ctor(
-        &self,
-        name: &CoreName,
-        namespaces: &[(Option<String>, String)],
-        content: &[Core],
-        st: &mut ExecState,
-        sink: &mut dyn Sink,
-    ) -> Result<Flow> {
-        let qname = self.resolve_ctor_name(name, st, true)?;
-        let mut items = Sequence::new();
-        for c in content {
-            items.extend(self.eval(c, st)?);
-        }
-        let node = construct::build_element(&st.store, &qname, namespaces, &items)?;
-        st.constructed_docs.push(node.doc);
-        self.counters
-            .nodes_constructed
-            .set(self.counters.nodes_constructed.get() + 1);
-        sink.accept(self, st, Item::Node(node))
-    }
-
-    #[inline(never)]
-    fn eval_attr_ctor(
-        &self,
-        name: &CoreName,
-        value: &[Core],
-        st: &mut ExecState,
-        sink: &mut dyn Sink,
-    ) -> Result<Flow> {
-        let qname = self.resolve_ctor_name(name, st, false)?;
-        let mut s = String::new();
-        let store = st.store.clone();
-        for part in value {
-            match part {
-                // Literal template pieces concatenate directly…
-                Core::Const(v) => s.push_str(&v.string_value()),
-                // …enclosed pieces atomize and join with spaces.
-                other => {
-                    let items = self.eval(other, st)?;
-                    let vals = atomize(&items, &store)?;
-                    for (j, v) in vals.iter().enumerate() {
-                        if j > 0 {
-                            s.push(' ');
-                        }
-                        s.push_str(&v.string_value());
-                    }
-                }
-            }
-        }
-        let node = construct::build_attribute(&st.store, &qname, &s)?;
-        st.constructed_docs.push(node.doc);
-        self.counters
-            .nodes_constructed
-            .set(self.counters.nodes_constructed.get() + 1);
-        sink.accept(self, st, Item::Node(node))
-    }
-
-    #[inline(never)]
-    fn eval_leaf_ctor(
-        &self,
-        kind: LeafCtor,
-        inner: &Core,
-        st: &mut ExecState,
-        sink: &mut dyn Sink,
-    ) -> Result<Flow> {
-        let items = self.eval(inner, st)?;
-        if items.is_empty() && kind == LeafCtor::Text {
-            return Ok(Flow::More);
-        }
-        let store = st.store.clone();
-        let vals = atomize(&items, &store)?;
-        let s = vals
-            .iter()
-            .map(|v| v.string_value())
-            .collect::<Vec<_>>()
-            .join(" ");
-        let node = match kind {
-            LeafCtor::Text => construct::build_text(&st.store, &s)?,
-            LeafCtor::Comment => construct::build_comment(&st.store, &s)?,
-        };
-        st.constructed_docs.push(node.doc);
-        self.counters
-            .nodes_constructed
-            .set(self.counters.nodes_constructed.get() + 1);
-        sink.accept(self, st, Item::Node(node))
-    }
-
-    #[inline(never)]
-    fn eval_pi_ctor(
-        &self,
-        target: QName,
-        value: &Core,
-        st: &mut ExecState,
-        sink: &mut dyn Sink,
-    ) -> Result<Flow> {
-        let items = self.eval(value, st)?;
-        let store = st.store.clone();
-        let vals = atomize(&items, &store)?;
-        let s = vals
-            .iter()
-            .map(|v| v.string_value())
-            .collect::<Vec<_>>()
-            .join(" ");
-        let node = construct::build_pi(&st.store, target.local_name(), &s)?;
-        st.constructed_docs.push(node.doc);
-        sink.accept(self, st, Item::Node(node))
-    }
-
     fn eval_integer_opt(&self, e: &Core, st: &mut ExecState) -> Result<Option<i64>> {
         let store = st.store.clone();
         let items = self.eval(e, st)?;
@@ -1015,12 +899,7 @@ impl<'m> Evaluator<'m> {
         effective_boolean_value(&items)
     }
 
-    fn resolve_ctor_name(
-        &self,
-        name: &CoreName,
-        st: &mut ExecState,
-        _element: bool,
-    ) -> Result<QName> {
+    pub(crate) fn resolve_ctor_name(&self, name: &CoreName, st: &mut ExecState) -> Result<QName> {
         match name {
             CoreName::Const(q) => Ok(q.clone()),
             CoreName::Computed(e) => {

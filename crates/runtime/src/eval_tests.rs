@@ -2,7 +2,8 @@
 
 use crate::env::DynamicContext;
 use crate::eval::RuntimeOptions;
-use crate::value::{serialize_sequence, Item};
+use crate::reply::serialize_sequence;
+use crate::value::Item;
 use std::sync::Arc;
 use xqr_compiler::{compile, CompileOptions, RewriteConfig};
 use xqr_store::{NodeRef, Store};
@@ -21,6 +22,9 @@ fn try_run(query: &str) -> xqr_xdm::Result<String> {
     try_run_with(query, |_, _| {})
 }
 
+/// Every query runs twice: materialized then serialized, and streamed
+/// into a [`crate::Reply`]. The two must agree on the bytes or on the
+/// error code.
 fn try_run_with(
     query: &str,
     setup: impl FnOnce(&mut DynamicContext, &Arc<Store>),
@@ -29,8 +33,24 @@ fn try_run_with(
     let store = Store::new();
     let mut ctx = DynamicContext::new();
     setup(&mut ctx, &store);
-    let (result, _) = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default())?;
-    Ok(serialize_sequence(&result, &store))
+    let materialized = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default())
+        .map(|(result, _)| serialize_sequence(&result, &store));
+    let mut st = crate::ExecState::new(store.clone(), compiled.module.var_count);
+    let mut reply = crate::Reply::new();
+    let streamed = crate::evaluate(
+        &compiled,
+        &ctx,
+        RuntimeOptions::default(),
+        &mut st,
+        &mut reply,
+    )
+    .map(|_| reply.into_string());
+    match (&materialized, &streamed) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "{query}: streamed reply differs"),
+        (Err(a), Err(b)) => assert_eq!(a.code, b.code, "{query}: streamed error differs"),
+        _ => panic!("{query}: materialized {materialized:?}, streamed {streamed:?}"),
+    }
+    materialized
 }
 
 /// Run both optimized and unoptimized; assert they agree, return result.
@@ -510,6 +530,73 @@ mod constructors {
         assert_eq!(
             run(r#"<a xmlns:p="urn:p"><p:b/></a>"#),
             r#"<a xmlns:p="urn:p"><p:b/></a>"#
+        );
+        // A namespace bound to two prefixes: the store spells the name
+        // with the prefix it interned first, and a streamed constructor
+        // spells it the same way.
+        assert_eq!(
+            run(r#"(<p:a xmlns:p="urn:p"/>, <q:a xmlns:q="urn:p"/>)"#),
+            r#"<p:a xmlns:p="urn:p"/><p:a xmlns:q="urn:p"/>"#
+        );
+        // A copied namespace node lands in the start tag only while no
+        // attribute precedes it; the store keeps it but never shows it.
+        assert_eq!(
+            run(r#"let $ns := (<r xmlns:p="urn:p"/>)/namespace::*
+                   return (<a>{$ns}</a>, <a x="1">{$ns}</a>)"#),
+            r#"<a xmlns:p="urn:p"/><a x="1"/>"#
+        );
+    }
+
+    #[test]
+    fn content_rules_hold_for_streamed_and_stored_nodes() {
+        for query in [
+            r#"<a>{"text", attribute x {1}}</a>"#,
+            r#"<a>{<b/>, attribute x {1}}</a>"#,
+            r#"document {attribute x {1}}"#,
+            r#"comment {"bad -- comment"}"#,
+            r#"comment {"ends with -"}"#,
+            r#"processing-instruction xml {"x"}"#,
+            r#"processing-instruction t {"has ?> inside"}"#,
+        ] {
+            for q in [query.to_string(), format!("let $n := {query} return $n")] {
+                let e = try_run(&q).unwrap_err();
+                assert_eq!(e.code, ErrorCode::InvalidConstructor, "{q}: {e}");
+            }
+        }
+        for query in [
+            r#"<a>{attribute x {1}, attribute x {2}}</a>"#,
+            r#"<a x="1">{attribute x {2}}</a>"#,
+        ] {
+            for q in [query.to_string(), format!("let $n := {query} return $n")] {
+                let e = try_run(&q).unwrap_err();
+                assert_eq!(e.code, ErrorCode::DuplicateAttribute, "{q}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn copies_and_edge_content() {
+        assert_eq!(
+            run("let $b := <b>x</b> let $o := <out>{$b}</out> return ($o, $o/b is $b)"),
+            "<out><b>x</b></out>false"
+        );
+        assert_eq!(
+            run("<wrap>{document {<r><a/></r>}}</wrap>"),
+            "<wrap><r><a/></r></wrap>"
+        );
+        // An empty text node is still a child: no `<a/>` collapse.
+        assert_eq!(run(r#"<a>{text {""}}</a>"#), "<a></a>");
+        assert_eq!(run(r#"<a>{text {()}}</a>"#), "<a/>");
+        assert_eq!(run(r#"<a>{"x", text {"y"}, 1}</a>"#), "<a>xy1</a>");
+        // A standalone attribute serializes as its bare value, a text
+        // node escaped.
+        assert_eq!(
+            run(r#"(attribute x {"&lt;&amp;"}, text {"&lt;&amp;"})"#),
+            "<&&lt;&amp;"
+        );
+        assert_eq!(
+            run(r#"<a>{processing-instruction t {}, comment {"c"}}</a>"#),
+            "<a><?t?><!--c--></a>"
         );
     }
 

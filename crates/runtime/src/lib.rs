@@ -2,8 +2,9 @@
 //!
 //! Push-based, lazily short-circuiting interpreter over the compiled
 //! core tree, plus the token-level streaming path automaton, the built-in
-//! function library, node construction, the three comparison families,
-//! and a small regex engine for the string functions.
+//! function library, node construction, result serialization, the three
+//! comparison families, and a small regex engine for the string
+//! functions.
 
 pub mod automaton;
 pub mod compare;
@@ -13,6 +14,7 @@ pub mod eval;
 pub mod functions;
 pub mod index_scan;
 pub mod regex;
+pub mod reply;
 pub mod stream_path;
 pub mod value;
 
@@ -20,11 +22,13 @@ pub use automaton::{
     pull, run_document, CombinedAutomaton, CombinedOutcome, CombinedRun, PatternId, PushAction,
     StreamingPass,
 };
+pub use construct::NodeTarget;
 pub use env::{DynamicContext, ExecState, Focus, Frame};
 pub use eval::{Counters, Evaluator, Flow, RuntimeOptions, Sink};
 pub use index_scan::ScanCache;
+pub use reply::{serialize_sequence, Reply};
 pub use stream_path::{StreamPattern, StreamStats, StreamStep};
-pub use value::{effective_boolean_value, serialize_sequence, Item, Sequence};
+pub use value::{effective_boolean_value, Item, Sequence};
 pub use xqr_parallel::{ParallelConfig, ParallelRun};
 
 use std::sync::Arc;
@@ -56,17 +60,30 @@ pub fn execute_guarded(
     options: RuntimeOptions,
     guard: QueryGuard,
 ) -> Result<(Sequence, Counters)> {
-    let ev = Evaluator::new(&query.module, dyn_ctx).with_options(options);
     let mut st = ExecState::with_guard(store.clone(), query.module.var_count, guard);
-    let result = ev.eval_module(&mut st);
-    ev.counters.record_guard_usage(&st.guard.usage());
+    let mut items = Sequence::new();
+    let mut counters = evaluate(query, dyn_ctx, options, &mut st, &mut items)?;
     // On success the constructed-document ledger transfers to the
     // caller (the result references those documents); on error — or a
     // panic unwinding past us — `ExecState::drop` frees the leftovers.
-    let items = result?;
-    let mut counters = ev.counters;
     counters.constructed_docs = st.take_constructed_docs();
     Ok((items, counters))
+}
+
+/// Evaluate `query` in `st`, streaming its result into `sink`; the
+/// counters come back with the guard's consumption recorded.
+pub fn evaluate(
+    query: &CompiledQuery,
+    dyn_ctx: &DynamicContext,
+    options: RuntimeOptions,
+    st: &mut ExecState,
+    sink: &mut dyn Sink,
+) -> Result<Counters> {
+    let ev = Evaluator::new(&query.module, dyn_ctx).with_options(options);
+    let result = ev.eval_module(st, sink);
+    ev.counters.record_guard_usage(&st.guard.usage());
+    result?;
+    Ok(ev.counters)
 }
 
 #[cfg(test)]

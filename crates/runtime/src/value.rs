@@ -6,7 +6,6 @@
 //! evaluator streams items through sinks and only materializes at the
 //! operators that need it (sort, ddo, multiple consumers).
 
-use std::sync::Arc;
 use xqr_store::{NodeRef, Store};
 use xqr_xdm::{AtomicValue, Error, ErrorCode, NodeKind, QName, Result};
 
@@ -107,31 +106,6 @@ pub fn effective_boolean_value(items: &[Item]) -> Result<bool> {
     }
 }
 
-/// Serialize a sequence per the XQuery serialization rules used in test
-/// oracles: nodes serialize as XML, atomics as their string values,
-/// adjacent atomics separated by a space.
-pub fn serialize_sequence(items: &[Item], store: &Store) -> String {
-    let mut out = String::new();
-    let mut prev_atomic = false;
-    for item in items {
-        match item {
-            Item::Atomic(v) => {
-                if prev_atomic {
-                    out.push(' ');
-                }
-                out.push_str(&v.string_value());
-                prev_atomic = true;
-            }
-            Item::Node(n) => {
-                let doc = store.doc_of(*n);
-                out.push_str(&doc.serialize_node(n.node));
-                prev_atomic = false;
-            }
-        }
-    }
-    out
-}
-
 /// Deep equality of two items (fn:deep-equal on singletons).
 pub fn deep_equal_item(a: &Item, b: &Item, store: &Store) -> bool {
     match (a, b) {
@@ -150,13 +124,10 @@ pub fn deep_equal_item(a: &Item, b: &Item, store: &Store) -> bool {
     }
 }
 
-pub fn arc_store(store: &Arc<Store>) -> Arc<Store> {
-    store.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn setup() -> (Arc<Store>, NodeRef) {
         let store = Store::new();
@@ -187,21 +158,6 @@ mod tests {
         assert!(effective_boolean_value(&[Item::integer(1), Item::integer(2)]).is_err());
         // multiple items with first node → true
         assert!(effective_boolean_value(&[Item::Node(book), Item::integer(2)]).unwrap());
-    }
-
-    #[test]
-    fn serialization_spaces_atomics() {
-        let (store, book) = setup();
-        let s = serialize_sequence(
-            &[
-                Item::integer(1),
-                Item::integer(2),
-                Item::Node(book),
-                Item::integer(3),
-            ],
-            &store,
-        );
-        assert_eq!(s, "1 2<book year=\"1967\"><title>T</title></book>3");
     }
 
     #[test]

@@ -574,10 +574,10 @@ impl QueryService {
         self.pool.submit_governed(deadline, expire, move || {
             let outcome = shared
                 .acquire_plan(&query)
-                .and_then(|plan| plan.execute_guarded(&shared.engine, &ctx, guard))
-                .and_then(|result| {
-                    shared.record_counters(&result.counters);
-                    result.serialize_guarded()
+                .and_then(|plan| plan.execute_serialized(&shared.engine, &ctx, guard, None))
+                .map(|(out, counters)| {
+                    shared.record_counters(&counters);
+                    out
                 });
             shared.latency.record(submitted.elapsed());
             match &outcome {
@@ -688,16 +688,16 @@ impl QueryService {
                     let outcome = shared
                         .acquire_plan(query)
                         .and_then(|plan| {
-                            plan.execute_shared_scans(
+                            plan.execute_serialized(
                                 &shared.engine,
                                 &ctx,
                                 shared.governed_guard(),
-                                scans.clone(),
+                                Some(scans.clone()),
                             )
                         })
-                        .and_then(|result| {
-                            shared.record_counters(&result.counters);
-                            result.serialize_guarded()
+                        .map(|(out, counters)| {
+                            shared.record_counters(&counters);
+                            out
                         });
                     match &outcome {
                         Ok(_) => shared.served.fetch_add(1, Ordering::Relaxed),

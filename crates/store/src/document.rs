@@ -13,6 +13,7 @@ use crate::index::TagIndex;
 use std::sync::Arc;
 use xqr_tokenstream::{ParserTokenIterator, StringPool, Token, TokenIterator};
 use xqr_xdm::{Error, NameId, NamePool, NodeKind, QName, Result};
+use xqr_xmlparse::{TreeWriter, WriterOptions, XmlWriter};
 
 /// Identifies a document within a [`crate::store::Store`].
 ///
@@ -388,165 +389,65 @@ impl Document {
 
     /// Serialize the subtree rooted at `n` back to XML text.
     pub fn serialize_node(&self, n: NodeId) -> String {
-        let mut out = String::new();
-        self.serialize_into(n, &mut out);
-        out
+        let mut w = XmlWriter::new(WriterOptions::default());
+        self.write_subtree(n, &mut w);
+        w.into_string()
     }
 
-    /// Serialize with writer options (pretty-printing etc.) by replaying
-    /// the subtree as parser events.
-    pub fn serialize_node_opts(
-        &self,
-        n: NodeId,
-        opts: xqr_xmlparse::WriterOptions,
-    ) -> Result<String> {
-        let mut w = xqr_xmlparse::XmlWriter::new(opts);
-        self.write_events(n, &mut w)?;
-        Ok(w.into_string())
-    }
-
-    fn write_events(&self, n: NodeId, w: &mut xqr_xmlparse::XmlWriter) -> Result<()> {
-        use xqr_xmlparse::{Attribute, NamespaceDecl, XmlEvent};
+    /// Write the subtree rooted at `n` into `w`: the one tree walk
+    /// behind serialization, pretty-printing and the deep copy a
+    /// constructor makes of an enclosed node. A document node writes
+    /// its children; an attribute or namespace node writes itself, which
+    /// a writer with no element open takes as a standalone node.
+    pub fn write_subtree<W: TreeWriter + ?Sized>(&self, n: NodeId, w: &mut W) {
         match self.kind(n) {
-            NodeKind::Document => {
-                let mut c = self.first_child(n);
-                while let Some(ch) = c {
-                    self.write_events(ch, w)?;
-                    c = self.next_sibling(ch);
-                }
-            }
+            NodeKind::Document => self.write_children(n, w),
             NodeKind::Element => {
-                let name = self.name(n).expect("elements are named");
-                let namespaces = self
-                    .namespaces(n)
-                    .map(|ns| {
-                        let prefix = self
-                            .name(ns)
-                            .map(|q| q.local_name().to_string())
-                            .unwrap_or_default();
-                        NamespaceDecl {
-                            prefix: if prefix.is_empty() {
-                                None
-                            } else {
-                                Some(prefix.into())
-                            },
-                            uri: self.value(ns).unwrap_or("").into(),
-                        }
-                    })
-                    .collect();
-                let attributes = self
-                    .attributes(n)
-                    .map(|a| Attribute {
-                        name: self.name(a).expect("attrs are named"),
-                        value: self.value(a).unwrap_or("").into(),
-                    })
-                    .collect();
-                w.write(&XmlEvent::StartElement {
-                    name: name.clone(),
-                    attributes,
-                    namespaces,
-                    empty: false,
-                })?;
-                let mut c = self.first_child(n);
-                while let Some(ch) = c {
-                    self.write_events(ch, w)?;
-                    c = self.next_sibling(ch);
-                }
-                w.write(&XmlEvent::EndElement { name })?;
-            }
-            NodeKind::Text => {
-                w.write(&XmlEvent::Text(self.value(n).unwrap_or("").into()))?;
-            }
-            NodeKind::Comment => {
-                w.write(&XmlEvent::Comment(self.value(n).unwrap_or("").into()))?;
-            }
-            NodeKind::ProcessingInstruction => {
-                let target = self
-                    .name(n)
-                    .map(|q| q.local_name().to_string())
-                    .unwrap_or_default();
-                w.write(&XmlEvent::ProcessingInstruction {
-                    target: target.into(),
-                    data: self.value(n).unwrap_or("").into(),
-                })?;
-            }
-            NodeKind::Attribute | NodeKind::Namespace => {
-                w.write(&XmlEvent::Text(self.value(n).unwrap_or("").into()))?;
-            }
-        }
-        Ok(())
-    }
-
-    fn serialize_into(&self, n: NodeId, out: &mut String) {
-        match self.kind(n) {
-            NodeKind::Document => {
-                let mut c = self.first_child(n);
-                while let Some(ch) = c {
-                    self.serialize_into(ch, out);
-                    c = self.next_sibling(ch);
-                }
-            }
-            NodeKind::Element => {
-                let name = self.name(n).expect("elements are named");
-                out.push('<');
-                out.push_str(&name.lexical());
+                w.start_element(&self.name(n).expect("elements are named"));
                 for ns in self.namespaces(n) {
-                    let prefix = self.name(ns).map(|q| q.local_name().to_string());
-                    match prefix.as_deref() {
-                        Some("") | None => out.push_str(" xmlns"),
-                        Some(p) => {
-                            out.push_str(" xmlns:");
-                            out.push_str(p);
-                        }
-                    }
-                    out.push_str("=\"");
-                    xqr_xmlparse::escape_attr(self.value(ns).unwrap_or(""), out);
-                    out.push('"');
+                    let prefix = self.name(ns);
+                    w.namespace(
+                        prefix.as_ref().map_or("", |q| q.local_name()),
+                        self.value(ns).unwrap_or(""),
+                    );
                 }
                 for a in self.attributes(n) {
-                    out.push(' ');
-                    out.push_str(&self.name(a).expect("attrs are named").lexical());
-                    out.push_str("=\"");
-                    xqr_xmlparse::escape_attr(self.value(a).unwrap_or(""), out);
-                    out.push('"');
+                    w.attribute(
+                        &self.name(a).expect("attributes are named"),
+                        self.value(a).unwrap_or(""),
+                    );
                 }
-                match self.first_child(n) {
-                    None => out.push_str("/>"),
-                    Some(first) => {
-                        out.push('>');
-                        let mut c = Some(first);
-                        while let Some(ch) = c {
-                            self.serialize_into(ch, out);
-                            c = self.next_sibling(ch);
-                        }
-                        out.push_str("</");
-                        out.push_str(&name.lexical());
-                        out.push('>');
-                    }
-                }
+                self.write_children(n, w);
+                w.end_element();
             }
-            NodeKind::Text => xqr_xmlparse::escape_text(self.value(n).unwrap_or(""), out),
-            NodeKind::Comment => {
-                out.push_str("<!--");
-                out.push_str(self.value(n).unwrap_or(""));
-                out.push_str("-->");
-            }
+            NodeKind::Text => w.text(self.value(n).unwrap_or("")),
+            NodeKind::Comment => w.comment(self.value(n).unwrap_or("")),
             NodeKind::ProcessingInstruction => {
-                out.push_str("<?");
-                if let Some(q) = self.name(n) {
-                    out.push_str(q.local_name());
-                }
-                let data = self.value(n).unwrap_or("");
-                if !data.is_empty() {
-                    out.push(' ');
-                    out.push_str(data);
-                }
-                out.push_str("?>");
+                let target = self.name(n);
+                w.pi(
+                    target.as_ref().map_or("", |q| q.local_name()),
+                    self.value(n).unwrap_or(""),
+                );
             }
-            NodeKind::Attribute | NodeKind::Namespace => {
-                // Standalone attribute serialization: its value.
-                out.push_str(self.value(n).unwrap_or(""));
+            NodeKind::Attribute => w.attribute(
+                &self.name(n).expect("attributes are named"),
+                self.value(n).unwrap_or(""),
+            ),
+            NodeKind::Namespace => {
+                let prefix = self.name(n);
+                w.namespace(
+                    prefix.as_ref().map_or("", |q| q.local_name()),
+                    self.value(n).unwrap_or(""),
+                );
             }
+        }
+    }
+
+    fn write_children<W: TreeWriter + ?Sized>(&self, n: NodeId, w: &mut W) {
+        let mut c = self.first_child(n);
+        while let Some(ch) = c {
+            self.write_subtree(ch, w);
+            c = self.next_sibling(ch);
         }
     }
 }
@@ -776,6 +677,38 @@ impl DocumentBuilder {
             tag_index,
             uri: d.uri,
         }))
+    }
+}
+
+/// Deep copy: a subtree written into a builder becomes part of the
+/// document under construction.
+impl TreeWriter for DocumentBuilder {
+    fn start_element(&mut self, name: &QName) {
+        DocumentBuilder::start_element(self, name)
+    }
+
+    fn namespace(&mut self, prefix: &str, uri: &str) {
+        DocumentBuilder::namespace(self, prefix, uri)
+    }
+
+    fn attribute(&mut self, name: &QName, value: &str) {
+        DocumentBuilder::attribute(self, name, value)
+    }
+
+    fn end_element(&mut self) {
+        self.end()
+    }
+
+    fn text(&mut self, text: &str) {
+        DocumentBuilder::text(self, text)
+    }
+
+    fn comment(&mut self, text: &str) {
+        DocumentBuilder::comment(self, text)
+    }
+
+    fn pi(&mut self, target: &str, data: &str) {
+        DocumentBuilder::pi(self, target, data)
     }
 }
 

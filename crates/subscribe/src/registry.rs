@@ -430,8 +430,8 @@ impl SubscriptionRegistry {
                     for (id, sub) in &plan.fallback {
                         let r = contain_panic(|| {
                             sub.plan
-                                .execute_guarded(engine, &ctx, QueryGuard::new(sub.limits))?
-                                .serialize_guarded()
+                                .execute_serialized(engine, &ctx, QueryGuard::new(sub.limits), None)
+                                .map(|(out, _)| out)
                         });
                         if let Ok(out) = &r {
                             if !out.is_empty() {

@@ -16,4 +16,4 @@ pub mod xmark;
 pub use bib::bibliography;
 pub use ebxml::trading_partners;
 pub use random::{random_tree, RandomTreeConfig};
-pub use xmark::{auction_site, XmarkConfig};
+pub use xmark::{auction_site, XmarkConfig, XMARK_QUERIES};

@@ -47,6 +47,98 @@ const WORDS: &[&str] = &[
     "pattern",
 ];
 
+/// The XMark-style query suite over [`auction_site`] documents, under
+/// their `doc("auction.xml")` name: (id, description, query), adapted
+/// to the generator's vocabulary. `examples/xmark_queries.rs` times
+/// them; the differential tests run them through every execution path.
+pub const XMARK_QUERIES: &[(&str, &str, &str)] = &[
+    (
+        "Q1",
+        "name of the seller of the first open auction",
+        r#"for $b in doc("auction.xml")/site/open_auctions/open_auction[1]
+           for $p in doc("auction.xml")/site/people/person
+           where $p/@id = $b/seller/@person
+           return string($p/name)"#,
+    ),
+    (
+        "Q2",
+        "initial increases of all bidders",
+        r#"for $b in doc("auction.xml")/site/open_auctions/open_auction
+           return <increase>{string($b/bidder[1]/increase)}</increase>"#,
+    ),
+    (
+        "Q4",
+        "auctions where some bidder raised by more than 10",
+        r#"count(for $b in doc("auction.xml")/site/open_auctions/open_auction
+               where some $i in $b/bidder/increase satisfies number($i) > 10
+               return $b)"#,
+    ),
+    (
+        "Q5",
+        "closed auctions above a price",
+        r#"count(for $i in doc("auction.xml")/site/closed_auctions/closed_auction
+               where $i/price >= 100
+               return $i/price)"#,
+    ),
+    (
+        "Q6",
+        "items per region",
+        r#"for $r in doc("auction.xml")/site/regions/* return count($r/item)"#,
+    ),
+    (
+        "Q8",
+        "big buyers: people joined to their closed auctions",
+        r#"for $p in doc("auction.xml")/site/people/person
+           let $a := for $t in doc("auction.xml")/site/closed_auctions/closed_auction
+                     where $t/buyer/@person = $p/@id
+                     return $t
+           where count($a) ge 3
+           order by count($a) descending, $p/@id
+           return <buyer name="{$p/name}">{count($a)}</buyer>"#,
+    ),
+    (
+        "Q8b",
+        "Q8 rewritten so the group join applies (order-by outside)",
+        r#"for $r in (for $p in doc("auction.xml")/site/people/person
+                      let $a := for $t in doc("auction.xml")/site/closed_auctions/closed_auction
+                                return if ($t/buyer/@person = $p/@id) then $t else ()
+                      return if (count($a) ge 3)
+                             then <buyer id="{$p/@id}" name="{$p/name}" n="{count($a)}"/>
+                             else ())
+           order by number($r/@n) descending, $r/@id
+           return $r"#,
+    ),
+    (
+        "Q11",
+        "join people to open auctions by initial price affordability",
+        r#"count(for $p in doc("auction.xml")/site/people/person[creditcard]
+               for $o in doc("auction.xml")/site/open_auctions/open_auction
+               where $o/seller/@person = $p/@id
+               return $o)"#,
+    ),
+    (
+        "Q13",
+        "region item names with descriptions",
+        r#"for $i in doc("auction.xml")/site/regions/europe/item
+           return <item name="{$i/name}">{string($i/description)}</item>"#,
+    ),
+    (
+        "Q17",
+        "people without a registered address",
+        r#"count(for $p in doc("auction.xml")/site/people/person
+               where empty($p/address)
+               return $p)"#,
+    ),
+    (
+        "Q20",
+        "grouping people by presence of a creditcard",
+        r#"<result>
+             <with>{count(doc("auction.xml")/site/people/person[creditcard])}</with>
+             <without>{count(doc("auction.xml")/site/people/person[empty(creditcard)])}</without>
+           </result>"#,
+    ),
+];
+
 /// Generation parameters.
 #[derive(Debug, Clone)]
 pub struct XmarkConfig {

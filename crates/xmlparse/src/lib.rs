@@ -18,5 +18,5 @@ pub use reader::{
     is_name_char, is_name_start, parse_events, parse_events_chunked, XmlReader, XML_NS,
 };
 pub use serialize::{
-    escape_attr, escape_text, reserialize, serialize_events, WriterOptions, XmlWriter,
+    escape_attr, escape_text, reserialize, serialize_events, TreeWriter, WriterOptions, XmlWriter,
 };

@@ -2,7 +2,7 @@
 //! picture). Consumes [`XmlEvent`]s — from the reader, the TokenStream, or
 //! query results — and produces well-formed markup with correct escaping.
 
-use crate::event::{NamespaceDecl, XmlEvent};
+use crate::event::XmlEvent;
 use xqr_xdm::{Error, QName, Result};
 
 /// Escape character data content.
@@ -43,6 +43,25 @@ pub struct WriterOptions {
     pub declaration: bool,
 }
 
+/// A consumer of one tree written in document order — the interface
+/// deep copy (the store's `DocumentBuilder`), serialization
+/// ([`XmlWriter`]) and node construction share, so a subtree walk is
+/// written once (`Document::write_subtree`).
+///
+/// Namespaces and attributes belong to the element started last and
+/// arrive before its first child. One arriving with no element open is
+/// a standalone node, which serializes as its bare value.
+pub trait TreeWriter {
+    fn start_element(&mut self, name: &QName);
+    fn namespace(&mut self, prefix: &str, uri: &str);
+    fn attribute(&mut self, name: &QName, value: &str);
+    /// Close the element started last.
+    fn end_element(&mut self);
+    fn text(&mut self, text: &str);
+    fn comment(&mut self, text: &str);
+    fn pi(&mut self, target: &str, data: &str);
+}
+
 /// Streaming writer: feed events in document order; read the buffer at
 /// any point (the streaming benches measure time-to-first-byte this way).
 pub struct XmlWriter {
@@ -51,6 +70,10 @@ pub struct XmlWriter {
     depth: usize,
     /// Start tag is open, awaiting `>`; lets `<a/>` collapse.
     tag_open: bool,
+    /// The open start tag already holds an attribute: a namespace node
+    /// arriving now is dropped, exactly as the store's accessors skip a
+    /// namespace node stored after an attribute.
+    tag_has_attrs: bool,
     /// The element just opened had no children yet (drives indenting and
     /// empty-tag collapsing).
     last_was_start: bool,
@@ -75,6 +98,7 @@ impl XmlWriter {
             opts,
             depth: 0,
             tag_open: false,
+            tag_has_attrs: false,
             last_was_start: false,
             stack: Vec::new(),
             mixed: vec![false],
@@ -97,6 +121,13 @@ impl XmlWriter {
         self.out.is_empty()
     }
 
+    /// Append `s` verbatim — a query result's atomic values, which are
+    /// written as their string value, unescaped.
+    pub fn write_raw(&mut self, s: &str) {
+        self.close_tag_if_open();
+        self.out.push_str(s);
+    }
+
     fn close_tag_if_open(&mut self) {
         if self.tag_open {
             self.out.push('>');
@@ -115,6 +146,14 @@ impl XmlWriter {
         }
     }
 
+    fn push_name(&mut self, name: &QName) {
+        if let Some(p) = name.prefix() {
+            self.out.push_str(p);
+            self.out.push(':');
+        }
+        self.out.push_str(name.local_name());
+    }
+
     /// Write one event. Events must arrive balanced and in order.
     pub fn write(&mut self, event: &XmlEvent) -> Result<()> {
         match event {
@@ -125,90 +164,120 @@ impl XmlWriter {
                 namespaces,
                 ..
             } => {
-                self.close_tag_if_open();
-                self.newline_indent();
-                self.out.push('<');
-                self.out.push_str(&name.lexical());
+                self.start_element(name);
                 for d in namespaces {
-                    self.write_ns_decl(d);
+                    self.namespace(d.prefix.as_deref().unwrap_or(""), &d.uri);
                 }
                 for a in attributes {
-                    self.out.push(' ');
-                    self.out.push_str(&a.name.lexical());
-                    self.out.push_str("=\"");
-                    escape_attr(&a.value, &mut self.out);
-                    self.out.push('"');
+                    self.attribute(&a.name, &a.value);
                 }
-                self.tag_open = true;
-                self.last_was_start = true;
-                self.depth += 1;
-                self.stack.push(name.clone());
-                self.mixed.push(false);
             }
             XmlEvent::EndElement { .. } => {
-                let name = self
-                    .stack
-                    .pop()
-                    .ok_or_else(|| Error::internal("unbalanced EndElement in serializer"))?;
-                self.depth -= 1;
-                let was_mixed = self.mixed.pop().unwrap_or(false);
-                if self.tag_open {
-                    self.out.push_str("/>");
-                    self.tag_open = false;
-                } else {
-                    if !self.last_was_start && !was_mixed {
-                        self.newline_indent();
-                    }
-                    self.out.push_str("</");
-                    self.out.push_str(&name.lexical());
-                    self.out.push('>');
+                if self.stack.is_empty() {
+                    return Err(Error::internal("unbalanced EndElement in serializer"));
                 }
-                self.last_was_start = false;
+                self.end_element();
             }
-            XmlEvent::Text(t) => {
-                self.close_tag_if_open();
-                if let Some(m) = self.mixed.last_mut() {
-                    *m = true;
-                }
-                escape_text(t, &mut self.out);
-                self.last_was_start = false;
-            }
-            XmlEvent::Comment(c) => {
-                self.close_tag_if_open();
-                self.newline_indent();
-                self.out.push_str("<!--");
-                self.out.push_str(c);
-                self.out.push_str("-->");
-                self.last_was_start = false;
-            }
-            XmlEvent::ProcessingInstruction { target, data } => {
-                self.close_tag_if_open();
-                self.newline_indent();
-                self.out.push_str("<?");
-                self.out.push_str(target);
-                if !data.is_empty() {
-                    self.out.push(' ');
-                    self.out.push_str(data);
-                }
-                self.out.push_str("?>");
-                self.last_was_start = false;
-            }
+            XmlEvent::Text(t) => self.text(t),
+            XmlEvent::Comment(c) => self.comment(c),
+            XmlEvent::ProcessingInstruction { target, data } => self.pi(target, data),
         }
         Ok(())
     }
+}
 
-    fn write_ns_decl(&mut self, d: &NamespaceDecl) {
-        self.out.push(' ');
-        match &d.prefix {
-            None => self.out.push_str("xmlns"),
-            Some(p) => {
-                self.out.push_str("xmlns:");
-                self.out.push_str(p);
+impl TreeWriter for XmlWriter {
+    fn start_element(&mut self, name: &QName) {
+        self.close_tag_if_open();
+        self.newline_indent();
+        self.out.push('<');
+        self.push_name(name);
+        self.tag_open = true;
+        self.tag_has_attrs = false;
+        self.last_was_start = true;
+        self.depth += 1;
+        self.stack.push(name.clone());
+        self.mixed.push(false);
+    }
+
+    fn namespace(&mut self, prefix: &str, uri: &str) {
+        if self.tag_open && !self.tag_has_attrs {
+            if prefix.is_empty() {
+                self.out.push_str(" xmlns");
+            } else {
+                self.out.push_str(" xmlns:");
+                self.out.push_str(prefix);
             }
+            self.out.push_str("=\"");
+            escape_attr(uri, &mut self.out);
+            self.out.push('"');
+        } else if self.depth == 0 {
+            self.out.push_str(uri);
         }
-        self.out.push_str("=\"");
-        escape_attr(&d.uri, &mut self.out);
-        self.out.push('"');
+    }
+
+    fn attribute(&mut self, name: &QName, value: &str) {
+        if self.tag_open {
+            self.out.push(' ');
+            self.push_name(name);
+            self.out.push_str("=\"");
+            escape_attr(value, &mut self.out);
+            self.out.push('"');
+            self.tag_has_attrs = true;
+        } else if self.depth == 0 {
+            self.out.push_str(value);
+        }
+    }
+
+    fn end_element(&mut self) {
+        let Some(name) = self.stack.pop() else {
+            return;
+        };
+        self.depth -= 1;
+        let was_mixed = self.mixed.pop().unwrap_or(false);
+        if self.tag_open {
+            self.out.push_str("/>");
+            self.tag_open = false;
+        } else {
+            if !self.last_was_start && !was_mixed {
+                self.newline_indent();
+            }
+            self.out.push_str("</");
+            self.push_name(&name);
+            self.out.push('>');
+        }
+        self.last_was_start = false;
+    }
+
+    fn text(&mut self, text: &str) {
+        self.close_tag_if_open();
+        if let Some(m) = self.mixed.last_mut() {
+            *m = true;
+        }
+        escape_text(text, &mut self.out);
+        self.last_was_start = false;
+    }
+
+    fn comment(&mut self, text: &str) {
+        self.close_tag_if_open();
+        self.newline_indent();
+        self.out.push_str("<!--");
+        self.out.push_str(text);
+        self.out.push_str("-->");
+        self.last_was_start = false;
+    }
+
+    fn pi(&mut self, target: &str, data: &str) {
+        self.close_tag_if_open();
+        self.newline_indent();
+        self.out.push_str("<?");
+        self.out.push_str(target);
+        if !data.is_empty() {
+            self.out.push(' ');
+            self.out.push_str(data);
+        }
+        self.out.push_str("?>");
+        self.last_was_start = false;
     }
 }
 

@@ -2,6 +2,9 @@
 //! result, end to end through the engine, grouped by language feature.
 //! Every case also runs with the optimizer disabled and must agree.
 
+mod common;
+
+use common::{both_legs, query_both, query_xml_both};
 #[allow(unused_imports)]
 use xqr::Result;
 use xqr::{DynamicContext, Engine, EngineOptions};
@@ -22,11 +25,8 @@ fn check_all(cases: &[(&str, &str)]) {
             let q = engine
                 .compile(query)
                 .unwrap_or_else(|e| panic!("compile {query:?} (opt={optimize}): {e}"));
-            let out = q
-                .execute(&engine, &DynamicContext::new())
-                .unwrap_or_else(|e| panic!("run {query:?} (opt={optimize}): {e}"))
-                .serialize_guarded()
-                .unwrap();
+            let out = both_legs(&engine, &q, &DynamicContext::new())
+                .unwrap_or_else(|e| panic!("run {query:?} (opt={optimize}): {e}"));
             assert_eq!(&out, expected, "query {query:?} (optimize={optimize})");
         }
     }
@@ -521,16 +521,10 @@ fn collection_function() {
         xqr::NodeRef::new(d1, xqr::NodeId(0)),
         xqr::NodeRef::new(d2, xqr::NodeId(0)),
     ];
-    assert_eq!(
-        q.execute(&engine, &ctx)
-            .unwrap()
-            .serialize_guarded()
-            .unwrap(),
-        "3"
-    );
+    assert_eq!(both_legs(&engine, &q, &ctx).unwrap(), "3");
     // collection(uri) behaves like doc(uri).
     assert_eq!(
-        engine.query(r#"count(collection("b.xml")//x)"#).unwrap(),
+        query_both(&engine, r#"count(collection("b.xml")//x)"#).unwrap(),
         "2"
     );
 }
@@ -565,12 +559,10 @@ fn deep_nesting_documents() {
         xml.push_str("</n>");
     }
     let engine = Engine::new();
-    assert_eq!(engine.query_xml(&xml, "count(//n)").unwrap(), "300");
-    assert_eq!(engine.query_xml(&xml, "string(/n)").unwrap(), "x");
+    assert_eq!(query_xml_both(&engine, &xml, "count(//n)").unwrap(), "300");
+    assert_eq!(query_xml_both(&engine, &xml, "string(/n)").unwrap(), "x");
     assert_eq!(
-        engine
-            .query_xml(&xml, "count((//n)[last()]/ancestor::n)")
-            .unwrap(),
+        query_xml_both(&engine, &xml, "count((//n)[last()]/ancestor::n)").unwrap(),
         "299"
     );
 }
@@ -602,25 +594,21 @@ fn mixed_document_features_together() {
 fn run_once(q: &str) -> String {
     let engine = Engine::new();
     engine.load_document("bib.xml", BIB).unwrap();
-    engine.query(q).unwrap()
+    query_both(&engine, q).unwrap()
 }
 
 #[test]
 fn boundary_space_declaration() {
     let engine = Engine::new();
     // Default: strip.
-    assert_eq!(engine.query("<a> <b/> </a>").unwrap(), "<a><b/></a>");
+    assert_eq!(query_both(&engine, "<a> <b/> </a>").unwrap(), "<a><b/></a>");
     // Preserve keeps the whitespace text nodes.
     assert_eq!(
-        engine
-            .query("declare boundary-space preserve; <a> <b/> </a>")
-            .unwrap(),
+        query_both(&engine, "declare boundary-space preserve; <a> <b/> </a>").unwrap(),
         "<a> <b/> </a>"
     );
     assert_eq!(
-        engine
-            .query("declare boundary-space strip; <a> <b/> </a>")
-            .unwrap(),
+        query_both(&engine, "declare boundary-space strip; <a> <b/> </a>").unwrap(),
         "<a><b/></a>"
     );
 }
@@ -670,7 +658,7 @@ fn static_typing_strict_engine_mode() {
     // Provable type errors are rejected at compile time.
     assert!(strict.compile("\"a\" + 1").map(|_| ()).is_err());
     // Untyped data stays fine (dynamic typing).
-    assert_eq!(strict.query("<a>3</a> + 1").unwrap(), "4");
+    assert_eq!(query_both(&strict, "<a>3</a> + 1").unwrap(), "4");
     // Declared function types are checked statically.
     assert!(strict
         .compile("declare function local:f() as xs:integer { \"s\" }; local:f()")

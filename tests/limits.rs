@@ -98,6 +98,40 @@ fn output_byte_cap_applies_to_serialization() {
     assert_eq!(result.serialize_guarded().unwrap(), "<ok/>");
 }
 
+/// A serialized execution charges the output budget per top-level item,
+/// so the cap stops the query while it runs — long before the item
+/// budget, which is all a materialize-then-serialize run could hit.
+#[test]
+fn output_byte_cap_stops_a_serialized_query_mid_evaluation() {
+    let limits = Limits::unlimited()
+        .with_max_output_bytes(64)
+        .with_max_items(1_000_000);
+    let engine = engine_with_limits(limits);
+    let query = "for $i in 1 to 100000000 return <r>{$i}</r>";
+    let err = engine.query(query).unwrap_err();
+    assert_eq!(err.code, ErrorCode::Limit);
+    assert!(err.to_string().contains("output budget"), "{err}");
+    let guard = QueryGuard::new(limits);
+    let err = engine
+        .compile(query)
+        .unwrap()
+        .execute_serialized(&engine, &DynamicContext::new(), guard.clone(), None)
+        .unwrap_err();
+    assert!(err.to_string().contains("output budget"), "{err}");
+    let usage = guard.usage();
+    assert!(usage.items < 100, "{usage:?}");
+    assert!(usage.output_bytes < 64 + 16, "{usage:?}");
+}
+
+#[test]
+fn pretty_serialization_charges_the_output_budget() {
+    let engine = engine_with_limits(Limits::unlimited().with_max_output_bytes(16));
+    let q = engine.compile("<a><b><c/></b><d>t</d></a>").unwrap();
+    let result = q.execute(&engine, &DynamicContext::new()).unwrap();
+    let err = result.serialize_pretty().unwrap_err();
+    assert_eq!(err.code, ErrorCode::Limit);
+}
+
 #[test]
 fn parser_depth_limit_prevents_stack_overflow() {
     // 100k nested opens: the reader's depth cap must reject this long

@@ -1,8 +1,11 @@
 //! Cross-crate pipeline tests: behaviours that only show up when the
 //! whole stack runs together.
 
-use xqr::{bind, DynamicContext, Engine, EngineOptions, Item};
-use xqr_xmlgen::{auction_site, bibliography, trading_partners, XmarkConfig};
+mod common;
+
+use common::both_legs;
+use xqr::{bind, DynamicContext, Engine, EngineOptions, Item, QueryGuard};
+use xqr_xmlgen::{auction_site, bibliography, trading_partners, XmarkConfig, XMARK_QUERIES};
 
 #[test]
 fn generated_workloads_parse_and_query() {
@@ -183,6 +186,100 @@ fn constructed_documents_live_exactly_as_long_as_their_result() {
         before,
         "dropping the result frees its constructed documents"
     );
+}
+
+#[test]
+fn xmark_suite_is_byte_identical_serialized_and_materialized() {
+    let xml = auction_site(&XmarkConfig::scaled(400));
+    for options in [EngineOptions::default(), EngineOptions::unoptimized()] {
+        let engine = Engine::with_options(options);
+        engine.load_document("auction.xml", &xml).unwrap();
+        for (id, _, query) in XMARK_QUERIES {
+            let plan = engine.compile(query).unwrap();
+            let out = both_legs(&engine, &plan, &DynamicContext::new())
+                .unwrap_or_else(|e| panic!("{id}: {e}"));
+            assert!(!out.is_empty(), "{id}");
+        }
+    }
+}
+
+/// Constructors whose nodes go straight into the reply never become
+/// store documents — not the element, not its attribute, not the
+/// nested element — yet each evaluation still counts.
+#[test]
+fn constructors_in_result_position_write_straight_into_the_reply() {
+    let engine = Engine::new();
+    let before = engine.store().doc_count();
+    let plan = engine
+        .compile(r#"for $i in 1 to 1000 return <a n="{$i}"><b/></a>"#)
+        .unwrap();
+    let (out, counters) = plan
+        .execute_serialized(
+            &engine,
+            &DynamicContext::new(),
+            QueryGuard::unlimited(),
+            None,
+        )
+        .unwrap();
+    assert!(
+        out.starts_with(r#"<a n="1"><b/></a><a n="2"><b/></a>"#),
+        "{out}"
+    );
+    assert!(out.ends_with(r#"<a n="1000"><b/></a>"#));
+    assert_eq!(engine.store().doc_count(), before);
+    assert!(counters.constructed_docs.is_empty());
+    assert_eq!(counters.nodes_constructed.get(), 3000);
+}
+
+/// Where a constructed node is bound or navigated it still needs an
+/// identity, so it is stored — once per outermost constructor: the
+/// nested `<b/>` is written into `<a>`'s document, not one of its own.
+#[test]
+fn bound_and_navigated_constructors_still_get_node_identity() {
+    let engine = Engine::new();
+    let before = engine.store().doc_count();
+    for (query, want) in [
+        ("let $x := <a/> return ($x, $x, $x is $x)", "<a/><a/>true"),
+        ("(<a><b/></a>)/b", "<b/>"),
+    ] {
+        let plan = engine.compile(query).unwrap();
+        let result = plan.execute(&engine, &DynamicContext::new()).unwrap();
+        assert_eq!(result.counters.constructed_docs.len(), 1, "{query}");
+        assert_eq!(result.serialize_guarded().unwrap(), want);
+        drop(result);
+        assert_eq!(
+            both_legs(&engine, &plan, &DynamicContext::new()).unwrap(),
+            want
+        );
+        assert_eq!(engine.store().doc_count(), before, "{query}");
+    }
+}
+
+#[test]
+fn nodes_constructed_counts_all_six_kinds_on_both_paths() {
+    let engine = Engine::new();
+    let plan = engine
+        .compile(
+            r#"(<e a="1">{attribute b {2}, text {"t"}, comment {"c"},
+                          processing-instruction p {"d"}}</e>,
+                document {<f/>})"#,
+        )
+        .unwrap();
+    let want = r#"<e a="1" b="2">t<!--c--><?p d?></e><f/>"#;
+    let result = plan.execute(&engine, &DynamicContext::new()).unwrap();
+    assert_eq!(result.serialize_guarded().unwrap(), want);
+    let (out, counters) = plan
+        .execute_serialized(
+            &engine,
+            &DynamicContext::new(),
+            QueryGuard::unlimited(),
+            None,
+        )
+        .unwrap();
+    assert_eq!(out, want);
+    // e, @a, @b, text, comment, PI, document, f.
+    assert_eq!(result.counters.nodes_constructed.get(), 8);
+    assert_eq!(counters.nodes_constructed.get(), 8);
 }
 
 #[test]

@@ -7,6 +7,9 @@
 //! case once failed. These tests pin the shrunken counterexamples as
 //! plain `#[test]`s that always run, with the failing inputs inlined.
 
+mod common;
+
+use common::{query_both, query_xml_both};
 use std::sync::Arc;
 use xqr::xqr_tokenstream::{decode, encode, tokens_to_xml, TokenStream};
 use xqr::{Engine, EngineOptions, NodeId};
@@ -84,13 +87,16 @@ fn semantics_seed_doc_streaming_equals_materialized() {
             .execute_streaming(&engine, doc, |m| streamed.push_str(m))
             .unwrap();
         assert_eq!(stats.matches, want);
-        assert_eq!(streamed, engine.query_xml(doc, "//d").unwrap());
+        assert_eq!(streamed, query_xml_both(&engine, doc, "//d").unwrap());
 
         let counted = engine.compile("count(//d)").unwrap();
         assert!(counted.is_streamable_count());
         let (n, _) = counted.execute_streaming_count(&engine, doc).unwrap();
         assert_eq!(n, want);
-        assert_eq!(n.to_string(), engine.query_xml(doc, "count(//d)").unwrap());
+        assert_eq!(
+            n.to_string(),
+            query_xml_both(&engine, doc, "count(//d)").unwrap()
+        );
     }
 }
 
@@ -102,10 +108,9 @@ fn semantics_seed_doc_optimizer_agrees() {
         "for $x in //a return count($x/d)",
         "string((//a)[1])",
     ] {
-        let optimized = Engine::new().query_xml(SEMANTICS_SEED_DOC, q).unwrap();
-        let baseline = Engine::with_options(EngineOptions::unoptimized())
-            .query_xml(SEMANTICS_SEED_DOC, q)
-            .unwrap();
+        let optimized = query_xml_both(&Engine::new(), SEMANTICS_SEED_DOC, q).unwrap();
+        let unoptimized = Engine::with_options(EngineOptions::unoptimized());
+        let baseline = query_xml_both(&unoptimized, SEMANTICS_SEED_DOC, q).unwrap();
         assert_eq!(optimized, baseline, "query {q}");
     }
 }
@@ -128,7 +133,7 @@ fn forty_step_child_paths_stream_identically_to_materialized() {
     plan.execute_streaming(&engine, &xml, |m| streamed.push_str(m))
         .unwrap();
     assert_eq!(streamed, "<s>x</s>");
-    assert_eq!(streamed, engine.query_xml(&xml, &path).unwrap());
+    assert_eq!(streamed, query_xml_both(&engine, &xml, &path).unwrap());
 }
 
 /// Guard against the root-cause class of the roundtrip seed: documents
@@ -238,7 +243,7 @@ fn morsel_split_of_a_single_node_document() {
     use xqr::xqr_runtime::ParallelConfig;
     let engine =
         Engine::with_options(EngineOptions::default().with_parallel(ParallelConfig::forced(4)));
-    assert_eq!(engine.query_xml("<a/>", "count(//a)").unwrap(), "1");
+    assert_eq!(query_xml_both(&engine, "<a/>", "count(//a)").unwrap(), "1");
 }
 
 /// From `fuzz --seed 7` (case 1021) and `chaos --seed 99 --cases 1000`
@@ -277,5 +282,5 @@ fn constructed_nodes_follow_the_input_document_on_a_reused_store() {
     // And on a fresh store, where slot order and creation order agree.
     let fresh = Engine::new();
     fresh.store().load_xml("<in/>", Some("in.xml")).unwrap();
-    assert_eq!(fresh.query(query).unwrap(), "<in/><made/>");
+    assert_eq!(query_both(&fresh, query).unwrap(), "<in/><made/>");
 }

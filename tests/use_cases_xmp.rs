@@ -3,6 +3,9 @@
 //! reviews.xml sample data. Queries adapted only where they use features
 //! outside our documented subset.
 
+mod common;
+
+use common::both_legs;
 use xqr::{DynamicContext, Engine};
 
 const BIB: &str = r#"<bib>
@@ -64,11 +67,7 @@ fn run(q: &str) -> String {
     let prepared = e
         .compile(q)
         .unwrap_or_else(|err| panic!("compile: {err}\n{q}"));
-    prepared
-        .execute(&e, &DynamicContext::new())
-        .unwrap_or_else(|err| panic!("run: {err}\n{q}"))
-        .serialize_guarded()
-        .unwrap()
+    both_legs(&e, &prepared, &DynamicContext::new()).unwrap_or_else(|err| panic!("run: {err}\n{q}"))
 }
 
 #[test]
