@@ -42,9 +42,19 @@ pub fn contain_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     }
 }
 
-/// Stack for the evaluation thread: recursive-descent evaluation over
-/// deep queries/documents is stack-hungry in unoptimized builds.
-const EVAL_STACK_BYTES: usize = 256 * 1024 * 1024;
+/// User-function call depth an engine allows by default. Every engine
+/// evaluation runs on a deep stack (see [`xqr_faults::deep_stack`]), so
+/// this is far above [`RuntimeOptions::default`]'s limit for a caller's
+/// own stack.
+const ENGINE_MAX_CALL_DEPTH: usize = 2048;
+
+/// [`RuntimeOptions::default`] with the engine's call depth.
+fn engine_runtime() -> RuntimeOptions {
+    RuntimeOptions {
+        max_call_depth: ENGINE_MAX_CALL_DEPTH,
+        ..RuntimeOptions::default()
+    }
+}
 
 /// Engine-level options.
 #[derive(Debug, Clone)]
@@ -61,7 +71,7 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             compile: CompileOptions::default(),
-            runtime: RuntimeOptions::default(),
+            runtime: engine_runtime(),
             index_documents: true,
         }
     }
@@ -78,7 +88,7 @@ impl EngineOptions {
                 access_paths: false,
                 ..Default::default()
             },
-            runtime: RuntimeOptions::default(),
+            runtime: engine_runtime(),
             index_documents: false,
         }
     }
@@ -127,11 +137,7 @@ impl Engine {
         Engine::with_options(EngineOptions::default())
     }
 
-    pub fn with_options(mut options: EngineOptions) -> Engine {
-        // The evaluation thread has a large stack; allow deep recursion.
-        if options.runtime.max_call_depth == RuntimeOptions::default().max_call_depth {
-            options.runtime.max_call_depth = 2048;
-        }
+    pub fn with_options(options: EngineOptions) -> Engine {
         Engine {
             store: Store::new(),
             fingerprint: options.fingerprint(),
@@ -378,8 +384,7 @@ impl PreparedQuery {
         text
     }
 
-    /// Execute against the engine's store, on a dedicated evaluation
-    /// thread with a roomy stack. Budgets come from the engine's
+    /// Execute against the engine's store, on a deep stack. Budgets come from the engine's
     /// [`RuntimeOptions::limits`]; use [`PreparedQuery::execute_guarded`]
     /// to supply a guard whose [`xqr_xdm::CancelHandle`] another thread
     /// holds.
@@ -392,7 +397,7 @@ impl PreparedQuery {
     /// The guard carries the deadline, budgets and cancellation flag for
     /// this one execution; obtain a [`xqr_xdm::CancelHandle`] from it
     /// *before* calling and trigger it from any other thread to stop the
-    /// query with `err:XQRL0003`. Panics on the evaluation thread are
+    /// query with `err:XQRL0003`. Panics during evaluation are
     /// contained and surface as `err:XQRL0000` — they never abort the
     /// embedding process.
     pub fn execute_guarded(
@@ -419,7 +424,7 @@ impl PreparedQuery {
         })
     }
 
-    /// Execute and serialize in one pass, on the evaluation thread: each
+    /// Execute and serialize in one pass, on a deep stack: each
     /// top-level item is written into the reply as the evaluator
     /// produces it and charged to the guard's output budget there and
     /// then, and a constructor in result position writes its node
@@ -452,10 +457,11 @@ impl PreparedQuery {
             .map(|(out, _)| out)
     }
 
-    /// Run `body` over a fresh execution state on a dedicated evaluation
-    /// thread with a roomy stack; a panic there surfaces as
-    /// `err:XQRL0000`. Documents the state still holds when `body`
-    /// returns are freed with it.
+    /// Run `body` over a fresh execution state on a deep stack — in
+    /// place on a pool worker, else on one scoped deep thread; a panic
+    /// surfaces as `err:XQRL0000`. The state is created inside the panic
+    /// boundary, so the documents it still holds when `body` returns or
+    /// unwinds are freed with it.
     fn on_eval_thread<T: Send>(
         &self,
         engine: &Engine,
@@ -469,27 +475,14 @@ impl PreparedQuery {
         guard.check_startup()?;
         let store = engine.store.clone();
         let var_count = self.compiled.module.var_count;
-        let faults = xqr_faults::current();
-        std::thread::scope(|scope| {
-            let handle = std::thread::Builder::new()
-                .name("xqr-eval".into())
-                .stack_size(EVAL_STACK_BYTES)
-                .spawn_scoped(scope, move || -> Result<T> {
-                    let _faults = faults.enter();
-                    let mut st = ExecState::with_guard(store, var_count, guard);
-                    if let Some(cache) = scans {
-                        st = st.with_scan_cache(cache);
-                    }
-                    body(&mut st)
-                })
-                .map_err(|e| Error::internal(format!("failed to spawn eval thread: {e}")))?;
-            match handle.join() {
-                Ok(result) => result,
-                Err(payload) => Err(Error::internal(format!(
-                    "evaluation thread panicked: {}",
-                    panic_message(payload.as_ref())
-                ))),
-            }
+        xqr_faults::deep_stack::on_deep_stack(move || {
+            contain_panic(move || {
+                let mut st = ExecState::with_guard(store, var_count, guard);
+                if let Some(cache) = scans {
+                    st = st.with_scan_cache(cache);
+                }
+                body(&mut st)
+            })
         })
     }
 
@@ -793,8 +786,8 @@ mod tests {
     fn injected_panic_becomes_internal_error() {
         use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
         let engine = Engine::new();
-        // Installed here, fires on the `xqr-eval` thread: the hand-off
-        // in `execute_inner` carries the schedule across.
+        // Installed here, fires on the deep-stack thread this off-pool
+        // call hands evaluation to: the hand-off carries the schedule.
         let err = {
             let _faults = xqr_faults::install(
                 FaultSchedule::new(1).rule(FaultRule::new("eval.next", FaultKind::Panic)),
@@ -867,7 +860,7 @@ mod tests {
         let off = EngineOptions::default().with_parallel(xqr_runtime::ParallelConfig::off());
         assert_ne!(on.fingerprint(), off.fingerprint());
         // The engine's cached print is the print of the options it
-        // actually runs with (construction adjusts the call depth).
+        // actually runs with.
         let engine = Engine::with_options(off);
         assert_eq!(engine.fingerprint(), engine.options().fingerprint());
     }

@@ -41,27 +41,34 @@
 //! and there is no install lock to take turns on.
 //!
 //! A query does not stay on the thread that submitted it, so the
-//! schedule follows the work across the three places it changes
-//! threads. Each captures [`current`] on the handing-off thread and
+//! schedule follows the work to every thread it changes to. Each
+//! hand-off captures [`current`] on the handing-off thread and
 //! [`enter`](FaultScope::enter)s it on the receiving thread for the
-//! duration of the hand-off:
+//! duration of the hand-off. A service query crosses two:
 //!
 //! 1. `WorkerPool::submit_governed` (`xqr-parallel`) — captured at
 //!    submission, entered by the worker around the job, its `expire`
 //!    notifier and its publish closure. This is how a schedule
 //!    installed by a client thread reaches a service worker.
-//! 2. The `xqr-eval` thread `PreparedQuery::execute_inner` (`xqr-core`)
-//!    spawns for every materialized execution.
-//! 3. The morsel submit in `parallel_twig_stack` (`xqr-parallel`) — the
+//! 2. The morsel submit in `parallel_twig_stack` (`xqr-parallel`) — the
 //!    morsels go through `morsel_pool().submit`, i.e. through (1), so
 //!    the process-wide morsel pool runs each morsel under the schedule
 //!    of the query that split, and no other.
+//!
+//! Parsing and evaluation need a deep stack, which [`deep_stack`] owns.
+//! Pool workers are started deep, so on them parse and evaluation run
+//! in place and cross no thread. A caller on any other thread (a direct
+//! `Engine::query`, a test) gets one scoped deep thread per call from
+//! [`deep_stack::on_deep_stack`], which enters the caller's schedule
+//! there: the same hand-off, made in one place.
 //!
 //! Code that spawns its own threads and wants them armed (a test with
 //! several clients, say) does the same two calls. With the
 //! `failpoints` feature off, [`FaultScope`] and the guard are
 //! zero-sized and `current`/`enter` are empty inline functions, so the
 //! hand-offs cost release and benchmark builds nothing.
+
+pub mod deep_stack;
 
 use std::time::Duration;
 

@@ -109,7 +109,9 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `workers` threads (clamped to at least 1) serving a queue
-    /// of at most `max_queued` waiting jobs.
+    /// of at most `max_queued` waiting jobs. Workers are started with
+    /// the deep stack ([`xqr_faults::deep_stack`]), so the jobs they run
+    /// parse and evaluate in place.
     pub fn new(workers: usize, max_queued: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
@@ -131,10 +133,10 @@ impl WorkerPool {
         let handles = (0..workers)
             .map(|i| {
                 let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("xqr-pool-worker-{i}"))
-                    .spawn(move || worker_loop(shared))
-                    .expect("spawn worker thread")
+                xqr_faults::deep_stack::spawn_deep(format!("xqr-pool-worker-{i}"), move || {
+                    worker_loop(shared)
+                })
+                .expect("spawn worker thread")
             })
             .collect();
         WorkerPool { shared, handles }

@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use xqr_core::{contain_panic, Engine, Item, NodeId, NodeRef, PreparedQuery};
+use xqr_faults::deep_stack::on_deep_stack;
 use xqr_runtime::{
     run_document, CombinedAutomaton, CombinedOutcome, Counters, DynamicContext, StreamPattern,
     StreamStats, StreamingPass,
@@ -425,14 +426,25 @@ impl SubscriptionRegistry {
             // the fallback set, not the whole publish.
             match contain_panic(materialize) {
                 Ok((doc, owned)) => {
-                    let mut ctx = DynamicContext::new();
-                    ctx.context_item = Some(Item::Node(NodeRef::new(doc, NodeId(0))));
-                    for (id, sub) in &plan.fallback {
-                        let r = contain_panic(|| {
-                            sub.plan
-                                .execute_serialized(engine, &ctx, QueryGuard::new(sub.limits), None)
-                                .map(|(out, _)| out)
-                        });
+                    // One deep stack for the whole loop: a publisher
+                    // off the worker pool pays one thread, not one per
+                    // subscription.
+                    let outcomes = on_deep_stack(|| {
+                        let mut ctx = DynamicContext::new();
+                        ctx.context_item = Some(Item::Node(NodeRef::new(doc, NodeId(0))));
+                        plan.fallback
+                            .iter()
+                            .map(|(_, sub)| {
+                                contain_panic(|| {
+                                    let guard = QueryGuard::new(sub.limits);
+                                    sub.plan
+                                        .execute_serialized(engine, &ctx, guard, None)
+                                        .map(|(out, _)| out)
+                                })
+                            })
+                            .collect::<Vec<_>>()
+                    });
+                    for ((id, sub), r) in plan.fallback.iter().zip(outcomes) {
                         if let Ok(out) = &r {
                             if !out.is_empty() {
                                 matches += 1;

@@ -20,26 +20,14 @@ pub const FN_NS: &str = "http://www.w3.org/2003/11/xpath-functions";
 pub const LOCAL_NS: &str = "http://www.w3.org/2003/11/xquery-local-functions";
 pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
 
-/// Stack reserved for the parse thread. Recursive descent over ~17
-/// productions per nesting level is stack-hungry in unoptimized builds;
-/// parsing on a dedicated thread makes the depth guard ([`MAX_DEPTH`])
-/// the only nesting limit, independent of the caller's stack.
-const PARSER_STACK_BYTES: usize = 32 * 1024 * 1024;
-
 /// Parse a complete query (prolog + body).
+///
+/// Recursive descent over ~17 productions per nesting level is
+/// stack-hungry in unoptimized builds, so the parse runs on a deep stack
+/// (in place on a pool worker): the depth guard ([`MAX_DEPTH`]) is the
+/// only nesting limit, independent of the caller's stack.
 pub fn parse_query(src: &str) -> Result<Module> {
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("xqr-parse".into())
-            .stack_size(PARSER_STACK_BYTES)
-            .spawn_scoped(scope, || {
-                let mut p = Parser::new(src);
-                p.parse_module()
-            })
-            .expect("spawn parser thread")
-            .join()
-            .expect("parser thread panicked")
-    })
+    xqr_faults::deep_stack::on_deep_stack(|| Parser::new(src).parse_module())
 }
 
 /// Parse a standalone expression (no prolog) — convenient in tests.

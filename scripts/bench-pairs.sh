@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Alternating parent/change benchmark pairs for one workload.
 #
-#   scripts/bench-pairs.sh <parent-rev> <workload> <pairs> [xqr-benchmark flags...]
+#   scripts/bench-pairs.sh [--gate] <parent-rev> <workload> <pairs> [xqr-benchmark flags...]
 #
 # Builds `perfbench` twice into separate target directories — once from
 # <parent-rev> (exported with `git archive`, so the repository's own
@@ -14,10 +14,20 @@
 # `--seconds 5`) go to both sides. Set BENCH_PAIRS_DIR to keep the
 # builds and the per-run JSON (default: a fresh temporary directory);
 # the summary is also written there as pairs.json.
+#
+# With --gate the script is a regression check: it exits 1 when some
+# metric's change median is worse than the parent median by more than
+# that metric's BENCHMARK.json bound AND the change lost a majority of
+# the pairs (ties count for neither side). Either alone is noise.
 set -euo pipefail
 
+gate=0
+if [ "${1:-}" = "--gate" ]; then
+    gate=1
+    shift
+fi
 if [ $# -lt 3 ]; then
-    echo "usage: $0 <parent-rev> <workload> <pairs> [xqr-benchmark flags...]" >&2
+    echo "usage: $0 [--gate] <parent-rev> <workload> <pairs> [xqr-benchmark flags...]" >&2
     exit 2
 fi
 rev=$1 workload=$2 pairs=$3
@@ -47,10 +57,13 @@ for i in $(seq 1 "$pairs"); do
     done
 done
 
-python3 - "$root/BENCHMARK.json" "$work" "$pairs" "$workload" "$rev" "$@" <<'EOF'
+python3 - "$root/BENCHMARK.json" "$work" "$pairs" "$workload" "$rev" "$gate" "$@" <<'EOF'
 import json, statistics, sys
 decl, work, pairs, workload, rev = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4], sys.argv[5]
-better = {m["name"]: m["better"] for m in json.load(open(decl))["end_to_end"]}
+gate = sys.argv[6] == "1"
+metrics = json.load(open(decl))["end_to_end"]
+better = {m["name"]: m["better"] for m in metrics}
+bound = {m["name"]: m["bound"] for m in metrics}
 
 def last_json(path):
     return json.loads(open(path).read().strip().splitlines()[-1])
@@ -71,18 +84,37 @@ for name, direction in better.items():
     p = [r["parent"]["metrics"][name]["value"] for r in runs]
     c = [r["change"]["metrics"][name]["value"] for r in runs]
     wins = sum((cv < pv) if direction == "lower" else (cv > pv) for pv, cv in zip(p, c))
+    losses = sum((cv > pv) if direction == "lower" else (cv < pv) for pv, cv in zip(p, c))
     (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(p), quartiles(c)
     summary[name] = {
         "better": direction,
         "parent": {"median": pm, "q1": pq1, "q3": pq3},
         "change": {"median": cm, "q1": cq1, "q3": cq3},
         "change_wins": wins,
+        "change_losses": losses,
     }
     print(f"{name:<22}{pm:>14.4g} [{pq1:.4g}, {pq3:.4g}]".ljust(56)
           + f"{cm:>14.4g} [{cq1:.4g}, {cq3:.4g}]".ljust(34) + f"  {wins}/{pairs}")
 failed = [(r["parent"]["failed"], r["change"]["failed"]) for r in runs]
 print("failed operations per pair (parent, change):", failed)
-json.dump({"workload": workload, "parent_rev": rev, "pairs": pairs, "extra_args": sys.argv[6:],
+json.dump({"workload": workload, "parent_rev": rev, "pairs": pairs, "extra_args": sys.argv[7:],
            "runs": runs, "summary": summary}, open(f"{work}/pairs.json", "w"), indent=1)
 print(f"per-run JSON and pairs.json in {work}")
+
+if gate:
+    regressed = []
+    for name, s in summary.items():
+        pm, cm = s["parent"]["median"], s["change"]["median"]
+        if pm == 0:
+            continue
+        worse = (cm - pm) / pm if s["better"] == "lower" else (pm - cm) / pm
+        if worse > bound[name] and 2 * s["change_losses"] > pairs:
+            regressed.append(f"{name}: {worse:+.1%} worse (bound {bound[name]:.0%}), "
+                             f"lost {s['change_losses']}/{pairs} pairs")
+    if sum(c for _, c in failed) > sum(p for p, _ in failed):
+        regressed.append(f"failed operations: {failed}")
+    for line in regressed:
+        print(f"GATE {workload}: {line}")
+    print(f"gate {workload}: {'FAIL' if regressed else 'pass'}")
+    sys.exit(1 if regressed else 0)
 EOF

@@ -231,3 +231,77 @@ fn unlimited_defaults_change_nothing() {
     assert_eq!(engine.query("count(1 to 200000)").unwrap(), "200000");
     assert!(RuntimeOptions::default().limits.is_unlimited());
 }
+
+/// An explicit call depth is the call depth: 64 is not quietly raised to
+/// the engine default.
+#[test]
+fn an_explicit_call_depth_is_honoured() {
+    let engine = Engine::with_options(EngineOptions {
+        runtime: RuntimeOptions {
+            max_call_depth: 64,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let err = engine
+        .query("declare function local:loop($n) { local:loop($n + 1) }; local:loop(0)")
+        .unwrap_err();
+    assert_eq!(err.code, ErrorCode::Limit);
+    assert!(err.to_string().contains("exceeds 64"), "{err}");
+    assert_eq!(EngineOptions::default().runtime.max_call_depth, 2048);
+    assert_eq!(EngineOptions::unoptimized().runtime.max_call_depth, 2048);
+}
+
+/// Queries at the parser's nesting limit and at the engine's call depth,
+/// with what each must answer.
+fn deep_cases() -> Vec<(String, Result<&'static str, ErrorCode>)> {
+    // The query body is one nesting level, each parenthesis one more:
+    // `MAX_DEPTH - 1` parentheses are exactly `MAX_DEPTH` levels.
+    let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+    let levels = xqr::xqr_xqparser::parser::MAX_DEPTH;
+    vec![
+        (parens(levels - 1), Ok("1")),
+        (parens(levels), Err(ErrorCode::Limit)),
+        (
+            "declare function local:sum($n as xs:integer) as xs:integer {
+               if ($n le 0) then 0 else $n + local:sum($n - 1)
+             };
+             local:sum(2000)"
+                .to_string(),
+            Ok("2001000"),
+        ),
+    ]
+}
+
+fn check_deep(outcome: xqr::Result<String>, expected: &Result<&'static str, ErrorCode>) {
+    match (outcome, expected) {
+        (Ok(out), Ok(want)) => assert_eq!(out, *want),
+        (Err(e), Err(code)) => assert_eq!(e.code, *code, "{e}"),
+        (got, want) => panic!("got {got:?}, want {want:?}"),
+    }
+}
+
+/// Through the service: a pool worker parses and evaluates in place on
+/// its own deep stack.
+#[test]
+fn deep_queries_run_in_place_on_a_service_worker() {
+    use xqr::xqr_service::{QueryService, ServiceConfig};
+    let service = QueryService::new(ServiceConfig::default());
+    for (query, expected) in deep_cases() {
+        check_deep(service.run(&query), &expected);
+    }
+}
+
+/// Off the pool, from a thread with the default 2 MiB stack: parse and
+/// evaluation hand off to one deep thread each instead of overflowing.
+#[test]
+fn deep_queries_run_from_a_small_stack_through_the_fallback() {
+    std::thread::spawn(|| {
+        let engine = Engine::new();
+        for (query, expected) in deep_cases() {
+            check_deep(engine.query(&query), &expected);
+        }
+    })
+    .join()
+    .unwrap();
+}

@@ -289,6 +289,50 @@ fn an_injected_worker_panic_leaves_the_service_healthy() {
     assert_eq!(s.served, 3, "{s}");
 }
 
+/// A worker evaluates in place, so an injected panic unwinds through
+/// the worker's own stack: it must come back as `XQRL0000` from one
+/// `submit`, free the documents the query had constructed, and leave
+/// every worker serving.
+#[test]
+fn an_in_place_evaluation_panic_spares_the_worker_and_the_store() {
+    xqr_faults::silence_injected_panics();
+    let config = ServiceConfig::default();
+    let workers = config.max_concurrent;
+    let service = QueryService::new(config);
+    let query = "let $x := <a><b/><b/></a> return count($x//b)";
+    assert_eq!(service.run(query).unwrap(), "2");
+    let docs = service.engine().store().doc_count();
+    let err = {
+        let _faults = xqr_faults::install(
+            FaultSchedule::new(5).rule(
+                FaultRule::new("eval.next", FaultKind::Panic)
+                    .skip_first(2)
+                    .max_fires(1),
+            ),
+        );
+        let err = service
+            .submit(query, DynamicContext::new())
+            .and_then(|t| t.wait())
+            .unwrap_err();
+        assert_eq!(xqr_faults::fires_at("eval.next"), 1);
+        err
+    };
+    assert_eq!(err.code.as_str(), "XQRL0000", "{err}");
+    assert!(err.to_string().contains("evaluation panicked"), "{err}");
+    let tickets: Vec<_> = (0..workers * 4)
+        .map(|_| loop {
+            match service.submit(query, DynamicContext::new()) {
+                Err(e) if e.code == ErrorCode::Overloaded => std::thread::yield_now(),
+                other => break other.unwrap(),
+            }
+        })
+        .collect();
+    for t in tickets {
+        assert_eq!(t.wait().unwrap(), "2");
+    }
+    assert_eq!(service.engine().store().doc_count(), docs);
+}
+
 /// The uncached-compile rung of the ladder: while the plan cache's
 /// insert side fails, every query compiles for its own execution and still answers; nothing is
 /// cached, nothing is retried, and caching resumes with the fault gone.
@@ -367,12 +411,13 @@ fn an_armed_client_and_an_unarmed_client_share_the_workers() {
     assert!(s.failed > 0 && s.served >= 200, "{s}");
 }
 
-/// The three places a query changes threads all carry the schedule: one
-/// installed here, on the client thread, is consulted at `pool.dispatch`
-/// (the submit below, then twice more from the evaluation thread as it
-/// hands two of three morsels to the morsel pool), at `eval.next` (the
-/// `xqr-eval` thread a service worker spawned) and at `parallel.morsel`
-/// (all three morsels of the forced split, wherever they ran).
+/// The two places a service query changes threads both carry the
+/// schedule: one installed here, on the client thread, is consulted at
+/// `pool.dispatch` (the submit below, then twice more from the worker
+/// as it hands two of three morsels to the morsel pool), at `eval.next`
+/// (on the worker itself, which evaluates in place) and at
+/// `parallel.morsel` (all three morsels of the forced split, wherever
+/// they ran).
 #[test]
 fn a_client_threads_schedule_reaches_worker_eval_and_morsel_threads() {
     let mut engine = xqr::EngineOptions::default();
