@@ -19,4 +19,4 @@ pub use morsel::{
     morsel_pool, parallel_stats, parallel_twig_stack, ParallelConfig, ParallelRun, ParallelStats,
 };
 pub use pool::{PoolStats, WorkerPool};
-pub use sync::{lock_recover, lock_recoveries};
+pub use sync::{lock_recover, lock_recoveries, try_lock_recover};

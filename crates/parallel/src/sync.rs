@@ -3,7 +3,7 @@
 //! they count into the same process-wide gauge).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// Process-wide count of poisoned-lock recoveries.
 static LOCK_RECOVERIES: AtomicU64 = AtomicU64::new(0);
@@ -23,6 +23,19 @@ pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         LOCK_RECOVERIES.fetch_add(1, Ordering::Relaxed);
         poisoned.into_inner()
     })
+}
+
+/// [`lock_recover`] without the wait: `None` when another thread holds
+/// the lock.
+pub fn try_lock_recover<T>(mutex: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match mutex.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => {
+            LOCK_RECOVERIES.fetch_add(1, Ordering::Relaxed);
+            Some(poisoned.into_inner())
+        }
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 /// Total poisoned-lock recoveries since process start.

@@ -126,7 +126,7 @@ impl Sink for Content<'_> {
                 } else {
                     None
                 };
-                self.admit(kind, name.as_ref())?;
+                self.admit(kind, name)?;
                 doc.write_subtree(n.node, self.out);
             }
         }
@@ -331,7 +331,7 @@ fn canonical(name: QName, st: &ExecState) -> QName {
         return name;
     }
     let names = st.store.names();
-    names.resolve(names.intern(&name))
+    names.resolve(names.intern(&name)).clone()
 }
 
 /// An attribute's value: literal template pieces concatenate directly,

@@ -22,8 +22,8 @@ use std::sync::Arc;
 use xqr_compiler::{Core, CoreClause, CoreModule, CoreName, FuncId, VarId};
 use xqr_store::{walk, Axis, DocId, NodeId, NodeRef};
 use xqr_xdm::{
-    AtomicType, AtomicValue, Error, ErrorCode, GuardUsage, ItemType, Limits, NameTest, NodeKind,
-    QName, Result, SequenceType,
+    AtomicType, AtomicValue, Error, ErrorCode, GuardUsage, ItemType, Limits, NameId, NameTest,
+    NodeKind, QName, Result, SequenceType,
 };
 use xqr_xqparser::ast::{AxisName, NodeTest};
 
@@ -866,18 +866,28 @@ impl<'m> Evaluator<'m> {
                 "axis step on an atomic value".to_string(),
             ));
         };
-        let store_axis = convert_axis(axis);
         let doc = st.store.doc_of(node);
-        let candidates = walk(&doc, node.node, store_axis);
-        for n in candidates {
-            if node_test_matches(&doc, n, axis, test) {
-                let item = Item::Node(NodeRef::new(node.doc, n));
-                if sink.accept(self, st, item)? == Flow::Done {
-                    return Ok(Flow::Done);
-                }
+        let Some(test) = BoundTest::bind(&doc, axis, test) else {
+            // A name the pool never saw is on no node of this document.
+            return Ok(Flow::More);
+        };
+        let emit = |n: NodeId| {
+            if test.matches(&doc, n) {
+                sink.accept(self, st, Item::Node(NodeRef::new(node.doc, n)))
+            } else {
+                Ok(Flow::More)
             }
+        };
+        // Child and attribute steps follow the links in place; the other
+        // axes collect their candidates first.
+        match axis {
+            AxisName::Child => until_done(
+                std::iter::successors(doc.first_child(node.node), |&n| doc.next_sibling(n)),
+                emit,
+            ),
+            AxisName::Attribute => until_done(doc.attributes(node.node), emit),
+            _ => until_done(walk(&doc, node.node, convert_axis(axis)), emit),
         }
-        Ok(Flow::More)
     }
 
     fn predicate_holds(&self, predicate: &Core, st: &mut ExecState, position: i64) -> Result<bool> {
@@ -1634,58 +1644,77 @@ fn convert_axis(a: AxisName) -> Axis {
     }
 }
 
-/// Apply a node test, honouring the axis's principal node kind for name
-/// tests.
-pub fn node_test_matches(
-    doc: &xqr_store::Document,
-    n: NodeId,
-    axis: AxisName,
-    test: &NodeTest,
-) -> bool {
-    let kind = doc.kind(n);
-    let principal = match axis {
-        AxisName::Attribute => NodeKind::Attribute,
-        AxisName::Namespace => NodeKind::Namespace,
-        _ => NodeKind::Element,
-    };
-    match test {
-        NodeTest::AnyKind => true,
-        NodeTest::Text => kind == NodeKind::Text,
-        NodeTest::Comment => kind == NodeKind::Comment,
-        NodeTest::Document => kind == NodeKind::Document,
-        NodeTest::Pi(target) => {
-            kind == NodeKind::ProcessingInstruction
-                && target
-                    .as_ref()
-                    .is_none_or(|t| doc.name(n).map(|q| q.local_name() == t).unwrap_or(false))
+/// Feed `nodes` to `f` until it reports [`Flow::Done`].
+fn until_done(
+    nodes: impl IntoIterator<Item = NodeId>,
+    mut f: impl FnMut(NodeId) -> Result<Flow>,
+) -> Result<Flow> {
+    for n in nodes {
+        if f(n)? == Flow::Done {
+            return Ok(Flow::Done);
         }
-        NodeTest::AnyName => kind == principal,
-        NodeTest::Name(q) => kind == principal && doc.name(n).as_ref() == Some(q),
-        NodeTest::NamespaceWildcard(ns) => {
-            kind == principal
-                && doc
-                    .name(n)
-                    .map(|q| q.namespace() == Some(ns.as_str()))
-                    .unwrap_or(false)
+    }
+    Ok(Flow::More)
+}
+
+/// A node test bound to one document's name pool. A test that names a
+/// node holds the name's interned id, so matching is a kind and an
+/// integer compare; the other tests read names borrowed from the pool.
+/// Neither takes a lock or allocates per node.
+#[derive(Clone, Copy)]
+enum BoundTest<'t> {
+    /// Nodes of this kind with this name.
+    Named(NodeKind, NameId),
+    /// Any other test, with the axis's principal node kind (what `*`,
+    /// `ns:*` and `*:local` match).
+    Other(&'t NodeTest, NodeKind),
+}
+
+impl<'t> BoundTest<'t> {
+    /// Bind `test` on `axis` to `doc`'s pool. `None` when the test names
+    /// a name the pool has never interned: it matches no node.
+    fn bind(doc: &xqr_store::Document, axis: AxisName, test: &'t NodeTest) -> Option<Self> {
+        let principal = convert_axis(axis).principal_kind();
+        let named = |kind, q| doc.names.get(q).map(|id| BoundTest::Named(kind, id));
+        match test {
+            NodeTest::Name(q) => named(principal, q),
+            NodeTest::Element(Some(q)) => named(NodeKind::Element, q),
+            NodeTest::Attribute(Some(q)) => named(NodeKind::Attribute, q),
+            _ => Some(BoundTest::Other(test, principal)),
         }
-        NodeTest::LocalWildcard(local) => {
-            kind == principal
-                && doc
-                    .name(n)
-                    .map(|q| q.local_name() == local)
-                    .unwrap_or(false)
-        }
-        NodeTest::Element(name) => {
-            kind == NodeKind::Element
-                && name
-                    .as_ref()
-                    .is_none_or(|q| doc.name(n).as_ref() == Some(q))
-        }
-        NodeTest::Attribute(name) => {
-            kind == NodeKind::Attribute
-                && name
-                    .as_ref()
-                    .is_none_or(|q| doc.name(n).as_ref() == Some(q))
+    }
+
+    fn matches(self, doc: &xqr_store::Document, n: NodeId) -> bool {
+        let kind = doc.kind(n);
+        let (test, principal) = match self {
+            BoundTest::Named(k, id) => return kind == k && doc.name_id(n) == id,
+            BoundTest::Other(test, principal) => (test, principal),
+        };
+        match test {
+            NodeTest::AnyKind => true,
+            NodeTest::Text => kind == NodeKind::Text,
+            NodeTest::Comment => kind == NodeKind::Comment,
+            NodeTest::Document => kind == NodeKind::Document,
+            NodeTest::Pi(target) => {
+                kind == NodeKind::ProcessingInstruction
+                    && target
+                        .as_ref()
+                        .is_none_or(|t| doc.name(n).is_some_and(|q| q.local_name() == t))
+            }
+            NodeTest::AnyName => kind == principal,
+            NodeTest::NamespaceWildcard(ns) => {
+                kind == principal
+                    && doc
+                        .name(n)
+                        .is_some_and(|q| q.namespace() == Some(ns.as_str()))
+            }
+            NodeTest::LocalWildcard(local) => {
+                kind == principal && doc.name(n).is_some_and(|q| q.local_name() == local)
+            }
+            // Named element/attribute tests and name tests bind to `Named`.
+            NodeTest::Element(_) => kind == NodeKind::Element,
+            NodeTest::Attribute(_) => kind == NodeKind::Attribute,
+            NodeTest::Name(_) => false,
         }
     }
 }
@@ -1705,7 +1734,7 @@ pub fn item_matches(item: &Item, ty: &ItemType, store: &xqr_store::Store) -> boo
                 doc.kind(n.node) == *kind
                     && match name_test {
                         NameTest::Any => true,
-                        NameTest::Name(q) => doc.name(n.node).as_ref() == Some(q),
+                        NameTest::Name(q) => doc.name(n.node) == Some(q),
                     }
             }
             Item::Atomic(_) => false,

@@ -69,7 +69,8 @@ impl Item {
     }
 
     pub fn node_name(&self, store: &Store) -> Option<QName> {
-        self.as_node().and_then(|n| store.doc_of(n).name(n.node))
+        self.as_node()
+            .and_then(|n| store.doc_of(n).name(n.node).cloned())
     }
 }
 

@@ -211,7 +211,7 @@ fn random_documents_roundtrip() {
         // Compare every element list by resolving both pools' names.
         for n in 0..names.len() as u32 {
             let q = names.resolve(NameId(n));
-            let other = lnames.get(&q).map_or(&[][..], |m| lindex.element_labels(m));
+            let other = lnames.get(q).map_or(&[][..], |m| lindex.element_labels(m));
             assert_eq!(index.element_labels(NameId(n)), other, "seed {seed} {q}");
         }
     }

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::service::QueryService;
-use xqr_parallel::lock_recover;
+use xqr_parallel::{lock_recover, try_lock_recover};
 use xqr_pressure::{Category, Charge};
 use xqr_runtime::{CombinedAutomaton, StreamingPass};
 use xqr_subscribe::{PublishReport, PublishSession};
@@ -132,10 +132,12 @@ impl IngestState {
     }
 
     pub(crate) fn snapshot(&self) -> IngestSnapshot {
+        // A slot someone holds is counted live rather than waited for:
+        // a feed holds its slot for the whole chunk.
         let active = self
             .slots
             .iter()
-            .filter(|s| lock_recover(s).is_some())
+            .filter(|s| try_lock_recover(s).is_none_or(|e| e.is_some()))
             .count() as u64;
         IngestSnapshot {
             opened: self.sessions_opened.load(Ordering::Relaxed),
@@ -168,9 +170,20 @@ impl QueryService {
         let st = self.ingest_state();
         let mut reaped = false;
         loop {
-            for (i, slot) in st.slots.iter().enumerate() {
-                let mut entry = lock_recover(slot);
-                if entry.is_none() {
+            // A feed holds its slot for the whole chunk, and a slot being
+            // fed is live: the first pass skips held slots instead of
+            // waiting one out. The second pass waits on every slot, so
+            // `Overloaded` still means every slot was live.
+            for wait in [false, true] {
+                for (i, slot) in st.slots.iter().enumerate() {
+                    let held = if wait {
+                        Some(lock_recover(slot))
+                    } else {
+                        try_lock_recover(slot)
+                    };
+                    let Some(mut entry) = held.filter(|e| e.is_none()) else {
+                        continue;
+                    };
                     // Ceiling-checked: a session that cannot even cover
                     // its base footprint is refused outright (and this
                     // is the `pressure.charge` faultpoint the chaos

@@ -276,7 +276,7 @@ mod tests {
         }
         let attrs = walk(&d, a, Axis::Attribute);
         assert_eq!(attrs.len(), 1);
-        assert_eq!(d.name(attrs[0]).unwrap(), QName::local("x"));
+        assert_eq!(d.name(attrs[0]).unwrap(), &QName::local("x"));
     }
 
     #[test]

@@ -175,7 +175,8 @@ impl Document {
         self.node_names[n.0 as usize]
     }
 
-    pub fn name(&self, n: NodeId) -> Option<QName> {
+    /// The node's name, borrowed from the pool's lock-free read side.
+    pub fn name(&self, n: NodeId) -> Option<&QName> {
         let id = self.name_id(n);
         if id.is_none() && !self.kind(n).is_named() {
             None
@@ -302,8 +303,7 @@ impl Document {
 
     /// Look up an attribute by name.
     pub fn attribute(&self, n: NodeId, name: &QName) -> Option<NodeId> {
-        self.attributes(n)
-            .find(|&a| self.name(a).as_ref() == Some(name))
+        self.attributes(n).find(|&a| self.name(a) == Some(name))
     }
 
     /// Approximate memory footprint (bytes) — the representation
@@ -403,17 +403,16 @@ impl Document {
         match self.kind(n) {
             NodeKind::Document => self.write_children(n, w),
             NodeKind::Element => {
-                w.start_element(&self.name(n).expect("elements are named"));
+                w.start_element(self.name(n).expect("elements are named"));
                 for ns in self.namespaces(n) {
-                    let prefix = self.name(ns);
                     w.namespace(
-                        prefix.as_ref().map_or("", |q| q.local_name()),
+                        self.name(ns).map_or("", |q| q.local_name()),
                         self.value(ns).unwrap_or(""),
                     );
                 }
                 for a in self.attributes(n) {
                     w.attribute(
-                        &self.name(a).expect("attributes are named"),
+                        self.name(a).expect("attributes are named"),
                         self.value(a).unwrap_or(""),
                     );
                 }
@@ -423,23 +422,19 @@ impl Document {
             NodeKind::Text => w.text(self.value(n).unwrap_or("")),
             NodeKind::Comment => w.comment(self.value(n).unwrap_or("")),
             NodeKind::ProcessingInstruction => {
-                let target = self.name(n);
                 w.pi(
-                    target.as_ref().map_or("", |q| q.local_name()),
+                    self.name(n).map_or("", |q| q.local_name()),
                     self.value(n).unwrap_or(""),
                 );
             }
             NodeKind::Attribute => w.attribute(
-                &self.name(n).expect("attributes are named"),
+                self.name(n).expect("attributes are named"),
                 self.value(n).unwrap_or(""),
             ),
-            NodeKind::Namespace => {
-                let prefix = self.name(n);
-                w.namespace(
-                    prefix.as_ref().map_or("", |q| q.local_name()),
-                    self.value(n).unwrap_or(""),
-                );
-            }
+            NodeKind::Namespace => w.namespace(
+                self.name(n).map_or("", |q| q.local_name()),
+                self.value(n).unwrap_or(""),
+            ),
         }
     }
 

@@ -166,7 +166,7 @@ impl<'a> TokenIterator for ParserTokenIterator<'a> {
     }
 
     fn name(&self, id: NameId) -> QName {
-        self.names.resolve(id)
+        self.names.resolve(id).clone()
     }
 }
 

@@ -166,7 +166,7 @@ impl TokenResolve for PushTokenizer {
     }
 
     fn name(&self, id: NameId) -> QName {
-        self.names.resolve(id)
+        self.names.resolve(id).clone()
     }
 }
 

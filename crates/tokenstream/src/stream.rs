@@ -60,7 +60,7 @@ impl TokenStream {
         self.pool.get(id)
     }
 
-    pub fn name(&self, id: NameId) -> QName {
+    pub fn name(&self, id: NameId) -> &QName {
         self.names.resolve(id)
     }
 
@@ -210,7 +210,7 @@ impl<'s> TokenIterator for StreamIterator<'s> {
     }
 
     fn name(&self, id: NameId) -> QName {
-        self.stream.names.resolve(id)
+        self.stream.names.resolve(id).clone()
     }
 }
 

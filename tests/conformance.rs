@@ -12,6 +12,11 @@ use xqr::{DynamicContext, Engine, EngineOptions};
 const BIB: &str = r#"<bib><book year="1994"><title>TCP/IP Illustrated</title><author><last>Stevens</last><first>W.</first></author><publisher>Addison-Wesley</publisher><price>65.95</price></book><book year="2000"><title>Data on the Web</title><author><last>Abiteboul</last><first>Serge</first></author><author><last>Buneman</last><first>Peter</first></author><author><last>Suciu</last><first>Dan</first></author><publisher>Morgan Kaufmann</publisher><price>39.95</price></book><book year="1999"><title>Economics of Tech</title><author><last>Shapiro</last><first>Carl</first></author><publisher>MIT Press</publisher><price>129.95</price></book><book year="1994"><title>Unix Programming</title><author><last>Stevens</last><first>W.</first></author><publisher>Addison-Wesley</publisher><price>65.95</price></book></bib>"#;
 
 fn check_all(cases: &[(&str, &str)]) {
+    check_all_over(&[("bib.xml", BIB)], cases);
+}
+
+/// [`check_all`] with `docs` (uri, text) loaded instead of the bibliography.
+fn check_all_over(docs: &[(&str, &str)], cases: &[(&str, &str)]) {
     for (query, expected) in cases {
         for optimize in [true, false] {
             let opts = if optimize {
@@ -21,7 +26,9 @@ fn check_all(cases: &[(&str, &str)]) {
                 EngineOptions::unoptimized()
             };
             let engine = Engine::with_options(opts);
-            engine.load_document("bib.xml", BIB).unwrap();
+            for (uri, xml) in docs {
+                engine.load_document(uri, xml).unwrap();
+            }
             let q = engine
                 .compile(query)
                 .unwrap_or_else(|e| panic!("compile {query:?} (opt={optimize}): {e}"));
@@ -330,6 +337,81 @@ fn namespaces() {
             "a",
         ),
     ]);
+}
+
+/// Name tests compare expanded names — namespace and local part, never
+/// the prefix — on stored and on constructed documents, for name tests,
+/// wildcards, kind tests with a name, `instance of` and PI targets.
+#[test]
+fn name_tests_compare_expanded_names() {
+    const NAMES: &str = r#"<r xmlns:a="urn:x" xmlns:b="urn:y"><a:item a:k="1" b:k="2" k="3"/><b:item/><item/><?target data?><?other more?></r>"#;
+    let x = r#"declare namespace z = "urn:x"; declare namespace y = "urn:y"; declare variable $r := doc("names.xml")/r; "#;
+    let case = |q: &str| format!("{x}{q}");
+    let cases = [
+        // A different prefix over the same namespace matches.
+        (case("count($r/z:item)"), "1"),
+        (case("name($r/z:item)"), "a:item"),
+        (case("string($r/z:item/@z:k)"), "1"),
+        // The same local name in another namespace, or none, does not.
+        (case("name($r/y:item)"), "b:item"),
+        (case("count($r/item)"), "1"),
+        (case("string($r/*/@k)"), "3"),
+        (case("string($r/*/@y:k)"), "2"),
+        // Wildcards on either half.
+        (case("count($r/*:item)"), "3"),
+        (case("count($r/z:*)"), "1"),
+        (case("count($r/*/@*:k)"), "3"),
+        (case("count($r/*/@z:*)"), "1"),
+        (case("count($r//*)"), "3"),
+        // Names in no document: empty, not an error.
+        (case("count($r/never_seen_name)"), "0"),
+        (
+            r#"declare namespace n = "urn:nowhere"; count(doc("names.xml")//n:item)"#.to_string(),
+            "0",
+        ),
+        (case("count($r/*/@never_seen_name)"), "0"),
+        // Kind tests with a name, and `instance of`.
+        (case("count($r/element(z:item))"), "1"),
+        (case("count($r/element(item))"), "1"),
+        (case("count($r/element())"), "3"),
+        (case("count($r/*/attribute(z:k))"), "1"),
+        (case("count($r/*/attribute(k))"), "1"),
+        (case("count($r/*/attribute())"), "3"),
+        (case("$r/z:item instance of element(z:item)"), "true"),
+        (case("$r/y:item instance of element(z:item)"), "false"),
+        (case("$r/item instance of element(z:item)"), "false"),
+        (case("$r/z:item/@z:k instance of attribute(z:k)"), "true"),
+        (case("$r/z:item/@k instance of attribute(z:k)"), "false"),
+        (
+            case("$r/z:item instance of element(never_seen_name)"),
+            "false",
+        ),
+        // Processing-instruction targets.
+        (case("count($r/processing-instruction(target))"), "1"),
+        (case("count($r/processing-instruction('other'))"), "1"),
+        (case("count($r/processing-instruction(never))"), "0"),
+        (case("count($r/processing-instruction())"), "2"),
+        // Steps over a constructed document.
+        (
+            case(
+                r#"let $d := <c xmlns:q="urn:x"><q:item/><item/><y:item xmlns:y="urn:y"/></c> return (count($d/z:item), count($d/item), count($d/element(z:item)), count($d/*:item), namespace-uri($d/z:item))"#,
+            ),
+            "1 1 1 3 urn:x",
+        ),
+        (
+            case(
+                r#"let $d := document { <c xmlns:q="urn:x" q:k="1"><?target x?></c> } return (count($d/c/@z:k), count($d/c/processing-instruction(target)), $d/c instance of element(c))"#,
+            ),
+            "1 1 true",
+        ),
+        // Copying a stored node into a constructor keeps its names.
+        (
+            case("let $o := <out>{$r/z:item}</out> return (count($o/z:item), count($o/z:item/@y:k), count($o/item))"),
+            "1 1 0",
+        ),
+    ];
+    let cases: Vec<(&str, &str)> = cases.iter().map(|(q, e)| (q.as_str(), *e)).collect();
+    check_all_over(&[("names.xml", NAMES)], &cases);
 }
 
 #[test]

@@ -7,11 +7,12 @@
 //! over whole.** Same events, same results, same error codes, same
 //! absolute error offsets.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use xqr::xqr_service::{QueryService, ServiceConfig};
 use xqr::xqr_xmlparse::{XmlEvent, XmlReader};
 use xqr::{Engine, ErrorCode};
+use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
 
 /// Documents chosen so that *some* split point lands inside every
 /// construct the lexer has to resume across.
@@ -263,6 +264,56 @@ fn session_admission_is_bounded_and_aborts_free_slots() {
     assert!(service.abort_chunk_session(b));
     assert!(service.abort_chunk_session(c));
     assert_eq!(service.chunk_sessions(), 0);
+}
+
+/// Opening a session never waits out another session's feed: a feed
+/// holds its slot for the whole chunk, and a slot being fed is live, so
+/// the open skips it. Client A's feed sleeps 400 ms inside its slot;
+/// client B's open (and a stats read) must return before A's feed does.
+#[test]
+fn opening_a_session_does_not_wait_behind_another_sessions_feed() {
+    assert!(xqr_faults::compiled_with_failpoints());
+    let service = QueryService::new(ServiceConfig {
+        max_chunk_sessions: 2,
+        ..Default::default()
+    });
+    let a = service.open_chunk_session("a.xml").unwrap();
+    let feeding = AtomicBool::new(false);
+    let fed = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let _faults = xqr_faults::install(
+                FaultSchedule::new(3).rule(
+                    FaultRule::new("ingest.chunk", FaultKind::Delay(Duration::from_millis(400)))
+                        .max_fires(1),
+                ),
+            );
+            feeding.store(true, Ordering::SeqCst);
+            service.feed_chunk(a, b"<doc>").unwrap();
+            fed.store(true, Ordering::SeqCst);
+        });
+        while !feeding.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // A head start to reach the delay inside its slot. Were A still
+        // short of its slot, B would pass at the parent too; it cannot
+        // fail here, since B's open takes microseconds of A's 400 ms.
+        std::thread::sleep(Duration::from_millis(50));
+        let b = service.open_chunk_session("b.xml").unwrap();
+        let stats = service.stats();
+        assert!(
+            !fed.load(Ordering::SeqCst),
+            "open and stats waited for another session's feed"
+        );
+        assert!(b.to_string().starts_with("s1g"), "A's slot is live: {b}");
+        assert_eq!(
+            stats.ingest_sessions_active, 2,
+            "a held slot counts as live"
+        );
+        assert!(service.abort_chunk_session(b));
+    });
+    assert!(fed.load(Ordering::SeqCst));
+    assert!(service.abort_chunk_session(a));
 }
 
 /// A large document pushed through a stream query is never buffered:
