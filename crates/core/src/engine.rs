@@ -9,7 +9,7 @@ use xqr_runtime::{
     ExecState, Item, ParallelConfig, Reply, RuntimeOptions, ScanCache, Sequence, StreamPattern,
     StreamStats,
 };
-use xqr_store::{DocId, NodeRef, Store};
+use xqr_store::{DocId, Lease, NodeRef, Store};
 use xqr_tokenstream::ParserTokenIterator;
 use xqr_xdm::{Error, NamePool, QName, QueryGuard, Result};
 use xqr_xmlparse::{WriterOptions, XmlWriter};
@@ -202,17 +202,13 @@ impl Engine {
     /// One-shot convenience: run `query` against `xml` bound as the
     /// context item, returning the serialized result.
     ///
-    /// The input document is removed from the store once the result is
-    /// serialized, so repeated one-shot queries run in bounded memory
-    /// instead of growing the store by one document per call.
+    /// The input document is leased for the call and freed with the
+    /// lease, so repeated one-shot queries run in bounded memory.
     pub fn query_xml(&self, xml: &str, query: &str) -> Result<String> {
         let prepared = self.compile(query)?;
-        let doc = self.store.load_xml(xml, None)?;
-        let mut ctx = DynamicContext::new();
-        ctx.context_item = Some(Item::Node(NodeRef::new(doc, xqr_store::NodeId(0))));
-        let out = prepared.serialize(self, &ctx);
-        self.store.remove_document(doc);
-        out
+        let doc = self.store.lease_xml(xml, None)?;
+        let ctx = DynamicContext::new().with_context_item(Item::Node(doc.root()));
+        prepared.serialize(self, &ctx)
     }
 
     /// One-shot convenience without input.
@@ -233,21 +229,20 @@ impl Engine {
     /// queries touching the same QNames reuse each other's path-filtered
     /// lists through a batch-scoped [`ScanCache`] instead of rebuilding
     /// them. Per-query failures are per-slot `Err`s — one bad query does
-    /// not fail its batch siblings. The document is removed when the
-    /// batch completes, like [`Engine::query_xml`].
+    /// not fail its batch siblings. The document is leased for the
+    /// batch, like [`Engine::query_xml`]'s.
     pub fn query_batch(&self, xml: &str, queries: &[&str]) -> Vec<Result<String>> {
-        let doc = match self.store.load_xml(xml, None) {
+        let doc = match self.store.lease_xml(xml, None) {
             Ok(doc) => doc,
             Err(e) => return queries.iter().map(|_| Err(e.clone())).collect(),
         };
         if self.options.index_documents {
             let guard = QueryGuard::new(self.options.runtime.limits);
-            let _ = xqr_index::ensure_indexed(&self.store, doc, &guard);
+            let _ = xqr_index::ensure_indexed(&self.store, doc.id, &guard);
         }
         let cache = Arc::new(ScanCache::new());
-        let mut ctx = DynamicContext::new();
-        ctx.context_item = Some(Item::Node(NodeRef::new(doc, xqr_store::NodeId(0))));
-        let out = queries
+        let ctx = DynamicContext::new().with_context_item(Item::Node(doc.root()));
+        queries
             .iter()
             .map(|query| {
                 let prepared = self.compile(query)?;
@@ -256,9 +251,7 @@ impl Engine {
                     .execute_serialized(self, &ctx, guard, Some(cache.clone()))
                     .map(|(out, _)| out)
             })
-            .collect();
-        self.store.remove_document(doc);
-        out
+            .collect()
     }
 }
 
@@ -407,20 +400,17 @@ impl PreparedQuery {
         guard: QueryGuard,
     ) -> Result<QueryResult> {
         let result_guard = guard.clone();
-        let (items, counters) = self.on_eval_thread(engine, guard, None, |st| {
+        let (items, counters, leases) = self.on_eval_thread(engine, guard, None, |st| {
             let mut items = Sequence::new();
-            let mut counters = evaluate(&self.compiled, ctx, self.runtime.clone(), st, &mut items)?;
-            // On success the constructed-document ledger transfers to
-            // the result (freed when it drops); on error or panic,
-            // `ExecState::drop` frees it.
-            counters.constructed_docs = st.take_constructed_docs();
-            Ok((items, counters))
+            let counters = evaluate(&self.compiled, ctx, self.runtime.clone(), st, &mut items)?;
+            Ok((items, counters, st.take_leases()))
         })?;
         Ok(QueryResult {
             items,
             store: engine.store.clone(),
             counters,
             guard: result_guard,
+            _leases: leases,
         })
     }
 
@@ -460,8 +450,8 @@ impl PreparedQuery {
     /// Run `body` over a fresh execution state on a deep stack — in
     /// place on a pool worker, else on one scoped deep thread; a panic
     /// surfaces as `err:XQRL0000`. The state is created inside the panic
-    /// boundary, so the documents it still holds when `body` returns or
-    /// unwinds are freed with it.
+    /// boundary, so the leases it still holds when `body` returns or
+    /// unwinds drop with it.
     fn on_eval_thread<T: Send>(
         &self,
         engine: &Engine,
@@ -517,12 +507,9 @@ impl PreparedQuery {
 
 /// The materialized result of one execution.
 ///
-/// Owns the store documents its constructors allocated: node identities
-/// created by the query (element/document/attribute/text/comment/PI
-/// constructors, plus context documents loaded by `fn:doc`) live exactly
-/// as long as the result and are freed from the store when it drops. In
-/// a long-lived shared store (the query service) they would otherwise
-/// accumulate forever. Extract what you need — usually via
+/// Leases every document its items can come from — those the query
+/// read and those its constructors minted — so they live exactly as
+/// long as the result. Extract what you need — usually via
 /// [`QueryResult::serialize_guarded`] — before dropping it.
 #[derive(Debug)]
 pub struct QueryResult {
@@ -532,6 +519,8 @@ pub struct QueryResult {
     /// The execution's guard, kept so serialization can charge the
     /// output-byte budget.
     guard: QueryGuard,
+    /// Held for as long as the items are: see above.
+    _leases: Vec<Lease>,
 }
 
 impl QueryResult {
@@ -592,26 +581,6 @@ impl QueryResult {
         }
         self.guard.note_output_bytes(out.len() as u64)?;
         Ok(out)
-    }
-}
-
-impl Drop for QueryResult {
-    fn drop(&mut self) {
-        // Constructed documents live exactly as long as their result.
-        // Each removal is panic-contained: drops can run mid-unwind,
-        // where a second panic (injected faults target the removal
-        // path) would abort the process. A removal that panicked is
-        // parked on the store's orphan list and retried by a later
-        // sweep — a bounded, recoverable leak, never a permanent one.
-        for id in std::mem::take(&mut self.counters.constructed_docs) {
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.store.remove_document(id)
-            }))
-            .is_err()
-            {
-                self.store.park_orphan(id);
-            }
-        }
     }
 }
 

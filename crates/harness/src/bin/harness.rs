@@ -1,7 +1,7 @@
 //! The one oracle driver.
 //!
 //! ```text
-//! harness <fuzz|chaos|pubsub|ingest|recover|overload> [--seed N] [--cases N] [--verbose]
+//! harness <fuzz|chaos|pubsub|ingest|recover|overload|churn> [--seed N] [--cases N] [--verbose]
 //!         [--mutate]   (fuzz)     [--rounds N]   (recover's name for --cases)
 //! ```
 //!
@@ -29,6 +29,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 
 use xqr_harness::chaos::ChaosRunner;
+use xqr_harness::churn::ChurnRunner;
 use xqr_harness::oracle::Fuzz;
 use xqr_harness::verdict::Violation;
 use xqr_harness::{ingest, overload, pubsub, recover, run_cases, Case};
@@ -112,6 +113,7 @@ const LEGS: &[(&str, u64)] = &[
     ("ingest", 100),
     ("recover", 3),
     ("overload", 1),
+    ("churn", 25),
 ];
 
 struct Args {
@@ -159,7 +161,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("harness: {e}");
             eprintln!(
-                "usage: harness <fuzz|chaos|pubsub|ingest|recover|overload> \
+                "usage: harness <fuzz|chaos|pubsub|ingest|recover|overload|churn> \
                  [--seed N] [--cases N] [--verbose] [--mutate (fuzz)] [--rounds N (recover)]"
             );
             return ExitCode::from(2);
@@ -187,6 +189,10 @@ fn main() -> ExitCode {
         "pubsub" => (run(&mut pubsub::run_case), vec![]),
         "ingest" => (run(&mut ingest::run_case), vec![]),
         "recover" => (run(&mut recover::run_round), vec![]),
+        "churn" => {
+            let mut churn = ChurnRunner::new();
+            (run(&mut |s| churn.run_case(s)), vec![])
+        }
         _ => (run(&mut overload_case), vec![]),
     };
 

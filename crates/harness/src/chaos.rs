@@ -280,11 +280,10 @@ impl ChaosRunner {
             ));
         }
 
-        // Cleanup + leak check: with injection off, removal must restore
-        // the store to its baseline exactly. A transient publish doc
-        // whose removal was panicked mid-case is parked on the orphan
-        // list; the un-faulted reap here must reclaim it.
-        self.service.reap_orphaned_documents();
+        // Cleanup + leak check: with injection off, removing the case's
+        // document must restore the store to its baseline exactly —
+        // every transient and constructed document died with its lease,
+        // whatever the faults did.
         self.service.remove_document(&doc_name);
         if store.doc_count() != base_docs || store.live_bytes() != base_bytes {
             case.violations.push(Violation::new(

@@ -24,12 +24,13 @@
 //! `judge` for every leg, with the differential leg's relaxation spelled
 //! [`verdict::Contract::Optimizer`].
 //!
-//! The same driver runs five more legs over the same generators, each
+//! The same driver runs six more legs over the same generators, each
 //! holding the stack to that contract under a different kind of stress:
 //! [`chaos`] (seeded fault schedules against engine and service),
 //! [`pubsub`] (standing subscriptions ≡ one-shot queries), [`ingest`]
-//! (chunked ≡ whole documents), [`recover`] (kill mid-persist, reopen)
-//! and [`overload`] (10× offered load under a memory ceiling). A leg is
+//! (chunked ≡ whole documents), [`recover`] (kill mid-persist, reopen),
+//! [`overload`] (10× offered load under a memory ceiling) and [`churn`]
+//! (readers meet one version while a writer replaces and evicts). A leg is
 //! a function from a case seed to a [`Case`] (a method, where state
 //! carries across cases); [`run_cases`] is the one case loop, and
 //! `src/bin/harness.rs` the one command line.
@@ -40,6 +41,7 @@
 //! `S` is exactly case `0` of a run with `--seed S+i`.
 
 pub mod chaos;
+pub mod churn;
 pub mod gen;
 pub mod ingest;
 pub mod oracle;

@@ -10,9 +10,9 @@
 //! are answered from path-indexed sublists without re-verifying
 //! ancestry node by node.
 //!
-//! Indexes attach to the store through its generation-checked aux slot
-//! ([`attach_index`]/[`index_of`]): they are evicted together with their
-//! document and can never be read through a stale [`xqr_store::DocId`].
+//! An index rides on its document as a set-once attachment
+//! ([`attach_index`]/[`index_of`]): it dies with the document and can
+//! never be read through a stale [`xqr_store::DocId`].
 //! Builds are guarded ([`DocIndex::build_guarded`]) so a hostile
 //! document trips the caller's budgets instead of blowing memory.
 //!

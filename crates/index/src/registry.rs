@@ -1,42 +1,41 @@
-//! Attaching indexes to store slots.
+//! Attaching indexes to documents.
 //!
-//! The store cannot depend on this crate, so indexes ride in the store's
-//! generation-checked per-slot aux attachment: they are evicted together
-//! with their document, and a stale [`DocId`] can never observe another
-//! document's index (the store refuses both the write and the read when
-//! the generation doesn't match).
+//! The store cannot depend on this crate, so an index rides on its
+//! document as the document's set-once attachment: it lives exactly as
+//! long as the document, and an id that no longer resolves to a live
+//! document resolves no index either.
 
 use crate::doc_index::{DocIndex, IndexedAccess};
 use std::sync::Arc;
-use xqr_store::{DocId, Store};
+use xqr_store::{DocId, Document, Store};
 use xqr_xdm::{QueryGuard, Result};
 
 /// A shared handle to any index implementation — heap-built
 /// [`DocIndex`] or an mmap-backed segment view.
 pub type SharedIndex = Arc<dyn IndexedAccess>;
 
-/// The concrete aux payload: `Arc<dyn Any>` can only downcast to a
-/// sized type, so the trait object rides inside this wrapper.
-struct IndexSlot(SharedIndex);
-
-/// Attach a built index to its document's slot. Returns `false` when the
-/// id is stale — the index is dropped instead of being attached to
-/// whatever document reused the slot.
-pub fn attach_index(store: &Store, id: DocId, index: SharedIndex) -> bool {
-    store.set_aux(id, Arc::new(IndexSlot(index)))
+fn attached(doc: &Document) -> Option<SharedIndex> {
+    doc.attachment()?.downcast_ref::<SharedIndex>().cloned()
 }
 
-/// Look up the index for a document, generation checked. `None` means
-/// unindexed *or* stale id.
+/// Attach a built index to a document. Returns `false` when the id no
+/// longer resolves or the document already has an index.
+pub fn attach_index(store: &Store, id: DocId, index: SharedIndex) -> bool {
+    store
+        .try_document(id)
+        .is_some_and(|doc| doc.attach(Box::new(index)))
+}
+
+/// Look up the index for a document. `None` means unindexed *or* an id
+/// whose document is gone.
 pub fn index_of(store: &Store, id: DocId) -> Option<SharedIndex> {
-    let slot = store.aux(id)?.downcast::<IndexSlot>().ok()?;
-    Some(slot.0.clone())
+    attached(&*store.try_document(id)?)
 }
 
 /// Ensure a document is indexed: reuse an existing attachment or build
-/// one under `guard` and attach it. `Ok(None)` means the id went stale
-/// (document removed concurrently); errors are guard trips during the
-/// build.
+/// one under `guard` and attach it (when two builds race, the first
+/// attached wins and both callers get it). `Ok(None)` means the
+/// document is gone; errors are guard trips during the build.
 pub fn ensure_indexed(store: &Store, id: DocId, guard: &QueryGuard) -> Result<Option<SharedIndex>> {
     if let Some(existing) = index_of(store, id) {
         return Ok(Some(existing));
@@ -46,7 +45,8 @@ pub fn ensure_indexed(store: &Store, id: DocId, guard: &QueryGuard) -> Result<Op
         return Ok(None);
     };
     let index: SharedIndex = Arc::new(DocIndex::build_guarded(&doc, guard)?);
-    Ok(attach_index(store, id, index.clone()).then_some(index))
+    doc.attach(Box::new(index));
+    Ok(attached(&doc))
 }
 
 #[cfg(test)]
@@ -66,10 +66,9 @@ mod tests {
         assert_eq!(first.entry_count(), 2);
     }
 
-    /// Satellite regression test: a stale `DocId` must never read another
-    /// document's index. The slot is reused by a *different* document
-    /// with its own index; every access path through the old id must
-    /// come back empty-handed.
+    /// A stale `DocId` must never read another document's index. The
+    /// slot is reused by a *different* document with its own index;
+    /// every access path through the old id must come back empty-handed.
     #[test]
     fn stale_doc_id_never_reads_another_documents_index() {
         let store = Store::new();
@@ -81,7 +80,8 @@ mod tests {
         let x = store.names().intern(&QName::local("x"));
         assert_eq!(old_index.element_labels(x).len(), 2);
 
-        // Remove and reload: the slot index is reused, the id is not.
+        // Remove and reload: nothing holds the old document any more,
+        // so its slot index is reused — the id is not.
         assert!(store.remove_document(old_id));
         let new_id = store.load_xml("<new><y/></new>", Some("new.xml")).unwrap();
         assert_eq!(new_id.index(), old_id.index());

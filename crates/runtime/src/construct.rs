@@ -209,8 +209,7 @@ pub(crate) fn construct(
     let mut b = DocumentBuilder::new(st.store.names().clone());
     b.start_document();
     write(ev, ctor, st, &mut b)?;
-    let id = st.store.add_document(b.finish()?);
-    st.constructed_docs.push(id);
+    let id = st.hold(st.store.lease_document(b.finish()?));
     let root = if kind == NodeKind::Document {
         NodeId(0)
     } else {

@@ -7,7 +7,7 @@ use crate::value::{Item, Sequence};
 use std::collections::HashMap;
 use std::sync::Arc;
 use xqr_compiler::VarId;
-use xqr_store::{DocId, NodeRef, Store};
+use xqr_store::{DocId, Lease, NodeRef, Store};
 use xqr_xdm::{DateTime, Error, ErrorCode, QName, QueryGuard, Result, TzOffset};
 
 /// Values for the dynamic context, supplied by the application.
@@ -146,20 +146,21 @@ pub struct ExecState {
     /// Resource governance for this execution; `QueryGuard::unlimited()`
     /// when the embedder set no limits.
     pub guard: QueryGuard,
-    /// Store documents minted during this execution — by constructors
-    /// whose nodes needed an identity, and by `fn:doc` for context
-    /// documents. They live in the *shared* store, so a long-lived
-    /// embedder (the query service) would leak them without this
-    /// ledger: a materializing execution hands them to its result on
-    /// success (freed when it drops); otherwise they are freed when this
-    /// state drops.
-    pub constructed_docs: Vec<DocId>,
     /// Shared inverted-list scan cache for batch execution: when many
     /// queries run over the same document in one batch, the embedder
     /// installs one cache across all of them so path-filtered list
     /// builds for the same (document, name, root chain) happen once.
     /// `None` (the default) for standalone queries — no overhead.
     pub scan_cache: Option<Arc<crate::index_scan::ScanCache>>,
+    /// A lease on every document a node of this execution can come
+    /// from: the dynamic context's ([`ExecState::pin_context`]), each
+    /// `fn:doc` URI's ([`ExecState::doc`]) and each one a constructor
+    /// mints. Replacing, evicting or removing a document elsewhere never
+    /// frees one this execution reads; the leases pass to the result
+    /// ([`ExecState::take_leases`]) or drop with the state.
+    leases: Vec<Lease>,
+    /// `fn:doc`'s memo: URI → the document its first resolution leased.
+    by_uri: HashMap<String, DocId>,
 }
 
 impl ExecState {
@@ -173,8 +174,9 @@ impl ExecState {
             frame: Frame::new(frame_size),
             focus: Vec::new(),
             guard,
-            constructed_docs: Vec::new(),
             scan_cache: None,
+            leases: Vec::new(),
+            by_uri: HashMap::new(),
         }
     }
 
@@ -184,11 +186,63 @@ impl ExecState {
         self
     }
 
-    /// Hand the constructed-document ledger to the caller (normally
-    /// into [`crate::Counters::constructed_docs`] on success), leaving
-    /// nothing for [`Drop`] to free.
-    pub fn take_constructed_docs(&mut self) -> Vec<DocId> {
-        std::mem::take(&mut self.constructed_docs)
+    /// Lease the document of every node the dynamic context supplies
+    /// (context item, variables, default collection). A node whose
+    /// document is already gone is `err:FODC0002`.
+    pub fn pin_context(&mut self, ctx: &DynamicContext) -> Result<()> {
+        let items = ctx
+            .context_item
+            .iter()
+            .chain(ctx.variables.values().flatten());
+        let nodes = items
+            .filter_map(Item::as_node)
+            .chain(ctx.default_collection.iter().copied());
+        for n in nodes {
+            if self.leases.iter().any(|l| l.id == n.doc) {
+                continue;
+            }
+            let doc = self.store.try_document(n.doc).ok_or_else(|| {
+                Error::new(
+                    ErrorCode::DocumentNotFound,
+                    format!("the document of context node {n:?} is gone"),
+                )
+            })?;
+            self.hold(Lease { id: n.doc, doc });
+        }
+        Ok(())
+    }
+
+    /// The document the store names `uri`: the first call in this
+    /// execution leases it, and every later one — `fn:doc` or an index
+    /// scan anchored there — reads that same document, whatever the
+    /// store names `uri` meanwhile.
+    pub fn doc(&mut self, uri: &str) -> Result<DocId> {
+        if let Some(&id) = self.by_uri.get(uri) {
+            return Ok(id);
+        }
+        let lease = self.store.document_by_uri(uri)?;
+        Ok(self.hold_as(uri, lease))
+    }
+
+    /// Hold `lease` for the rest of the execution, as what
+    /// [`ExecState::doc`] answers for `uri` from now on.
+    pub(crate) fn hold_as(&mut self, uri: &str, lease: Lease) -> DocId {
+        self.by_uri.insert(uri.to_string(), lease.id);
+        self.hold(lease)
+    }
+
+    /// Hold `lease` for the rest of the execution.
+    pub(crate) fn hold(&mut self, lease: Lease) -> DocId {
+        let id = lease.id;
+        self.leases.push(lease);
+        id
+    }
+
+    /// Hand the leases to whoever keeps the result: the documents its
+    /// nodes come from live exactly as long as that holder.
+    pub fn take_leases(&mut self) -> Vec<Lease> {
+        self.by_uri.clear();
+        std::mem::take(&mut self.leases)
     }
 
     pub fn focus(&self) -> Option<&Focus> {
@@ -200,21 +254,6 @@ impl ExecState {
             .last()
             .map(|f| &f.item)
             .ok_or_else(|| Error::new(ErrorCode::MissingContext, "no context item"))
-    }
-}
-
-impl Drop for ExecState {
-    fn drop(&mut self) {
-        // Anything still in the ledger belongs to an execution that
-        // errored or panicked: nothing references those documents, and
-        // in a shared store they would leak forever. Removal is
-        // panic-contained because this can run mid-unwind, where a
-        // second panic would abort the process.
-        for id in self.constructed_docs.drain(..) {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.store.remove_document(id)
-            }));
-        }
     }
 }
 

@@ -20,7 +20,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 use xqr_compiler::{Core, CoreClause, CoreModule, CoreName, FuncId, VarId};
-use xqr_store::{walk, Axis, DocId, NodeId, NodeRef};
+use xqr_store::{walk, Axis, NodeId, NodeRef};
 use xqr_xdm::{
     AtomicType, AtomicValue, Error, ErrorCode, GuardUsage, ItemType, Limits, NameId, NameTest,
     NodeKind, QName, Result, SequenceType,
@@ -117,11 +117,6 @@ pub struct Counters {
     pub stream_tokens_seen: Cell<u64>,
     pub stream_tokens_skipped: Cell<u64>,
     pub stream_matches: Cell<u64>,
-    /// Store documents minted by constructors, transferred from
-    /// [`crate::ExecState::constructed_docs`] after a successful
-    /// materializing execution. The result owner frees them when it is
-    /// done.
-    pub constructed_docs: Vec<DocId>,
 }
 
 impl Counters {
@@ -219,7 +214,6 @@ pub struct Evaluator<'m> {
     pub options: RuntimeOptions,
     pub counters: Counters,
     depth: Cell<usize>,
-    doc_cache: RefCell<HashMap<String, NodeRef>>,
     memo: RefCell<HashMap<(u32, String), Arc<Sequence>>>,
 }
 
@@ -231,7 +225,6 @@ impl<'m> Evaluator<'m> {
             options: RuntimeOptions::default(),
             counters: Counters::default(),
             depth: Cell::new(0),
-            doc_cache: RefCell::new(HashMap::new()),
             memo: RefCell::new(HashMap::new()),
         }
     }
@@ -1053,39 +1046,29 @@ impl<'m> Evaluator<'m> {
         Ok(Flow::More)
     }
 
-    /// `fn:doc`: parse-and-cache through the store.
+    /// `fn:doc`: the store's document at `uri`, else the dynamic
+    /// context's text for it, parsed into a lease — either way memoized
+    /// for the rest of the execution ([`ExecState::doc`]).
     pub fn resolve_doc(&self, uri: &str, st: &mut ExecState) -> Result<NodeRef> {
-        if let Some(n) = self.doc_cache.borrow().get(uri) {
-            return Ok(*n);
-        }
-        // Already loaded in the store (or reloadable via its resolver)?
         // A plain miss falls through to the context documents, but a
         // failed reload — a quarantined segment (`XQRL0006`), an I/O
         // fault — is a real answer and must surface, not degrade into
         // "document not found".
-        match st.store.document_by_uri(uri) {
-            Ok((id, _)) => {
-                let n = NodeRef::new(id, NodeId(0));
-                self.doc_cache.borrow_mut().insert(uri.to_string(), n);
-                return Ok(n);
-            }
+        let id = match st.doc(uri) {
+            Ok(id) => id,
             Err(e) if e.code != ErrorCode::DocumentNotFound => return Err(e),
-            Err(_) => {}
-        }
-        let xml = self.dyn_ctx.documents.get(uri).ok_or_else(|| {
-            Error::new(
-                ErrorCode::DocumentNotFound,
-                format!("no document at {uri:?}"),
-            )
-        })?;
-        let id = st.store.load_xml_guarded(xml, Some(uri), &st.guard)?;
-        // Context documents are per-execution inputs: ledger them like
-        // constructed docs so they don't outlive the result in a
-        // long-lived shared store.
-        st.constructed_docs.push(id);
-        let n = NodeRef::new(id, NodeId(0));
-        self.doc_cache.borrow_mut().insert(uri.to_string(), n);
-        Ok(n)
+            Err(_) => {
+                let xml = self.dyn_ctx.documents.get(uri).ok_or_else(|| {
+                    Error::new(
+                        ErrorCode::DocumentNotFound,
+                        format!("no document at {uri:?}"),
+                    )
+                })?;
+                let lease = st.store.lease_xml_guarded(xml, Some(uri), &st.guard)?;
+                st.hold_as(uri, lease)
+            }
+        };
+        Ok(NodeRef::new(id, NodeId(0)))
     }
 
     #[allow(clippy::too_many_arguments)]

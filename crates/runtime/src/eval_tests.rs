@@ -34,7 +34,7 @@ fn try_run_with(
     let mut ctx = DynamicContext::new();
     setup(&mut ctx, &store);
     let materialized = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default())
-        .map(|(result, _)| serialize_sequence(&result, &store));
+        .map(|(result, _, _leases)| serialize_sequence(&result, &store));
     let mut st = crate::ExecState::new(store.clone(), compiled.module.var_count);
     let mut reply = crate::Reply::new();
     let streamed = crate::evaluate(
@@ -66,7 +66,7 @@ fn run_both(query: &str) -> String {
     .unwrap();
     let store = Store::new();
     let ctx = DynamicContext::new();
-    let (result, _) = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default())
+    let (result, _, _leases) = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default())
         .unwrap_or_else(|e| panic!("{query} (unoptimized): {e}"));
     let unoptimized = serialize_sequence(&result, &store);
     assert_eq!(
@@ -718,7 +718,7 @@ mod memoization {
         let compiled = compile(q, &CompileOptions::default()).unwrap();
         let store = Store::new();
         let ctx = DynamicContext::new();
-        let (r1, c1) = crate::execute(
+        let (r1, c1, _) = crate::execute(
             &compiled,
             &store,
             &ctx,
@@ -728,7 +728,7 @@ mod memoization {
             },
         )
         .unwrap();
-        let (r2, c2) = crate::execute(
+        let (r2, c2, _) = crate::execute(
             &compiled,
             &store,
             &ctx,
@@ -759,7 +759,7 @@ mod counters {
         let compiled = compile("(1 to 100000)[2]", &CompileOptions::default()).unwrap();
         let store = Store::new();
         let ctx = DynamicContext::new();
-        let (r, c) = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default()).unwrap();
+        let (r, c, _) = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default()).unwrap();
         assert_eq!(serialize_sequence(&r, &store), "2");
         assert!(c.early_exits.get() >= 1);
         assert!(c.items_produced.get() < 1000, "{}", c.items_produced.get());
@@ -781,7 +781,7 @@ mod counters {
             let store = Store::new();
             let mut ctx = DynamicContext::new();
             ctx.add_document("d.xml", doc);
-            let (r, c) =
+            let (r, c, _leases) =
                 crate::execute(&compiled, &store, &ctx, RuntimeOptions::default()).unwrap();
             (serialize_sequence(&r, &store), c.ddo_sorts.get())
         };

@@ -135,7 +135,7 @@ fn node_list(
 /// back to navigation; `Err` = real execution error, abort the query.
 pub fn try_index_scan(
     pattern: &AccessPattern,
-    st: &ExecState,
+    st: &mut ExecState,
     parallel: &ParallelConfig,
     counters: &Counters,
 ) -> Result<Option<Vec<NodeRef>>> {
@@ -145,8 +145,9 @@ pub fn try_index_scan(
             Some(node) => node.doc,
             None => return Ok(None),
         },
-        AccessAnchor::Doc(uri) => match st.store.document_by_uri(uri) {
-            Ok((id, _)) => id,
+        // The execution's memo: the document `fn:doc(uri)` reads too.
+        AccessAnchor::Doc(uri) => match st.doc(uri) {
+            Ok(id) => id,
             Err(_) => return Ok(None),
         },
     };

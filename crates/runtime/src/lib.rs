@@ -33,19 +33,20 @@ pub use xqr_parallel::{ParallelConfig, ParallelRun};
 
 use std::sync::Arc;
 use xqr_compiler::CompiledQuery;
-use xqr_store::Store;
+use xqr_store::{Lease, Store};
 use xqr_xdm::{QueryGuard, Result};
 
 /// One-shot execution of a compiled query (tests and simple embeddings;
 /// the engine facade in `xqr-core` adds streaming serialization and
 /// explain output on top). The guard is built from `options.limits`, so
-/// budgets and deadlines apply here too.
+/// budgets and deadlines apply here too. The leases keep the documents
+/// the result's nodes come from alive: hold them while reading it.
 pub fn execute(
     query: &CompiledQuery,
     store: &Arc<Store>,
     dyn_ctx: &DynamicContext,
     options: RuntimeOptions,
-) -> Result<(Sequence, Counters)> {
+) -> Result<(Sequence, Counters, Vec<Lease>)> {
     let guard = QueryGuard::new(options.limits);
     execute_guarded(query, store, dyn_ctx, options, guard)
 }
@@ -59,19 +60,16 @@ pub fn execute_guarded(
     dyn_ctx: &DynamicContext,
     options: RuntimeOptions,
     guard: QueryGuard,
-) -> Result<(Sequence, Counters)> {
+) -> Result<(Sequence, Counters, Vec<Lease>)> {
     let mut st = ExecState::with_guard(store.clone(), query.module.var_count, guard);
     let mut items = Sequence::new();
-    let mut counters = evaluate(query, dyn_ctx, options, &mut st, &mut items)?;
-    // On success the constructed-document ledger transfers to the
-    // caller (the result references those documents); on error — or a
-    // panic unwinding past us — `ExecState::drop` frees the leftovers.
-    counters.constructed_docs = st.take_constructed_docs();
-    Ok((items, counters))
+    let counters = evaluate(query, dyn_ctx, options, &mut st, &mut items)?;
+    Ok((items, counters, st.take_leases()))
 }
 
 /// Evaluate `query` in `st`, streaming its result into `sink`; the
-/// counters come back with the guard's consumption recorded.
+/// counters come back with the guard's consumption recorded. The
+/// context's documents are leased first ([`ExecState::pin_context`]).
 pub fn evaluate(
     query: &CompiledQuery,
     dyn_ctx: &DynamicContext,
@@ -79,6 +77,7 @@ pub fn evaluate(
     st: &mut ExecState,
     sink: &mut dyn Sink,
 ) -> Result<Counters> {
+    st.pin_context(dyn_ctx)?;
     let ev = Evaluator::new(&query.module, dyn_ctx).with_options(options);
     let result = ev.eval_module(st, sink);
     ev.counters.record_guard_usage(&st.guard.usage());

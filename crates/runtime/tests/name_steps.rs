@@ -85,7 +85,7 @@ proptest! {
             let query = format!("{PROLOG}{keyword}::{spelling}");
             let plan = compile(&query, &CompileOptions::default()).unwrap();
             let dyn_ctx = DynamicContext::new().with_context_item(Item::Node(NodeRef::new(id, ctx)));
-            let (got, _) = xqr_runtime::execute(&plan, &store, &dyn_ctx, RuntimeOptions::default()).unwrap();
+            let (got, _, _) = xqr_runtime::execute(&plan, &store, &dyn_ctx, RuntimeOptions::default()).unwrap();
             let got: Vec<NodeId> = got
                 .iter()
                 .map(|i| i.as_node().expect("a step returns nodes"))

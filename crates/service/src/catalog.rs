@@ -6,15 +6,15 @@
 //! reach them via `fn:doc("name")` — and tracks each one's in-memory
 //! size ([`xqr_store::Document::memory_bytes`]). When the sum exceeds
 //! the configured budget, least-recently-used documents are evicted via
-//! [`xqr_store::Store::remove_document`], which frees the store slot for
-//! reuse (generation-checked ids make stale references detectable rather
-//! than dangling).
+//! [`xqr_store::Store::remove_document`], which un-names them and drops
+//! the store's hold.
 //!
-//! Eviction is safe with respect to running queries: a query that has
-//! already resolved the document holds an `Arc<Document>` and keeps the
-//! tree alive until it finishes; a query that resolves *after* eviction
-//! gets a clean `err:FODC0002` (document not found) — or, under
-//! persistence, a transparent reload from the document's segment.
+//! Eviction and replacement are safe with respect to running queries: a
+//! query that has already resolved the document leases it
+//! ([`xqr_store::Lease`]) and reads that version to the end; a query
+//! that resolves *after* eviction gets a clean `err:FODC0002` (document
+//! not found) — or, under persistence, a transparent reload from the
+//! document's segment.
 //!
 //! # Persistence
 //!
@@ -66,7 +66,7 @@ use xqr_pressure::{Category, MemoryLedger, PressureState};
 use xqr_segment::{
     clean_orphans, segment_bytes, write_segment_file, Manifest, ManifestRecord, Segment,
 };
-use xqr_store::{DocId, Store};
+use xqr_store::{DocId, Document, Lease, Store};
 use xqr_xdm::{Error, ErrorCode, Limits, QueryGuard, Result};
 
 /// Catalog counters, snapshotted via [`DocumentCatalog::stats`].
@@ -211,24 +211,6 @@ struct Persistence {
     next_generation: AtomicU64,
 }
 
-/// Rolls a store load back if [`DocumentCatalog::put`] unwinds between
-/// loading the document and registering its catalog entry (a panic in
-/// the index build, say): an unregistered document would otherwise leak
-/// outside the catalog's accounting forever.
-struct LoadRollback<'a> {
-    store: &'a Store,
-    id: DocId,
-    armed: bool,
-}
-
-impl Drop for LoadRollback<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.store.remove_document(self.id);
-        }
-    }
-}
-
 /// Named documents with LRU eviction under a total-bytes budget, and
 /// optional segment-backed persistence (see the module docs).
 pub struct DocumentCatalog {
@@ -272,12 +254,17 @@ impl DocumentCatalog {
     /// segments no live record references) are swept, and every recorded
     /// document is adopted as a lazily-loaded entry — O(manifest) work,
     /// no segment is read yet. Checksums are verified on first touch; a
-    /// failing segment is quarantined, never served. The store's
-    /// URI-miss resolver is wired to this catalog (via a `Weak`, so the
-    /// pair still drops), which is what lets `fn:doc("name")`
-    /// transparently reload evicted or not-yet-touched documents.
-    /// Without a directory the catalog is memory-only and opening it
-    /// cannot fail.
+    /// failing segment is quarantined, never served. Without a
+    /// directory the catalog is memory-only and opening it cannot fail.
+    ///
+    /// The store's URI-miss resolver is wired to this catalog (via a
+    /// `Weak`, so the pair still drops). That is what lets
+    /// `fn:doc("name")` transparently reload evicted or not-yet-touched
+    /// documents, and what makes a reader that misses while [`put`]
+    /// swaps a name's versions wait for the new one on the catalog
+    /// lock instead of reporting the name absent.
+    ///
+    /// [`put`]: DocumentCatalog::put
     pub fn open(
         store: Arc<Store>,
         max_bytes: Option<u64>,
@@ -356,15 +343,13 @@ impl DocumentCatalog {
             pressure_no_index: AtomicU64::new(0),
             ledger,
         });
-        if catalog.persist.is_some() {
-            let weak: Weak<DocumentCatalog> = Arc::downgrade(&catalog);
-            catalog
-                .store
-                .set_doc_resolver(Some(Arc::new(move |uri: &str| match weak.upgrade() {
-                    Some(cat) => cat.resolve(uri),
-                    None => Ok(None),
-                })));
-        }
+        let weak: Weak<DocumentCatalog> = Arc::downgrade(&catalog);
+        catalog
+            .store
+            .set_doc_resolver(Some(Arc::new(move |uri: &str| match weak.upgrade() {
+                Some(cat) => cat.resolve(uri),
+                None => Ok(None),
+            })));
         Ok(catalog)
     }
 
@@ -403,19 +388,19 @@ impl DocumentCatalog {
     }
 
     /// Parse (and index, as [`put`] would) a document WITHOUT creating a
-    /// catalog entry: the caller owns the returned id and must remove it
-    /// from the store when done. The publish path uses this for the
-    /// shared fallback document of one publish — index accounting and
-    /// the unindexed fallbacks apply exactly as for [`put`], but the
-    /// document never competes for the catalog byte budget, is never
-    /// persisted, and is invisible to `doc()` resolution.
+    /// catalog entry: the document lives as long as the returned lease.
+    /// The publish path uses this for the shared fallback document of
+    /// one publish — index accounting and the unindexed fallbacks apply
+    /// exactly as for [`put`], but the document never competes for the
+    /// catalog byte budget, is never persisted, and is invisible to
+    /// `doc()` resolution.
     ///
     /// [`put`]: DocumentCatalog::put
-    pub fn load_transient_indexed(&self, xml: &str) -> Result<DocId> {
+    pub fn load_transient_indexed(&self, xml: &str) -> Result<Lease> {
         xqr_faults::faultpoint!("catalog.load");
-        let id = self.store.load_xml(xml, None)?;
-        self.build_index(id);
-        Ok(id)
+        let doc = self.store.lease_xml(xml, None)?;
+        self.build_index(doc.id);
+        Ok(doc)
     }
 
     /// Parse `xml` and register it under `name` (reachable from queries
@@ -435,23 +420,20 @@ impl DocumentCatalog {
     pub fn put(&self, name: &str, xml: &str) -> Result<DocId> {
         xqr_faults::faultpoint!("catalog.load");
         // Parse (and index) outside the catalog lock: loads can be large.
-        let id = self.store.load_xml(xml, Some(name))?;
-        let mut rollback = LoadRollback {
-            store: &self.store,
-            id,
-            armed: true,
-        };
-        let built = self.build_index(id);
+        // Until the commit below only this lease holds the document, so
+        // an early return or an unwind frees it.
+        let doc = self.store.lease_xml(xml, Some(name))?;
+        let built = self.build_index(doc.id);
         // Wanted an index and got none: the document stays memory-only
         // (see above).
         let unindexed = self.index_limits.is_some() && built.is_none();
         let index_bytes = built.as_ref().map_or(0, |i| i.memory_bytes() as u64);
-        let bytes = self.store.document(id).memory_bytes() as u64 + index_bytes;
+        let bytes = doc.doc.memory_bytes() as u64 + index_bytes;
         // Serialize and write the segment file outside the lock; the
         // manifest append happens under it, so record order and entry
         // order can't disagree between racing puts of the same name.
         let durable = match (&self.persist, unindexed) {
-            (Some(p), false) => Some(self.write_segment(p, id, built.as_deref())?),
+            (Some(p), false) => Some(self.write_segment(p, &doc.doc, built.as_deref())?),
             _ => None,
         };
         let mut inner = lock_recover(&self.inner);
@@ -485,9 +467,8 @@ impl DocumentCatalog {
             }
         }
         if let Some(old) = inner.entries.remove(name) {
-            // Free the store slot *before* unlinking the entry: a panic
-            // mid-removal (chaos) leaves a retriable catalog entry, never
-            // a document leaked outside the catalog's accounting.
+            // Un-name the old version; a query still reading it keeps it
+            // alive until that query ends.
             if let Some(old_id) = old.loaded_id() {
                 self.store.remove_document(old_id);
             }
@@ -503,9 +484,12 @@ impl DocumentCatalog {
             }
         }
         self.make_room(&mut inner, bytes);
+        // Commit: the store keeps the document under `name`, and the
+        // entry accounts for it.
+        self.store.keep(&doc);
         let entry = CatEntry {
             residency: Residency::Loaded {
-                id,
+                id: doc.id,
                 bytes,
                 index_bytes,
             },
@@ -514,22 +498,19 @@ impl DocumentCatalog {
         };
         inner.charge(bytes, index_bytes);
         inner.entries.insert(name.to_string(), entry);
-        // Committed: the entry owns the document from here on.
-        rollback.armed = false;
-        Ok(id)
+        Ok(doc.id)
     }
 
-    /// Serialize `id` and write its segment file crash-safely. The
+    /// Serialize `doc` and write its segment file crash-safely. The
     /// manifest is NOT appended here — that happens under the catalog
     /// lock; until then the file is an unreferenced orphan a crash
     /// would sweep.
     fn write_segment(
         &self,
         p: &Persistence,
-        id: DocId,
+        doc: &Document,
         index: Option<&dyn xqr_index::IndexedAccess>,
     ) -> Result<Durable> {
-        let doc = self.store.document(id);
         let throwaway;
         let concrete: &DocIndex = match index.and_then(|i| i.as_doc_index()) {
             Some(d) => d,
@@ -537,11 +518,11 @@ impl DocumentCatalog {
                 // Indexing is off for this catalog; the segment format
                 // still carries the inverted lists, so build them just
                 // for the durable copy.
-                throwaway = DocIndex::build(&doc)?;
+                throwaway = DocIndex::build(doc)?;
                 &throwaway
             }
         };
-        let blob = segment_bytes(&doc, concrete)?;
+        let blob = segment_bytes(doc, concrete)?;
         let generation = p.next_generation.fetch_add(1, Ordering::Relaxed);
         let file = format!("seg-{generation}.seg");
         write_segment_file(&p.dir, &file, &blob)?;
@@ -589,7 +570,8 @@ impl DocumentCatalog {
             };
             let entry = inner.entries.get(&victim).expect("victim exists");
             let id = entry.loaded_id().expect("victim is loaded");
-            // Store removal first — see the replacement path in `put`.
+            // Un-name in the store first: a panic there (the
+            // `store.remove` faultpoint) leaves the entry for a retry.
             self.store.remove_document(id);
             let mut evicted = inner.entries.remove(&victim).expect("victim exists");
             inner.uncharge_entry(&evicted);
@@ -609,7 +591,7 @@ impl DocumentCatalog {
     /// `OnDisk`. Corruption quarantines the entry (bytes stay charged)
     /// and returns the coded error; transient faults leave it on disk,
     /// retryable.
-    fn reload_locked(&self, inner: &mut CatalogInner, name: &str) -> Result<DocId> {
+    fn reload_locked(&self, inner: &mut CatalogInner, name: &str) -> Result<Lease> {
         let persist = self
             .persist
             .as_ref()
@@ -635,23 +617,24 @@ impl DocumentCatalog {
             Ok((doc, index)) => {
                 let index_bytes = index.memory_bytes() as u64;
                 let bytes = doc.memory_bytes() as u64 + index_bytes;
+                let doc = self.store.lease_document(doc);
+                xqr_index::attach_index(&self.store, doc.id, index);
                 // Room first (the entry is still `OnDisk`, so not a
-                // victim); the store only gets the document once nothing
+                // victim); the store keeps the document only once nothing
                 // between here and the entry update can unwind.
                 self.make_room(inner, bytes);
-                let id = self.store.add_document(doc);
-                xqr_index::attach_index(&self.store, id, index);
+                self.store.keep(&doc);
                 let entry = inner.entries.get_mut(name).expect("caller checked");
                 // OnDisk charged nothing, so no uncharge needed.
                 entry.residency = Residency::Loaded {
-                    id,
+                    id: doc.id,
                     bytes,
                     index_bytes,
                 };
                 entry.last_used = self.next_tick();
                 inner.charge(bytes, index_bytes);
                 self.segments_recovered.fetch_add(1, Ordering::Relaxed);
-                Ok(id)
+                Ok(doc)
             }
             Err(e) if e.code == ErrorCode::CorruptSegment => {
                 // Quarantine holds no memory, so the budget is untouched;
@@ -669,11 +652,11 @@ impl DocumentCatalog {
         }
     }
 
-    /// Resolve a name to a live document id, reloading from disk when
+    /// Lease the document named `name`, reloading it from disk when
     /// necessary. `Ok(None)` means the name is genuinely absent; a
     /// quarantined entry propagates `err:XQRL0006`. This is the store's
     /// URI-miss resolver under persistence.
-    pub fn resolve(&self, name: &str) -> Result<Option<DocId>> {
+    pub fn resolve(&self, name: &str) -> Result<Option<Lease>> {
         let mut inner = lock_recover(&self.inner);
         let tick = self.next_tick();
         match inner.entries.get_mut(name) {
@@ -681,7 +664,9 @@ impl DocumentCatalog {
             Some(e) => match e.residency {
                 Residency::Loaded { id, .. } => {
                     e.last_used = tick;
-                    Ok(Some(id))
+                    // A loaded entry's document is kept by the store.
+                    let doc = self.store.document(id);
+                    Ok(Some(Lease { id, doc }))
                 }
                 Residency::OnDisk => self.reload_locked(&mut inner, name).map(Some),
                 Residency::Quarantined => Err(Error::corrupt_segment(format!(
@@ -697,7 +682,7 @@ impl DocumentCatalog {
     /// quarantined or currently-unreadable segment — use
     /// [`DocumentCatalog::resolve`] for the coded error).
     pub fn get(&self, name: &str) -> Option<DocId> {
-        self.resolve(name).ok().flatten()
+        Some(self.resolve(name).ok()??.id)
     }
 
     /// True while `name` has a catalog entry (loaded, on disk, or
@@ -706,7 +691,7 @@ impl DocumentCatalog {
         lock_recover(&self.inner).entries.contains_key(name)
     }
 
-    /// Remove a named document: frees its store slot and, under
+    /// Remove a named document: drops the store's hold on it and, under
     /// persistence, appends a deletion record and deletes the segment
     /// file (releasing any quarantined bytes). Returns `false` if the
     /// name is not present — or if the deletion record could not be
@@ -732,7 +717,7 @@ impl DocumentCatalog {
             }
             let _ = fs::remove_file(p.dir.join(&d.file));
         }
-        // Store removal first — see the replacement path in `put`.
+        // Un-name in the store first, as in `evict_to`.
         if let Some(id) = entry.loaded_id() {
             self.store.remove_document(id);
         }
@@ -931,7 +916,7 @@ mod tests {
     /// the indexed answers.
     #[test]
     fn failing_index_builds_serve_put_and_transient_loads_unindexed() {
-        use xqr_core::{DynamicContext, Engine, Item, NodeId, NodeRef};
+        use xqr_core::{DynamicContext, Engine, Item};
         use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
         let xml = "<bib><book><author/><title>a</title></book><book><title>b</title></book></bib>";
         let run = |fail_builds: bool| {
@@ -957,9 +942,8 @@ mod tests {
                 )
             };
             let indexed =
-                [entry, transient].map(|id| xqr_index::index_of(engine.store(), id).is_some());
-            let mut ctx = DynamicContext::new();
-            ctx.context_item = Some(Item::Node(NodeRef::new(transient, NodeId(0))));
+                [entry, transient.id].map(|id| xqr_index::index_of(engine.store(), id).is_some());
+            let ctx = DynamicContext::new().with_context_item(Item::Node(transient.root()));
             let answers = [
                 engine.query(r#"doc("bib.xml")//book[author]/title"#),
                 engine.query(r#"count(doc("bib.xml")//title)"#),

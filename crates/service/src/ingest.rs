@@ -417,10 +417,7 @@ fn finish_entry(service: &QueryService, entry: SessionEntry) -> Result<PublishRe
     entry
         .session
         .finish(service.subs_registry(), service.engine(), |xml| {
-            service
-                .catalog()
-                .load_transient_indexed(xml)
-                .map(|id| (id, true))
+            service.catalog().load_transient_indexed(xml)
         })
 }
 

@@ -9,8 +9,8 @@
 //!   `(query text, engine-options fingerprint)` so repeated queries skip
 //!   parse/normalize/typecheck/optimize entirely;
 //! * a **document catalog** ([`DocumentCatalog`]) that owns named
-//!   documents under a total-bytes budget with LRU eviction, built on
-//!   `Store::remove_document`;
+//!   documents under a total-bytes budget with LRU eviction, which
+//!   un-names a document without freeing one a query still reads;
 //! * **admission control** ([`xqr_parallel::WorkerPool`]): a bounded run
 //!   queue in front of a fixed set of workers — when both the workers and the queue are
 //!   full, new queries are rejected with the stable error

@@ -24,7 +24,7 @@ use xqr_core::{Engine, EngineOptions, PreparedQuery};
 use xqr_parallel::WorkerPool;
 use xqr_pressure::{Category, Charge, MemoryLedger, MorselSink, PressureConfig, PressureState};
 use xqr_runtime::{DynamicContext, Item, StreamStats};
-use xqr_store::{DocId, NodeId, NodeRef};
+use xqr_store::{DocId, Lease};
 use xqr_subscribe::{PublishReport, SubId, SubscriptionRegistry, SubscriptionSink};
 use xqr_xdm::{
     CancelHandle, Error, ErrorCode, LatencyHistogram, Limits, MemorySink, QueryGuard, Result,
@@ -411,15 +411,6 @@ impl QueryService {
         xqr_core::contain_panic(|| Ok(self.catalog.remove(name))).unwrap_or(false)
     }
 
-    /// Retry removal of store documents orphaned by a contained panic
-    /// mid-removal (a query result's constructed document, a publish's
-    /// transient). Every publish reaps automatically; this reclaims
-    /// without publishing (a quiesced-service sweep). Returns how many
-    /// documents were freed.
-    pub fn reap_orphaned_documents(&self) -> usize {
-        self.engine().store().reap_orphans()
-    }
-
     /// Compile through the plan cache without executing (warm-up path).
     pub fn prepare(&self, query: &str) -> Result<Arc<PreparedQuery>> {
         self.shared.plans.get_or_compile(&self.shared.engine, query)
@@ -492,9 +483,9 @@ impl QueryService {
     /// one tokenization pass drives the combined automaton for all
     /// streamable subscriptions; non-streamable ones share a single
     /// materialized (and, where the build succeeds, indexed) copy routed
-    /// through the catalog's accounting, removed again before this
-    /// returns. The document is NOT retained — it is never reachable
-    /// via `doc("name")`.
+    /// through the catalog's accounting, leased for the publish and
+    /// freed before this returns. The document is NOT retained — it is
+    /// never reachable via `doc("name")`.
     pub fn publish(&self, name: &str, xml: &str) -> Result<PublishReport> {
         self.enforce_brownout();
         self.shared.check_red("publish")?;
@@ -510,11 +501,7 @@ impl QueryService {
             name,
             xml,
             self.shared.limits,
-            || {
-                self.catalog
-                    .load_transient_indexed(xml)
-                    .map(|id| (id, true))
-            },
+            || self.catalog.load_transient_indexed(xml),
         )?;
         self.shared.record_stream(&report.stats);
         Ok(report)
@@ -538,7 +525,17 @@ impl QueryService {
             name,
             xml,
             self.shared.limits,
-            || Ok((id, false)),
+            || {
+                // Whatever replaced or evicted `name` since the load, this
+                // publish evaluates the version it loaded, if still alive.
+                let doc = self.engine().store().try_document(id).ok_or_else(|| {
+                    Error::new(
+                        ErrorCode::DocumentNotFound,
+                        format!("{name:?} was dropped before its publish evaluated it"),
+                    )
+                })?;
+                Ok(Lease { id, doc })
+            },
         )?;
         self.shared.record_stream(&report.stats);
         Ok(report)
@@ -639,14 +636,13 @@ impl QueryService {
     }
 
     /// Run `query` against `xml` bound as the context item; the
-    /// transient document is removed again before this returns.
+    /// transient document is leased for the call and freed with it.
     pub fn run_on_xml(&self, query: &str, xml: &str) -> Result<String> {
-        let id = self.shared.engine.store().load_xml(xml, None)?;
-        let mut ctx = DynamicContext::new();
-        ctx.context_item = Some(Item::Node(NodeRef::new(id, NodeId(0))));
-        let outcome = self.run_with_context(query, ctx);
-        self.shared.engine.store().remove_document(id);
-        outcome
+        let doc = self.shared.engine.store().lease_xml(xml, None)?;
+        self.run_with_context(
+            query,
+            DynamicContext::new().with_context_item(Item::Node(doc.root())),
+        )
     }
 
     /// Run many queries against one catalog document in a single pass,
@@ -666,7 +662,9 @@ impl QueryService {
     pub fn run_batch(&self, doc: &str, queries: &[&str]) -> Result<Vec<Result<String>>> {
         self.enforce_brownout();
         self.shared.check_red("batch job")?;
-        let id = self.catalog.resolve(doc)?.ok_or_else(|| {
+        // Held from here to the batch's last query: replacing or
+        // evicting `doc` meanwhile never changes what the batch reads.
+        let doc = self.catalog.resolve(doc)?.ok_or_else(|| {
             Error::new(
                 ErrorCode::DocumentNotFound,
                 format!("run_batch: no catalog document named {doc:?}"),
@@ -678,8 +676,7 @@ impl QueryService {
         let (tx, rx) = mpsc::channel();
         self.pool.submit_with_publish(move || {
             let scans = Arc::new(xqr_runtime::ScanCache::new());
-            let mut ctx = DynamicContext::new();
-            ctx.context_item = Some(Item::Node(NodeRef::new(id, NodeId(0))));
+            let ctx = DynamicContext::new().with_context_item(Item::Node(doc.root()));
             shared.batches.fetch_add(1, Ordering::Relaxed);
             let outcomes: Vec<Result<String>> = queries
                 .iter()

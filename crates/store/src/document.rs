@@ -10,7 +10,8 @@
 //! surveys (Al-Khalifa et al.).
 
 use crate::index::TagIndex;
-use std::sync::Arc;
+use std::any::Any;
+use std::sync::{Arc, OnceLock};
 use xqr_tokenstream::{ParserTokenIterator, StringPool, Token, TokenIterator};
 use xqr_xdm::{Error, NameId, NamePool, NodeKind, QName, Result};
 use xqr_xmlparse::{TreeWriter, WriterOptions, XmlWriter};
@@ -19,10 +20,10 @@ use xqr_xmlparse::{TreeWriter, WriterOptions, XmlWriter};
 ///
 /// An id is the slot the document occupies plus the store-wide sequence
 /// number it was created under. The sequence number does two jobs. It
-/// is the *generation check*: the store reuses the slot of a removed
-/// document (see `Store::remove_document`), and a stale `DocId` held
-/// across the removal fails the comparison with the slot's current
-/// occupant instead of silently resolving to the wrong document. And it
+/// is the *generation check*: the store reuses the slot once nothing
+/// holds its document any more (see `Store::lease_document`), and an id
+/// of the earlier occupant fails the comparison with the slot's current
+/// one instead of silently resolving to the wrong document. And it
 /// is the *order*: ids compare by creation, never by slot, so the data
 /// model's cross-document order is "older document first" for the life
 /// of the store — a node constructed by a query always follows the
@@ -89,6 +90,10 @@ pub struct Document {
     values: Vec<u32>,
     strings: StringPool,
     tag_index: TagIndex,
+    /// Set-once side data that lives exactly as long as the document:
+    /// the structural index `xqr-index` builds (this crate cannot name
+    /// its type).
+    attachment: OnceLock<Box<dyn Any + Send + Sync>>,
     /// Base URI (document-uri); informational.
     pub uri: Option<String>,
 }
@@ -315,6 +320,17 @@ impl Document {
             + self.tag_index.memory_bytes()
     }
 
+    /// The document's attachment, if one was set.
+    pub fn attachment(&self) -> Option<&(dyn Any + Send + Sync)> {
+        self.attachment.get().map(|a| &**a)
+    }
+
+    /// Set the attachment; `false` (and `value` dropped) if one was
+    /// already set.
+    pub fn attach(&self, value: Box<dyn Any + Send + Sync>) -> bool {
+        self.attachment.set(value).is_ok()
+    }
+
     /// Borrowed view of the struct-of-arrays, for serialization into a
     /// durable segment. Node id == array index throughout.
     pub fn raw_parts(&self) -> DocParts<'_> {
@@ -383,6 +399,7 @@ impl Document {
             values: parts.values,
             strings: parts.strings,
             tag_index,
+            attachment: OnceLock::new(),
             uri: parts.uri,
         }))
     }
@@ -670,6 +687,7 @@ impl DocumentBuilder {
             values: d.values,
             strings: d.strings,
             tag_index,
+            attachment: OnceLock::new(),
             uri: d.uri,
         }))
     }

@@ -15,4 +15,4 @@ pub mod store;
 pub use axis::{walk, Axis};
 pub use document::{DocId, DocParts, DocPartsOwned, Document, DocumentBuilder, NodeId, NO_NODE};
 pub use index::TagIndex;
-pub use store::{DocResolver, NodeRef, Store};
+pub use store::{DocResolver, Lease, NodeRef, Store};

@@ -8,9 +8,8 @@
 //! expression contain newly created nodes?").
 
 use crate::document::{DocId, Document, NodeId};
-use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 use xqr_xdm::{Error, ErrorCode, NamePool, Result};
 
 /// A node in some document of a store.
@@ -26,42 +25,84 @@ impl NodeRef {
     }
 }
 
-/// One document slot. Slots are reused after removal; each occupant
-/// carries the creation sequence number it was added under, so stale
-/// [`DocId`]s fail their generation check instead of resolving to an
-/// unrelated document.
+/// A hold on one document: while any clone of it lives, so does the
+/// document, and `id` resolves to it. Executions, results and the
+/// store's own keep ([`Store::keep`]) are all leases; a document dies
+/// with the last of them, and nothing else frees it.
+#[derive(Debug, Clone)]
+pub struct Lease {
+    pub id: DocId,
+    pub doc: Arc<Document>,
+}
+
+impl Lease {
+    /// The document node.
+    pub fn root(&self) -> NodeRef {
+        NodeRef::new(self.id, NodeId(0))
+    }
+}
+
+/// One document slot. The slot follows its occupant weakly and is free
+/// for reuse once nothing holds the occupant any more; `created` is the
+/// occupant's creation number, so an id of an earlier occupant never
+/// resolves to a later one.
 struct Slot {
     created: u64,
-    doc: Option<Arc<Document>>,
-    /// Generation-checked side attachment (e.g. a structural index built
-    /// by `xqr-index`). Cleared whenever the document leaves the slot, so
-    /// an attachment can never outlive — or be read through a stale id
-    /// of — the document it describes.
-    aux: Option<Arc<dyn Any + Send + Sync>>,
+    doc: Weak<Document>,
+    /// The store's own hold, for documents it was asked to keep
+    /// ([`Store::keep`]); [`Store::remove_document`] drops it.
+    kept: Option<Arc<Document>>,
+    /// The occupant's [`Document::memory_bytes`].
+    bytes: u64,
 }
 
 #[derive(Default)]
 struct StoreInner {
     slots: Vec<Slot>,
-    /// Indices of empty slots, ready for reuse.
+    /// Slots the last sweep found dead and nothing has reused yet.
     free: Vec<u32>,
+    /// The next sweep waits until `slots` is this long: twice what was
+    /// live at the last one.
+    next_sweep: usize,
+    /// Named documents; each is kept.
     by_uri: HashMap<String, DocId>,
-    /// Sum of `Document::memory_bytes` over live documents.
-    live_bytes: u64,
     /// Documents ever added: the next [`DocId::created`] to hand out.
     created: u64,
 }
 
+impl StoreInner {
+    /// A dead slot to reuse, if any. When the free list runs dry and
+    /// `slots` has doubled since the last sweep, sweep again: at least
+    /// half of the slots a sweep looks at are reused or newly pushed
+    /// before the next, so registration is amortized O(1) and `slots`
+    /// stays within twice the peak number of live documents.
+    fn free_slot(&mut self) -> Option<u32> {
+        if self.free.is_empty() && self.slots.len() >= self.next_sweep {
+            let slots = &self.slots;
+            self.free = (0..slots.len() as u32)
+                .filter(|&i| slots[i as usize].doc.strong_count() == 0)
+                .collect();
+            self.next_sweep = 2 * (slots.len() - self.free.len());
+        }
+        self.free.pop()
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.iter().filter(|s| s.doc.strong_count() > 0)
+    }
+}
+
 /// A URI-miss hook: given a URI the store has no live document for,
 /// try to materialize one (e.g. reload it from a durable segment) and
-/// return its id. `Ok(None)` means "genuinely absent"; an error (a
-/// quarantined segment's `XQRL0006`, say) propagates to the query.
-pub type DocResolver = dyn Fn(&str) -> Result<Option<DocId>> + Send + Sync;
+/// return a lease on it. `Ok(None)` means "genuinely absent"; an error
+/// (a quarantined segment's `XQRL0006`, say) propagates to the query.
+pub type DocResolver = dyn Fn(&str) -> Result<Option<Lease>> + Send + Sync;
 
-/// A shared collection of documents. Loading is cheap-append; removal
-/// ([`Store::remove_document`]) frees the slot for reuse so long-lived
-/// stores (one-shot query paths, document catalogs with eviction) run in
-/// bounded memory instead of growing forever.
+/// A shared collection of documents. A document lives while someone
+/// holds it ([`Lease`]): the store itself for the documents it keeps,
+/// an execution for what it reads, a result for what it returns.
+/// Slots of dead documents are reused, so long-lived stores run in
+/// bounded memory without anyone freeing anything by hand.
 pub struct Store {
     names: Arc<NamePool>,
     inner: RwLock<StoreInner>,
@@ -69,21 +110,11 @@ pub struct Store {
     /// inner lock (the resolver re-enters the store to add the reloaded
     /// document).
     resolver: RwLock<Option<Arc<DocResolver>>>,
-    /// Documents whose removal panicked (a contained fault mid-drop):
-    /// parked here by [`Store::park_orphan`] and retried by
-    /// [`Store::reap_orphans`], so a panic at the removal site is a
-    /// bounded, recoverable leak instead of a permanent one.
-    orphans: std::sync::Mutex<Vec<DocId>>,
 }
 
 impl Store {
     pub fn new() -> Arc<Store> {
-        Arc::new(Store {
-            names: Arc::new(NamePool::new()),
-            inner: RwLock::new(StoreInner::default()),
-            resolver: RwLock::new(None),
-            orphans: std::sync::Mutex::new(Vec::new()),
-        })
+        Self::with_names(Arc::new(NamePool::new()))
     }
 
     pub fn with_names(names: Arc<NamePool>) -> Arc<Store> {
@@ -91,7 +122,6 @@ impl Store {
             names,
             inner: RwLock::new(StoreInner::default()),
             resolver: RwLock::new(None),
-            orphans: std::sync::Mutex::new(Vec::new()),
         })
     }
 
@@ -120,20 +150,22 @@ impl Store {
         self.inner.write().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Register a document, returning its id. Slots of previously removed
-    /// documents are reused; the id's creation number is fresh either
-    /// way, so ids order by when they were added, not where they landed.
-    pub fn add_document(&self, doc: Arc<Document>) -> DocId {
+    /// Register a document the caller holds, without a hold of the
+    /// store's own: it is freed when the returned lease (and every clone
+    /// of it) drops. The id's creation number is fresh, so ids order by
+    /// when documents were added, not by the slot they landed in.
+    pub fn lease_document(&self, doc: Arc<Document>) -> Lease {
+        let bytes = doc.memory_bytes() as u64;
         let mut inner = self.write();
-        inner.live_bytes += doc.memory_bytes() as u64;
         let created = inner.created;
         inner.created += 1;
         let slot = Slot {
             created,
-            doc: Some(doc.clone()),
-            aux: None,
+            doc: Arc::downgrade(&doc),
+            kept: None,
+            bytes,
         };
-        let index = match inner.free.pop() {
+        let index = match inner.free_slot() {
             Some(index) => {
                 inner.slots[index as usize] = slot;
                 index
@@ -143,35 +175,39 @@ impl Store {
                 inner.slots.len() as u32 - 1
             }
         };
-        let id = DocId::new(index, created);
-        if let Some(uri) = &doc.uri {
-            inner.by_uri.insert(uri.clone(), id);
+        Lease {
+            id: DocId::new(index, created),
+            doc,
         }
-        id
     }
 
-    /// Remove a document, freeing its slot for reuse. Returns `false` if
-    /// the id is stale (already removed) — removal is idempotent.
-    ///
-    /// Callers must ensure no live [`NodeRef`]s into the document remain;
-    /// resolving one afterwards via [`Store::document`] panics with a
-    /// stale-id message (contained by the engine's panic boundary, but a
-    /// caller bug nonetheless). Holders of an already-resolved
-    /// `Arc<Document>` are unaffected — the tree is freed when the last
-    /// clone drops.
+    /// Take the store's own hold on a leased document and name it by its
+    /// URI, if it has one: it now lives until [`Store::remove_document`].
+    pub fn keep(&self, lease: &Lease) {
+        let mut inner = self.write();
+        inner.slots[lease.id.index() as usize].kept = Some(lease.doc.clone());
+        if let Some(uri) = &lease.doc.uri {
+            inner.by_uri.insert(uri.clone(), lease.id);
+        }
+    }
+
+    /// Drop the store's hold on a kept document and its URI mapping.
+    /// The document is freed unless an execution or a result still
+    /// leases it; either way the id keeps resolving until the last
+    /// holder lets go. Returns `false` if the store held nothing (never
+    /// kept, or already removed) — removal is idempotent.
     pub fn remove_document(&self, id: DocId) -> bool {
         xqr_faults::faultpoint_infallible!("store.remove");
         let mut inner = self.write();
         let Some(slot) = inner.slots.get_mut(id.index() as usize) else {
             return false;
         };
-        if slot.created != id.created() || slot.doc.is_none() {
+        if slot.created != id.created() {
             return false;
         }
-        let doc = slot.doc.take().expect("checked live above");
-        slot.aux = None;
-        inner.free.push(id.index());
-        inner.live_bytes = inner.live_bytes.saturating_sub(doc.memory_bytes() as u64);
+        let Some(doc) = slot.kept.take() else {
+            return false;
+        };
         if let Some(uri) = &doc.uri {
             // Only unlink the URI if it still maps to *this* document (a
             // reload under the same URI may have superseded the mapping).
@@ -179,147 +215,89 @@ impl Store {
                 inner.by_uri.remove(uri);
             }
         }
+        drop(inner);
+        // The last holder frees the tree here, outside the lock.
+        drop(doc);
         true
     }
 
-    /// Park a document whose removal panicked (the panic was contained
-    /// by the caller). [`Store::reap_orphans`] retries it later, so a
-    /// fault at the removal site cannot leak the document permanently.
-    pub fn park_orphan(&self, id: DocId) {
-        self.orphans
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(id);
-    }
-
-    /// Retry removal of parked orphans. Each retry is panic-contained;
-    /// documents whose removal panics again stay parked for the next
-    /// sweep. Returns how many were freed (removal is idempotent, so a
-    /// document freed some other way still counts).
-    pub fn reap_orphans(&self) -> usize {
-        let pending = {
-            let mut orphans = self.orphans.lock().unwrap_or_else(|p| p.into_inner());
-            if orphans.is_empty() {
-                return 0;
-            }
-            std::mem::take(&mut *orphans)
-        };
-        let mut reclaimed = 0;
-        let mut kept = Vec::new();
-        for id in pending {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.remove_document(id)
-            })) {
-                Ok(_) => reclaimed += 1,
-                Err(_) => kept.push(id),
-            }
-        }
-        if !kept.is_empty() {
-            self.orphans
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .append(&mut kept);
-        }
-        reclaimed
-    }
-
-    /// Documents currently parked for a removal retry.
-    pub fn orphan_count(&self) -> usize {
-        self.orphans.lock().unwrap_or_else(|p| p.into_inner()).len()
-    }
-
-    /// Parse and register XML text under an optional URI.
+    /// Parse and keep XML text under an optional URI.
     pub fn load_xml(&self, xml: &str, uri: Option<&str>) -> Result<DocId> {
+        let lease = self.lease_xml(xml, uri)?;
+        self.keep(&lease);
+        Ok(lease.id)
+    }
+
+    /// Parse XML text into a leased document: it is freed when the lease
+    /// drops, and its URI (if any) is not named in the store.
+    pub fn lease_xml(&self, xml: &str, uri: Option<&str>) -> Result<Lease> {
         xqr_faults::faultpoint!("store.load");
         let doc = Document::parse_with_uri(xml, self.names.clone(), uri)?;
-        Ok(self.add_document(doc))
+        Ok(self.lease_document(doc))
     }
 
-    /// Guarded [`Store::load_xml`]: parsing respects the guard's token,
-    /// depth and document-size limits — how `fn:doc` loads documents
-    /// inside a guarded execution.
-    pub fn load_xml_guarded(
+    /// Guarded [`Store::lease_xml`]: parsing respects the guard's token,
+    /// depth and document-size limits — how `fn:doc` loads context
+    /// documents inside a guarded execution.
+    pub fn lease_xml_guarded(
         &self,
         xml: &str,
         uri: Option<&str>,
         guard: &xqr_xdm::QueryGuard,
-    ) -> Result<DocId> {
+    ) -> Result<Lease> {
         xqr_faults::faultpoint!("store.load");
         let doc = Document::parse_guarded(xml, self.names.clone(), uri, guard)?;
-        Ok(self.add_document(doc))
+        Ok(self.lease_document(doc))
     }
 
-    /// Resolve a document id. Panics on a stale id (document removed) —
-    /// that is a caller bug, not a query error; use
-    /// [`Store::try_document`] to probe gracefully.
+    /// Resolve a document id. Panics when nothing holds the document any
+    /// more: every node an execution reads comes from a document it
+    /// leases, so this is a caller bug, never a race. Use
+    /// [`Store::try_document`] to probe.
     pub fn document(&self, id: DocId) -> Arc<Document> {
         self.try_document(id)
-            .unwrap_or_else(|| panic!("stale DocId {id:?}: document was removed from the store"))
+            .unwrap_or_else(|| panic!("stale DocId {id:?}: nothing holds the document any more"))
     }
 
-    /// Resolve a document id, returning `None` when the id is stale.
+    /// Resolve a document id, returning `None` once nothing holds the
+    /// document.
     pub fn try_document(&self, id: DocId) -> Option<Arc<Document>> {
         let inner = self.read();
         let slot = inner.slots.get(id.index() as usize)?;
         if slot.created != id.created() {
             return None;
         }
-        slot.doc.clone()
+        // A kept document is cloned with one increment; upgrading the
+        // weak reference is a compare-and-swap loop, which every reader
+        // of a shared document would contend on.
+        slot.kept.clone().or_else(|| slot.doc.upgrade())
     }
 
-    /// Attach auxiliary per-document data (a structural index, say) to a
-    /// live slot. Returns `false` when the id is stale — the attachment
-    /// is dropped rather than applied to whatever reused the slot. The
-    /// attachment is cleared automatically when the document is removed.
-    pub fn set_aux(&self, id: DocId, aux: Arc<dyn Any + Send + Sync>) -> bool {
-        let mut inner = self.write();
-        let Some(slot) = inner.slots.get_mut(id.index() as usize) else {
-            return false;
-        };
-        if slot.created != id.created() || slot.doc.is_none() {
-            return false;
-        }
-        slot.aux = Some(aux);
-        true
-    }
-
-    /// Read back the auxiliary attachment for a document, generation
-    /// checked: a stale id yields `None`, never another document's data.
-    pub fn aux(&self, id: DocId) -> Option<Arc<dyn Any + Send + Sync>> {
-        let inner = self.read();
-        let slot = inner.slots.get(id.index() as usize)?;
-        if slot.created != id.created() {
-            return None;
-        }
-        slot.aux.clone()
-    }
-
-    pub fn document_by_uri(&self, uri: &str) -> Result<(DocId, Arc<Document>)> {
+    /// Lease the document named `uri`, asking the resolver on a miss.
+    pub fn document_by_uri(&self, uri: &str) -> Result<Lease> {
         xqr_faults::faultpoint!("store.read");
         // Fast path under the read lock.
         {
             let inner = self.read();
             if let Some(&id) = inner.by_uri.get(uri) {
                 let doc = inner.slots[id.index() as usize]
-                    .doc
+                    .kept
                     .clone()
-                    .expect("by_uri points at a live slot");
-                return Ok((id, doc));
+                    .expect("a named document is kept");
+                return Ok(Lease { id, doc });
             }
         }
         // Miss: give the resolver a chance to materialize the document
         // (reload from a durable segment). Both locks are released here —
-        // the resolver re-enters the store via `add_document`.
+        // the resolver re-enters the store to keep the reloaded document.
         let resolver = self
             .resolver
             .read()
             .unwrap_or_else(|p| p.into_inner())
             .clone();
         if let Some(resolver) = resolver {
-            if let Some(id) = resolver(uri)? {
-                if let Some(doc) = self.try_document(id) {
-                    return Ok((id, doc));
-                }
+            if let Some(lease) = resolver(uri)? {
+                return Ok(lease);
             }
         }
         Err(Error::new(
@@ -328,16 +306,15 @@ impl Store {
         ))
     }
 
-    /// Number of live (not removed) documents.
+    /// Number of live documents: kept or leased.
     pub fn doc_count(&self) -> usize {
-        let inner = self.read();
-        inner.slots.len() - inner.free.len()
+        self.read().live().count()
     }
 
     /// Approximate bytes held by live documents
     /// (sum of [`Document::memory_bytes`]).
     pub fn live_bytes(&self) -> u64 {
-        self.read().live_bytes
+        self.read().live().map(|s| s.bytes).sum()
     }
 
     /// Resolve a node reference to its document.
@@ -365,9 +342,9 @@ mod tests {
     fn load_and_lookup_by_uri() {
         let store = Store::new();
         let id = store.load_xml("<a/>", Some("bib.xml")).unwrap();
-        let (found, doc) = store.document_by_uri("bib.xml").unwrap();
-        assert_eq!(found, id);
-        assert_eq!(doc.len(), 2); // document node + element
+        let found = store.document_by_uri("bib.xml").unwrap();
+        assert_eq!(found.id, id);
+        assert_eq!(found.doc.len(), 2); // document node + element
         assert!(store.document_by_uri("other.xml").is_err());
     }
 
@@ -414,41 +391,65 @@ mod tests {
         let new = store.load_xml("<v2/>", Some("doc.xml")).unwrap();
         // Removing the superseded document must not unlink the new one.
         assert!(store.remove_document(old));
-        let (found, _) = store.document_by_uri("doc.xml").unwrap();
-        assert_eq!(found, new);
+        assert_eq!(store.document_by_uri("doc.xml").unwrap().id, new);
+    }
+
+    #[test]
+    fn a_lease_outlives_the_name_and_frees_on_drop() {
+        let store = Store::new();
+        let id = store.load_xml("<v1/>", Some("doc.xml")).unwrap();
+        let lease = store.document_by_uri("doc.xml").unwrap();
+        // Un-naming drops the store's hold, not the reader's.
+        assert!(store.remove_document(id));
+        assert!(store.document_by_uri("doc.xml").is_err());
+        assert_eq!(store.doc_count(), 1);
+        assert!(Arc::ptr_eq(&store.document(id), &lease.doc));
+        // A new document cannot take the leased slot.
+        let other = store.load_xml("<v2/>", None).unwrap();
+        assert_ne!(other.index(), id.index());
+        drop(lease);
+        assert!(store.try_document(id).is_none());
+        assert_eq!(store.doc_count(), 1);
+
+        // A transient lease never needed the store's hold at all.
+        let transient = store.lease_xml("<t/>", Some("t.xml")).unwrap();
+        assert!(
+            store.document_by_uri("t.xml").is_err(),
+            "leases are not named"
+        );
+        assert!(!store.remove_document(transient.id), "nothing kept to drop");
+        let tid = transient.id;
+        drop(transient);
+        assert!(store.try_document(tid).is_none());
+        assert_eq!(store.doc_count(), 1);
     }
 
     #[test]
     #[should_panic(expected = "stale DocId")]
     fn stale_id_resolution_panics() {
         let store = Store::new();
-        let id = store.load_xml("<a/>", None).unwrap();
-        store.remove_document(id);
+        let id = store.lease_xml("<a/>", None).unwrap().id;
         store.document(id);
     }
 
     #[test]
-    fn aux_attachment_is_generation_checked() {
+    fn slots_stay_bounded_under_lease_churn() {
         let store = Store::new();
-        let id = store.load_xml("<a/>", None).unwrap();
-        assert!(store.aux(id).is_none());
-        assert!(store.set_aux(id, Arc::new(41u64)));
-        let got = store.aux(id).expect("attached");
-        assert_eq!(got.downcast_ref::<u64>(), Some(&41));
-
-        // Removal clears the attachment and stales the id.
-        assert!(store.remove_document(id));
-        assert!(store.aux(id).is_none());
-        assert!(!store.set_aux(id, Arc::new(99u64)));
-
-        // The reused slot starts clean, and the stale id still reads
-        // nothing even though the slot index is occupied again.
-        let id2 = store.load_xml("<b/>", None).unwrap();
-        assert_eq!(id2.index(), id.index());
-        assert!(store.aux(id2).is_none());
-        assert!(store.aux(id).is_none());
-        assert!(store.set_aux(id2, Arc::new(7u64)));
-        assert!(store.aux(id).is_none(), "stale id must not see new aux");
+        let kept: Vec<DocId> = (0..5)
+            .map(|_| store.load_xml("<k/>", None).unwrap())
+            .collect();
+        let mut held = Vec::new();
+        for i in 0..10_000 {
+            let lease = store.lease_xml("<t/>", None).unwrap();
+            assert!(lease.id.index() < 32, "slot {} at {i}", lease.id.index());
+            // Some leases outlive a few registrations after them.
+            held.push(lease);
+            if held.len() > 3 {
+                held.remove(0);
+            }
+        }
+        drop(held);
+        assert_eq!(store.doc_count(), kept.len());
     }
 
     #[test]

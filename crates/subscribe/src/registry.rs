@@ -21,13 +21,13 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use xqr_core::{contain_panic, Engine, Item, NodeId, NodeRef, PreparedQuery};
+use xqr_core::{contain_panic, Engine, Item, PreparedQuery};
 use xqr_faults::deep_stack::on_deep_stack;
 use xqr_runtime::{
     run_document, CombinedAutomaton, CombinedOutcome, Counters, DynamicContext, StreamPattern,
     StreamStats, StreamingPass,
 };
-use xqr_store::DocId;
+use xqr_store::Lease;
 use xqr_tokenstream::ParserTokenIterator;
 use xqr_xdm::{Error, Limits, QueryGuard, Result};
 
@@ -325,27 +325,14 @@ impl SubscriptionRegistry {
         publish_limits: Limits,
     ) -> Result<PublishReport> {
         self.publish_with_doc(engine, name, xml, publish_limits, || {
-            let id = engine.store().load_xml(xml, None)?;
-            if engine.options().index_documents {
-                // Best-effort: an index-build failure (budget trip,
-                // injected fault) falls back to navigation, exactly like
-                // the catalog's degraded mode. Panic-contained so an
-                // injected panic mid-build cannot leak the just-loaded
-                // document out of this closure's ownership.
-                let guard = QueryGuard::new(publish_limits);
-                let _ = contain_panic(|| {
-                    xqr_index::ensure_indexed(engine.store(), id, &guard).map(|_| ())
-                });
-            }
-            Ok((id, true))
+            transient_doc(engine, xml, publish_limits)
         })
     }
 
     /// [`SubscriptionRegistry::publish`] with caller-controlled
     /// materialization: `materialize` is invoked only when at least one
-    /// non-streamable subscription needs the document, and returns
-    /// `(doc, owned)` — `owned` means the publish removes the document
-    /// from the store when done.
+    /// non-streamable subscription needs the document, and returns a
+    /// lease on it, held until the fallback evaluations are done.
     pub fn publish_with_doc<F>(
         &self,
         engine: &Engine,
@@ -355,7 +342,7 @@ impl SubscriptionRegistry {
         materialize: F,
     ) -> Result<PublishReport>
     where
-        F: FnOnce() -> Result<(DocId, bool)>,
+        F: FnOnce() -> Result<Lease>,
     {
         let plan = self.plan();
 
@@ -397,12 +384,8 @@ impl SubscriptionRegistry {
         materialize: F,
     ) -> Result<PublishReport>
     where
-        F: FnOnce() -> Result<(DocId, bool)>,
+        F: FnOnce() -> Result<Lease>,
     {
-        // Self-healing: reclaim any document left behind by an earlier
-        // removal that panicked (a query result's constructed doc, a
-        // previous publish's transient).
-        engine.store().reap_orphans();
         let counters = Counters::default();
         let mut results: Vec<(SubId, Arc<Subscription>, Result<String>)> = Vec::new();
         let mut stats = StreamStats::default();
@@ -425,13 +408,14 @@ impl SubscriptionRegistry {
             // materialization (e.g. the catalog.load failpoint) degrades
             // the fallback set, not the whole publish.
             match contain_panic(materialize) {
-                Ok((doc, owned)) => {
+                // The lease drops at the end of this arm, whatever the
+                // evaluations did: a transient document is freed there.
+                Ok(doc) => {
                     // One deep stack for the whole loop: a publisher
                     // off the worker pool pays one thread, not one per
                     // subscription.
                     let outcomes = on_deep_stack(|| {
-                        let mut ctx = DynamicContext::new();
-                        ctx.context_item = Some(Item::Node(NodeRef::new(doc, NodeId(0))));
+                        let ctx = DynamicContext::new().with_context_item(Item::Node(doc.root()));
                         plan.fallback
                             .iter()
                             .map(|(_, sub)| {
@@ -451,21 +435,6 @@ impl SubscriptionRegistry {
                             }
                         }
                         results.push((*id, sub.clone(), r));
-                    }
-                    if owned {
-                        // Contained so an injected panic at the remove
-                        // site never unwinds out of publish. A document
-                        // whose removal panicked is parked on the orphan
-                        // list and reclaimed by a later pass — the fault
-                        // degrades to a bounded, recoverable leak, not a
-                        // permanent one.
-                        let removed = contain_panic(|| {
-                            engine.store().remove_document(doc);
-                            Ok(())
-                        });
-                        if removed.is_err() {
-                            engine.store().park_orphan(doc);
-                        }
                     }
                 }
                 Err(e) => {
@@ -598,14 +567,7 @@ impl SubscriptionRegistry {
             session.feed(chunk)?;
         }
         session.finish(self, engine, |xml| {
-            let id = engine.store().load_xml(xml, None)?;
-            if engine.options().index_documents {
-                let guard = QueryGuard::new(publish_limits);
-                let _ = contain_panic(|| {
-                    xqr_index::ensure_indexed(engine.store(), id, &guard).map(|_| ())
-                });
-            }
-            Ok((id, true))
+            transient_doc(engine, xml, publish_limits)
         })
     }
 
@@ -722,7 +684,7 @@ impl PublishSession {
         materialize: F,
     ) -> Result<PublishReport>
     where
-        F: FnOnce(&str) -> Result<(DocId, bool)>,
+        F: FnOnce(&str) -> Result<Lease>,
     {
         self.check_failed()?;
         let shared = match self.streaming.take() {
@@ -754,6 +716,20 @@ impl PublishSession {
             materialize(doc_text.as_deref().unwrap_or(""))
         })
     }
+}
+
+/// The registry's own fallback document: `xml` leased in the engine's
+/// store and, when the engine indexes documents, indexed. An index
+/// build that fails (budget trip, injected fault, panic) leaves it
+/// unindexed, and queries navigate, as the catalog's degraded mode does.
+fn transient_doc(engine: &Engine, xml: &str, publish_limits: Limits) -> Result<Lease> {
+    let doc = engine.store().lease_xml(xml, None)?;
+    if engine.options().index_documents {
+        let guard = QueryGuard::new(publish_limits);
+        let _ =
+            contain_panic(|| xqr_index::ensure_indexed(engine.store(), doc.id, &guard).map(|_| ()));
+    }
+    Ok(doc)
 }
 
 /// Deliver one outcome through the subscription's sink, behind the

@@ -422,28 +422,26 @@ fn delivery_fault_degrades_one_subscriber_never_the_pass() {
 }
 
 #[test]
-fn panicked_transient_removal_is_reaped_not_leaked() {
+fn a_panicking_fallback_evaluation_frees_its_transient_document() {
+    xqr_faults::silence_injected_panics();
     let engine = Engine::new();
     let reg = SubscriptionRegistry::new();
-    // A non-streamable query forces the fallback materialization —
-    // an owned transient document the publish removes afterwards.
+    // A non-streamable query forces the fallback materialization: a
+    // transient document the publish leases for its evaluations.
     let plan = engine.compile_shared("count(//b)").unwrap();
-    reg.register("count(//b)", plan, Limits::unlimited(), None);
+    let id = reg.register("count(//b)", plan, Limits::unlimited(), None);
     let schedule =
-        FaultSchedule::new(11).rule(FaultRule::new("store.remove", FaultKind::Panic).max_fires(1));
-    {
+        FaultSchedule::new(11).rule(FaultRule::new("eval.next", FaultKind::Panic).max_fires(1));
+    let report = {
         let _guard = xqr_faults::install(schedule);
         reg.publish(&engine, "d", "<a><b/></a>", Limits::unlimited())
-            .unwrap();
-    }
-    // The contained panic stranded the transient in the store...
-    assert_eq!(engine.store().doc_count(), 1, "orphaned by the panic");
-    assert_eq!(engine.store().orphan_count(), 1);
-    // ...parked on the orphan list; an un-faulted reap reclaims it.
-    assert_eq!(engine.store().reap_orphans(), 1);
+            .unwrap()
+    };
+    let err = report.result_for(id).unwrap().as_ref().unwrap_err();
+    assert_eq!(err.code, ErrorCode::Internal, "{err}");
+    // The lease dropped with the publish: nothing to reap, nothing left.
     assert_eq!(engine.store().doc_count(), 0);
-    assert_eq!(engine.store().reap_orphans(), 0, "orphan list drained");
-    // A later publish cleans up after itself again.
+    assert_eq!(engine.store().live_bytes(), 0);
     reg.publish(&engine, "d", "<a><b/></a>", Limits::unlimited())
         .unwrap();
     assert_eq!(engine.store().doc_count(), 0);

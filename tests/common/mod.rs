@@ -2,7 +2,7 @@
 //! each other.
 #![allow(dead_code)]
 
-use xqr::{DynamicContext, Engine, Item, NodeId, NodeRef, PreparedQuery, QueryGuard, Result};
+use xqr::{DynamicContext, Engine, Item, PreparedQuery, QueryGuard, Result};
 
 /// Run `plan` materialized (`execute` + `serialize_guarded`, the
 /// reference) and serialized as it runs (`execute_serialized`, what the
@@ -29,13 +29,14 @@ pub fn query_both(engine: &Engine, query: &str) -> Result<String> {
     both_legs(engine, &engine.compile(query)?, &DynamicContext::new())
 }
 
-/// [`both_legs`] with `xml` as the context document, as
-/// `Engine::query_xml` binds it; the document is removed afterwards.
+/// [`both_legs`] with `xml` as the context document, leased for the
+/// call as `Engine::query_xml` does.
 pub fn query_xml_both(engine: &Engine, xml: &str, query: &str) -> Result<String> {
     let plan = engine.compile(query)?;
-    let doc = engine.store().load_xml(xml, None)?;
-    let ctx = DynamicContext::new().with_context_item(Item::Node(NodeRef::new(doc, NodeId(0))));
-    let out = both_legs(engine, &plan, &ctx);
-    engine.store().remove_document(doc);
-    out
+    let doc = engine.store().lease_xml(xml, None)?;
+    both_legs(
+        engine,
+        &plan,
+        &DynamicContext::new().with_context_item(Item::Node(doc.root())),
+    )
 }

@@ -4,6 +4,7 @@
 mod common;
 
 use common::both_legs;
+use std::sync::Arc;
 use xqr::{bind, DynamicContext, Engine, EngineOptions, Item, QueryGuard};
 use xqr_xmlgen::{auction_site, bibliography, trading_partners, XmarkConfig, XMARK_QUERIES};
 
@@ -171,7 +172,7 @@ fn constructed_documents_live_exactly_as_long_as_their_result() {
         "pure query adds no documents"
     );
     // Constructors allocate fresh documents in the shared store; the
-    // result owns them, and dropping it frees them again — a long-lived
+    // result leases them, and dropping it frees them again — a long-lived
     // engine (the query service) must not accumulate result garbage.
     let prepared = engine.compile("<a><b/></a>").unwrap();
     let result = prepared.execute(&engine, &DynamicContext::new()).unwrap();
@@ -179,13 +180,56 @@ fn constructed_documents_live_exactly_as_long_as_their_result() {
         engine.store().doc_count() > before,
         "construction adds documents while the result is alive"
     );
+    let made = Arc::downgrade(&result.store.doc_of(result.items[0].as_node().unwrap()));
     assert_eq!(result.serialize_guarded().unwrap(), "<a><b/></a>");
     drop(result);
-    assert_eq!(
-        engine.store().doc_count(),
-        before,
-        "dropping the result frees its constructed documents"
+    assert!(
+        made.upgrade().is_none(),
+        "the document died with its result"
     );
+    assert_eq!(engine.store().doc_count(), before);
+}
+
+/// Nothing frees a bound constructor's document by hand: it dies with
+/// its execution's lease, and the store reuses its slot, so ten thousand
+/// executions leave the store where it was, in a handful of slots.
+#[test]
+fn constructed_documents_recycle_their_slots_without_removal() {
+    let engine = Engine::new();
+    engine.load_document("b.xml", &bibliography(1, 5)).unwrap();
+    let (docs, bytes) = (engine.store().doc_count(), engine.store().live_bytes());
+    let plan = engine.compile("let $x := <a/> return $x is $x").unwrap();
+    for _ in 0..10_000 {
+        let (out, _) = plan
+            .execute_serialized(
+                &engine,
+                &DynamicContext::new(),
+                QueryGuard::unlimited(),
+                None,
+            )
+            .unwrap();
+        assert_eq!(out, "true");
+    }
+    assert_eq!(engine.store().doc_count(), docs);
+    assert_eq!(engine.store().live_bytes(), bytes);
+    let fresh = engine.store().load_xml("<fresh/>", None).unwrap();
+    assert!(fresh.index() < 64, "slot {}", fresh.index());
+}
+
+/// How many documents `f` registers in `engine`'s store: creation
+/// numbers are consecutive, so two probes bracket everything between.
+fn documents_registered_by(engine: &Engine, f: impl FnOnce()) -> u64 {
+    let probe = || {
+        engine
+            .store()
+            .lease_xml("<probe/>", None)
+            .unwrap()
+            .id
+            .created()
+    };
+    let first = probe();
+    f();
+    probe() - first - 1
 }
 
 #[test]
@@ -213,21 +257,26 @@ fn constructors_in_result_position_write_straight_into_the_reply() {
     let plan = engine
         .compile(r#"for $i in 1 to 1000 return <a n="{$i}"><b/></a>"#)
         .unwrap();
-    let (out, counters) = plan
-        .execute_serialized(
-            &engine,
-            &DynamicContext::new(),
-            QueryGuard::unlimited(),
-            None,
+    let mut run = None;
+    let minted = documents_registered_by(&engine, || {
+        run = Some(
+            plan.execute_serialized(
+                &engine,
+                &DynamicContext::new(),
+                QueryGuard::unlimited(),
+                None,
+            )
+            .unwrap(),
         )
-        .unwrap();
+    });
+    let (out, counters) = run.unwrap();
     assert!(
         out.starts_with(r#"<a n="1"><b/></a><a n="2"><b/></a>"#),
         "{out}"
     );
     assert!(out.ends_with(r#"<a n="1000"><b/></a>"#));
     assert_eq!(engine.store().doc_count(), before);
-    assert!(counters.constructed_docs.is_empty());
+    assert_eq!(minted, 0);
     assert_eq!(counters.nodes_constructed.get(), 3000);
 }
 
@@ -243,10 +292,16 @@ fn bound_and_navigated_constructors_still_get_node_identity() {
         ("(<a><b/></a>)/b", "<b/>"),
     ] {
         let plan = engine.compile(query).unwrap();
-        let result = plan.execute(&engine, &DynamicContext::new()).unwrap();
-        assert_eq!(result.counters.constructed_docs.len(), 1, "{query}");
+        let mut result = None;
+        let minted = documents_registered_by(&engine, || {
+            result = Some(plan.execute(&engine, &DynamicContext::new()).unwrap())
+        });
+        assert_eq!(minted, 1, "{query}");
+        let result = result.unwrap();
+        let made = Arc::downgrade(&result.store.doc_of(result.items[0].as_node().unwrap()));
         assert_eq!(result.serialize_guarded().unwrap(), want);
         drop(result);
+        assert!(made.upgrade().is_none(), "{query}: dies with its result");
         assert_eq!(
             both_legs(&engine, &plan, &DynamicContext::new()).unwrap(),
             want

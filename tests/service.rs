@@ -492,3 +492,107 @@ fn concurrent_armed_clients_each_read_only_their_own_schedule() {
     });
     assert_eq!(together, alone);
 }
+
+/// Version `v` of a catalog document: its stamp and its entry count
+/// (`v + 2`) tell it apart from every other version.
+fn catalog_version(v: usize) -> String {
+    let entries: String = (0..v + 2)
+        .map(|i| format!("<entry><price>{i}</price></entry>"))
+        .collect();
+    format!(r#"<catalog version="{v}">{entries}</catalog>"#)
+}
+
+/// One reader against one writer on a catalog that holds one document.
+/// The reader's query reads `n` twice: its version stamp, then its
+/// entry count. Between the two its evaluation sleeps, and meanwhile the
+/// writer replaces `n`, then evicts the replacement by loading another
+/// name. The reply must be one version's, whole.
+fn read_while_replaced_and_evicted(indexed: bool, batch: bool) {
+    let dir =
+        std::env::temp_dir().join(format!("xqr-race-{}-{indexed}-{batch}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = QueryService::open(ServiceConfig {
+        engine: xqr::EngineOptions {
+            index_documents: indexed,
+            ..Default::default()
+        },
+        // Every load evicts every other document; persistence demotes
+        // the victim, so a late reader reloads it instead of missing it.
+        catalog_max_bytes: Some(1),
+        persist_dir: Some(dir.clone()),
+        ..Default::default()
+    })
+    .unwrap();
+    service.load_document("n", &catalog_version(1)).unwrap();
+    let (stamp, count) = if batch {
+        ("string(/catalog/@version)", "count(//entry)")
+    } else {
+        (
+            r#"string(doc("n")/catalog/@version)"#,
+            r#"count(doc("n")//entry)"#,
+        )
+    };
+    let run = |query: &str| {
+        if batch {
+            service
+                .run_batch("n", &[query])
+                .and_then(|mut r| r.remove(0))
+        } else {
+            service.run(query)
+        }
+    };
+    // Evaluation steps up to the stamp: the sequence, then the stamp's.
+    let steps = {
+        let _faults = xqr_faults::install(FaultSchedule::new(1).rule(FaultRule::new(
+            "eval.next",
+            FaultKind::Delay(Duration::ZERO),
+        )));
+        run(stamp).unwrap();
+        xqr_faults::hits_at("eval.next")
+    };
+    // One long sleep right after the stamp. The schedule is shared with
+    // the reader, so this thread sees the moment the sleep begins.
+    let _faults = xqr_faults::install(
+        FaultSchedule::new(1).rule(
+            FaultRule::new("eval.next", FaultKind::Delay(Duration::from_millis(500)))
+                .skip_first(1 + steps)
+                .max_fires(1),
+        ),
+    );
+    let schedule = xqr_faults::current();
+    let reply = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let _faults = schedule.enter();
+            run(&format!("({stamp}, {count})"))
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while xqr_faults::fires_at("eval.next") == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the reader never slept"
+            );
+            std::thread::yield_now();
+        }
+        service.load_document("n", &catalog_version(2)).unwrap();
+        service.load_document("other", &catalog_version(7)).unwrap();
+        reader.join().unwrap()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    let reply = reply.unwrap_or_else(|e| panic!("indexed {indexed}, batch {batch}: {e}"));
+    assert!(
+        reply == "1 3" || reply == "2 4",
+        "indexed {indexed}, batch {batch}: {reply:?} mixes versions"
+    );
+}
+
+/// A reader holds what it reads: replacing or evicting a catalog
+/// document under a running query never fails it and never shows it
+/// two versions.
+#[test]
+fn a_document_replaced_and_evicted_mid_query_is_read_whole() {
+    for indexed in [true, false] {
+        for batch in [false, true] {
+            read_while_replaced_and_evicted(indexed, batch);
+        }
+    }
+}
