@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use xqr_bench::experiments::{customer_query, dom_baseline_transform, giant_customer_query};
-use xqr_compiler::RewriteConfig;
+use xqr_compiler::{Family, RewriteConfig};
 use xqr_core::{CompileOptions, DynamicContext, Engine, EngineOptions};
 use xqr_runtime::RuntimeOptions;
 use xqr_xmlgen::{bibliography, trading_partners};
@@ -18,11 +18,11 @@ fn bench_rewrite_ablation(c: &mut Criterion) {
         ("all_rules", RewriteConfig::all()),
         (
             "no_join_detection",
-            RewriteConfig::without("join_detection"),
+            RewriteConfig::without(Family::JoinDetection),
         ),
         (
             "no_ddo_elimination",
-            RewriteConfig::without("ddo_elimination"),
+            RewriteConfig::without(Family::DdoElimination),
         ),
         ("no_rules", RewriteConfig::none()),
     ] {

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xqr_compiler::{normalize_module, optimize_module, typing, RewriteConfig};
+use xqr_compiler::{normalize_module, optimize_module, typing, Family, RewriteConfig};
 use xqr_core::{CompileOptions, DynamicContext, Engine, EngineOptions};
 use xqr_joins::{
     element_list, enumerate_matches, mpmgjn, nested_loop, normalize, stack_tree_desc, twig_stack,
@@ -452,23 +452,19 @@ pub fn e7_rewrites(scale: Scale) -> Table {
             "(doc(\"bib.xml\")//book)[5]/title".to_string(),
         ),
     ];
-    let families = [
-        "none-disabled",
-        "ddo_elimination",
-        "join_detection",
-        "let_folding",
-        "constant_folding",
-        "path_rewrites",
-        "all-disabled",
+    let ablated = [
+        Family::DdoElimination,
+        Family::JoinDetection,
+        Family::LetFolding,
+        Family::ConstantFolding,
+        Family::PathRewrites,
     ];
+    let configs = std::iter::once(("none-disabled", RewriteConfig::all()))
+        .chain(ablated.map(|f| (f.name(), RewriteConfig::without(f))))
+        .chain(std::iter::once(("all-disabled", RewriteConfig::none())));
     let mut rows = Vec::new();
-    for family in families {
-        let cfg = match family {
-            "none-disabled" => RewriteConfig::all(),
-            "all-disabled" => RewriteConfig::none(),
-            f => RewriteConfig::without(f),
-        };
-        let mut cells = vec![family.to_string()];
+    for (label, cfg) in configs {
+        let mut cells = vec![label.to_string()];
         for (_, q) in &queries {
             let engine = Engine::with_options(EngineOptions {
                 compile: CompileOptions {

@@ -455,8 +455,8 @@ mod tests {
     #[test]
     fn path_order_facts_match_talk_table() {
         // The talk's table assumes the classic `//x → descendant::x`
-        // rewrite (see `rewrite::DosCollapse`); these are the post-
-        // rewrite shapes.
+        // rewrite (the `dos-collapse` rule in `rewrite.rs`); these are
+        // the post-rewrite shapes.
         // /a/b/c — ordered & distinct
         let e = strip_ddo(&body("/a/b/c"));
         let f = order_facts(&e);

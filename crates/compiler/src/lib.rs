@@ -8,8 +8,8 @@
 //!    (the "static typing feature");
 //! 3. [`analysis`] — variable-use counts, node-creation, error
 //!    capability, ordering/distinctness facts, node-identity demand;
-//! 4. [`rewrite`] — the rewrite-rule library with per-family switches
-//!    and firing statistics;
+//! 4. [`rewrite`] — the rewrite-rule library: one ordered rule table,
+//!    per-[`Family`] switches and firing statistics;
 //! 5. [`pipeline`] — ties it together into [`pipeline::compile`].
 
 pub mod access;
@@ -26,4 +26,4 @@ pub use access::{AccessAnchor, AccessEdge, AccessNode, AccessPattern};
 pub use core_expr::*;
 pub use normalize::normalize_module;
 pub use pipeline::{compile, CompileOptions, CompiledQuery};
-pub use rewrite::{optimize_module, RewriteConfig, RewriteStats};
+pub use rewrite::{optimize_module, Family, RewriteConfig, RewriteStats};

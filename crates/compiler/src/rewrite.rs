@@ -1,14 +1,23 @@
 //! The rewrite-rule optimizer — the talk's "library of rewriting rules
 //! (~100), and a hard-coded strategy".
 //!
-//! Rules fire bottom-up to a fixpoint (bounded pass count). Every rule
-//! respects the contract from the talk: the rewritten expression has a
-//! subtype of the original's type and no new free variables; rules with
-//! side-condition subtleties (LET folding vs. node construction,
-//! where-hoisting vs. errors, ddo-elimination vs. the ordering table)
-//! cite their slide in a comment.
+//! The library is one ordered table, `RULES`: each row is a rule
+//! function and the [`Family`] it belongs to. The strategy is fixed:
+//! children first, then the node itself, where the first row in table
+//! order whose rule fires replaces the node, again and again until no
+//! row fires. Whole bottom-up passes repeat until one changes nothing,
+//! at most `MAX_PASSES` times. When two rules apply to one node, the
+//! table order picks the winner, so the order decides plans.
 //!
-//! [`RewriteConfig`] switches whole rule families on/off so the ablation
+//! Every rule respects the contract from the talk: the rewritten
+//! expression has a subtype of the original's type and no new free
+//! variables; rules with side-condition subtleties (LET folding vs. node
+//! construction, where-hoisting vs. errors, ddo-elimination vs. the
+//! ordering table) cite their slide in a comment. The three join rules
+//! share one equi-join matcher (`equi_join`); loop hoisting and CSE
+//! share one hoistability test and one fresh-`let` construction.
+//!
+//! [`RewriteConfig`] switches whole families off so the ablation
 //! experiment (E7) can measure each family's contribution.
 
 use crate::analysis::{
@@ -21,26 +30,55 @@ use std::collections::HashMap;
 use xqr_xdm::{AtomicValue, SequenceType};
 use xqr_xqparser::ast::{ArithOp, AxisName, CompOp, NodeTest};
 
+/// A family of rules: the unit the ablation (E7) switches off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    ConstantFolding,
+    BooleanRewrites,
+    LetFolding,
+    ForSimplification,
+    WhereHoisting,
+    /// Hoist loop-invariant sub-expressions out of `for` bodies (the
+    /// talk's "LET clause unfolding").
+    LoopHoisting,
+    PathRewrites,
+    DdoElimination,
+    FunctionInlining,
+    JoinDetection,
+    Cse,
+    TypeRewrites,
+}
+
+impl Family {
+    /// The family's name in the E7 table.
+    pub fn name(self) -> &'static str {
+        match self {
+            Family::ConstantFolding => "constant_folding",
+            Family::BooleanRewrites => "boolean_rewrites",
+            Family::LetFolding => "let_folding",
+            Family::ForSimplification => "for_simplification",
+            Family::WhereHoisting => "where_hoisting",
+            Family::LoopHoisting => "loop_hoisting",
+            Family::PathRewrites => "path_rewrites",
+            Family::DdoElimination => "ddo_elimination",
+            Family::FunctionInlining => "function_inlining",
+            Family::JoinDetection => "join_detection",
+            Family::Cse => "cse",
+            Family::TypeRewrites => "type_rewrites",
+        }
+    }
+
+    fn bit(self) -> u16 {
+        1 << self as u16
+    }
+}
+
 /// Which rule families run. `all()` is the production default; the
 /// ablation benches switch families off one at a time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RewriteConfig {
-    pub constant_folding: bool,
-    pub let_folding: bool,
-    pub for_simplification: bool,
-    pub where_hoisting: bool,
-    /// Hoist loop-invariant sub-expressions out of `for` bodies (the
-    /// talk's "LET clause unfolding").
-    pub loop_hoisting: bool,
-    pub ddo_elimination: bool,
-    pub path_rewrites: bool,
-    pub function_inlining: bool,
-    pub cse: bool,
-    pub join_detection: bool,
-    pub type_rewrites: bool,
-    pub boolean_rewrites: bool,
-    /// Upper bound on full bottom-up passes.
-    pub max_passes: usize,
+    /// One bit per [`Family`].
+    enabled: u16,
     /// Test-only fault injection for the differential fuzz harness's
     /// mutation sanity check: constant folding of an integer `a - b`
     /// deliberately computes `b - a`. A correct differential oracle must
@@ -52,70 +90,63 @@ pub struct RewriteConfig {
 impl RewriteConfig {
     pub fn all() -> Self {
         RewriteConfig {
-            constant_folding: true,
-            let_folding: true,
-            for_simplification: true,
-            where_hoisting: true,
-            loop_hoisting: true,
-            ddo_elimination: true,
-            path_rewrites: true,
-            function_inlining: true,
-            cse: true,
-            join_detection: true,
-            type_rewrites: true,
-            boolean_rewrites: true,
-            max_passes: 8,
+            enabled: u16::MAX,
             debug_miscompile_sub: false,
         }
     }
 
     pub fn none() -> Self {
         RewriteConfig {
-            constant_folding: false,
-            let_folding: false,
-            for_simplification: false,
-            where_hoisting: false,
-            loop_hoisting: false,
-            ddo_elimination: false,
-            path_rewrites: false,
-            function_inlining: false,
-            cse: false,
-            join_detection: false,
-            type_rewrites: false,
-            boolean_rewrites: false,
-            max_passes: 1,
+            enabled: 0,
             debug_miscompile_sub: false,
         }
     }
 
-    /// `all()` with one named family disabled (ablation helper).
-    pub fn without(family: &str) -> Self {
-        let mut c = Self::all();
-        match family {
-            "constant_folding" => c.constant_folding = false,
-            "let_folding" => c.let_folding = false,
-            "for_simplification" => c.for_simplification = false,
-            "where_hoisting" => c.where_hoisting = false,
-            "loop_hoisting" => c.loop_hoisting = false,
-            "ddo_elimination" => c.ddo_elimination = false,
-            "path_rewrites" => c.path_rewrites = false,
-            "function_inlining" => c.function_inlining = false,
-            "cse" => c.cse = false,
-            "join_detection" => c.join_detection = false,
-            "type_rewrites" => c.type_rewrites = false,
-            "boolean_rewrites" => c.boolean_rewrites = false,
-            other => panic!("unknown rule family {other:?}"),
+    /// `all()` with one family disabled (ablation helper).
+    pub fn without(family: Family) -> Self {
+        RewriteConfig {
+            enabled: !family.bit(),
+            debug_miscompile_sub: false,
         }
-        c
+    }
+
+    fn runs(&self, family: Family) -> bool {
+        self.enabled & family.bit() != 0
     }
 }
 
 /// Per-rule firing counts (drives `explain` output and the E7 tables).
 pub type RewriteStats = HashMap<&'static str, usize>;
 
-pub struct Optimizer<'a> {
+/// Upper bound on full bottom-up passes.
+const MAX_PASSES: usize = 8;
+
+type Rule = fn(&mut Optimizer, &Core) -> Option<Core>;
+
+/// The rule library in firing order: at each node the first row whose
+/// family is on and whose rule fires wins.
+const RULES: &[(Family, Rule)] = &[
+    (Family::ConstantFolding, Optimizer::constant_fold),
+    (Family::BooleanRewrites, Optimizer::boolean_simplify),
+    (Family::LetFolding, Optimizer::let_fold),
+    (Family::ForSimplification, Optimizer::for_simplify),
+    (Family::WhereHoisting, Optimizer::where_hoist),
+    (Family::LoopHoisting, Optimizer::loop_hoist),
+    (Family::PathRewrites, Optimizer::path_rewrite),
+    (Family::DdoElimination, Optimizer::ddo_eliminate),
+    (Family::FunctionInlining, Optimizer::inline_function),
+    (Family::JoinDetection, Optimizer::detect_join),
+    (Family::JoinDetection, Optimizer::detect_group_join),
+    (Family::JoinDetection, Optimizer::decorrelate_flwor),
+    (Family::Cse, Optimizer::factor_common),
+    (Family::TypeRewrites, Optimizer::type_rewrite),
+];
+
+struct Optimizer {
     config: RewriteConfig,
-    functions: &'a [CoreFunction],
+    /// The module's functions as they were before optimization (the
+    /// inlining source).
+    functions: Vec<CoreFunction>,
     /// Function indices that (transitively) call themselves — not
     /// inlineable.
     recursive: Vec<bool>,
@@ -125,32 +156,10 @@ pub struct Optimizer<'a> {
     /// variables are single items, which is what lets per-item `Ddo`s in
     /// loop bodies disappear.
     var_facts: HashMap<VarId, OrderFacts>,
-    pub stats: RewriteStats,
+    stats: RewriteStats,
 }
 
-impl<'a> Optimizer<'a> {
-    pub fn new(config: RewriteConfig, functions: &'a [CoreFunction], next_var: u32) -> Self {
-        let recursive = compute_recursive(functions);
-        Optimizer {
-            config,
-            functions,
-            recursive,
-            next_var,
-            var_facts: HashMap::new(),
-            stats: HashMap::new(),
-        }
-    }
-
-    /// Seed facts for a variable bound outside the tree being optimized
-    /// (globals, function parameters).
-    pub fn seed_var_facts(&mut self, var: VarId, facts: OrderFacts) {
-        self.var_facts.insert(var, facts);
-    }
-
-    pub fn var_count(&self) -> u32 {
-        self.next_var
-    }
-
+impl Optimizer {
     fn fresh(&mut self) -> VarId {
         let id = VarId(self.next_var);
         self.next_var += 1;
@@ -162,9 +171,9 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Optimize one expression tree to a fixpoint.
-    pub fn run(&mut self, e: Core) -> Core {
+    fn run(&mut self, e: Core) -> Core {
         let mut cur = e;
-        for _ in 0..self.config.max_passes {
+        for _ in 0..MAX_PASSES {
             let (next, changed) = self.pass(cur);
             cur = next;
             if !changed {
@@ -179,14 +188,8 @@ impl<'a> Optimizer<'a> {
         let mut changed = false;
         // Record binder facts for the children we are about to visit.
         let bound: Vec<(VarId, Option<OrderFacts>)> = match &e {
-            Core::For {
-                var,
-                position,
-                source,
-                ..
-            } => {
+            Core::For { var, position, .. } => {
                 let mut v = vec![(*var, self.var_facts.insert(*var, OrderFacts::SINGLE))];
-                let _ = source;
                 if let Some(p) = position {
                     v.push((*p, self.var_facts.insert(*p, OrderFacts::SINGLE)));
                 }
@@ -219,82 +222,19 @@ impl<'a> Optimizer<'a> {
             }
         }
         // Then this node, repeatedly while rules fire.
-        loop {
-            match self.apply_here(&e) {
-                Some(new) => {
-                    e = new;
-                    changed = true;
-                }
-                None => return (e, changed),
-            }
+        while let Some(new) = self.apply_here(&e) {
+            e = new;
+            changed = true;
         }
+        (e, changed)
     }
 
     fn apply_here(&mut self, e: &Core) -> Option<Core> {
-        if self.config.constant_folding {
-            if let Some(n) = self.constant_fold(e) {
-                return Some(n);
-            }
-        }
-        if self.config.boolean_rewrites {
-            if let Some(n) = self.boolean_simplify(e) {
-                return Some(n);
-            }
-        }
-        if self.config.let_folding {
-            if let Some(n) = self.let_fold(e) {
-                return Some(n);
-            }
-        }
-        if self.config.for_simplification {
-            if let Some(n) = self.for_simplify(e) {
-                return Some(n);
-            }
-        }
-        if self.config.where_hoisting {
-            if let Some(n) = self.where_hoist(e) {
-                return Some(n);
-            }
-        }
-        if self.config.loop_hoisting {
-            if let Some(n) = self.loop_hoist(e) {
-                return Some(n);
-            }
-        }
-        if self.config.path_rewrites {
-            if let Some(n) = self.path_rewrite(e) {
-                return Some(n);
-            }
-        }
-        if self.config.ddo_elimination {
-            if let Some(n) = self.ddo_eliminate(e) {
-                return Some(n);
-            }
-        }
-        if self.config.function_inlining {
-            if let Some(n) = self.inline_function(e) {
-                return Some(n);
-            }
-        }
-        if self.config.join_detection {
-            if let Some(n) = self.detect_join(e) {
-                return Some(n);
-            }
-            if let Some(n) = self.detect_group_join(e) {
-                return Some(n);
-            }
-            if let Some(n) = self.decorrelate_flwor(e) {
-                return Some(n);
-            }
-        }
-        if self.config.cse {
-            if let Some(n) = self.factor_common(e) {
-                return Some(n);
-            }
-        }
-        if self.config.type_rewrites {
-            if let Some(n) = self.type_rewrite(e) {
-                return Some(n);
+        for &(family, rule) in RULES {
+            if self.config.runs(family) {
+                if let Some(n) = rule(self, e) {
+                    return Some(n);
+                }
             }
         }
         None
@@ -614,7 +554,9 @@ impl<'a> Optimizer<'a> {
         // A let whose value is a filtered inner loop keyed on a free
         // variable is a group-join candidate: leave it for
         // `detect_group_join` (which fires at the enclosing `for`).
-        if self.config.join_detection && is_join_candidate_value(value) {
+        if self.config.runs(Family::JoinDetection)
+            && equi_join(value, |_, _| true).is_some_and(|join| join.residual.is_empty())
+        {
             return None;
         }
         let uses = var_use(body, *var);
@@ -655,36 +597,31 @@ impl<'a> Optimizer<'a> {
             // Single-item source → Let (plus position = 1).
             Core::Const(_) => {
                 self.fired("for-single-to-let");
-                let mut out = Core::Let {
+                let body = match position {
+                    Some(p) => Core::Let {
+                        var: *p,
+                        value: Core::Const(AtomicValue::Integer(1)).boxed(),
+                        body: body.clone(),
+                    }
+                    .boxed(),
+                    None => body.clone(),
+                };
+                return Some(Core::Let {
                     var: *var,
                     value: source.clone(),
-                    body: body.clone(),
-                };
-                if let Some(p) = position {
-                    out = match out {
-                        Core::Let { var, value, body } => Core::Let {
-                            var,
-                            value,
-                            body: Core::Let {
-                                var: *p,
-                                value: Core::Const(AtomicValue::Integer(1)).boxed(),
-                                body,
-                            }
-                            .boxed(),
-                        },
-                        _ => unreachable!(),
-                    };
-                }
-                return Some(out);
+                    body,
+                });
             }
             // for $x in (for $y in S return B) return C
             //   → for $y in S return (for $x in B return C)
+            // Not with `at $p`: $p counts across all of the source, but
+            // the inner loop would restart it for every $y.
             Core::For {
                 var: v2,
                 position: None,
                 source: s2,
                 body: b2,
-            } => {
+            } if position.is_none() => {
                 self.fired("for-unnest");
                 return Some(Core::For {
                     var: *v2,
@@ -692,7 +629,7 @@ impl<'a> Optimizer<'a> {
                     source: s2.clone(),
                     body: Core::For {
                         var: *var,
-                        position: *position,
+                        position: None,
                         source: b2.clone(),
                         body: body.clone(),
                     }
@@ -777,17 +714,11 @@ impl<'a> Optimizer<'a> {
         if !matches!(&**else_branch, Core::Empty) {
             return None;
         }
-        let loop_vars: Vec<VarId> = {
-            let mut v = vec![*var];
-            if let Some(p) = position {
-                v.push(*p);
-            }
-            v
-        };
-        if loop_vars.iter().any(|lv| uses_var(cond, *lv)) {
-            return None;
-        }
-        if can_raise_error(cond) || creates_nodes(cond) {
+        if uses_var(cond, *var)
+            || position.is_some_and(|p| uses_var(cond, p))
+            || can_raise_error(cond)
+            || creates_nodes(cond)
+        {
             return None;
         }
         self.fired("where-hoist");
@@ -826,129 +757,101 @@ impl<'a> Optimizer<'a> {
         else {
             return None;
         };
-        let mut loop_vars = vec![*var];
-        if let Some(p) = position {
-            loop_vars.push(*p);
-        }
-        // Find the largest hoistable sub-expression of the body.
-        let mut candidates: Vec<(&Core, usize)> = Vec::new();
-        collect_subexprs(body, &mut candidates);
-        let inner_bound = all_bound_vars(body);
+        // Neither the loop variables nor variables bound *inside* the
+        // body (other binders) may be free in what moves above the loop.
+        let mut excluded = all_bound_vars(body);
+        excluded.push(*var);
+        excluded.extend(*position);
+        // The largest hoistable proper sub-expression of the body, the
+        // first in document order on a tie.
         let mut best: Option<&Core> = None;
-        for (sub, _) in &candidates {
-            if sub.size() < Self::HOIST_MIN_SIZE {
-                continue;
-            }
-            if matches!(sub, Core::Var(_) | Core::Const(_) | Core::Empty) {
-                continue;
-            }
-            if loop_vars.iter().any(|v| uses_var(sub, *v)) {
-                continue;
-            }
-            // Expressions using variables bound *inside* the body (other
-            // binders) cannot move above them.
-            if inner_bound.iter().any(|v| uses_var(sub, *v)) {
-                continue;
-            }
-            if creates_nodes(sub) || can_raise_error(sub) || uses_context(sub) {
-                continue;
-            }
-            match best {
-                Some(b) if b.size() >= sub.size() => {}
-                _ => best = Some(sub),
-            }
-        }
+        body.for_each_child(&mut |c| largest_hoistable(c, &excluded, &mut best));
         let sub = best?.clone();
-        let nv = self.fresh();
-        let new_body = replace_subexpr_whole(body, &sub, nv);
-        self.fired("loop-invariant-hoist");
-        Some(Core::Let {
-            var: nv,
-            value: sub.boxed(),
-            body: Core::For {
+        Some(
+            self.let_unfold("loop-invariant-hoist", sub, |sub, nv| Core::For {
                 var: *var,
                 position: *position,
                 source: source.clone(),
-                body: new_body.boxed(),
-            }
-            .boxed(),
-        })
+                body: replace_subexpr(body, sub, nv).boxed(),
+            }),
+        )
+    }
+
+    /// Bind `sub` to a fresh variable in a `let` around `build`'s
+    /// expression, which `build` makes with `sub` replaced by that
+    /// variable.
+    fn let_unfold(
+        &mut self,
+        rule: &'static str,
+        sub: Core,
+        build: impl FnOnce(&Core, VarId) -> Core,
+    ) -> Core {
+        let nv = self.fresh();
+        let body = build(&sub, nv);
+        self.fired(rule);
+        Core::Let {
+            var: nv,
+            value: sub.boxed(),
+            body: body.boxed(),
+        }
     }
 
     // ---- path rewrites ---------------------------------------------------------------
 
+    /// Collapse a step over a step: `x/s1/s2` with an optional `Ddo`
+    /// between the two path maps.
     fn path_rewrite(&mut self, e: &Core) -> Option<Core> {
-        // (1) `//name` collapse: PathMap(Ddo(PathMap(x, dos::node())), child::t)
-        //     → PathMap(x, descendant::t). Sound because every PathMap
-        //     created by normalization is consumed under a Ddo, and both
-        //     forms denote the same node *set*.
-        if let Core::PathMap { input, step } = e {
-            if let Core::Step {
-                axis: AxisName::Child,
-                test,
-            } = &**step
-            {
-                let inner = match &**input {
-                    Core::Ddo(i) => i,
-                    other => other,
-                };
-                if let Core::PathMap {
-                    input: x,
-                    step: dos,
-                } = inner
-                {
-                    if matches!(
-                        &**dos,
-                        Core::Step {
-                            axis: AxisName::DescendantOrSelf,
-                            test: NodeTest::AnyKind
-                        }
-                    ) {
-                        self.fired("dos-collapse");
-                        return Some(Core::PathMap {
-                            input: x.clone(),
-                            step: Core::Step {
-                                axis: AxisName::Descendant,
-                                test: test.clone(),
-                            }
-                            .boxed(),
-                        });
+        let Core::PathMap { input, step } = e else {
+            return None;
+        };
+        let Core::Step { axis, test } = &**step else {
+            return None;
+        };
+        let inner = match &**input {
+            Core::Ddo(i) => i,
+            other => other,
+        };
+        let Core::PathMap {
+            input: x,
+            step: inner_step,
+        } = inner
+        else {
+            return None;
+        };
+        let Core::Step {
+            axis: inner_axis,
+            test: inner_test,
+        } = &**inner_step
+        else {
+            return None;
+        };
+        match (axis, test, inner_axis, inner_test) {
+            // (1) `//name` collapse: PathMap(Ddo(PathMap(x, dos::node())), child::t)
+            //     → PathMap(x, descendant::t). Sound because every PathMap
+            //     created by normalization is consumed under a Ddo, and both
+            //     forms denote the same node *set*.
+            (AxisName::Child, _, AxisName::DescendantOrSelf, NodeTest::AnyKind) => {
+                self.fired("dos-collapse");
+                Some(Core::PathMap {
+                    input: x.clone(),
+                    step: Core::Step {
+                        axis: AxisName::Descendant,
+                        test: test.clone(),
                     }
-                }
+                    .boxed(),
+                })
             }
             // (2) parent-after-child collapse ("dealing with backwards
             //     navigation"): x/child::t/parent::node() → x[child::t].
-            if let Core::Step {
-                axis: AxisName::Parent,
-                test: NodeTest::AnyKind,
-            } = &**step
-            {
-                let inner = match &**input {
-                    Core::Ddo(i) => i,
-                    other => other,
-                };
-                if let Core::PathMap {
-                    input: x,
-                    step: child,
-                } = inner
-                {
-                    if matches!(
-                        &**child,
-                        Core::Step {
-                            axis: AxisName::Child,
-                            ..
-                        }
-                    ) {
-                        self.fired("parent-collapse");
-                        return Some(Core::Filter {
-                            input: x.clone(),
-                            predicate: child.clone(),
-                        });
-                    }
-                }
+            (AxisName::Parent, NodeTest::AnyKind, AxisName::Child, _) => {
+                self.fired("parent-collapse");
+                Some(Core::Filter {
+                    input: x.clone(),
+                    predicate: inner_step.clone(),
+                })
             }
+            _ => None,
         }
-        None
     }
 
     // ---- ddo elimination ----------------------------------------------------------
@@ -992,7 +895,6 @@ impl<'a> Optimizer<'a> {
         // constructor boundaries unsafe in general; our names are
         // resolved at parse time, so it is safe here (the talk's caveat
         // applies to lexically scoped namespaces, resolved already).
-        self.fired("function-inline");
         // Declared types stay enforced across inlining via `treat as`
         // (the type-rewrite family removes provably-satisfied ones).
         let mut out = match &f.return_type {
@@ -1012,6 +914,7 @@ impl<'a> Optimizer<'a> {
                 body: out.boxed(),
             };
         }
+        self.fired("function-inline");
         Some(out)
     }
 
@@ -1019,7 +922,11 @@ impl<'a> Optimizer<'a> {
 
     /// `for $x in A return for $y in B return if ($k1 = $k2) then R else ()`
     /// with B independent of `$x`, `$k1` over `$x`, `$k2` over `$y`
-    /// → hash join (the talk's "join ordering" family).
+    /// → hash join (the talk's "join ordering" family). The condition
+    /// may be an `and`-tree: one equi-conjunct splitting on (x, y) is
+    /// the key, the rest stays as a residual filter. Reordering
+    /// conjuncts is licensed by the talk's non-deterministic two-value
+    /// logic for `and`.
     fn detect_join(&mut self, e: &Core) -> Option<Core> {
         let Core::For {
             var: x,
@@ -1030,96 +937,34 @@ impl<'a> Optimizer<'a> {
         else {
             return None;
         };
-        let Core::For {
-            var: y,
-            position: None,
-            source: b,
-            body: inner,
-        } = &**body
-        else {
-            return None;
-        };
-        if uses_var(b, *x) {
-            return None;
-        }
-        let Core::If {
-            cond,
-            then_branch,
-            else_branch,
-        } = &**inner
-        else {
-            return None;
-        };
-        if !matches!(&**else_branch, Core::Empty) {
-            return None;
-        }
-        // The condition may be an `and`-tree: find one equi-conjunct
-        // splitting on (x, y); the rest stays as a residual filter.
-        // Reordering conjuncts is licensed by the talk's non-deterministic
-        // two-value logic for `and`.
-        let mut conjuncts: Vec<&Core> = Vec::new();
-        collect_conjuncts(cond, &mut conjuncts);
-        let mut key: Option<(&Core, &Core)> = None;
-        let mut residual: Vec<&Core> = Vec::new();
-        for c in conjuncts {
-            if key.is_none() {
-                let cmp = match c {
-                    Core::Ebv(inner) => &**inner,
-                    other => other,
-                };
-                if let Core::Compare(op, k1, k2) = cmp {
-                    if matches!(op, CompOp::GenEq | CompOp::ValEq) {
-                        if uses_var(k1, *x)
-                            && !uses_var(k1, *y)
-                            && uses_var(k2, *y)
-                            && !uses_var(k2, *x)
-                        {
-                            key = Some((k1, k2));
-                            continue;
-                        }
-                        if uses_var(k2, *x)
-                            && !uses_var(k2, *y)
-                            && uses_var(k1, *y)
-                            && !uses_var(k1, *x)
-                        {
-                            key = Some((k2, k1));
-                            continue;
-                        }
-                    }
-                }
-            }
-            residual.push(c);
-        }
-        let (okey, ikey) = key?;
-        if creates_nodes(okey) || creates_nodes(ikey) || creates_nodes(b) {
+        let join = equi_join(body, |okey, ikey| uses_var(okey, *x) && !uses_var(ikey, *x))?;
+        if uses_var(join.source, *x) || join.constructs() {
             return None;
         }
         // Residual conjuncts may error; evaluating them only for
         // key-matching pairs evaluates *fewer* conditions than the
         // original, which lazy two-value logic permits.
-        let body_core = if residual.is_empty() {
-            then_branch.clone()
-        } else {
-            let mut cond_iter = residual.into_iter().cloned();
-            let first = cond_iter.next().expect("non-empty residual");
-            let combined = cond_iter.fold(first, |acc, c| Core::And(acc.boxed(), c.boxed()));
-            Core::If {
-                cond: combined.boxed(),
-                then_branch: then_branch.clone(),
+        let mut residual = join.residual.into_iter().cloned();
+        let body_core = match residual.next() {
+            None => join.body.clone(),
+            Some(first) => Core::If {
+                cond: residual
+                    .fold(first, |acc, c| Core::And(acc.boxed(), c.boxed()))
+                    .boxed(),
+                then_branch: join.body.clone().boxed(),
                 else_branch: Core::Empty.boxed(),
-            }
-            .boxed()
+            },
         };
         self.fired("join-detect");
         Some(Core::HashJoin {
             outer_var: *x,
             outer: a.clone(),
-            inner_var: *y,
-            inner: b.clone(),
-            outer_key: okey.clone().boxed(),
-            inner_key: ikey.clone().boxed(),
+            inner_var: join.var,
+            inner: join.source.clone().boxed(),
+            outer_key: join.outer_key.clone().boxed(),
+            inner_key: join.inner_key.clone().boxed(),
             group: None,
-            body: body_core,
+            body: body_core.boxed(),
         })
     }
 
@@ -1145,69 +990,27 @@ impl<'a> Optimizer<'a> {
         else {
             return None;
         };
-        let Core::For {
-            var: t,
-            position: None,
-            source: inner_src,
-            body: inner_body,
-        } = &**value
-        else {
-            return None;
-        };
-        if uses_var(inner_src, *p) {
+        let join = equi_join(value, |okey, ikey| {
+            uses_var(okey, *p) && !uses_var(ikey, *p)
+        })?;
+        if !join.residual.is_empty() || uses_var(join.source, *p) || join.constructs() {
             return None;
         }
-        let Core::If {
-            cond,
-            then_branch,
-            else_branch,
-        } = &**inner_body
-        else {
-            return None;
-        };
-        if !matches!(&**else_branch, Core::Empty) {
-            return None;
-        }
-        let cmp = match &**cond {
-            Core::Ebv(c) => &**c,
-            other => other,
-        };
-        let Core::Compare(op, k1, k2) = cmp else {
-            return None;
-        };
-        if !matches!(op, CompOp::GenEq | CompOp::ValEq) {
-            return None;
-        }
-        let (okey, ikey) =
-            if uses_var(k1, *p) && !uses_var(k1, *t) && uses_var(k2, *t) && !uses_var(k2, *p) {
-                (k1, k2)
-            } else if uses_var(k2, *p) && !uses_var(k2, *t) && uses_var(k1, *t) && !uses_var(k1, *p)
-            {
-                (k2, k1)
-            } else {
-                return None;
-            };
-        if creates_nodes(okey) || creates_nodes(ikey) || creates_nodes(inner_src) {
-            return None;
-        }
-        // The per-match body must not depend on the outer variable,
-        // otherwise it cannot be shared across outer bindings… it is
-        // still evaluated per (outer, match) pair, so dependence is fine;
-        // only node construction inside changes identity semantics — the
-        // original also constructed per pair, so that is preserved too.
+        // R is still evaluated per (outer, match) pair, as in the
+        // original, so it may depend on `$p` and may construct nodes.
         self.fired("group-join-detect");
         // The hash table over the inner side is built once, above the
         // outer iteration — that is the whole point.
         Some(Core::HashJoin {
             outer_var: *p,
             outer: outer_src.clone(),
-            inner_var: *t,
-            inner: inner_src.clone(),
-            outer_key: okey.clone().boxed(),
-            inner_key: ikey.clone().boxed(),
+            inner_var: join.var,
+            inner: join.source.clone().boxed(),
+            outer_key: join.outer_key.clone().boxed(),
+            inner_key: join.inner_key.clone().boxed(),
             group: Some(GroupSpec {
                 let_var: *a,
-                match_body: then_branch.clone(),
+                match_body: join.body.clone().boxed(),
             }),
             body: let_body.clone(),
         })
@@ -1235,9 +1038,7 @@ impl<'a> Optimizer<'a> {
             .flat_map(|c| match c {
                 CoreClause::For { var, position, .. } => {
                     let mut v = vec![*var];
-                    if let Some(p) = position {
-                        v.push(*p);
-                    }
+                    v.extend(*position);
                     v
                 }
                 CoreClause::Let { var, .. } => vec![*var],
@@ -1247,15 +1048,14 @@ impl<'a> Optimizer<'a> {
         let mut changed = false;
         let mut new_clauses: Vec<CoreClause> = Vec::with_capacity(clauses.len());
         for c in clauses {
-            let push_original = || c.clone();
             let CoreClause::Let { var, value } = c else {
-                new_clauses.push(push_original());
+                new_clauses.push(c.clone());
                 continue;
             };
             // Loop-invariant hoisting may have wrapped the joinable For
             // in Lets (e.g. the outer key); lift those into ordinary Let
             // clauses ahead of the GroupLet.
-            let mut lifted: Vec<(VarId, Core)> = Vec::new();
+            let mut lifted: Vec<(VarId, &Core)> = Vec::new();
             let mut cursor: &Core = value;
             while let Core::Let {
                 var: lv,
@@ -1263,84 +1063,37 @@ impl<'a> Optimizer<'a> {
                 body: lbody,
             } = cursor
             {
-                lifted.push((*lv, (**lval).clone()));
+                lifted.push((*lv, lval));
                 cursor = lbody;
             }
-            let Core::For {
-                var: t,
-                position: None,
-                source: inner_src,
-                body: inner_body,
-            } = cursor
-            else {
-                new_clauses.push(push_original());
-                continue;
-            };
-            if flwor_vars.iter().any(|v| uses_var(inner_src, *v))
-                || lifted.iter().any(|(lv, _)| uses_var(inner_src, *lv))
-            {
-                new_clauses.push(push_original());
-                continue;
-            }
-            let Core::If {
-                cond,
-                then_branch,
-                else_branch,
-            } = &**inner_body
-            else {
-                new_clauses.push(push_original());
-                continue;
-            };
-            if !matches!(&**else_branch, Core::Empty) {
-                new_clauses.push(push_original());
-                continue;
-            }
-            let cmp = match &**cond {
-                Core::Ebv(inner) => &**inner,
-                other => other,
-            };
-            let Core::Compare(op, k1, k2) = cmp else {
-                new_clauses.push(push_original());
-                continue;
-            };
-            if !matches!(op, CompOp::GenEq | CompOp::ValEq) {
-                new_clauses.push(push_original());
-                continue;
-            }
-            let t_in_k1 = uses_var(k1, *t);
-            let t_in_k2 = uses_var(k2, *t);
-            let (okey, ikey) = if t_in_k2 && !t_in_k1 {
-                (k1, k2)
-            } else if t_in_k1 && !t_in_k2 {
-                (k2, k1)
-            } else {
-                new_clauses.push(push_original());
-                continue;
-            };
             // The inner key must not lean on the lifted (per-tuple) lets.
-            if lifted.iter().any(|(lv, _)| uses_var(ikey, *lv)) {
-                new_clauses.push(push_original());
+            let join = equi_join(cursor, |_, ikey| {
+                !lifted.iter().any(|(lv, _)| uses_var(ikey, *lv))
+            });
+            let Some(join) = join.filter(|j| {
+                j.residual.is_empty()
+                    && !flwor_vars.iter().any(|v| uses_var(j.source, *v))
+                    && !lifted.iter().any(|(lv, _)| uses_var(j.source, *lv))
+                    && !j.constructs()
+            }) else {
+                new_clauses.push(c.clone());
                 continue;
-            }
-            if creates_nodes(okey) || creates_nodes(ikey) || creates_nodes(inner_src) {
-                new_clauses.push(push_original());
-                continue;
-            }
+            };
             changed = true;
             self.fired("flwor-decorrelate");
             for (lv, lval) in lifted {
                 new_clauses.push(CoreClause::Let {
                     var: lv,
-                    value: lval,
+                    value: lval.clone(),
                 });
             }
             new_clauses.push(CoreClause::GroupLet {
                 var: *var,
-                inner_var: *t,
-                inner: (**inner_src).clone(),
-                inner_key: (**ikey).clone(),
-                outer_key: (**okey).clone(),
-                match_body: (**then_branch).clone(),
+                inner_var: join.var,
+                inner: join.source.clone(),
+                inner_key: join.inner_key.clone(),
+                outer_key: join.outer_key.clone(),
+                match_body: join.body.clone(),
             });
         }
         if !changed {
@@ -1367,26 +1120,14 @@ impl<'a> Optimizer<'a> {
         if !matches!(e, Core::Let { .. } | Core::For { .. } | Core::If { .. }) {
             return None;
         }
+        // Every free variable of the candidate must be bound outside
+        // `e`, otherwise hoisting breaks scoping.
         let bound = all_bound_vars(e);
         let mut counts: Vec<(&Core, usize)> = Vec::new();
         collect_subexprs(e, &mut counts);
         let mut best: Option<(&Core, usize)> = None;
         for &(sub, n) in &counts {
-            if n < 2 || sub.size() < Self::CSE_MIN_SIZE {
-                continue;
-            }
-            if creates_nodes(sub) || can_raise_error(sub) {
-                continue;
-            }
-            if uses_context(sub) {
-                continue; // context-sensitive: "same context?" — skip
-            }
-            // Every free variable of the candidate must be bound outside
-            // `e`, otherwise hoisting breaks scoping.
-            if bound.iter().any(|v| uses_var(sub, *v)) {
-                continue;
-            }
-            if matches!(sub, Core::Var(_) | Core::Const(_) | Core::Empty) {
+            if n < 2 || !hoistable(sub, Self::CSE_MIN_SIZE, &bound) {
                 continue;
             }
             match best {
@@ -1395,14 +1136,7 @@ impl<'a> Optimizer<'a> {
             }
         }
         let sub = best?.0.clone();
-        let nv = self.fresh();
-        let replaced = replace_subexpr(e, &sub, nv);
-        self.fired("cse-factor");
-        Some(Core::Let {
-            var: nv,
-            value: sub.boxed(),
-            body: replaced.boxed(),
-        })
+        Some(self.let_unfold("cse-factor", sub, |sub, nv| replace_subexpr(e, sub, nv)))
     }
 
     // ---- type-based rewrites ---------------------------------------------------------------------
@@ -1410,7 +1144,7 @@ impl<'a> Optimizer<'a> {
     fn type_rewrite(&mut self, e: &Core) -> Option<Core> {
         match e {
             Core::InstanceOf(inner, ty) => {
-                let mut env = TypeEnv::new(self.functions);
+                let mut env = TypeEnv::new(&self.functions);
                 let got = infer(inner, &mut env);
                 if got.is_subtype_of(ty) && !can_raise_error(inner) && !creates_nodes(inner) {
                     self.fired("instance-of-fold");
@@ -1431,7 +1165,7 @@ impl<'a> Optimizer<'a> {
                 None
             }
             Core::TreatAs(inner, ty) => {
-                let mut env = TypeEnv::new(self.functions);
+                let mut env = TypeEnv::new(&self.functions);
                 let got = infer(inner, &mut env);
                 if got.is_subtype_of(ty) {
                     self.fired("treat-eliminate");
@@ -1440,7 +1174,7 @@ impl<'a> Optimizer<'a> {
                 None
             }
             Core::CastAs(inner, ty, _) => {
-                let mut env = TypeEnv::new(self.functions);
+                let mut env = TypeEnv::new(&self.functions);
                 let got = infer(inner, &mut env);
                 if got == SequenceType::atomic(*ty) {
                     self.fired("cast-identity");
@@ -1485,39 +1219,96 @@ fn uses_context(e: &Core) -> bool {
     }
 }
 
-/// Is this let-value the inner side of a potential group join:
-/// `for $t in T return if (k1 = k2) then R else ()` with the equality
-/// splitting between `$t` and some free variable?
-fn is_join_candidate_value(value: &Core) -> bool {
+/// The shape every join rule starts from:
+/// `for $t in S return if C then R else ()` where one conjunct of C is
+/// an equality `k1 = k2` (general or value, under an optional `Ebv`)
+/// with `$t` free in exactly one key.
+struct EquiJoin<'e> {
+    /// `$t`.
+    var: VarId,
+    /// S, the side the hash table is built from.
+    source: &'e Core,
+    /// The key without `$t`, probed per outer binding.
+    outer_key: &'e Core,
+    /// The key over `$t`.
+    inner_key: &'e Core,
+    /// R, what each match yields.
+    body: &'e Core,
+    /// The conjuncts of C other than the key.
+    residual: Vec<&'e Core>,
+}
+
+impl EquiJoin<'_> {
+    /// Does a part the join evaluates out of its original place build
+    /// nodes?
+    fn constructs(&self) -> bool {
+        creates_nodes(self.outer_key) || creates_nodes(self.inner_key) || creates_nodes(self.source)
+    }
+}
+
+/// Match `e` as an [`EquiJoin`] whose key is the first conjunct that
+/// `accept(outer key, inner key)` admits.
+fn equi_join(e: &Core, accept: impl Fn(&Core, &Core) -> bool) -> Option<EquiJoin<'_>> {
     let Core::For {
-        var: t,
+        var,
         position: None,
+        source,
         body,
-        ..
-    } = value
+    } = e
     else {
-        return false;
+        return None;
     };
     let Core::If {
-        cond, else_branch, ..
+        cond,
+        then_branch,
+        else_branch,
     } = &**body
     else {
-        return false;
+        return None;
     };
     if !matches!(&**else_branch, Core::Empty) {
-        return false;
+        return None;
     }
-    let cmp = match &**cond {
-        Core::Ebv(c) => &**c,
+    let mut conjuncts = Vec::new();
+    collect_conjuncts(cond, &mut conjuncts);
+    let mut key = None;
+    let mut residual = Vec::new();
+    for c in conjuncts {
+        if key.is_none() {
+            key = equi_key(c, *var).filter(|&(okey, ikey)| accept(okey, ikey));
+            if key.is_some() {
+                continue;
+            }
+        }
+        residual.push(c);
+    }
+    let (outer_key, inner_key) = key?;
+    Some(EquiJoin {
+        var: *var,
+        source,
+        outer_key,
+        inner_key,
+        body: then_branch,
+        residual,
+    })
+}
+
+/// `k1 = k2` (general or value, under an optional `Ebv`) with `var`
+/// free in exactly one key. Returns (outer key, inner key): the key
+/// without `var`, then the key over it.
+fn equi_key(cond: &Core, var: VarId) -> Option<(&Core, &Core)> {
+    let cmp = match cond {
+        Core::Ebv(inner) => &**inner,
         other => other,
     };
-    let Core::Compare(op, k1, k2) = cmp else {
-        return false;
+    let Core::Compare(CompOp::GenEq | CompOp::ValEq, k1, k2) = cmp else {
+        return None;
     };
-    if !matches!(op, CompOp::GenEq | CompOp::ValEq) {
-        return false;
+    match (uses_var(k1, var), uses_var(k2, var)) {
+        (false, true) => Some((k1, k2)),
+        (true, false) => Some((k2, k1)),
+        _ => None,
     }
-    uses_var(k1, *t) != uses_var(k2, *t)
 }
 
 /// Flatten an `and`-tree (possibly wrapped in Ebv) into conjuncts.
@@ -1534,6 +1325,34 @@ fn collect_conjuncts<'e>(e: &'e Core, out: &mut Vec<&'e Core>) {
 
 fn uses_var(e: &Core, var: VarId) -> bool {
     var_use(e, var) != UseCount::Zero
+}
+
+/// May `sub` move into a fresh `let` above where it stands? It must be
+/// big enough to pay for the binding, not a leaf, and free of the
+/// `excluded` variables. It must also be pure: a hoisted expression is
+/// evaluated where the original might never have run, and once where
+/// the original ran in several places, so it builds no nodes, raises no
+/// error and reads no context (the talk's "same context?").
+fn hoistable(sub: &Core, min_size: usize, excluded: &[VarId]) -> bool {
+    sub.size() >= min_size
+        && !matches!(sub, Core::Var(_) | Core::Const(_) | Core::Empty)
+        && !excluded.iter().any(|v| uses_var(sub, *v))
+        && !creates_nodes(sub)
+        && !can_raise_error(sub)
+        && !uses_context(sub)
+}
+
+/// The largest hoistable expression at or below `e`, the first in
+/// document order on a tie. The search stops at the first hoistable
+/// node on each path: everything below it is smaller.
+fn largest_hoistable<'e>(e: &'e Core, excluded: &[VarId], best: &mut Option<&'e Core>) {
+    if hoistable(e, Optimizer::HOIST_MIN_SIZE, excluded) {
+        if best.is_none_or(|b| e.size() > b.size()) {
+            *best = Some(e);
+        }
+    } else {
+        e.for_each_child(&mut |c| largest_hoistable(c, excluded, best));
+    }
 }
 
 /// All variables bound anywhere inside `e`.
@@ -1557,7 +1376,7 @@ fn collect_subexprs<'e>(e: &'e Core, counts: &mut Vec<(&'e Core, usize)>) {
 
 /// Substitute `Var(var)` by `value` throughout (capture-free because all
 /// registers are globally unique).
-pub fn substitute(e: &Core, var: VarId, value: &Core) -> Core {
+fn substitute(e: &Core, var: VarId, value: &Core) -> Core {
     match e {
         Core::Var(v) if *v == var => value.clone(),
         other => {
@@ -1571,25 +1390,16 @@ pub fn substitute(e: &Core, var: VarId, value: &Core) -> Core {
     }
 }
 
-/// Like [`replace_subexpr`] but also replaces the root itself.
-fn replace_subexpr_whole(e: &Core, target: &Core, var: VarId) -> Core {
+/// Replace every occurrence of `target` (structural equality), the
+/// root included, by a variable reference.
+fn replace_subexpr(e: &Core, target: &Core, var: VarId) -> Core {
     if e == target {
         return Core::Var(var);
     }
-    replace_subexpr(e, target, var)
-}
-
-/// Replace every occurrence of `target` (structural equality) by a
-/// variable reference.
-fn replace_subexpr(e: &Core, target: &Core, var: VarId) -> Core {
     let mut out = e.clone();
     out.for_each_child_mut(&mut |c| {
-        if c == target {
-            *c = Core::Var(var);
-        } else {
-            let taken = std::mem::replace(c, Core::Empty);
-            *c = replace_subexpr(&taken, target, var);
-        }
+        let taken = std::mem::replace(c, Core::Empty);
+        *c = replace_subexpr(&taken, target, var);
     });
     out
 }
@@ -1629,12 +1439,19 @@ fn compute_recursive(functions: &[CoreFunction]) -> Vec<bool> {
 /// Optimize a whole module in place; returns firing stats.
 pub fn optimize_module(module: &mut CoreModule, config: &RewriteConfig) -> RewriteStats {
     let functions = module.functions.clone();
-    let mut opt = Optimizer::new(config.clone(), &functions, module.var_count);
+    let mut opt = Optimizer {
+        config: config.clone(),
+        recursive: compute_recursive(&functions),
+        functions,
+        next_var: module.var_count,
+        var_facts: HashMap::new(),
+        stats: HashMap::new(),
+    };
     // Globals' ordering facts are visible to everything after them.
     for (_, var, value) in &module.globals {
         if let Some(v) = value {
             let f = order_facts_with(v, &HashMap::new());
-            opt.seed_var_facts(*var, f);
+            opt.var_facts.insert(*var, f);
         }
     }
     for f in &mut module.functions {
@@ -1649,7 +1466,7 @@ pub fn optimize_module(module: &mut CoreModule, config: &RewriteConfig) -> Rewri
     }
     let body = std::mem::replace(&mut module.body, Core::Empty);
     module.body = opt.run(body);
-    module.var_count = opt.var_count();
+    module.var_count = opt.next_var;
     opt.stats
 }
 
@@ -1669,6 +1486,17 @@ mod tests {
         let mut m = normalize_module(&parse_query(src).unwrap()).unwrap();
         optimize_module(&mut m, cfg);
         m.body
+    }
+
+    /// How many nodes of `e`, itself included, satisfy `pred`.
+    fn count(e: &Core, pred: &dyn Fn(&Core) -> bool) -> usize {
+        let mut n = pred(e) as usize;
+        e.for_each_child(&mut |c| n += count(c, pred));
+        n
+    }
+
+    fn count_ddo(e: &Core) -> usize {
+        count(e, &|n| matches!(n, Core::Ddo(_)))
     }
 
     #[test]
@@ -1736,6 +1564,30 @@ mod tests {
     }
 
     #[test]
+    fn positional_for_is_not_unnested() {
+        // `$p` counts 1 2 3 4 over the flattened source; unnesting would
+        // restart it per `$y` (1 2 1 2).
+        let (e, stats) = opt("for $x at $p in (for $y in (1, 2) return ($y, $y)) return $p");
+        assert!(!stats.contains_key("for-unnest"), "{stats:?}\n{e:?}");
+    }
+
+    #[test]
+    fn for_over_single_constant_becomes_let() {
+        let (e, stats) = opt("for $x in 5 return $x + 1");
+        assert!(stats.contains_key("for-single-to-let"), "{stats:?}");
+        assert_eq!(e, Core::Const(AtomicValue::Integer(6)));
+        let (e, _) = opt("for $x at $i in 5 return $x + $i");
+        assert_eq!(e, Core::Const(AtomicValue::Integer(6)));
+    }
+
+    #[test]
+    fn cast_to_the_inferred_type_is_dropped() {
+        let (e, stats) = opt("xs:integer(count(//a))");
+        assert!(stats.contains_key("cast-identity"), "{stats:?}");
+        assert!(matches!(e, Core::Builtin("count", _)), "{e:?}");
+    }
+
+    #[test]
     fn where_hoisting_fires_for_invariant_condition() {
         let (e, stats) = opt(
             "declare variable $s external; declare variable $flag external;
@@ -1756,35 +1608,25 @@ mod tests {
     fn dos_collapse_rewrites_descendant_paths() {
         let (e, stats) = opt("//book");
         assert!(stats.contains_key("dos-collapse"), "{stats:?}");
-        fn has_descendant(e: &Core) -> bool {
-            if matches!(
-                e,
+        assert!(
+            count(&e, &|n| matches!(
+                n,
                 Core::Step {
                     axis: AxisName::Descendant,
                     ..
                 }
-            ) {
-                return true;
-            }
-            let mut f = false;
-            e.for_each_child(&mut |c| f |= has_descendant(c));
-            f
-        }
-        assert!(has_descendant(&e), "{e:?}");
+            )) > 0,
+            "{e:?}"
+        );
     }
 
     #[test]
     fn ddo_elimination_on_forward_paths() {
         let cfg_all = RewriteConfig::all();
         let e = opt_with("/a/b/c", &cfg_all);
-        fn count_ddo(e: &Core) -> usize {
-            let mut n = matches!(e, Core::Ddo(_)) as usize;
-            e.for_each_child(&mut |c| n += count_ddo(c));
-            n
-        }
         assert_eq!(count_ddo(&e), 0, "{e:?}");
         // With the family off, ddos remain.
-        let e = opt_with("/a/b/c", &RewriteConfig::without("ddo_elimination"));
+        let e = opt_with("/a/b/c", &RewriteConfig::without(Family::DdoElimination));
         assert!(count_ddo(&e) > 0);
     }
 
@@ -1794,11 +1636,6 @@ mod tests {
             "declare variable $s external; $s//a//b",
             &RewriteConfig::all(),
         );
-        fn count_ddo(e: &Core) -> usize {
-            let mut n = matches!(e, Core::Ddo(_)) as usize;
-            e.for_each_child(&mut |c| n += count_ddo(c));
-            n
-        }
         assert!(count_ddo(&e) > 0, "{e:?}");
     }
 
@@ -1806,15 +1643,7 @@ mod tests {
     fn parent_collapse() {
         let (e, stats) = opt("declare variable $s external; $s/e/..");
         assert!(stats.contains_key("parent-collapse"), "{e:?} {stats:?}");
-        fn has_filter(e: &Core) -> bool {
-            if matches!(e, Core::Filter { .. }) {
-                return true;
-            }
-            let mut f = false;
-            e.for_each_child(&mut |c| f |= has_filter(c));
-            f
-        }
-        assert!(has_filter(&e));
+        assert!(count(&e, &|n| matches!(n, Core::Filter { .. })) > 0);
     }
 
     #[test]
@@ -1846,15 +1675,10 @@ mod tests {
                     return if ($b/publisher = $p/name) then ($b, $p) else ()",
         );
         assert!(stats.contains_key("join-detect"), "{stats:?}");
-        fn has_join(e: &Core) -> bool {
-            if matches!(e, Core::HashJoin { .. }) {
-                return true;
-            }
-            let mut f = false;
-            e.for_each_child(&mut |c| f |= has_join(c));
-            f
-        }
-        assert!(has_join(&e), "{e:?}");
+        assert!(
+            count(&e, &|n| matches!(n, Core::HashJoin { .. })) > 0,
+            "{e:?}"
+        );
     }
 
     #[test]
@@ -1903,15 +1727,7 @@ mod tests {
         // //a//b is neither ordered nor distinct: ddo must stay.
         let (e, stats) = opt("unordered { /descendant::a/descendant::b }");
         assert!(!stats.contains_key("unordered-ddo-relax"), "{stats:?}");
-        fn has_ddo(e: &Core) -> bool {
-            if matches!(e, Core::Ddo(_)) {
-                return true;
-            }
-            let mut f = false;
-            e.for_each_child(&mut |c| f |= has_ddo(c));
-            f
-        }
-        assert!(has_ddo(&e));
+        assert!(count_ddo(&e) > 0);
     }
 
     #[test]
@@ -1948,15 +1764,10 @@ mod tests {
              return count($a)",
         );
         assert!(stats.contains_key("group-join-detect"), "{stats:?}\n{e:?}");
-        fn has_group_join(e: &Core) -> bool {
-            if matches!(e, Core::HashJoin { group: Some(_), .. }) {
-                return true;
-            }
-            let mut f = false;
-            e.for_each_child(&mut |c| f |= has_group_join(c));
-            f
-        }
-        assert!(has_group_join(&e), "{e:?}");
+        assert!(
+            count(&e, &|n| matches!(n, Core::HashJoin { group: Some(_), .. })) > 0,
+            "{e:?}"
+        );
     }
 
     #[test]
@@ -1969,20 +1780,13 @@ mod tests {
              return count($a)",
         );
         assert!(stats.contains_key("flwor-decorrelate"), "{stats:?}\n{e:?}");
-        fn has_group_let(e: &Core) -> bool {
-            if let Core::OrderedFlwor { clauses, .. } = e {
-                if clauses
-                    .iter()
-                    .any(|c| matches!(c, CoreClause::GroupLet { .. }))
-                {
-                    return true;
-                }
-            }
-            let mut f = false;
-            e.for_each_child(&mut |c| f |= has_group_let(c));
-            f
-        }
-        assert!(has_group_let(&e), "{e:?}");
+        let group_let = |n: &Core| match n {
+            Core::OrderedFlwor { clauses, .. } => clauses
+                .iter()
+                .any(|c| matches!(c, CoreClause::GroupLet { .. })),
+            _ => false,
+        };
+        assert!(count(&e, &group_let) > 0, "{e:?}");
     }
 
     #[test]

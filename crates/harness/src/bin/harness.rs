@@ -12,6 +12,11 @@
 //! and the process exits 1 — case `i` of seed `S` replays alone as
 //! `--seed S+i --cases 1`.
 //!
+//! `fuzz` also prints `plan digest: <hex> over N cases`, a hash over
+//! the optimized leg's `explain()` (plan and rewrite counts) of every
+//! case in order: a compiler refactor must leave it unchanged, and any
+//! plan change moves it.
+//!
 //! `fuzz --mutate` plants a deliberate constant-folding miscompile in
 //! the optimized legs and *inverts* the exit code: the run succeeds only
 //! if the oracle catches the planted bug — a blind oracle is a broken

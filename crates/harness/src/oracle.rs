@@ -64,6 +64,8 @@ pub struct CaseResult {
     /// Optimizer rule firings for the optimized compilation (empty when
     /// compilation failed).
     pub rewrite_stats: RewriteStats,
+    /// The optimized plan's `explain()` (empty when compilation failed).
+    pub plan: String,
     /// Whether the streaming leg ran (the plan is streamable).
     pub streamed: bool,
 }
@@ -162,47 +164,41 @@ impl Oracle {
         self.case_no += 1;
         // Reference: materialized, unoptimized.
         let reference = run_engine(&self.ref_options, query, xml);
-        let mut rewrite_stats = RewriteStats::default();
-        let mut streamed = false;
+        let mut result = CaseResult {
+            verdict: CaseVerdict::Agree,
+            rewrite_stats: RewriteStats::default(),
+            plan: String::new(),
+            streamed: false,
+        };
         let doc_name = format!("fuzz-{}.xml", self.case_no);
-        let legs = self.run_legs(
-            query,
-            xml,
-            &doc_name,
-            &reference,
-            &mut rewrite_stats,
-            &mut streamed,
-        );
+        let legs = self.run_legs(query, xml, &doc_name, &reference, &mut result);
         self.service.remove_document(&doc_name);
-        let verdict = match (legs, &reference) {
+        result.verdict = match (legs, &reference) {
             (Err(decided), _) => decided,
             (Ok(()), Ok(_)) => CaseVerdict::Agree,
             (Ok(()), Err((code, _))) => CaseVerdict::AgreeError(*code),
         };
-        CaseResult {
-            verdict,
-            rewrite_stats,
-            streamed,
-        }
+        result
     }
 
     /// Every leg in turn, stopping at the first that decides the case
-    /// (a skip or a divergence).
+    /// (a skip or a divergence). Fills in `found`'s rewrite stats, plan
+    /// and streamed flag; its verdict is the caller's.
     fn run_legs(
         &self,
         query: &str,
         xml: &str,
         doc_name: &str,
         reference: &Outcome,
-        rewrite_stats: &mut RewriteStats,
-        streamed: &mut bool,
+        found: &mut CaseResult,
     ) -> Result<(), CaseVerdict> {
         // Optimized engine. Keep the prepared query around for the
-        // streaming leg and the rewrite stats.
+        // streaming leg, the rewrite stats and the plan.
         let opt_engine = Engine::with_options(self.opt_options.clone());
         let optimized = outcome((|| {
             let prepared = opt_engine.compile(query)?;
-            *rewrite_stats = prepared.compiled().stats.clone();
+            found.rewrite_stats = prepared.compiled().stats.clone();
+            found.plan = prepared.explain();
             let ctx = xqr_core::context_with_doc(&opt_engine, "fuzz.xml", xml)?;
             let guard = QueryGuard::new(opt_engine.options().runtime.limits);
             prepared
@@ -239,7 +235,7 @@ impl Oracle {
         // included — streaming emits every match in document order.
         if let Ok(prepared) = opt_engine.compile(query) {
             if prepared.is_streamable() {
-                *streamed = true;
+                found.streamed = true;
                 let mut out = String::new();
                 let streaming = outcome(
                     prepared
@@ -310,6 +306,7 @@ impl Fuzz {
         let result = self.oracle.run_case(&q.text, &xml);
         self.report.note_kinds(&q.kinds);
         self.report.note_rewrites(&result.rewrite_stats);
+        self.report.plans.note(&result.plan);
         case.add("streamed", result.streamed as u64);
         match result.verdict {
             CaseVerdict::Agree => case.add("agreed", 1),
@@ -344,8 +341,8 @@ impl Fuzz {
         case
     }
 
-    /// Coverage (error codes, expression kinds, rewrite rules) and the
-    /// long-lived service's plan-cache traffic.
+    /// Coverage (error codes, expression kinds, rewrite rules), the plan
+    /// digest and the long-lived service's plan-cache traffic.
     pub fn finish(&self) -> Vec<String> {
         let stats = self.oracle.service_stats();
         vec![

@@ -14,6 +14,39 @@ pub struct RunReport {
     pub expr_kinds: BTreeMap<&'static str, usize>,
     /// Optimizer rules that fired at least once, with firing counts.
     pub rewrite_rules: BTreeMap<&'static str, usize>,
+    pub plans: PlanDigest,
+}
+
+/// A 64-bit FNV-1a hash over the optimized plan of every case, in case
+/// order. The hashed text is `PreparedQuery::explain()`, plan and
+/// rewrite counts, so any plan change moves the one line it renders.
+pub struct PlanDigest {
+    hash: u64,
+    cases: usize,
+}
+
+impl Default for PlanDigest {
+    fn default() -> Self {
+        PlanDigest {
+            hash: 0xcbf2_9ce4_8422_2325,
+            cases: 0,
+        }
+    }
+}
+
+impl PlanDigest {
+    /// Fold in one case's plan text (empty when the query did not
+    /// compile).
+    pub fn note(&mut self, explain: &str) {
+        for b in explain.bytes().chain([0]) {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        self.cases += 1;
+    }
+
+    pub fn render(&self) -> String {
+        format!("plan digest: {:016x} over {} cases", self.hash, self.cases)
+    }
 }
 
 impl RunReport {
@@ -55,6 +88,7 @@ impl RunReport {
         for (rule, n) in &self.rewrite_rules {
             out.push_str(&format!("  {rule:<28} {n}\n"));
         }
+        out.push_str(&self.plans.render());
         out
     }
 }
@@ -75,5 +109,19 @@ mod tests {
         assert!(text.contains("path"));
         assert!(text.contains("constant-fold-arith"));
         assert!(text.contains("FOAR0001"));
+        assert!(text.contains("plan digest: "));
+    }
+
+    #[test]
+    fn plan_digest_moves_with_any_plan_and_with_case_order() {
+        let digest = |plans: &[&str]| {
+            let mut d = PlanDigest::default();
+            plans.iter().for_each(|p| d.note(p));
+            d.render()
+        };
+        assert_eq!(digest(&["a", "b"]), digest(&["a", "b"]));
+        assert_ne!(digest(&["a", "b"]), digest(&["b", "a"]));
+        assert_ne!(digest(&["a", "b"]), digest(&["a", "c"]));
+        assert_ne!(digest(&["ab", ""]), digest(&["a", "b"]));
     }
 }

@@ -522,6 +522,15 @@ fn positional_semantics() {
         ("(1 to 5)[. gt 3]", "4 5"),
         // positional over path steps is per context node
         ("for $i in 1 to 3 return (string($i), \"|\")", "1 | 2 | 3 |"),
+        // `at $p` counts over the whole nested source, not per inner item
+        (
+            "for $x at $p in (for $y in (1, 2) return ($y, $y)) return $p",
+            "1 2 3 4",
+        ),
+        (
+            "for $x at $p in (for $y in (1, 2) return (<a>{$y}</a>, <b/>)) return <i n=\"{$p}\">{$x}</i>",
+            "<i n=\"1\"><a>1</a></i><i n=\"2\"><b/></i><i n=\"3\"><a>2</a></i><i n=\"4\"><b/></i>",
+        ),
     ]);
 }
 
