@@ -52,32 +52,28 @@ pub fn range_by_start(list: &[Labeled], lo: u32, hi: u32) -> &[Labeled] {
     &list[from..to]
 }
 
-/// The inverted list for one element name, sorted by `start`.
+/// The inverted list for one element name, sorted by `start`: a scan of
+/// the document's elements in document order. The indexed form of the
+/// same list is `xqr-index`'s `DocIndex`.
 pub fn element_list(doc: &Document, name: NameId) -> Vec<Labeled> {
-    doc.elements_named(name)
-        .iter()
-        .map(|&i| {
-            let n = NodeId(i);
-            Labeled {
-                node: n,
-                start: doc.start(n),
-                end: doc.end(n),
-                level: doc.level(n),
-            }
-        })
+    doc.all_elements()
+        .filter(|&n| doc.name_id(n) == name)
+        .map(|n| label(doc, n))
         .collect()
 }
 
 /// Inverted list for every element (used for `*` tests).
 pub fn all_elements_list(doc: &Document) -> Vec<Labeled> {
-    doc.all_elements()
-        .map(|n| Labeled {
-            node: n,
-            start: doc.start(n),
-            end: doc.end(n),
-            level: doc.level(n),
-        })
-        .collect()
+    doc.all_elements().map(|n| label(doc, n)).collect()
+}
+
+fn label(doc: &Document, n: NodeId) -> Labeled {
+    Labeled {
+        node: n,
+        start: doc.start(n),
+        end: doc.end(n),
+        level: doc.level(n),
+    }
 }
 
 #[cfg(test)]

@@ -64,10 +64,6 @@ impl Item {
         }
     }
 
-    pub fn node_kind(&self, store: &Store) -> Option<NodeKind> {
-        self.as_node().map(|n| store.doc_of(n).kind(n.node))
-    }
-
     pub fn node_name(&self, store: &Store) -> Option<QName> {
         self.as_node()
             .and_then(|n| store.doc_of(n).name(n.node).cloned())

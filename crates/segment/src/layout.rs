@@ -22,23 +22,23 @@ use crate::crc::{crc32, Crc32};
 use xqr_xdm::{NodeKind, Result};
 
 /// Head magic; the trailing byte is the format version.
-pub const MAGIC: [u8; 8] = *b"XQRSEG\x00\x01";
+pub const MAGIC: [u8; 8] = *b"XQRSEG\x00\x02";
 /// Tail magic.
 pub const TAIL: [u8; 8] = *b"\x01\x00GESRQX";
 /// Format version (also baked into [`MAGIC`]).
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
+const _: () = assert!(MAGIC[7] as u32 == VERSION);
 
 /// Section identifiers. A well-formed segment has exactly one of each,
-/// in this order.
+/// in this order. Id 3 (version 1's token stream) is retired, not reused.
 pub mod section {
     pub const META: u32 = 1;
     pub const NAMES: u32 = 2;
-    pub const TOKENS: u32 = 3;
     pub const TREE: u32 = 4;
     pub const PATHS: u32 = 5;
     pub const ELEMS: u32 = 6;
     pub const ATTRS: u32 = 7;
-    pub const ALL: [u32; 7] = [META, NAMES, TOKENS, TREE, PATHS, ELEMS, ATTRS];
+    pub const ALL: [u32; 6] = [META, NAMES, TREE, PATHS, ELEMS, ATTRS];
 }
 
 /// Byte span of one section within the file.
@@ -106,8 +106,14 @@ pub fn verify(bytes: &[u8]) -> Result<Sections> {
     if bytes.len() < MAGIC.len() + TAIL_FIXED + 4 {
         return Err(corrupt("segment file too short"));
     }
-    if bytes[..8] != MAGIC {
+    if bytes[..7] != MAGIC[..7] {
         return Err(corrupt("segment head magic mismatch"));
+    }
+    if bytes[7] != MAGIC[7] {
+        return Err(corrupt(&format!(
+            "segment format version {} unsupported (this build reads {VERSION})",
+            bytes[7]
+        )));
     }
     if bytes[bytes.len() - 8..] != TAIL {
         return Err(corrupt("segment tail magic mismatch"));

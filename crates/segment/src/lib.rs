@@ -1,9 +1,9 @@
 //! # xqr-segment — durable, checksummed document segments
 //!
-//! The persistence layer: one document (tree + token stream + structural
-//! index + path dictionary) packed into a single relocatable on-disk
-//! blob, written crash-safely and read back by `mmap` with zero-copy
-//! views over the inverted lists.
+//! The persistence layer: one document (tree + structural index + path
+//! dictionary) packed into a single relocatable on-disk blob, written
+//! crash-safely and read back by `mmap` with zero-copy views over the
+//! inverted lists.
 //!
 //! ## Guarantees
 //!

@@ -20,7 +20,7 @@ use std::path::Path;
 use std::sync::Arc;
 use xqr_joins::Labeled;
 use xqr_store::{DocPartsOwned, Document};
-use xqr_tokenstream::{decode, StringPool, TokenStream};
+use xqr_tokenstream::StringPool;
 use xqr_xdm::{Error, NameId, NamePool, Result};
 
 const LABEL_BYTES: usize = std::mem::size_of::<Labeled>();
@@ -114,13 +114,6 @@ impl Segment {
         let doc = self.load_document(names, &live)?;
         let index = self.load_index(&live)?;
         Ok((doc, Arc::new(index)))
-    }
-
-    /// Decode the TOKENS section back into a materialized stream.
-    pub fn token_stream(&self, names: Arc<NamePool>) -> Result<TokenStream> {
-        let sec = self.sec(section::TOKENS);
-        decode(bytes::Bytes::from(sec), names)
-            .map_err(|e| corrupt(&format!("segment token stream invalid: {e}")))
     }
 
     /// Intern every segment-local name into the live pool; index = seg id.

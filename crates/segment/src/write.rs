@@ -1,10 +1,10 @@
 //! Segment serialization and the crash-safe file write protocol.
 //!
-//! [`segment_bytes`] packs one document — tree arrays, token stream,
-//! inverted lists, path dictionary — into the layout described in
-//! `layout.rs`. The encoding is *relocatable*: all name references are
-//! segment-local dense ids (0 = the absent name) defined in the NAMES
-//! section, so a segment can be loaded into any `NamePool`. It is also
+//! [`segment_bytes`] packs one document — tree arrays, inverted lists,
+//! path dictionary — into the layout described in `layout.rs`. The
+//! encoding is *relocatable*: all name references are segment-local
+//! dense ids (0 = the absent name) defined in the NAMES section, so a
+//! segment can be loaded into any `NamePool`. It is also
 //! *deterministic*: the same document and index always serialize to the
 //! same bytes, regardless of pool id assignment or hash-map iteration
 //! order (inverted-list directories are sorted by segment-local name id,
@@ -24,7 +24,6 @@ use std::io::Write;
 use std::path::Path;
 use xqr_index::{DocIndex, IndexedAccess, Postings};
 use xqr_store::{Document, NO_NODE};
-use xqr_tokenstream::{encode, Token, TokenStream};
 use xqr_xdm::{Error, NameId, Result};
 
 /// Segment-local name table: dense ids in first-occurrence document
@@ -99,14 +98,6 @@ pub fn segment_bytes(doc: &Document, index: &DocIndex) -> Result<Vec<u8>> {
         w.str(q.local_name());
     }
     table.push((section::NAMES, off, w.offset() - off));
-
-    // TOKENS: the dictionary-compressed wire encoding of the document's
-    // token stream, re-derived from the tree.
-    let stream = doc_tokens(doc)?;
-    let encoded = encode(&stream, true);
-    let off = begin(&mut w);
-    w.bytes(&encoded);
-    table.push((section::TOKENS, off, w.offset() - off));
 
     // TREE: the struct-of-arrays document, name ids remapped seg-local.
     let off = begin(&mut w);
@@ -206,68 +197,6 @@ pub fn segment_bytes(doc: &Document, index: &DocIndex) -> Result<Vec<u8>> {
     let mut buf = w.buf;
     write_footer(&mut buf, &table);
     Ok(buf)
-}
-
-/// Replay a materialized document as its token sequence (the inverse of
-/// `Document::from_tokens`), sharing the document's name pool.
-fn doc_tokens(doc: &Document) -> Result<TokenStream> {
-    enum Ev {
-        Open(xqr_store::NodeId),
-        Close,
-    }
-    let mut b = TokenStream::builder(doc.names.clone());
-    b.push(Token::StartDocument);
-    let mut stack: Vec<Ev> = Vec::new();
-    let push_children = |stack: &mut Vec<Ev>, n| {
-        let mut children: Vec<_> = {
-            let mut out = Vec::new();
-            let mut c = doc.first_child(n);
-            while let Some(ch) = c {
-                out.push(ch);
-                c = doc.next_sibling(ch);
-            }
-            out
-        };
-        children.reverse();
-        stack.extend(children.into_iter().map(Ev::Open));
-    };
-    push_children(&mut stack, doc.root());
-    while let Some(ev) = stack.pop() {
-        match ev {
-            Ev::Close => b.push(Token::EndElement),
-            Ev::Open(n) => match doc.kind(n) {
-                xqr_xdm::NodeKind::Element => {
-                    b.push(Token::StartElement(doc.name_id(n)));
-                    for ns in doc.namespaces(n) {
-                        let prefix = doc.names.resolve(doc.name_id(ns));
-                        let p = b.intern_str(prefix.local_name());
-                        let u = b.intern_str(doc.value(ns).unwrap_or(""));
-                        b.push(Token::NamespaceDecl(p, u));
-                    }
-                    for a in doc.attributes(n) {
-                        let v = b.intern_str(doc.value(a).unwrap_or(""));
-                        b.push(Token::Attribute(doc.name_id(a), v));
-                    }
-                    stack.push(Ev::Close);
-                    push_children(&mut stack, n);
-                }
-                xqr_xdm::NodeKind::Text => b.text(doc.value(n).unwrap_or("")),
-                xqr_xdm::NodeKind::Comment => {
-                    let s = b.intern_str(doc.value(n).unwrap_or(""));
-                    b.push(Token::Comment(s));
-                }
-                xqr_xdm::NodeKind::ProcessingInstruction => {
-                    let d = b.intern_str(doc.value(n).unwrap_or(""));
-                    b.push(Token::ProcessingInstruction(doc.name_id(n), d));
-                }
-                // Attribute/namespace nodes hang off their element and
-                // never appear in the child chain; Document is the root.
-                _ => {}
-            },
-        }
-    }
-    b.push(Token::EndDocument);
-    b.finish()
 }
 
 fn io_err(what: &str, e: std::io::Error) -> Error {

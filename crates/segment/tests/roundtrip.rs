@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use xqr_index::{DocIndex, IndexedAccess, PathStep};
 use xqr_joins::EdgeKind;
-use xqr_segment::{segment_bytes, write_segment_file, Segment};
+use xqr_segment::{crc32, segment_bytes, write_segment_file, Segment};
 use xqr_store::Document;
 use xqr_tokenstream::TokenStream;
 use xqr_xdm::{NameId, NamePool, QName};
@@ -114,6 +114,14 @@ fn linear_patterns_agree_between_heap_and_mapped_index() {
 fn encoding_is_deterministic_and_pool_independent() {
     let (doc, index, _) = build(SAMPLE, Some("u.xml"));
     let bytes = segment_bytes(&doc, &index).unwrap();
+    // The on-disk bytes of format version 2 (`layout::VERSION`). A change
+    // that moves this checksum changes the format: bump the version, then
+    // update the pin.
+    assert_eq!(
+        crc32(&bytes),
+        0x7eae_77b1,
+        "segment format changed without a version bump"
+    );
     // Same pool, rebuilt index.
     let again = segment_bytes(&doc, &DocIndex::build(&doc).unwrap()).unwrap();
     assert_eq!(bytes, again);
@@ -132,21 +140,6 @@ fn encoding_is_deterministic_and_pool_independent() {
     let (ldoc, _) = seg.load(&lnames).unwrap();
     let lindex = DocIndex::build(&ldoc).unwrap();
     assert_eq!(bytes, segment_bytes(&ldoc, &lindex).unwrap());
-}
-
-#[test]
-fn token_stream_roundtrips_through_segment() {
-    let (doc, index, _) = build(SAMPLE, None);
-    let seg = Segment::from_bytes(segment_bytes(&doc, &index).unwrap()).unwrap();
-    let names = Arc::new(NamePool::new());
-    let stream = seg.token_stream(names.clone()).unwrap();
-    // Rebuilding a document from the decoded tokens reproduces the tree.
-    let mut it = stream.iter();
-    let rebuilt = Document::from_tokens(&mut it, names).unwrap();
-    assert_eq!(
-        rebuilt.serialize_node(rebuilt.root()),
-        doc.serialize_node(doc.root())
-    );
 }
 
 #[test]

@@ -20,7 +20,7 @@
 //!
 //! [`DocumentCatalog::open`] with a directory puts an `xqr-segment` store
 //! behind the catalog. Every `put` additionally serializes the document
-//! (tree + tokens + structural index) into a checksummed segment file,
+//! (tree + structural index) into a checksummed segment file,
 //! written crash-safely (temp file → fsync → atomic rename → directory
 //! fsync) and recorded in an append-only manifest with a generation
 //! number. On reopen the manifest is replayed, orphan files are swept,

@@ -34,42 +34,67 @@ fn persistent(store: Arc<Store>, max_bytes: Option<u64>, dir: &Path) -> Arc<Docu
     DocumentCatalog::open(store, max_bytes, None, Some(dir.to_path_buf()), ledger).unwrap()
 }
 
-/// Flip one byte in the only `.seg` file under `dir`.
-fn flip_a_byte(dir: &Path) {
+/// An in-place change to a segment file's bytes.
+type Edit = fn(&mut [u8]);
+
+/// Rewrite the only `.seg` file under `dir` through `edit`.
+fn edit_segment(dir: &Path, edit: Edit) {
     let seg = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
         .find(|p| p.extension().is_some_and(|x| x == "seg"))
         .expect("a segment file");
     let mut bytes = std::fs::read(&seg).unwrap();
+    edit(&mut bytes);
+    std::fs::write(&seg, bytes).unwrap();
+}
+
+fn flip_middle_byte(bytes: &mut [u8]) {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x20;
-    std::fs::write(&seg, bytes).unwrap();
+}
+
+/// Flip one byte in the only `.seg` file under `dir`.
+fn flip_a_byte(dir: &Path) {
+    edit_segment(dir, flip_middle_byte);
 }
 
 #[test]
 fn byte_flip_surfaces_as_coded_quarantine_through_queries() {
-    let dir = scratch("bitflip-query");
-    {
-        let service = QueryService::open(config(&dir)).unwrap();
-        service
-            .load_document("a.xml", "<a><b>text</b></a>")
-            .unwrap();
-    }
-    flip_a_byte(&dir);
+    // A flipped body byte, and a head whose format-version byte (offset 7)
+    // names version 1, which this build does not read.
+    let cases: [(&str, Edit, &str); 2] = [
+        ("bitflip-query", flip_middle_byte, "checksum mismatch"),
+        (
+            "version-query",
+            |bytes| bytes[7] = 0x01,
+            "version 1 unsupported",
+        ),
+    ];
+    for (name, edit, message) in cases {
+        let dir = scratch(name);
+        {
+            let service = QueryService::open(config(&dir)).unwrap();
+            service
+                .load_document("a.xml", "<a><b>text</b></a>")
+                .unwrap();
+        }
+        edit_segment(&dir, edit);
 
-    let service = QueryService::open(config(&dir)).unwrap();
-    // The corruption is discovered on first touch and reported with the
-    // stable code — not as "document not found", not as a panic.
-    let err = service.run(r#"doc("a.xml")"#).unwrap_err();
-    assert_eq!(err.code, ErrorCode::CorruptSegment, "{err}");
-    assert!(!err.is_retryable(), "corruption is not transient: {err}");
-    // Quarantine is sticky: the next touch fails the same way without
-    // re-reading the segment.
-    let err = service.run(r#"count(doc("a.xml")//b)"#).unwrap_err();
-    assert_eq!(err.code, ErrorCode::CorruptSegment);
-    assert_eq!(service.stats().segments_quarantined, 1);
-    let _ = std::fs::remove_dir_all(&dir);
+        let service = QueryService::open(config(&dir)).unwrap();
+        // The corruption is discovered on first touch and reported with
+        // the stable code — not as "document not found", not as a panic.
+        let err = service.run(r#"doc("a.xml")"#).unwrap_err();
+        assert_eq!(err.code, ErrorCode::CorruptSegment, "{name}: {err}");
+        assert!(!err.is_retryable(), "corruption is not transient: {err}");
+        assert!(err.message.contains(message), "{name}: {err}");
+        // Quarantine is sticky: the next touch fails the same way without
+        // re-reading the segment.
+        let err = service.run(r#"count(doc("a.xml")//b)"#).unwrap_err();
+        assert_eq!(err.code, ErrorCode::CorruptSegment, "{name}");
+        assert_eq!(service.stats().segments_quarantined, 1, "{name}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -9,7 +9,6 @@
 //! the labeling scheme behind the structural-join literature the talk
 //! surveys (Al-Khalifa et al.).
 
-use crate::index::TagIndex;
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 use xqr_tokenstream::{ParserTokenIterator, StringPool, Token, TokenIterator};
@@ -89,7 +88,6 @@ pub struct Document {
     /// data of PIs, uri of namespace nodes. `NO_NODE` when absent.
     values: Vec<u32>,
     strings: StringPool,
-    tag_index: TagIndex,
     /// Set-once side data that lives exactly as long as the document:
     /// the structural index `xqr-index` builds (this crate cannot name
     /// its type).
@@ -253,16 +251,6 @@ impl Document {
         }
     }
 
-    /// All elements (and attributes) with the given name, in document
-    /// order — the inverted list structural joins consume.
-    pub fn elements_named(&self, name: NameId) -> &[u32] {
-        self.tag_index.elements(name)
-    }
-
-    pub fn attributes_named(&self, name: NameId) -> &[u32] {
-        self.tag_index.attributes(name)
-    }
-
     /// All element node ids in document order.
     pub fn all_elements(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.len() as u32)
@@ -317,7 +305,6 @@ impl Document {
         let n = self.len();
         n * (std::mem::size_of::<NodeKind>() + 4 /*names*/ + 4 * 4 /*links*/ + 2 /*level*/ + 4/*values*/)
             + self.strings.payload_bytes()
-            + self.tag_index.memory_bytes()
     }
 
     /// The document's attachment, if one was set.
@@ -352,8 +339,7 @@ impl Document {
     /// path — skips parsing entirely). Validates the cross-array
     /// invariants that later accessors index on without bounds checks,
     /// so a logic error in a segment reader surfaces here as a coded
-    /// error rather than a panic mid-query. The tag index is rebuilt
-    /// (one cheap pass) instead of being persisted.
+    /// error rather than a panic mid-query.
     pub fn from_raw_parts(names: Arc<NamePool>, parts: DocPartsOwned) -> Result<Arc<Document>> {
         let n = parts.kinds.len();
         if parts.node_names.len() != n
@@ -386,7 +372,6 @@ impl Document {
                 return Err(Error::value("document name id out of range"));
             }
         }
-        let tag_index = TagIndex::build(&parts.kinds, &parts.node_names);
         Ok(Arc::new(Document {
             names,
             kinds: parts.kinds,
@@ -398,7 +383,6 @@ impl Document {
             levels: parts.levels,
             values: parts.values,
             strings: parts.strings,
-            tag_index,
             attachment: OnceLock::new(),
             uri: parts.uri,
         }))
@@ -673,7 +657,6 @@ impl DocumentBuilder {
                 ));
             }
         }
-        let tag_index = TagIndex::build(&self.doc.kinds, &self.doc.node_names);
         let d = self.doc;
         Ok(Arc::new(Document {
             names: d.names,
@@ -686,7 +669,6 @@ impl DocumentBuilder {
             levels: d.levels,
             values: d.values,
             strings: d.strings,
-            tag_index,
             attachment: OnceLock::new(),
             uri: d.uri,
         }))
@@ -796,15 +778,6 @@ mod tests {
         assert_eq!(d.kind(t), NodeKind::Text);
         assert_eq!(d.value(t), Some("xyz"));
         assert!(d.next_sibling(t).is_none());
-    }
-
-    #[test]
-    fn tag_index_lists_in_document_order() {
-        let d = doc("<a><b/><c><b/></c><b/></a>");
-        let name = d.names.get(&QName::local("b")).unwrap();
-        let list = d.elements_named(name);
-        assert_eq!(list.len(), 3);
-        assert!(list.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -321,11 +321,6 @@ impl Store {
     pub fn doc_of(&self, n: NodeRef) -> Arc<Document> {
         self.document(n.doc)
     }
-
-    /// Document order across the whole store.
-    pub fn doc_order(&self, a: NodeRef, b: NodeRef) -> std::cmp::Ordering {
-        a.cmp(&b)
-    }
 }
 
 impl std::fmt::Debug for Store {

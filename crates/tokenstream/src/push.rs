@@ -34,8 +34,6 @@ pub struct PushTokenizer {
     queue: VecDeque<Token>,
     /// EndDocument has been enqueued; the token stream is complete.
     done: bool,
-    /// All tokens (including EndDocument) have been handed out.
-    drained: bool,
     failed: Option<Error>,
     guard: Option<QueryGuard>,
 }
@@ -48,7 +46,6 @@ impl PushTokenizer {
             names,
             queue: VecDeque::new(),
             done: false,
-            drained: false,
             failed: None,
             guard: None,
         }
@@ -110,7 +107,6 @@ impl PushTokenizer {
         }
         while self.queue.is_empty() {
             if self.done {
-                self.drained = true;
                 return Ok(None);
             }
             match self.reader.poll_event() {
@@ -138,11 +134,6 @@ impl PushTokenizer {
     /// `poll_token` has returned it, the stream is fully drained).
     pub fn is_done(&self) -> bool {
         self.done && self.queue.is_empty()
-    }
-
-    /// The stream ended cleanly and every token was handed out.
-    pub fn is_drained(&self) -> bool {
-        self.drained
     }
 
     /// Absolute bytes of input consumed by completed events.

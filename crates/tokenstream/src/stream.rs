@@ -78,15 +78,6 @@ impl TokenStream {
         }
     }
 
-    /// Iterate a sub-range (used by buffered re-reads).
-    pub fn iter_from(&self, pos: usize) -> StreamIterator<'_> {
-        StreamIterator {
-            stream: self,
-            pos,
-            last: None,
-        }
-    }
-
     /// Approximate in-memory footprint in bytes (tokens + pooled strings
     /// + skip links); used by the representation experiment E3.
     pub fn memory_bytes(&self) -> usize {

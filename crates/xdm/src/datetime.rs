@@ -6,7 +6,6 @@
 //! arithmetic the XQuery operator table requires: dateTime ± duration,
 //! dateTime − dateTime, duration scaling.
 
-use crate::decimal::Decimal;
 use crate::error::{Error, Result};
 use std::cmp::Ordering;
 use std::fmt;
@@ -244,11 +243,6 @@ impl Duration {
             months: (self.months as f64 * factor).round() as i64,
             millis: (self.millis as f64 * factor).round() as i64,
         })
-    }
-
-    /// Total seconds as a decimal (only meaningful for dayTimeDuration).
-    pub fn seconds_decimal(&self) -> Decimal {
-        Decimal::from_parts(self.millis as i128, 3).expect("scale 3 is valid")
     }
 }
 

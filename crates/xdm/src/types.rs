@@ -30,10 +30,6 @@ impl Occurrence {
         matches!(self, Occurrence::Optional | Occurrence::ZeroOrMore)
     }
 
-    pub fn allows_many(self) -> bool {
-        matches!(self, Occurrence::ZeroOrMore | Occurrence::OneOrMore)
-    }
-
     /// Is every cardinality allowed by `self` also allowed by `other`?
     pub fn is_sub(self, other: Occurrence) -> bool {
         use Occurrence::*;
@@ -133,10 +129,6 @@ impl ItemType {
 
     pub fn is_node_type(&self) -> bool {
         matches!(self, ItemType::AnyNode | ItemType::Kind(..))
-    }
-
-    pub fn is_atomic_type(&self) -> bool {
-        matches!(self, ItemType::Atomic(_))
     }
 
     /// Structural subtyping between item types.

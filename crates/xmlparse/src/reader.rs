@@ -38,7 +38,6 @@ use std::sync::Arc;
 use xqr_xdm::{Error, ErrorCode, QName, QueryGuard, Result};
 
 pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
-pub const XMLNS_NS: &str = "http://www.w3.org/2000/xmlns/";
 
 /// Hard cap on element nesting regardless of any [`QueryGuard`] limit:
 /// downstream consumers (store build, serializer) recurse over element
@@ -92,8 +91,6 @@ pub struct XmlReader<'a> {
     /// Pending EndElement to emit after an empty-element tag.
     pending_end: Option<QName>,
     seen_root: bool,
-    /// Hard nesting cap; always enforced (see [`DEFAULT_MAX_DEPTH`]).
-    max_depth: usize,
     /// Optional per-execution budget: nesting depth, document size.
     guard: Option<QueryGuard>,
 }
@@ -120,7 +117,6 @@ impl<'a> XmlReader<'a> {
             finished: false,
             pending_end: None,
             seen_root: false,
-            max_depth: DEFAULT_MAX_DEPTH,
             guard: None,
         }
     }
@@ -129,12 +125,6 @@ impl<'a> XmlReader<'a> {
     /// guard's XML depth and document-size limits.
     pub fn with_guard(mut self, guard: QueryGuard) -> Self {
         self.guard = Some(guard);
-        self
-    }
-
-    /// Override the hard nesting cap (tests; embedders with odd inputs).
-    pub fn with_max_depth(mut self, max_depth: usize) -> Self {
-        self.max_depth = max_depth;
         self
     }
 
@@ -577,10 +567,9 @@ impl<'a> XmlReader<'a> {
             self.seen_root = true;
         }
         let depth = self.open.len() + 1;
-        if depth > self.max_depth {
+        if depth > DEFAULT_MAX_DEPTH {
             return Err(Error::limit(format!(
-                "XML nesting depth limit of {} exceeded",
-                self.max_depth
+                "XML nesting depth limit of {DEFAULT_MAX_DEPTH} exceeded"
             ))
             .at(self.base + self.pos));
         }
