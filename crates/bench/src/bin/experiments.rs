@@ -2,7 +2,7 @@
 //! DESIGN.md's index.
 //!
 //! Usage:
-//!   harness [--quick|--full] [E1 E5 ...]
+//!   experiments [--quick|--full] [E1 E5 ...]
 //!
 //! With no experiment ids, runs everything.
 

@@ -85,7 +85,7 @@ impl AccessPattern {
     }
 
     /// Children of node `i`, in insertion order.
-    pub fn children_of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn children_of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         self.nodes
             .iter()
             .enumerate()
@@ -182,7 +182,7 @@ fn rewrite_expr(e: &mut Core, count: &mut usize) {
 }
 
 /// Try to read `e` as a complete access pattern.
-pub fn extract_pattern(e: &Core) -> Option<AccessPattern> {
+pub(crate) fn extract_pattern(e: &Core) -> Option<AccessPattern> {
     let mut nodes = Vec::new();
     let (anchor, last, pending_gap) = trunk(e, &mut nodes)?;
     // The pattern must end on a named step (a trailing dos::node() would

@@ -15,7 +15,7 @@ use xqr_xqparser::ast::AxisName;
 
 /// How often a variable is used (loop-aware).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UseCount {
+pub(crate) enum UseCount {
     Zero,
     /// Exactly one use, not inside a loop/function argument position.
     Once,
@@ -42,7 +42,7 @@ impl UseCount {
 
 /// Count the uses of `var` in `e` — the LET-folding precondition
 /// "(a) only once and (b) not part of a loop".
-pub fn var_use(e: &Core, var: VarId) -> UseCount {
+pub(crate) fn var_use(e: &Core, var: VarId) -> UseCount {
     match e {
         Core::Var(v) if *v == var => UseCount::Once,
         Core::For { source, body, .. }
@@ -110,7 +110,7 @@ pub fn var_use(e: &Core, var: VarId) -> UseCount {
 
 /// Does evaluating `e` construct new nodes? (XQuery's only side effect;
 /// gates LET folding, CSE and loop hoisting.)
-pub fn creates_nodes(e: &Core) -> bool {
+pub(crate) fn creates_nodes(e: &Core) -> bool {
     match e {
         Core::ElemCtor { .. }
         | Core::AttrCtor { .. }
@@ -135,7 +135,7 @@ pub fn creates_nodes(e: &Core) -> bool {
 /// Can evaluating `e` raise a dynamic error? Conservative: only
 /// obviously-safe shapes return `false`. Gates speculation (hoisting a
 /// `where` out of a loop evaluates it even when the loop is empty).
-pub fn can_raise_error(e: &Core) -> bool {
+pub(crate) fn can_raise_error(e: &Core) -> bool {
     match e {
         Core::Const(_) | Core::Empty | Core::Var(_) | Core::Root | Core::ContextItem => false,
         Core::Step { .. } => false,
@@ -200,7 +200,7 @@ pub fn can_raise_error(e: &Core) -> bool {
 /// `non_nesting` is the auxiliary fact that makes the table compute:
 /// a set of nodes none of which is an ancestor of another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OrderFacts {
+pub(crate) struct OrderFacts {
     pub ordered: bool,
     pub distinct: bool,
     pub non_nesting: bool,
@@ -209,14 +209,14 @@ pub struct OrderFacts {
 }
 
 impl OrderFacts {
-    pub const UNKNOWN: OrderFacts = OrderFacts {
+    pub(crate) const UNKNOWN: OrderFacts = OrderFacts {
         ordered: false,
         distinct: false,
         non_nesting: false,
         max_one: false,
     };
 
-    pub const SINGLE: OrderFacts = OrderFacts {
+    pub(crate) const SINGLE: OrderFacts = OrderFacts {
         ordered: true,
         distinct: true,
         non_nesting: true,
@@ -224,7 +224,7 @@ impl OrderFacts {
     };
 
     /// Is a ddo on top of an expression with these facts redundant?
-    pub fn ddo_redundant(&self) -> bool {
+    pub(crate) fn ddo_redundant(&self) -> bool {
         (self.ordered && self.distinct) || self.max_one
     }
 }
@@ -259,16 +259,11 @@ fn step_facts(axis: AxisName, src: OrderFacts) -> OrderFacts {
     }
 }
 
-/// Compute ordering facts for `e` with no variable knowledge.
-pub fn order_facts(e: &Core) -> OrderFacts {
-    order_facts_with(e, &HashMap::new())
-}
-
 /// Compute ordering facts for `e`. Context items and `for`-bound
 /// variables are single items; other variables take their facts from
 /// `vars` (the optimizer seeds globals and binders), defaulting to
 /// unknown.
-pub fn order_facts_with(e: &Core, vars: &HashMap<VarId, OrderFacts>) -> OrderFacts {
+pub(crate) fn order_facts_with(e: &Core, vars: &HashMap<VarId, OrderFacts>) -> OrderFacts {
     match e {
         Core::Root | Core::ContextItem | Core::Const(_) => OrderFacts::SINGLE,
         Core::Empty => OrderFacts {
@@ -373,7 +368,7 @@ fn compose_context_facts(src: OrderFacts, e: &Core) -> OrderFacts {
 /// `<<`/`>>`, `union/intersect/except`, ddo, parent/ancestor access and
 /// `distinct-nodes`; plain construct-and-serialize pipelines do not
 /// need it.
-pub fn needs_node_identity(e: &Core) -> bool {
+pub(crate) fn needs_node_identity(e: &Core) -> bool {
     use xqr_xqparser::ast::CompOp;
     match e {
         Core::Compare(CompOp::Is | CompOp::Before | CompOp::After, _, _) => true,
@@ -459,20 +454,20 @@ mod tests {
         // the post-rewrite shapes.
         // /a/b/c — ordered & distinct
         let e = strip_ddo(&body("/a/b/c"));
-        let f = order_facts(&e);
+        let f = order_facts_with(&e, &HashMap::new());
         assert!(f.ordered && f.distinct, "{f:?}");
         // /a//b ≡ /a/descendant::b — ordered & distinct
         let e = strip_ddo(&body("/a/descendant::b"));
-        let f = order_facts(&e);
+        let f = order_facts_with(&e, &HashMap::new());
         assert!(f.ordered && f.distinct, "{f:?}");
         // //a/b ≡ /descendant::a/b — not ordered, but distinct
         let e = strip_ddo(&body("/descendant::a/b"));
-        let f = order_facts(&e);
+        let f = order_facts_with(&e, &HashMap::new());
         assert!(!f.ordered, "{f:?}");
         assert!(f.distinct, "{f:?}");
         // //a//b — nothing guaranteed
         let e = strip_ddo(&body("/descendant::a/descendant::b"));
-        let f = order_facts(&e);
+        let f = order_facts_with(&e, &HashMap::new());
         assert!(!f.ordered && !f.distinct, "{f:?}");
     }
 
@@ -482,7 +477,7 @@ mod tests {
         // child step from a nesting context loses the order guarantee
         // but keeps distinctness.
         let e = strip_ddo(&body("/a//b"));
-        let f = order_facts(&e);
+        let f = order_facts_with(&e, &HashMap::new());
         assert!(f.distinct, "{f:?}");
     }
 

@@ -100,7 +100,7 @@ pub const BUILTINS: &[(&str, usize, usize)] = &[
 ];
 
 /// Is `(local, arity)` a known built-in in the `fn:` namespace?
-pub fn is_builtin(local: &str, arity: usize) -> Option<&'static str> {
+pub(crate) fn is_builtin(local: &str, arity: usize) -> Option<&'static str> {
     BUILTINS
         .iter()
         .find(|(n, lo, hi)| *n == local && (*lo..=*hi).contains(&arity))

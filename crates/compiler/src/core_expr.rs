@@ -230,12 +230,12 @@ pub enum Core {
 }
 
 impl Core {
-    pub fn boxed(self) -> Box<Core> {
+    pub(crate) fn boxed(self) -> Box<Core> {
         Box::new(self)
     }
 
     /// Number of nodes in this expression tree (inlining heuristics).
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         let mut n = 1;
         self.for_each_child(&mut |c| n += c.size());
         n
@@ -391,7 +391,7 @@ impl Core {
     }
 
     /// Visit direct children mutably.
-    pub fn for_each_child_mut(&mut self, f: &mut dyn FnMut(&mut Core)) {
+    pub(crate) fn for_each_child_mut(&mut self, f: &mut dyn FnMut(&mut Core)) {
         use Core::*;
         match self {
             Const(_) | Empty | Var(_) | ContextItem | Root | Step { .. } => {}
@@ -540,7 +540,7 @@ impl Core {
     }
 
     /// Which variables does this node *bind* for (parts of) its children?
-    pub fn bound_vars(&self) -> Vec<VarId> {
+    pub(crate) fn bound_vars(&self) -> Vec<VarId> {
         use Core::*;
         match self {
             For { var, position, .. } => {

@@ -15,7 +15,7 @@ use xqr_xdm::{AtomicType, Error, ItemType, NameTest, NodeKind, Occurrence, Resul
 use xqr_xqparser::ast::{AxisName, CompOp, NodeTest};
 
 /// Typing environment: register types plus the function table.
-pub struct TypeEnv<'a> {
+pub(crate) struct TypeEnv<'a> {
     pub functions: &'a [CoreFunction],
     vars: HashMap<VarId, SequenceType>,
     /// Errors found in strict mode.
@@ -24,7 +24,7 @@ pub struct TypeEnv<'a> {
 }
 
 impl<'a> TypeEnv<'a> {
-    pub fn new(functions: &'a [CoreFunction]) -> Self {
+    pub(crate) fn new(functions: &'a [CoreFunction]) -> Self {
         TypeEnv {
             functions,
             vars: HashMap::new(),
@@ -33,7 +33,7 @@ impl<'a> TypeEnv<'a> {
         }
     }
 
-    pub fn strict(functions: &'a [CoreFunction]) -> Self {
+    pub(crate) fn strict(functions: &'a [CoreFunction]) -> Self {
         TypeEnv {
             functions,
             vars: HashMap::new(),
@@ -42,7 +42,7 @@ impl<'a> TypeEnv<'a> {
         }
     }
 
-    pub fn bind(&mut self, var: VarId, ty: SequenceType) {
+    pub(crate) fn bind(&mut self, var: VarId, ty: SequenceType) {
         self.vars.insert(var, ty);
     }
 
@@ -113,7 +113,7 @@ fn step_item_type(axis: AxisName, test: &NodeTest) -> ItemType {
 }
 
 /// Infer the static type of `e` under `env`.
-pub fn infer(e: &Core, env: &mut TypeEnv<'_>) -> SequenceType {
+pub(crate) fn infer(e: &Core, env: &mut TypeEnv<'_>) -> SequenceType {
     use Core::*;
     match e {
         Const(v) => atomic(v.type_of()),

@@ -103,7 +103,7 @@ impl EngineOptions {
     /// limits); any new option field automatically perturbs the print.
     /// Formatting costs microseconds: per-lookup callers read the value
     /// an engine computed once, [`Engine::fingerprint`].
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         format!("{:?}", self.compile).hash(&mut h);
@@ -115,11 +115,6 @@ impl EngineOptions {
     pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
         self.runtime.parallel = parallel;
         self
-    }
-
-    /// Is morsel-parallel join execution enabled?
-    pub fn parallel_joins(&self) -> bool {
-        self.runtime.parallel.enabled
     }
 }
 
@@ -153,7 +148,7 @@ impl Engine {
         &self.options
     }
 
-    /// [`EngineOptions::fingerprint`] of this engine's options, computed
+    /// `EngineOptions::fingerprint` of this engine's options, computed
     /// once at construction — the plan-cache key component.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -419,7 +414,7 @@ impl PreparedQuery {
     /// produces it and charged to the guard's output budget there and
     /// then, and a constructor in result position writes its node
     /// straight into the reply instead of minting a store document (see
-    /// [`Reply`]). The bytes are those [`QueryResult::serialize_guarded`]
+    /// [`Reply`]). The bytes are those `QueryResult::serialize_guarded`
     /// returns for the same query, or the same error code; every service
     /// path that answers with a string runs this. `scans` installs a
     /// batch-scoped scan cache: inverted-list scans this execution
@@ -818,7 +813,7 @@ mod tests {
         let engine = Engine::with_options(
             EngineOptions::default().with_parallel(xqr_runtime::ParallelConfig::off()),
         );
-        assert!(!engine.options().parallel_joins());
+        assert!(!engine.options().runtime.parallel.enabled);
         let q = engine.compile("1").unwrap();
         assert!(q.explain().contains("parallel: off"), "{}", q.explain());
     }

@@ -5,7 +5,7 @@
 use xqr_compiler::{CompiledQuery, Core, CoreClause, CoreName};
 
 /// Render a compiled query: body plan, per-function plans, rewrite stats.
-pub fn explain(query: &CompiledQuery) -> String {
+pub(crate) fn explain(query: &CompiledQuery) -> String {
     let mut out = String::new();
     out.push_str(&format!("body type: {}\n", query.body_type));
     out.push_str(&format!("needs node ids: {}\n", query.needs_node_ids));

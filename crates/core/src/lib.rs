@@ -15,18 +15,13 @@
 //! assert_eq!(engine.query_xml("<a><b>hi</b></a>", "string(//b)").unwrap(), "hi");
 //! ```
 
-pub mod engine;
-pub mod explain;
+mod engine;
+mod explain;
 
-pub use engine::{
-    bind, contain_panic, context_with_doc, Engine, EngineOptions, PreparedQuery, QueryResult,
-};
-pub use explain::explain;
+pub use engine::{bind, contain_panic, context_with_doc, Engine, EngineOptions, PreparedQuery};
 
 // Re-export the layers a downstream user needs to drive the API.
-pub use xqr_compiler::{CompileOptions, CompiledQuery, RewriteConfig};
-pub use xqr_runtime::{DynamicContext, Item, RuntimeOptions, Sequence, StreamStats};
-pub use xqr_store::{DocId, Document, NodeId, NodeRef, Store};
-pub use xqr_xdm::{
-    AtomicValue, CancelHandle, Error, ErrorCode, GuardUsage, Limits, QName, QueryGuard, Result,
-};
+pub use xqr_compiler::{CompileOptions, RewriteConfig};
+pub use xqr_runtime::{DynamicContext, Item, RuntimeOptions};
+pub use xqr_store::{Document, NodeId, NodeRef, Store};
+pub use xqr_xdm::{Error, ErrorCode, Limits, QName, QueryGuard, Result};

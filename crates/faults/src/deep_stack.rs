@@ -10,7 +10,7 @@
 //! other thread (an embedder calling `Engine::query` directly, a test)
 //! pay for one scoped deep thread per call.
 //!
-//! [`DEEP_STACK_BYTES`] is reserved address space, not memory: the
+//! `DEEP_STACK_BYTES` is reserved address space, not memory: the
 //! kernel commits a stack page only when it is first touched, so a
 //! worker that never recurses deeply costs a few pages.
 
@@ -18,7 +18,7 @@ use std::cell::Cell;
 
 /// Stack reserved for every deep thread. Large enough that the parser's
 /// and evaluator's own depth limits trip before the stack runs out.
-pub const DEEP_STACK_BYTES: usize = 256 * 1024 * 1024;
+pub(crate) const DEEP_STACK_BYTES: usize = 256 * 1024 * 1024;
 
 thread_local! {
     /// Was this thread started with [`DEEP_STACK_BYTES`] of stack?

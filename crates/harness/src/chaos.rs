@@ -5,7 +5,7 @@
 //! configurations *mean* the same thing?", the chaos runner asks "does
 //! any configuration *misbehave* when its substrate fails?" Each case
 //! derives a random (query, document) pair **and** a random
-//! [`FaultSchedule`] from one seed, computes the un-faulted reference
+//! `FaultSchedule` from one seed, computes the un-faulted reference
 //! outcome, then replays the case with the schedule installed through
 //! three faulted legs: a bare engine, the retrying/degrading
 //! [`QueryService`], and (when the plan is streamable) the

@@ -39,18 +39,10 @@ impl Postings {
         self.labels.is_empty()
     }
 
-    /// The range cursor over this inverted list: entries whose `start`
-    /// falls in `[lo, hi]`, located by binary search. This is the slice
-    /// a label-range morsel reads — zero-copy off the postings, whether
-    /// they live on the heap or in a mapped segment.
-    pub fn labels_in(&self, lo: u32, hi: u32) -> &[Labeled] {
-        xqr_joins::range_by_start(&self.labels, lo, hi)
-    }
-
     /// The path-indexed sublist: entries whose path id is in `keep`
     /// (a membership vector from [`PathDict::matching`]). Preserves
     /// document order.
-    pub fn filtered(&self, keep: &[bool]) -> Vec<Labeled> {
+    pub(crate) fn filtered(&self, keep: &[bool]) -> Vec<Labeled> {
         self.labels
             .iter()
             .zip(&self.paths)
@@ -160,7 +152,7 @@ impl DocIndex {
     /// is charged against the guard's item budget and its deadline /
     /// cancellation checks, so a hostile document cannot blow past the
     /// caller's limits during the build.
-    pub fn build_guarded(doc: &Document, guard: &QueryGuard) -> Result<DocIndex> {
+    pub(crate) fn build_guarded(doc: &Document, guard: &QueryGuard) -> Result<DocIndex> {
         let mut paths = PathDict::new();
         let mut elements: HashMap<NameId, Postings> = HashMap::new();
         let mut attributes: HashMap<NameId, Postings> = HashMap::new();
@@ -401,7 +393,7 @@ mod tests {
         // Disjoint window → empty; unknown name → empty.
         assert!(index.elements_in_range(c, u32::MAX, u32::MAX).is_empty());
         assert!(index.elements_in_range(NameId(999), 0, u32::MAX).is_empty());
-        // Attribute cursor, and the Postings-level equivalent.
+        // Attribute cursor.
         let k = nid(&names, "k");
         let ks = index.attribute_labels(k);
         assert_eq!(index.attributes_in_range(k, 0, u32::MAX), ks);
@@ -409,8 +401,6 @@ mod tests {
             index.attributes_in_range(k, ks[1].start, u32::MAX),
             &ks[1..]
         );
-        let (_, postings) = index.element_postings().find(|(n, _)| *n == c).unwrap();
-        assert_eq!(postings.labels_in(0, u32::MAX), all);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! An index rides on its document as a set-once attachment
 //! ([`attach_index`]/[`index_of`]): it dies with the document and can
 //! never be read through a stale [`xqr_store::DocId`].
-//! Builds are guarded ([`DocIndex::build_guarded`]) so a hostile
+//! Builds are guarded (`DocIndex::build_guarded`) so a hostile
 //! document trips the caller's budgets instead of blowing memory.
 //!
 //! ```
@@ -30,9 +30,9 @@
 //! assert_eq!(index.element_labels(b).len(), 2); // sorted by start
 //! ```
 
-pub mod doc_index;
-pub mod path_dict;
-pub mod registry;
+mod doc_index;
+mod path_dict;
+mod registry;
 
 pub use doc_index::{DocIndex, IndexedAccess, Postings};
 pub use path_dict::{PathDict, PathId, PathStep};

@@ -74,12 +74,12 @@ impl PathDict {
     }
 
     /// Number of tags on the path (root element = 1).
-    pub fn depth(&self, p: PathId) -> u16 {
+    pub(crate) fn depth(&self, p: PathId) -> u16 {
         self.depth[p.0 as usize]
     }
 
     /// The root-first tag sequence of the path.
-    pub fn tag_sequence(&self, p: PathId) -> Vec<NameId> {
+    pub(crate) fn tag_sequence(&self, p: PathId) -> Vec<NameId> {
         let mut seq = Vec::with_capacity(self.depth(p) as usize);
         let mut cur = Some(p);
         while let Some(c) = cur {
@@ -199,7 +199,7 @@ impl PathDict {
     }
 
     /// Approximate heap footprint.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.parent.len() * (4 + 4 + 2) + self.map.len() * (8 + 4 + std::mem::size_of::<usize>())
     }
 }

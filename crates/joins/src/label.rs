@@ -28,13 +28,13 @@ pub struct Labeled {
 impl Labeled {
     /// Is `self` a (proper) ancestor of `d`?
     #[inline]
-    pub fn contains(&self, d: &Labeled) -> bool {
+    pub(crate) fn contains(&self, d: &Labeled) -> bool {
         self.start < d.start && d.start <= self.end
     }
 
     /// Is `self` the parent of `d`?
     #[inline]
-    pub fn is_parent_of(&self, d: &Labeled) -> bool {
+    pub(crate) fn is_parent_of(&self, d: &Labeled) -> bool {
         self.contains(d) && self.level + 1 == d.level
     }
 }
@@ -60,11 +60,6 @@ pub fn element_list(doc: &Document, name: NameId) -> Vec<Labeled> {
         .filter(|&n| doc.name_id(n) == name)
         .map(|n| label(doc, n))
         .collect()
-}
-
-/// Inverted list for every element (used for `*` tests).
-pub fn all_elements_list(doc: &Document) -> Vec<Labeled> {
-    doc.all_elements().map(|n| label(doc, n)).collect()
 }
 
 fn label(doc: &Document, n: NodeId) -> Labeled {

@@ -3,12 +3,12 @@
 //! The algorithmic core the talk's "query evaluation, algorithms"
 //! reading list surveys, implemented over the store's containment labels:
 //!
-//! * [`stacktree`] — Stack-Tree-Desc/-Anc binary structural joins,
+//! * `stacktree` — Stack-Tree-Desc/-Anc binary structural joins,
 //!   MPMGJN merge join, nested-loop oracle (Al-Khalifa et al.);
-//! * [`pathstack`]/[`twigstack`] — holistic path/twig joins with
+//! * `pathstack`/`twigstack` — holistic path/twig joins with
 //!   bounded intermediate results (Bruno et al.);
-//! * [`navigate`] — the navigational baseline and correctness oracle;
-//! * [`twig`] — the twig pattern language shared by all of them.
+//! * `navigate` — the navigational baseline and correctness oracle;
+//! * `twig` — the twig pattern language shared by all of them.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -28,18 +28,16 @@
 //! assert_eq!(pairs.len(), 3); // outer a→2 b's, inner a→1
 //! ```
 
-pub mod label;
-pub mod navigate;
-pub mod pathstack;
-pub mod stacktree;
-pub mod twig;
-pub mod twigstack;
+mod label;
+mod navigate;
+mod pathstack;
+mod stacktree;
+mod twig;
+mod twigstack;
 
-pub use label::{all_elements_list, element_list, range_by_start, Labeled};
-pub use navigate::{count_matches, enumerate_matches, matches_of_node};
-pub use pathstack::{path_stack, path_stack_on, Tick};
-pub use stacktree::{
-    mpmgjn, nested_loop, normalize, stack_tree_anc, stack_tree_desc, JoinKind, Pair,
-};
-pub use twig::{EdgeKind, TwigNode, TwigPattern};
+pub use label::{element_list, range_by_start, Labeled};
+pub use navigate::{enumerate_matches, matches_of_node};
+pub use pathstack::path_stack;
+pub use stacktree::{mpmgjn, nested_loop, normalize, stack_tree_anc, stack_tree_desc, JoinKind};
+pub use twig::{EdgeKind, TwigPattern};
 pub use twigstack::{twig_stack, twig_stack_on, TwigStats};

@@ -42,16 +42,6 @@ fn assign(
     }
 }
 
-/// Count matches without materializing tuples: per-node counts multiply
-/// across independent branches.
-pub fn count_matches(doc: &Document, twig: &TwigPattern) -> u64 {
-    let mut total = 0;
-    for c in candidates(doc, doc.root(), twig.root_edge, twig, 0) {
-        total += count_at(doc, twig, 0, c);
-    }
-    total
-}
-
 /// Distinct bindings of one twig node (e.g. the query's output node)
 /// over all matches, in document order.
 pub fn matches_of_node(doc: &Document, twig: &TwigPattern, target: usize) -> Vec<NodeId> {
@@ -83,21 +73,6 @@ fn candidates(
         .collect()
 }
 
-fn count_at(doc: &Document, twig: &TwigPattern, idx: usize, node: NodeId) -> u64 {
-    let mut product = 1u64;
-    for &ci in &twig.nodes[idx].children {
-        let mut sum = 0u64;
-        for cand in candidates(doc, node, twig.nodes[ci].edge, twig, ci) {
-            sum += count_at(doc, twig, ci, cand);
-        }
-        if sum == 0 {
-            return 0;
-        }
-        product = product.saturating_mul(sum);
-    }
-    product
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,13 +91,12 @@ mod tests {
         let (d, t) = setup("<a><b><c/></b><b/><c/></a>", "//a/b/c");
         let m = enumerate_matches(&d, &t);
         assert_eq!(m.len(), 1);
-        assert_eq!(count_matches(&d, &t), 1);
     }
 
     #[test]
     fn descendant_edges() {
         let (d, t) = setup("<a><x><b/></x><b/></a>", "//a//b");
-        assert_eq!(count_matches(&d, &t), 2);
+        assert_eq!(enumerate_matches(&d, &t).len(), 2);
     }
 
     #[test]
@@ -132,7 +106,6 @@ mod tests {
         let (d, t) = setup(xml, "//book[author]/title");
         let m = enumerate_matches(&d, &t);
         assert_eq!(m.len(), 1);
-        assert_eq!(count_matches(&d, &t), 1);
     }
 
     #[test]
@@ -141,7 +114,6 @@ mod tests {
         let xml = "<bib><book><author/><author/><title/><title/></book></bib>";
         let (d, t) = setup(xml, "//book[author]/title");
         assert_eq!(enumerate_matches(&d, &t).len(), 4);
-        assert_eq!(count_matches(&d, &t), 4);
     }
 
     #[test]
@@ -157,7 +129,6 @@ mod tests {
     fn recursive_document() {
         let (d, t) = setup("<a><a><a/></a></a>", "//a//a");
         // pairs: (a1,a2),(a1,a3),(a2,a3)
-        assert_eq!(count_matches(&d, &t), 3);
         assert_eq!(enumerate_matches(&d, &t).len(), 3);
     }
 
@@ -165,6 +136,5 @@ mod tests {
     fn no_match_returns_empty() {
         let (d, t) = setup("<a><b/></a>", "//a/c");
         assert!(enumerate_matches(&d, &t).is_empty());
-        assert_eq!(count_matches(&d, &t), 0);
     }
 }

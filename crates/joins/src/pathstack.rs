@@ -9,16 +9,6 @@ use crate::twig::{EdgeKind, TwigPattern};
 use xqr_store::NodeId;
 use xqr_xdm::Result;
 
-/// Cooperative-interruption hook for the join main loops: called once
-/// per iteration, an `Err` aborts the join immediately. The parallel
-/// executor uses it to observe `QueryGuard` cancellation/deadlines and
-/// sibling-morsel failures inside a running morsel; the serial wrappers
-/// pass a no-op. The kernels are generic over the closure (a dyn hook
-/// costs a measurable indirect call per kernel advance; monomorphized,
-/// the no-op vanishes entirely) — this alias remains for callers that
-/// want to name a boxed hook.
-pub type Tick<'t> = &'t mut dyn FnMut() -> Result<()>;
-
 /// One stack entry: the element plus the height of the parent-pattern
 /// stack at push time (the "pointer" of the paper).
 #[derive(Debug, Clone, Copy)]
@@ -38,9 +28,9 @@ pub fn path_stack(twig: &TwigPattern, lists: &[Vec<Labeled>]) -> Vec<Vec<NodeId>
     path_stack_on(twig, &slices, &mut || Ok(())).expect("path_stack with a no-op tick cannot fail")
 }
 
-/// [`path_stack`] over borrowed list windows with a [`Tick`] hook — the
-/// form the morsel executor runs, one call per label-range slice.
-pub fn path_stack_on(
+/// [`path_stack`] over borrowed list windows with a `tick` hook, as
+/// [`crate::twigstack::twig_stack_on`] runs it for path twigs.
+pub(crate) fn path_stack_on(
     twig: &TwigPattern,
     lists: &[&[Labeled]],
     tick: &mut impl FnMut() -> Result<()>,

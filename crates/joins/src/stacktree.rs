@@ -9,7 +9,7 @@
 use crate::label::Labeled;
 
 /// A matched (ancestor, descendant) pair.
-pub type Pair = (Labeled, Labeled);
+pub(crate) type Pair = (Labeled, Labeled);
 
 /// Join condition: ancestor-descendant (`//`) or parent-child (`/`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

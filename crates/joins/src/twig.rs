@@ -106,7 +106,7 @@ impl TwigPattern {
     }
 
     /// Indices of leaf nodes.
-    pub fn leaves(&self) -> Vec<usize> {
+    pub(crate) fn leaves(&self) -> Vec<usize> {
         (0..self.nodes.len())
             .filter(|&i| self.nodes[i].children.is_empty())
             .collect()
@@ -118,7 +118,7 @@ impl TwigPattern {
     }
 
     /// Root-to-node path of twig indices.
-    pub fn path_to(&self, mut idx: usize) -> Vec<usize> {
+    pub(crate) fn path_to(&self, mut idx: usize) -> Vec<usize> {
         let mut path = vec![idx];
         while let Some(p) = self.nodes[idx].parent {
             path.push(p);

@@ -187,9 +187,10 @@ pub fn twig_stack(twig: &TwigPattern, lists: &[Vec<Labeled>]) -> (Vec<Vec<NodeId
     twig_stack_on(twig, &slices, &mut || Ok(())).expect("twig_stack with a no-op tick cannot fail")
 }
 
-/// [`twig_stack`] over borrowed list windows with a
-/// [`Tick`](crate::pathstack::Tick) hook — the range-splittable form the
-/// morsel executor runs, one call per label-range slice of the inputs.
+/// [`twig_stack`] over borrowed list windows with a cooperative
+/// interruption hook (`tick`, called once per main-loop iteration; an
+/// `Err` aborts the join) — the range-splittable form the morsel
+/// executor runs, one call per label-range slice of the inputs.
 pub fn twig_stack_on(
     twig: &TwigPattern,
     lists: &[&[Labeled]],

@@ -85,7 +85,7 @@ impl ParallelConfig {
     }
 
     /// The morsel count this config resolves to on this machine.
-    pub fn resolved_morsels(&self) -> usize {
+    pub(crate) fn resolved_morsels(&self) -> usize {
         if self.morsels != 0 {
             self.morsels
         } else {
@@ -94,7 +94,7 @@ impl ParallelConfig {
     }
 
     /// Should a join whose root list has `root_len` entries split?
-    pub fn should_split(&self, root_len: usize) -> bool {
+    pub(crate) fn should_split(&self, root_len: usize) -> bool {
         self.enabled && root_len >= self.min_split.max(2) && self.resolved_morsels() > 1
     }
 }

@@ -144,14 +144,14 @@ impl WorkerPool {
 
     /// Admit `job` or reject it with `err:XQRL0004`. Admission never
     /// blocks the submitter; the job itself runs on a worker thread.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<()> {
+    pub(crate) fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<()> {
         self.submit_with_publish(move || {
             job();
             None
         })
     }
 
-    /// Like [`WorkerPool::submit`], but the job returns an optional
+    /// Like `WorkerPool::submit`, but the job returns an optional
     /// *publish* closure that the worker runs only after decrementing
     /// `active`. Use this when completing the job is observable to other
     /// threads (delivering a result over a channel): by the time an
@@ -251,7 +251,7 @@ impl WorkerPool {
     /// submitters see the result channel close, not a hang), and
     /// in-flight jobs run to completion. Idempotent; [`Drop`] calls it
     /// before joining the workers.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         {
             let mut state = lock_recover(&self.shared.state);
             state.shutdown = true;

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
-/// Process-wide count of poisoned-lock recoveries.
+/// Process-wide count of poisoned-lock recoveries: one per poisoning.
 static LOCK_RECOVERIES: AtomicU64 = AtomicU64::new(0);
 
 /// Lock `mutex`, recovering from poisoning instead of propagating the
@@ -16,11 +16,13 @@ static LOCK_RECOVERIES: AtomicU64 = AtomicU64::new(0);
 /// morsel error slots, catalog map, plan-cache shards) keeps its
 /// invariants at every unlock, so the data under a poisoned lock is
 /// still consistent; turning one contained panic into a permanent
-/// outage would be the worse failure. Recoveries are counted so
-/// operators can see them.
+/// outage would be the worse failure. The poison is cleared on
+/// recovery, so each poisoning counts once, however many acquisitions
+/// follow it.
 pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poisoned| {
         LOCK_RECOVERIES.fetch_add(1, Ordering::Relaxed);
+        mutex.clear_poison();
         poisoned.into_inner()
     })
 }
@@ -32,6 +34,7 @@ pub fn try_lock_recover<T>(mutex: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
         Ok(guard) => Some(guard),
         Err(TryLockError::Poisoned(poisoned)) => {
             LOCK_RECOVERIES.fetch_add(1, Ordering::Relaxed);
+            mutex.clear_poison();
             Some(poisoned.into_inner())
         }
         Err(TryLockError::WouldBlock) => None,
@@ -57,6 +60,7 @@ mod tests {
         }));
         assert!(m.is_poisoned());
         assert_eq!(*lock_recover(&m), 7, "data still readable");
+        assert!(!m.is_poisoned(), "recovery clears the poison");
         // The gauge is process-wide: concurrent tests may bump it too.
         assert!(lock_recoveries() > before);
         *lock_recover(&m) = 8;

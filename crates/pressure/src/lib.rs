@@ -17,7 +17,7 @@
 //!   hysteresis: a state is entered at `enter` fraction of the ceiling
 //!   and left only below `enter × (1 − hysteresis)`, so charge/release
 //!   noise around a watermark cannot flap the brownout ladder.
-//! - A hard ceiling: [`MemoryLedger::try_charge`] refuses a charge that
+//! - A hard ceiling: `MemoryLedger::try_charge` refuses a charge that
 //!   would exceed the configured ceiling with a stable `XQRL0004`, so
 //!   callers shed load instead of allocating past the budget.
 //!
@@ -272,15 +272,6 @@ impl MemoryLedger {
         MemoryLedger::new(PressureConfig::default())
     }
 
-    pub fn config(&self) -> &PressureConfig {
-        &self.config
-    }
-
-    /// The configured hard ceiling, if governance is on.
-    pub fn ceiling(&self) -> Option<u64> {
-        self.config.ceiling
-    }
-
     /// Current pressure state (relaxed load — a cheap poll).
     pub fn state(&self) -> PressureState {
         match self.state.load(Ordering::Relaxed) {
@@ -316,7 +307,7 @@ impl MemoryLedger {
     /// run queue. Carries the `pressure.charge` failpoint: injected
     /// faults here surface as coded errors from whatever admission
     /// path performed the charge.
-    pub fn try_charge(&self, cat: Category, bytes: u64) -> Result<()> {
+    pub(crate) fn try_charge(&self, cat: Category, bytes: u64) -> Result<()> {
         xqr_faults::faultpoint!("pressure.charge");
         if let Some(ceiling) = self.config.ceiling {
             // Optimistic reserve: add, then back out on overshoot. Two
@@ -449,7 +440,7 @@ impl Charge {
         Charge { ledger, cat, bytes }
     }
 
-    /// Ceiling-checked charge (see [`MemoryLedger::try_charge`]).
+    /// Ceiling-checked charge (see `MemoryLedger::try_charge`).
     pub fn try_new(ledger: Arc<MemoryLedger>, cat: Category, bytes: u64) -> Result<Charge> {
         ledger.try_charge(cat, bytes)?;
         Ok(Charge { ledger, cat, bytes })
@@ -467,10 +458,6 @@ impl Charge {
     pub fn grow(&mut self, more: u64) {
         self.ledger.charge(self.cat, more);
         self.bytes += more;
-    }
-
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -602,10 +589,10 @@ mod tests {
         {
             let mut c = Charge::try_new(ledger.clone(), Category::ChunkSessions, 400).unwrap();
             c.try_grow(500).unwrap();
-            assert_eq!(c.bytes(), 900);
+            assert_eq!(c.bytes, 900);
             let err = c.try_grow(200).unwrap_err();
             assert_eq!(err.code, ErrorCode::Overloaded);
-            assert_eq!(c.bytes(), 900, "failed grow leaves the charge intact");
+            assert_eq!(c.bytes, 900, "failed grow leaves the charge intact");
             assert_eq!(ledger.total(), 900);
         }
         assert_eq!(ledger.total(), 0, "drop released everything");

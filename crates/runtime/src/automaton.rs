@@ -49,7 +49,7 @@ use xqr_xdm::{NamePool, QName, QueryGuard, Result};
 use xqr_xmlparse::{Attribute, NamespaceDecl, WriterOptions, XmlEvent, XmlWriter};
 
 /// Index of a pattern in the slice the automaton was built from.
-pub type PatternId = u32;
+pub(crate) type PatternId = u32;
 
 #[derive(Debug, Default)]
 struct Node {
@@ -70,7 +70,7 @@ pub struct CombinedAutomaton {
 }
 
 impl CombinedAutomaton {
-    /// Build the trie; patterns keep their slice index as [`PatternId`].
+    /// Build the trie; patterns keep their slice index as `PatternId`.
     pub fn build(patterns: &[StreamPattern]) -> CombinedAutomaton {
         let mut nodes = vec![Node::default()];
         for (pid, pat) in patterns.iter().enumerate() {
@@ -107,12 +107,12 @@ impl CombinedAutomaton {
         }
     }
 
-    /// Trie size — the quantity matching cost actually scales with.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    pub fn pattern_count(&self) -> usize {
+    pub(crate) fn pattern_count(&self) -> usize {
         self.patterns
     }
 
@@ -195,7 +195,7 @@ struct Capture {
 
 /// What the driver should do after a pushed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushAction {
+pub(crate) enum PushAction {
     /// Keep feeding tokens.
     Continue,
     /// The element just opened cannot contribute to any pattern:
@@ -232,21 +232,18 @@ fn flush_pending(
 /// The resumable state of one document pass, liftable across chunk
 /// boundaries.
 ///
-/// A pull driver (whole document in hand) loops `next_token` → [`push`]
-/// and honours [`PushAction::SkipSubtree`] with a real `skip_subtree`.
+/// A pull driver (whole document in hand) loops `next_token` → `push`
+/// and honours `PushAction::SkipSubtree` with a real `skip_subtree`.
 /// A push driver (chunked ingestion: tokens appear as network bytes
-/// arrive) calls [`push`] for whatever is available, in any number of
-/// installments, and [`finish`]es when the producer signals end of
+/// arrive) calls `push` for whatever is available, in any number of
+/// installments, and `finish`es when the producer signals end of
 /// document. Both drivers produce identical [`CombinedOutcome`]s —
 /// results, errors, and stats — which is what makes chunked evaluation
 /// byte-equivalent to whole-document evaluation.
 ///
-/// The automaton is passed to [`push`] rather than stored so sessions
+/// The automaton is passed to `push` rather than stored so sessions
 /// can own the run alongside the `Arc` of the plan that holds the
 /// automaton; callers must pass the same automaton every time.
-///
-/// [`push`]: CombinedRun::push
-/// [`finish`]: CombinedRun::finish
 pub struct CombinedRun {
     per_pattern: Vec<Result<Vec<String>>>,
     stats: StreamStats,
@@ -304,7 +301,7 @@ impl CombinedRun {
     /// an error there stops collection for that pattern only, while the
     /// shared pass and every other pattern continue. A returned error
     /// means the pass itself failed (capture serialization).
-    pub fn push<R, F>(
+    pub(crate) fn push<R, F>(
         &mut self,
         automaton: &CombinedAutomaton,
         tok: &Token,
@@ -494,19 +491,19 @@ impl CombinedRun {
     /// A pull driver skipped the dead subtree itself (in response to
     /// [`PushAction::SkipSubtree`]): record the count and resume normal
     /// matching at the next token.
-    pub fn note_skipped(&mut self, tokens: usize) {
+    pub(crate) fn note_skipped(&mut self, tokens: usize) {
         self.stats.tokens_skipped += tokens as u64;
         self.skip_depth = 0;
     }
 
     /// Live instrumentation — readable mid-stream (matches so far,
-    /// tokens seen/skipped), before [`CombinedRun::finish`].
+    /// tokens seen/skipped), before `CombinedRun::finish`.
     pub fn stats(&self) -> &StreamStats {
         &self.stats
     }
 
     /// End of the token stream: yield the per-pattern outcomes.
-    pub fn finish(self) -> CombinedOutcome {
+    pub(crate) fn finish(self) -> CombinedOutcome {
         CombinedOutcome {
             per_pattern: self.per_pattern,
             stats: self.stats,
@@ -645,7 +642,7 @@ mod tests {
 
     fn pat(query: &str) -> StreamPattern {
         let q = compile(query, &CompileOptions::default()).expect("compiles");
-        StreamPattern::extract_required(&q.module.body).expect("streamable")
+        StreamPattern::extract(&q.module.body).expect("streamable")
     }
 
     fn run_all(patterns: &[&str], xml: &str) -> (Vec<Result<Vec<String>>>, StreamStats) {

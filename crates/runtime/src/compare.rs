@@ -22,7 +22,7 @@ fn ordering_satisfies(op: CompOp, ord: Ordering) -> bool {
 }
 
 /// Value comparison: empty-preserving, singletons only.
-pub fn value_compare(
+pub(crate) fn value_compare(
     op: CompOp,
     lhs: &[Item],
     rhs: &[Item],
@@ -71,7 +71,7 @@ fn coerce_pair(a: &AtomicValue, b: &AtomicValue) -> Result<(AtomicValue, AtomicV
 
 /// General comparison: true iff some pair of atomized values satisfies
 /// the comparison after coercion.
-pub fn general_compare(
+pub(crate) fn general_compare(
     op: CompOp,
     lhs: &[Item],
     rhs: &[Item],
@@ -102,7 +102,7 @@ pub fn general_compare(
 
 /// Node comparisons: `is`, `<<`, `>>`. Empty-preserving; operands must
 /// be single nodes.
-pub fn node_compare(op: CompOp, lhs: &[Item], rhs: &[Item]) -> Result<Option<bool>> {
+pub(crate) fn node_compare(op: CompOp, lhs: &[Item], rhs: &[Item]) -> Result<Option<bool>> {
     let one_node = |items: &[Item]| -> Result<Option<xqr_store::NodeRef>> {
         match items {
             [] => Ok(None),

@@ -90,13 +90,13 @@ pub struct Frame {
 }
 
 impl Frame {
-    pub fn new(size: u32) -> Self {
+    pub(crate) fn new(size: u32) -> Self {
         Frame {
             slots: vec![None; size as usize],
         }
     }
 
-    pub fn get(&self, var: VarId) -> Result<Arc<Sequence>> {
+    pub(crate) fn get(&self, var: VarId) -> Result<Arc<Sequence>> {
         self.slots
             .get(var.0 as usize)
             .and_then(|s| s.clone())
@@ -109,17 +109,17 @@ impl Frame {
     }
 
     /// Bind a register, returning the previous value for restoration.
-    pub fn bind(&mut self, var: VarId, value: Arc<Sequence>) -> Option<Arc<Sequence>> {
+    pub(crate) fn bind(&mut self, var: VarId, value: Arc<Sequence>) -> Option<Arc<Sequence>> {
         let slot = &mut self.slots[var.0 as usize];
         slot.replace(value)
     }
 
-    pub fn restore(&mut self, var: VarId, saved: Option<Arc<Sequence>>) {
+    pub(crate) fn restore(&mut self, var: VarId, saved: Option<Arc<Sequence>>) {
         self.slots[var.0 as usize] = saved;
     }
 
     /// Grow to cover registers added by the optimizer.
-    pub fn ensure(&mut self, size: u32) {
+    pub(crate) fn ensure(&mut self, size: u32) {
         if self.slots.len() < size as usize {
             self.slots.resize(size as usize, None);
         }
@@ -164,10 +164,6 @@ pub struct ExecState {
 }
 
 impl ExecState {
-    pub fn new(store: Arc<Store>, frame_size: u32) -> Self {
-        Self::with_guard(store, frame_size, QueryGuard::unlimited())
-    }
-
     pub fn with_guard(store: Arc<Store>, frame_size: u32, guard: QueryGuard) -> Self {
         ExecState {
             store,
@@ -189,7 +185,7 @@ impl ExecState {
     /// Lease the document of every node the dynamic context supplies
     /// (context item, variables, default collection). A node whose
     /// document is already gone is `err:FODC0002`.
-    pub fn pin_context(&mut self, ctx: &DynamicContext) -> Result<()> {
+    pub(crate) fn pin_context(&mut self, ctx: &DynamicContext) -> Result<()> {
         let items = ctx
             .context_item
             .iter()
@@ -216,7 +212,7 @@ impl ExecState {
     /// execution leases it, and every later one — `fn:doc` or an index
     /// scan anchored there — reads that same document, whatever the
     /// store names `uri` meanwhile.
-    pub fn doc(&mut self, uri: &str) -> Result<DocId> {
+    pub(crate) fn doc(&mut self, uri: &str) -> Result<DocId> {
         if let Some(&id) = self.by_uri.get(uri) {
             return Ok(id);
         }
@@ -245,11 +241,11 @@ impl ExecState {
         std::mem::take(&mut self.leases)
     }
 
-    pub fn focus(&self) -> Option<&Focus> {
+    pub(crate) fn focus(&self) -> Option<&Focus> {
         self.focus.last()
     }
 
-    pub fn context_item(&self) -> Result<&Item> {
+    pub(crate) fn context_item(&self) -> Result<&Item> {
         self.focus
             .last()
             .map(|f| &f.item)
@@ -277,7 +273,7 @@ mod tests {
 
     #[test]
     fn context_item_error_when_absent() {
-        let state = ExecState::new(Store::new(), 0);
+        let state = ExecState::with_guard(Store::new(), 0, QueryGuard::unlimited());
         let e = state.context_item().unwrap_err();
         assert_eq!(e.code, ErrorCode::MissingContext);
     }

@@ -121,7 +121,7 @@ pub struct Counters {
 
 impl Counters {
     /// Snapshot the guard's consumption gauges into the counters.
-    pub fn record_guard_usage(&self, usage: &GuardUsage) {
+    pub(crate) fn record_guard_usage(&self, usage: &GuardUsage) {
         self.budget_items.set(usage.items);
         self.budget_tokens.set(usage.tokens);
         self.budget_output_bytes.set(usage.output_bytes);
@@ -218,7 +218,7 @@ pub struct Evaluator<'m> {
 }
 
 impl<'m> Evaluator<'m> {
-    pub fn new(module: &'m CoreModule, dyn_ctx: &'m DynamicContext) -> Self {
+    pub(crate) fn new(module: &'m CoreModule, dyn_ctx: &'m DynamicContext) -> Self {
         Evaluator {
             module,
             dyn_ctx,
@@ -229,14 +229,14 @@ impl<'m> Evaluator<'m> {
         }
     }
 
-    pub fn with_options(mut self, options: RuntimeOptions) -> Self {
+    pub(crate) fn with_options(mut self, options: RuntimeOptions) -> Self {
         self.options = options;
         self
     }
 
     /// Evaluate the module body (globals first), streaming the result
     /// into `sink`.
-    pub fn eval_module(&self, st: &mut ExecState, sink: &mut dyn Sink) -> Result<()> {
+    pub(crate) fn eval_module(&self, st: &mut ExecState, sink: &mut dyn Sink) -> Result<()> {
         st.frame.ensure(self.module.var_count);
         for (name, var, value) in &self.module.globals {
             let seq = match value {
@@ -262,14 +262,19 @@ impl<'m> Evaluator<'m> {
     }
 
     /// Materialize the full result of `e`.
-    pub fn eval(&self, e: &Core, st: &mut ExecState) -> Result<Sequence> {
+    pub(crate) fn eval(&self, e: &Core, st: &mut ExecState) -> Result<Sequence> {
         let mut out = Sequence::new();
         self.push(e, st, &mut out)?;
         Ok(out)
     }
 
     /// Materialize at most `limit` items (lazy pulls for exists/ebv).
-    pub fn eval_limited(&self, e: &Core, st: &mut ExecState, limit: usize) -> Result<Sequence> {
+    pub(crate) fn eval_limited(
+        &self,
+        e: &Core,
+        st: &mut ExecState,
+        limit: usize,
+    ) -> Result<Sequence> {
         if limit == 0 {
             return Ok(Sequence::new());
         }
@@ -291,13 +296,13 @@ impl<'m> Evaluator<'m> {
     }
 
     /// Effective boolean value with early exit: at most two items pulled.
-    pub fn eval_ebv(&self, e: &Core, st: &mut ExecState) -> Result<bool> {
+    pub(crate) fn eval_ebv(&self, e: &Core, st: &mut ExecState) -> Result<bool> {
         let items = self.eval_limited(e, st, 2)?;
         effective_boolean_value(&items)
     }
 
     /// Stream `e` into `sink`.
-    pub fn push(&self, e: &Core, st: &mut ExecState, sink: &mut dyn Sink) -> Result<Flow> {
+    pub(crate) fn push(&self, e: &Core, st: &mut ExecState, sink: &mut dyn Sink) -> Result<Flow> {
         xqr_faults::faultpoint!("eval.next");
         self.counters
             .items_produced
@@ -821,7 +826,7 @@ impl<'m> Evaluator<'m> {
 
     /// Distinct-document-order. All-atomic sequences pass through (final
     /// path steps may produce atomics); mixed sequences are an error.
-    pub fn ddo(&self, items: Sequence) -> Result<Sequence> {
+    pub(crate) fn ddo(&self, items: Sequence) -> Result<Sequence> {
         let any_node = items.iter().any(Item::is_node);
         let any_atomic = items.iter().any(|i| !i.is_node());
         if any_node && any_atomic {
@@ -1049,7 +1054,7 @@ impl<'m> Evaluator<'m> {
     /// `fn:doc`: the store's document at `uri`, else the dynamic
     /// context's text for it, parsed into a lease — either way memoized
     /// for the rest of the execution ([`ExecState::doc`]).
-    pub fn resolve_doc(&self, uri: &str, st: &mut ExecState) -> Result<NodeRef> {
+    pub(crate) fn resolve_doc(&self, uri: &str, st: &mut ExecState) -> Result<NodeRef> {
         // A plain miss falls through to the context documents, but a
         // failed reload — a quarantined segment (`XQRL0006`), an I/O
         // fault — is a real answer and must surface, not degrade into
@@ -1703,7 +1708,7 @@ impl<'t> BoundTest<'t> {
 }
 
 /// Does one item match an item type?
-pub fn item_matches(item: &Item, ty: &ItemType, store: &xqr_store::Store) -> bool {
+pub(crate) fn item_matches(item: &Item, ty: &ItemType, store: &xqr_store::Store) -> bool {
     match ty {
         ItemType::AnyItem => true,
         ItemType::AnyNode => item.is_node(),
@@ -1726,7 +1731,11 @@ pub fn item_matches(item: &Item, ty: &ItemType, store: &xqr_store::Store) -> boo
 }
 
 /// Does a whole sequence match a sequence type?
-pub fn sequence_matches(items: &[Item], ty: &SequenceType, store: &xqr_store::Store) -> bool {
+pub(crate) fn sequence_matches(
+    items: &[Item],
+    ty: &SequenceType,
+    store: &xqr_store::Store,
+) -> bool {
     match ty {
         SequenceType::Empty => items.is_empty(),
         SequenceType::Of(item_ty, occ) => {

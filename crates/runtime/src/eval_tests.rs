@@ -35,7 +35,11 @@ fn try_run_with(
     setup(&mut ctx, &store);
     let materialized = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default())
         .map(|(result, _, _leases)| serialize_sequence(&result, &store));
-    let mut st = crate::ExecState::new(store.clone(), compiled.module.var_count);
+    let mut st = crate::ExecState::with_guard(
+        store.clone(),
+        compiled.module.var_count,
+        xqr_xdm::QueryGuard::unlimited(),
+    );
     let mut reply = crate::Reply::new();
     let streamed = crate::evaluate(
         &compiled,

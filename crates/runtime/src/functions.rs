@@ -12,7 +12,7 @@ use xqr_store::NodeRef;
 use xqr_xdm::{AtomicType, AtomicValue, Decimal, Duration, Error, ErrorCode, Result};
 
 /// Evaluate a built-in call, streaming results into `sink`.
-pub fn call(
+pub(crate) fn call(
     ev: &Evaluator<'_>,
     name: &str,
     args: &[Core],

@@ -1,4 +1,4 @@
-//! Answering [`Core::IndexScan`] patterns from a document's structural
+//! Answering `Core::IndexScan` patterns from a document's structural
 //! index.
 //!
 //! The compiler's access-path selection guarantees the pattern is a pure
@@ -49,7 +49,7 @@ fn map_edge(e: AccessEdge) -> EdgeKind {
 type ScanKey = (DocId, NameId, bool, Vec<PathStep>);
 
 /// Shared inverted-list scans for batch execution. One instance lives
-/// for the duration of one [`query_batch`](xqr_core) call; queries in
+/// for the duration of one `query_batch` call; queries in
 /// the batch probe it before rebuilding a path-filtered list from the
 /// index. Thread-safe so batch legs running on the service pool can
 /// share one cache.
@@ -61,15 +61,6 @@ pub struct ScanCache {
 impl ScanCache {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Cached scans currently held.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.map).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Look up a scan, building and inserting it on miss (the builder
@@ -133,7 +124,7 @@ fn node_list(
 
 /// Try to answer `pattern` from an attached index. `Ok(None)` = fall
 /// back to navigation; `Err` = real execution error, abort the query.
-pub fn try_index_scan(
+pub(crate) fn try_index_scan(
     pattern: &AccessPattern,
     st: &mut ExecState,
     parallel: &ParallelConfig,

@@ -6,31 +6,30 @@
 //! comparison families, and a small regex engine for the string
 //! functions.
 
-pub mod automaton;
-pub mod compare;
-pub mod construct;
-pub mod env;
-pub mod eval;
-pub mod functions;
-pub mod index_scan;
-pub mod regex;
-pub mod reply;
-pub mod stream_path;
-pub mod value;
+mod automaton;
+mod compare;
+mod construct;
+mod env;
+mod eval;
+mod functions;
+mod index_scan;
+mod regex;
+mod reply;
+mod stream_path;
+mod value;
 
 pub use automaton::{
-    pull, run_document, CombinedAutomaton, CombinedOutcome, CombinedRun, PatternId, PushAction,
-    StreamingPass,
+    pull, run_document, CombinedAutomaton, CombinedOutcome, CombinedRun, StreamingPass,
 };
-pub use construct::NodeTarget;
-pub use env::{DynamicContext, ExecState, Focus, Frame};
-pub use eval::{Counters, Evaluator, Flow, RuntimeOptions, Sink};
+pub use env::{DynamicContext, ExecState};
+pub use eval::{Counters, RuntimeOptions};
 pub use index_scan::ScanCache;
 pub use reply::{serialize_sequence, Reply};
-pub use stream_path::{StreamPattern, StreamStats, StreamStep};
-pub use value::{effective_boolean_value, Item, Sequence};
-pub use xqr_parallel::{ParallelConfig, ParallelRun};
+pub use stream_path::{StreamPattern, StreamStats};
+pub use value::{Item, Sequence};
+pub use xqr_parallel::ParallelConfig;
 
+use eval::{Evaluator, Sink};
 use std::sync::Arc;
 use xqr_compiler::CompiledQuery;
 use xqr_store::{Lease, Store};
@@ -54,7 +53,7 @@ pub fn execute(
 /// [`execute`] with a caller-supplied guard — how the engine facade
 /// shares one guard (and its [`xqr_xdm::CancelHandle`]) across parsing,
 /// evaluation and serialization.
-pub fn execute_guarded(
+pub(crate) fn execute_guarded(
     query: &CompiledQuery,
     store: &Arc<Store>,
     dyn_ctx: &DynamicContext,
@@ -69,7 +68,7 @@ pub fn execute_guarded(
 
 /// Evaluate `query` in `st`, streaming its result into `sink`; the
 /// counters come back with the guard's consumption recorded. The
-/// context's documents are leased first ([`ExecState::pin_context`]).
+/// context's documents are leased first (`ExecState::pin_context`).
 pub fn evaluate(
     query: &CompiledQuery,
     dyn_ctx: &DynamicContext,

@@ -29,7 +29,7 @@ enum Node {
 }
 
 #[derive(Debug, Clone)]
-pub struct Regex {
+pub(crate) struct Regex {
     root: Node,
 }
 
@@ -210,7 +210,7 @@ fn perl_matches(class: char, c: char) -> bool {
 }
 
 impl Regex {
-    pub fn new(pattern: &str) -> Result<Regex> {
+    pub(crate) fn new(pattern: &str) -> Result<Regex> {
         let mut p = Parser {
             chars: pattern.chars().collect(),
             pos: 0,
@@ -334,7 +334,7 @@ impl Regex {
     /// Find the first match starting at or after `from`; returns
     /// (start, end) char offsets. Greedy-longest at the first matching
     /// start position.
-    pub fn find(&self, text: &[char], from: usize) -> Option<(usize, usize)> {
+    pub(crate) fn find(&self, text: &[char], from: usize) -> Option<(usize, usize)> {
         for start in from..=text.len() {
             let mut best: Option<usize> = None;
             Self::match_node(&self.root, text, start, &mut |end| {
@@ -351,14 +351,14 @@ impl Regex {
         None
     }
 
-    pub fn is_match(&self, text: &str) -> bool {
+    pub(crate) fn is_match(&self, text: &str) -> bool {
         let chars: Vec<char> = text.chars().collect();
         self.find(&chars, 0).is_some()
     }
 
     /// `fn:tokenize` semantics: split around non-overlapping matches;
     /// zero-length matches are an error per spec, we skip-step instead.
-    pub fn split(&self, text: &str) -> Vec<String> {
+    pub(crate) fn split(&self, text: &str) -> Vec<String> {
         let chars: Vec<char> = text.chars().collect();
         let mut out = Vec::new();
         let mut last = 0usize;
@@ -377,7 +377,7 @@ impl Regex {
     }
 
     /// `fn:replace` with a literal replacement string.
-    pub fn replace_all(&self, text: &str, replacement: &str) -> String {
+    pub(crate) fn replace_all(&self, text: &str, replacement: &str) -> String {
         let chars: Vec<char> = text.chars().collect();
         let mut out = String::new();
         let mut last = 0usize;

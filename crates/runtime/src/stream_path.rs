@@ -12,7 +12,7 @@
 //! subtrees that no pattern state can match.
 
 use xqr_compiler::Core;
-use xqr_xdm::{Error, QName, Result};
+use xqr_xdm::QName;
 use xqr_xqparser::ast::{AxisName, NodeTest};
 
 /// One step of a streamable pattern.
@@ -53,14 +53,6 @@ impl StreamPattern {
             return None;
         }
         Some(StreamPattern { steps })
-    }
-
-    /// [`StreamPattern::extract`] for callers that have already decided
-    /// the plan is streamable: a non-streamable core is an internal
-    /// error (`err:XQRL0000`), never a panic.
-    pub fn extract_required(core: &Core) -> Result<StreamPattern> {
-        StreamPattern::extract(core)
-            .ok_or_else(|| Error::internal(format!("not streamable: {core:?}")))
     }
 }
 
@@ -139,7 +131,7 @@ mod tests {
 
     fn pattern(query: &str) -> StreamPattern {
         let q = compile(query, &CompileOptions::default()).unwrap();
-        StreamPattern::extract_required(&q.module.body).unwrap()
+        StreamPattern::extract(&q.module.body).unwrap()
     }
 
     #[test]
@@ -161,14 +153,6 @@ mod tests {
         assert!(StreamPattern::extract(&q.module.body).is_none());
         let q = compile("//book[3]", &CompileOptions::default()).unwrap();
         assert!(StreamPattern::extract(&q.module.body).is_none());
-    }
-
-    #[test]
-    fn extract_required_reports_internal_error() {
-        let q = compile("1 + 1", &CompileOptions::default()).unwrap();
-        let e = StreamPattern::extract_required(&q.module.body).unwrap_err();
-        assert_eq!(e.code, xqr_xdm::ErrorCode::Internal);
-        assert!(e.to_string().contains("not streamable"));
     }
 
     #[test]

@@ -21,15 +21,15 @@ impl Item {
         Item::Atomic(AtomicValue::Integer(i))
     }
 
-    pub fn string(s: &str) -> Item {
+    pub(crate) fn string(s: &str) -> Item {
         Item::Atomic(AtomicValue::string(s))
     }
 
-    pub fn boolean(b: bool) -> Item {
+    pub(crate) fn boolean(b: bool) -> Item {
         Item::Atomic(AtomicValue::Boolean(b))
     }
 
-    pub fn is_node(&self) -> bool {
+    pub(crate) fn is_node(&self) -> bool {
         matches!(self, Item::Node(_))
     }
 
@@ -49,7 +49,7 @@ impl Item {
     }
 
     /// The typed value (untyped data model: nodes yield untypedAtomic).
-    pub fn typed_value(&self, store: &Store) -> Result<AtomicValue> {
+    pub(crate) fn typed_value(&self, store: &Store) -> Result<AtomicValue> {
         match self {
             Item::Atomic(v) => Ok(v.clone()),
             Item::Node(n) => {
@@ -64,7 +64,7 @@ impl Item {
         }
     }
 
-    pub fn node_name(&self, store: &Store) -> Option<QName> {
+    pub(crate) fn node_name(&self, store: &Store) -> Option<QName> {
         self.as_node()
             .and_then(|n| store.doc_of(n).name(n.node).cloned())
     }
@@ -74,12 +74,16 @@ impl Item {
 pub type Sequence = Vec<Item>;
 
 /// Atomize a sequence (`fn:data`).
-pub fn atomize(items: &[Item], store: &Store) -> Result<Vec<AtomicValue>> {
+pub(crate) fn atomize(items: &[Item], store: &Store) -> Result<Vec<AtomicValue>> {
     items.iter().map(|i| i.typed_value(store)).collect()
 }
 
 /// Atomize a sequence expected to hold at most one value.
-pub fn atomize_one(items: &[Item], store: &Store, what: &str) -> Result<Option<AtomicValue>> {
+pub(crate) fn atomize_one(
+    items: &[Item],
+    store: &Store,
+    what: &str,
+) -> Result<Option<AtomicValue>> {
     match items.len() {
         0 => Ok(None),
         1 => Ok(Some(items[0].typed_value(store)?)),
@@ -91,7 +95,7 @@ pub fn atomize_one(items: &[Item], store: &Store, what: &str) -> Result<Option<A
 
 /// The effective boolean value of a sequence: empty → false; first item
 /// a node → true; singleton atomic → its EBV; otherwise an error.
-pub fn effective_boolean_value(items: &[Item]) -> Result<bool> {
+pub(crate) fn effective_boolean_value(items: &[Item]) -> Result<bool> {
     match items {
         [] => Ok(false),
         [Item::Node(_), ..] => Ok(true),
@@ -104,7 +108,7 @@ pub fn effective_boolean_value(items: &[Item]) -> Result<bool> {
 }
 
 /// Deep equality of two items (fn:deep-equal on singletons).
-pub fn deep_equal_item(a: &Item, b: &Item, store: &Store) -> bool {
+pub(crate) fn deep_equal_item(a: &Item, b: &Item, store: &Store) -> bool {
     match (a, b) {
         (Item::Atomic(x), Item::Atomic(y)) => match x.value_compare(y, 0) {
             Ok(Some(o)) => o.is_eq(),

@@ -19,41 +19,41 @@ pub(crate) struct ByteWriter {
 }
 
 impl ByteWriter {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn offset(&self) -> usize {
+    pub(crate) fn offset(&self) -> usize {
         self.buf.len()
     }
 
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub fn u16(&mut self, v: u16) {
+    pub(crate) fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn bytes(&mut self, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
     /// Length-prefixed (u32) UTF-8 string.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.bytes(s.as_bytes());
     }
 
-    pub fn opt_str(&mut self, s: Option<&str>) {
+    pub(crate) fn opt_str(&mut self, s: Option<&str>) {
         match s {
             None => self.u8(0),
             Some(s) => {
@@ -64,7 +64,7 @@ impl ByteWriter {
     }
 
     /// Zero-pad to the next 16-byte file boundary.
-    pub fn align16(&mut self) {
+    pub(crate) fn align16(&mut self) {
         while !self.buf.len().is_multiple_of(16) {
             self.buf.push(0);
         }
@@ -78,15 +78,15 @@ pub(crate) struct ByteReader<'a> {
 }
 
 impl<'a> ByteReader<'a> {
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         ByteReader { bytes, pos: 0 }
     }
 
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    pub fn take(&mut self, len: usize) -> Result<&'a [u8]> {
+    pub(crate) fn take(&mut self, len: usize) -> Result<&'a [u8]> {
         if len > self.remaining() {
             return Err(corrupt("segment section truncated"));
         }
@@ -95,34 +95,34 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    pub fn u8(&mut self) -> Result<u8> {
+    pub(crate) fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn u16(&mut self) -> Result<u16> {
+    pub(crate) fn u16(&mut self) -> Result<u16> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    pub fn u32(&mut self) -> Result<u32> {
+    pub(crate) fn u32(&mut self) -> Result<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    pub fn u64(&mut self) -> Result<u64> {
+    pub(crate) fn u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
 
-    pub fn str(&mut self) -> Result<&'a str> {
+    pub(crate) fn str(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
         let raw = self.take(len)?;
         std::str::from_utf8(raw).map_err(|_| corrupt("segment string is not UTF-8"))
     }
 
-    pub fn opt_str(&mut self) -> Result<Option<&'a str>> {
+    pub(crate) fn opt_str(&mut self) -> Result<Option<&'a str>> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.str()?)),
@@ -132,7 +132,7 @@ impl<'a> ByteReader<'a> {
 
     /// The section must be fully consumed — trailing garbage is treated
     /// as corruption, the same as a short read.
-    pub fn finish(self) -> Result<()> {
+    pub(crate) fn finish(self) -> Result<()> {
         if self.remaining() != 0 {
             return Err(corrupt("segment section has trailing bytes"));
         }

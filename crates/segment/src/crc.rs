@@ -38,14 +38,14 @@ static TABLES: [[u32; 256]; SLICES] = make_tables();
 
 /// Incremental CRC-32 state, for checksums over non-contiguous regions.
 #[derive(Clone, Copy)]
-pub struct Crc32(u32);
+pub(crate) struct Crc32(u32);
 
 impl Crc32 {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Crc32(0xFFFF_FFFF)
     }
 
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         let mut c = self.0;
         let mut chunks = bytes.chunks_exact(SLICES);
         for chunk in &mut chunks {
@@ -68,7 +68,7 @@ impl Crc32 {
         self.0 = c;
     }
 
-    pub fn finish(self) -> u32 {
+    pub(crate) fn finish(self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
 }

@@ -22,40 +22,40 @@ use crate::crc::{crc32, Crc32};
 use xqr_xdm::{NodeKind, Result};
 
 /// Head magic; the trailing byte is the format version.
-pub const MAGIC: [u8; 8] = *b"XQRSEG\x00\x02";
+pub(crate) const MAGIC: [u8; 8] = *b"XQRSEG\x00\x02";
 /// Tail magic.
-pub const TAIL: [u8; 8] = *b"\x01\x00GESRQX";
+pub(crate) const TAIL: [u8; 8] = *b"\x01\x00GESRQX";
 /// Format version (also baked into [`MAGIC`]).
-pub const VERSION: u32 = 2;
+pub(crate) const VERSION: u32 = 2;
 const _: () = assert!(MAGIC[7] as u32 == VERSION);
 
 /// Section identifiers. A well-formed segment has exactly one of each,
 /// in this order. Id 3 (version 1's token stream) is retired, not reused.
-pub mod section {
-    pub const META: u32 = 1;
-    pub const NAMES: u32 = 2;
-    pub const TREE: u32 = 4;
-    pub const PATHS: u32 = 5;
-    pub const ELEMS: u32 = 6;
-    pub const ATTRS: u32 = 7;
-    pub const ALL: [u32; 6] = [META, NAMES, TREE, PATHS, ELEMS, ATTRS];
+pub(crate) mod section {
+    pub(crate) const META: u32 = 1;
+    pub(crate) const NAMES: u32 = 2;
+    pub(crate) const TREE: u32 = 4;
+    pub(crate) const PATHS: u32 = 5;
+    pub(crate) const ELEMS: u32 = 6;
+    pub(crate) const ATTRS: u32 = 7;
+    pub(crate) const ALL: [u32; 6] = [META, NAMES, TREE, PATHS, ELEMS, ATTRS];
 }
 
 /// Byte span of one section within the file.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Span {
+pub(crate) struct Span {
     pub offset: usize,
     pub len: usize,
 }
 
 /// Parsed section table: one span per id in [`section::ALL`] order.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Sections {
+pub(crate) struct Sections {
     spans: [Span; section::ALL.len()],
 }
 
 impl Sections {
-    pub fn get(&self, id: u32) -> Span {
+    pub(crate) fn get(&self, id: u32) -> Span {
         let idx = section::ALL
             .iter()
             .position(|&s| s == id)
@@ -66,7 +66,7 @@ impl Sections {
 
 /// Append the footer to a fully serialized body. `table` entries are
 /// `(id, offset, len)` triples; CRCs are computed here.
-pub fn write_footer(buf: &mut Vec<u8>, table: &[(u32, usize, usize)]) {
+pub(crate) fn write_footer(buf: &mut Vec<u8>, table: &[(u32, usize, usize)]) {
     debug_assert!(buf.len().is_multiple_of(16), "sections must be 16-aligned");
     let body_crc = crc32(buf);
     let mut tbl = Vec::with_capacity(4 + table.len() * 24);
@@ -100,7 +100,7 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
 
 /// Verify framing, footer, body and per-section CRCs; return the section
 /// table. Every failure is the coded `XQRL0006` corruption error.
-pub fn verify(bytes: &[u8]) -> Result<Sections> {
+pub(crate) fn verify(bytes: &[u8]) -> Result<Sections> {
     // Fixed tail: body_crc(4) + footer_crc(4) + footer_len(8) + TAIL(8).
     const TAIL_FIXED: usize = 24;
     if bytes.len() < MAGIC.len() + TAIL_FIXED + 4 {
@@ -191,7 +191,7 @@ pub fn verify(bytes: &[u8]) -> Result<Sections> {
 }
 
 /// Stable on-disk encoding of [`NodeKind`].
-pub fn kind_to_u8(kind: NodeKind) -> u8 {
+pub(crate) fn kind_to_u8(kind: NodeKind) -> u8 {
     match kind {
         NodeKind::Document => 0,
         NodeKind::Element => 1,
@@ -203,7 +203,7 @@ pub fn kind_to_u8(kind: NodeKind) -> u8 {
     }
 }
 
-pub fn kind_from_u8(v: u8) -> Result<NodeKind> {
+pub(crate) fn kind_from_u8(v: u8) -> Result<NodeKind> {
     Ok(match v {
         0 => NodeKind::Document,
         1 => NodeKind::Element,

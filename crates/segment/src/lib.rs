@@ -21,7 +21,7 @@
 //!   document is either fully readable or cleanly absent.
 //! * **Cold start**: loading a segment re-assembles the struct-of-arrays
 //!   [`xqr_store::Document`] and serves the inverted lists directly from
-//!   the mapped file ([`MappedIndex`] implements
+//!   the mapped file (`MappedIndex` implements
 //!   [`xqr_index::IndexedAccess`]), skipping XML parsing and index
 //!   construction entirely.
 //!
@@ -30,15 +30,14 @@
 //! `segment.verify`.
 
 mod blob;
-pub mod crc;
+mod crc;
 mod layout;
-pub mod manifest;
-pub mod mmap;
+mod manifest;
+mod mmap;
 mod read;
 mod write;
 
 pub use crc::crc32;
-pub use manifest::{clean_orphans, LiveSegment, Manifest, ManifestRecord, Replay};
-pub use mmap::MappedBytes;
-pub use read::{MappedIndex, Segment};
+pub use manifest::{clean_orphans, Manifest, ManifestRecord};
+pub use read::Segment;
 pub use write::{segment_bytes, write_segment_file};

@@ -41,7 +41,7 @@ pub enum ManifestRecord {
 }
 
 impl ManifestRecord {
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         match self {
             ManifestRecord::Add { generation, .. } | ManifestRecord::Del { generation, .. } => {
                 *generation
@@ -50,7 +50,7 @@ impl ManifestRecord {
     }
 
     /// The LF-terminated wire line, CRC included.
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         let payload = match self {
             ManifestRecord::Add {
                 generation,
@@ -65,7 +65,7 @@ impl ManifestRecord {
     }
 
     /// Parse one line (no trailing newline). `None` = corrupt/torn.
-    pub fn parse(line: &str) -> Option<ManifestRecord> {
+    pub(crate) fn parse(line: &str) -> Option<ManifestRecord> {
         let (payload, crc_hex) = line.rsplit_once(' ')?;
         if crc_hex.len() != 8 || u32::from_str_radix(crc_hex, 16).ok()? != crc32(payload.as_bytes())
         {

@@ -13,7 +13,7 @@ use std::path::Path;
 
 /// An immutable byte region backed by either a file mapping or an
 /// 8-byte-aligned heap buffer.
-pub struct MappedBytes {
+pub(crate) struct MappedBytes {
     /// Base of the mapping when `mapped`; dangling otherwise.
     ptr: *const u8,
     len: usize,
@@ -31,7 +31,7 @@ unsafe impl Sync for MappedBytes {}
 
 impl MappedBytes {
     /// Map (or read) a whole file.
-    pub fn open(path: &Path) -> std::io::Result<MappedBytes> {
+    pub(crate) fn open(path: &Path) -> std::io::Result<MappedBytes> {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len() as usize;
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -53,7 +53,7 @@ impl MappedBytes {
 
     /// Wrap an in-memory buffer (test and fallback path), re-housing it
     /// in an 8-byte-aligned backing.
-    pub fn from_vec(bytes: Vec<u8>) -> MappedBytes {
+    pub(crate) fn from_vec(bytes: Vec<u8>) -> MappedBytes {
         let len = bytes.len();
         let mut heap = vec![0u64; len.div_ceil(8)];
         if len > 0 {
@@ -71,20 +71,16 @@ impl MappedBytes {
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Was this region served by a real `mmap` (vs the heap fallback)?
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         self.mapped
     }
 
-    pub fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         if self.len == 0 {
             return &[];
         }
@@ -200,7 +196,7 @@ mod tests {
         let path = scratch("empty");
         File::create(&path).unwrap();
         let m = MappedBytes::open(&path).unwrap();
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
         assert_eq!(m.bytes(), &[] as &[u8]);
     }
 

@@ -86,10 +86,6 @@ impl Segment {
         self.node_count
     }
 
-    pub fn entry_count(&self) -> u64 {
-        self.entry_count
-    }
-
     /// Whole-file size: what the catalog charges against its byte budget
     /// for a segment-backed document.
     pub fn file_bytes(&self) -> usize {

@@ -396,7 +396,7 @@ impl DocumentCatalog {
     /// `doc()` resolution.
     ///
     /// [`put`]: DocumentCatalog::put
-    pub fn load_transient_indexed(&self, xml: &str) -> Result<Lease> {
+    pub(crate) fn load_transient_indexed(&self, xml: &str) -> Result<Lease> {
         xqr_faults::faultpoint!("catalog.load");
         let doc = self.store.lease_xml(xml, None)?;
         self.build_index(doc.id);
@@ -548,7 +548,7 @@ impl DocumentCatalog {
     /// persistence victims are demoted to their segments (reloadable);
     /// memory-only victims are dropped. Cheap when already under the
     /// target (one lock, no scan).
-    pub fn shed_cold(&self, target_bytes: u64) {
+    pub(crate) fn shed_cold(&self, target_bytes: u64) {
         self.evict_to(&mut lock_recover(&self.inner), target_bytes);
     }
 
@@ -743,7 +743,7 @@ impl DocumentCatalog {
     }
 
     /// The directory a persistent catalog stores segments in.
-    pub fn persist_dir(&self) -> Option<&Path> {
+    pub(crate) fn persist_dir(&self) -> Option<&Path> {
         self.persist.as_ref().map(|p| p.dir.as_path())
     }
 

@@ -327,7 +327,7 @@ impl QueryService {
     /// clients must not pin slots forever). Runs automatically when an
     /// open finds every slot taken; callable directly from an
     /// embedder's housekeeping loop. Returns how many were reaped.
-    pub fn reap_idle_sessions(&self) -> usize {
+    pub(crate) fn reap_idle_sessions(&self) -> usize {
         let st = self.ingest_state();
         let mut reaped = 0;
         for slot in st.slots.iter() {
@@ -357,7 +357,7 @@ impl QueryService {
     /// plans evaluate as bytes arrive — first results exist before the
     /// last byte does, and memory stays O(largest syntactic unit +
     /// output); everything else buffers and evaluates at
-    /// [`StreamQuery::finish`] with identical results and error codes.
+    /// `StreamQuery::finish` with identical results and error codes.
     pub fn open_stream_query(&self, query: &str) -> Result<StreamQuery<'_>> {
         self.check_red("stream query")?;
         let plan = self.acquire_plan_for_ingest(query)?;

@@ -25,7 +25,7 @@
 //! snapshot (cache hit rate, p50/p99 latency, active/queued gauges) both
 //! as a struct and as `explain`-style text. What the service does when a
 //! subsystem fails or memory runs short is one ordered ladder, tabulated
-//! in [`resilience`].
+//! in `resilience`.
 //!
 //! ```
 //! use xqr_service::{QueryService, ServiceConfig};
@@ -37,17 +37,14 @@
 //! assert!(service.stats().plan_hits >= 1);
 //! ```
 
-pub mod catalog;
-pub mod ingest;
-pub mod plan_cache;
-pub mod resilience;
-pub mod service;
+mod catalog;
+mod ingest;
+mod plan_cache;
+mod resilience;
+mod service;
 
-pub use catalog::{CatalogStats, DocumentCatalog};
-pub use ingest::{SessionId, StreamQuery};
-pub use plan_cache::{PlanCache, PlanCacheStats};
+pub use catalog::DocumentCatalog;
+pub use plan_cache::PlanCache;
 pub use resilience::RetryPolicy;
 pub use service::{QueryService, ServiceConfig, ServiceStats};
-pub use xqr_subscribe::{
-    CollectingSink, Delivery, PublishReport, SubId, SubscribeStats, SubscriptionSink,
-};
+pub use xqr_subscribe::{PublishReport, SubId};

@@ -39,7 +39,7 @@ const PLAN_OVERHEAD_BYTES: u64 = 1024;
 /// invariant `hits + misses == lookups` is a real consistency check,
 /// not an identity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
+pub(crate) struct PlanCacheStats {
     pub lookups: u64,
     pub hits: u64,
     pub misses: u64,
@@ -48,16 +48,7 @@ pub struct PlanCacheStats {
     pub entries: u64,
 }
 
-impl PlanCacheStats {
-    /// Fraction of lookups served from cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-}
+impl PlanCacheStats {}
 
 struct Entry {
     plan: Arc<PreparedQuery>,
@@ -184,7 +175,7 @@ impl PlanCache {
     /// remain — the brownout ladder's plan-shedding rung. The configured
     /// capacity is untouched, so the cache regrows once pressure clears.
     /// Returns the number of plans shed.
-    pub fn shrink_to(&self, max_entries: usize) -> u64 {
+    pub(crate) fn shrink_to(&self, max_entries: usize) -> u64 {
         let per_shard = max_entries.div_ceil(self.shards.len());
         let mut shed = 0u64;
         let mut freed = 0u64;
@@ -201,7 +192,7 @@ impl PlanCache {
     }
 
     /// Drop every cached plan (counters are preserved).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         let mut freed = 0u64;
         for shard in &self.shards {
             let mut shard = lock_recover(shard);
@@ -212,15 +203,11 @@ impl PlanCache {
     }
 
     /// Live entries across all shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| lock_recover(s).map.len()).sum()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn stats(&self) -> PlanCacheStats {
+    pub(crate) fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
@@ -270,7 +257,6 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 9);
         assert_eq!(s.hits + s.misses, s.lookups);
-        assert!(s.hit_rate() > 0.8);
     }
 
     #[test]

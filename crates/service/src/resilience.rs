@@ -67,7 +67,7 @@ impl RetryPolicy {
     /// `(salt, attempt)` — no RNG, so a replayed chaos run backs off
     /// identically — while distinct salts (e.g. a per-query counter)
     /// still de-synchronize herds of retriers.
-    pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         let exp = self
             .base_backoff
             .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));

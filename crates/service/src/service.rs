@@ -65,7 +65,7 @@ pub struct ServiceConfig {
     /// `err:XQRL0004 Overloaded`.
     pub max_chunk_sessions: usize,
     /// Chunk sessions idle this long are reaped: the next admission
-    /// sweep (or an explicit [`QueryService::reap_idle_sessions`])
+    /// sweep (or an explicit `QueryService::reap_idle_sessions`)
     /// frees their slots and their buffered state.
     pub chunk_session_idle: Duration,
     /// Process-wide memory governance: ceiling, watermark fractions and
@@ -458,7 +458,7 @@ impl QueryService {
     /// receives this subscription's outcome (matches or its coded
     /// error) for every published document, on the publishing thread.
     /// A panicking or failing sink degrades only this subscription.
-    pub fn subscribe_with_sink(
+    pub(crate) fn subscribe_with_sink(
         &self,
         query: &str,
         sink: Option<Arc<dyn SubscriptionSink>>,
@@ -472,11 +472,6 @@ impl QueryService {
     /// slot's current tenant.
     pub fn unsubscribe(&self, id: SubId) -> bool {
         self.subs.unregister(id)
-    }
-
-    /// Live standing-query count.
-    pub fn subscriptions(&self) -> usize {
-        self.subs.active()
     }
 
     /// Publish a transient document at every standing subscription:
@@ -637,7 +632,7 @@ impl QueryService {
 
     /// Run `query` against `xml` bound as the context item; the
     /// transient document is leased for the call and freed with it.
-    pub fn run_on_xml(&self, query: &str, xml: &str) -> Result<String> {
+    pub(crate) fn run_on_xml(&self, query: &str, xml: &str) -> Result<String> {
         let doc = self.shared.engine.store().lease_xml(xml, None)?;
         self.run_with_context(
             query,
@@ -1215,7 +1210,7 @@ mod tests {
         let service = QueryService::new(ServiceConfig::default());
         let streamed = service.subscribe("/bib/book/title").unwrap();
         let fallback = service.subscribe("count(//book)").unwrap();
-        assert_eq!(service.subscriptions(), 2);
+        assert_eq!(service.stats().subscriptions_active, 2);
 
         let xml = "<bib><book><title>a</title></book><book><title>b</title></book></bib>";
         let report = service.publish("feed-1", xml).unwrap();
@@ -1236,7 +1231,7 @@ mod tests {
         assert!(!service.unsubscribe(streamed), "stale id is a no-op");
         let report = service.publish("feed-2", xml).unwrap();
         assert!(report.result_for(streamed).is_none());
-        assert_eq!(service.subscriptions(), 1);
+        assert_eq!(service.stats().subscriptions_active, 1);
 
         let s = service.stats();
         assert_eq!(s.subscriptions_active, 1);

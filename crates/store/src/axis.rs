@@ -30,19 +30,6 @@ pub enum Axis {
 }
 
 impl Axis {
-    /// Reverse axes deliver nodes before the context node in document
-    /// order; paths must re-sort afterwards (or be rewritten away).
-    pub fn is_reverse(self) -> bool {
-        matches!(
-            self,
-            Axis::Parent
-                | Axis::Ancestor
-                | Axis::AncestorOrSelf
-                | Axis::PrecedingSibling
-                | Axis::Preceding
-        )
-    }
-
     /// Principal node kind: attribute for the attribute axis, namespace
     /// for the namespace axis, element otherwise (decides what `*`
     /// matches).
@@ -52,43 +39,6 @@ impl Axis {
             Axis::Namespace => NodeKind::Namespace,
             _ => NodeKind::Element,
         }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Axis::Child => "child",
-            Axis::Descendant => "descendant",
-            Axis::DescendantOrSelf => "descendant-or-self",
-            Axis::Attribute => "attribute",
-            Axis::SelfAxis => "self",
-            Axis::Parent => "parent",
-            Axis::Ancestor => "ancestor",
-            Axis::AncestorOrSelf => "ancestor-or-self",
-            Axis::FollowingSibling => "following-sibling",
-            Axis::PrecedingSibling => "preceding-sibling",
-            Axis::Following => "following",
-            Axis::Preceding => "preceding",
-            Axis::Namespace => "namespace",
-        }
-    }
-
-    pub fn from_name(s: &str) -> Option<Axis> {
-        Some(match s {
-            "child" => Axis::Child,
-            "descendant" => Axis::Descendant,
-            "descendant-or-self" => Axis::DescendantOrSelf,
-            "attribute" => Axis::Attribute,
-            "self" => Axis::SelfAxis,
-            "parent" => Axis::Parent,
-            "ancestor" => Axis::Ancestor,
-            "ancestor-or-self" => Axis::AncestorOrSelf,
-            "following-sibling" => Axis::FollowingSibling,
-            "preceding-sibling" => Axis::PrecedingSibling,
-            "following" => Axis::Following,
-            "preceding" => Axis::Preceding,
-            "namespace" => Axis::Namespace,
-            _ => return None,
-        })
     }
 }
 
@@ -280,32 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn axis_name_roundtrip() {
-        for axis in [
-            Axis::Child,
-            Axis::Descendant,
-            Axis::DescendantOrSelf,
-            Axis::Attribute,
-            Axis::SelfAxis,
-            Axis::Parent,
-            Axis::Ancestor,
-            Axis::AncestorOrSelf,
-            Axis::FollowingSibling,
-            Axis::PrecedingSibling,
-            Axis::Following,
-            Axis::Preceding,
-            Axis::Namespace,
-        ] {
-            assert_eq!(Axis::from_name(axis.name()), Some(axis));
-        }
-        assert_eq!(Axis::from_name("sideways"), None);
-    }
-
-    #[test]
-    fn reverse_axis_classification() {
-        assert!(Axis::Ancestor.is_reverse());
-        assert!(Axis::Preceding.is_reverse());
-        assert!(!Axis::Descendant.is_reverse());
+    fn principal_kind_by_axis() {
         assert_eq!(Axis::Attribute.principal_kind(), NodeKind::Attribute);
         assert_eq!(Axis::Child.principal_kind(), NodeKind::Element);
     }

@@ -114,7 +114,7 @@ impl Document {
 
     /// Guarded parse: the token pull charges `guard`'s token budget and
     /// the underlying reader enforces its depth/document-size limits.
-    pub fn parse_guarded(
+    pub(crate) fn parse_guarded(
         input: &str,
         names: Arc<NamePool>,
         uri: Option<&str>,
@@ -129,7 +129,7 @@ impl Document {
         Self::from_tokens_with_uri(it, names, None)
     }
 
-    pub fn from_tokens_with_uri(
+    pub(crate) fn from_tokens_with_uri(
         it: &mut dyn TokenIterator,
         names: Arc<NamePool>,
         uri: Option<&str>,
@@ -281,7 +281,7 @@ impl Document {
     }
 
     /// Namespace nodes of an element.
-    pub fn namespaces(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn namespaces(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let mut i = n.0 + 1;
         let len = self.len() as u32;
         std::iter::from_fn(move || {
@@ -530,7 +530,7 @@ impl DocumentBuilder {
         }
     }
 
-    pub fn with_uri(mut self, uri: impl Into<String>) -> Self {
+    pub(crate) fn with_uri(mut self, uri: impl Into<String>) -> Self {
         self.doc.uri = Some(uri.into());
         self
     }
@@ -573,12 +573,12 @@ impl DocumentBuilder {
         }
     }
 
-    pub fn start_element(&mut self, name: &QName) {
+    pub(crate) fn start_element(&mut self, name: &QName) {
         let id = self.doc.names.intern(name);
         self.start_element_id(id);
     }
 
-    pub fn start_element_id(&mut self, name: NameId) {
+    pub(crate) fn start_element_id(&mut self, name: NameId) {
         self.start_document();
         let idx = self.push_node(NodeKind::Element, name, None);
         self.open.push(idx);
@@ -586,7 +586,7 @@ impl DocumentBuilder {
     }
 
     /// Close the innermost open node (element or document).
-    pub fn end(&mut self) {
+    pub(crate) fn end(&mut self) {
         if let Some(idx) = self.open.pop() {
             self.last_child.pop();
             let end = (self.doc.kinds.len() as u32).saturating_sub(1);
@@ -594,21 +594,21 @@ impl DocumentBuilder {
         }
     }
 
-    pub fn attribute(&mut self, name: &QName, value: &str) {
+    pub(crate) fn attribute(&mut self, name: &QName, value: &str) {
         let id = self.doc.names.intern(name);
         self.attribute_id(id, value);
     }
 
-    pub fn attribute_id(&mut self, name: NameId, value: &str) {
+    pub(crate) fn attribute_id(&mut self, name: NameId, value: &str) {
         self.push_node(NodeKind::Attribute, name, Some(value));
     }
 
-    pub fn namespace(&mut self, prefix: &str, uri: &str) {
+    pub(crate) fn namespace(&mut self, prefix: &str, uri: &str) {
         let id = self.doc.names.intern(&QName::local(prefix));
         self.push_node(NodeKind::Namespace, id, Some(uri));
     }
 
-    pub fn text(&mut self, content: &str) {
+    pub(crate) fn text(&mut self, content: &str) {
         self.start_document();
         // Adjacent text nodes merge, per the data model.
         if let Some(&last) = self.last_child.last() {
@@ -630,12 +630,12 @@ impl DocumentBuilder {
         self.push_node(NodeKind::Text, NameId::NONE, Some(content));
     }
 
-    pub fn comment(&mut self, content: &str) {
+    pub(crate) fn comment(&mut self, content: &str) {
         self.start_document();
         self.push_node(NodeKind::Comment, NameId::NONE, Some(content));
     }
 
-    pub fn pi(&mut self, target: &str, data: &str) {
+    pub(crate) fn pi(&mut self, target: &str, data: &str) {
         self.start_document();
         let id = self.doc.names.intern(&QName::local(target));
         self.push_node(NodeKind::ProcessingInstruction, id, Some(data));

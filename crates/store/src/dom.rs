@@ -119,19 +119,6 @@ pub fn count_nodes(node: &DomRef) -> usize {
     1 + n.children.iter().map(count_nodes).sum::<usize>()
 }
 
-/// Concatenated text, recursively (the DOM analogue of `string-value`).
-pub fn string_value(node: &DomRef) -> String {
-    let n = node.borrow();
-    if n.kind == NodeKind::Text {
-        return n.value.clone();
-    }
-    let mut out = String::new();
-    for c in &n.children {
-        out.push_str(&string_value(c));
-    }
-    out
-}
-
 /// Find descendant elements by local name (navigational baseline probe).
 pub fn descendants_named(node: &DomRef, local: &str, out: &mut Vec<DomRef>) {
     let n = node.borrow();
@@ -177,7 +164,8 @@ mod tests {
         assert_eq!(count_nodes(&d), 5); // doc, a, b, text, c
         let a = d.borrow().children[0].clone();
         assert_eq!(a.borrow().attributes.len(), 1);
-        assert_eq!(string_value(&a), "hi");
+        let b = a.borrow().children[0].clone();
+        assert_eq!(b.borrow().children[0].borrow().value, "hi");
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! experiments. The per-name inverted lists the structural joins read
 //! live in `xqr-index`, not here.
 
-pub mod axis;
-pub mod document;
+mod axis;
+mod document;
 pub mod dom;
-pub mod store;
+mod store;
 
 pub use axis::{walk, Axis};
-pub use document::{DocId, DocParts, DocPartsOwned, Document, DocumentBuilder, NodeId, NO_NODE};
-pub use store::{DocResolver, Lease, NodeRef, Store};
+pub use document::{DocId, DocPartsOwned, Document, DocumentBuilder, NodeId, NO_NODE};
+pub use store::{Lease, NodeRef, Store};

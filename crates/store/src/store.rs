@@ -96,7 +96,7 @@ impl StoreInner {
 /// try to materialize one (e.g. reload it from a durable segment) and
 /// return a lease on it. `Ok(None)` means "genuinely absent"; an error
 /// (a quarantined segment's `XQRL0006`, say) propagates to the query.
-pub type DocResolver = dyn Fn(&str) -> Result<Option<Lease>> + Send + Sync;
+pub(crate) type DocResolver = dyn Fn(&str) -> Result<Option<Lease>> + Send + Sync;
 
 /// A shared collection of documents. A document lives while someone
 /// holds it ([`Lease`]): the store itself for the documents it keeps,
@@ -117,7 +117,7 @@ impl Store {
         Self::with_names(Arc::new(NamePool::new()))
     }
 
-    pub fn with_names(names: Arc<NamePool>) -> Arc<Store> {
+    pub(crate) fn with_names(names: Arc<NamePool>) -> Arc<Store> {
         Arc::new(Store {
             names,
             inner: RwLock::new(StoreInner::default()),

@@ -487,13 +487,6 @@ impl SubscriptionRegistry {
         })
     }
 
-    /// Does the current subscription set contain non-streamable
-    /// queries? (The service pre-materializes through its catalog only
-    /// when true.)
-    pub fn needs_fallback_doc(&self) -> bool {
-        !self.plan().fallback.is_empty()
-    }
-
     /// Start a *chunked* publish: the returned session accepts the
     /// document as byte chunks split at any boundary and matches
     /// streamable subscriptions incrementally, while bytes are still
@@ -621,11 +614,6 @@ impl PublishSession {
     fn fail<T>(&mut self, e: Error) -> Result<T> {
         self.failed = Some(e.clone());
         Err(e)
-    }
-
-    /// The name this document is being published under.
-    pub fn document(&self) -> &str {
-        &self.document
     }
 
     /// Total bytes fed so far (for byte budgets and stats).

@@ -8,7 +8,7 @@
 
 use crate::iterator::TokenIterator;
 use crate::pool::StringPool;
-use crate::stream::{TokenStream, TokenStreamBuilder};
+use crate::stream::TokenStream;
 use crate::token::{StrId, Token};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -51,7 +51,8 @@ impl<'a> ParserTokenIterator<'a> {
 
     /// Bytes of input consumed so far — lets tests assert that results
     /// appear before the input is exhausted.
-    pub fn bytes_consumed(&self) -> usize {
+    #[cfg(test)]
+    fn bytes_consumed(&self) -> usize {
         self.reader.position()
     }
 
@@ -67,7 +68,7 @@ impl<'a> ParserTokenIterator<'a> {
 /// channel consumer — every path MUST produce identical token sequences
 /// (the chunked-vs-whole differential oracle depends on it). Returns true
 /// when the event ends the document.
-pub fn event_to_tokens(
+pub(crate) fn event_to_tokens(
     ev: &XmlEvent,
     names: &NamePool,
     pool: &mut StringPool,
@@ -198,33 +199,10 @@ impl TokenStream {
     }
 }
 
-/// Copy every token from `it` into a new materialized stream.
-pub fn materialize(it: &mut dyn TokenIterator, names: Arc<NamePool>) -> Result<TokenStream> {
-    let mut b = TokenStream::builder(names);
-    while let Some(t) = it.next_token()? {
-        let t = match t {
-            Token::Attribute(n, v) => Token::Attribute(n, b.intern_str(&it.pooled_str(v))),
-            Token::NamespaceDecl(p, u) => {
-                let p2 = b.intern_str(&it.pooled_str(p));
-                let u2 = b.intern_str(&it.pooled_str(u));
-                Token::NamespaceDecl(p2, u2)
-            }
-            Token::Text(s) => Token::Text(b.intern_str(&it.pooled_str(s))),
-            Token::Comment(s) => Token::Comment(b.intern_str(&it.pooled_str(s))),
-            Token::ProcessingInstruction(n, d) => {
-                Token::ProcessingInstruction(n, b.intern_str(&it.pooled_str(d)))
-            }
-            other => other,
-        };
-        b.push(t);
-    }
-    b.finish()
-}
-
 /// Convert a token iterator back into parser events (for serialization).
 /// Groups trailing `Attribute`/`NamespaceDecl` tokens into their
 /// `StartElement` event.
-pub fn tokens_to_events(it: &mut dyn TokenIterator) -> Result<Vec<XmlEvent>> {
+pub(crate) fn tokens_to_events(it: &mut dyn TokenIterator) -> Result<Vec<XmlEvent>> {
     let mut events: Vec<XmlEvent> = Vec::new();
     let mut pending: Option<(
         QName,
@@ -324,41 +302,6 @@ pub fn tokens_to_xml(it: &mut dyn TokenIterator, opts: WriterOptions) -> Result<
     Ok(w.into_string())
 }
 
-/// Push events into an existing builder (used by tree→tokens paths).
-pub fn push_event(b: &mut TokenStreamBuilder, ev: &XmlEvent) {
-    match ev {
-        XmlEvent::StartDocument => b.push(Token::StartDocument),
-        XmlEvent::EndDocument => b.push(Token::EndDocument),
-        XmlEvent::StartElement {
-            name,
-            attributes,
-            namespaces,
-            ..
-        } => {
-            b.start_element(name);
-            for d in namespaces {
-                let p = b.intern_str(d.prefix.as_deref().unwrap_or(""));
-                let u = b.intern_str(&d.uri);
-                b.push(Token::NamespaceDecl(p, u));
-            }
-            for a in attributes {
-                b.attribute(&a.name, &a.value);
-            }
-        }
-        XmlEvent::EndElement { .. } => b.end_element(),
-        XmlEvent::Text(t) => b.text(t),
-        XmlEvent::Comment(c) => {
-            let id = b.intern_str(c);
-            b.push(Token::Comment(id));
-        }
-        XmlEvent::ProcessingInstruction { target, data } => {
-            let tn = b.intern_name(&QName::local(target));
-            let dd = b.intern_str(data);
-            b.push(Token::ProcessingInstruction(tn, dd));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,15 +386,6 @@ mod tests {
             Token::StartElement(n) => assert_eq!(it.name(n).local_name(), "e"),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn materialize_matches_direct_build() {
-        let names = Arc::new(NamePool::new());
-        let mut it = ParserTokenIterator::new(DOC, names.clone());
-        let m = materialize(&mut it, names.clone()).unwrap();
-        let d = TokenStream::from_xml(DOC, names).unwrap();
-        assert_eq!(m.tokens(), d.tokens());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::token::{StrId, Token};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-use xqr_xdm::{NameId, QName, QueryGuard, Result};
+use xqr_xdm::{NameId, QName, Result};
 
 struct Shared<I: TokenIterator> {
     upstream: I,
@@ -22,9 +22,6 @@ struct Shared<I: TokenIterator> {
     /// How many tokens were pulled from upstream (== buf.len(); kept for
     /// instrumentation symmetry).
     pulled: usize,
-    /// Optional budget: each token held in the buffer charges the token
-    /// budget — the buffer is where unbounded memory would accumulate.
-    guard: Option<QueryGuard>,
 }
 
 impl<I: TokenIterator> Shared<I> {
@@ -35,9 +32,6 @@ impl<I: TokenIterator> Shared<I> {
         while self.buf.len() <= n && !self.done {
             match self.upstream.next_token()? {
                 Some(t) => {
-                    if let Some(guard) = &self.guard {
-                        guard.note_tokens(1)?;
-                    }
                     self.buf.push(t);
                     self.pulled += 1;
                 }
@@ -62,18 +56,8 @@ impl<I: TokenIterator> BufferFactory<I> {
                 buf: Vec::new(),
                 done: false,
                 pulled: 0,
-                guard: None,
             })),
         }
-    }
-
-    /// Guarded construction: every token retained in the shared buffer
-    /// charges `guard`'s token budget. Use when the upstream iterator is
-    /// not itself guarded, or to bound buffer growth specifically.
-    pub fn with_guard(upstream: I, guard: QueryGuard) -> Self {
-        let f = BufferFactory::new(upstream);
-        f.shared.borrow_mut().guard = Some(guard);
-        f
     }
 
     /// A fresh consumer starting at the beginning of the stream.
@@ -90,11 +74,6 @@ impl<I: TokenIterator> BufferFactory<I> {
     /// consumers run.
     pub fn upstream_pulled(&self) -> usize {
         self.shared.borrow().pulled
-    }
-
-    /// Current buffered token count.
-    pub fn buffered(&self) -> usize {
-        self.shared.borrow().buf.len()
     }
 }
 
@@ -202,7 +181,7 @@ mod tests {
         let mut c1 = f.consumer();
         c1.next_token().unwrap();
         c1.next_token().unwrap();
-        assert_eq!(f.buffered(), 2);
+        assert_eq!(f.upstream_pulled(), 2);
     }
 
     #[test]
@@ -229,31 +208,5 @@ mod tests {
         let mut c2 = f.consumer();
         let first = c2.next_token().unwrap().unwrap();
         assert_eq!(first, Token::StartDocument);
-    }
-
-    #[test]
-    fn token_budget_bounds_buffer_growth() {
-        use xqr_xdm::{ErrorCode, Limits, QueryGuard};
-        let guard = QueryGuard::new(Limits::unlimited().with_max_tokens(4));
-        let f = BufferFactory::with_guard(
-            ParserTokenIterator::new(DOC, Arc::new(NamePool::new())),
-            guard.clone(),
-        );
-        let mut c = f.consumer();
-        let err = loop {
-            match c.next_token() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("budget should trip before exhaustion"),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err.code, ErrorCode::Limit);
-        assert_eq!(guard.usage().tokens, 5);
-        // Replaying the buffered prefix charges nothing new.
-        let mut c2 = f.consumer();
-        for _ in 0..4 {
-            c2.next_token().unwrap();
-        }
-        assert_eq!(guard.usage().tokens, 5);
     }
 }

@@ -30,22 +30,20 @@
 //! assert!(matches!(it.next_token().unwrap(), Some(Token::StartElement(_)))); // <c>
 //! ```
 
-pub mod adapter;
-pub mod buffer;
+mod adapter;
+mod buffer;
 pub mod encode;
-pub mod iterator;
-pub mod pool;
-pub mod push;
-pub mod stream;
-pub mod token;
+mod iterator;
+mod pool;
+mod push;
+mod stream;
+mod token;
 
-pub use adapter::{
-    event_to_tokens, materialize, push_event, tokens_to_events, tokens_to_xml, ParserTokenIterator,
-};
-pub use buffer::{BufferFactory, BufferedIterator};
+pub use adapter::{tokens_to_xml, ParserTokenIterator};
+pub use buffer::BufferFactory;
 pub use encode::{decode, encode};
 pub use iterator::{drain, TokenIterator, TokenResolve};
 pub use pool::StringPool;
 pub use push::PushTokenizer;
-pub use stream::{StreamIterator, TokenStream, TokenStreamBuilder};
+pub use stream::TokenStream;
 pub use token::{StrId, Token};

@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// one pool belongs to one `TokenStream` under construction.
 ///
 /// Streaming consumers that resolve every id before pulling the next
-/// token can additionally call [`StringPool::recycle`] between tokens,
+/// token can additionally call `StringPool::recycle` between tokens,
 /// capping the pool at a working window instead of every unique string
 /// in the document.
 #[derive(Debug, Default, Clone)]
@@ -58,7 +58,7 @@ impl StringPool {
         &self.strings[self.idx(id)]
     }
 
-    pub fn get_arc(&self, id: StrId) -> Arc<str> {
+    pub(crate) fn get_arc(&self, id: StrId) -> Arc<str> {
         self.strings[self.idx(id)].clone()
     }
 
@@ -82,7 +82,7 @@ impl StringPool {
     /// ids before pulling the next token — so that pooled memory stays
     /// O(working window) on unbounded documents rather than O(every
     /// unique string seen).
-    pub fn recycle(&mut self) {
+    pub(crate) fn recycle(&mut self) {
         self.base = self
             .base
             .checked_add(self.strings.len() as u32)
@@ -156,7 +156,7 @@ mod tests {
         assert_eq!(p.payload_bytes(), 10);
 
         p.recycle();
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
         assert_eq!(p.payload_bytes(), 0);
 
         // New ids live above the watermark; the old id is dead, not

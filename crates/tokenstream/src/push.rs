@@ -93,8 +93,8 @@ impl PushTokenizer {
     }
 
     /// Next completed token. `Ok(None)` means either "need more input"
-    /// (see [`PushTokenizer::is_done`]) or, after the `EndDocument`
-    /// token has been delivered, end of stream.
+    /// or, after the `EndDocument` token has been delivered, end of
+    /// stream.
     pub fn poll_token(&mut self) -> Result<Option<Token>> {
         self.check_failed()?;
         // With the queue drained, no outstanding token can reference
@@ -130,24 +130,9 @@ impl PushTokenizer {
         Ok(t)
     }
 
-    /// The document's final token has been produced (and, once
-    /// `poll_token` has returned it, the stream is fully drained).
-    pub fn is_done(&self) -> bool {
-        self.done && self.queue.is_empty()
-    }
-
-    /// Absolute bytes of input consumed by completed events.
-    pub fn bytes_consumed(&self) -> usize {
-        self.reader.position()
-    }
-
     /// Bytes buffered awaiting a complete syntactic unit.
     pub fn buffered_bytes(&self) -> usize {
         self.reader.buffered_bytes()
-    }
-
-    pub fn names(&self) -> &Arc<NamePool> {
-        &self.names
     }
 }
 
@@ -211,7 +196,6 @@ mod tests {
         while let Some(tok) = t.poll_token().unwrap() {
             out.push(render(&tok, &t));
         }
-        assert!(t.is_done());
         out
     }
 

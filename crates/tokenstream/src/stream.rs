@@ -24,7 +24,7 @@ pub struct TokenStream {
 }
 
 impl TokenStream {
-    pub fn builder(names: Arc<NamePool>) -> TokenStreamBuilder {
+    pub(crate) fn builder(names: Arc<NamePool>) -> TokenStreamBuilder {
         TokenStreamBuilder {
             stream: TokenStream {
                 names,
@@ -52,20 +52,20 @@ impl TokenStream {
         &self.pool
     }
 
-    pub fn get(&self, idx: usize) -> Option<Token> {
+    pub(crate) fn get(&self, idx: usize) -> Option<Token> {
         self.tokens.get(idx).copied()
     }
 
-    pub fn str(&self, id: StrId) -> &str {
+    pub(crate) fn str(&self, id: StrId) -> &str {
         self.pool.get(id)
     }
 
-    pub fn name(&self, id: NameId) -> &QName {
+    pub(crate) fn name(&self, id: NameId) -> &QName {
         self.names.resolve(id)
     }
 
     /// Index just past the subtree opened at `idx`.
-    pub fn skip_target(&self, idx: usize) -> usize {
+    pub(crate) fn skip_target(&self, idx: usize) -> usize {
         self.skips[idx] as usize
     }
 
@@ -99,21 +99,21 @@ impl std::fmt::Debug for TokenStream {
 }
 
 /// Incremental builder that maintains the skip links.
-pub struct TokenStreamBuilder {
+pub(crate) struct TokenStreamBuilder {
     stream: TokenStream,
     open: Vec<usize>,
 }
 
 impl TokenStreamBuilder {
-    pub fn intern_str(&mut self, s: &str) -> StrId {
+    pub(crate) fn intern_str(&mut self, s: &str) -> StrId {
         self.stream.pool.intern(s)
     }
 
-    pub fn intern_name(&mut self, q: &QName) -> NameId {
+    pub(crate) fn intern_name(&mut self, q: &QName) -> NameId {
         self.stream.names.intern(q)
     }
 
-    pub fn push(&mut self, token: Token) {
+    pub(crate) fn push(&mut self, token: Token) {
         let idx = self.stream.tokens.len();
         self.stream.tokens.push(token);
         self.stream.skips.push(idx as u32 + 1);
@@ -127,27 +127,23 @@ impl TokenStreamBuilder {
     }
 
     /// Convenience for pushing a text token.
-    pub fn text(&mut self, s: &str) {
+    pub(crate) fn text(&mut self, s: &str) {
         let id = self.intern_str(s);
         self.push(Token::Text(id));
     }
 
-    pub fn start_element(&mut self, name: &QName) {
+    pub(crate) fn start_element(&mut self, name: &QName) {
         let id = self.intern_name(name);
         self.push(Token::StartElement(id));
     }
 
-    pub fn end_element(&mut self) {
-        self.push(Token::EndElement);
-    }
-
-    pub fn attribute(&mut self, name: &QName, value: &str) {
+    pub(crate) fn attribute(&mut self, name: &QName, value: &str) {
         let n = self.intern_name(name);
         let v = self.intern_str(value);
         self.push(Token::Attribute(n, v));
     }
 
-    pub fn finish(self) -> Result<TokenStream> {
+    pub(crate) fn finish(self) -> Result<TokenStream> {
         if !self.open.is_empty() {
             return Err(Error::internal(
                 "unbalanced token stream: unclosed subtrees",
@@ -165,11 +161,7 @@ pub struct StreamIterator<'s> {
     last: Option<usize>,
 }
 
-impl<'s> StreamIterator<'s> {
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-}
+impl<'s> StreamIterator<'s> {}
 
 impl<'s> TokenIterator for StreamIterator<'s> {
     fn next_token(&mut self) -> Result<Option<Token>> {
@@ -216,10 +208,10 @@ mod tests {
         b.start_element(&QName::local("a"));
         b.start_element(&QName::local("b"));
         b.text("x");
-        b.end_element();
+        b.push(Token::EndElement);
         b.start_element(&QName::local("c"));
-        b.end_element();
-        b.end_element();
+        b.push(Token::EndElement);
+        b.push(Token::EndElement);
         b.push(Token::EndDocument);
         b.finish().unwrap()
     }
@@ -299,7 +291,7 @@ mod tests {
         for _ in 0..100 {
             b.text("same-text-repeated");
         }
-        b.end_element();
+        b.push(Token::EndElement);
         b.push(Token::EndDocument);
         let s = b.finish().unwrap();
         // 100 text tokens but one pooled payload.

@@ -45,12 +45,6 @@ impl Token {
     pub fn closes(self) -> bool {
         matches!(self, Token::EndElement | Token::EndDocument)
     }
-
-    /// Tokens that attach to the preceding start tag rather than being
-    /// children.
-    pub fn is_tag_extra(self) -> bool {
-        matches!(self, Token::Attribute(..) | Token::NamespaceDecl(..))
-    }
 }
 
 #[cfg(test)]
@@ -71,8 +65,6 @@ mod tests {
     fn classification() {
         assert!(Token::StartElement(NameId(1)).opens());
         assert!(Token::EndElement.closes());
-        assert!(Token::Attribute(NameId(1), StrId(0)).is_tag_extra());
-        assert!(!Token::Text(StrId(0)).is_tag_extra());
         assert!(!Token::Text(StrId(0)).opens());
     }
 }

@@ -586,7 +586,7 @@ fn numeric_compare(a: &AtomicValue, b: &AtomicValue) -> Result<Option<Ordering>>
 }
 
 /// Parse `xs:integer` (optional sign, digits).
-pub fn parse_integer(s: &str) -> Result<i64> {
+pub(crate) fn parse_integer(s: &str) -> Result<i64> {
     let valid = {
         let t = s.strip_prefix(['+', '-']).unwrap_or(s);
         !t.is_empty() && t.bytes().all(|b| b.is_ascii_digit())
@@ -620,7 +620,7 @@ pub fn parse_double(s: &str) -> Result<f64> {
 
 /// XPath `fn:string` formatting for doubles/floats: plain decimal inside
 /// [1e-6, 1e18), scientific with canonical mantissa outside.
-pub fn fmt_float(v: f64, _is_float: bool) -> String {
+pub(crate) fn fmt_float(v: f64, _is_float: bool) -> String {
     if v.is_nan() {
         return "NaN".into();
     }

@@ -114,7 +114,7 @@ pub struct Duration {
 }
 
 impl Duration {
-    pub const ZERO: Duration = Duration {
+    pub(crate) const ZERO: Duration = Duration {
         months: 0,
         millis: 0,
     };
@@ -425,7 +425,7 @@ impl DateTime {
         }
     }
 
-    pub fn compare(&self, other: &DateTime, implicit_tz: TzOffset) -> Ordering {
+    pub(crate) fn compare(&self, other: &DateTime, implicit_tz: TzOffset) -> Ordering {
         self.timeline_millis(implicit_tz)
             .cmp(&other.timeline_millis(implicit_tz))
     }
@@ -509,7 +509,7 @@ impl fmt::Display for DateTime {
 }
 
 impl Date {
-    pub fn parse(s: &str) -> Result<Self> {
+    pub(crate) fn parse(s: &str) -> Result<Self> {
         let (tz, rest) = parse_tz(s)?;
         let (year, month, day) = parse_date_fields(rest)?;
         Ok(Date {
@@ -520,7 +520,7 @@ impl Date {
         })
     }
 
-    pub fn to_datetime(&self) -> DateTime {
+    pub fn to_datetime(self) -> DateTime {
         DateTime {
             year: self.year,
             month: self.month,
@@ -551,7 +551,7 @@ impl fmt::Display for Date {
 }
 
 impl Time {
-    pub fn parse(s: &str) -> Result<Self> {
+    pub(crate) fn parse(s: &str) -> Result<Self> {
         let (tz, rest) = parse_tz(s)?;
         let (hour, minute, second, millis) = parse_time_fields(rest)?;
         Ok(Time {
@@ -563,7 +563,7 @@ impl Time {
         })
     }
 
-    pub fn millis_of_day(&self, implicit_tz: TzOffset) -> i64 {
+    pub(crate) fn millis_of_day(&self, implicit_tz: TzOffset) -> i64 {
         let ms = self.hour as i64 * 3_600_000
             + self.minute as i64 * 60_000
             + self.second as i64 * 1000
@@ -571,7 +571,7 @@ impl Time {
         ms - self.tz.unwrap_or(implicit_tz) as i64 * 60_000
     }
 
-    pub fn compare(&self, other: &Time, implicit_tz: TzOffset) -> Ordering {
+    pub(crate) fn compare(&self, other: &Time, implicit_tz: TzOffset) -> Ordering {
         self.millis_of_day(implicit_tz)
             .cmp(&other.millis_of_day(implicit_tz))
     }
@@ -588,7 +588,7 @@ impl fmt::Display for Time {
 }
 
 impl Gregorian {
-    pub fn parse(kind: GregorianKind, s: &str) -> Result<Self> {
+    pub(crate) fn parse(kind: GregorianKind, s: &str) -> Result<Self> {
         let bad = || Error::value(format!("invalid gregorian lexical form: {s:?}"));
         let (tz, rest) = parse_tz(s)?;
         let mut g = Gregorian {

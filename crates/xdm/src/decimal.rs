@@ -11,7 +11,7 @@ use std::fmt;
 
 /// Maximum digits after the decimal point we keep. Division rounds
 /// (half-even) to this scale, everything else is exact or overflows.
-pub const MAX_SCALE: u32 = 18;
+pub(crate) const MAX_SCALE: u32 = 18;
 
 const POW10: [i128; 39] = {
     let mut t = [0i128; 39];
@@ -64,14 +64,6 @@ impl Decimal {
             self.scale -= 1;
         }
         self
-    }
-
-    pub fn coefficient(&self) -> i128 {
-        self.coeff
-    }
-
-    pub fn scale(&self) -> u32 {
-        self.scale
     }
 
     pub fn is_zero(&self) -> bool {
@@ -191,7 +183,7 @@ impl Decimal {
         Ok(d.normalize())
     }
 
-    /// Division rounds half-even at [`MAX_SCALE`] digits.
+    /// Division rounds half-even at `MAX_SCALE` digits.
     pub fn checked_div(self, other: Decimal) -> Result<Decimal> {
         if other.is_zero() {
             return Err(Error::new(
@@ -370,13 +362,8 @@ impl Decimal {
     }
 
     /// Truncate toward zero to an i64 (used for casts to integer types).
-    pub fn trunc_to_i128(self) -> i128 {
+    pub(crate) fn trunc_to_i128(self) -> i128 {
         self.coeff / POW10[self.scale as usize]
-    }
-
-    /// True when the value has no fractional part.
-    pub fn is_integral(self) -> bool {
-        self.scale == 0 || self.coeff % POW10[self.scale as usize] == 0
     }
 }
 
@@ -539,10 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn integral_checks() {
-        assert!(d("5").is_integral());
-        assert!(d("5.0").is_integral());
-        assert!(!d("5.1").is_integral());
+    fn truncation() {
         assert_eq!(d("5.9").trunc_to_i128(), 5);
         assert_eq!(d("-5.9").trunc_to_i128(), -5);
     }

@@ -37,7 +37,7 @@ pub trait MemorySink: Send + Sync {
 
 /// How many budget charges happen between deadline (clock) polls.
 /// Must be a power of two; the check is `count & (STRIDE-1) == 0`.
-pub const DEADLINE_STRIDE: u64 = 256;
+pub(crate) const DEADLINE_STRIDE: u64 = 256;
 
 /// Resource limits for one query execution. `None` means unlimited; the
 /// default is fully unlimited so embedders opt in per deployment.
@@ -198,10 +198,6 @@ impl QueryGuard {
         QueryGuard::new(Limits::unlimited())
     }
 
-    pub fn limits(&self) -> &Limits {
-        &self.inner.limits
-    }
-
     /// True when no limit is set and cancellation is impossible to
     /// trigger... which it never is (a handle may exist), so this only
     /// reports whether the *limits* are all absent. Hot loops still
@@ -214,10 +210,6 @@ impl QueryGuard {
         CancelHandle {
             inner: self.inner.clone(),
         }
-    }
-
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Relaxed);
     }
 
     pub fn is_cancelled(&self) -> bool {

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 /// Number of buckets: `2^39` microseconds is ~6.4 days, far beyond any
 /// query deadline; larger samples clamp into the last bucket.
-pub const HISTOGRAM_BUCKETS: usize = 40;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 40;
 
 /// A concurrent histogram of durations with log2 microsecond buckets.
 #[derive(Debug)]
@@ -69,7 +69,7 @@ impl LatencyHistogram {
 
     /// The quantile `q` in `[0, 1]`, reported as the upper bound of the
     /// bucket holding that rank. Returns zero when no samples exist.
-    pub fn quantile(&self, q: f64) -> Duration {
+    pub(crate) fn quantile(&self, q: f64) -> Duration {
         let counts: Vec<u64> = self
             .buckets
             .iter()

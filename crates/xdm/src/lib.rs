@@ -9,22 +9,22 @@
 //! Everything above (parser, TokenStream, store, compiler, runtime) speaks
 //! in these types; nothing here depends on any other workspace crate.
 
-pub mod atomic;
-pub mod datetime;
-pub mod decimal;
-pub mod error;
-pub mod guard;
-pub mod histogram;
-pub mod node;
-pub mod qname;
-pub mod types;
+mod atomic;
+mod datetime;
+mod decimal;
+mod error;
+mod guard;
+mod histogram;
+mod node;
+mod qname;
+mod types;
 
-pub use atomic::{fmt_float, parse_double, parse_integer, AtomicType, AtomicValue};
-pub use datetime::{Date, DateTime, Duration, Gregorian, GregorianKind, Time, TzOffset};
+pub use atomic::{parse_double, AtomicType, AtomicValue};
+pub use datetime::{DateTime, Duration, TzOffset};
 pub use decimal::Decimal;
 pub use error::{Error, ErrorCode, Result};
 pub use guard::{CancelHandle, GuardUsage, Limits, MemorySink, QueryGuard};
-pub use histogram::{LatencyHistogram, HISTOGRAM_BUCKETS};
+pub use histogram::LatencyHistogram;
 pub use node::NodeKind;
 pub use qname::{NameId, NamePool, QName};
 pub use types::{ItemType, NameTest, Occurrence, SequenceType};

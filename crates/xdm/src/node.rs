@@ -21,7 +21,7 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// The `node-kind` accessor string from the data-model slides.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             NodeKind::Document => "document",
             NodeKind::Element => "element",
@@ -31,17 +31,6 @@ impl NodeKind {
             NodeKind::ProcessingInstruction => "processing-instruction",
             NodeKind::Comment => "comment",
         }
-    }
-
-    /// Kinds that can appear as children of an element/document.
-    pub fn is_child_kind(self) -> bool {
-        matches!(
-            self,
-            NodeKind::Element
-                | NodeKind::Text
-                | NodeKind::Comment
-                | NodeKind::ProcessingInstruction
-        )
     }
 
     /// Kinds that carry a name.
@@ -68,9 +57,6 @@ mod tests {
 
     #[test]
     fn kind_properties() {
-        assert!(NodeKind::Element.is_child_kind());
-        assert!(!NodeKind::Attribute.is_child_kind());
-        assert!(!NodeKind::Document.is_child_kind());
         assert!(NodeKind::Element.is_named());
         assert!(NodeKind::ProcessingInstruction.is_named());
         assert!(!NodeKind::Text.is_named());

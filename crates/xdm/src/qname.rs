@@ -72,7 +72,7 @@ impl QName {
     }
 
     /// Clark notation `{uri}local`, convenient for diagnostics.
-    pub fn clark(&self) -> String {
+    pub(crate) fn clark(&self) -> String {
         match &self.ns {
             Some(ns) => format!("{{{}}}{}", ns, self.local),
             None => self.local.to_string(),

@@ -31,7 +31,7 @@ impl Occurrence {
     }
 
     /// Is every cardinality allowed by `self` also allowed by `other`?
-    pub fn is_sub(self, other: Occurrence) -> bool {
+    pub(crate) fn is_sub(self, other: Occurrence) -> bool {
         use Occurrence::*;
         match (self, other) {
             (a, b) if a == b => true,
@@ -43,7 +43,7 @@ impl Occurrence {
     }
 
     /// Cardinality of the concatenation of two sequences.
-    pub fn concat(self, other: Occurrence) -> Occurrence {
+    pub(crate) fn concat(self, other: Occurrence) -> Occurrence {
         use Occurrence::*;
         match (self, other) {
             (One, _) | (_, One) | (OneOrMore, _) | (_, OneOrMore) => OneOrMore,
@@ -52,7 +52,7 @@ impl Occurrence {
     }
 
     /// Least upper bound: the loosest of the two.
-    pub fn union(self, other: Occurrence) -> Occurrence {
+    pub(crate) fn union(self, other: Occurrence) -> Occurrence {
         use Occurrence::*;
         match (self, other) {
             (a, b) if a == b => a,
@@ -73,7 +73,7 @@ impl Occurrence {
         }
     }
 
-    pub fn indicator(self) -> &'static str {
+    pub(crate) fn indicator(self) -> &'static str {
         match self {
             Occurrence::One => "",
             Occurrence::Optional => "?",
@@ -90,14 +90,7 @@ pub enum NameTest {
     Name(QName),
 }
 
-impl NameTest {
-    pub fn matches(&self, name: &QName) -> bool {
-        match self {
-            NameTest::Any => true,
-            NameTest::Name(q) => q == name,
-        }
-    }
-}
+impl NameTest {}
 
 /// The item-type component of a sequence type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -132,7 +125,7 @@ impl ItemType {
     }
 
     /// Structural subtyping between item types.
-    pub fn is_subtype_of(&self, other: &ItemType) -> bool {
+    pub(crate) fn is_subtype_of(&self, other: &ItemType) -> bool {
         use ItemType::*;
         match (self, other) {
             (_, AnyItem) => true,

@@ -8,10 +8,10 @@
 //! random trees for the structural-join experiments. Everything is
 //! seeded: the same parameters always produce the same document.
 
-pub mod bib;
-pub mod ebxml;
-pub mod random;
-pub mod xmark;
+mod bib;
+mod ebxml;
+mod random;
+mod xmark;
 
 pub use bib::bibliography;
 pub use ebxml::trading_partners;

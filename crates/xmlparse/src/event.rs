@@ -48,12 +48,4 @@ pub enum XmlEvent {
     },
 }
 
-impl XmlEvent {
-    pub fn is_start_element(&self) -> bool {
-        matches!(self, XmlEvent::StartElement { .. })
-    }
-
-    pub fn is_end_element(&self) -> bool {
-        matches!(self, XmlEvent::EndElement { .. })
-    }
-}
+impl XmlEvent {}

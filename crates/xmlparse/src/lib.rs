@@ -9,14 +9,10 @@
 //! Deliberately out of scope (per DESIGN.md): DTD entity definitions and
 //! external subsets (skipped, never fetched), XML 1.1.
 
-pub mod event;
-pub mod reader;
-pub mod serialize;
+mod event;
+mod reader;
+mod serialize;
 
 pub use event::{Attribute, NamespaceDecl, XmlEvent};
-pub use reader::{
-    is_name_char, is_name_start, parse_events, parse_events_chunked, XmlReader, XML_NS,
-};
-pub use serialize::{
-    escape_attr, escape_text, reserialize, serialize_events, TreeWriter, WriterOptions, XmlWriter,
-};
+pub use reader::{is_name_char, is_name_start, XmlReader};
+pub use serialize::{reserialize, TreeWriter, WriterOptions, XmlWriter};

@@ -37,13 +37,13 @@ use std::ops::Range;
 use std::sync::Arc;
 use xqr_xdm::{Error, ErrorCode, QName, QueryGuard, Result};
 
-pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
+pub(crate) const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
 
 /// Hard cap on element nesting regardless of any [`QueryGuard`] limit:
 /// downstream consumers (store build, serializer) recurse over element
 /// structure, so unbounded depth is a stack-overflow vector. Deep enough
 /// for any sane document, far below any thread's stack budget.
-pub const DEFAULT_MAX_DEPTH: usize = 10_000;
+pub(crate) const DEFAULT_MAX_DEPTH: usize = 10_000;
 
 /// Resume point for an in-progress content scan, so that feeding a large
 /// text run / CDATA section / comment one small chunk at a time stays
@@ -844,20 +844,6 @@ impl XmlReader<'static> {
         }
     }
 
-    /// `feed` for callers that already hold validated text.
-    pub fn feed_str(&mut self, chunk: &str) -> Result<()> {
-        if !self.carry.is_empty() || !chunk.is_ascii() {
-            return self.feed(chunk.as_bytes());
-        }
-        assert!(
-            self.incremental,
-            "feed_str() requires XmlReader::incremental()"
-        );
-        assert!(!self.eof, "feed_str() after finish()");
-        self.buf.to_mut().push_str(chunk);
-        Ok(())
-    }
-
     fn append_utf8(&mut self, bytes: &[u8]) -> Result<()> {
         match std::str::from_utf8(bytes) {
             Ok(s) => {
@@ -963,7 +949,7 @@ pub fn is_name_char(c: char) -> bool {
 }
 
 /// Convenience: collect all events of a document, failing fast.
-pub fn parse_events(input: &str) -> Result<Vec<XmlEvent>> {
+pub(crate) fn parse_events(input: &str) -> Result<Vec<XmlEvent>> {
     let mut reader = XmlReader::new(input);
     let mut events = Vec::new();
     loop {
@@ -977,11 +963,10 @@ pub fn parse_events(input: &str) -> Result<Vec<XmlEvent>> {
 }
 
 /// [`parse_events`] over chunked input: feed each chunk in order, then
-/// finish. Used by tests and the differential oracle to check that
-/// chunk boundaries never change the result.
-pub fn parse_events_chunked<'c>(
-    chunks: impl IntoIterator<Item = &'c [u8]>,
-) -> Result<Vec<XmlEvent>> {
+/// finish. The tests' oracle that chunk boundaries never change the
+/// result.
+#[cfg(test)]
+fn parse_events_chunked<'c>(chunks: impl IntoIterator<Item = &'c [u8]>) -> Result<Vec<XmlEvent>> {
     let mut reader = XmlReader::incremental();
     let mut events = Vec::new();
     let drain = |reader: &mut XmlReader<'static>, events: &mut Vec<XmlEvent>| -> Result<bool> {
@@ -1040,8 +1025,14 @@ mod tests {
     #[test]
     fn empty_element_emits_balanced_events() {
         let evs = parse_events("<a><b/></a>").unwrap();
-        let starts = evs.iter().filter(|e| e.is_start_element()).count();
-        let ends = evs.iter().filter(|e| e.is_end_element()).count();
+        let starts = evs
+            .iter()
+            .filter(|e| matches!(e, XmlEvent::StartElement { .. }))
+            .count();
+        let ends = evs
+            .iter()
+            .filter(|e| matches!(e, XmlEvent::EndElement { .. }))
+            .count();
         assert_eq!(starts, 2);
         assert_eq!(ends, 2);
     }
@@ -1160,7 +1151,9 @@ mod tests {
     fn prolog_is_skipped() {
         let doc = "<?xml version=\"1.0\"?>\n<!DOCTYPE a [<!ENTITY x \"y\">]>\n<!-- hi -->\n<a/>";
         let evs = parse_events(doc).unwrap();
-        assert!(evs.iter().any(|e| e.is_start_element()));
+        assert!(evs
+            .iter()
+            .any(|e| matches!(e, XmlEvent::StartElement { .. })));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::event::XmlEvent;
 use xqr_xdm::{Error, QName, Result};
 
 /// Escape character data content.
-pub fn escape_text(s: &str, out: &mut String) {
+pub(crate) fn escape_text(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '<' => out.push_str("&lt;"),
@@ -19,7 +19,7 @@ pub fn escape_text(s: &str, out: &mut String) {
 }
 
 /// Escape attribute values (double-quote delimited).
-pub fn escape_attr(s: &str, out: &mut String) {
+pub(crate) fn escape_attr(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '<' => out.push_str("&lt;"),
@@ -282,7 +282,7 @@ impl TreeWriter for XmlWriter {
 }
 
 /// Serialize a whole event stream to a string.
-pub fn serialize_events<'a>(
+pub(crate) fn serialize_events<'a>(
     events: impl IntoIterator<Item = &'a XmlEvent>,
     opts: WriterOptions,
 ) -> Result<String> {

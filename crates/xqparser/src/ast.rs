@@ -12,7 +12,7 @@
 use xqr_xdm::{AtomicValue, QName, SequenceType};
 
 /// Source position (byte offset into the query text).
-pub type Pos = usize;
+pub(crate) type Pos = usize;
 
 /// Axes, re-exported shape-compatible with the store's axis enum but
 /// independent so the parser does not depend on the store.
@@ -36,7 +36,7 @@ pub enum AxisName {
 impl AxisName {
     /// Parse an axis name (not the `FromStr` trait: this is fallible
     /// without an error payload).
-    pub fn parse(s: &str) -> Option<AxisName> {
+    pub(crate) fn parse(s: &str) -> Option<AxisName> {
         Some(match s {
             "child" => AxisName::Child,
             "descendant" => AxisName::Descendant,
@@ -336,47 +336,6 @@ pub enum NameOrExpr {
 }
 
 impl Expr {
-    pub fn pos(&self) -> Pos {
-        use Expr::*;
-        match self {
-            Literal(_, p)
-            | VarRef(_, p)
-            | ContextItem(p)
-            | Sequence(_, p)
-            | Range(_, _, p)
-            | Arith(_, _, _, p)
-            | Neg(_, p)
-            | Comparison(_, _, _, p)
-            | And(_, _, p)
-            | Or(_, _, p)
-            | Union(_, _, p)
-            | Intersect(_, _, p)
-            | Except(_, _, p)
-            | Path(_, _, p)
-            | Root(p)
-            | Filter(_, _, p)
-            | FunctionCall(_, _, p)
-            | InstanceOf(_, _, p)
-            | CastAs(_, _, p)
-            | CastableAs(_, _, p)
-            | TreatAs(_, _, p)
-            | ComputedText(_, p)
-            | ComputedComment(_, p)
-            | ComputedDocument(_, p)
-            | Ordered(_, p)
-            | Unordered(_, p) => *p,
-            AxisStep { pos, .. }
-            | Flwor { pos, .. }
-            | Quantified { pos, .. }
-            | If { pos, .. }
-            | Typeswitch { pos, .. }
-            | DirectElement { pos, .. }
-            | ComputedElement { pos, .. }
-            | ComputedAttribute { pos, .. }
-            | ComputedPi { pos, .. } => *pos,
-        }
-    }
-
     /// The empty sequence `()`.
     pub fn empty(pos: Pos) -> Expr {
         Expr::Sequence(Vec::new(), pos)

@@ -14,6 +14,5 @@ pub mod printer;
 #[cfg(test)]
 mod tests;
 
-pub use ast::*;
-pub use parser::{parse_expr, parse_query, FN_NS, LOCAL_NS, XDT_NS, XS_NS};
-pub use printer::{print_expr, print_module};
+pub use parser::{parse_query, FN_NS, XDT_NS, XS_NS};
+pub use printer::print_module;

@@ -17,8 +17,8 @@ use xqr_xdm::{
 pub const XS_NS: &str = "http://www.w3.org/2001/XMLSchema";
 pub const XDT_NS: &str = "http://www.w3.org/2003/11/xpath-datatypes";
 pub const FN_NS: &str = "http://www.w3.org/2003/11/xpath-functions";
-pub const LOCAL_NS: &str = "http://www.w3.org/2003/11/xquery-local-functions";
-pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
+pub(crate) const LOCAL_NS: &str = "http://www.w3.org/2003/11/xquery-local-functions";
+pub(crate) const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
 
 /// Parse a complete query (prolog + body).
 ///
@@ -28,12 +28,6 @@ pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
 /// only nesting limit, independent of the caller's stack.
 pub fn parse_query(src: &str) -> Result<Module> {
     xqr_faults::deep_stack::on_deep_stack(|| Parser::new(src).parse_module())
-}
-
-/// Parse a standalone expression (no prolog) — convenient in tests.
-pub fn parse_expr(src: &str) -> Result<Expr> {
-    let module = parse_query(src)?;
-    Ok(module.body)
 }
 
 struct NsBinding {

@@ -135,7 +135,7 @@ fn print_literal(v: &AtomicValue) -> String {
 }
 
 /// Render one expression.
-pub fn print_expr(e: &Expr) -> String {
+pub(crate) fn print_expr(e: &Expr) -> String {
     match e {
         Expr::Literal(v, _) => print_literal(v),
         Expr::VarRef(q, _) => format!("${}", q.lexical()),

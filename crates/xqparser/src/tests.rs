@@ -1,8 +1,13 @@
 //! Parser unit tests, organized by language area.
 
 use crate::ast::*;
-use crate::parser::{parse_expr, parse_query, FN_NS, XS_NS};
+use crate::parser::{parse_query, FN_NS, XS_NS};
 use xqr_xdm::{AtomicValue, ErrorCode, ItemType, Occurrence, QName, SequenceType};
+
+/// Parse a standalone expression (no prolog).
+fn parse_expr(src: &str) -> xqr_xdm::Result<Expr> {
+    Ok(parse_query(src)?.body)
+}
 
 fn p(src: &str) -> Expr {
     parse_expr(src).unwrap_or_else(|e| panic!("parse {src:?}: {e}"))

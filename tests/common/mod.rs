@@ -8,7 +8,11 @@ use xqr::{DynamicContext, Engine, Item, PreparedQuery, QueryGuard, Result};
 /// reference) and serialized as it runs (`execute_serialized`, what the
 /// service answers with): the two must agree on the bytes or on the
 /// error code. Returns the agreed outcome.
-pub fn both_legs(engine: &Engine, plan: &PreparedQuery, ctx: &DynamicContext) -> Result<String> {
+pub(crate) fn both_legs(
+    engine: &Engine,
+    plan: &PreparedQuery,
+    ctx: &DynamicContext,
+) -> Result<String> {
     let materialized = plan
         .execute(engine, ctx)
         .and_then(|result| result.serialize_guarded());
@@ -25,13 +29,13 @@ pub fn both_legs(engine: &Engine, plan: &PreparedQuery, ctx: &DynamicContext) ->
 }
 
 /// [`both_legs`] for a query text with an empty context.
-pub fn query_both(engine: &Engine, query: &str) -> Result<String> {
+pub(crate) fn query_both(engine: &Engine, query: &str) -> Result<String> {
     both_legs(engine, &engine.compile(query)?, &DynamicContext::new())
 }
 
 /// [`both_legs`] with `xml` as the context document, leased for the
 /// call as `Engine::query_xml` does.
-pub fn query_xml_both(engine: &Engine, xml: &str, query: &str) -> Result<String> {
+pub(crate) fn query_xml_both(engine: &Engine, xml: &str, query: &str) -> Result<String> {
     let plan = engine.compile(query)?;
     let doc = engine.store().lease_xml(xml, None)?;
     both_legs(
