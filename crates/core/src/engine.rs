@@ -6,7 +6,7 @@ use std::sync::Arc;
 use xqr_compiler::{compile, CompileOptions, CompiledQuery};
 use xqr_runtime::{
     evaluate, pull, serialize_sequence, CombinedAutomaton, CombinedRun, Counters, DynamicContext,
-    ExecState, Item, ParallelConfig, Reply, RuntimeOptions, ScanCache, Sequence, StreamPattern,
+    ExecState, Item, Reply, RuntimeOptions, ScanCache, Sequence, StreamPattern,
     StreamStats,
 };
 use xqr_store::{DocId, Lease, NodeRef, Store};
@@ -109,12 +109,6 @@ impl EngineOptions {
         format!("{:?}", self.compile).hash(&mut h);
         format!("{:?}", self.runtime).hash(&mut h);
         h.finish()
-    }
-
-    /// Set the morsel-parallel join configuration (builder form).
-    pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.runtime.parallel = parallel;
-        self
     }
 }
 
@@ -368,7 +362,6 @@ impl PreparedQuery {
             None => text.push_str("streamable: false\n"),
         }
         text.push_str(&format!("limits: {}\n", self.runtime.limits));
-        text.push_str(&format!("parallel: {}\n", self.runtime.parallel));
         text
     }
 
@@ -802,30 +795,14 @@ mod tests {
     }
 
     #[test]
-    fn explain_reports_parallel_config() {
-        let engine = Engine::new();
-        let q = engine.compile("1").unwrap();
-        assert!(
-            q.explain().contains("parallel: on (morsels: auto"),
-            "{}",
-            q.explain()
-        );
-        let engine = Engine::with_options(
-            EngineOptions::default().with_parallel(xqr_runtime::ParallelConfig::off()),
-        );
-        assert!(!engine.options().runtime.parallel.enabled);
-        let q = engine.compile("1").unwrap();
-        assert!(q.explain().contains("parallel: off"), "{}", q.explain());
-    }
-
-    #[test]
-    fn parallel_config_perturbs_fingerprint() {
-        let on = EngineOptions::default();
-        let off = EngineOptions::default().with_parallel(xqr_runtime::ParallelConfig::off());
-        assert_ne!(on.fingerprint(), off.fingerprint());
+    fn runtime_options_perturb_fingerprint() {
+        let plain = EngineOptions::default();
+        let mut memo = EngineOptions::default();
+        memo.runtime.memoize_functions = true;
+        assert_ne!(plain.fingerprint(), memo.fingerprint());
         // The engine's cached print is the print of the options it
         // actually runs with.
-        let engine = Engine::with_options(off);
+        let engine = Engine::with_options(memo);
         assert_eq!(engine.fingerprint(), engine.options().fingerprint());
     }
 

@@ -4,8 +4,8 @@
 //! spend kilobytes of stack per nesting level, so both need far more
 //! than the 2 MiB a spawned thread gets by default. Instead of starting
 //! a fresh thread per parse or per execution, the long-lived threads
-//! that run queries — the `WorkerPool` workers of the service and of the
-//! morsel pool — are started deep once with [`spawn_deep`], and
+//! that run queries — the service's `WorkerPool` workers — are started
+//! deep once with [`spawn_deep`], and
 //! [`on_deep_stack`] runs work in place on them. Only callers on some
 //! other thread (an embedder calling `Engine::query` directly, a test)
 //! pay for one scoped deep thread per call.

@@ -44,16 +44,13 @@
 //! schedule follows the work to every thread it changes to. Each
 //! hand-off captures [`current`] on the handing-off thread and
 //! [`enter`](FaultScope::enter)s it on the receiving thread for the
-//! duration of the hand-off. A service query crosses two:
-//!
-//! 1. `WorkerPool::submit_governed` (`xqr-parallel`) — captured at
-//!    submission, entered by the worker around the job, its `expire`
-//!    notifier and its publish closure. This is how a schedule
-//!    installed by a client thread reaches a service worker.
-//! 2. The morsel submit in `parallel_twig_stack` (`xqr-parallel`) — the
-//!    morsels go through `morsel_pool().submit`, i.e. through (1), so
-//!    the process-wide morsel pool runs each morsel under the schedule
-//!    of the query that split, and no other.
+//! duration of the hand-off. A service query crosses one:
+//! `WorkerPool::submit_governed` (`xqr-parallel`) captures it at
+//! submission, and the worker enters it around the job, its `expire`
+//! notifier and its publish closure. This is how a schedule installed
+//! by a client thread reaches a service worker. (The morsel kernel's
+//! pool submits go through the same hand-off, so its morsels run under
+//! the schedule of the join that split.)
 //!
 //! Parsing and evaluation need a deep stack, which [`deep_stack`] owns.
 //! Pool workers are started deep, so on them parse and evaluation run

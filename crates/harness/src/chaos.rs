@@ -61,7 +61,6 @@ pub const SITES: SiteWeights = SiteWeights {
         "catalog.load",
         "plans.insert",
         "pool.dispatch",
-        "parallel.morsel",
         "subscribe.deliver",
         "ingest.chunk",
         "ingest.flush",
@@ -92,10 +91,6 @@ impl ChaosRunner {
         let limits = case_limits();
         let mut options = EngineOptions::default();
         options.runtime.limits = limits;
-        // Force the morsel executor on (split even tiny lists, 3 ways)
-        // so the `parallel.morsel` site actually fires on the suite's
-        // small documents — default heuristics would run them serially.
-        options.runtime.parallel = xqr_runtime::ParallelConfig::forced(3);
         let service = QueryService::new(ServiceConfig {
             engine: options.clone(),
             plan_cache_capacity: 64,

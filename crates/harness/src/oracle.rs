@@ -49,8 +49,8 @@ pub enum CaseVerdict {
 
 #[derive(Debug)]
 pub struct Divergence {
-    /// Which leg disagreed (`optimized`, `indexed`, `parallel`,
-    /// `service`, `service-cached`, `streaming`).
+    /// Which leg disagreed (`optimized`, `indexed`, `service`,
+    /// `service-cached`, `streaming`).
     pub leg: &'static str,
     pub reference: Outcome,
     pub actual: Outcome,
@@ -77,7 +77,6 @@ pub struct Oracle {
     ref_options: EngineOptions,
     opt_options: EngineOptions,
     idx_options: EngineOptions,
-    par_options: EngineOptions,
     service: QueryService,
     case_no: u64,
 }
@@ -114,19 +113,6 @@ impl Oracle {
             index_documents: true,
             ..opt_options.clone()
         };
-        // Parallel leg: the indexed leg with morsel splitting *forced*
-        // (3 morsels, no minimum input size), so even tiny fuzz
-        // documents exercise label-range partitioning, boundary
-        // replication and the document-order merge. Output must be
-        // byte-identical to the serial legs.
-        let par_options = EngineOptions {
-            runtime: RuntimeOptions {
-                limits,
-                parallel: xqr_runtime::ParallelConfig::forced(3),
-                ..Default::default()
-            },
-            ..idx_options.clone()
-        };
         let service = QueryService::new(ServiceConfig {
             engine: opt_options.clone(),
             // Small on purpose: a few hundred distinct queries per run
@@ -148,7 +134,6 @@ impl Oracle {
             ref_options,
             opt_options,
             idx_options,
-            par_options,
             service,
             case_no: 0,
         }
@@ -212,12 +197,6 @@ impl Oracle {
         // actually fire instead of falling back.
         let indexed = run_engine(&self.idx_options, query, xml);
         compare("indexed", reference, &indexed)?;
-
-        // Parallel: the indexed leg again with forced morsel splitting —
-        // the parallel-vs-serial differential. Byte-for-byte agreement
-        // with the reference is required, exactly like every other leg.
-        let parallel = run_engine(&self.par_options, query, xml);
-        compare("parallel", reference, &parallel)?;
 
         // Service legs: same plan text twice — the second run is a plan
         // cache hit by construction (capacity 64 ≫ 1 case in flight).

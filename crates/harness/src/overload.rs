@@ -19,7 +19,7 @@
 //!    `dropped_expired + executed == admitted` at the service level;
 //! 4. **return to Green** — once load stops, the pressure state walks
 //!    back to Green and every transient ledger category (sessions,
-//!    channels, query output, publish buffers, morsels) drains to
+//!    channels, query output, publish buffers) drains to
 //!    zero bytes. Brownout is a mode, not a ratchet. The resident
 //!    categories close as well: the ledger's catalog share equals the
 //!    catalog's own byte count, and nothing stays charged once the
@@ -98,7 +98,6 @@ const TRANSIENT: &[Category] = &[
     Category::ChunkSessions,
     Category::IngestChannels,
     Category::Subscriptions,
-    Category::MorselBuffers,
     Category::QueryOutput,
 ];
 

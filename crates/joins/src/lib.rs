@@ -40,4 +40,4 @@ pub use navigate::{enumerate_matches, matches_of_node};
 pub use pathstack::path_stack;
 pub use stacktree::{mpmgjn, nested_loop, normalize, stack_tree_anc, stack_tree_desc, JoinKind};
 pub use twig::{EdgeKind, TwigPattern};
-pub use twigstack::{twig_stack, twig_stack_on, TwigStats};
+pub use twigstack::{guard_tick, twig_stack, twig_stack_on, TwigStats};

@@ -11,7 +11,7 @@ use crate::pathstack;
 use crate::twig::{EdgeKind, TwigPattern};
 use std::collections::HashMap;
 use xqr_store::NodeId;
-use xqr_xdm::Result;
+use xqr_xdm::{Error, QueryGuard, Result};
 
 /// Instrumentation for the optimality claims.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -187,10 +187,41 @@ pub fn twig_stack(twig: &TwigPattern, lists: &[Vec<Labeled>]) -> (Vec<Vec<NodeId
     twig_stack_on(twig, &slices, &mut || Ok(())).expect("twig_stack with a no-op tick cannot fail")
 }
 
+/// Join advances between cancellation polls in [`guard_tick`]. The flag
+/// is an atomic, but even an uncontended load per advance is measurable
+/// on microsecond joins; strided, the tick is a counter increment and a
+/// predictable branch almost always.
+const CANCEL_STRIDE: u32 = 16;
+
+/// Join advances between full guard polls (cancellation and deadline)
+/// in [`guard_tick`]: a multiple of [`CANCEL_STRIDE`], so the check
+/// actually fires, and below the guard's own deadline stride.
+const DEADLINE_STRIDE: u32 = 64;
+
+/// The [`twig_stack_on`] tick that keeps a join under `guard`: every
+/// 16th advance polls cancellation (`err:XQRL0003`), every 64th also the
+/// deadline (`err:XQRL0002`).
+pub fn guard_tick(guard: &QueryGuard) -> impl FnMut() -> Result<()> + '_ {
+    let mut n: u32 = 0;
+    move || {
+        n = n.wrapping_add(1);
+        if !n.is_multiple_of(CANCEL_STRIDE) {
+            return Ok(());
+        }
+        if guard.is_cancelled() {
+            return Err(Error::cancelled("query cancelled by embedder"));
+        }
+        if n.is_multiple_of(DEADLINE_STRIDE) {
+            guard.check_startup()?;
+        }
+        Ok(())
+    }
+}
+
 /// [`twig_stack`] over borrowed list windows with a cooperative
 /// interruption hook (`tick`, called once per main-loop iteration; an
-/// `Err` aborts the join) — the range-splittable form the morsel
-/// executor runs, one call per label-range slice of the inputs.
+/// `Err` aborts the join) — the form index-fed queries run under
+/// [`guard_tick`], and the morsel kernel once per label-range slice.
 pub fn twig_stack_on(
     twig: &TwigPattern,
     lists: &[&[Labeled]],

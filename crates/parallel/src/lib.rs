@@ -1,20 +1,20 @@
-//! # xqr-parallel — morsel-driven parallel structural joins
+//! # xqr-parallel — worker pool, poison-recovering locks, morsel kernel
 //!
-//! Intra-query parallelism for the index-fed PathStack/TwigStack
-//! access path. The containment-label scheme makes structural joins
-//! range-partitionable: every witness of a twig match starts inside its
-//! root match's `(start, end]` interval, so splitting the outermost
-//! join input into contiguous label ranges yields morsels that can run
-//! on independent workers and merge back into exact document order —
-//! bit-identical to the serial join. See `morsel` for the partition
-//! and merge invariants, `pool` for the bounded worker set (shared
-//! with the query service's admission control), and `sync` for the
-//! poison-recovering locks underneath both.
+//! * `pool` — the bounded [`WorkerPool`] behind the query service's
+//!   admission control;
+//! * `sync` — [`lock_recover`] and friends, the poison-recovering locks
+//!   every service lock goes through (counted in [`lock_recoveries`]);
+//! * `morsel` — [`parallel_twig_stack`], the morsel-driven twig join of
+//!   experiment E18. The containment-label scheme makes structural
+//!   joins range-partitionable, so the outermost join input splits into
+//!   contiguous label ranges that run on independent workers and merge
+//!   back bit-identical to the serial join. It is measured off the query
+//!   path: queries run their twig joins serially.
 
 mod morsel;
 mod pool;
 mod sync;
 
-pub use morsel::{morsel_pool, parallel_stats, parallel_twig_stack, ParallelConfig, ParallelRun};
+pub use morsel::{parallel_twig_stack, ParallelConfig, ParallelRun};
 pub use pool::WorkerPool;
 pub use sync::{lock_recover, lock_recoveries, try_lock_recover};

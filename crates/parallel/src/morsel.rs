@@ -1,4 +1,6 @@
-//! The morsel-driven parallel join executor.
+//! The morsel-driven parallel join kernel: experiment E18, measured by
+//! the service benchmark's `parallel.*` rows and the `parallel` bench.
+//! Queries do not run it; they join serially on their own thread.
 //!
 //! Containment labels make label-range partitioning of the structural
 //! join inputs sound: every non-root witness of a twig match starts
@@ -12,13 +14,12 @@
 //! morsels' windows; tuples themselves are never duplicated because
 //! each tuple is attributed to the single morsel that owns its root.
 //!
-//! Morsels run on the process-wide bounded [`WorkerPool`]
-//! (the same machinery the query service uses for admission control),
-//! with the caller's thread always taking one morsel itself — a
+//! Morsels run on a process-wide bounded [`WorkerPool`], with the
+//! caller's thread always taking one morsel itself — a
 //! saturated pool degrades to inline execution, never to a deadlock or
 //! a spurious `err:XQRL0004`. Each morsel polls the execution's
-//! [`QueryGuard`] and a shared abort flag from inside the join loops
-//! ([`xqr_joins::twig_stack_on`]'s tick hook), so cancellation,
+//! [`QueryGuard`] ([`xqr_joins::guard_tick`]) and a shared abort flag
+//! from inside the join loops, so cancellation,
 //! deadlines and a failing sibling stop every worker within a bounded
 //! stride. The per-morsel outputs — each sorted and deduplicated, with
 //! pairwise-disjoint root sets ordered by label window — are merged
@@ -28,17 +29,14 @@
 
 use crate::pool::WorkerPool;
 use crate::sync::lock_recover;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
-use xqr_joins::{range_by_start, twig_stack_on, Labeled, TwigPattern, TwigStats};
+use xqr_joins::{guard_tick, range_by_start, twig_stack_on, Labeled, TwigPattern, TwigStats};
 use xqr_store::NodeId;
 use xqr_xdm::{Error, QueryGuard, Result};
 
 /// How the parallel executor splits index-fed structural joins.
 ///
-/// Carried inside the runtime options, so it participates in the
-/// engine-options fingerprint (plan caches key on it) and `explain`
-/// output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Master switch. Off = every join runs serially on the evaluation
@@ -99,37 +97,11 @@ impl ParallelConfig {
     }
 }
 
-impl std::fmt::Display for ParallelConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if !self.enabled {
-            return write!(f, "off");
-        }
-        if self.morsels == 0 {
-            write!(f, "on (morsels: auto, min-split: {})", self.min_split)
-        } else {
-            write!(
-                f,
-                "on (morsels: {}, min-split: {})",
-                self.morsels, self.min_split
-            )
-        }
-    }
-}
+/// Join-loop iterations between polls of the sibling-abort flag inside
+/// a morsel, the same cadence as [`guard_tick`]'s cancellation poll.
+const ABORT_STRIDE: u32 = 16;
 
-/// Join-loop iterations between abort/cancel flag polls inside a
-/// morsel. The flags are atomics, but even an uncontended load per
-/// kernel advance is measurable on microsecond joins — strided, the
-/// tick is a counter increment and a predictable branch almost always.
-const CANCEL_TICK_STRIDE: u32 = 16;
-
-/// Join-loop iterations between full guard polls (deadline/budget)
-/// inside a morsel. A multiple of [`CANCEL_TICK_STRIDE`] (so the check
-/// actually fires) and smaller than [`xqr_xdm::DEADLINE_STRIDE`], so a
-/// cancellation is observed by every morsel within the guard's own
-/// poll stride.
-const MORSEL_TICK_STRIDE: u32 = 64;
-
-/// What one [`parallel_twig_stack`] call did, for counters and explain.
+/// What one [`parallel_twig_stack`] call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelRun {
     /// Morsels executed (1 = the split was refused and the join ran
@@ -145,43 +117,13 @@ pub struct ParallelRun {
     pub stats: TwigStats,
 }
 
-/// Process-wide gauges for the parallel executor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelStats {
-    /// Joins that actually split into ≥ 2 morsels.
-    pub parallel_joins: u64,
-    /// Morsels executed, across all joins.
-    pub morsels_run: u64,
-    /// Morsels that ran inline on the calling thread.
-    pub morsels_inline: u64,
-    /// Joins that would have split but ran serially because the query's
-    /// guard carried the memory-pressure shed hint (brownout Yellow+).
-    pub joins_shed_pressure: u64,
-}
-
-static PARALLEL_JOINS: AtomicU64 = AtomicU64::new(0);
-static MORSELS_RUN: AtomicU64 = AtomicU64::new(0);
-static MORSELS_INLINE: AtomicU64 = AtomicU64::new(0);
-static JOINS_SHED_PRESSURE: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot the process-wide parallel-join gauges.
-pub fn parallel_stats() -> ParallelStats {
-    ParallelStats {
-        parallel_joins: PARALLEL_JOINS.load(Ordering::Relaxed),
-        morsels_run: MORSELS_RUN.load(Ordering::Relaxed),
-        morsels_inline: MORSELS_INLINE.load(Ordering::Relaxed),
-        joins_shed_pressure: JOINS_SHED_PRESSURE.load(Ordering::Relaxed),
-    }
-}
-
 static MORSEL_POOL: OnceLock<WorkerPool> = OnceLock::new();
 
 /// The process-wide morsel pool: one worker per available core, shared
 /// by every engine in the process. Sized once, never shut down; a
 /// saturated pool sheds morsels back to the calling thread (inline
-/// execution), so queries never observe `err:XQRL0004` from inside a
-/// join.
-pub fn morsel_pool() -> &'static WorkerPool {
+/// execution), so a join never fails with `err:XQRL0004`.
+pub(crate) fn morsel_pool() -> &'static WorkerPool {
     MORSEL_POOL.get_or_init(|| {
         let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
         WorkerPool::new(workers, workers.max(4) * 4)
@@ -266,24 +208,16 @@ fn run_morsel(sh: &MorselShared, plan: &MorselPlan) -> Result<(Vec<Vec<NodeId>>,
         .enumerate()
         .map(|(i, &(from, to))| &sh.lists[i][from..to])
         .collect();
+    let mut guarded = guard_tick(&sh.guard);
     let mut n: u32 = 0;
     let mut tick = || -> Result<()> {
         n = n.wrapping_add(1);
-        if !n.is_multiple_of(CANCEL_TICK_STRIDE) {
-            return Ok(());
-        }
-        if sh.abort.load(Ordering::Acquire) {
+        if n.is_multiple_of(ABORT_STRIDE) && sh.abort.load(Ordering::Acquire) {
             // The root cause is already in `first_error`; this verdict
             // is discarded by the collector.
             return Err(Error::cancelled("sibling morsel failed; aborting"));
         }
-        if sh.guard.is_cancelled() {
-            return Err(Error::cancelled("query cancelled by embedder"));
-        }
-        if n.is_multiple_of(MORSEL_TICK_STRIDE) {
-            sh.guard.check_startup()?;
-        }
-        Ok(())
+        guarded()
     };
     twig_stack_on(&sh.twig, &slices, &mut tick)
 }
@@ -325,33 +259,10 @@ pub fn parallel_twig_stack(
 ) -> Result<(Vec<Vec<NodeId>>, ParallelRun)> {
     assert_eq!(lists.len(), twig.len());
     let m = config.resolved_morsels().min(lists[0].len()).max(1);
-    // Brownout rung: a guard flagged at admission (ledger Yellow+) sheds
-    // the fan-out — morsel output buffers are pure memory amplification
-    // under pressure — and takes the serial path below. The flag rides
-    // the guard, not the (plan-fingerprinted) config, so one query's
-    // shed never changes another query's plan identity.
-    let shed = guard.parallel_shed();
-    if shed && m > 1 && config.should_split(lists[0].len()) {
-        JOINS_SHED_PRESSURE.fetch_add(1, Ordering::Relaxed);
-    }
-    if shed || m <= 1 || !config.should_split(lists[0].len()) {
+    if m <= 1 || !config.should_split(lists[0].len()) {
         // Serial fallback on the calling thread, still guard-polled.
         let slices: Vec<&[Labeled]> = lists.iter().map(|l| l.as_slice()).collect();
-        let mut n: u32 = 0;
-        let mut tick = || -> Result<()> {
-            n = n.wrapping_add(1);
-            if !n.is_multiple_of(CANCEL_TICK_STRIDE) {
-                return Ok(());
-            }
-            if guard.is_cancelled() {
-                return Err(Error::cancelled("query cancelled by embedder"));
-            }
-            if n.is_multiple_of(MORSEL_TICK_STRIDE) {
-                guard.check_startup()?;
-            }
-            Ok(())
-        };
-        let (tuples, stats) = twig_stack_on(twig, &slices, &mut tick)?;
+        let (tuples, stats) = twig_stack_on(twig, &slices, &mut guard_tick(guard))?;
         return Ok((
             tuples,
             ParallelRun {
@@ -401,24 +312,10 @@ pub fn parallel_twig_stack(
     }
 
     let mut parts: Vec<Option<(Vec<Vec<NodeId>>, TwigStats)>> = (0..m).map(|_| None).collect();
-    // Morsel outputs held for the merge are charged to the service-wide
-    // memory ledger through the guard's sink (estimated: tuple count ×
-    // twig width × NodeId size) and released once merged — so a burst of
-    // wide parallel joins shows up in the pressure gauges.
-    let tuple_bytes = twig.len() * std::mem::size_of::<NodeId>();
-    let mut charged: u64 = 0;
-    let account = |part: &(Vec<Vec<NodeId>>, TwigStats)| -> u64 {
-        let bytes = (part.0.len() * tuple_bytes) as u64;
-        guard.charge_memory(bytes);
-        bytes
-    };
     let inline_count = inline.len();
     for c in inline {
         match contained(&shared, &plans[c]) {
-            Ok(part) => {
-                charged += account(&part);
-                parts[c] = Some(part);
-            }
+            Ok(part) => parts[c] = Some(part),
             Err(e) => shared.fail(e),
         }
     }
@@ -426,12 +323,7 @@ pub fn parallel_twig_stack(
     // this loop exits, no pool worker holds a reference to the inputs.
     for _ in 0..pending {
         match rx.recv() {
-            Ok((c, part)) => {
-                if let Some(part) = &part {
-                    charged += account(part);
-                }
-                parts[c] = part;
-            }
+            Ok((c, part)) => parts[c] = part,
             // Disconnected sender: the worker died mid-job. The pool's
             // own catch makes this unreachable; treat it as a failure
             // rather than hang.
@@ -440,7 +332,6 @@ pub fn parallel_twig_stack(
     }
 
     if let Some(err) = lock_recover(&shared.first_error).take() {
-        guard.release_memory(charged);
         return Err(err);
     }
 
@@ -463,13 +354,6 @@ pub fn parallel_twig_stack(
     }
     merged.dedup();
     stats.merged = merged.len();
-    // The per-morsel buffers are consumed into `merged`, whose bytes
-    // are the query's own output accounting from here on.
-    guard.release_memory(charged);
-
-    PARALLEL_JOINS.fetch_add(1, Ordering::Relaxed);
-    MORSELS_RUN.fetch_add(m as u64, Ordering::Relaxed);
-    MORSELS_INLINE.fetch_add(inline_count as u64, Ordering::Relaxed);
     Ok((
         merged,
         ParallelRun {
@@ -638,61 +522,5 @@ mod tests {
             );
             std::thread::yield_now();
         }
-    }
-
-    #[test]
-    fn pressure_shed_guard_runs_serially_with_identical_output() {
-        let xml = "<r><a><b/><c/></a><a><b/></a><x><a><b/><c/><c/></a></x><a/></r>";
-        let names = Arc::new(NamePool::new());
-        let doc = Document::parse(xml, names.clone()).unwrap();
-        let twig = TwigPattern::parse("//a/b", &names).unwrap();
-        let lists = lists_for(&doc, &twig);
-        let (want, _) = twig_stack(&twig, &lists);
-        let shared: Vec<Arc<Vec<Labeled>>> = lists.into_iter().map(Arc::new).collect();
-        let cfg = ParallelConfig::forced(4);
-        let guard = QueryGuard::unlimited();
-        guard.shed_parallel();
-        let before = parallel_stats().joins_shed_pressure;
-        let (got, run) = parallel_twig_stack(&twig, shared, &cfg, &guard).unwrap();
-        assert_eq!(got, want, "shed path must stay bit-identical");
-        assert_eq!(run.morsels, 1, "shed join never fans out");
-        assert_eq!(run.inline_morsels, 1);
-        assert_eq!(parallel_stats().joins_shed_pressure, before + 1);
-    }
-
-    #[test]
-    fn morsel_buffers_are_charged_and_released_through_the_guard_sink() {
-        use xqr_pressure::{MemoryLedger, MorselSink, PressureConfig};
-        let xml = "<r><a><b/><c/></a><a><b/></a><x><a><b/><c/><c/></a></x></r>";
-        let names = Arc::new(NamePool::new());
-        let doc = Document::parse(xml, names.clone()).unwrap();
-        let twig = TwigPattern::parse("//a/b", &names).unwrap();
-        let lists: Vec<Arc<Vec<Labeled>>> =
-            lists_for(&doc, &twig).into_iter().map(Arc::new).collect();
-        let ledger = Arc::new(MemoryLedger::new(PressureConfig::default()));
-        let guard = QueryGuard::unlimited();
-        guard.set_memory_sink(Arc::new(MorselSink(ledger.clone())));
-        let (got, _) =
-            parallel_twig_stack(&twig, lists, &ParallelConfig::forced(3), &guard).unwrap();
-        assert!(!got.is_empty());
-        let snap = ledger.snapshot();
-        assert_eq!(snap.total, 0, "buffers released after the merge");
-        assert!(
-            snap.category(xqr_pressure::Category::MorselBuffers).peak > 0,
-            "in-flight buffers were visible to the ledger: {snap:?}"
-        );
-    }
-
-    #[test]
-    fn display_formats() {
-        assert_eq!(ParallelConfig::off().to_string(), "off");
-        assert_eq!(
-            ParallelConfig::default().to_string(),
-            "on (morsels: auto, min-split: 1024)"
-        );
-        assert_eq!(
-            ParallelConfig::forced(3).to_string(),
-            "on (morsels: 3, min-split: 0)"
-        );
     }
 }

@@ -1,6 +1,7 @@
 //! Poison-recovering locks, shared by the worker pool and every layer
-//! above it (the service locks its own structures through these, so
-//! they count into the same process-wide gauge).
+//! above it (the service and the subscription registry lock their own
+//! structures through these, so they count into the same process-wide
+//! gauge).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
@@ -13,11 +14,11 @@ static LOCK_RECOVERIES: AtomicU64 = AtomicU64::new(0);
 ///
 /// Poisoning means some holder panicked — with chaos injection, on
 /// purpose. Every structure locked through this helper (pool state,
-/// morsel error slots, catalog map, plan-cache shards) keeps its
-/// invariants at every unlock, so the data under a poisoned lock is
-/// still consistent; turning one contained panic into a permanent
-/// outage would be the worse failure. The poison is cleared on
-/// recovery, so each poisoning counts once, however many acquisitions
+/// morsel error slots, catalog map, plan-cache shards, subscription
+/// registry) keeps its invariants at every unlock, so the data under a
+/// poisoned lock is still consistent; turning one contained panic into
+/// a permanent outage would be the worse failure. The poison is cleared
+/// on recovery, so each poisoning counts once, however many acquisitions
 /// follow it.
 pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poisoned| {

@@ -11,7 +11,7 @@
 //! - A [`MemoryLedger`]: cheap atomic byte accounting under named
 //!   [`Category`]s, charged at every allocation site that used to grow
 //!   unaccounted (chunk-session buffers, ingest channels, subscription
-//!   fallback documents, morsel output buffers, query output) or was
+//!   fallback documents, query output) or was
 //!   charged only locally (catalog resident bytes, plan cache).
 //! - Watermark-driven [`PressureState`]s — Green / Yellow / Red — with
 //!   hysteresis: a state is entered at `enter` fraction of the ceiling
@@ -24,8 +24,7 @@
 //! The ledger never acts on its own — it is a *signal*. Each layer
 //! polls [`MemoryLedger::state`] at its admission points and walks its
 //! own rung of the brownout ladder (skip index builds, demote cold
-//! catalog entries, shrink the plan cache, shed morsels inline, reject
-//! new sessions). Keeping the ledger passive keeps it cheap: a charge
+//! catalog entries, shrink the plan cache, reject new sessions). Keeping the ledger passive keeps it cheap: a charge
 //! is two or three atomic adds; the transition mutex is touched only
 //! when a watermark is actually crossed.
 //!
@@ -60,7 +59,9 @@ pub enum Category {
     IngestChannels,
     /// Subscription fallback / transient published documents.
     Subscriptions,
-    /// Morsel-parallel join output buffers in flight.
+    /// Morsel-parallel join output buffers. Nothing charges it: queries
+    /// run their twig joins serially. It stays because the service
+    /// benchmark reports `pressure.peak_bytes.morsels`.
     MorselBuffers,
     /// Serialized query output being handed back to clients.
     QueryOutput,
@@ -109,9 +110,9 @@ pub enum PressureState {
     /// Under the Yellow watermark: no degradation.
     #[default]
     Green,
-    /// Brownout: expensive optional work (index builds, parallel
-    /// morsels, plan caching headroom, cold resident documents) is
-    /// shed to protect foreground queries.
+    /// Brownout: expensive optional work (index builds, plan caching
+    /// headroom, cold resident documents) is shed to protect foreground
+    /// queries.
     Yellow,
     /// Overload: new sessions, publishes and batch jobs are rejected
     /// with `XQRL0004` and resident state is evicted aggressively.
@@ -464,21 +465,6 @@ impl Charge {
 impl Drop for Charge {
     fn drop(&mut self) {
         self.ledger.release(self.cat, self.bytes);
-    }
-}
-
-/// Adapter: lets a [`MemoryLedger`] stand behind the dependency-free
-/// [`xqr_xdm::MemorySink`] guard hook. The parallel executor charges
-/// morsel output buffers through the query's guard without `xqr-xdm`
-/// or `xqr-parallel` needing this crate's types at their API surface.
-pub struct MorselSink(pub Arc<MemoryLedger>);
-
-impl xqr_xdm::MemorySink for MorselSink {
-    fn charge(&self, bytes: u64) {
-        self.0.charge(Category::MorselBuffers, bytes);
-    }
-    fn release(&self, bytes: u64) {
-        self.0.release(Category::MorselBuffers, bytes);
     }
 }
 

@@ -97,10 +97,6 @@ pub struct Counters {
     /// Index-backed access paths that fell back to navigation (no index
     /// attached, unknown document, or no context node).
     pub index_misses: Cell<u64>,
-    /// Index-fed twig joins that actually split into ≥ 2 morsels.
-    pub parallel_joins: Cell<u64>,
-    /// Morsels executed across those joins (serial joins count 0).
-    pub morsels_run: Cell<u64>,
     /// Inverted-list scans answered from a shared batch scan cache
     /// instead of being rebuilt from the index.
     pub scan_cache_hits: Cell<u64>,
@@ -153,12 +149,6 @@ pub struct RuntimeOptions {
     /// Resource budgets for the execution (deadline, cancellation,
     /// materialization/token/output/depth caps). Unlimited by default.
     pub limits: Limits,
-    /// Morsel-parallel execution of index-fed structural joins. On by
-    /// default; joins below the config's split threshold (and every
-    /// unindexed document) still run serially, so small queries pay
-    /// nothing. Participates in `Debug` (and therefore in the engine's
-    /// options fingerprint — plan caches key on it).
-    pub parallel: xqr_parallel::ParallelConfig,
 }
 
 impl Default for RuntimeOptions {
@@ -167,7 +157,6 @@ impl Default for RuntimeOptions {
             memoize_functions: false,
             max_call_depth: 64,
             limits: Limits::unlimited(),
-            parallel: xqr_parallel::ParallelConfig::default(),
         }
     }
 }
@@ -556,15 +545,10 @@ impl<'m> Evaluator<'m> {
                 sink,
             ),
             Core::IndexScan { pattern, fallback } => {
-                // `?` on the scan: cancellation/deadline/fault errors
-                // from a parallel join abort the query; only "cannot
-                // answer here" (`Ok(None)`) falls back to navigation.
-                match crate::index_scan::try_index_scan(
-                    pattern,
-                    st,
-                    &self.options.parallel,
-                    &self.counters,
-                )? {
+                // `?` on the scan: cancellation/deadline errors from the
+                // join abort the query; only "cannot answer here"
+                // (`Ok(None)`) falls back to navigation.
+                match crate::index_scan::try_index_scan(pattern, st, &self.counters)? {
                     Some(nodes) => {
                         self.counters
                             .index_hits

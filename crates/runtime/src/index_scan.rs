@@ -10,14 +10,13 @@
 //! * **branching** patterns run the holistic twig join from `xqr-joins`
 //!   over per-node lists that are first path-filtered by each node's
 //!   root chain (which also enforces the root edge `/a` vs `//a` that
-//!   the join itself does not check). Large joins are handed to the
-//!   morsel-parallel executor in `xqr-parallel`, whose output is
-//!   bit-identical to the serial join.
+//!   the join itself does not check). The join runs on the query's
+//!   own thread and polls its guard as it goes.
 //!
 //! `Ok(None)` means "cannot answer here" — no context node, unknown
 //! document, or no index attached — and the caller falls back to the
 //! navigational plan. `Err` is a real execution error (cancellation,
-//! deadline, an injected fault inside a morsel) and aborts the query;
+//! deadline) and aborts the query;
 //! falling back on those would mask the embedder's budget.
 //!
 //! Batch execution threads a [`ScanCache`] through [`ExecState`]: the
@@ -30,8 +29,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use xqr_compiler::access::{AccessAnchor, AccessEdge, AccessPattern};
 use xqr_index::{index_of, IndexedAccess, PathStep};
-use xqr_joins::{EdgeKind, Labeled, TwigPattern};
-use xqr_parallel::{lock_recover, parallel_twig_stack, ParallelConfig};
+use xqr_joins::{guard_tick, twig_stack_on, EdgeKind, Labeled, TwigPattern};
+use xqr_parallel::lock_recover;
 use xqr_store::{DocId, NodeRef};
 use xqr_xdm::{NameId, Result};
 
@@ -127,7 +126,6 @@ fn node_list(
 pub(crate) fn try_index_scan(
     pattern: &AccessPattern,
     st: &mut ExecState,
-    parallel: &ParallelConfig,
     counters: &Counters,
 ) -> Result<Option<Vec<NodeRef>>> {
     // Resolve the anchored document.
@@ -161,7 +159,7 @@ pub(crate) fn try_index_scan(
     let nodes = if pattern.is_linear() {
         answer_linear(pattern, &names, doc_id, &*index, st, counters)
     } else {
-        answer_twig(pattern, &names, doc_id, &*index, st, parallel, counters)?
+        answer_twig(pattern, &names, doc_id, &*index, st, counters)?
     };
     Ok(Some(
         nodes.into_iter().map(|n| NodeRef::new(doc_id, n)).collect(),
@@ -198,7 +196,6 @@ fn answer_twig(
     doc_id: DocId,
     index: &dyn IndexedAccess,
     st: &ExecState,
-    parallel: &ParallelConfig,
     counters: &Counters,
 ) -> Result<Vec<xqr_store::NodeId>> {
     // Mirror the pattern as a TwigPattern (selection guarantees parents
@@ -220,18 +217,8 @@ fn answer_twig(
         .map(|i| node_list(pattern, names, i, doc_id, index, st, counters))
         .collect();
 
-    // The morsel executor owns the split decision: below the config's
-    // threshold (or with parallelism off) it runs the same join serially
-    // on this thread, so the output is bit-identical either way.
-    let (tuples, run) = parallel_twig_stack(&twig, lists, parallel, &st.guard)?;
-    if run.morsels > 1 {
-        counters
-            .parallel_joins
-            .set(counters.parallel_joins.get() + 1);
-        counters
-            .morsels_run
-            .set(counters.morsels_run.get() + run.morsels as u64);
-    }
+    let slices: Vec<&[Labeled]> = lists.iter().map(|l| l.as_slice()).collect();
+    let (tuples, _) = twig_stack_on(&twig, &slices, &mut guard_tick(&st.guard))?;
     let mut out: Vec<xqr_store::NodeId> =
         tuples.iter().map(|tuple| tuple[pattern.output]).collect();
     out.sort();

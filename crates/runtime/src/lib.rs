@@ -27,7 +27,6 @@ pub use index_scan::ScanCache;
 pub use reply::{serialize_sequence, Reply};
 pub use stream_path::{StreamPattern, StreamStats};
 pub use value::{Item, Sequence};
-pub use xqr_parallel::ParallelConfig;
 
 use eval::{Evaluator, Sink};
 use std::sync::Arc;

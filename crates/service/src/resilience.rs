@@ -14,7 +14,7 @@
 //! | 1 | retry | a `run`-family call ends in a transient code | re-submit up to [`RetryPolicy::max_retries`] times, jittered exponential backoff | `retries` |
 //! | 2 | uncached compile | the plan cache's insert side fails with `XQRL0005` | compile for this execution only; nothing is cached | `uncached_compiles` |
 //! | 3 | unindexed load | an index build fails (budget trip, fault) or panics | the document is resident but unindexed (and memory-only under persistence); queries navigate | `index_build_failures` |
-//! | 4 | Yellow brownout | the memory ledger is at Yellow or worse | loads skip the index build; once per transition the plan cache shrinks to half and (under persistence) cold catalog documents demote to their segments; new queries run joins inline | `pressure_no_index`, `plan_evictions`, `catalog_evictions`, `joins_shed_pressure` |
+//! | 4 | Yellow brownout | the memory ledger is at Yellow or worse | loads skip the index build; once per transition the plan cache shrinks to half and (under persistence) cold catalog documents demote to their segments | `pressure_no_index`, `plan_evictions`, `catalog_evictions` |
 //! | 5 | Red shed | the ledger is Red | chunk sessions, stream queries, publishes and batches fail at admission with `XQRL0004` | `pressure_sheds` |
 //! | 6 | queue full | workers and run queue are both full | the submission fails with `XQRL0004` | `rejected` |
 //! | 7 | expired in queue | a queued query's deadline passes before a worker takes it | dropped at dequeue with `XQRL0002`, never executed | `dropped_expired` |

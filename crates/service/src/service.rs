@@ -22,13 +22,11 @@ use crate::plan_cache::PlanCache;
 use crate::resilience::RetryPolicy;
 use xqr_core::{Engine, EngineOptions, PreparedQuery};
 use xqr_parallel::WorkerPool;
-use xqr_pressure::{Category, Charge, MemoryLedger, MorselSink, PressureConfig, PressureState};
+use xqr_pressure::{Category, Charge, MemoryLedger, PressureConfig, PressureState};
 use xqr_runtime::{DynamicContext, Item, StreamStats};
 use xqr_store::{DocId, Lease};
 use xqr_subscribe::{PublishReport, SubId, SubscriptionRegistry, SubscriptionSink};
-use xqr_xdm::{
-    CancelHandle, Error, ErrorCode, LatencyHistogram, Limits, MemorySink, QueryGuard, Result,
-};
+use xqr_xdm::{CancelHandle, Error, ErrorCode, LatencyHistogram, Limits, QueryGuard, Result};
 
 /// Configuration for a [`QueryService`].
 #[derive(Debug, Clone)]
@@ -72,8 +70,7 @@ pub struct ServiceConfig {
     /// hysteresis for the service's [`MemoryLedger`]. The default has no
     /// ceiling — every category is tracked, nothing is shed. With a
     /// ceiling, Yellow triggers the brownout ladder (no new index
-    /// builds, plan-cache shrink, catalog demotion, parallel joins run
-    /// inline) and Red sheds new chunk sessions, publishes and batch
+    /// builds, plan-cache shrink, catalog demotion) and Red sheds new chunk sessions, publishes and batch
     /// jobs with `err:XQRL0004`.
     pub pressure: PressureConfig,
 }
@@ -106,10 +103,6 @@ struct ServiceShared {
     failed: AtomicU64,
     index_hits: AtomicU64,
     index_misses: AtomicU64,
-    /// Index-fed joins that split into ≥ 2 morsels, summed over queries.
-    parallel_joins: AtomicU64,
-    /// Morsels executed by those joins.
-    morsels_run: AtomicU64,
     /// Inverted-list scans served from a batch's shared scan cache.
     scan_shared_hits: AtomicU64,
     /// `run_batch` calls admitted.
@@ -131,8 +124,6 @@ struct ServiceShared {
     stream_matches: AtomicU64,
     /// Process-wide memory governance: every subsystem charges here.
     ledger: Arc<MemoryLedger>,
-    /// Per-query morsel-buffer accounting channel (see [`MorselSink`]).
-    morsel_sink: Arc<MorselSink>,
     /// Configured plan-cache capacity — the shrink rung's reference.
     plan_cache_capacity: usize,
     /// Yellow/Red transitions already acted on by the brownout ladder.
@@ -165,10 +156,6 @@ impl ServiceShared {
             .fetch_add(counters.index_hits.get(), Ordering::Relaxed);
         self.index_misses
             .fetch_add(counters.index_misses.get(), Ordering::Relaxed);
-        self.parallel_joins
-            .fetch_add(counters.parallel_joins.get(), Ordering::Relaxed);
-        self.morsels_run
-            .fetch_add(counters.morsels_run.get(), Ordering::Relaxed);
         self.scan_shared_hits
             .fetch_add(counters.scan_cache_hits.get(), Ordering::Relaxed);
     }
@@ -180,19 +167,6 @@ impl ServiceShared {
             .fetch_add(stats.tokens_skipped, Ordering::Relaxed);
         self.stream_matches
             .fetch_add(stats.matches, Ordering::Relaxed);
-    }
-
-    /// Build a per-query guard wired for pressure governance: the morsel
-    /// sink is attached, and at Yellow or worse the query is pinned to
-    /// inline join execution for its whole run (sticky per query — a
-    /// mid-flight transition never splits one query across strategies).
-    fn governed_guard(&self) -> QueryGuard {
-        let guard = QueryGuard::new(self.limits);
-        guard.set_memory_sink(Arc::clone(&self.morsel_sink) as Arc<dyn MemorySink>);
-        if self.ledger.state() >= PressureState::Yellow {
-            guard.shed_parallel();
-        }
-        guard
     }
 
     /// Red-state admission check for sheddable work (chunk sessions,
@@ -297,8 +271,6 @@ impl QueryService {
                 failed: AtomicU64::new(0),
                 index_hits: AtomicU64::new(0),
                 index_misses: AtomicU64::new(0),
-                parallel_joins: AtomicU64::new(0),
-                morsels_run: AtomicU64::new(0),
                 scan_shared_hits: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
                 batch_queries: AtomicU64::new(0),
@@ -309,7 +281,6 @@ impl QueryService {
                 stream_tokens_seen: AtomicU64::new(0),
                 stream_tokens_skipped: AtomicU64::new(0),
                 stream_matches: AtomicU64::new(0),
-                morsel_sink: Arc::new(MorselSink(Arc::clone(&ledger))),
                 ledger,
                 plan_cache_capacity: config.plan_cache_capacity,
                 brownouts_seen: AtomicU64::new(0),
@@ -544,7 +515,7 @@ impl QueryService {
         self.enforce_brownout();
         let shared = self.shared.clone();
         let query = query.to_string();
-        let guard = shared.governed_guard();
+        let guard = QueryGuard::new(shared.limits);
         let cancel = guard.cancel_handle();
         let deadline = guard.deadline_at();
         let submitted = Instant::now();
@@ -683,7 +654,7 @@ impl QueryService {
                             plan.execute_serialized(
                                 &shared.engine,
                                 &ctx,
-                                shared.governed_guard(),
+                                QueryGuard::new(shared.limits),
                                 Some(scans.clone()),
                             )
                         })
@@ -748,8 +719,6 @@ impl QueryService {
             index_build_time: Duration::from_nanos(catalog.index_build_nanos),
             index_hits: self.shared.index_hits.load(Ordering::Relaxed),
             index_misses: self.shared.index_misses.load(Ordering::Relaxed),
-            parallel_joins: self.shared.parallel_joins.load(Ordering::Relaxed),
-            morsels_run: self.shared.morsels_run.load(Ordering::Relaxed),
             scan_shared_hits: self.shared.scan_shared_hits.load(Ordering::Relaxed),
             batches: self.shared.batches.load(Ordering::Relaxed),
             batch_queries: self.shared.batch_queries.load(Ordering::Relaxed),
@@ -789,7 +758,6 @@ impl QueryService {
             memory_rejected: ledger.rejected,
             pressure_sheds: self.shared.pressure_sheds.load(Ordering::Relaxed),
             memory_category_peak,
-            joins_shed_pressure: xqr_parallel::parallel_stats().joins_shed_pressure,
             quarantined_bytes: catalog.quarantined_bytes,
             pressure_no_index: catalog.pressure_no_index,
             admitted: pool.admitted,
@@ -851,10 +819,6 @@ pub struct ServiceStats {
     pub index_hits: u64,
     /// `IndexScan` operators that fell back to navigation.
     pub index_misses: u64,
-    /// Index-fed twig joins that split into ≥ 2 morsels.
-    pub parallel_joins: u64,
-    /// Morsels executed across those joins.
-    pub morsels_run: u64,
     /// Inverted-list scans served from a batch's shared scan cache.
     pub scan_shared_hits: u64,
     /// [`QueryService::run_batch`] calls admitted.
@@ -935,9 +899,6 @@ pub struct ServiceStats {
     pub pressure_sheds: u64,
     /// Per-category ledger peaks, in [`Category::ALL`] order.
     pub memory_category_peak: [u64; Category::ALL.len()],
-    /// Parallel joins routed to inline execution by pressure
-    /// (process-wide, like `lock_recoveries`).
-    pub joins_shed_pressure: u64,
     /// Disk bytes held by quarantined segments (observability gauge —
     /// never charged against the catalog budget).
     pub quarantined_bytes: u64,
@@ -1023,9 +984,7 @@ dropped-expired: {}",
         )?;
         writeln!(
             f,
-            "parallel: joins: {} morsels: {} scan-shared-hits: {} batches: {} batch-queries: {}",
-            self.parallel_joins,
-            self.morsels_run,
+            "batch:   scan-shared-hits: {} batches: {} batch-queries: {}",
             self.scan_shared_hits,
             self.batches,
             self.batch_queries
@@ -1068,7 +1027,7 @@ chunks: {} bytes: {} stream-queries: {}",
         writeln!(
             f,
             "pressure: state: {} bytes: {} peak: {} ceiling: {} to-green: {} to-yellow: {} \
-to-red: {} rejected: {} sheds: {} morsels-inline: {} no-index: {} quarantined-bytes: {}",
+to-red: {} rejected: {} sheds: {} no-index: {} quarantined-bytes: {}",
             self.pressure_state.as_str(),
             self.memory_bytes,
             self.memory_peak,
@@ -1078,7 +1037,6 @@ to-red: {} rejected: {} sheds: {} morsels-inline: {} no-index: {} quarantined-by
             self.pressure_to_red,
             self.memory_rejected,
             self.pressure_sheds,
-            self.joins_shed_pressure,
             self.pressure_no_index,
             self.quarantined_bytes
         )?;
@@ -1191,7 +1149,7 @@ mod tests {
             "segments:",
             "indexes:",
             "pool:",
-            "parallel:",
+            "batch:",
             "resilience:",
             "pubsub:",
             "stream:",

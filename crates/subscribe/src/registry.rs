@@ -19,10 +19,11 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use xqr_core::{contain_panic, Engine, Item, PreparedQuery};
 use xqr_faults::deep_stack::on_deep_stack;
+use xqr_parallel::lock_recover;
 use xqr_runtime::{
     run_document, CombinedAutomaton, CombinedOutcome, Counters, DynamicContext, StreamPattern,
     StreamStats, StreamingPass,
@@ -79,13 +80,13 @@ impl CollectingSink {
     }
 
     pub fn take(&self) -> Vec<(String, Result<String>)> {
-        std::mem::take(&mut lock_unpoisoned(&self.received))
+        std::mem::take(&mut lock_recover(&self.received))
     }
 }
 
 impl SubscriptionSink for CollectingSink {
     fn deliver(&self, delivery: &Delivery<'_>) -> Result<()> {
-        lock_unpoisoned(&self.received)
+        lock_recover(&self.received)
             .push((delivery.document.to_string(), delivery.outcome.clone()));
         Ok(())
     }
@@ -155,13 +156,6 @@ pub struct SubscriptionRegistry {
     stream_matches: AtomicU64,
 }
 
-/// Mutex recovery without the service crate's `lock_recover`: registry
-/// state is only mutated under short, panic-free critical sections, so
-/// a poisoned lock's data is sound to adopt.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// What one publish did — per-subscription outcomes plus the shared
 /// pass's instrumentation.
 #[derive(Debug)]
@@ -220,7 +214,7 @@ impl SubscriptionRegistry {
             limits,
             sink,
         });
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         inner.plan = None;
         if let Some(slot) = inner.free.pop() {
             let entry = &mut inner.slots[slot as usize];
@@ -246,7 +240,7 @@ impl SubscriptionRegistry {
     /// (already unsubscribed, or their slot was reused) — never touches
     /// the current occupant of a reused slot.
     pub fn unregister(&self, id: SubId) -> bool {
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         match inner.slots.get_mut(id.slot as usize) {
             Some(entry) if entry.generation == id.generation && entry.sub.is_some() => {
                 entry.sub = None;
@@ -260,13 +254,13 @@ impl SubscriptionRegistry {
 
     /// Live subscription count.
     pub fn active(&self) -> usize {
-        let inner = lock_unpoisoned(&self.inner);
+        let inner = lock_recover(&self.inner);
         inner.slots.iter().filter(|s| s.sub.is_some()).count()
     }
 
     /// The registered query text, if the id is live (diagnostics).
     pub fn query_of(&self, id: SubId) -> Option<String> {
-        let inner = lock_unpoisoned(&self.inner);
+        let inner = lock_recover(&self.inner);
         inner
             .slots
             .get(id.slot as usize)
@@ -276,7 +270,7 @@ impl SubscriptionRegistry {
     }
 
     fn plan(&self) -> Arc<PublishPlan> {
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         if let Some(plan) = &inner.plan {
             return plan.clone();
         }
@@ -739,4 +733,30 @@ fn deliver_one(
             outcome,
         })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic under the registry lock poisons it; the next caller
+    /// recovers the data, clears the poison, and the recovery shows in
+    /// the process-wide gauge every service lock reports through.
+    #[test]
+    fn a_poisoned_registry_lock_is_recovered_and_counted() {
+        let registry = SubscriptionRegistry::new();
+        let before = xqr_parallel::lock_recoveries();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _inner = registry.inner.lock().unwrap();
+                panic!("poisoning the registry lock");
+            })
+            .join()
+            .unwrap_err();
+        });
+        assert!(registry.inner.is_poisoned());
+        assert_eq!(registry.active(), 0);
+        assert!(!registry.inner.is_poisoned());
+        assert!(xqr_parallel::lock_recoveries() > before);
+    }
 }

@@ -18,22 +18,8 @@
 
 use crate::error::{Error, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Process-memory accounting hook carried by a [`QueryGuard`].
-///
-/// The guard is the one object that travels from admission through the
-/// evaluator into the parallel morsel executor, so it is also the only
-/// dependency-free channel for charging execution-owned buffers (morsel
-/// outputs) against a service-wide memory ledger. The trait lives here
-/// so `xqr-xdm` stays at the bottom of the crate DAG; `xqr-pressure`
-/// provides the real implementation and the service installs it per
-/// query via [`QueryGuard::set_memory_sink`].
-pub trait MemorySink: Send + Sync {
-    fn charge(&self, bytes: u64);
-    fn release(&self, bytes: u64);
-}
 
 /// How many budget charges happen between deadline (clock) polls.
 /// Must be a power of two; the check is `count & (STRIDE-1) == 0`.
@@ -141,12 +127,6 @@ struct GuardInner {
     tokens: AtomicU64,
     output_bytes: AtomicU64,
     peak_depth: AtomicU64,
-    /// Brownout hint set at admission: when true the parallel executor
-    /// runs its serial path instead of fanning out morsels.
-    shed_parallel: AtomicBool,
-    /// Optional service-wide memory accounting sink (set once at
-    /// admission, read from the executor).
-    memory: OnceLock<Arc<dyn MemorySink>>,
 }
 
 /// Shared, cheaply clonable guard for one query execution.
@@ -186,8 +166,6 @@ impl QueryGuard {
                 tokens: AtomicU64::new(0),
                 output_bytes: AtomicU64::new(0),
                 peak_depth: AtomicU64::new(0),
-                shed_parallel: AtomicBool::new(false),
-                memory: OnceLock::new(),
             }),
         }
     }
@@ -233,42 +211,6 @@ impl QueryGuard {
     /// evaluator polls.
     pub fn deadline_at(&self) -> Option<Instant> {
         self.inner.deadline_at
-    }
-
-    /// Mark this execution for morsel shedding: the parallel executor
-    /// will run inline instead of fanning out. Set at admission when
-    /// the memory ledger is at Yellow or worse; sticky for the guard's
-    /// lifetime (one query), so a mid-flight state change cannot split
-    /// a query across strategies.
-    pub fn shed_parallel(&self) {
-        self.inner.shed_parallel.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether morsel shedding was requested for this execution.
-    pub fn parallel_shed(&self) -> bool {
-        self.inner.shed_parallel.load(Ordering::Relaxed)
-    }
-
-    /// Install the process-memory accounting sink for this execution.
-    /// First call wins; later calls are ignored (the guard is shared,
-    /// and re-pointing accounting mid-query would leak charges).
-    pub fn set_memory_sink(&self, sink: Arc<dyn MemorySink>) {
-        let _ = self.inner.memory.set(sink);
-    }
-
-    /// Charge execution-owned buffer bytes against the installed sink,
-    /// if any. Pair every call with [`QueryGuard::release_memory`].
-    pub fn charge_memory(&self, bytes: u64) {
-        if let Some(sink) = self.inner.memory.get() {
-            sink.charge(bytes);
-        }
-    }
-
-    /// Release bytes previously charged via [`QueryGuard::charge_memory`].
-    pub fn release_memory(&self, bytes: u64) {
-        if let Some(sink) = self.inner.memory.get() {
-            sink.release(bytes);
-        }
     }
 
     /// Unconditionally poll cancellation and the wall-clock deadline —

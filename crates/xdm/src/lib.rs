@@ -23,7 +23,7 @@ pub use atomic::{parse_double, AtomicType, AtomicValue};
 pub use datetime::{DateTime, Duration, TzOffset};
 pub use decimal::Decimal;
 pub use error::{Error, ErrorCode, Result};
-pub use guard::{CancelHandle, GuardUsage, Limits, MemorySink, QueryGuard};
+pub use guard::{CancelHandle, GuardUsage, Limits, QueryGuard};
 pub use histogram::LatencyHistogram;
 pub use node::NodeKind;
 pub use qname::{NameId, NamePool, QName};

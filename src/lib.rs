@@ -21,9 +21,9 @@
 //! [`xqr_tokenstream`] (the token substrate), [`xqr_store`] (labeled
 //! node store), [`xqr_joins`] (structural/twig joins), [`xqr_xqparser`]
 //! (XQuery front-end), [`xqr_compiler`], [`xqr_runtime`],
-//! [`xqr_xmlgen`] (workload generators), [`xqr_parallel`] (the
-//! morsel-driven parallel join executor and worker pool), and [`xqr_service`] (the
-//! concurrent query service: plan cache, document catalog, admission
+//! [`xqr_xmlgen`] (workload generators), [`xqr_parallel`] (the worker
+//! pool, poison-recovering locks and the experimental morsel-parallel
+//! join kernel), and [`xqr_service`] (the concurrent query service: plan cache, document catalog, admission
 //! control), and [`xqr_subscribe`] (standing continuous queries over
 //! document streams). Chunked push-based ingestion is the resumable
 //! lexer in [`xqr_xmlparse`], `PushTokenizer` in [`xqr_tokenstream`] and

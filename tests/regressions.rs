@@ -238,12 +238,41 @@ fn morsel_split_of_a_single_node_document() {
     assert_parallel_matches_serial("<a/>", "//a", 4);
     assert_parallel_matches_serial("<a><b/></a>", "//a//b", 4);
 
-    // And end to end through the engine: forced parallel on a one-node
-    // document must still answer.
-    use xqr::xqr_runtime::ParallelConfig;
-    let engine =
-        Engine::with_options(EngineOptions::default().with_parallel(ParallelConfig::forced(4)));
-    assert_eq!(query_xml_both(&engine, "<a/>", "count(//a)").unwrap(), "1");
+    // And end to end through the engine, whose joins run serially.
+    assert_eq!(query_xml_both(&Engine::new(), "<a/>", "count(//a)").unwrap(), "1");
+}
+
+/// A seeded medium-size random tree with enough repeated tags that every
+/// twig has hundreds of root-list entries to split: the kernel must
+/// agree with `twig_stack` at every morsel count, serial, small, odd and
+/// one per core.
+#[test]
+fn morsel_kernel_matches_serial_on_a_seeded_random_tree() {
+    use xqr::xqr_xmlgen::{random_tree, RandomTreeConfig};
+    let xml = random_tree(&RandomTreeConfig {
+        seed: 0xDE7E_2171,
+        nodes: 900,
+        max_depth: 9,
+        alphabet: 3,
+        p_ancestor: 0.2,
+        p_descendant: 0.25,
+        p_text: 0.2,
+        p_attribute: 0.15,
+    });
+    let ncpu = std::thread::available_parallelism().map_or(4, |n| n.get());
+    for pattern in [
+        "//t0",
+        "//t0//t1",
+        "//t0/t1",
+        "//t0[t1]//t2",
+        "//t0[t1][t2]",
+        "//t0[t1]/t2",
+        "//t2",
+    ] {
+        for morsels in [1, 2, 3, 7, ncpu] {
+            assert_parallel_matches_serial(&xml, pattern, morsels);
+        }
+    }
 }
 
 /// From `fuzz --seed 7` (case 1021) and `chaos --seed 99 --cases 1000`

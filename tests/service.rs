@@ -411,21 +411,13 @@ fn an_armed_client_and_an_unarmed_client_share_the_workers() {
     assert!(s.failed > 0 && s.served >= 200, "{s}");
 }
 
-/// The two places a service query changes threads both carry the
-/// schedule: one installed here, on the client thread, is consulted at
-/// `pool.dispatch` (the submit below, then twice more from the worker
-/// as it hands two of three morsels to the morsel pool), at `eval.next`
-/// (on the worker itself, which evaluates in place) and at
-/// `parallel.morsel` (all three morsels of the forced split, wherever
-/// they ran).
+/// The thread change a service query makes carries the schedule: one
+/// installed here, on the client thread, is consulted at `pool.dispatch`
+/// (the submit below) and at `eval.next` (on the worker itself, which
+/// evaluates in place, index twig join included).
 #[test]
-fn a_client_threads_schedule_reaches_worker_eval_and_morsel_threads() {
-    let mut engine = xqr::EngineOptions::default();
-    engine.runtime.parallel = xqr::xqr_parallel::ParallelConfig::forced(3);
-    let service = QueryService::new(ServiceConfig {
-        engine,
-        ..Default::default()
-    });
+fn a_client_threads_schedule_reaches_the_worker_and_its_evaluation() {
+    let service = QueryService::new(ServiceConfig::default());
     let mut xml = String::from("<r>");
     for i in 0..30 {
         xml.push_str(&format!("<a><d>{i}</d></a><a/>"));
@@ -441,13 +433,11 @@ fn a_client_threads_schedule_reaches_worker_eval_and_morsel_threads() {
     let _faults = xqr_faults::install(
         FaultSchedule::new(3)
             .rule(FaultRule::new("pool.dispatch", nothing))
-            .rule(FaultRule::new("eval.next", nothing))
-            .rule(FaultRule::new("parallel.morsel", nothing)),
+            .rule(FaultRule::new("eval.next", nothing)),
     );
     assert_eq!(service.run(query).unwrap(), "30");
-    assert_eq!(xqr_faults::fires_at("pool.dispatch"), 3);
+    assert_eq!(xqr_faults::fires_at("pool.dispatch"), 1);
     assert!(xqr_faults::fires_at("eval.next") > 0);
-    assert_eq!(xqr_faults::fires_at("parallel.morsel"), 3);
 }
 
 /// Two armed clients, different seeds, one service, at the same time:
