@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use xqr_core::{DynamicContext, Engine, EngineOptions};
-use xqr_index::{DocIndex, IndexedAccess, PathStep};
+use xqr_index::{DocIndex, PathStep};
 use xqr_joins::{
     element_list, enumerate_matches, stack_tree_desc, twig_stack, EdgeKind, JoinKind, Labeled,
     TwigPattern,
@@ -134,11 +134,9 @@ fn bench_twig(c: &mut Criterion) {
             &(),
             |b, _| {
                 b.iter(|| {
-                    let dict = f.index.path_dict();
-                    let lists: Vec<Vec<Labeled>> = twig_names
+                    let lists: Vec<Vec<Labeled>> = chains
                         .iter()
-                        .zip(&chains)
-                        .map(|(&n, chain)| f.index.elements_on_paths(n, &dict.matching(chain)))
+                        .map(|chain| f.index.linear_elements(chain))
                         .collect();
                     twig_stack(&twig, &lists).0.len()
                 })

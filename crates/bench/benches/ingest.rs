@@ -29,6 +29,7 @@ struct PeakAlloc {
     peak: AtomicUsize,
 }
 
+#[allow(unsafe_code)] // the peak gauge is a global allocator: an unsafe trait impl
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);

@@ -2,17 +2,16 @@
 //!
 //! The durability claim in one measurement: a restarted service used to
 //! pay `parse(xml) + DocIndex::build(doc)` per document to rebuild its
-//! corpus; with the segment store it pays `Segment::open` (mmap +
+//! corpus; with the segment store it pays `Segment::open` (file read +
 //! checksum verification, no per-node work) up front and a binary
-//! materialization on first touch — the structural index is served
-//! zero-copy from the mapping and is never rebuilt. Three rungs per
-//! document size:
+//! decode on first touch — the structural index is read back, never
+//! rebuilt. Three rungs per document size:
 //!
-//! * `reparse`   — the old cold start: XML parse + index build;
-//! * `mmap_load` — segment cold start: open + verify + materialize the
-//!   document (the index stays mapped);
-//! * `mmap_open` — catalog adoption cost alone: open + verify, document
-//!   untouched (what `DocumentCatalog::open` defers).
+//! * `reparse` — the old cold start: XML parse + index build;
+//! * `load`    — segment cold start: open + verify + decode the document
+//!   and its index;
+//! * `open`    — open + verify alone, document untouched (the part of a
+//!   first touch that does no per-node work).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::path::{Path, PathBuf};
@@ -58,15 +57,15 @@ fn bench_cold_start(c: &mut Criterion) {
                 (doc.len(), index.entry_count())
             })
         });
-        group.bench_with_input(BenchmarkId::new("mmap_load", books), &f, |b, f| {
+        group.bench_with_input(BenchmarkId::new("load", books), &f, |b, f| {
             b.iter(|| {
                 let seg = Segment::open(&f.path).unwrap();
                 let names = Arc::new(NamePool::new());
                 let (doc, index) = seg.load(&names).unwrap();
-                (doc.len(), index.is_zero_copy())
+                (doc.len(), index.entry_count())
             })
         });
-        group.bench_with_input(BenchmarkId::new("mmap_open", books), &f, |b, f| {
+        group.bench_with_input(BenchmarkId::new("open", books), &f, |b, f| {
             b.iter(|| {
                 let seg = Segment::open(&f.path).unwrap();
                 (seg.node_count(), seg.file_bytes())

@@ -21,6 +21,7 @@ struct Counting;
 
 // SAFETY: every call forwards to `System` with the caller's own layout
 // and pointer; the gauges are plain atomics and never touch the memory.
+#[allow(unsafe_code)] // the peak gauge is a global allocator: an unsafe trait impl
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller upholds `alloc`'s contract, which is `System`'s.

@@ -49,6 +49,7 @@ static PEAK: AtomicIsize = AtomicIsize::new(0);
 
 // SAFETY: every call forwards to `System` with the caller's own layout
 // and pointer; the gauges are plain atomics.
+#[allow(unsafe_code)] // the peak gauge is a global allocator: an unsafe trait impl
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };

@@ -26,7 +26,7 @@
 //!    quarantined on later touches, while sibling documents are
 //!    unaffected;
 //! 4. **no panic escapes** a public API in any phase, and recovery-time
-//!    injection (at `segment.mmap` / `segment.verify`) may only produce
+//!    injection (at `segment.read` / `segment.verify`) may only produce
 //!    the correct answer or a stable coded error — once disarmed, the
 //!    next touch must succeed.
 //!
@@ -54,7 +54,7 @@ pub const SEGMENT_SITES: &[&str] = &[
     "segment.fsync",
     "segment.rename",
     "manifest.append",
-    "segment.mmap",
+    "segment.read",
     "segment.verify",
 ];
 
@@ -214,7 +214,7 @@ pub fn run_case(seed: u64, site: &'static str, panic_kind: bool, case: &mut Case
             .skip_first(seed % DOCS_PER_CASE as u64)
             .max_fires(1),
     );
-    let persist_side = !matches!(site, "segment.mmap" | "segment.verify");
+    let persist_side = !matches!(site, "segment.read" | "segment.verify");
 
     // Phase 1: load under injection (for persist-side sites), then kill.
     let mut acked = vec![false; docs.len()];

@@ -39,10 +39,17 @@ impl Postings {
         self.labels.is_empty()
     }
 
+    /// An inverted list from its two parallel arrays: `labels` sorted by
+    /// `start`, `paths[i]` the path id of `labels[i]`.
+    pub fn new(labels: Vec<Labeled>, paths: Vec<PathId>) -> Postings {
+        assert_eq!(labels.len(), paths.len(), "one path id per label");
+        Postings { labels, paths }
+    }
+
     /// The path-indexed sublist: entries whose path id is in `keep`
     /// (a membership vector from [`PathDict::matching`]). Preserves
     /// document order.
-    pub(crate) fn filtered(&self, keep: &[bool]) -> Vec<Labeled> {
+    fn filtered(&self, keep: &[bool]) -> Vec<Labeled> {
         self.labels
             .iter()
             .zip(&self.paths)
@@ -54,79 +61,6 @@ impl Postings {
     fn push(&mut self, label: Labeled, path: PathId) {
         self.labels.push(label);
         self.paths.push(path);
-    }
-}
-
-/// Read access to a document's inverted lists, as consumed by the join
-/// operators: per-name sorted label streams plus path-filtered views.
-///
-/// Both the heap-built [`DocIndex`] and the mmap-backed segment view
-/// implement this, so every index consumer (scan planner, catalog
-/// accounting) works against `Arc<dyn IndexedAccess>` and never learns
-/// whether the lists live on the heap or in a mapped file.
-pub trait IndexedAccess: Send + Sync {
-    /// All elements named `name`, document-ordered. Empty for unknown names.
-    fn element_labels(&self, name: NameId) -> &[Labeled];
-    /// All attributes named `name`, document-ordered.
-    fn attribute_labels(&self, name: NameId) -> &[Labeled];
-    /// The document's path dictionary.
-    fn path_dict(&self) -> &PathDict;
-    /// Elements named `name` restricted to paths in `keep`.
-    fn elements_on_paths(&self, name: NameId, keep: &[bool]) -> Vec<Labeled>;
-    /// Attributes named `name` whose owner's path is in `keep`.
-    fn attributes_on_paths(&self, name: NameId, keep: &[bool]) -> Vec<Labeled>;
-    /// Total indexed entries (elements + attributes).
-    fn entry_count(&self) -> usize;
-    /// Approximate footprint in bytes — heap for built indexes, mapped
-    /// bytes for segment views; what the catalog charges its budget.
-    fn memory_bytes(&self) -> usize;
-
-    /// Downcast hook for serializers that need the concrete heap-built
-    /// index (segment writers walk its postings maps directly). Mapped
-    /// views return `None` — they already *are* serialized.
-    fn as_doc_index(&self) -> Option<&DocIndex> {
-        None
-    }
-
-    /// Range cursor: elements named `name` whose `start` label falls in
-    /// `[lo, hi]` — the per-morsel window of a label-range-partitioned
-    /// parallel join. Binary search over the sorted list; zero-copy.
-    fn elements_in_range(&self, name: NameId, lo: u32, hi: u32) -> &[Labeled] {
-        xqr_joins::range_by_start(self.element_labels(name), lo, hi)
-    }
-
-    /// Range cursor over an attribute inverted list.
-    fn attributes_in_range(&self, name: NameId, lo: u32, hi: u32) -> &[Labeled] {
-        xqr_joins::range_by_start(self.attribute_labels(name), lo, hi)
-    }
-
-    /// Answer a *linear* element pattern (`/a/b`, `//a//b`, …) entirely
-    /// from the path dictionary: the result is the path-indexed sublist
-    /// of the final step's name, already in document order and distinct.
-    /// An empty pattern yields nothing (there is no element at the root
-    /// path itself).
-    fn linear_elements(&self, steps: &[PathStep]) -> Vec<Labeled> {
-        let Some(&(_, last_name)) = steps.last() else {
-            return Vec::new();
-        };
-        self.elements_on_paths(last_name, &self.path_dict().matching(steps))
-    }
-
-    /// Answer a linear pattern ending in an attribute step: `owner_steps`
-    /// constrain the owning element's path (`attr_edge` says whether the
-    /// attribute hangs off the last step directly (`/@a`) or off any
-    /// descendant-or-self of it (`//@a`)).
-    fn linear_attributes(
-        &self,
-        owner_steps: &[PathStep],
-        attr_edge: EdgeKind,
-        attr: NameId,
-    ) -> Vec<Labeled> {
-        let keep = match attr_edge {
-            EdgeKind::Child => self.path_dict().matching(owner_steps),
-            EdgeKind::Descendant => self.path_dict().matching_prefix(owner_steps),
-        };
-        self.attributes_on_paths(attr, &keep)
     }
 }
 
@@ -156,7 +90,6 @@ impl DocIndex {
         let mut paths = PathDict::new();
         let mut elements: HashMap<NameId, Postings> = HashMap::new();
         let mut attributes: HashMap<NameId, Postings> = HashMap::new();
-        let mut entry_count = 0usize;
         // Stack of open subtrees: (subtree end, path id of the element;
         // `None` for the document node).
         let mut stack: Vec<(u32, Option<PathId>)> = Vec::new();
@@ -182,7 +115,6 @@ impl DocIndex {
                     let parent = stack.last().and_then(|&(_, p)| p);
                     let pid = paths.intern(parent, doc.name_id(n));
                     elements.entry(doc.name_id(n)).or_default().push(label, pid);
-                    entry_count += 1;
                     stack.push((doc.end(n), Some(pid)));
                 }
                 NodeKind::Attribute => {
@@ -196,11 +128,26 @@ impl DocIndex {
                         .entry(doc.name_id(n))
                         .or_default()
                         .push(label, owner);
-                    entry_count += 1;
                 }
                 _ => {}
             }
         }
+        Ok(Self::from_parts(paths, elements, attributes))
+    }
+
+    /// Assemble an index from its path dictionary and per-name inverted
+    /// lists — the build's last step, and how a segment load rebuilds
+    /// the index it stored.
+    pub fn from_parts(
+        paths: PathDict,
+        elements: HashMap<NameId, Postings>,
+        attributes: HashMap<NameId, Postings>,
+    ) -> DocIndex {
+        let entry_count = elements
+            .values()
+            .chain(attributes.values())
+            .map(Postings::len)
+            .sum();
         let mut index = DocIndex {
             paths,
             elements,
@@ -209,7 +156,7 @@ impl DocIndex {
             bytes: 0,
         };
         index.bytes = index.compute_bytes();
-        Ok(index)
+        index
     }
 
     /// Total indexed entries (elements + attributes).
@@ -249,43 +196,54 @@ impl DocIndex {
     pub fn attribute_postings(&self) -> impl Iterator<Item = (NameId, &Postings)> {
         self.attributes.iter().map(|(n, p)| (*n, p))
     }
-}
 
-impl IndexedAccess for DocIndex {
-    fn element_labels(&self, name: NameId) -> &[Labeled] {
+    /// All elements named `name`, document-ordered. Empty for unknown names.
+    pub fn element_labels(&self, name: NameId) -> &[Labeled] {
         self.elements.get(&name).map_or(EMPTY, |p| p.labels())
     }
 
-    fn attribute_labels(&self, name: NameId) -> &[Labeled] {
+    /// All attributes named `name`, document-ordered.
+    pub fn attribute_labels(&self, name: NameId) -> &[Labeled] {
         self.attributes.get(&name).map_or(EMPTY, |p| p.labels())
     }
 
-    fn path_dict(&self) -> &PathDict {
+    /// The document's path dictionary.
+    pub fn path_dict(&self) -> &PathDict {
         &self.paths
     }
 
-    fn elements_on_paths(&self, name: NameId, keep: &[bool]) -> Vec<Labeled> {
+    /// Answer a *linear* element pattern (`/a/b`, `//a//b`, …) entirely
+    /// from the path dictionary: the result is the path-indexed sublist
+    /// of the final step's name, already in document order and distinct.
+    /// An empty pattern yields nothing (there is no element at the root
+    /// path itself).
+    pub fn linear_elements(&self, steps: &[PathStep]) -> Vec<Labeled> {
+        let Some(&(_, last_name)) = steps.last() else {
+            return Vec::new();
+        };
         self.elements
-            .get(&name)
-            .map_or_else(Vec::new, |p| p.filtered(keep))
+            .get(&last_name)
+            .map_or_else(Vec::new, |p| p.filtered(&self.paths.matching(steps)))
     }
 
-    fn attributes_on_paths(&self, name: NameId, keep: &[bool]) -> Vec<Labeled> {
-        self.attributes
-            .get(&name)
-            .map_or_else(Vec::new, |p| p.filtered(keep))
-    }
-
-    fn entry_count(&self) -> usize {
-        self.entry_count
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn as_doc_index(&self) -> Option<&DocIndex> {
-        Some(self)
+    /// Answer a linear pattern ending in an attribute step: `owner_steps`
+    /// constrain the owning element's path (`attr_edge` says whether the
+    /// attribute hangs off the last step directly (`/@a`) or off any
+    /// descendant-or-self of it (`//@a`)).
+    pub fn linear_attributes(
+        &self,
+        owner_steps: &[PathStep],
+        attr_edge: EdgeKind,
+        attr: NameId,
+    ) -> Vec<Labeled> {
+        let Some(postings) = self.attributes.get(&attr) else {
+            return Vec::new();
+        };
+        let keep = match attr_edge {
+            EdgeKind::Child => self.paths.matching(owner_steps),
+            EdgeKind::Descendant => self.paths.matching_prefix(owner_steps),
+        };
+        postings.filtered(&keep)
     }
 }
 
@@ -374,32 +332,6 @@ mod tests {
                 .linear_attributes(&[(Child, a)], EdgeKind::Descendant, k)
                 .len(),
             2
-        );
-    }
-
-    #[test]
-    fn range_cursors_slice_the_sorted_lists() {
-        let (_doc, index, names) = build();
-        let c = nid(&names, "c");
-        let all = index.element_labels(c);
-        assert_eq!(all.len(), 3);
-        // Full window is the whole list, zero-copy.
-        let full = index.elements_in_range(c, 0, u32::MAX);
-        assert_eq!(full.as_ptr(), all.as_ptr());
-        assert_eq!(full.len(), 3);
-        // A window covering only the middle entry.
-        let mid = index.elements_in_range(c, all[1].start, all[1].start);
-        assert_eq!(mid, &all[1..2]);
-        // Disjoint window → empty; unknown name → empty.
-        assert!(index.elements_in_range(c, u32::MAX, u32::MAX).is_empty());
-        assert!(index.elements_in_range(NameId(999), 0, u32::MAX).is_empty());
-        // Attribute cursor.
-        let k = nid(&names, "k");
-        let ks = index.attribute_labels(k);
-        assert_eq!(index.attributes_in_range(k, 0, u32::MAX), ks);
-        assert_eq!(
-            index.attributes_in_range(k, ks[1].start, u32::MAX),
-            &ks[1..]
         );
     }
 

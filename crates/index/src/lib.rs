@@ -17,7 +17,7 @@
 //! document trips the caller's budgets instead of blowing memory.
 //!
 //! ```
-//! use xqr_index::{ensure_indexed, IndexedAccess};
+//! use xqr_index::ensure_indexed;
 //! use xqr_store::Store;
 //! use xqr_xdm::{QName, QueryGuard};
 //!
@@ -34,6 +34,6 @@ mod doc_index;
 mod path_dict;
 mod registry;
 
-pub use doc_index::{DocIndex, IndexedAccess, Postings};
+pub use doc_index::{DocIndex, Postings};
 pub use path_dict::{PathDict, PathId, PathStep};
-pub use registry::{attach_index, ensure_indexed, index_of, SharedIndex};
+pub use registry::{attach_index, ensure_indexed, index_of};

@@ -5,22 +5,18 @@
 //! long as the document, and an id that no longer resolves to a live
 //! document resolves no index either.
 
-use crate::doc_index::{DocIndex, IndexedAccess};
+use crate::doc_index::DocIndex;
 use std::sync::Arc;
 use xqr_store::{DocId, Document, Store};
 use xqr_xdm::{QueryGuard, Result};
 
-/// A shared handle to any index implementation — heap-built
-/// [`DocIndex`] or an mmap-backed segment view.
-pub type SharedIndex = Arc<dyn IndexedAccess>;
-
-fn attached(doc: &Document) -> Option<SharedIndex> {
-    doc.attachment()?.downcast_ref::<SharedIndex>().cloned()
+fn attached(doc: &Document) -> Option<Arc<DocIndex>> {
+    doc.attachment()?.downcast_ref::<Arc<DocIndex>>().cloned()
 }
 
 /// Attach a built index to a document. Returns `false` when the id no
 /// longer resolves or the document already has an index.
-pub fn attach_index(store: &Store, id: DocId, index: SharedIndex) -> bool {
+pub fn attach_index(store: &Store, id: DocId, index: Arc<DocIndex>) -> bool {
     store
         .try_document(id)
         .is_some_and(|doc| doc.attach(Box::new(index)))
@@ -28,7 +24,7 @@ pub fn attach_index(store: &Store, id: DocId, index: SharedIndex) -> bool {
 
 /// Look up the index for a document. `None` means unindexed *or* an id
 /// whose document is gone.
-pub fn index_of(store: &Store, id: DocId) -> Option<SharedIndex> {
+pub fn index_of(store: &Store, id: DocId) -> Option<Arc<DocIndex>> {
     attached(&*store.try_document(id)?)
 }
 
@@ -36,7 +32,11 @@ pub fn index_of(store: &Store, id: DocId) -> Option<SharedIndex> {
 /// one under `guard` and attach it (when two builds race, the first
 /// attached wins and both callers get it). `Ok(None)` means the
 /// document is gone; errors are guard trips during the build.
-pub fn ensure_indexed(store: &Store, id: DocId, guard: &QueryGuard) -> Result<Option<SharedIndex>> {
+pub fn ensure_indexed(
+    store: &Store,
+    id: DocId,
+    guard: &QueryGuard,
+) -> Result<Option<Arc<DocIndex>>> {
     if let Some(existing) = index_of(store, id) {
         return Ok(Some(existing));
     }
@@ -44,8 +44,7 @@ pub fn ensure_indexed(store: &Store, id: DocId, guard: &QueryGuard) -> Result<Op
     let Some(doc) = store.try_document(id) else {
         return Ok(None);
     };
-    let index: SharedIndex = Arc::new(DocIndex::build_guarded(&doc, guard)?);
-    doc.attach(Box::new(index));
+    doc.attach(Box::new(Arc::new(DocIndex::build_guarded(&doc, guard)?)));
     Ok(attached(&doc))
 }
 

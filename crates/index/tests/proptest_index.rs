@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use xqr_index::{DocIndex, IndexedAccess, PathStep};
+use xqr_index::{DocIndex, PathStep};
 use xqr_joins::{EdgeKind, Labeled};
 use xqr_store::{Document, NodeId};
 use xqr_xdm::{NameId, NamePool, NodeKind, QName};

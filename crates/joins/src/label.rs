@@ -11,13 +11,7 @@ use xqr_xdm::NameId;
 
 /// A node with its containment label, detached from the store so join
 /// kernels are pure functions over slices.
-///
-/// `repr(C)` pins the field order and layout: the segment layer writes
-/// these records to disk (node, start, end, level, two zero pad bytes =
-/// 16 bytes) and maps them back as zero-copy `&[Labeled]` slices, so the
-/// in-memory layout must match the on-disk one exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C)]
 pub struct Labeled {
     pub node: NodeId,
     pub start: u32,

@@ -28,7 +28,7 @@ use crate::eval::Counters;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use xqr_compiler::access::{AccessAnchor, AccessEdge, AccessPattern};
-use xqr_index::{index_of, IndexedAccess, PathStep};
+use xqr_index::{index_of, DocIndex, PathStep};
 use xqr_joins::{guard_tick, twig_stack_on, EdgeKind, Labeled, TwigPattern};
 use xqr_parallel::lock_recover;
 use xqr_store::{DocId, NodeRef};
@@ -93,23 +93,18 @@ fn node_list(
     names: &[NameId],
     i: usize,
     doc_id: DocId,
-    index: &dyn IndexedAccess,
+    index: &DocIndex,
     st: &ExecState,
     counters: &Counters,
 ) -> Arc<Vec<Labeled>> {
     let n = &pattern.nodes[i];
     let chain = chain_to(pattern, names, i);
     let build = |chain: &[PathStep]| {
-        let dict = index.path_dict();
         if n.attribute {
-            let (attr_step, owner_steps) = chain.split_last().expect("node i");
-            let keep = match attr_step.0 {
-                EdgeKind::Child => dict.matching(owner_steps),
-                EdgeKind::Descendant => dict.matching_prefix(owner_steps),
-            };
-            index.attributes_on_paths(names[i], &keep)
+            let (&(edge, name), owner_steps) = chain.split_last().expect("node i");
+            index.linear_attributes(owner_steps, edge, name)
         } else {
-            index.elements_on_paths(names[i], &dict.matching(chain))
+            index.linear_elements(chain)
         }
     };
     match &st.scan_cache {
@@ -157,9 +152,9 @@ pub(crate) fn try_index_scan(
     };
 
     let nodes = if pattern.is_linear() {
-        answer_linear(pattern, &names, doc_id, &*index, st, counters)
+        answer_linear(pattern, &names, doc_id, &index, st, counters)
     } else {
-        answer_twig(pattern, &names, doc_id, &*index, st, counters)?
+        answer_twig(pattern, &names, doc_id, &index, st, counters)?
     };
     Ok(Some(
         nodes.into_iter().map(|n| NodeRef::new(doc_id, n)).collect(),
@@ -182,7 +177,7 @@ fn answer_linear(
     pattern: &AccessPattern,
     names: &[NameId],
     doc_id: DocId,
-    index: &dyn IndexedAccess,
+    index: &DocIndex,
     st: &ExecState,
     counters: &Counters,
 ) -> Vec<xqr_store::NodeId> {
@@ -194,7 +189,7 @@ fn answer_twig(
     pattern: &AccessPattern,
     names: &[NameId],
     doc_id: DocId,
-    index: &dyn IndexedAccess,
+    index: &DocIndex,
     st: &ExecState,
     counters: &Counters,
 ) -> Result<Vec<xqr_store::NodeId>> {

@@ -2,8 +2,8 @@
 //!
 //! The persistence layer: one document (tree + structural index + path
 //! dictionary) packed into a single relocatable on-disk blob, written
-//! crash-safely and read back by `mmap` with zero-copy views over the
-//! inverted lists.
+//! crash-safely and read back into the same heap structures a parse and
+//! an index build produce.
 //!
 //! ## Guarantees
 //!
@@ -20,20 +20,18 @@
 //!   crash at any point leaves the catalog in a state where every
 //!   document is either fully readable or cleanly absent.
 //! * **Cold start**: loading a segment re-assembles the struct-of-arrays
-//!   [`xqr_store::Document`] and serves the inverted lists directly from
-//!   the mapped file (`MappedIndex` implements
-//!   [`xqr_index::IndexedAccess`]), skipping XML parsing and index
+//!   [`xqr_store::Document`] and decodes the stored inverted lists into
+//!   an [`xqr_index::DocIndex`], skipping XML parsing and index
 //!   construction entirely.
 //!
 //! Failpoint sites (see `xqr-faults`): `segment.write`, `segment.fsync`,
-//! `segment.rename`, `manifest.append`, `segment.mmap`,
+//! `segment.rename`, `manifest.append`, `segment.read`,
 //! `segment.verify`.
 
 mod blob;
 mod crc;
 mod layout;
 mod manifest;
-mod mmap;
 mod read;
 mod write;
 

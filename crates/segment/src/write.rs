@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
-use xqr_index::{DocIndex, IndexedAccess, Postings};
+use xqr_index::{DocIndex, Postings};
 use xqr_store::{Document, NO_NODE};
 use xqr_xdm::{Error, NameId, Result};
 
@@ -153,8 +153,8 @@ pub fn segment_bytes(doc: &Document, index: &DocIndex) -> Result<Vec<u8>> {
             w.u32(seg);
             w.u32(p.len() as u32);
         }
-        // Labels start on the next 16-byte file boundary so the reader
-        // can serve them as zero-copy `&[Labeled]` slices.
+        // Labels start on the next 16-byte file boundary: format v2 has
+        // this padding, so it is kept until the next format version.
         w.align16();
         for &(_, p) in &lists {
             for l in p.labels() {

@@ -1,15 +1,15 @@
-//! Segment write→read roundtrips: the loaded document and mapped index
-//! must be observationally identical to the originals, the encoding must
-//! be deterministic and pool-independent, and the real file path (tmp →
-//! fsync → rename → mmap) must agree with the in-memory path.
+//! Segment write→read roundtrips: the loaded document and index must be
+//! observationally identical to the originals, the encoding must be
+//! deterministic and pool-independent, and the real file path (tmp →
+//! fsync → rename → read) must agree with the in-memory path.
 
 use std::sync::Arc;
-use xqr_index::{DocIndex, IndexedAccess, PathStep};
+use xqr_index::{DocIndex, PathStep};
 use xqr_joins::EdgeKind;
 use xqr_segment::{crc32, segment_bytes, write_segment_file, Segment};
 use xqr_store::Document;
 use xqr_tokenstream::TokenStream;
-use xqr_xdm::{NameId, NamePool, QName};
+use xqr_xdm::{ErrorCode, NameId, NamePool, QName};
 
 const SAMPLE: &str = concat!(
     r#"<lib xmlns:l="urn:lib" note="n1"><!--header--><?gen v=1?>"#,
@@ -28,9 +28,9 @@ fn build(xml: &str, uri: Option<&str>) -> (Arc<Document>, DocIndex, Arc<NamePool
 
 fn assert_equivalent(
     doc: &Document,
-    index: &dyn IndexedAccess,
+    index: &DocIndex,
     loaded_doc: &Document,
-    loaded_index: &dyn IndexedAccess,
+    loaded_index: &DocIndex,
     names: &NamePool,
     loaded_names: &NamePool,
 ) {
@@ -70,11 +70,11 @@ fn roundtrip_preserves_document_and_index() {
 
     let loaded_names = Arc::new(NamePool::new());
     let (ldoc, lindex) = seg.load(&loaded_names).unwrap();
-    assert_equivalent(&doc, &index, &ldoc, &*lindex, &names, &loaded_names);
+    assert_equivalent(&doc, &index, &ldoc, &lindex, &names, &loaded_names);
 }
 
 #[test]
-fn linear_patterns_agree_between_heap_and_mapped_index() {
+fn linear_patterns_agree_between_built_and_loaded_index() {
     let (_, index, names) = build(SAMPLE, None);
     let bytes = segment_bytes(&build(SAMPLE, None).0, &index).unwrap();
     let seg = Segment::from_bytes(bytes).unwrap();
@@ -143,7 +143,7 @@ fn encoding_is_deterministic_and_pool_independent() {
 }
 
 #[test]
-fn mapped_file_serves_zero_copy_lists() {
+fn file_roundtrip_loads_the_built_index() {
     let dir = std::env::temp_dir().join(format!("xqr-seg-roundtrip-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -153,16 +153,19 @@ fn mapped_file_serves_zero_copy_lists() {
     assert!(!dir.join("seg-1.seg.tmp").exists());
 
     let seg = Segment::open(&dir.join("seg-1.seg")).unwrap();
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    assert!(seg.is_mapped());
     assert_eq!(seg.file_bytes(), bytes.len());
     let lnames = Arc::new(NamePool::new());
     let (ldoc, lindex) = seg.load(&lnames).unwrap();
-    assert!(lindex.is_zero_copy());
-    assert_equivalent(&doc, &index, &ldoc, &*lindex, &names, &lnames);
-    // The mapped labels really live inside the mapped file region, not
-    // on the heap: the index's footprint is exactly the file size.
-    assert_eq!(lindex.memory_bytes(), bytes.len());
+    assert_equivalent(&doc, &index, &ldoc, &lindex, &names, &lnames);
+    // The loaded index is the one a build produces, footprint included.
+    assert_eq!(
+        lindex.memory_bytes(),
+        DocIndex::build(&doc).unwrap().memory_bytes()
+    );
+    // A referenced file that is gone is a broken catalog: quarantine.
+    std::fs::remove_file(dir.join("seg-1.seg")).unwrap();
+    let err = Segment::open(&dir.join("seg-1.seg")).unwrap_err();
+    assert_eq!(err.code, ErrorCode::CorruptSegment);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -173,7 +176,7 @@ fn empty_and_tiny_documents_roundtrip() {
         let seg = Segment::from_bytes(segment_bytes(&doc, &index).unwrap()).unwrap();
         let lnames = Arc::new(NamePool::new());
         let (ldoc, lindex) = seg.load(&lnames).unwrap();
-        assert_equivalent(&doc, &index, &ldoc, &*lindex, &names, &lnames);
+        assert_equivalent(&doc, &index, &ldoc, &lindex, &names, &lnames);
     }
 }
 

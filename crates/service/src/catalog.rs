@@ -25,9 +25,10 @@
 //! fsync) and recorded in an append-only manifest with a generation
 //! number. On reopen the manifest is replayed, orphan files are swept,
 //! and every recorded document comes back as a lazily-loaded entry:
-//! the first access mmaps the segment, verifies its checksums, and
-//! re-registers the document with a zero-copy mapped index — no XML
-//! parsing, no index build.
+//! the first access reads the segment, verifies its checksums, and
+//! re-registers the document with the index it stored — no XML
+//! parsing, no index build. A reloaded document is charged exactly
+//! what its `put` charged.
 //!
 //! A segment that fails verification is **quarantined**: it is never
 //! served (every access yields the non-retryable `err:XQRL0006
@@ -60,7 +61,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
-use xqr_index::{DocIndex, IndexedAccess, SharedIndex};
+use xqr_index::DocIndex;
 use xqr_parallel::lock_recover;
 use xqr_pressure::{Category, MemoryLedger, PressureState};
 use xqr_segment::{
@@ -94,7 +95,7 @@ pub struct CatalogStats {
     pub index_build_failures: u64,
     /// Segments written durably by `put`.
     pub segments_written: u64,
-    /// Segments loaded back from disk (verified, mmapped, re-registered).
+    /// Segments loaded back from disk (read, verified, re-registered).
     pub segments_recovered: u64,
     /// Segments that failed verification and were quarantined.
     pub segments_quarantined: u64,
@@ -363,7 +364,7 @@ impl DocumentCatalog {
     /// memory amplification right when memory is the problem), or the
     /// build failed — a budget trip, an injected fault, or a panic,
     /// which is contained here so the caller keeps ownership of `id`.
-    fn build_index(&self, id: DocId) -> Option<SharedIndex> {
+    fn build_index(&self, id: DocId) -> Option<Arc<DocIndex>> {
         let limits = self.index_limits?;
         if self.ledger.state() >= PressureState::Yellow {
             self.pressure_no_index.fetch_add(1, Ordering::Relaxed);
@@ -509,11 +510,11 @@ impl DocumentCatalog {
         &self,
         p: &Persistence,
         doc: &Document,
-        index: Option<&dyn xqr_index::IndexedAccess>,
+        index: Option<&DocIndex>,
     ) -> Result<Durable> {
         let throwaway;
-        let concrete: &DocIndex = match index.and_then(|i| i.as_doc_index()) {
-            Some(d) => d,
+        let index = match index {
+            Some(index) => index,
             None => {
                 // Indexing is off for this catalog; the segment format
                 // still carries the inverted lists, so build them just
@@ -522,7 +523,7 @@ impl DocumentCatalog {
                 &throwaway
             }
         };
-        let blob = segment_bytes(doc, concrete)?;
+        let blob = segment_bytes(doc, index)?;
         let generation = p.next_generation.fetch_add(1, Ordering::Relaxed);
         let file = format!("seg-{generation}.seg");
         write_segment_file(&p.dir, &file, &blob)?;
@@ -586,11 +587,11 @@ impl DocumentCatalog {
         }
     }
 
-    /// Load an on-disk entry back into memory: mmap, verify, register.
-    /// Caller holds the inner lock and has checked the entry is
-    /// `OnDisk`. Corruption quarantines the entry (bytes stay charged)
-    /// and returns the coded error; transient faults leave it on disk,
-    /// retryable.
+    /// Load an on-disk entry back into memory: read, verify, register,
+    /// and charge the document and its index as `put` did. Caller holds
+    /// the inner lock and has checked the entry is `OnDisk`. Corruption
+    /// quarantines the entry (charging nothing) and returns the coded
+    /// error; transient faults leave it on disk, retryable.
     fn reload_locked(&self, inner: &mut CatalogInner, name: &str) -> Result<Lease> {
         let persist = self
             .persist
@@ -618,7 +619,7 @@ impl DocumentCatalog {
                 let index_bytes = index.memory_bytes() as u64;
                 let bytes = doc.memory_bytes() as u64 + index_bytes;
                 let doc = self.store.lease_document(doc);
-                xqr_index::attach_index(&self.store, doc.id, index);
+                xqr_index::attach_index(&self.store, doc.id, Arc::new(index));
                 // Room first (the entry is still `OnDisk`, so not a
                 // victim); the store keeps the document only once nothing
                 // between here and the entry update can unwind.
@@ -646,7 +647,7 @@ impl DocumentCatalog {
                 self.segments_quarantined.fetch_add(1, Ordering::Relaxed);
                 Err(e)
             }
-            // Transient (an injected mmap fault, say): stay OnDisk so a
+            // Transient (an injected read fault, say): stay OnDisk so a
             // retry can succeed.
             Err(e) => Err(e),
         }
@@ -995,8 +996,44 @@ mod tests {
         let id = cat.get("a.xml").expect("reloads from segment");
         assert_eq!(store.doc_count(), 1);
         assert_eq!(cat.stats().segments_recovered, 1);
-        // The reload attached the mapped index.
+        // The reload attached the stored index.
         assert!(xqr_index::index_of(&store, id).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Eviction and reload are free: a document re-adopted from its
+    /// segment is charged exactly what its `put` charged — in the
+    /// catalog's totals, its index share, and the ledger.
+    #[test]
+    fn readopted_document_costs_what_its_put_cost() {
+        let dir = scratch("readopt");
+        let ledger = Arc::new(MemoryLedger::unbounded());
+        // A one-byte budget holds exactly one document: each put or
+        // reload evicts the other.
+        let cat = open_on(
+            &ledger,
+            Store::new(),
+            Some(1),
+            Some(Limits::unlimited()),
+            Some(&dir),
+        );
+        let charge = || {
+            let stats = cat.stats();
+            let resident = ledger
+                .snapshot()
+                .category(Category::CatalogResident)
+                .current;
+            (stats.bytes, stats.index_bytes, resident)
+        };
+        let a = r#"<lib><book year="1967"><title>P&amp;E</title><author>L</author></book><book year="2004"><title>XQP</title></book></lib>"#;
+        cat.put("a.xml", a).unwrap();
+        let put = charge();
+        assert!(put.1 > 0, "a has an index");
+        cat.put("b.xml", "<b><c/></b>").unwrap();
+        assert_eq!(cat.stats().evictions, 1, "a was demoted");
+        cat.resolve("a.xml").unwrap().expect("a reloads");
+        assert_eq!(cat.stats().segments_recovered, 1);
+        assert_eq!(charge(), put);
         let _ = fs::remove_dir_all(&dir);
     }
 

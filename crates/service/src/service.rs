@@ -236,7 +236,7 @@ impl QueryService {
     /// Build a service, opening (or creating) the durable segment store
     /// when [`ServiceConfig::persist_dir`] is set. Recovery is O(manifest):
     /// documents persisted by earlier incarnations are adopted lazily and
-    /// mmapped — checksum-verified — on first `doc("name")` touch.
+    /// read — checksum-verified — on first `doc("name")` touch.
     pub fn open(config: ServiceConfig) -> Result<Self> {
         let engine = Arc::new(Engine::with_options(config.engine.clone()));
         // Catalog loads build structural indexes under the same budgets

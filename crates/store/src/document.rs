@@ -61,13 +61,7 @@ impl DocId {
 }
 
 /// A node within one document: its preorder index.
-///
-/// `repr(transparent)` is load-bearing: the segment layer persists
-/// `Labeled { node: NodeId, … }` records byte-for-byte and reads them
-/// back as zero-copy slices from mapped files, which requires `NodeId`
-/// to have exactly `u32`'s layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(transparent)]
 pub struct NodeId(pub u32);
 
 pub const NO_NODE: u32 = u32::MAX;

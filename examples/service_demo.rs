@@ -3,7 +3,7 @@
 //! document catalog backed by a durable segment store, and admission
 //! control. The run ends with a simulated restart: a second service
 //! incarnation opens the same directory and recovers the corpus from
-//! checksummed mmap segments instead of re-parsing.
+//! checksummed segments instead of re-parsing.
 //!
 //! Run with `cargo run --release --example service_demo`.
 
@@ -94,7 +94,7 @@ fn main() {
 
     // Simulated restart: drop the service, reopen the directory. The
     // catalog adopts the persisted corpus in O(manifest) time; the first
-    // doc("bib.xml") touch mmaps and checksum-verifies the segment.
+    // doc("bib.xml") touch reads and checksum-verifies the segment.
     drop(service);
     let service = QueryService::open(config).expect("reopen segment store");
     let answer = service
