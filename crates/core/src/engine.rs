@@ -6,7 +6,7 @@ use std::sync::Arc;
 use xqr_compiler::{compile, CompileOptions, CompiledQuery};
 use xqr_runtime::{
     evaluate, pull, serialize_sequence, CombinedAutomaton, CombinedRun, Counters, DynamicContext,
-    ExecState, Item, Reply, RuntimeOptions, ScanCache, Sequence, StreamPattern,
+    ExecState, Item, LeaseTable, Reply, RuntimeOptions, ScanCache, Sequence, StreamPattern,
     StreamStats,
 };
 use xqr_store::{DocId, Lease, NodeRef, Store};
@@ -398,7 +398,7 @@ impl PreparedQuery {
             store: engine.store.clone(),
             counters,
             guard: result_guard,
-            _leases: leases,
+            leases,
         })
     }
 
@@ -507,8 +507,9 @@ pub struct QueryResult {
     /// The execution's guard, kept so serialization can charge the
     /// output-byte budget.
     guard: QueryGuard,
-    /// Held for as long as the items are: see above.
-    _leases: Vec<Lease>,
+    /// Held for as long as the items are: see above. The items' nodes
+    /// are read through these, never through the store.
+    leases: Vec<Lease>,
 }
 
 impl QueryResult {
@@ -525,17 +526,20 @@ impl QueryResult {
     /// the serialized form exceeds the cap set in
     /// [`xqr_xdm::Limits::with_max_output_bytes`].
     pub fn serialize_guarded(&self) -> Result<String> {
-        let out = serialize_sequence(&self.items, &self.store);
+        let out = serialize_sequence(&self.items, &self.lease_table());
         self.guard.note_output_bytes(out.len() as u64)?;
         Ok(out)
     }
 
     /// The string values of the items.
     pub fn string_values(&self) -> Vec<String> {
-        self.items
-            .iter()
-            .map(|i| i.string_value(&self.store))
-            .collect()
+        let docs = self.lease_table();
+        self.items.iter().map(|i| i.string_value(&docs)).collect()
+    }
+
+    /// A table over the result's own leases, built once per read.
+    fn lease_table(&self) -> LeaseTable {
+        LeaseTable::new(self.leases.iter().cloned())
     }
 
     /// Serialize with pretty-printed (indented) node items, charging the
@@ -545,6 +549,7 @@ impl QueryResult {
             indent: Some("  ".into()),
             declaration: false,
         };
+        let docs = self.lease_table();
         let mut out = String::new();
         let mut prev_atomic = false;
         for item in &self.items {
@@ -553,7 +558,7 @@ impl QueryResult {
                     if prev_atomic {
                         out.push(' ');
                     }
-                    out.push_str(&item.string_value(&self.store));
+                    out.push_str(&item.string_value(&docs));
                     prev_atomic = true;
                 }
                 Item::Node(n) => {
@@ -561,7 +566,7 @@ impl QueryResult {
                         out.push('\n');
                     }
                     let mut w = XmlWriter::new(opts.clone());
-                    self.store.doc_of(*n).write_subtree(n.node, &mut w);
+                    docs.document(n.doc).write_subtree(n.node, &mut w);
                     out.push_str(w.as_str());
                     prev_atomic = false;
                 }

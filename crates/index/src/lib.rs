@@ -36,4 +36,4 @@ mod registry;
 
 pub use doc_index::{DocIndex, Postings};
 pub use path_dict::{PathDict, PathId, PathStep};
-pub use registry::{attach_index, ensure_indexed, index_of};
+pub use registry::{attach_index, ensure_indexed, index_of, index_on};

@@ -10,8 +10,9 @@ use std::sync::Arc;
 use xqr_store::{DocId, Document, Store};
 use xqr_xdm::{QueryGuard, Result};
 
-fn attached(doc: &Document) -> Option<Arc<DocIndex>> {
-    doc.attachment()?.downcast_ref::<Arc<DocIndex>>().cloned()
+/// The index attached to a document the caller already holds, if any.
+pub fn index_on(doc: &Document) -> Option<&Arc<DocIndex>> {
+    doc.attachment()?.downcast_ref()
 }
 
 /// Attach a built index to a document. Returns `false` when the id no
@@ -25,7 +26,7 @@ pub fn attach_index(store: &Store, id: DocId, index: Arc<DocIndex>) -> bool {
 /// Look up the index for a document. `None` means unindexed *or* an id
 /// whose document is gone.
 pub fn index_of(store: &Store, id: DocId) -> Option<Arc<DocIndex>> {
-    attached(&*store.try_document(id)?)
+    index_on(&*store.try_document(id)?).cloned()
 }
 
 /// Ensure a document is indexed: reuse an existing attachment or build
@@ -45,7 +46,7 @@ pub fn ensure_indexed(
         return Ok(None);
     };
     doc.attach(Box::new(Arc::new(DocIndex::build_guarded(&doc, guard)?)));
-    Ok(attached(&doc))
+    Ok(index_on(&doc).cloned())
 }
 
 #[cfg(test)]

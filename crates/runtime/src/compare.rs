@@ -3,9 +3,9 @@
 //! "existential quantification + automatic type coercion"), and node
 //! comparisons (`is`, `<<`, `>>`).
 
+use crate::env::LeaseTable;
 use crate::value::{atomize_one, Item};
 use std::cmp::Ordering;
-use xqr_store::Store;
 use xqr_xdm::{AtomicType, AtomicValue, Error, Result, TzOffset};
 use xqr_xqparser::ast::CompOp;
 
@@ -26,14 +26,14 @@ pub(crate) fn value_compare(
     op: CompOp,
     lhs: &[Item],
     rhs: &[Item],
-    store: &Store,
+    docs: &LeaseTable,
     tz: TzOffset,
 ) -> Result<Option<bool>> {
-    let a = match atomize_one(lhs, store, op.symbol())? {
+    let a = match atomize_one(lhs, docs, op.symbol())? {
         Some(v) => v,
         None => return Ok(None),
     };
-    let b = match atomize_one(rhs, store, op.symbol())? {
+    let b = match atomize_one(rhs, docs, op.symbol())? {
         Some(v) => v,
         None => return Ok(None),
     };
@@ -75,16 +75,16 @@ pub(crate) fn general_compare(
     op: CompOp,
     lhs: &[Item],
     rhs: &[Item],
-    store: &Store,
+    docs: &LeaseTable,
     tz: TzOffset,
 ) -> Result<bool> {
     // Atomize lazily on the left, eagerly once on the right.
     let rhs_vals: Vec<AtomicValue> = rhs
         .iter()
-        .map(|i| i.typed_value(store))
+        .map(|i| i.typed_value(docs))
         .collect::<Result<_>>()?;
     for li in lhs {
-        let a = li.typed_value(store)?;
+        let a = li.typed_value(docs)?;
         for b in &rhs_vals {
             let (ca, cb) = coerce_pair(&a, b)?;
             if let Some(ord) = ca.value_compare(&cb, tz)? {
@@ -135,11 +135,11 @@ pub(crate) fn node_compare(op: CompOp, lhs: &[Item], rhs: &[Item]) -> Result<Opt
 #[allow(clippy::cloned_ref_to_slice_refs)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use xqr_store::NodeRef;
+    use xqr_store::{NodeRef, Store};
 
-    fn store() -> Arc<Store> {
-        Store::new()
+    /// Atomic operands read no document.
+    fn docs() -> LeaseTable {
+        LeaseTable::default()
     }
 
     fn int(i: i64) -> Item {
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn general_comparison_is_existential() {
-        let s = store();
+        let s = docs();
         // (1,2) = (2,3) → true (the talk's example)
         assert!(
             general_compare(CompOp::GenEq, &[int(1), int(2)], &[int(2), int(3)], &s, 0).unwrap()
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn general_comparison_coerces_untyped_to_number() {
-        let s = store();
+        let s = docs();
         // <a>42</a> = 42 → true (untyped coerced to double)
         assert!(general_compare(CompOp::GenEq, &[untyped("42")], &[int(42)], &s, 0).unwrap());
         assert!(general_compare(
@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn value_comparison_empty_preserving() {
-        let s = store();
+        let s = docs();
         assert_eq!(
             value_compare(CompOp::ValEq, &[], &[int(42)], &s, 0).unwrap(),
             None
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn value_comparison_nan() {
-        let s = store();
+        let s = docs();
         let nan = Item::Atomic(AtomicValue::Double(f64::NAN));
         assert_eq!(
             value_compare(CompOp::ValEq, &[nan.clone()], &[nan.clone()], &s, 0).unwrap(),
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn node_comparisons() {
-        let s = store();
+        let s = Store::new();
         let d = s.load_xml("<a><b/><c/></a>", None).unwrap();
         let doc = s.document(d);
         let a = doc.first_child(doc.root()).unwrap();

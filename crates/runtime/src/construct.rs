@@ -119,7 +119,7 @@ impl Sink for Content<'_> {
                 }
             }
             Item::Node(n) => {
-                let doc = st.store.doc_of(n);
+                let doc = st.leases.document(n.doc);
                 let kind = doc.kind(n.node);
                 let name = if kind == NodeKind::Attribute {
                     doc.name(n.node)
@@ -342,7 +342,7 @@ fn attribute_value(ev: &Evaluator<'_>, parts: &[Core], st: &mut ExecState) -> Re
             Core::Const(v) => s.push_str(&v.string_value()),
             other => {
                 let items = ev.eval(other, st)?;
-                for (j, v) in atomize(&items, &st.store)?.iter().enumerate() {
+                for (j, v) in atomize(&items, &st.leases)?.iter().enumerate() {
                     if j > 0 {
                         s.push(' ');
                     }
@@ -356,7 +356,7 @@ fn attribute_value(ev: &Evaluator<'_>, parts: &[Core], st: &mut ExecState) -> Re
 
 /// The string values of the atomized items, joined by single spaces.
 fn joined(items: &[Item], st: &ExecState) -> Result<String> {
-    Ok(atomize(items, &st.store)?
+    Ok(atomize(items, &st.leases)?
         .iter()
         .map(|v| v.string_value())
         .collect::<Vec<_>>()

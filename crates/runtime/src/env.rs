@@ -5,9 +5,10 @@
 
 use crate::value::{Item, Sequence};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use xqr_compiler::VarId;
-use xqr_store::{DocId, Lease, NodeRef, Store};
+use xqr_store::{DocId, Document, Lease, NodeRef, Store};
 use xqr_xdm::{DateTime, Error, ErrorCode, QName, QueryGuard, Result, TzOffset};
 
 /// Values for the dynamic context, supplied by the application.
@@ -137,6 +138,80 @@ pub struct Focus {
     pub size: Option<i64>,
 }
 
+/// The documents one execution reads, by store slot. Every node the
+/// execution meets resolves here: a lookup is an index and an id
+/// compare, with no lock and no count another thread touches. Two live
+/// documents never share a slot, so one entry per slot suffices; the
+/// id check catches a node of a document the table does not hold.
+#[derive(Default)]
+pub struct LeaseTable {
+    /// `Rc` so a step can keep reading a document while the execution
+    /// holds more ([`LeaseTable::pin`]): a count private to this thread.
+    slots: Vec<Option<Rc<Lease>>>,
+}
+
+impl LeaseTable {
+    /// A table holding `leases`.
+    pub fn new(leases: impl IntoIterator<Item = Lease>) -> Self {
+        let mut table = LeaseTable::default();
+        for lease in leases {
+            table.hold(lease);
+        }
+        table
+    }
+
+    /// Hold `lease`; a document already held keeps its first lease.
+    fn hold(&mut self, lease: Lease) {
+        let i = lease.id.index() as usize;
+        if self.slots.len() <= i {
+            self.slots.resize(i + 1, None);
+        }
+        match &self.slots[i] {
+            Some(held) => assert_eq!(held.id, lease.id, "two live documents in one slot"),
+            None => self.slots[i] = Some(Rc::new(lease)),
+        }
+    }
+
+    fn entry(&self, id: DocId) -> Option<&Rc<Lease>> {
+        self.slots
+            .get(id.index() as usize)?
+            .as_ref()
+            .filter(|held| held.id == id)
+    }
+
+    fn holds(&self, id: DocId) -> bool {
+        self.entry(id).is_some()
+    }
+
+    /// The lease on `id`. Panics when the table does not hold it: every
+    /// node an execution reads comes from a document it leases, so a
+    /// miss is a caller bug, never a race.
+    fn held(&self, id: DocId) -> &Rc<Lease> {
+        self.entry(id).unwrap_or_else(|| {
+            panic!("stale DocId {id:?}: the execution holds no lease on the document")
+        })
+    }
+
+    /// The document `id` names; panics when the table does not hold it.
+    pub fn document(&self, id: DocId) -> &Document {
+        &self.held(id).doc
+    }
+
+    /// [`LeaseTable::document`] as a handle that outlives the borrow of
+    /// the table, for a reader that holds more documents as it goes.
+    pub(crate) fn pin(&self, id: DocId) -> Rc<Lease> {
+        self.held(id).clone()
+    }
+
+    fn into_leases(self) -> Vec<Lease> {
+        self.slots
+            .into_iter()
+            .flatten()
+            .map(|held| Rc::try_unwrap(held).unwrap_or_else(|held| (*held).clone()))
+            .collect()
+    }
+}
+
 /// Everything the evaluator threads through: the store, the dynamic
 /// context, the focus stack and the per-execution resource guard.
 pub struct ExecState {
@@ -155,12 +230,16 @@ pub struct ExecState {
     /// A lease on every document a node of this execution can come
     /// from: the dynamic context's ([`ExecState::pin_context`]), each
     /// `fn:doc` URI's ([`ExecState::doc`]) and each one a constructor
-    /// mints. Replacing, evicting or removing a document elsewhere never
-    /// frees one this execution reads; the leases pass to the result
+    /// mints. Nodes are read through it, never through the store.
+    /// Replacing, evicting or removing a document elsewhere never frees
+    /// one this execution reads; the leases pass to the result
     /// ([`ExecState::take_leases`]) or drop with the state.
-    leases: Vec<Lease>,
+    pub(crate) leases: LeaseTable,
     /// `fn:doc`'s memo: URI → the document its first resolution leased.
     by_uri: HashMap<String, DocId>,
+    /// Documents this execution resolved through the store: context
+    /// documents and `fn:doc` URIs, not constructed documents.
+    pub(crate) store_resolutions: u64,
 }
 
 impl ExecState {
@@ -171,8 +250,9 @@ impl ExecState {
             focus: Vec::new(),
             guard,
             scan_cache: None,
-            leases: Vec::new(),
+            leases: LeaseTable::default(),
             by_uri: HashMap::new(),
+            store_resolutions: 0,
         }
     }
 
@@ -194,7 +274,7 @@ impl ExecState {
             .filter_map(Item::as_node)
             .chain(ctx.default_collection.iter().copied());
         for n in nodes {
-            if self.leases.iter().any(|l| l.id == n.doc) {
+            if self.leases.holds(n.doc) {
                 continue;
             }
             let doc = self.store.try_document(n.doc).ok_or_else(|| {
@@ -203,6 +283,7 @@ impl ExecState {
                     format!("the document of context node {n:?} is gone"),
                 )
             })?;
+            self.store_resolutions += 1;
             self.hold(Lease { id: n.doc, doc });
         }
         Ok(())
@@ -220,17 +301,19 @@ impl ExecState {
         Ok(self.hold_as(uri, lease))
     }
 
-    /// Hold `lease` for the rest of the execution, as what
-    /// [`ExecState::doc`] answers for `uri` from now on.
+    /// Hold `lease`, resolved through the store, for the rest of the
+    /// execution, as what [`ExecState::doc`] answers for `uri` from now
+    /// on.
     pub(crate) fn hold_as(&mut self, uri: &str, lease: Lease) -> DocId {
         self.by_uri.insert(uri.to_string(), lease.id);
+        self.store_resolutions += 1;
         self.hold(lease)
     }
 
     /// Hold `lease` for the rest of the execution.
     pub(crate) fn hold(&mut self, lease: Lease) -> DocId {
         let id = lease.id;
-        self.leases.push(lease);
+        self.leases.hold(lease);
         id
     }
 
@@ -238,7 +321,7 @@ impl ExecState {
     /// nodes come from live exactly as long as that holder.
     pub fn take_leases(&mut self) -> Vec<Lease> {
         self.by_uri.clear();
-        std::mem::take(&mut self.leases)
+        std::mem::take(&mut self.leases).into_leases()
     }
 
     pub(crate) fn focus(&self) -> Option<&Focus> {
@@ -276,5 +359,27 @@ mod tests {
         let state = ExecState::with_guard(Store::new(), 0, QueryGuard::unlimited());
         let e = state.context_item().unwrap_err();
         assert_eq!(e.code, ErrorCode::MissingContext);
+    }
+
+    #[test]
+    fn the_table_reads_what_the_execution_holds() {
+        let store = Store::new();
+        let lease = store.lease_xml("<a/>", None).unwrap();
+        let id = lease.id;
+        let mut state = ExecState::with_guard(store.clone(), 0, QueryGuard::unlimited());
+        state.hold(lease.clone());
+        state.hold(lease);
+        assert_eq!(state.leases.document(id).len(), 2);
+        assert_eq!(state.take_leases().len(), 1, "one lease per document");
+    }
+
+    #[test]
+    #[should_panic(expected = "stale DocId")]
+    fn a_document_the_execution_does_not_hold_panics() {
+        let store = Store::new();
+        let other = store.load_xml("<a/>", None).unwrap();
+        let state = ExecState::with_guard(store, 0, QueryGuard::unlimited());
+        // Alive in the store, but never leased by this execution.
+        state.leases.document(other);
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::compare::{general_compare, node_compare, value_compare};
 use crate::construct::{self, NodeTarget};
-use crate::env::{DynamicContext, ExecState, Focus};
+use crate::env::{DynamicContext, ExecState, Focus, LeaseTable};
 use crate::functions;
 use crate::value::{atomize, atomize_one, effective_boolean_value, Item, Sequence};
 use std::cell::{Cell, RefCell};
@@ -100,6 +100,10 @@ pub struct Counters {
     /// Inverted-list scans answered from a shared batch scan cache
     /// instead of being rebuilt from the index.
     pub scan_cache_hits: Cell<u64>,
+    /// Documents resolved through the store: each context document
+    /// and each `fn:doc` URI once. Every node is then read through the
+    /// execution's own [`crate::LeaseTable`].
+    pub store_resolutions: Cell<u64>,
     /// Budget consumption gauges, copied from the [`xqr_xdm::QueryGuard`]
     /// after execution so explain/bench output can report them.
     pub budget_items: Cell<u64>,
@@ -425,8 +429,21 @@ impl<'m> Evaluator<'m> {
                     downstream: sink,
                     saw_node: false,
                     saw_atomic: false,
+                    position: 0,
+                    size: None,
                 };
-                self.push(input, st, &mut ps)
+                if !uses_last(step) {
+                    return self.push(input, st, &mut ps);
+                }
+                // last() requires the context size: materialize.
+                let items = self.eval(input, st)?;
+                ps.size = Some(items.len() as i64);
+                for item in items {
+                    if ps.accept(self, st, item)? == Flow::Done {
+                        return Ok(Flow::Done);
+                    }
+                }
+                Ok(Flow::More)
             }
             Core::Ddo(inner) => {
                 let items = self.eval(inner, st)?;
@@ -487,8 +504,7 @@ impl<'m> Evaluator<'m> {
             Core::UserCall(fid, args) => self.call_user(*fid, args, st, sink),
             Core::InstanceOf(inner, ty) => {
                 let items = self.eval(inner, st)?;
-                let store = st.store.clone();
-                let r = sequence_matches(&items, ty, &store);
+                let r = sequence_matches(&items, ty, &st.leases);
                 sink.accept(self, st, Item::boolean(r))
             }
             Core::CastAs(inner, ty, optional) => self.eval_cast(inner, *ty, *optional, st, sink),
@@ -583,13 +599,12 @@ impl<'m> Evaluator<'m> {
         st: &mut ExecState,
         sink: &mut dyn Sink,
     ) -> Result<Flow> {
-        let store = st.store.clone();
         let va = self.eval(a, st)?;
-        let Some(x) = atomize_one(&va, &store, op.symbol())? else {
+        let Some(x) = atomize_one(&va, &st.leases, op.symbol())? else {
             return Ok(Flow::More);
         };
         let vb = self.eval(b, st)?;
-        let Some(y) = atomize_one(&vb, &store, op.symbol())? else {
+        let Some(y) = atomize_one(&vb, &st.leases, op.symbol())? else {
             return Ok(Flow::More);
         };
         let r = xqr_compiler::ops::arith(op, &x, &y)?;
@@ -598,9 +613,8 @@ impl<'m> Evaluator<'m> {
 
     #[inline(never)]
     fn eval_neg(&self, a: &Core, st: &mut ExecState, sink: &mut dyn Sink) -> Result<Flow> {
-        let store = st.store.clone();
         let va = self.eval(a, st)?;
-        let Some(x) = atomize_one(&va, &store, "unary -")? else {
+        let Some(x) = atomize_one(&va, &st.leases, "unary -")? else {
             return Ok(Flow::More);
         };
         sink.accept(self, st, Item::Atomic(xqr_compiler::ops::negate(&x)?))
@@ -617,13 +631,12 @@ impl<'m> Evaluator<'m> {
     ) -> Result<Flow> {
         let va = self.eval(a, st)?;
         let vb = self.eval(b, st)?;
-        let store = st.store.clone();
         let tz = self.dyn_ctx.implicit_timezone;
         if op.is_general() {
-            let r = general_compare(op, &va, &vb, &store, tz)?;
+            let r = general_compare(op, &va, &vb, &st.leases, tz)?;
             sink.accept(self, st, Item::boolean(r))
         } else if op.is_value() {
-            match value_compare(op, &va, &vb, &store, tz)? {
+            match value_compare(op, &va, &vb, &st.leases, tz)? {
                 Some(r) => sink.accept(self, st, Item::boolean(r)),
                 None => Ok(Flow::More),
             }
@@ -684,9 +697,8 @@ impl<'m> Evaluator<'m> {
         st: &mut ExecState,
         sink: &mut dyn Sink,
     ) -> Result<Flow> {
-        let store = st.store.clone();
         let items = self.eval(inner, st)?;
-        let Some(v) = atomize_one(&items, &store, "cast")? else {
+        let Some(v) = atomize_one(&items, &st.leases, "cast")? else {
             if optional {
                 return Ok(Flow::More);
             }
@@ -706,9 +718,8 @@ impl<'m> Evaluator<'m> {
         st: &mut ExecState,
         sink: &mut dyn Sink,
     ) -> Result<Flow> {
-        let store = st.store.clone();
         let items = self.eval(inner, st)?;
-        let r = match atomize_one(&items, &store, "castable") {
+        let r = match atomize_one(&items, &st.leases, "castable") {
             Ok(Some(v)) => v.castable_to(ty),
             Ok(None) => optional,
             Err(_) => false,
@@ -725,8 +736,7 @@ impl<'m> Evaluator<'m> {
         sink: &mut dyn Sink,
     ) -> Result<Flow> {
         let items = self.eval(inner, st)?;
-        let store = st.store.clone();
-        if !sequence_matches(&items, ty, &store) {
+        if !sequence_matches(&items, ty, &st.leases) {
             return Err(Error::type_error(format!(
                 "treat as {ty} failed at runtime"
             )));
@@ -749,11 +759,9 @@ impl<'m> Evaluator<'m> {
         st: &mut ExecState,
         sink: &mut dyn Sink,
     ) -> Result<Flow> {
-        let items = self.eval(operand, st)?;
-        let store = st.store.clone();
-        let value = Arc::new(items);
+        let value = Arc::new(self.eval(operand, st)?);
         for case in cases {
-            if sequence_matches(&value, &case.ty, &store) {
+            if sequence_matches(&value, &case.ty, &st.leases) {
                 let saved = case.var.map(|v| (v, st.frame.bind(v, value.clone())));
                 let r = self.push(&case.body, st, sink);
                 if let Some((v, s)) = saved {
@@ -771,9 +779,8 @@ impl<'m> Evaluator<'m> {
     }
 
     fn eval_integer_opt(&self, e: &Core, st: &mut ExecState) -> Result<Option<i64>> {
-        let store = st.store.clone();
         let items = self.eval(e, st)?;
-        let Some(v) = atomize_one(&items, &store, "range")? else {
+        let Some(v) = atomize_one(&items, &st.leases, "range")? else {
             return Ok(None);
         };
         match v.cast_to(AtomicType::Integer) {
@@ -848,13 +855,16 @@ impl<'m> Evaluator<'m> {
                 "axis step on an atomic value".to_string(),
             ));
         };
-        let doc = st.store.doc_of(node);
-        let Some(test) = BoundTest::bind(&doc, axis, test) else {
+        // A handle of its own: the sink may hold more documents while
+        // the step still reads this one.
+        let lease = st.leases.pin(node.doc);
+        let doc = &*lease.doc;
+        let Some(test) = BoundTest::bind(doc, axis, test) else {
             // A name the pool never saw is on no node of this document.
             return Ok(Flow::More);
         };
         let emit = |n: NodeId| {
-            if test.matches(&doc, n) {
+            if test.matches(doc, n) {
                 sink.accept(self, st, Item::Node(NodeRef::new(node.doc, n)))
             } else {
                 Ok(Flow::More)
@@ -868,7 +878,7 @@ impl<'m> Evaluator<'m> {
                 emit,
             ),
             AxisName::Attribute => until_done(doc.attributes(node.node), emit),
-            _ => until_done(walk(&doc, node.node, convert_axis(axis)), emit),
+            _ => until_done(walk(doc, node.node, convert_axis(axis)), emit),
         }
     }
 
@@ -877,8 +887,6 @@ impl<'m> Evaluator<'m> {
         // Numeric singleton predicate → positional test.
         if let [Item::Atomic(v)] = items.as_slice() {
             if v.is_numeric() {
-                let store = st.store.clone();
-                let _ = store;
                 return Ok(match v {
                     AtomicValue::Integer(k) => *k == position,
                     other => other
@@ -895,9 +903,8 @@ impl<'m> Evaluator<'m> {
         match name {
             CoreName::Const(q) => Ok(q.clone()),
             CoreName::Computed(e) => {
-                let store = st.store.clone();
                 let items = self.eval(e, st)?;
-                let Some(v) = atomize_one(&items, &store, "constructor name")? else {
+                let Some(v) = atomize_one(&items, &st.leases, "constructor name")? else {
                     return Err(Error::type_error("constructor name is the empty sequence"));
                 };
                 match v {
@@ -939,12 +946,11 @@ impl<'m> Evaluator<'m> {
             .function_calls
             .set(self.counters.function_calls.get() + 1);
         // Evaluate arguments, checking declared types.
-        let store = st.store.clone();
         let mut values = Vec::with_capacity(args.len());
         for (a, (_, pty)) in args.iter().zip(&f.params) {
             let v = self.eval(a, st)?;
             if let Some(ty) = pty {
-                if !sequence_matches(&v, ty, &store) {
+                if !sequence_matches(&v, ty, &st.leases) {
                     return Err(Error::type_error(format!(
                         "argument to {} does not match declared type {ty}",
                         f.name
@@ -1017,7 +1023,7 @@ impl<'m> Evaluator<'m> {
         self.depth.set(depth);
         let result = result?;
         if let Some(ty) = &f.return_type {
-            if !sequence_matches(&result, ty, &store) {
+            if !sequence_matches(&result, ty, &st.leases) {
                 return Err(Error::type_error(format!(
                     "result of {} does not match declared type {ty}",
                     f.name
@@ -1088,7 +1094,6 @@ impl<'m> Evaluator<'m> {
         )?;
 
         // Evaluate sort keys per tuple.
-        let store = st.store.clone();
         let tz = self.dyn_ctx.implicit_timezone;
         let mut keyed: Vec<(Vec<Option<AtomicValue>>, Tuple)> = Vec::with_capacity(tuples.len());
         for tuple in tuples {
@@ -1099,7 +1104,7 @@ impl<'m> Evaluator<'m> {
             let mut keys = Vec::with_capacity(order.len());
             for spec in order {
                 let items = self.eval(&spec.key, st)?;
-                let k = atomize_one(&items, &store, "order by key")?;
+                let k = atomize_one(&items, &st.leases, "order by key")?;
                 // Untyped keys order as strings.
                 let k = match k {
                     Some(AtomicValue::UntypedAtomic(s)) => Some(AtomicValue::String(s)),
@@ -1256,7 +1261,6 @@ impl<'m> Evaluator<'m> {
             } => {
                 // Build (once) the inner items + hash table.
                 if let std::collections::hash_map::Entry::Vacant(e) = group_cache.entry(idx) {
-                    let store = st.store.clone();
                     let inner_items = self.eval(inner, st)?;
                     let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::new();
                     for (i, item) in inner_items.iter().enumerate() {
@@ -1264,7 +1268,7 @@ impl<'m> Evaluator<'m> {
                         let saved = st.frame.bind(*inner_var, one);
                         let keys = self.eval(inner_key, st);
                         st.frame.restore(*inner_var, saved);
-                        for v in atomize(&keys?, &store)? {
+                        for v in atomize(&keys?, &st.leases)? {
                             for k in join_keys(&v) {
                                 table.entry(k).or_default().push(i);
                             }
@@ -1276,12 +1280,11 @@ impl<'m> Evaluator<'m> {
                     e.insert((inner_items, table));
                 }
                 // Probe with the current tuple's outer key.
-                let store = st.store.clone();
                 let okeys = self.eval(outer_key, st)?;
                 let mut matched: Vec<usize> = Vec::new();
                 {
                     let (_, table) = group_cache.get(&idx).expect("just built");
-                    for v in atomize(&okeys, &store)? {
+                    for v in atomize(&okeys, &st.leases)? {
                         for k in join_keys(&v) {
                             if let Some(ids) = table.get(&k) {
                                 matched.extend(ids.iter().copied());
@@ -1336,7 +1339,6 @@ impl<'m> Evaluator<'m> {
         self.counters
             .join_builds
             .set(self.counters.join_builds.get() + 1);
-        let store = st.store.clone();
         // Build phase over the inner (independent) side.
         let inner_items = self.eval(inner, st)?;
         let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::new();
@@ -1345,7 +1347,7 @@ impl<'m> Evaluator<'m> {
             let saved = st.frame.bind(inner_var, one);
             let keys = self.eval(inner_key, st);
             st.frame.restore(inner_var, saved);
-            for v in atomize(&keys?, &store)? {
+            for v in atomize(&keys?, &st.leases)? {
                 for k in join_keys(&v) {
                     table.entry(k).or_default().push(i);
                 }
@@ -1365,7 +1367,7 @@ impl<'m> Evaluator<'m> {
                 }
             };
             let mut matched: Vec<usize> = Vec::new();
-            match atomize(&keys, &store) {
+            match atomize(&keys, &st.leases) {
                 Ok(vals) => {
                     for v in vals {
                         for k in join_keys(&v) {
@@ -1504,6 +1506,10 @@ struct PathSink<'a> {
     downstream: &'a mut dyn Sink,
     saw_node: bool,
     saw_atomic: bool,
+    /// The focus the step sees: each input item's position, and the
+    /// input's size when the step asks for `last()`.
+    position: i64,
+    size: Option<i64>,
 }
 
 impl Sink for PathSink<'_> {
@@ -1514,10 +1520,11 @@ impl Sink for PathSink<'_> {
                 "path step applied to an atomic value",
             ));
         }
+        self.position += 1;
         st.focus.push(Focus {
             item,
-            position: 0,
-            size: None,
+            position: self.position,
+            size: self.size,
         });
         // Verify result homogeneity through a checking shim.
         let mut shim = HomogeneitySink {
@@ -1692,7 +1699,7 @@ impl<'t> BoundTest<'t> {
 }
 
 /// Does one item match an item type?
-pub(crate) fn item_matches(item: &Item, ty: &ItemType, store: &xqr_store::Store) -> bool {
+pub(crate) fn item_matches(item: &Item, ty: &ItemType, docs: &LeaseTable) -> bool {
     match ty {
         ItemType::AnyItem => true,
         ItemType::AnyNode => item.is_node(),
@@ -1702,7 +1709,7 @@ pub(crate) fn item_matches(item: &Item, ty: &ItemType, store: &xqr_store::Store)
         },
         ItemType::Kind(kind, name_test) => match item {
             Item::Node(n) => {
-                let doc = store.doc_of(*n);
+                let doc = docs.document(n.doc);
                 doc.kind(n.node) == *kind
                     && match name_test {
                         NameTest::Any => true,
@@ -1715,11 +1722,7 @@ pub(crate) fn item_matches(item: &Item, ty: &ItemType, store: &xqr_store::Store)
 }
 
 /// Does a whole sequence match a sequence type?
-pub(crate) fn sequence_matches(
-    items: &[Item],
-    ty: &SequenceType,
-    store: &xqr_store::Store,
-) -> bool {
+pub(crate) fn sequence_matches(items: &[Item], ty: &SequenceType, docs: &LeaseTable) -> bool {
     match ty {
         SequenceType::Empty => items.is_empty(),
         SequenceType::Of(item_ty, occ) => {
@@ -1729,7 +1732,7 @@ pub(crate) fn sequence_matches(
                 xqr_xdm::Occurrence::ZeroOrMore => true,
                 xqr_xdm::Occurrence::OneOrMore => !items.is_empty(),
             };
-            count_ok && items.iter().all(|i| item_matches(i, item_ty, store))
+            count_ok && items.iter().all(|i| item_matches(i, item_ty, docs))
         }
     }
 }

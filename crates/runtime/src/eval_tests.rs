@@ -1,6 +1,6 @@
 //! End-to-end evaluator tests: query text → serialized result.
 
-use crate::env::DynamicContext;
+use crate::env::{DynamicContext, LeaseTable};
 use crate::eval::RuntimeOptions;
 use crate::reply::serialize_sequence;
 use crate::value::Item;
@@ -34,7 +34,7 @@ fn try_run_with(
     let mut ctx = DynamicContext::new();
     setup(&mut ctx, &store);
     let materialized = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default())
-        .map(|(result, _, _leases)| serialize_sequence(&result, &store));
+        .map(|(result, _, leases)| serialize_sequence(&result, &LeaseTable::new(leases)));
     let mut st = crate::ExecState::with_guard(
         store.clone(),
         compiled.module.var_count,
@@ -70,9 +70,9 @@ fn run_both(query: &str) -> String {
     .unwrap();
     let store = Store::new();
     let ctx = DynamicContext::new();
-    let (result, _, _leases) = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default())
+    let (result, _, leases) = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default())
         .unwrap_or_else(|e| panic!("{query} (unoptimized): {e}"));
-    let unoptimized = serialize_sequence(&result, &store);
+    let unoptimized = serialize_sequence(&result, &LeaseTable::new(leases));
     assert_eq!(
         optimized, unoptimized,
         "optimizer changed semantics of {query}"
@@ -722,7 +722,7 @@ mod memoization {
         let compiled = compile(q, &CompileOptions::default()).unwrap();
         let store = Store::new();
         let ctx = DynamicContext::new();
-        let (r1, c1, _) = crate::execute(
+        let (r1, c1, leases) = crate::execute(
             &compiled,
             &store,
             &ctx,
@@ -743,7 +743,7 @@ mod memoization {
         )
         .unwrap();
         assert_eq!(r1, r2);
-        assert_eq!(serialize_sequence(&r1, &store), "2584");
+        assert_eq!(serialize_sequence(&r1, &LeaseTable::new(leases)), "2584");
         assert!(
             c2.function_calls.get() * 10 < c1.function_calls.get(),
             "memoization should collapse the call tree: {} vs {}",
@@ -763,8 +763,9 @@ mod counters {
         let compiled = compile("(1 to 100000)[2]", &CompileOptions::default()).unwrap();
         let store = Store::new();
         let ctx = DynamicContext::new();
-        let (r, c, _) = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default()).unwrap();
-        assert_eq!(serialize_sequence(&r, &store), "2");
+        let (r, c, leases) =
+            crate::execute(&compiled, &store, &ctx, RuntimeOptions::default()).unwrap();
+        assert_eq!(serialize_sequence(&r, &LeaseTable::new(leases)), "2");
         assert!(c.early_exits.get() >= 1);
         assert!(c.items_produced.get() < 1000, "{}", c.items_produced.get());
     }
@@ -785,9 +786,12 @@ mod counters {
             let store = Store::new();
             let mut ctx = DynamicContext::new();
             ctx.add_document("d.xml", doc);
-            let (r, c, _leases) =
+            let (r, c, leases) =
                 crate::execute(&compiled, &store, &ctx, RuntimeOptions::default()).unwrap();
-            (serialize_sequence(&r, &store), c.ddo_sorts.get())
+            (
+                serialize_sequence(&r, &LeaseTable::new(leases)),
+                c.ddo_sorts.get(),
+            )
         };
         let (r_on, sorts_on) = run_counting(RewriteConfig::all());
         let (r_off, sorts_off) = run_counting(RewriteConfig::none());

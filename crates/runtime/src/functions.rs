@@ -34,9 +34,8 @@ fn one_string(
     idx: usize,
     st: &mut ExecState,
 ) -> Result<Option<String>> {
-    let store = st.store.clone();
     let items = ev.eval(&args[idx], st)?;
-    Ok(atomize_one(&items, &store, "string argument")?.map(|v| v.string_value()))
+    Ok(atomize_one(&items, &st.leases, "string argument")?.map(|v| v.string_value()))
 }
 
 fn string_or_empty(
@@ -66,7 +65,6 @@ fn bool_item(b: bool) -> Sequence {
 }
 
 fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -> Result<Sequence> {
-    let store = st.store.clone();
     let tz = ev.dyn_ctx.implicit_timezone;
     Ok(match name {
         // ---- context ---------------------------------------------------------
@@ -89,12 +87,12 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         // ---- accessors --------------------------------------------------------
         "string" => {
             let s = if args.is_empty() {
-                ctx_item(st)?.string_value(&store)
+                ctx_item(st)?.string_value(&st.leases)
             } else {
                 let items = ev.eval(&args[0], st)?;
                 match items.len() {
                     0 => String::new(),
-                    1 => items[0].string_value(&store),
+                    1 => items[0].string_value(&st.leases),
                     _ => return Err(Error::type_error("fn:string on a multi-item sequence")),
                 }
             };
@@ -102,7 +100,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         }
         "data" => {
             let items = ev.eval(&args[0], st)?;
-            atomize(&items, &store)?
+            atomize(&items, &st.leases)?
                 .into_iter()
                 .map(Item::Atomic)
                 .collect()
@@ -111,7 +109,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
             let items = ev.eval(&args[0], st)?;
             match items.as_slice() {
                 [] => Vec::new(),
-                [item] => match item.node_name(&store) {
+                [item] => match item.node_name(&st.leases) {
                     Some(q) => vec![Item::Atomic(AtomicValue::QName(q))],
                     None => Vec::new(),
                 },
@@ -129,7 +127,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
                     _ => return Err(Error::type_error(format!("{name} requires one node"))),
                 }
             };
-            let q = item.node_name(&store);
+            let q = item.node_name(&st.leases);
             let s = match (name, q) {
                 ("name", Some(q)) => q.lexical(),
                 ("local-name", Some(q)) => q.local_name().to_string(),
@@ -155,10 +153,14 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
             }
         }
         "base-uri" | "document-uri" => {
-            let items = ev.eval(&args[0], st)?;
+            let items = if args.is_empty() {
+                vec![ctx_item(st)?]
+            } else {
+                ev.eval(&args[0], st)?
+            };
             match items.as_slice() {
                 [] => Vec::new(),
-                [Item::Node(n)] => match &store.doc_of(*n).uri {
+                [Item::Node(n)] => match &st.leases.document(n.doc).uri {
                     Some(u) => vec![Item::Atomic(AtomicValue::AnyUri(u.as_str().into()))],
                     None => Vec::new(),
                 },
@@ -194,7 +196,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         "count" => int_item(ev.eval(&args[0], st)?.len() as i64),
         "distinct-values" => {
             let items = ev.eval(&args[0], st)?;
-            let vals = atomize(&items, &store)?;
+            let vals = atomize(&items, &st.leases)?;
             let mut out: Vec<AtomicValue> = Vec::new();
             'outer: for v in vals {
                 // Untyped values compare as strings here.
@@ -279,10 +281,10 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         "index-of" => {
             let items = ev.eval(&args[0], st)?;
             let target_items = ev.eval(&args[1], st)?;
-            let Some(target) = atomize_one(&target_items, &store, "index-of")? else {
+            let Some(target) = atomize_one(&target_items, &st.leases, "index-of")? else {
                 return Ok(Vec::new());
             };
-            let vals = atomize(&items, &store)?;
+            let vals = atomize(&items, &st.leases)?;
             vals.into_iter()
                 .enumerate()
                 .filter(|(_, v)| {
@@ -324,7 +326,10 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
             let a = ev.eval(&args[0], st)?;
             let b = ev.eval(&args[1], st)?;
             bool_item(
-                a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| deep_equal_item(x, y, &store)),
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(&b)
+                        .all(|(x, y)| deep_equal_item(x, y, &st.leases)),
             )
         }
 
@@ -337,7 +342,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
                 }
                 return Ok(int_item(0));
             }
-            let vals = atomize(&items, &store)?;
+            let vals = atomize(&items, &st.leases)?;
             vec![Item::Atomic(fold_numeric(vals, "sum")?)]
         }
         "avg" => {
@@ -346,7 +351,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
                 return Ok(Vec::new());
             }
             let n = items.len() as i64;
-            let vals = atomize(&items, &store)?;
+            let vals = atomize(&items, &st.leases)?;
             let total = fold_numeric(vals, "avg")?;
             let r = xqr_compiler::ops::arith(
                 xqr_xqparser::ast::ArithOp::Div,
@@ -360,7 +365,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
             if items.is_empty() {
                 return Ok(Vec::new());
             }
-            let vals = atomize(&items, &store)?;
+            let vals = atomize(&items, &st.leases)?;
             let mut best: Option<AtomicValue> = None;
             for v in vals {
                 let v = match v {
@@ -398,10 +403,10 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         // ---- numerics --------------------------------------------------------------------
         "number" => {
             let v = if args.is_empty() {
-                ctx_item(st)?.typed_value(&store)?
+                ctx_item(st)?.typed_value(&st.leases)?
             } else {
                 let items = ev.eval(&args[0], st)?;
-                match atomize_one(&items, &store, "number")? {
+                match atomize_one(&items, &st.leases, "number")? {
                     Some(v) => v,
                     None => return Ok(vec![Item::Atomic(AtomicValue::Double(f64::NAN))]),
                 }
@@ -415,14 +420,14 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         }
         "abs" | "ceiling" | "floor" | "round" => {
             let items = ev.eval(&args[0], st)?;
-            let Some(v) = atomize_one(&items, &store, name)? else {
+            let Some(v) = atomize_one(&items, &st.leases, name)? else {
                 return Ok(Vec::new());
             };
             vec![Item::Atomic(unary_numeric(name, &v)?)]
         }
         "round-half-to-even" => {
             let items = ev.eval(&args[0], st)?;
-            let Some(v) = atomize_one(&items, &store, name)? else {
+            let Some(v) = atomize_one(&items, &st.leases, name)? else {
                 return Ok(Vec::new());
             };
             let precision = if args.len() > 1 {
@@ -461,7 +466,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
             let mut s = String::new();
             for a in args {
                 let items = ev.eval(a, st)?;
-                if let Some(v) = atomize_one(&items, &store, "concat")? {
+                if let Some(v) = atomize_one(&items, &st.leases, "concat")? {
                     s.push_str(&v.string_value());
                 }
             }
@@ -470,7 +475,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         "string-join" => {
             let items = ev.eval(&args[0], st)?;
             let sep = string_or_empty(ev, args, 1, st)?;
-            let vals = atomize(&items, &store)?;
+            let vals = atomize(&items, &st.leases)?;
             str_item(
                 vals.iter()
                     .map(|v| v.string_value())
@@ -480,7 +485,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         }
         "string-length" => {
             let s = if args.is_empty() {
-                ctx_item(st)?.string_value(&store)
+                ctx_item(st)?.string_value(&st.leases)
             } else {
                 string_or_empty(ev, args, 0, st)?
             };
@@ -539,7 +544,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         }
         "normalize-space" => {
             let s = if args.is_empty() {
-                ctx_item(st)?.string_value(&store)
+                ctx_item(st)?.string_value(&st.leases)
             } else {
                 string_or_empty(ev, args, 0, st)?
             };
@@ -585,7 +590,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         }
         "codepoints-to-string" => {
             let items = ev.eval(&args[0], st)?;
-            let vals = atomize(&items, &store)?;
+            let vals = atomize(&items, &st.leases)?;
             let mut s = String::new();
             for v in vals {
                 match v.cast_to(AtomicType::Integer)? {
@@ -635,7 +640,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         }
         "year-from-date" | "month-from-date" | "day-from-date" => {
             let items = ev.eval(&args[0], st)?;
-            let Some(v) = atomize_one(&items, &store, name)? else {
+            let Some(v) = atomize_one(&items, &st.leases, name)? else {
                 return Ok(Vec::new());
             };
             let d = match v.cast_to(AtomicType::Date)? {
@@ -655,7 +660,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         | "minutes-from-dateTime"
         | "seconds-from-dateTime" => {
             let items = ev.eval(&args[0], st)?;
-            let Some(v) = atomize_one(&items, &store, name)? else {
+            let Some(v) = atomize_one(&items, &st.leases, name)? else {
                 return Ok(Vec::new());
             };
             let dt = match v.cast_to(AtomicType::DateTime)? {
@@ -681,7 +686,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         "add-date" => {
             // The talk's F&O sampler: add-date(date, duration) → date.
             let items = ev.eval(&args[0], st)?;
-            let Some(v) = atomize_one(&items, &store, name)? else {
+            let Some(v) = atomize_one(&items, &st.leases, name)? else {
                 return Ok(Vec::new());
             };
             let d = match v.cast_to(AtomicType::Date)? {
@@ -689,7 +694,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
                 _ => unreachable!("cast to date"),
             };
             let dur_items = ev.eval(&args[1], st)?;
-            let Some(dv) = atomize_one(&dur_items, &store, name)? else {
+            let Some(dv) = atomize_one(&dur_items, &st.leases, name)? else {
                 return Ok(Vec::new());
             };
             let dur = match dv {
@@ -714,7 +719,7 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
         | "minutes-from-duration"
         | "seconds-from-duration" => {
             let items = ev.eval(&args[0], st)?;
-            let Some(v) = atomize_one(&items, &store, name)? else {
+            let Some(v) = atomize_one(&items, &st.leases, name)? else {
                 return Ok(Vec::new());
             };
             let d = match v {
@@ -769,9 +774,8 @@ fn dispatch(ev: &Evaluator<'_>, name: &str, args: &[Core], st: &mut ExecState) -
 }
 
 fn number_arg(ev: &Evaluator<'_>, args: &[Core], idx: usize, st: &mut ExecState) -> Result<f64> {
-    let store = st.store.clone();
     let items = ev.eval(&args[idx], st)?;
-    let Some(v) = atomize_one(&items, &store, "numeric argument")? else {
+    let Some(v) = atomize_one(&items, &st.leases, "numeric argument")? else {
         return Err(Error::type_error("numeric argument is empty"));
     };
     v.to_double()

@@ -28,7 +28,7 @@ use crate::eval::Counters;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use xqr_compiler::access::{AccessAnchor, AccessEdge, AccessPattern};
-use xqr_index::{index_of, DocIndex, PathStep};
+use xqr_index::{index_on, DocIndex, PathStep};
 use xqr_joins::{guard_tick, twig_stack_on, EdgeKind, Labeled, TwigPattern};
 use xqr_parallel::lock_recover;
 use xqr_store::{DocId, NodeRef};
@@ -135,7 +135,8 @@ pub(crate) fn try_index_scan(
             Err(_) => return Ok(None),
         },
     };
-    let Some(index) = index_of(&st.store, doc_id) else {
+    // The execution leases the document it scans: read its index there.
+    let Some(index) = index_on(st.leases.document(doc_id)) else {
         return Ok(None);
     };
 
@@ -152,9 +153,9 @@ pub(crate) fn try_index_scan(
     };
 
     let nodes = if pattern.is_linear() {
-        answer_linear(pattern, &names, doc_id, &index, st, counters)
+        answer_linear(pattern, &names, doc_id, index, st, counters)
     } else {
-        answer_twig(pattern, &names, doc_id, &index, st, counters)?
+        answer_twig(pattern, &names, doc_id, index, st, counters)?
     };
     Ok(Some(
         nodes.into_iter().map(|n| NodeRef::new(doc_id, n)).collect(),

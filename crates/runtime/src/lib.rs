@@ -21,7 +21,7 @@ mod value;
 pub use automaton::{
     pull, run_document, CombinedAutomaton, CombinedOutcome, CombinedRun, StreamingPass,
 };
-pub use env::{DynamicContext, ExecState};
+pub use env::{DynamicContext, ExecState, LeaseTable};
 pub use eval::{Counters, RuntimeOptions};
 pub use index_scan::ScanCache;
 pub use reply::{serialize_sequence, Reply};
@@ -38,7 +38,8 @@ use xqr_xdm::{QueryGuard, Result};
 /// the engine facade in `xqr-core` adds streaming serialization and
 /// explain output on top). The guard is built from `options.limits`, so
 /// budgets and deadlines apply here too. The leases keep the documents
-/// the result's nodes come from alive: hold them while reading it.
+/// the result's nodes come from alive: read it through a [`LeaseTable`]
+/// over them.
 pub fn execute(
     query: &CompiledQuery,
     store: &Arc<Store>,
@@ -79,6 +80,7 @@ pub fn evaluate(
     let ev = Evaluator::new(&query.module, dyn_ctx).with_options(options);
     let result = ev.eval_module(st, sink);
     ev.counters.record_guard_usage(&st.guard.usage());
+    ev.counters.store_resolutions.set(st.store_resolutions);
     result?;
     Ok(ev.counters)
 }

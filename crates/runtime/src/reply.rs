@@ -9,10 +9,9 @@
 //! reply instead of the store.
 
 use crate::construct::NodeTarget;
-use crate::env::ExecState;
+use crate::env::{ExecState, LeaseTable};
 use crate::eval::{Evaluator, Flow, Sink};
 use crate::value::Item;
-use xqr_store::Store;
 use xqr_xdm::{NodeKind, QName, QueryGuard, Result};
 use xqr_xmlparse::{TreeWriter, WriterOptions, XmlWriter};
 
@@ -39,7 +38,7 @@ impl Reply {
         self.out.into_string()
     }
 
-    fn write(&mut self, item: &Item, store: &Store) {
+    fn write(&mut self, item: &Item, docs: &LeaseTable) {
         match item {
             Item::Atomic(v) => {
                 if self.prev_atomic {
@@ -49,7 +48,7 @@ impl Reply {
                 self.prev_atomic = true;
             }
             Item::Node(n) => {
-                store.doc_of(*n).write_subtree(n.node, &mut self.out);
+                docs.document(n.doc).write_subtree(n.node, &mut self.out);
                 self.prev_atomic = false;
             }
         }
@@ -71,7 +70,7 @@ impl Default for Reply {
 
 impl Sink for Reply {
     fn accept(&mut self, _ev: &Evaluator<'_>, st: &mut ExecState, item: Item) -> Result<Flow> {
-        self.write(&item, &st.store);
+        self.write(&item, &st.leases);
         self.charge(&st.guard)?;
         Ok(Flow::More)
     }
@@ -92,11 +91,12 @@ impl NodeTarget for Reply {
     }
 }
 
-/// Serialize a materialized sequence by the same rule (no budget charge).
-pub fn serialize_sequence(items: &[Item], store: &Store) -> String {
+/// Serialize a materialized sequence by the same rule (no budget
+/// charge), its nodes read through `docs`.
+pub fn serialize_sequence(items: &[Item], docs: &LeaseTable) -> String {
     let mut reply = Reply::new();
     for item in items {
-        reply.write(item, store);
+        reply.write(item, docs);
     }
     reply.into_string()
 }
@@ -104,15 +104,14 @@ pub fn serialize_sequence(items: &[Item], store: &Store) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xqr_store::{NodeRef, Store};
 
     #[test]
     fn serialization_spaces_atomics() {
-        let store = Store::new();
-        let id = store
-            .load_xml("<book year=\"1967\"><title>T</title></book>", None)
+        let lease = Store::new()
+            .lease_xml("<book year=\"1967\"><title>T</title></book>", None)
             .unwrap();
-        let doc = store.document(id);
-        let book = xqr_store::NodeRef::new(id, doc.first_child(doc.root()).unwrap());
+        let book = NodeRef::new(lease.id, lease.doc.first_child(lease.doc.root()).unwrap());
         let s = serialize_sequence(
             &[
                 Item::integer(1),
@@ -120,7 +119,7 @@ mod tests {
                 Item::Node(book),
                 Item::integer(3),
             ],
-            &store,
+            &LeaseTable::new([lease]),
         );
         assert_eq!(s, "1 2<book year=\"1967\"><title>T</title></book>3");
     }

@@ -6,7 +6,8 @@
 //! evaluator streams items through sinks and only materializes at the
 //! operators that need it (sort, ddo, multiple consumers).
 
-use xqr_store::{NodeRef, Store};
+use crate::env::LeaseTable;
+use xqr_store::NodeRef;
 use xqr_xdm::{AtomicValue, Error, ErrorCode, NodeKind, QName, Result};
 
 /// One item of the data model.
@@ -40,20 +41,20 @@ impl Item {
         }
     }
 
-    /// `fn:string` of one item.
-    pub fn string_value(&self, store: &Store) -> String {
+    /// `fn:string` of one item, its node read through `docs`.
+    pub fn string_value(&self, docs: &LeaseTable) -> String {
         match self {
             Item::Atomic(v) => v.string_value(),
-            Item::Node(n) => store.doc_of(*n).string_value(n.node),
+            Item::Node(n) => docs.document(n.doc).string_value(n.node),
         }
     }
 
     /// The typed value (untyped data model: nodes yield untypedAtomic).
-    pub(crate) fn typed_value(&self, store: &Store) -> Result<AtomicValue> {
+    pub(crate) fn typed_value(&self, docs: &LeaseTable) -> Result<AtomicValue> {
         match self {
             Item::Atomic(v) => Ok(v.clone()),
             Item::Node(n) => {
-                let doc = store.doc_of(*n);
+                let doc = docs.document(n.doc);
                 match doc.kind(n.node) {
                     NodeKind::Comment | NodeKind::ProcessingInstruction => {
                         Ok(AtomicValue::string(doc.string_value(n.node).as_str()))
@@ -64,9 +65,9 @@ impl Item {
         }
     }
 
-    pub(crate) fn node_name(&self, store: &Store) -> Option<QName> {
+    pub(crate) fn node_name(&self, docs: &LeaseTable) -> Option<QName> {
         self.as_node()
-            .and_then(|n| store.doc_of(n).name(n.node).cloned())
+            .and_then(|n| docs.document(n.doc).name(n.node).cloned())
     }
 }
 
@@ -74,19 +75,19 @@ impl Item {
 pub type Sequence = Vec<Item>;
 
 /// Atomize a sequence (`fn:data`).
-pub(crate) fn atomize(items: &[Item], store: &Store) -> Result<Vec<AtomicValue>> {
-    items.iter().map(|i| i.typed_value(store)).collect()
+pub(crate) fn atomize(items: &[Item], docs: &LeaseTable) -> Result<Vec<AtomicValue>> {
+    items.iter().map(|i| i.typed_value(docs)).collect()
 }
 
 /// Atomize a sequence expected to hold at most one value.
 pub(crate) fn atomize_one(
     items: &[Item],
-    store: &Store,
+    docs: &LeaseTable,
     what: &str,
 ) -> Result<Option<AtomicValue>> {
     match items.len() {
         0 => Ok(None),
-        1 => Ok(Some(items[0].typed_value(store)?)),
+        1 => Ok(Some(items[0].typed_value(docs)?)),
         n => Err(Error::type_error(format!(
             "{what} requires a singleton, got {n} items"
         ))),
@@ -108,15 +109,15 @@ pub(crate) fn effective_boolean_value(items: &[Item]) -> Result<bool> {
 }
 
 /// Deep equality of two items (fn:deep-equal on singletons).
-pub(crate) fn deep_equal_item(a: &Item, b: &Item, store: &Store) -> bool {
+pub(crate) fn deep_equal_item(a: &Item, b: &Item, docs: &LeaseTable) -> bool {
     match (a, b) {
         (Item::Atomic(x), Item::Atomic(y)) => match x.value_compare(y, 0) {
             Ok(Some(o)) => o.is_eq(),
             _ => false,
         },
         (Item::Node(x), Item::Node(y)) => {
-            let dx = store.doc_of(*x);
-            let dy = store.doc_of(*y);
+            let dx = docs.document(x.doc);
+            let dy = docs.document(y.doc);
             // Structural equality via canonical serialization — adequate
             // for the subset and obviously symmetric/transitive.
             dx.serialize_node(x.node) == dy.serialize_node(y.node)
@@ -128,24 +129,23 @@ pub(crate) fn deep_equal_item(a: &Item, b: &Item, store: &Store) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use xqr_store::Store;
 
-    fn setup() -> (Arc<Store>, NodeRef) {
-        let store = Store::new();
-        let id = store
-            .load_xml("<book year=\"1967\"><title>T</title></book>", None)
+    fn setup() -> (LeaseTable, NodeRef) {
+        let lease = Store::new()
+            .lease_xml("<book year=\"1967\"><title>T</title></book>", None)
             .unwrap();
-        let doc = store.document(id);
-        let book = doc.first_child(doc.root()).unwrap();
-        (store, NodeRef::new(id, book))
+        let book = lease.doc.first_child(lease.doc.root()).unwrap();
+        let book = NodeRef::new(lease.id, book);
+        (LeaseTable::new([lease]), book)
     }
 
     #[test]
     fn string_and_typed_values() {
-        let (store, book) = setup();
+        let (docs, book) = setup();
         let item = Item::Node(book);
-        assert_eq!(item.string_value(&store), "T");
-        let tv = item.typed_value(&store).unwrap();
+        assert_eq!(item.string_value(&docs), "T");
+        let tv = item.typed_value(&docs).unwrap();
         assert_eq!(tv, AtomicValue::untyped("T"));
     }
 
@@ -163,8 +163,8 @@ mod tests {
 
     #[test]
     fn atomize_one_enforces_cardinality() {
-        let (store, _) = setup();
-        assert_eq!(atomize_one(&[], &store, "op").unwrap(), None);
-        assert!(atomize_one(&[Item::integer(1), Item::integer(2)], &store, "op").is_err());
+        let (docs, _) = setup();
+        assert_eq!(atomize_one(&[], &docs, "op").unwrap(), None);
+        assert!(atomize_one(&[Item::integer(1), Item::integer(2)], &docs, "op").is_err());
     }
 }

@@ -250,10 +250,11 @@ impl Store {
         Ok(self.lease_document(doc))
     }
 
-    /// Resolve a document id. Panics when nothing holds the document any
-    /// more: every node an execution reads comes from a document it
-    /// leases, so this is a caller bug, never a race. Use
-    /// [`Store::try_document`] to probe.
+    /// Resolve a document id, for callers outside an execution (an
+    /// execution reads its nodes through its own lease table and never
+    /// comes here). Panics when nothing holds the document any more:
+    /// that is a caller bug, never a race. Use [`Store::try_document`]
+    /// to probe.
     pub fn document(&self, id: DocId) -> Arc<Document> {
         self.try_document(id)
             .unwrap_or_else(|| panic!("stale DocId {id:?}: nothing holds the document any more"))
@@ -315,11 +316,6 @@ impl Store {
     /// (sum of [`Document::memory_bytes`]).
     pub fn live_bytes(&self) -> u64 {
         self.read().live().map(|s| s.bytes).sum()
-    }
-
-    /// Resolve a node reference to its document.
-    pub fn doc_of(&self, n: NodeRef) -> Arc<Document> {
-        self.document(n.doc)
     }
 }
 

@@ -18,7 +18,10 @@
 # With --gate the script is a regression check: it exits 1 when some
 # metric's change median is worse than the parent median by more than
 # that metric's BENCHMARK.json bound AND the change lost a majority of
-# the pairs (ties count for neither side). Either alone is noise.
+# the pairs (ties count for neither side). Either alone is noise. It
+# also exits 1 when the change failed a larger share of its attempted
+# operations than the parent, summed over the pairs: a faster side
+# attempts more, so equal failure rates give it more failures.
 set -euo pipefail
 
 gate=0
@@ -96,9 +99,16 @@ for name, direction in better.items():
     print(f"{name:<22}{pm:>14.4g} [{pq1:.4g}, {pq3:.4g}]".ljust(56)
           + f"{cm:>14.4g} [{cq1:.4g}, {cq3:.4g}]".ljust(34) + f"  {wins}/{pairs}")
 failed = [(r["parent"]["failed"], r["change"]["failed"]) for r in runs]
-print("failed operations per pair (parent, change):", failed)
+attempted = [(r["parent"]["attempted"], r["change"]["attempted"]) for r in runs]
+print("failed/attempted per pair (parent, change):",
+      [f"{pf}/{pa}, {cf}/{ca}" for (pf, cf), (pa, ca) in zip(failed, attempted)])
+def failed_share(side):
+    tried = sum(a[side] for a in attempted)
+    return sum(f[side] for f in failed) / tried if tried else 0.0
+shares = {"parent": failed_share(0), "change": failed_share(1)}
 json.dump({"workload": workload, "parent_rev": rev, "pairs": pairs, "extra_args": sys.argv[7:],
-           "runs": runs, "summary": summary}, open(f"{work}/pairs.json", "w"), indent=1)
+           "runs": runs, "summary": summary, "failed": failed, "attempted": attempted,
+           "failed_share": shares}, open(f"{work}/pairs.json", "w"), indent=1)
 print(f"per-run JSON and pairs.json in {work}")
 
 if gate:
@@ -111,8 +121,8 @@ if gate:
         if worse > bound[name] and 2 * s["change_losses"] > pairs:
             regressed.append(f"{name}: {worse:+.1%} worse (bound {bound[name]:.0%}), "
                              f"lost {s['change_losses']}/{pairs} pairs")
-    if sum(c for _, c in failed) > sum(p for p, _ in failed):
-        regressed.append(f"failed operations: {failed}")
+    if shares["change"] > shares["parent"]:
+        regressed.append(f"failed share {shares['change']:.3%} > parent {shares['parent']:.3%}")
     for line in regressed:
         print(f"GATE {workload}: {line}")
     print(f"gate {workload}: {'FAIL' if regressed else 'pass'}")

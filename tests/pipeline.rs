@@ -61,7 +61,7 @@ fn xmark_join_query() {
         .iter()
         .filter_map(|i| i.as_node())
         .map(|n| {
-            let doc = r.store.doc_of(n);
+            let doc = r.store.document(n.doc);
             let attr = doc.attribute(n.node, &xqr::QName::local("n")).unwrap();
             doc.value(attr).unwrap().parse().unwrap()
         })
@@ -180,7 +180,11 @@ fn constructed_documents_live_exactly_as_long_as_their_result() {
         engine.store().doc_count() > before,
         "construction adds documents while the result is alive"
     );
-    let made = Arc::downgrade(&result.store.doc_of(result.items[0].as_node().unwrap()));
+    let made = Arc::downgrade(
+        &result
+            .store
+            .document(result.items[0].as_node().unwrap().doc),
+    );
     assert_eq!(result.serialize_guarded().unwrap(), "<a><b/></a>");
     drop(result);
     assert!(
@@ -298,7 +302,11 @@ fn bound_and_navigated_constructors_still_get_node_identity() {
         });
         assert_eq!(minted, 1, "{query}");
         let result = result.unwrap();
-        let made = Arc::downgrade(&result.store.doc_of(result.items[0].as_node().unwrap()));
+        let made = Arc::downgrade(
+            &result
+                .store
+                .document(result.items[0].as_node().unwrap().doc),
+        );
         assert_eq!(result.serialize_guarded().unwrap(), want);
         drop(result);
         assert!(made.upgrade().is_none(), "{query}: dies with its result");
@@ -528,4 +536,35 @@ fn streaming_count_agrees_with_materialized() {
     let q2 = engine.compile("/site/people/person").unwrap();
     assert!(!q2.is_streamable_count());
     assert!(q2.execute_streaming_count(&engine, &xml).is_err());
+}
+
+/// An execution resolves each document it reads through the store once,
+/// then reads every node through its own leases: one resolution per
+/// XMark query over its one document, on both result paths.
+#[test]
+fn each_document_is_resolved_through_the_store_once() {
+    let engine = Engine::new();
+    engine
+        .load_document("auction.xml", &auction_site(&XmarkConfig::scaled(200)))
+        .unwrap();
+    for (id, _, query) in XMARK_QUERIES {
+        let plan = engine.compile(query).unwrap();
+        let ctx = DynamicContext::new();
+        let result = plan.execute(&engine, &ctx).unwrap();
+        assert_eq!(result.counters.store_resolutions.get(), 1, "{id}");
+        let (_, counters) = plan
+            .execute_serialized(&engine, &ctx, QueryGuard::unlimited(), None)
+            .unwrap();
+        assert_eq!(counters.store_resolutions.get(), 1, "{id} serialized");
+    }
+    // A context document and a `fn:doc` document are resolved; a
+    // constructed one is held, not resolved.
+    engine.load_document("b.xml", "<b>2</b>").unwrap();
+    let ctx = xqr::context_with_doc(&engine, "c.xml", "<c>1</c>").unwrap();
+    let plan = engine
+        .compile(r#"let $n := <n>3</n> return (string(/c), string(doc("b.xml")/b), string($n))"#)
+        .unwrap();
+    let result = plan.execute(&engine, &ctx).unwrap();
+    assert_eq!(result.serialize_guarded().unwrap(), "1 2 3");
+    assert_eq!(result.counters.store_resolutions.get(), 2);
 }

@@ -11,8 +11,9 @@ mod common;
 
 use common::{query_both, query_xml_both};
 use std::sync::Arc;
+use xqr::xqr_compiler::builtins::BUILTINS;
 use xqr::xqr_tokenstream::{decode, encode, tokens_to_xml, TokenStream};
-use xqr::{Engine, EngineOptions, NodeId};
+use xqr::{Engine, EngineOptions, ErrorCode, NodeId};
 use xqr_xdm::NamePool;
 
 /// From `proptest_roundtrip.proptest-regressions`
@@ -312,4 +313,48 @@ fn constructed_nodes_follow_the_input_document_on_a_reused_store() {
     let fresh = Engine::new();
     fresh.store().load_xml("<in/>", Some("in.xml")).unwrap();
     assert_eq!(query_both(&fresh, query).unwrap(), "<in/><made/>");
+}
+
+/// `fn:base-uri` with no argument reads the context item, as `string()`
+/// and `name()` do. It used to index its empty argument list and fail
+/// with `XQRL0000` whenever it was called without one.
+#[test]
+fn base_uri_without_an_argument_reads_the_context_item() {
+    let engine = Engine::new();
+    engine.load_document("a.xml", "<a/>").unwrap();
+    for query in [
+        r#"doc("a.xml")/a/base-uri()"#,
+        r#"for $x in doc("a.xml")/a return $x/base-uri()"#,
+    ] {
+        assert_eq!(query_both(&engine, query).unwrap(), "a.xml", "{query}");
+    }
+    let e = query_both(&engine, "base-uri()").unwrap_err();
+    assert_eq!(e.code, ErrorCode::MissingContext, "{e}");
+}
+
+/// Every builtin the compiler accepts with no argument runs with none,
+/// at top level and as a step on an element: it answers, or fails with
+/// a coded error, never an internal one.
+#[test]
+fn every_builtin_that_takes_no_argument_survives_none() {
+    let engine = Engine::new();
+    engine.load_document("a.xml", "<a/>").unwrap();
+    for (name, _, _) in BUILTINS.iter().filter(|(_, min, _)| *min == 0) {
+        for query in [format!("{name}()"), format!(r#"doc("a.xml")/a/{name}()"#)] {
+            if let Err(e) = query_both(&engine, &query) {
+                assert_ne!(e.code, ErrorCode::Internal, "{query}: {e}");
+            }
+        }
+    }
+}
+
+/// A path step's focus counts its input: `position()` is the item's
+/// place and `last()` the input's size. A step asking for `last()` used
+/// to find no size and fail with `XQRL0000`.
+#[test]
+fn a_path_step_sees_its_position_and_size() {
+    let engine = Engine::new();
+    let run = |query| query_xml_both(&engine, "<r><b/><b/><b/></r>", query).unwrap();
+    assert_eq!(run("/r/b/position()"), "1 2 3");
+    assert_eq!(run("/r/b/last()"), "3 3 3");
 }
