@@ -36,17 +36,21 @@
 //!
 //! # Drivers
 //!
-//! Two, selected by what the caller holds: [`pull`] / [`run_document`]
-//! over a [`TokenIterator`] (a whole document in hand; skip hints become
-//! real `skip_subtree` calls) and [`StreamingPass`] over a
-//! [`PushTokenizer`] (byte chunks arriving; dead subtrees are absorbed
-//! token by token). Both produce identical [`CombinedOutcome`]s.
+//! Selected by what the caller holds: [`pull`] / [`run_document`] over a
+//! [`TokenIterator`] (a whole document in hand; skip hints become real
+//! `skip_subtree` calls), [`run_document_building`] over the same
+//! iterator when the document must also be built (every token is kept),
+//! and [`StreamingPass`] over a [`PushTokenizer`] (byte chunks arriving;
+//! dead subtrees are absorbed token by token). All produce identical
+//! [`CombinedOutcome`]s.
 
 use crate::stream_path::{StreamPattern, StreamStats};
+use std::collections::VecDeque;
 use std::sync::Arc;
+use xqr_store::{Document, DocumentBuilder};
 use xqr_tokenstream::{PushTokenizer, Token, TokenIterator, TokenResolve};
-use xqr_xdm::{NamePool, QName, QueryGuard, Result};
-use xqr_xmlparse::{Attribute, NamespaceDecl, WriterOptions, XmlEvent, XmlWriter};
+use xqr_xdm::{Error, ErrorCode, NamePool, QName, QueryGuard, Result};
+use xqr_xmlparse::{TreeWriter, WriterOptions, XmlWriter};
 
 /// Index of a pattern in the slice the automaton was built from.
 pub(crate) type PatternId = u32;
@@ -171,13 +175,79 @@ impl CombinedAutomaton {
     }
 }
 
-/// Per-pattern results of one document pass: the serialized matches in
-/// document order, or the error (budget trip, typically) that stopped
-/// collection for that pattern alone.
+/// Per-pattern results of one document pass: the serialized matches,
+/// concatenated in document order, or the error (budget trip,
+/// typically) that stopped collection for that pattern alone.
 #[derive(Debug)]
 pub struct CombinedOutcome {
-    pub per_pattern: Vec<Result<Vec<String>>>,
+    pub per_pattern: Vec<Result<String>>,
     pub stats: StreamStats,
+}
+
+/// One pattern's matches so far, in document order of their start tags.
+#[derive(Debug, Default)]
+struct Matches {
+    /// The completed matches no still-open match precedes, concatenated:
+    /// one buffer per pattern, not a `String` per match.
+    ready: String,
+    /// The length of each match in `ready`, in order (four bytes a
+    /// match: a whole document's matches wait here when nothing takes
+    /// them before the end).
+    lens: Vec<u32>,
+    /// Slots reserved at capture open and not yet in `ready`;
+    /// `waiting[0]` is slot `moved`. A nested match closes before its
+    /// ancestor and waits here until every slot before it is filled.
+    waiting: VecDeque<Option<String>>,
+    moved: usize,
+}
+
+impl Matches {
+    fn reserve(&mut self) -> usize {
+        self.waiting.push_back(None);
+        self.moved + self.waiting.len() - 1
+    }
+
+    /// Fill `slot` with its serialized match. A match too long for its
+    /// recorded length fails the pattern, as a budget trip does.
+    fn fill(&mut self, slot: usize, out: &str) -> Result<()> {
+        u32::try_from(out.len())
+            .map_err(|_| Error::new(ErrorCode::Limit, "a streamed match over 4 GiB"))?;
+        let i = slot - self.moved;
+        if i > 0 {
+            self.waiting[i] = Some(out.to_string());
+            return Ok(());
+        }
+        self.waiting.pop_front();
+        self.append(out);
+        while let Some(Some(_)) = self.waiting.front() {
+            let m = self.waiting.pop_front().flatten().expect("checked above");
+            self.append(&m);
+        }
+        Ok(())
+    }
+
+    fn append(&mut self, m: &str) {
+        self.moved += 1;
+        self.ready.push_str(m);
+        self.lens
+            .push(u32::try_from(m.len()).expect("checked when filled"));
+    }
+
+    fn take(&mut self) -> Vec<String> {
+        let mut start = 0;
+        let out = self
+            .lens
+            .drain(..)
+            .map(|len| {
+                let end = start + len as usize;
+                let m = self.ready[start..end].to_string();
+                start = end;
+                m
+            })
+            .collect();
+        self.ready.clear();
+        out
+    }
 }
 
 /// An in-flight capture: one matched element being serialized for one or
@@ -188,8 +258,9 @@ struct Capture {
     depth: usize,
     writer: XmlWriter,
     /// `(pattern, reserved match slot)` recipients. The slot was
-    /// reserved at capture open, so nested matches land in document
-    /// order of their start tags even though inner captures close first.
+    /// reserved at capture open (see [`Matches`]), so nested matches land
+    /// in document order of their start tags even though inner captures
+    /// close first.
     recipients: Vec<(PatternId, usize)>,
 }
 
@@ -211,24 +282,6 @@ pub(crate) enum PushAction {
     MatchReady,
 }
 
-#[inline]
-fn flush_pending(
-    pending: &mut Option<(QName, Vec<Attribute>, Vec<NamespaceDecl>)>,
-    captures: &mut [Capture],
-) -> Result<()> {
-    if let Some((name, attributes, namespaces)) = pending.take() {
-        for c in captures.iter_mut() {
-            c.writer.write(&XmlEvent::StartElement {
-                name: name.clone(),
-                attributes: attributes.clone(),
-                namespaces: namespaces.clone(),
-                empty: false,
-            })?;
-        }
-    }
-    Ok(())
-}
-
 /// The resumable state of one document pass, liftable across chunk
 /// boundaries.
 ///
@@ -245,7 +298,7 @@ fn flush_pending(
 /// can own the run alongside the `Arc` of the plan that holds the
 /// automaton; callers must pass the same automaton every time.
 pub struct CombinedRun {
-    per_pattern: Vec<Result<Vec<String>>>,
+    per_pattern: Vec<Result<Matches>>,
     stats: StreamStats,
     // Flat state-set arena: `states[bounds[d]..bounds[d+1]]` is the set
     // for open-element depth d+1; the trailing segment is the top.
@@ -253,11 +306,10 @@ pub struct CombinedRun {
     bounds: Vec<u32>,
     scratch: Vec<u32>,
     accepted: Vec<PatternId>,
+    // Every open capture's writer sees each token inside it, written
+    // as it arrives: a start tag stays open in the writer while its
+    // namespace and attribute tokens follow.
     captures: Vec<Capture>,
-    // Start-tag buffer: attributes/namespace tokens arrive after
-    // StartElement; the tag is written to capture writers on the first
-    // non-attribute token.
-    pending: Option<(QName, Vec<Attribute>, Vec<NamespaceDecl>)>,
     // Nonzero while inside a dead subtree a push driver couldn't skip:
     // open-element depth below the dead element's parent.
     skip_depth: usize,
@@ -270,7 +322,7 @@ impl CombinedRun {
     pub fn new(automaton: &CombinedAutomaton) -> CombinedRun {
         CombinedRun {
             per_pattern: (0..automaton.pattern_count())
-                .map(|_| Ok(Vec::new()))
+                .map(|_| Ok(Matches::default()))
                 .collect(),
             stats: StreamStats::default(),
             states: vec![0], // trie root, full mode
@@ -278,7 +330,6 @@ impl CombinedRun {
             scratch: Vec::new(),
             accepted: Vec::new(),
             captures: Vec::new(),
-            pending: None,
             skip_depth: 0,
             capture: true,
         }
@@ -299,15 +350,14 @@ impl CombinedRun {
     /// tokenizer that produced it); `charge(pattern, bytes)` is invoked
     /// once per delivered match for per-subscription output budgets —
     /// an error there stops collection for that pattern only, while the
-    /// shared pass and every other pattern continue. A returned error
-    /// means the pass itself failed (capture serialization).
+    /// shared pass and every other pattern continue.
     pub(crate) fn push<R, F>(
         &mut self,
         automaton: &CombinedAutomaton,
         tok: &Token,
         src: &R,
         charge: &mut F,
-    ) -> Result<PushAction>
+    ) -> PushAction
     where
         R: TokenResolve + ?Sized,
         F: FnMut(PatternId, u64) -> Result<()>,
@@ -323,18 +373,17 @@ impl CombinedRun {
             } else if tok.closes() {
                 self.skip_depth -= 1;
             }
-            return Ok(PushAction::Continue);
+            return PushAction::Continue;
         }
         self.stats.tokens_seen += 1;
         match tok {
             Token::StartDocument | Token::EndDocument => {}
             Token::StartElement(nid) => {
                 let name = src.name(*nid);
-                flush_pending(&mut self.pending, &mut self.captures)?;
                 let start = self.bounds.last().copied().unwrap_or(0) as usize;
                 automaton.advance(
                     &self.states[start..],
-                    &name,
+                    name,
                     &mut self.scratch,
                     &mut self.accepted,
                 );
@@ -349,9 +398,8 @@ impl CombinedRun {
                 // patterns still collecting share its writer.
                 let mut recipients: Vec<(PatternId, usize)> = Vec::new();
                 for &pid in &self.accepted {
-                    if let Ok(slots) = &mut self.per_pattern[pid as usize] {
-                        slots.push(String::new()); // reserve in doc order
-                        recipients.push((pid, slots.len() - 1));
+                    if let Ok(m) = &mut self.per_pattern[pid as usize] {
+                        recipients.push((pid, m.reserve()));
                     }
                 }
                 if !recipients.is_empty() {
@@ -362,7 +410,9 @@ impl CombinedRun {
                     });
                 }
                 if !self.captures.is_empty() {
-                    self.pending = Some((name, Vec::new(), Vec::new()));
+                    for c in &mut self.captures {
+                        c.writer.start_element(name);
+                    }
                 } else if self.scratch.is_empty() {
                     // No live state and nothing being serialized: no
                     // pattern can match anything below — skip the whole
@@ -370,70 +420,54 @@ impl CombinedRun {
                     self.states
                         .truncate(self.bounds.pop().expect("pushed above") as usize);
                     self.skip_depth = 1;
-                    return Ok(PushAction::SkipSubtree);
+                    return PushAction::SkipSubtree;
                 }
             }
+            // Namespace and attribute tokens follow their start tag, so an
+            // open capture means the tag was just written to every writer.
             Token::Attribute(nid, vid) => {
-                if let Some((_, attrs, _)) = self.pending.as_mut() {
-                    attrs.push(Attribute {
-                        name: src.name(*nid),
-                        value: src.pooled_str(*vid),
-                    });
+                if !self.captures.is_empty() {
+                    let (name, value) = (src.name(*nid), src.pooled_str(*vid));
+                    for c in &mut self.captures {
+                        c.writer.attribute(name, &value);
+                    }
                 }
             }
             Token::NamespaceDecl(pid, uid) => {
-                if let Some((_, _, decls)) = self.pending.as_mut() {
-                    let prefix = src.pooled_str(*pid);
-                    decls.push(NamespaceDecl {
-                        prefix: if prefix.is_empty() {
-                            None
-                        } else {
-                            Some(prefix)
-                        },
-                        uri: src.pooled_str(*uid),
-                    });
+                if !self.captures.is_empty() {
+                    let (prefix, uri) = (src.pooled_str(*pid), src.pooled_str(*uid));
+                    for c in &mut self.captures {
+                        c.writer.namespace(&prefix, &uri);
+                    }
                 }
             }
             Token::Text(sid) => {
                 if !self.captures.is_empty() {
-                    flush_pending(&mut self.pending, &mut self.captures)?;
                     let text = src.pooled_str(*sid);
-                    for c in self.captures.iter_mut() {
-                        c.writer.write(&XmlEvent::Text(text.clone()))?;
+                    for c in &mut self.captures {
+                        c.writer.text(&text);
                     }
                 }
             }
             Token::Comment(sid) => {
                 if !self.captures.is_empty() {
-                    flush_pending(&mut self.pending, &mut self.captures)?;
                     let text = src.pooled_str(*sid);
-                    for c in self.captures.iter_mut() {
-                        c.writer.write(&XmlEvent::Comment(text.clone()))?;
+                    for c in &mut self.captures {
+                        c.writer.comment(&text);
                     }
                 }
             }
             Token::ProcessingInstruction(nid, did) => {
                 if !self.captures.is_empty() {
-                    flush_pending(&mut self.pending, &mut self.captures)?;
-                    let target: std::sync::Arc<str> =
-                        std::sync::Arc::from(src.name(*nid).local_name());
-                    let data = src.pooled_str(*did);
-                    for c in self.captures.iter_mut() {
-                        c.writer.write(&XmlEvent::ProcessingInstruction {
-                            target: target.clone(),
-                            data: data.clone(),
-                        })?;
+                    let (target, data) = (src.name(*nid).local_name(), src.pooled_str(*did));
+                    for c in &mut self.captures {
+                        c.writer.pi(target, &data);
                     }
                 }
             }
             Token::EndElement => {
-                if !self.captures.is_empty() {
-                    flush_pending(&mut self.pending, &mut self.captures)?;
-                    for c in self.captures.iter_mut() {
-                        c.writer.write(&XmlEvent::EndElement {
-                            name: QName::local(""),
-                        })?;
-                    }
+                for c in &mut self.captures {
+                    c.writer.end_element();
                 }
                 let depth = self.bounds.len();
                 if let Some(start) = self.bounds.pop() {
@@ -446,23 +480,20 @@ impl CombinedRun {
                         // A pattern that already failed (budget tripped
                         // on an earlier, possibly nested, match) stays
                         // failed; skip it.
-                        if let Ok(slots) = &mut self.per_pattern[pid as usize] {
-                            match charge(pid, out.len() as u64) {
-                                Ok(()) => {
-                                    self.stats.matches += 1;
-                                    slots[slot] = out.clone();
-                                }
+                        if let Ok(m) = &mut self.per_pattern[pid as usize] {
+                            match charge(pid, out.len() as u64).and_then(|()| m.fill(slot, &out)) {
+                                Ok(()) => self.stats.matches += 1,
                                 Err(e) => self.per_pattern[pid as usize] = Err(e),
                             }
                         }
                     }
                     if self.captures.is_empty() {
-                        return Ok(PushAction::MatchReady);
+                        return PushAction::MatchReady;
                     }
                 }
             }
         }
-        Ok(PushAction::Continue)
+        PushAction::Continue
     }
 
     /// Hand over `pattern`'s matches completed so far, in document
@@ -470,22 +501,10 @@ impl CombinedRun {
     /// while any capture opened before it is still open — an
     /// earlier-closing nested match must not overtake its ancestor.
     pub fn take_matches(&mut self, pattern: PatternId) -> Result<Vec<String>> {
-        let slots = match &mut self.per_pattern[pattern as usize] {
-            Ok(slots) => slots,
-            Err(e) => return Err(e.clone()),
-        };
-        // Slots are reserved in start-tag order and open captures nest,
-        // so everything before the outermost open capture's slot is
-        // final.
-        let mut open = self
-            .captures
-            .iter_mut()
-            .flat_map(|c| c.recipients.iter_mut())
-            .filter(|(pid, _)| *pid == pattern)
-            .peekable();
-        let ready = open.peek().map_or(slots.len(), |(_, slot)| *slot);
-        open.for_each(|(_, slot)| *slot -= ready);
-        Ok(slots.drain(..ready).collect())
+        match &mut self.per_pattern[pattern as usize] {
+            Ok(m) => Ok(m.take()),
+            Err(e) => Err(e.clone()),
+        }
     }
 
     /// A pull driver skipped the dead subtree itself (in response to
@@ -505,7 +524,16 @@ impl CombinedRun {
     /// End of the token stream: yield the per-pattern outcomes.
     pub(crate) fn finish(self) -> CombinedOutcome {
         CombinedOutcome {
-            per_pattern: self.per_pattern,
+            per_pattern: self
+                .per_pattern
+                .into_iter()
+                .map(|m| {
+                    m.map(|mut m| {
+                        m.ready.shrink_to_fit();
+                        m.ready
+                    })
+                })
+                .collect(),
             stats: self.stats,
         }
     }
@@ -530,7 +558,7 @@ where
     G: FnMut(&mut CombinedRun) -> Result<()>,
 {
     while let Some(tok) = it.next_token()? {
-        match run.push(automaton, &tok, it, &mut charge)? {
+        match run.push(automaton, &tok, it, &mut charge) {
             PushAction::Continue => {}
             PushAction::SkipSubtree => {
                 let skipped = it.skip_subtree()?;
@@ -557,6 +585,30 @@ where
     let mut run = CombinedRun::new(automaton);
     pull(automaton, &mut run, it, charge, |_| Ok(()))?;
     Ok(run.finish())
+}
+
+/// [`run_document`] that also builds the document: one pull, each token
+/// pushed through the run and then handed to `doc` — the shared pass's
+/// tokens are the fallback copy's too, so the document is lexed once.
+/// Skip hints are ignored, as under [`StreamingPass`]: the builder needs
+/// every token, and the run absorbs dead subtrees itself, with the same
+/// outcome and stats.
+pub fn run_document_building<I, F>(
+    automaton: &CombinedAutomaton,
+    it: &mut I,
+    mut doc: DocumentBuilder,
+    mut charge: F,
+) -> Result<(CombinedOutcome, Arc<Document>)>
+where
+    I: TokenIterator,
+    F: FnMut(PatternId, u64) -> Result<()>,
+{
+    let mut run = CombinedRun::new(automaton);
+    while let Some(tok) = it.next_token()? {
+        run.push(automaton, &tok, it, &mut charge);
+        doc.push_token(tok, it);
+    }
+    Ok((run.finish(), doc.finish()?))
 }
 
 /// The push driver over [`CombinedRun`]: a [`PushTokenizer`] fed byte
@@ -613,7 +665,7 @@ impl StreamingPass {
             self.run
                 .push(automaton, &tok, &self.tokenizer, &mut |pid, bytes| {
                     guards[pid as usize].note_output_bytes(bytes)
-                })?;
+                });
         }
         Ok(())
     }
@@ -649,8 +701,20 @@ mod tests {
         let pats: Vec<StreamPattern> = patterns.iter().map(|q| pat(q)).collect();
         let a = CombinedAutomaton::build(&pats);
         let mut it = ParserTokenIterator::new(xml, Arc::new(NamePool::new()));
-        let out = run_document(&a, &mut it, |_, _| Ok(())).expect("document reads");
-        (out.per_pattern, out.stats)
+        let mut run = CombinedRun::new(&a);
+        pull(&a, &mut run, &mut it, |_, _| Ok(()), |_| Ok(())).expect("document reads");
+        taken(&a, run)
+    }
+
+    /// Every pattern's matches one by one, and the run's stats.
+    fn taken(
+        a: &CombinedAutomaton,
+        mut run: CombinedRun,
+    ) -> (Vec<Result<Vec<String>>>, StreamStats) {
+        let per_pattern = (0..a.pattern_count() as PatternId)
+            .map(|p| run.take_matches(p))
+            .collect();
+        (per_pattern, run.finish().stats)
     }
 
     fn oks(r: &[Result<Vec<String>>]) -> Vec<Vec<String>> {
@@ -775,7 +839,7 @@ mod tests {
             let a = CombinedAutomaton::build(&[pat("/a/b")]);
             let mut it = ParserTokenIterator::new(xml, Arc::new(NamePool::new()));
             match run_document(&a, &mut it, |_, _| Ok(())) {
-                Ok(out) => assert_eq!(oks(&out.per_pattern), vec![Vec::<String>::new()]),
+                Ok(out) => assert_eq!(out.per_pattern[0].as_deref(), Ok("")),
                 Err(e) => assert_ne!(e.code, xqr_xdm::ErrorCode::Internal, "{xml:?}: {e}"),
             }
         }
@@ -898,18 +962,12 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(
-            out.per_pattern[0].as_ref().unwrap(),
-            &vec!["<b>1</b>".to_string(), "<b>2</b>".to_string()]
-        );
+        assert_eq!(out.per_pattern[0].as_ref().unwrap(), "<b>1</b><b>2</b>");
         assert_eq!(
             out.per_pattern[1].as_ref().unwrap_err().code,
             xqr_xdm::ErrorCode::Limit
         );
-        assert_eq!(
-            out.per_pattern[2].as_ref().unwrap(),
-            &vec!["<c>3</c>".to_string()]
-        );
+        assert_eq!(out.per_pattern[2].as_ref().unwrap(), "<c>3</c>");
     }
 
     #[test]
@@ -941,9 +999,29 @@ mod tests {
         let mut charge = |_: PatternId, _: u64| Ok(());
         while let Some(t) = tok.poll_token().unwrap() {
             // Ignore the skip hint: a push driver can't seek.
-            run.push(&a, &t, &tok, &mut charge).unwrap();
+            run.push(&a, &t, &tok, &mut charge);
         }
-        let out = run.finish();
+        taken(&a, run)
+    }
+
+    /// Drive the building driver, and check the document it built
+    /// against a plain parse of the same text.
+    fn run_built(patterns: &[&str], xml: &str) -> (Vec<Result<String>>, StreamStats) {
+        let pats: Vec<StreamPattern> = patterns.iter().map(|q| pat(q)).collect();
+        let a = CombinedAutomaton::build(&pats);
+        let names = Arc::new(NamePool::new());
+        let mut it = ParserTokenIterator::new(xml, names.clone());
+        let (out, doc) =
+            run_document_building(&a, &mut it, DocumentBuilder::new(names.clone()), |_, _| {
+                Ok(())
+            })
+            .unwrap();
+        let parsed = Document::parse(xml, names).unwrap();
+        assert_eq!(
+            doc.serialize_node(doc.root()),
+            parsed.serialize_node(parsed.root())
+        );
+        assert_eq!(doc.len(), parsed.len(), "{xml}");
         (out.per_pattern, out.stats)
     }
 
@@ -954,23 +1032,38 @@ mod tests {
             "<a><b>1</b><c>2</c><x><d>3</d></x></a>",
             "<a><z><junk/><junk deep=\"1\"><q/></junk></z><b/></a>",
             r#"<a><b k="v">t<!--c--></b><?pi data?></a>"#,
+            r#"<a xmlns:p="urn:p"><p:b xmlns="urn:d" k="v">t</p:b></a>"#,
             "<root/>",
         ];
+        let concat = |r: &[Result<Vec<String>>]| -> Vec<String> {
+            oks(r).iter().map(|m| m.concat()).collect()
+        };
+        let built_oks =
+            |r: Vec<Result<String>>| -> Vec<String> { r.into_iter().map(|m| m.unwrap()).collect() };
         for doc in docs {
             let (pulled, pstats) = run_all(&patterns, doc);
             let (pushed, sstats) = run_pushed(&patterns, doc);
+            let (built, bstats) = run_built(&patterns, doc);
             assert_eq!(oks(&pulled), oks(&pushed), "{doc}");
-            assert_eq!(pstats.tokens_seen, sstats.tokens_seen, "{doc}");
-            assert_eq!(pstats.tokens_skipped, sstats.tokens_skipped, "{doc}");
-            assert_eq!(pstats.matches, sstats.matches, "{doc}");
+            assert_eq!(concat(&pulled), built_oks(built), "{doc}");
+            for stats in [sstats, bstats] {
+                assert_eq!(pstats.tokens_seen, stats.tokens_seen, "{doc}");
+                assert_eq!(pstats.tokens_skipped, stats.tokens_skipped, "{doc}");
+                assert_eq!(pstats.matches, stats.matches, "{doc}");
+            }
         }
         // Dead subtrees absorbed internally must also match the pull
         // path's skip accounting when only child patterns are live.
-        let (pulled, pstats) = run_all(&["/a/b"], "<a><z><j/><j/></z><b/></a>");
-        let (pushed, sstats) = run_pushed(&["/a/b"], "<a><z><j/><j/></z><b/></a>");
+        let doc = "<a><z><j/><j/></z><b/></a>";
+        let (pulled, pstats) = run_all(&["/a/b"], doc);
+        let (pushed, sstats) = run_pushed(&["/a/b"], doc);
+        let (built, bstats) = run_built(&["/a/b"], doc);
         assert_eq!(oks(&pulled), oks(&pushed));
-        assert!(sstats.tokens_skipped > 0);
-        assert_eq!(pstats.tokens_skipped, sstats.tokens_skipped);
+        assert_eq!(concat(&pulled), built_oks(built));
+        for stats in [sstats, bstats] {
+            assert!(stats.tokens_skipped > 0);
+            assert_eq!(pstats.tokens_skipped, stats.tokens_skipped);
+        }
     }
 
     #[test]
@@ -987,15 +1080,14 @@ mod tests {
         for byte in doc.as_bytes() {
             tok.feed(std::slice::from_ref(byte)).unwrap();
             while let Some(t) = tok.poll_token().unwrap() {
-                run.push(&a, &t, &tok, &mut charge).unwrap();
+                run.push(&a, &t, &tok, &mut charge);
             }
         }
         tok.finish().unwrap();
         while let Some(t) = tok.poll_token().unwrap() {
-            run.push(&a, &t, &tok, &mut charge).unwrap();
+            run.push(&a, &t, &tok, &mut charge);
         }
-        let out = run.finish();
-        assert_eq!(oks(&want), oks(&out.per_pattern));
+        assert_eq!(oks(&want), oks(&taken(&a, run).0));
     }
 
     #[test]

@@ -19,7 +19,8 @@ mod stream_path;
 mod value;
 
 pub use automaton::{
-    pull, run_document, CombinedAutomaton, CombinedOutcome, CombinedRun, StreamingPass,
+    pull, run_document, run_document_building, CombinedAutomaton, CombinedOutcome, CombinedRun,
+    StreamingPass,
 };
 pub use env::{DynamicContext, ExecState, LeaseTable};
 pub use eval::{Counters, RuntimeOptions};

@@ -388,18 +388,19 @@ impl DocumentCatalog {
         }
     }
 
-    /// Parse (and index, as [`put`] would) a document WITHOUT creating a
-    /// catalog entry: the document lives as long as the returned lease.
-    /// The publish path uses this for the shared fallback document of
-    /// one publish — index accounting and the unindexed fallbacks apply
+    /// Lease (and index, as [`put`] would) a document the caller built,
+    /// WITHOUT creating a catalog entry: the document lives as long as
+    /// the returned lease. The publish path uses this for the shared
+    /// fallback document of one publish, built from the shared pass's
+    /// tokens — index accounting and the unindexed fallbacks apply
     /// exactly as for [`put`], but the document never competes for the
     /// catalog byte budget, is never persisted, and is invisible to
     /// `doc()` resolution.
     ///
     /// [`put`]: DocumentCatalog::put
-    pub(crate) fn load_transient_indexed(&self, xml: &str) -> Result<Lease> {
+    pub(crate) fn lease_transient(&self, doc: Arc<Document>) -> Result<Lease> {
         xqr_faults::faultpoint!("catalog.load");
-        let doc = self.store.lease_xml(xml, None)?;
+        let doc = self.store.lease_built(doc)?;
         self.build_index(doc.id);
         Ok(doc)
     }
@@ -421,9 +422,23 @@ impl DocumentCatalog {
     pub fn put(&self, name: &str, xml: &str) -> Result<DocId> {
         xqr_faults::faultpoint!("catalog.load");
         // Parse (and index) outside the catalog lock: loads can be large.
-        // Until the commit below only this lease holds the document, so
-        // an early return or an unwind frees it.
         let doc = self.store.lease_xml(xml, Some(name))?;
+        self.commit(name, doc).map(|doc| doc.id)
+    }
+
+    /// [`DocumentCatalog::put`] of a document the caller built with
+    /// `name` as its URI — a retained publish's, built from the shared
+    /// pass's tokens. Returns the entry's lease.
+    pub(crate) fn put_built(&self, name: &str, doc: Arc<Document>) -> Result<Lease> {
+        xqr_faults::faultpoint!("catalog.load");
+        debug_assert_eq!(doc.uri.as_deref(), Some(name));
+        self.commit(name, self.store.lease_built(doc)?)
+    }
+
+    /// The rest of a put: index `doc`, persist it, and make it entry
+    /// `name`. Until the commit at the end only this lease holds the
+    /// document, so an early return or an unwind frees it.
+    fn commit(&self, name: &str, doc: Lease) -> Result<Lease> {
         let built = self.build_index(doc.id);
         // Wanted an index and got none: the document stays memory-only
         // (see above).
@@ -499,7 +514,7 @@ impl DocumentCatalog {
         };
         inner.charge(bytes, index_bytes);
         inner.entries.insert(name.to_string(), entry);
-        Ok(doc.id)
+        Ok(doc)
     }
 
     /// Serialize `doc` and write its segment file crash-safely. The
@@ -939,7 +954,9 @@ mod tests {
                 });
                 (
                     catalog.put("bib.xml", xml).unwrap(),
-                    catalog.load_transient_indexed(xml).unwrap(),
+                    catalog
+                        .lease_transient(Document::parse(xml, engine.names().clone()).unwrap())
+                        .unwrap(),
                 )
             };
             let indexed =

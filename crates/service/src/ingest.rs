@@ -416,8 +416,8 @@ fn finish_entry(service: &QueryService, entry: SessionEntry) -> Result<PublishRe
     entry.guard.check_startup()?;
     entry
         .session
-        .finish(service.subs_registry(), service.engine(), |xml| {
-            service.catalog().load_transient_indexed(xml)
+        .finish(service.subs_registry(), service.engine(), |doc| {
+            service.catalog().lease_transient(doc)
         })
 }
 
@@ -512,7 +512,7 @@ impl StreamQuery<'_> {
                 mut out,
             } => xqr_core::contain_panic(|| pass.finish(&automaton)).and_then(|mut done| {
                 self.service.record_publish_stream(&done.stats);
-                out.extend(done.per_pattern.remove(0)?);
+                out.push_str(&done.per_pattern.remove(0)?);
                 Ok(out)
             }),
             StreamQueryInner::Buffered { query, buf } => {

@@ -24,7 +24,7 @@ use xqr_core::{Engine, EngineOptions, PreparedQuery};
 use xqr_parallel::WorkerPool;
 use xqr_pressure::{Category, Charge, MemoryLedger, PressureConfig, PressureState};
 use xqr_runtime::{DynamicContext, Item, StreamStats};
-use xqr_store::{DocId, Lease};
+use xqr_store::DocId;
 use xqr_subscribe::{PublishReport, SubId, SubscriptionRegistry, SubscriptionSink};
 use xqr_xdm::{CancelHandle, Error, ErrorCode, LatencyHistogram, Limits, QueryGuard, Result};
 
@@ -447,11 +447,11 @@ impl QueryService {
 
     /// Publish a transient document at every standing subscription:
     /// one tokenization pass drives the combined automaton for all
-    /// streamable subscriptions; non-streamable ones share a single
-    /// materialized (and, where the build succeeds, indexed) copy routed
-    /// through the catalog's accounting, leased for the publish and
-    /// freed before this returns. The document is NOT retained — it is
-    /// never reachable via `doc("name")`.
+    /// streamable subscriptions and builds the single materialized (and,
+    /// where the build succeeds, indexed) copy non-streamable ones share,
+    /// routed through the catalog's accounting, leased for the publish
+    /// and freed before this returns. The document is NOT retained — it
+    /// is never reachable via `doc("name")`.
     pub fn publish(&self, name: &str, xml: &str) -> Result<PublishReport> {
         self.enforce_brownout();
         self.shared.check_red("publish")?;
@@ -467,16 +467,17 @@ impl QueryService {
             name,
             xml,
             self.shared.limits,
-            || self.catalog.load_transient_indexed(xml),
+            |doc| self.catalog.lease_transient(doc),
         )?;
         self.shared.record_stream(&report.stats);
         Ok(report)
     }
 
-    /// [`QueryService::publish`] + retention: the document also
-    /// becomes (or replaces) catalog entry `name`, queryable afterwards
-    /// as `doc("name")`. Fallback subscriptions evaluate against the
-    /// retained copy, so nothing is parsed twice.
+    /// [`QueryService::publish`] + retention: the document the shared
+    /// pass builds also becomes (or replaces) catalog entry `name`,
+    /// queryable afterwards as `doc("name")`, before anything is
+    /// evaluated. Fallback subscriptions evaluate against the retained
+    /// copy, so nothing is parsed twice.
     pub fn publish_retained(&self, name: &str, xml: &str) -> Result<PublishReport> {
         self.enforce_brownout();
         self.shared.check_red("publish")?;
@@ -485,23 +486,14 @@ impl QueryService {
             Category::Subscriptions,
             xml.len() as u64,
         );
-        let id = self.load_document(name, xml)?;
-        let report = self.subs.publish_with_doc(
+        // Whatever replaces or evicts `name` meanwhile, this publish
+        // evaluates the version it retained: it holds the lease.
+        let report = self.subs.publish_retaining(
             &self.shared.engine,
             name,
             xml,
             self.shared.limits,
-            || {
-                // Whatever replaced or evicted `name` since the load, this
-                // publish evaluates the version it loaded, if still alive.
-                let doc = self.engine().store().try_document(id).ok_or_else(|| {
-                    Error::new(
-                        ErrorCode::DocumentNotFound,
-                        format!("{name:?} was dropped before its publish evaluated it"),
-                    )
-                })?;
-                Ok(Lease { id, doc })
-            },
+            |doc| self.catalog.put_built(name, doc),
         )?;
         self.shared.record_stream(&report.stats);
         Ok(report)

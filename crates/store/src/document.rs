@@ -11,7 +11,7 @@
 
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
-use xqr_tokenstream::{ParserTokenIterator, StringPool, Token, TokenIterator};
+use xqr_tokenstream::{ParserTokenIterator, StringPool, Token, TokenIterator, TokenResolve};
 use xqr_xdm::{Error, NameId, NamePool, NodeKind, QName, Result};
 use xqr_xmlparse::{TreeWriter, WriterOptions, XmlWriter};
 
@@ -133,20 +133,7 @@ impl Document {
             b = b.with_uri(u);
         }
         while let Some(t) = it.next_token()? {
-            match t {
-                Token::StartDocument => b.start_document(),
-                Token::EndDocument => b.end(),
-                Token::StartElement(n) => b.start_element_id(n),
-                Token::EndElement => b.end(),
-                Token::Attribute(n, v) => b.attribute_id(n, &it.pooled_str(v)),
-                Token::NamespaceDecl(p, u) => b.namespace(&it.pooled_str(p), &it.pooled_str(u)),
-                Token::Text(s) => b.text(&it.pooled_str(s)),
-                Token::Comment(s) => b.comment(&it.pooled_str(s)),
-                Token::ProcessingInstruction(n, d) => {
-                    let q = it.name(n);
-                    b.pi(q.local_name(), &it.pooled_str(d));
-                }
-            }
+            b.push_token(t, &*it);
         }
         b.finish()
     }
@@ -478,6 +465,24 @@ pub struct DocPartsOwned {
     pub uri: Option<String>,
 }
 
+/// A node's content on its way into the document's pool: borrowed text
+/// is copied in; a token source's pooled string is shared.
+pub(crate) trait Content: AsRef<str> {
+    fn pool(self, strings: &mut StringPool) -> u32;
+}
+
+impl Content for &str {
+    fn pool(self, strings: &mut StringPool) -> u32 {
+        strings.intern(self).0
+    }
+}
+
+impl Content for Arc<str> {
+    fn pool(self, strings: &mut StringPool) -> u32 {
+        strings.intern_shared(self).0
+    }
+}
+
 /// Streaming builder producing the struct-of-arrays representation.
 pub struct DocumentBuilder {
     doc: DocumentParts,
@@ -524,12 +529,14 @@ impl DocumentBuilder {
         }
     }
 
-    pub(crate) fn with_uri(mut self, uri: impl Into<String>) -> Self {
+    /// Name the document under construction (its `document-uri`).
+    pub fn with_uri(mut self, uri: impl Into<String>) -> Self {
         self.doc.uri = Some(uri.into());
         self
     }
 
-    fn push_node(&mut self, kind: NodeKind, name: NameId, value: Option<&str>) -> u32 {
+    /// `value`: the node's pooled content, `NO_NODE` for none.
+    fn push_node(&mut self, kind: NodeKind, name: NameId, value: u32) -> u32 {
         let idx = self.doc.kinds.len() as u32;
         let parent = self.open.last().copied().unwrap_or(NO_NODE);
         self.doc.kinds.push(kind);
@@ -539,10 +546,7 @@ impl DocumentBuilder {
         self.doc.first_children.push(NO_NODE);
         self.doc.subtree_ends.push(idx);
         self.doc.levels.push(self.open.len() as u16);
-        self.doc.values.push(match value {
-            Some(v) => self.doc.strings.intern(v).0,
-            None => NO_NODE,
-        });
+        self.doc.values.push(value);
         // Attribute/namespace nodes attach to the parent but do not chain
         // into the child list.
         let is_attrish = matches!(kind, NodeKind::Attribute | NodeKind::Namespace);
@@ -558,10 +562,29 @@ impl DocumentBuilder {
         idx
     }
 
+    /// Add one token, its ids resolved through `src`, the source that
+    /// produced it: the one token-to-node mapping every document built
+    /// from tokens goes through. The document's pool shares the source's
+    /// strings rather than copying them.
+    pub fn push_token<R: TokenResolve + ?Sized>(&mut self, tok: Token, src: &R) {
+        match tok {
+            Token::StartDocument => self.start_document(),
+            Token::EndDocument | Token::EndElement => self.end(),
+            Token::StartElement(n) => self.start_element_id(n),
+            Token::Attribute(n, v) => self.attribute_id(n, src.pooled_str(v)),
+            Token::NamespaceDecl(p, u) => self.namespace(&src.pooled_str(p), src.pooled_str(u)),
+            Token::Text(s) => self.text(src.pooled_str(s)),
+            Token::Comment(s) => self.comment(src.pooled_str(s)),
+            Token::ProcessingInstruction(n, d) => {
+                self.pi(src.name(n).local_name(), src.pooled_str(d))
+            }
+        }
+    }
+
     pub fn start_document(&mut self) {
         if !self.started {
             self.started = true;
-            let idx = self.push_node(NodeKind::Document, NameId::NONE, None);
+            let idx = self.push_node(NodeKind::Document, NameId::NONE, NO_NODE);
             self.open.push(idx);
             self.last_child.push(NO_NODE);
         }
@@ -574,7 +597,7 @@ impl DocumentBuilder {
 
     pub(crate) fn start_element_id(&mut self, name: NameId) {
         self.start_document();
-        let idx = self.push_node(NodeKind::Element, name, None);
+        let idx = self.push_node(NodeKind::Element, name, NO_NODE);
         self.open.push(idx);
         self.last_child.push(NO_NODE);
     }
@@ -593,16 +616,18 @@ impl DocumentBuilder {
         self.attribute_id(id, value);
     }
 
-    pub(crate) fn attribute_id(&mut self, name: NameId, value: &str) {
-        self.push_node(NodeKind::Attribute, name, Some(value));
+    pub(crate) fn attribute_id(&mut self, name: NameId, value: impl Content) {
+        let value = value.pool(&mut self.doc.strings);
+        self.push_node(NodeKind::Attribute, name, value);
     }
 
-    pub(crate) fn namespace(&mut self, prefix: &str, uri: &str) {
+    pub(crate) fn namespace(&mut self, prefix: &str, uri: impl Content) {
         let id = self.doc.names.intern(&QName::local(prefix));
-        self.push_node(NodeKind::Namespace, id, Some(uri));
+        let uri = uri.pool(&mut self.doc.strings);
+        self.push_node(NodeKind::Namespace, id, uri);
     }
 
-    pub(crate) fn text(&mut self, content: &str) {
+    pub(crate) fn text(&mut self, content: impl Content) {
         self.start_document();
         // Adjacent text nodes merge, per the data model.
         if let Some(&last) = self.last_child.last() {
@@ -615,24 +640,27 @@ impl DocumentBuilder {
                     self.doc
                         .strings
                         .get(xqr_tokenstream::StrId(self.doc.values[last as usize])),
-                    content
+                    content.as_ref()
                 );
                 self.doc.values[last as usize] = self.doc.strings.intern(&merged).0;
                 return;
             }
         }
-        self.push_node(NodeKind::Text, NameId::NONE, Some(content));
+        let content = content.pool(&mut self.doc.strings);
+        self.push_node(NodeKind::Text, NameId::NONE, content);
     }
 
-    pub(crate) fn comment(&mut self, content: &str) {
+    pub(crate) fn comment(&mut self, content: impl Content) {
         self.start_document();
-        self.push_node(NodeKind::Comment, NameId::NONE, Some(content));
+        let content = content.pool(&mut self.doc.strings);
+        self.push_node(NodeKind::Comment, NameId::NONE, content);
     }
 
-    pub(crate) fn pi(&mut self, target: &str, data: &str) {
+    pub(crate) fn pi(&mut self, target: &str, data: impl Content) {
         self.start_document();
         let id = self.doc.names.intern(&QName::local(target));
-        self.push_node(NodeKind::ProcessingInstruction, id, Some(data));
+        let data = data.pool(&mut self.doc.strings);
+        self.push_node(NodeKind::ProcessingInstruction, id, data);
     }
 
     pub fn finish(mut self) -> Result<Arc<Document>> {

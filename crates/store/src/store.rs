@@ -236,6 +236,14 @@ impl Store {
         Ok(self.lease_document(doc))
     }
 
+    /// Lease a document built elsewhere — the publish path's fallback
+    /// copy, built from the shared pass's own tokens — behind the same
+    /// `store.load` fault site as [`Store::lease_xml`].
+    pub fn lease_built(&self, doc: Arc<Document>) -> Result<Lease> {
+        xqr_faults::faultpoint!("store.load");
+        Ok(self.lease_document(doc))
+    }
+
     /// Guarded [`Store::lease_xml`]: parsing respects the guard's token,
     /// depth and document-size limits — how `fn:doc` loads context
     /// documents inside a guarded execution.

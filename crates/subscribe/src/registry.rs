@@ -6,7 +6,7 @@
 //! pass for every *streamable* subscription; subscriptions whose plans
 //! are not streamable fall back to one-shot evaluation, all of them
 //! sharing one materialized (and, when enabled, indexed) copy of the
-//! document.
+//! document, built from the same pass's tokens.
 //!
 //! # Isolation
 //!
@@ -25,10 +25,10 @@ use xqr_core::{contain_panic, Engine, Item, PreparedQuery};
 use xqr_faults::deep_stack::on_deep_stack;
 use xqr_parallel::lock_recover;
 use xqr_runtime::{
-    run_document, CombinedAutomaton, CombinedOutcome, Counters, DynamicContext, StreamPattern,
-    StreamStats, StreamingPass,
+    run_document, run_document_building, CombinedAutomaton, CombinedOutcome, Counters,
+    DynamicContext, StreamPattern, StreamStats, StreamingPass,
 };
-use xqr_store::Lease;
+use xqr_store::{Document, DocumentBuilder, Lease};
 use xqr_tokenstream::ParserTokenIterator;
 use xqr_xdm::{Error, Limits, QueryGuard, Result};
 
@@ -302,14 +302,14 @@ impl SubscriptionRegistry {
     }
 
     /// Publish a document: one tokenization feeds every streamable
-    /// subscription through the combined automaton; non-streamable
-    /// subscriptions each run one-shot against a single shared
-    /// materialized+indexed copy. `publish_limits` bounds the shared
-    /// work (tokenization, materialization); each subscription's own
-    /// limits bound its output.
+    /// subscription through the combined automaton and, when any
+    /// subscription is non-streamable, builds the one materialized (and
+    /// indexed) copy they each run one-shot against. `publish_limits`
+    /// bounds the shared work (tokenization, materialization); each
+    /// subscription's own limits bound its output.
     ///
-    /// This convenience materializes via the engine store directly; the
-    /// service routes through its catalog instead (see
+    /// This convenience leases the copy in the engine store directly;
+    /// the service routes it through its catalog instead (see
     /// `publish_with_doc`) so budgets and breakers apply.
     pub fn publish(
         &self,
@@ -318,15 +318,19 @@ impl SubscriptionRegistry {
         xml: &str,
         publish_limits: Limits,
     ) -> Result<PublishReport> {
-        self.publish_with_doc(engine, name, xml, publish_limits, || {
-            transient_doc(engine, xml, publish_limits)
+        self.publish_with_doc(engine, name, xml, publish_limits, |doc| {
+            transient_doc(engine, doc, publish_limits)
         })
     }
 
     /// [`SubscriptionRegistry::publish`] with caller-controlled
     /// materialization: `materialize` is invoked only when at least one
-    /// non-streamable subscription needs the document, and returns a
-    /// lease on it, held until the fallback evaluations are done.
+    /// non-streamable subscription needs the document, receives the
+    /// document the shared pass built, and returns a lease on it, held
+    /// until the fallback evaluations are done. With no streamable
+    /// subscription, a document that cannot be read (or trips
+    /// `publish_limits`) is the fallback subscriptions' coded error, not
+    /// the publish's.
     pub fn publish_with_doc<F>(
         &self,
         engine: &Engine,
@@ -336,33 +340,52 @@ impl SubscriptionRegistry {
         materialize: F,
     ) -> Result<PublishReport>
     where
-        F: FnOnce() -> Result<Lease>,
+        F: FnOnce(Arc<Document>) -> Result<Lease>,
     {
         let plan = self.plan();
-
-        // Shared pass: tokenize once, match every streamable pattern.
-        let shared = if plan.streamed.is_empty() {
-            None
+        let build = !plan.fallback.is_empty();
+        let (shared, built) = if plan.streamed.is_empty() && !build {
+            (None, None)
         } else {
-            let guards: Vec<QueryGuard> = plan
-                .streamed
-                .iter()
-                .map(|(_, s)| QueryGuard::new(s.limits))
-                .collect();
-            let pass_guard = QueryGuard::new(publish_limits);
-            Some(contain_panic(|| {
-                let mut it = if pass_guard.is_unlimited() {
-                    ParserTokenIterator::new(xml, engine.names().clone())
-                } else {
-                    ParserTokenIterator::with_guard(xml, engine.names().clone(), pass_guard.clone())
-                };
-                run_document(&plan.automaton, &mut it, |pid, bytes| {
-                    guards[pid as usize].note_output_bytes(bytes)
-                })
-            })?)
+            let builder = build.then(|| DocumentBuilder::new(engine.names().clone()));
+            match shared_pass(engine, &plan, xml, publish_limits, builder) {
+                Ok((outcome, doc)) => ((!plan.streamed.is_empty()).then_some(outcome), doc.map(Ok)),
+                // The pass only built the fallback copy: its failure is
+                // the fallback subscriptions' outcome.
+                Err(e) if plan.streamed.is_empty() => (None, Some(Err(e))),
+                Err(e) => return Err(e),
+            }
         };
+        self.complete_publish(engine, name, &plan, shared, || {
+            built
+                .expect("built whenever a fallback needs it")
+                .and_then(materialize)
+        })
+    }
 
-        self.complete_publish(engine, name, &plan, shared, materialize)
+    /// [`SubscriptionRegistry::publish_with_doc`] for a document that
+    /// outlives the publish: the shared pass always builds it, with
+    /// `name` as its URI, and hands it to `retain` before anything is
+    /// evaluated; the lease `retain` returns is what the fallback
+    /// subscriptions read. A document that cannot be read or retained
+    /// fails the publish.
+    pub fn publish_retaining<F>(
+        &self,
+        engine: &Engine,
+        name: &str,
+        xml: &str,
+        publish_limits: Limits,
+        retain: F,
+    ) -> Result<PublishReport>
+    where
+        F: FnOnce(Arc<Document>) -> Result<Lease>,
+    {
+        let plan = self.plan();
+        let builder = DocumentBuilder::new(engine.names().clone()).with_uri(name);
+        let (outcome, doc) = shared_pass(engine, &plan, xml, publish_limits, Some(builder))?;
+        let doc = contain_panic(|| retain(doc.expect("a builder builds")))?;
+        let shared = (!plan.streamed.is_empty()).then_some(outcome);
+        self.complete_publish(engine, name, &plan, shared, || Ok(doc))
     }
 
     /// Everything downstream of the shared pass: fallback evaluation,
@@ -389,7 +412,7 @@ impl SubscriptionRegistry {
             stats = outcome.stats;
             matches += stats.matches;
             for ((id, sub), matched) in plan.streamed.iter().zip(outcome.per_pattern) {
-                results.push((*id, sub.clone(), matched.map(|m| m.concat())));
+                results.push((*id, sub.clone(), matched));
             }
             self.shared_pass_evals
                 .fetch_add(plan.streamed.len() as u64, Ordering::Relaxed);
@@ -501,11 +524,9 @@ impl SubscriptionRegistry {
     ) -> PublishSession {
         let plan = self.plan();
         // No streamable subscription: nothing to match incrementally.
-        // The whole-document path never tokenizes in that case (the
-        // fallback materialization does its own parse), so the chunked
-        // path must not either — a parse error must surface as the
-        // fallback subscriptions' per-subscription error, not a
-        // top-level publish failure.
+        // A parse error must then surface as the fallback subscriptions'
+        // per-subscription error, as on the whole-document path, not as
+        // a top-level publish failure.
         let streaming = if plan.streamed.is_empty() {
             None
         } else {
@@ -529,6 +550,7 @@ impl SubscriptionRegistry {
         PublishSession {
             plan,
             document: name.to_string(),
+            publish_limits,
             streaming,
             fallback_buf,
             failed: None,
@@ -537,8 +559,8 @@ impl SubscriptionRegistry {
     }
 
     /// Convenience chunked publish over an in-memory chunk list — the
-    /// differential oracle's entry point. Materializes fallback
-    /// documents exactly like [`SubscriptionRegistry::publish`].
+    /// differential oracle's entry point. Leases fallback documents
+    /// exactly like [`SubscriptionRegistry::publish`].
     pub fn publish_chunked<'a, C>(
         &self,
         engine: &Engine,
@@ -553,8 +575,8 @@ impl SubscriptionRegistry {
         for chunk in chunks {
             session.feed(chunk)?;
         }
-        session.finish(self, engine, |xml| {
-            transient_doc(engine, xml, publish_limits)
+        session.finish(self, engine, |doc| {
+            transient_doc(engine, doc, publish_limits)
         })
     }
 
@@ -586,12 +608,13 @@ impl SubscriptionRegistry {
 pub struct PublishSession {
     plan: Arc<PublishPlan>,
     document: String,
+    publish_limits: Limits,
     /// The incremental half: push tokenizer plus resumable automaton
     /// run, present only when at least one streamable subscription
     /// exists.
     streaming: Option<StreamingPass>,
     /// Raw document bytes, accumulated only when `plan.fallback` is
-    /// non-empty (a materialized copy will be needed at finish).
+    /// non-empty: `finish` builds the materialized copy from them.
     fallback_buf: Option<Vec<u8>>,
     failed: Option<Error>,
     bytes_fed: u64,
@@ -656,9 +679,10 @@ impl PublishSession {
     }
 
     /// End of input: resolve constructs waiting on more bytes, run the
-    /// fallback evaluations (materializing via `materialize`, which
-    /// receives the full document text), deliver every outcome, and
-    /// report — identically to the whole-document publish.
+    /// fallback evaluations (building the document from the buffered
+    /// bytes under the publish limits, then leasing it via
+    /// `materialize`), deliver every outcome, and report — identically
+    /// to the whole-document publish.
     pub fn finish<F>(
         mut self,
         registry: &SubscriptionRegistry,
@@ -666,7 +690,7 @@ impl PublishSession {
         materialize: F,
     ) -> Result<PublishReport>
     where
-        F: FnOnce(&str) -> Result<Lease>,
+        F: FnOnce(Arc<Document>) -> Result<Lease>,
     {
         self.check_failed()?;
         let shared = match self.streaming.take() {
@@ -676,36 +700,64 @@ impl PublishSession {
             },
             None => None,
         };
-        let doc_text = match self.fallback_buf.take() {
-            Some(buf) => match String::from_utf8(buf) {
-                Ok(s) => Some(s),
-                // A streaming pass would have caught this in feed; with
-                // only fallback subscriptions it surfaces here, as the
-                // materialization failure those subscriptions report.
-                Err(_) => {
-                    return registry.complete_publish(
-                        engine,
-                        &self.document,
-                        &self.plan,
-                        shared,
-                        || Err(Error::syntax("invalid UTF-8 in document")),
-                    )
-                }
-            },
-            None => None,
-        };
+        let buf = self.fallback_buf.take().unwrap_or_default();
+        let limits = self.publish_limits;
         registry.complete_publish(engine, &self.document, &self.plan, shared, || {
-            materialize(doc_text.as_deref().unwrap_or(""))
+            // A streaming pass would have caught bad UTF-8 in feed; with
+            // only fallback subscriptions it surfaces here, as the error
+            // those subscriptions report.
+            let xml =
+                String::from_utf8(buf).map_err(|_| Error::syntax("invalid UTF-8 in document"))?;
+            let doc =
+                Document::from_tokens(&mut tokens(engine, &xml, limits), engine.names().clone())?;
+            materialize(doc)
         })
     }
 }
 
-/// The registry's own fallback document: `xml` leased in the engine's
+/// The shared pass over a whole document: one pull, charged to
+/// `publish_limits`, drives the automaton and — given a builder — builds
+/// the document from the same tokens. A builder costs the pass its
+/// `skip_subtree` calls: it needs every token.
+fn shared_pass(
+    engine: &Engine,
+    plan: &PublishPlan,
+    xml: &str,
+    publish_limits: Limits,
+    builder: Option<DocumentBuilder>,
+) -> Result<(CombinedOutcome, Option<Arc<Document>>)> {
+    let guards: Vec<QueryGuard> = plan
+        .streamed
+        .iter()
+        .map(|(_, s)| QueryGuard::new(s.limits))
+        .collect();
+    let charge = |pid: u32, bytes| guards[pid as usize].note_output_bytes(bytes);
+    contain_panic(|| {
+        let mut it = tokens(engine, xml, publish_limits);
+        match builder {
+            None => Ok((run_document(&plan.automaton, &mut it, charge)?, None)),
+            Some(b) => run_document_building(&plan.automaton, &mut it, b, charge)
+                .map(|(outcome, doc)| (outcome, Some(doc))),
+        }
+    })
+}
+
+/// The pull over `xml`, charged to `limits` unless they are unlimited.
+fn tokens<'a>(engine: &Engine, xml: &'a str, limits: Limits) -> ParserTokenIterator<'a> {
+    let guard = QueryGuard::new(limits);
+    if guard.is_unlimited() {
+        ParserTokenIterator::new(xml, engine.names().clone())
+    } else {
+        ParserTokenIterator::with_guard(xml, engine.names().clone(), guard)
+    }
+}
+
+/// The registry's own fallback document: `doc` leased in the engine's
 /// store and, when the engine indexes documents, indexed. An index
 /// build that fails (budget trip, injected fault, panic) leaves it
 /// unindexed, and queries navigate, as the catalog's degraded mode does.
-fn transient_doc(engine: &Engine, xml: &str, publish_limits: Limits) -> Result<Lease> {
-    let doc = engine.store().lease_xml(xml, None)?;
+fn transient_doc(engine: &Engine, doc: Arc<Document>, publish_limits: Limits) -> Result<Lease> {
+    let doc = engine.store().lease_built(doc)?;
     if engine.options().index_documents {
         let guard = QueryGuard::new(publish_limits);
         let _ =

@@ -1,13 +1,14 @@
 //! End-to-end registry tests: registration lifecycle, shared-pass vs
-//! fallback equivalence with one-shot evaluation, and per-subscription
-//! fault isolation (budgets, panicking sinks, injected delivery faults:
-//! a failing or panicking delivery degrades only its own subscription,
-//! and a panic mid-removal parks the transient document instead of
-//! leaking it).
+//! fallback equivalence with one-shot evaluation, one lex per publish,
+//! and per-subscription fault isolation (budgets, panicking sinks,
+//! injected delivery faults: a failing or panicking delivery degrades
+//! only its own subscription, and a panic mid-removal parks the
+//! transient document instead of leaking it).
 
 use std::sync::Arc;
 use xqr_core::Engine;
 use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
+use xqr_service::{QueryService, ServiceConfig};
 use xqr_subscribe::{CollectingSink, Delivery, SubscriptionRegistry, SubscriptionSink};
 use xqr_xdm::{ErrorCode, Limits};
 
@@ -331,6 +332,97 @@ fn chunked_fallback_only_set_never_tokenizes_incrementally() {
     let c = chunked.result_for(id).unwrap().as_ref().unwrap_err();
     assert_eq!(w.code, c.code);
     assert_eq!(engine.store().doc_count(), 0);
+}
+
+#[test]
+fn publish_limits_bound_the_fallback_parse_whole_and_chunked() {
+    // Only fallback subscriptions: the one parse is the fallback copy's,
+    // and a document over the publish token budget must trip it — with
+    // the same coded error on both paths.
+    let engine = Engine::new();
+    let reg = SubscriptionRegistry::new();
+    let ids =
+        ["count(//b)", "for $b in /a/b where $b/@x return $b"].map(|q| register(&reg, &engine, q));
+    let xml = r#"<a><b x="1"/><b/><b/><b/><b/><b/></a>"#;
+    let limits = Limits::unlimited().with_max_tokens(8);
+    let whole = reg.publish(&engine, "big", xml, limits).unwrap();
+    let chunks: Vec<&[u8]> = xml.as_bytes().chunks(5).collect();
+    let chunked = reg.publish_chunked(&engine, "big", chunks, limits).unwrap();
+    assert_eq!(whole.fallback, 2);
+    for report in [&whole, &chunked] {
+        for id in ids {
+            let err = report.result_for(id).unwrap().as_ref().unwrap_err();
+            assert_eq!(err.code, ErrorCode::Limit, "{err}");
+        }
+    }
+    assert_reports_equal(&whole, &chunked);
+    assert_eq!(engine.store().doc_count(), 0);
+}
+
+/// Reader events (`xml.read` hits) and store leases (`store.load` hits)
+/// one publish costs, under a schedule that fires nothing.
+fn publish_cost(publish: impl FnOnce()) -> (u64, u64) {
+    let _armed = xqr_faults::install(FaultSchedule::new(0));
+    publish();
+    (
+        xqr_faults::hits_at("xml.read"),
+        xqr_faults::hits_at("store.load"),
+    )
+}
+
+#[test]
+fn a_publish_lexes_its_document_once() {
+    let xml = r#"<bib><book year="1994"><title>TCP/IP</title></book><book><title>Data</title></book></bib>"#;
+    let streamable = ["/bib/book/title", "//title"];
+    let fallback = "count(//book)";
+
+    // The registry's own publish.
+    let engine = Engine::new();
+    let (mixed, streamed) = (SubscriptionRegistry::new(), SubscriptionRegistry::new());
+    for q in streamable {
+        register(&mixed, &engine, q);
+        register(&streamed, &engine, q);
+    }
+    register(&mixed, &engine, fallback);
+    let publish = |reg: &SubscriptionRegistry| {
+        let report = reg.publish(&engine, "d", xml, Limits::unlimited()).unwrap();
+        assert!(report.results.iter().all(|(_, r)| r.is_ok()));
+    };
+    let (mixed_reads, mixed_loads) = publish_cost(|| publish(&mixed));
+    let (streamed_reads, _) = publish_cost(|| publish(&streamed));
+    assert!(streamed_reads > 0);
+    assert_eq!(mixed_reads, streamed_reads, "the fallback copy lexed again");
+    assert_eq!(mixed_loads, 1);
+
+    // The service's transient and retained publishes.
+    let service = |queries: &[&str]| {
+        let svc = QueryService::new(ServiceConfig::default());
+        for q in queries {
+            svc.subscribe(q).unwrap();
+        }
+        svc
+    };
+    let (mixed, streamed) = (
+        service(&[streamable[0], streamable[1], fallback]),
+        service(&streamable),
+    );
+    let (streamed_reads, _) = publish_cost(|| {
+        streamed.publish("d", xml).unwrap();
+    });
+    assert_eq!(streamed_reads, mixed_reads);
+    for retained in [false, true] {
+        let (reads, loads) = publish_cost(|| {
+            let report = if retained {
+                mixed.publish_retained("d", xml)
+            } else {
+                mixed.publish("d", xml)
+            };
+            assert!(report.unwrap().results.iter().all(|(_, r)| r.is_ok()));
+        });
+        assert_eq!(reads, streamed_reads, "retained: {retained}");
+        assert_eq!(loads, 1, "retained: {retained}");
+    }
+    assert_eq!(mixed.run(r#"count(doc("d")//book)"#).unwrap(), "2");
 }
 
 #[test]

@@ -6,13 +6,13 @@
 //! the document is fully read — the property the streaming experiments
 //! (E1) measure.
 
-use crate::iterator::TokenIterator;
+use crate::iterator::{TokenIterator, TokenResolve};
 use crate::pool::StringPool;
 use crate::stream::TokenStream;
 use crate::token::{StrId, Token};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use xqr_xdm::{NameId, NamePool, QName, QueryGuard, Result};
+use xqr_xdm::{NamePool, QName, QueryGuard, Result};
 use xqr_xmlparse::{WriterOptions, XmlEvent, XmlReader, XmlWriter};
 
 /// Streaming adapter: XML text → tokens, one event at a time.
@@ -117,6 +117,16 @@ pub(crate) fn event_to_tokens(
     false
 }
 
+impl TokenResolve for ParserTokenIterator<'_> {
+    fn pooled_str(&self, id: StrId) -> Arc<str> {
+        self.pool.get_arc(id)
+    }
+
+    fn names(&self) -> &Arc<NamePool> {
+        &self.names
+    }
+}
+
 impl<'a> TokenIterator for ParserTokenIterator<'a> {
     fn next_token(&mut self) -> Result<Option<Token>> {
         while self.queue.is_empty() {
@@ -160,14 +170,6 @@ impl<'a> TokenIterator for ParserTokenIterator<'a> {
                 }
             }
         }
-    }
-
-    fn pooled_str(&self, id: StrId) -> Arc<str> {
-        self.pool.get_arc(id)
-    }
-
-    fn name(&self, id: NameId) -> QName {
-        self.names.resolve(id).clone()
     }
 }
 
@@ -241,14 +243,14 @@ pub(crate) fn tokens_to_events(it: &mut dyn TokenIterator) -> Result<Vec<XmlEven
             }
             Token::StartElement(n) => {
                 flush(&mut events, &mut pending);
-                let q = it.name(n);
+                let q = it.name(n).clone();
                 names_stack.push(q.clone());
                 pending = Some((q, Vec::new(), Vec::new()));
             }
             Token::Attribute(n, v) => {
                 if let Some((_, attrs, _)) = pending.as_mut() {
                     attrs.push(xqr_xmlparse::Attribute {
-                        name: it.name(n),
+                        name: it.name(n).clone(),
                         value: it.pooled_str(v),
                     });
                 }

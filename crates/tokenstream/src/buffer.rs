@@ -8,12 +8,12 @@
 //! streaming possible": the buffer *is* a materialization point the
 //! stream flows through.
 
-use crate::iterator::TokenIterator;
+use crate::iterator::{TokenIterator, TokenResolve};
 use crate::token::{StrId, Token};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-use xqr_xdm::{NameId, QName, Result};
+use xqr_xdm::{NamePool, Result};
 
 struct Shared<I: TokenIterator> {
     upstream: I,
@@ -64,6 +64,7 @@ impl<I: TokenIterator> BufferFactory<I> {
     pub fn consumer(&self) -> BufferedIterator<I> {
         BufferedIterator {
             shared: self.shared.clone(),
+            names: self.shared.borrow().upstream.names().clone(),
             pos: 0,
             last: None,
         }
@@ -80,8 +81,21 @@ impl<I: TokenIterator> BufferFactory<I> {
 /// One consumer's cursor over the shared buffer.
 pub struct BufferedIterator<I: TokenIterator> {
     shared: Rc<RefCell<Shared<I>>>,
+    /// The upstream's name pool, held outside the cell so names resolved
+    /// in it can be lent out.
+    names: Arc<NamePool>,
     pos: usize,
     last: Option<usize>,
+}
+
+impl<I: TokenIterator> TokenResolve for BufferedIterator<I> {
+    fn pooled_str(&self, id: StrId) -> Arc<str> {
+        self.shared.borrow().upstream.pooled_str(id)
+    }
+
+    fn names(&self) -> &Arc<NamePool> {
+        &self.names
+    }
 }
 
 impl<I: TokenIterator> TokenIterator for BufferedIterator<I> {
@@ -126,14 +140,6 @@ impl<I: TokenIterator> TokenIterator for BufferedIterator<I> {
             }
         }
     }
-
-    fn pooled_str(&self, id: StrId) -> Arc<str> {
-        self.shared.borrow().upstream.pooled_str(id)
-    }
-
-    fn name(&self, id: NameId) -> QName {
-        self.shared.borrow().upstream.name(id)
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +147,6 @@ mod tests {
     use super::*;
     use crate::adapter::ParserTokenIterator;
     use crate::iterator::drain;
-    use xqr_xdm::NamePool;
 
     const DOC: &str = "<a><b>x</b><c>y</c></a>";
 

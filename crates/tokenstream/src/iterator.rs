@@ -10,10 +10,12 @@
 
 use crate::token::{StrId, Token};
 use std::sync::Arc;
-use xqr_xdm::{NameId, QName, Result};
+use xqr_xdm::{NameId, NamePool, QName, Result};
 
-/// A pull source of data-model tokens.
-pub trait TokenIterator {
+/// A pull source of data-model tokens; its ids resolve through the
+/// [`TokenResolve`] half, because consumers downstream of a pipe only
+/// hold the iterator.
+pub trait TokenIterator: TokenResolve {
     /// Return the next token, or `None` at end of stream.
     fn next_token(&mut self) -> Result<Option<Token>>;
 
@@ -21,41 +23,41 @@ pub trait TokenIterator {
     /// the matching close and return how many tokens were skipped.
     /// Otherwise a no-op returning 0.
     fn skip_subtree(&mut self) -> Result<usize>;
-
-    /// Resolve a pooled string id from this stream.
-    fn pooled_str(&self, id: StrId) -> Arc<str>;
-
-    /// Resolve an interned name id.
-    fn name(&self, id: NameId) -> QName;
 }
 
-/// Id resolution alone — the read-only half of [`TokenIterator`].
+/// Id resolution alone — what every token source offers.
 ///
 /// Push-mode consumers (the pub/sub automaton's resumable run, the
 /// chunked-ingestion pipeline) receive tokens rather than pulling them,
 /// so they can't be driven through `next_token`; they still need to
 /// resolve pooled ids against whatever source produced the tokens. Every
-/// `TokenIterator` is a `TokenResolve` via the blanket impl below, and
-/// push sources (e.g. `PushTokenizer`) implement it directly.
+/// `TokenIterator` is a `TokenResolve`, and push sources (e.g.
+/// `PushTokenizer`) implement it alone.
 pub trait TokenResolve {
     /// Resolve a pooled string id from this source.
     fn pooled_str(&self, id: StrId) -> Arc<str>;
 
-    /// Resolve an interned name id.
-    fn name(&self, id: NameId) -> QName;
+    /// The pool this source interns names into.
+    fn names(&self) -> &Arc<NamePool>;
+
+    /// Resolve an interned name id, borrowed from the pool: no refcount
+    /// is touched per token.
+    fn name(&self, id: NameId) -> &QName {
+        self.names().resolve(id)
+    }
 }
 
-impl<T: TokenIterator + ?Sized> TokenResolve for T {
+/// Blanket impls so `Box<dyn TokenIterator>` composes.
+impl<T: TokenResolve + ?Sized> TokenResolve for Box<T> {
     fn pooled_str(&self, id: StrId) -> Arc<str> {
-        TokenIterator::pooled_str(self, id)
+        (**self).pooled_str(id)
     }
 
-    fn name(&self, id: NameId) -> QName {
-        TokenIterator::name(self, id)
+    fn names(&self) -> &Arc<NamePool> {
+        (**self).names()
     }
 }
 
-/// Blanket impl so `Box<dyn TokenIterator>` composes.
 impl<T: TokenIterator + ?Sized> TokenIterator for Box<T> {
     fn next_token(&mut self) -> Result<Option<Token>> {
         (**self).next_token()
@@ -63,14 +65,6 @@ impl<T: TokenIterator + ?Sized> TokenIterator for Box<T> {
 
     fn skip_subtree(&mut self) -> Result<usize> {
         (**self).skip_subtree()
-    }
-
-    fn pooled_str(&self, id: StrId) -> Arc<str> {
-        (**self).pooled_str(id)
-    }
-
-    fn name(&self, id: NameId) -> QName {
-        (**self).name(id)
     }
 }
 

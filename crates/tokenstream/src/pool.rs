@@ -39,10 +39,22 @@ impl StringPool {
 
     /// Intern a string, returning its dense id.
     pub fn intern(&mut self, s: &str) -> StrId {
-        if let Some(id) = self.index.get(s) {
-            return *id;
+        match self.index.get(s) {
+            Some(id) => *id,
+            None => self.insert(Arc::from(s)),
         }
-        let arc: Arc<str> = Arc::from(s);
+    }
+
+    /// [`StringPool::intern`] of a string another pool already holds:
+    /// a new entry shares its allocation instead of copying it.
+    pub fn intern_shared(&mut self, s: Arc<str>) -> StrId {
+        match self.index.get(&s) {
+            Some(id) => *id,
+            None => self.insert(s),
+        }
+    }
+
+    fn insert(&mut self, arc: Arc<str>) -> StrId {
         let id = StrId(
             self.base
                 .checked_add(self.strings.len() as u32)

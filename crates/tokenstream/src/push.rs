@@ -15,7 +15,7 @@ use crate::pool::StringPool;
 use crate::token::{StrId, Token};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use xqr_xdm::{Error, NameId, NamePool, QName, QueryGuard, Result};
+use xqr_xdm::{Error, NamePool, QueryGuard, Result};
 use xqr_xmlparse::XmlReader;
 
 /// Pooled payload bytes a streaming tokenizer carries before recycling
@@ -141,8 +141,8 @@ impl TokenResolve for PushTokenizer {
         self.pool.get_arc(id)
     }
 
-    fn name(&self, id: NameId) -> QName {
-        self.names.resolve(id).clone()
+    fn names(&self) -> &Arc<NamePool> {
+        &self.names
     }
 }
 

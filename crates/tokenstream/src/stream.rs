@@ -6,7 +6,7 @@
 //! `EndElement`, so `skip()` is a single assignment (exercised by
 //! experiment E10).
 
-use crate::iterator::TokenIterator;
+use crate::iterator::{TokenIterator, TokenResolve};
 use crate::pool::StringPool;
 use crate::token::{StrId, Token};
 use std::sync::Arc;
@@ -163,6 +163,16 @@ pub struct StreamIterator<'s> {
 
 impl<'s> StreamIterator<'s> {}
 
+impl TokenResolve for StreamIterator<'_> {
+    fn pooled_str(&self, id: StrId) -> Arc<str> {
+        self.stream.pool.get_arc(id)
+    }
+
+    fn names(&self) -> &Arc<NamePool> {
+        &self.stream.names
+    }
+}
+
 impl<'s> TokenIterator for StreamIterator<'s> {
     fn next_token(&mut self) -> Result<Option<Token>> {
         match self.stream.get(self.pos) {
@@ -186,14 +196,6 @@ impl<'s> TokenIterator for StreamIterator<'s> {
             }
         }
         Ok(0)
-    }
-
-    fn pooled_str(&self, id: StrId) -> Arc<str> {
-        self.stream.pool.get_arc(id)
-    }
-
-    fn name(&self, id: NameId) -> QName {
-        self.stream.names.resolve(id).clone()
     }
 }
 
