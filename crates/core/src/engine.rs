@@ -2,16 +2,17 @@
 //! query allows it.
 
 use crate::explain::explain;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, RwLock};
 use xqr_compiler::{compile, CompileOptions, CompiledQuery};
 use xqr_runtime::{
-    evaluate, pull, serialize_sequence, CombinedAutomaton, CombinedRun, Counters, DynamicContext,
-    ExecState, Item, LeaseTable, Reply, RuntimeOptions, ScanCache, Sequence, StreamPattern,
-    StreamStats,
+    evaluate, pull, serialize_sequence, CombinedAutomaton, CombinedRun, Counters, DocumentMap,
+    DynamicContext, ExecState, Item, LeaseTable, Reply, RuntimeOptions, ScanCache, Sequence,
+    StreamPattern, StreamStats,
 };
 use xqr_store::{DocId, Lease, NodeRef, Store};
 use xqr_tokenstream::ParserTokenIterator;
-use xqr_xdm::{Error, NamePool, QName, QueryGuard, Result};
+use xqr_xdm::{Error, Limits, NamePool, QName, QueryGuard, Result};
 use xqr_xmlparse::{WriterOptions, XmlWriter};
 
 /// Render a panic payload (the engine's fault-containment boundary turns
@@ -112,9 +113,44 @@ impl EngineOptions {
     }
 }
 
-/// The query engine: a document store plus compilation options.
+/// The engine's own [`DocumentMap`]: the documents
+/// [`Engine::load_document`] names, each indexed first when the engine
+/// indexes documents.
+struct NamedDocuments {
+    store: Arc<Store>,
+    /// The index build's limits; `None` when the engine indexes nothing.
+    index_limits: Option<Limits>,
+    by_uri: RwLock<HashMap<String, Lease>>,
+}
+
+impl DocumentMap for NamedDocuments {
+    fn put(&self, uri: &str, xml: &str) -> Result<DocId> {
+        let lease = self.store.lease_xml(xml, Some(uri))?;
+        if let Some(limits) = self.index_limits {
+            // A build that trips its budget leaves the document unindexed.
+            let _ = xqr_index::ensure_indexed(&lease.doc, &QueryGuard::new(limits));
+        }
+        let id = lease.id;
+        let superseded = (self.by_uri.write())
+            .unwrap_or_else(|p| p.into_inner())
+            .insert(uri.to_string(), lease);
+        // The old version is freed here, outside the lock, unless a
+        // reader still leases it.
+        drop(superseded);
+        Ok(id)
+    }
+
+    fn resolve(&self, uri: &str) -> Result<Option<Lease>> {
+        let by_uri = self.by_uri.read().unwrap_or_else(|p| p.into_inner());
+        Ok(by_uri.get(uri).cloned())
+    }
+}
+
+/// The query engine: a document store, the map that names its
+/// documents, and compilation options.
 pub struct Engine {
     store: Arc<Store>,
+    documents: Arc<dyn DocumentMap>,
     options: EngineOptions,
     /// `options.fingerprint()`; the options never change after
     /// construction.
@@ -126,9 +162,29 @@ impl Engine {
         Engine::with_options(EngineOptions::default())
     }
 
+    /// An engine over a store of its own, naming documents in a map of
+    /// its own.
     pub fn with_options(options: EngineOptions) -> Engine {
+        let store = Store::new();
+        let documents = Arc::new(NamedDocuments {
+            store: store.clone(),
+            index_limits: options.index_documents.then_some(options.runtime.limits),
+            by_uri: RwLock::default(),
+        });
+        Engine::with_documents(options, store, documents)
+    }
+
+    /// An engine over `store` whose documents `documents` names — the
+    /// service's catalog, say. `documents` holds its documents in
+    /// `store`; [`Engine::load_document`] goes to it.
+    pub fn with_documents(
+        options: EngineOptions,
+        store: Arc<Store>,
+        documents: Arc<dyn DocumentMap>,
+    ) -> Engine {
         Engine {
-            store: Store::new(),
+            store,
+            documents,
             fingerprint: options.fingerprint(),
             options,
         }
@@ -152,20 +208,17 @@ impl Engine {
         self.store.names()
     }
 
-    /// Parse and register a document under a URI (for `fn:doc`).
+    /// Parse a document and name it `uri` (for `fn:doc`) in the
+    /// engine's [`DocumentMap`], un-naming any earlier version.
     ///
-    /// When [`EngineOptions::index_documents`] is set, a structural index
-    /// is built and attached so index-eligible queries take index-backed
-    /// access paths. The build is guarded by the engine's limits; a build
-    /// that trips its budget leaves the document loaded but unindexed —
-    /// queries then fall back to navigation.
+    /// In the engine's own map, when [`EngineOptions::index_documents`]
+    /// is set, a structural index is built and attached first so
+    /// index-eligible queries take index-backed access paths. The build
+    /// is guarded by the engine's limits; a build that trips its budget
+    /// leaves the document loaded but unindexed — queries then fall back
+    /// to navigation.
     pub fn load_document(&self, uri: &str, xml: &str) -> Result<DocId> {
-        let id = self.store.load_xml(xml, Some(uri))?;
-        if self.options.index_documents {
-            let guard = QueryGuard::new(self.options.runtime.limits);
-            let _ = xqr_index::ensure_indexed(&self.store, id, &guard);
-        }
-        Ok(id)
+        self.documents.put(uri, xml)
     }
 
     /// Compile a query with the engine's options.
@@ -227,7 +280,7 @@ impl Engine {
         };
         if self.options.index_documents {
             let guard = QueryGuard::new(self.options.runtime.limits);
-            let _ = xqr_index::ensure_indexed(&self.store, doc.id, &guard);
+            let _ = xqr_index::ensure_indexed(&doc.doc, &guard);
         }
         let cache = Arc::new(ScanCache::new());
         let ctx = DynamicContext::new().with_context_item(Item::Node(doc.root()));
@@ -452,10 +505,12 @@ impl PreparedQuery {
         // stride never polls the clock on a query this cheap.
         guard.check_startup()?;
         let store = engine.store.clone();
+        let documents = engine.documents.clone();
         let var_count = self.compiled.module.var_count;
         xqr_faults::deep_stack::on_deep_stack(move || {
             contain_panic(move || {
-                let mut st = ExecState::with_guard(store, var_count, guard);
+                let mut st =
+                    ExecState::with_guard(store, var_count, guard).with_documents(documents);
                 if let Some(cache) = scans {
                     st = st.with_scan_cache(cache);
                 }
@@ -687,6 +742,18 @@ mod tests {
             .load_document("bib.xml", "<bib><b/><b/></bib>")
             .unwrap();
         assert_eq!(engine.query(r#"count(doc("bib.xml")//b)"#).unwrap(), "2");
+    }
+
+    #[test]
+    fn the_engine_map_names_the_latest_version() {
+        let engine = Engine::new();
+        let old = engine.load_document("doc.xml", "<v1/>").unwrap();
+        let new = engine.load_document("doc.xml", "<v2/>").unwrap();
+        let found = engine.documents.resolve("doc.xml").unwrap().unwrap();
+        assert_eq!(found.id, new);
+        assert_eq!(found.doc.len(), 2); // document node + element
+        assert!(engine.documents.resolve("other.xml").unwrap().is_none());
+        assert!(engine.store().try_document(old).is_none(), "v1 is freed");
     }
 
     #[test]

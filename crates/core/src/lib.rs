@@ -22,6 +22,6 @@ pub use engine::{bind, contain_panic, context_with_doc, Engine, EngineOptions, P
 
 // Re-export the layers a downstream user needs to drive the API.
 pub use xqr_compiler::{CompileOptions, RewriteConfig};
-pub use xqr_runtime::{DynamicContext, Item, RuntimeOptions};
+pub use xqr_runtime::{DocumentMap, DynamicContext, Item, RuntimeOptions};
 pub use xqr_store::{Document, NodeId, NodeRef, Store};
 pub use xqr_xdm::{Error, ErrorCode, Limits, QName, QueryGuard, Result};

@@ -392,20 +392,12 @@ mod active {
             }));
         });
     }
-
-    /// [`evaluate`] for sites that cannot return an error: error-class
-    /// kinds are skipped, `Panic` and `Delay` still execute.
-    pub fn evaluate_infallible(site: &'static str) {
-        // The fire was counted; an error-class kind at an infallible
-        // site degrades to "nothing happened".
-        let _ = evaluate(site);
-    }
 }
 
 #[cfg(feature = "failpoints")]
 pub use active::{
-    armed, current, evaluate, evaluate_infallible, fires, fires_at, hits_at, install,
-    silence_injected_panics, FaultGuard, FaultScope,
+    armed, current, evaluate, fires, fires_at, hits_at, install, silence_injected_panics,
+    FaultGuard, FaultScope,
 };
 
 /// Feature-off stub: never armed, so `check`/the macros fold away.
@@ -457,26 +449,6 @@ macro_rules! faultpoint {
 #[cfg(not(feature = "failpoints"))]
 #[macro_export]
 macro_rules! faultpoint {
-    ($site:expr) => {};
-}
-
-/// Faultpoint in a function that cannot return an error: only `Panic`
-/// and `Delay` kinds execute; error-class kinds are ignored. Expands to
-/// nothing when the `failpoints` feature is off.
-#[cfg(feature = "failpoints")]
-#[macro_export]
-macro_rules! faultpoint_infallible {
-    ($site:expr) => {
-        if $crate::armed() {
-            $crate::evaluate_infallible($site);
-        }
-    };
-}
-
-/// No-op: the `failpoints` feature is off.
-#[cfg(not(feature = "failpoints"))]
-#[macro_export]
-macro_rules! faultpoint_infallible {
     ($site:expr) => {};
 }
 
@@ -547,10 +519,7 @@ mod tests {
         fn wildcard_rules_match_prefixes() {
             let _g =
                 install(FaultSchedule::new(3).rule(FaultRule::new("store.*", FaultKind::Cancel)));
-            assert_eq!(
-                probe("store.remove").unwrap_err().code,
-                ErrorCode::Cancelled
-            );
+            assert_eq!(probe("store.load").unwrap_err().code, ErrorCode::Cancelled);
             probe("plans.insert").unwrap();
         }
 
@@ -569,16 +538,6 @@ mod tests {
             assert_eq!(a, b, "same seed, same decisions");
             assert_ne!(a, c, "different seed, different decisions");
             assert!(a.iter().any(|f| *f) && a.iter().any(|f| !*f), "{a:?}");
-        }
-
-        #[test]
-        fn infallible_sites_only_panic_or_delay() {
-            let _g = install(
-                FaultSchedule::new(5).rule(FaultRule::new("store.remove", FaultKind::ErrorReturn)),
-            );
-            // Error kind at an infallible site: counted, but nothing thrown.
-            evaluate_infallible("store.remove");
-            assert_eq!(fires(), 1);
         }
 
         #[test]

@@ -47,21 +47,21 @@ use xqr_runtime::DynamicContext;
 use xqr_service::{QueryService, RetryPolicy, ServiceConfig};
 use xqr_xmlgen::random_tree;
 
-/// Every faultpoint site a running service passes through, bottom to
-/// top, drawn uniformly (the persistence sites are the recover leg's).
+/// Every faultpoint site a case passes through, bottom to top, drawn
+/// uniformly (the persistence sites are the recover leg's). Not listed,
+/// because no case reaches them: `tokens.buffer` (only `BufferFactory`
+/// fills a token buffer), `store.read` (the queries read their context
+/// document, never `fn:doc`), `plans.insert` (the un-faulted ingest
+/// reference has cached the plan before the schedule is installed) and
+/// `subscribe.deliver` (the leg's subscriptions have no sink).
 pub const SITES: SiteWeights = SiteWeights {
     sites: &[
         "xml.read",
-        "tokens.buffer",
         "store.load",
-        "store.read",
-        "store.remove",
         "index.build",
         "eval.next",
         "catalog.load",
-        "plans.insert",
         "pool.dispatch",
-        "subscribe.deliver",
         "ingest.chunk",
         "ingest.flush",
         "pressure.charge",

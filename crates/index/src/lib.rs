@@ -22,10 +22,8 @@
 //! use xqr_xdm::{QName, QueryGuard};
 //!
 //! let store = Store::new();
-//! let id = store.load_xml("<a><b/><b/></a>", None).unwrap();
-//! let index = ensure_indexed(&store, id, &QueryGuard::unlimited())
-//!     .unwrap()
-//!     .unwrap();
+//! let lease = store.lease_xml("<a><b/><b/></a>", None).unwrap();
+//! let index = ensure_indexed(&lease.doc, &QueryGuard::unlimited()).unwrap();
 //! let b = store.names().get(&QName::local("b")).unwrap();
 //! assert_eq!(index.element_labels(b).len(), 2); // sorted by start
 //! ```

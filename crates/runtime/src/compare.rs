@@ -221,8 +221,8 @@ mod tests {
     #[test]
     fn node_comparisons() {
         let s = Store::new();
-        let d = s.load_xml("<a><b/><c/></a>", None).unwrap();
-        let doc = s.document(d);
+        let lease = s.lease_xml("<a><b/><c/></a>", None).unwrap();
+        let (d, doc) = (lease.id, &lease.doc);
         let a = doc.first_child(doc.root()).unwrap();
         let b = doc.first_child(a).unwrap();
         let c = doc.next_sibling(b).unwrap();

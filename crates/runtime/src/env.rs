@@ -25,8 +25,9 @@ pub struct DynamicContext {
     pub current_datetime: DateTime,
     /// Implicit timezone in minutes.
     pub implicit_timezone: TzOffset,
-    /// XML documents available to `fn:doc`, by URI (parsed on demand and
-    /// cached in the store).
+    /// XML texts available to `fn:doc`, by URI, for URIs the engine's
+    /// [`DocumentMap`] does not name (parsed on demand, once per
+    /// execution).
     pub documents: HashMap<String, String>,
     /// Default collection (`fn:collection()` with no args).
     pub default_collection: Vec<NodeRef>,
@@ -81,6 +82,21 @@ impl Default for DynamicContext {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The available documents by name: the one place a document has a
+/// name. The embedder owns it (the engine's own map, or the service's
+/// catalog); the store only holds slots. `fn:doc` asks it once per URI
+/// per execution.
+pub trait DocumentMap: Send + Sync {
+    /// Parse `xml` and name it `uri`. A version the name had before is
+    /// un-named; it lives on only while a reader still leases it.
+    fn put(&self, uri: &str, xml: &str) -> Result<DocId>;
+
+    /// A lease on the document named `uri`; `Ok(None)` when the name is
+    /// absent. An error (a quarantined segment's `XQRL0006`, say)
+    /// propagates to the query.
+    fn resolve(&self, uri: &str) -> Result<Option<Lease>>;
 }
 
 /// The variable frame: register file with save/restore semantics so a
@@ -216,6 +232,8 @@ impl LeaseTable {
 /// context, the focus stack and the per-execution resource guard.
 pub struct ExecState {
     pub store: Arc<Store>,
+    /// What `fn:doc` resolves names through; `None` names nothing.
+    documents: Option<Arc<dyn DocumentMap>>,
     pub frame: Frame,
     pub focus: Vec<Focus>,
     /// Resource governance for this execution; `QueryGuard::unlimited()`
@@ -237,8 +255,8 @@ pub struct ExecState {
     pub(crate) leases: LeaseTable,
     /// `fn:doc`'s memo: URI → the document its first resolution leased.
     by_uri: HashMap<String, DocId>,
-    /// Documents this execution resolved through the store: context
-    /// documents and `fn:doc` URIs, not constructed documents.
+    /// Documents this execution resolved: context documents and
+    /// `fn:doc` URIs, not constructed documents.
     pub(crate) store_resolutions: u64,
 }
 
@@ -246,6 +264,7 @@ impl ExecState {
     pub fn with_guard(store: Arc<Store>, frame_size: u32, guard: QueryGuard) -> Self {
         ExecState {
             store,
+            documents: None,
             frame: Frame::new(frame_size),
             focus: Vec::new(),
             guard,
@@ -254,6 +273,12 @@ impl ExecState {
             by_uri: HashMap::new(),
             store_resolutions: 0,
         }
+    }
+
+    /// Resolve `fn:doc` names through `documents`.
+    pub fn with_documents(mut self, documents: Arc<dyn DocumentMap>) -> Self {
+        self.documents = Some(documents);
+        self
     }
 
     /// Install a shared scan cache (batch execution).
@@ -289,21 +314,30 @@ impl ExecState {
         Ok(())
     }
 
-    /// The document the store names `uri`: the first call in this
-    /// execution leases it, and every later one — `fn:doc` or an index
-    /// scan anchored there — reads that same document, whatever the
-    /// store names `uri` meanwhile.
+    /// The document the [`DocumentMap`] names `uri`: the first call in
+    /// this execution leases it, and every later one — `fn:doc` or an
+    /// index scan anchored there — reads that same document, whatever
+    /// the map names `uri` meanwhile.
     pub(crate) fn doc(&mut self, uri: &str) -> Result<DocId> {
         if let Some(&id) = self.by_uri.get(uri) {
             return Ok(id);
         }
-        let lease = self.store.document_by_uri(uri)?;
+        xqr_faults::faultpoint!("store.read");
+        let lease = match &self.documents {
+            Some(documents) => documents.resolve(uri)?,
+            None => None,
+        };
+        let lease = lease.ok_or_else(|| {
+            Error::new(
+                ErrorCode::DocumentNotFound,
+                format!("no document available at {uri:?}"),
+            )
+        })?;
         Ok(self.hold_as(uri, lease))
     }
 
-    /// Hold `lease`, resolved through the store, for the rest of the
-    /// execution, as what [`ExecState::doc`] answers for `uri` from now
-    /// on.
+    /// Hold `lease` for the rest of the execution, as what
+    /// [`ExecState::doc`] answers for `uri` from now on.
     pub(crate) fn hold_as(&mut self, uri: &str, lease: Lease) -> DocId {
         self.by_uri.insert(uri.to_string(), lease.id);
         self.store_resolutions += 1;
@@ -377,9 +411,9 @@ mod tests {
     #[should_panic(expected = "stale DocId")]
     fn a_document_the_execution_does_not_hold_panics() {
         let store = Store::new();
-        let other = store.load_xml("<a/>", None).unwrap();
+        let other = store.lease_xml("<a/>", None).unwrap();
         let state = ExecState::with_guard(store, 0, QueryGuard::unlimited());
         // Alive in the store, but never leased by this execution.
-        state.leases.document(other);
+        state.leases.document(other.id);
     }
 }

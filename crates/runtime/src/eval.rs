@@ -100,8 +100,8 @@ pub struct Counters {
     /// Inverted-list scans answered from a shared batch scan cache
     /// instead of being rebuilt from the index.
     pub scan_cache_hits: Cell<u64>,
-    /// Documents resolved through the store: each context document
-    /// and each `fn:doc` URI once. Every node is then read through the
+    /// Documents resolved: each context document (through the store)
+    /// and each `fn:doc` URI (through the [`crate::DocumentMap`]) once. Every node is then read through the
     /// execution's own [`crate::LeaseTable`].
     pub store_resolutions: Cell<u64>,
     /// Budget consumption gauges, copied from the [`xqr_xdm::QueryGuard`]
@@ -1041,7 +1041,7 @@ impl<'m> Evaluator<'m> {
         Ok(Flow::More)
     }
 
-    /// `fn:doc`: the store's document at `uri`, else the dynamic
+    /// `fn:doc`: the document the name map gives `uri`, else the dynamic
     /// context's text for it, parsed into a lease — either way memoized
     /// for the rest of the execution ([`ExecState::doc`]).
     pub(crate) fn resolve_doc(&self, uri: &str, st: &mut ExecState) -> Result<NodeRef> {

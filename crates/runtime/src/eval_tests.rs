@@ -6,7 +6,7 @@ use crate::reply::serialize_sequence;
 use crate::value::Item;
 use std::sync::Arc;
 use xqr_compiler::{compile, CompileOptions, RewriteConfig};
-use xqr_store::{NodeRef, Store};
+use xqr_store::Store;
 use xqr_xdm::ErrorCode;
 
 /// Run a query and serialize the result.
@@ -14,7 +14,7 @@ fn run(query: &str) -> String {
     run_with(query, |_ctx, _store| {})
 }
 
-fn run_with(query: &str, setup: impl FnOnce(&mut DynamicContext, &Arc<Store>)) -> String {
+fn run_with<H>(query: &str, setup: impl FnOnce(&mut DynamicContext, &Arc<Store>) -> H) -> String {
     try_run_with(query, setup).unwrap_or_else(|e| panic!("{query}: {e}"))
 }
 
@@ -24,15 +24,15 @@ fn try_run(query: &str) -> xqr_xdm::Result<String> {
 
 /// Every query runs twice: materialized then serialized, and streamed
 /// into a [`crate::Reply`]. The two must agree on the bytes or on the
-/// error code.
-fn try_run_with(
+/// error code. What `setup` returns (a lease, say) is held until then.
+fn try_run_with<H>(
     query: &str,
-    setup: impl FnOnce(&mut DynamicContext, &Arc<Store>),
+    setup: impl FnOnce(&mut DynamicContext, &Arc<Store>) -> H,
 ) -> xqr_xdm::Result<String> {
     let compiled = compile(query, &CompileOptions::default())?;
     let store = Store::new();
     let mut ctx = DynamicContext::new();
-    setup(&mut ctx, &store);
+    let _held = setup(&mut ctx, &store);
     let materialized = crate::execute(&compiled, &store, &ctx, RuntimeOptions::default())
         .map(|(result, _, leases)| serialize_sequence(&result, &LeaseTable::new(leases)));
     let mut st = crate::ExecState::with_guard(
@@ -465,8 +465,9 @@ mod paths {
     #[test]
     fn context_item_paths() {
         let out = run_with("count(.//book)", |ctx, store| {
-            let id = store.load_xml(super::paths::BIB, None).unwrap();
-            ctx.context_item = Some(Item::Node(NodeRef::new(id, xqr_store::NodeId(0))));
+            let lease = store.lease_xml(super::paths::BIB, None).unwrap();
+            ctx.context_item = Some(Item::Node(lease.root()));
+            lease
         });
         assert_eq!(out, "3");
     }

@@ -22,7 +22,7 @@ pub use automaton::{
     pull, run_document, run_document_building, CombinedAutomaton, CombinedOutcome, CombinedRun,
     StreamingPass,
 };
-pub use env::{DynamicContext, ExecState, LeaseTable};
+pub use env::{DocumentMap, DynamicContext, ExecState, LeaseTable};
 pub use eval::{Counters, RuntimeOptions};
 pub use index_scan::ScanCache;
 pub use reply::{serialize_sequence, Reply};

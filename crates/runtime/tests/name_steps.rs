@@ -66,8 +66,8 @@ proptest! {
         picks in proptest::collection::vec((0usize..3, 0usize..13, 0usize..100_000), 1..12),
     ) {
         let store = Store::new();
-        let id = store.load_xml(&namespaced_tree(seed, nodes), None).unwrap();
-        let doc = store.document(id);
+        let lease = store.lease_xml(&namespaced_tree(seed, nodes), None).unwrap();
+        let (id, doc) = (lease.id, &*lease.doc);
         let names = names();
         for (axis, name, ctx) in picks {
             let (keyword, axis, principal) = [
@@ -77,7 +77,7 @@ proptest! {
             ][axis];
             let (spelling, qname) = &names[name];
             let ctx = NodeId((ctx % doc.len()) as u32);
-            let want: Vec<NodeId> = walk(&doc, ctx, axis)
+            let want: Vec<NodeId> = walk(doc, ctx, axis)
                 .into_iter()
                 .filter(|&n| doc.kind(n) == principal && doc.name(n) == Some(qname))
                 .collect();

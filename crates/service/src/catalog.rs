@@ -2,12 +2,13 @@
 //! optional durable persistence.
 //!
 //! A long-lived service cannot let its document store grow without
-//! bound. The catalog owns every document it loads — named, so queries
-//! reach them via `fn:doc("name")` — and tracks each one's in-memory
-//! size ([`xqr_store::Document::memory_bytes`]). When the sum exceeds
-//! the configured budget, least-recently-used documents are evicted via
-//! [`xqr_store::Store::remove_document`], which un-names them and drops
-//! the store's hold.
+//! bound. The catalog is the service engine's [`DocumentMap`]: the one
+//! place a document has a name, so `fn:doc("name")` resolves here and
+//! refreshes the document's LRU position. Each entry holds its
+//! document's lease and in-memory size
+//! ([`xqr_store::Document::memory_bytes`]). When the sum exceeds the
+//! configured budget, least-recently-used entries are evicted: the entry
+//! drops its lease, and the store keeps only a slot.
 //!
 //! Eviction and replacement are safe with respect to running queries: a
 //! query that has already resolved the document leases it
@@ -42,8 +43,7 @@
 //!
 //! Under persistence, LRU eviction demotes a document to its segment
 //! instead of dropping it: the tree leaves memory, the entry stays, and
-//! the next `fn:doc` call reloads it through the store's URI-miss
-//! resolver hook.
+//! the next `fn:doc` call reloads it.
 //!
 //! # Memory ledger
 //!
@@ -58,9 +58,10 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use xqr_core::DocumentMap;
 use xqr_index::DocIndex;
 use xqr_parallel::lock_recover;
 use xqr_pressure::{Category, MemoryLedger, PressureState};
@@ -114,9 +115,10 @@ pub struct CatalogStats {
 
 /// Where a catalog entry's document currently lives.
 enum Residency {
-    /// In memory (and, under persistence, also on disk).
+    /// In memory (and, under persistence, also on disk): the entry's
+    /// lease keeps the document alive.
     Loaded {
-        id: DocId,
+        lease: Lease,
         bytes: u64,
         index_bytes: u64,
     },
@@ -162,13 +164,6 @@ impl CatEntry {
         match self.residency {
             Residency::Quarantined => self.durable.as_ref().map_or(0, |d| d.disk_bytes),
             _ => 0,
-        }
-    }
-
-    fn loaded_id(&self) -> Option<DocId> {
-        match self.residency {
-            Residency::Loaded { id, .. } => Some(id),
-            _ => None,
         }
     }
 }
@@ -258,12 +253,11 @@ impl DocumentCatalog {
     /// failing segment is quarantined, never served. Without a
     /// directory the catalog is memory-only and opening it cannot fail.
     ///
-    /// The store's URI-miss resolver is wired to this catalog (via a
-    /// `Weak`, so the pair still drops). That is what lets
-    /// `fn:doc("name")` transparently reload evicted or not-yet-touched
-    /// documents, and what makes a reader that misses while [`put`]
-    /// swaps a name's versions wait for the new one on the catalog
-    /// lock instead of reporting the name absent.
+    /// An engine over the catalog ([`xqr_core::Engine::with_documents`])
+    /// resolves every `fn:doc("name")` here: that is what transparently
+    /// reloads evicted or not-yet-touched documents, and what makes a
+    /// reader that resolves while [`put`] swaps a name's versions wait
+    /// for the new one on the catalog lock.
     ///
     /// [`put`]: DocumentCatalog::put
     pub fn open(
@@ -320,7 +314,7 @@ impl DocumentCatalog {
         let cold_start_nanos = persist
             .as_ref()
             .map_or(0, |_| started.elapsed().as_nanos() as u64);
-        let catalog = Arc::new(DocumentCatalog {
+        Ok(Arc::new(DocumentCatalog {
             store,
             max_bytes,
             index_limits,
@@ -343,28 +337,20 @@ impl DocumentCatalog {
             quarantined_bytes: AtomicU64::new(0),
             pressure_no_index: AtomicU64::new(0),
             ledger,
-        });
-        let weak: Weak<DocumentCatalog> = Arc::downgrade(&catalog);
-        catalog
-            .store
-            .set_doc_resolver(Some(Arc::new(move |uri: &str| match weak.upgrade() {
-                Some(cat) => cat.resolve(uri),
-                None => Ok(None),
-            })));
-        Ok(catalog)
+        }))
     }
 
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Build `id`'s structural index under the catalog's limits. `None`
+    /// Build `doc`'s structural index under the catalog's limits. `None`
     /// means the document stays unindexed and queries navigate: indexing
     /// is off, the ledger is at Yellow or worse (an index build is pure
     /// memory amplification right when memory is the problem), or the
     /// build failed — a budget trip, an injected fault, or a panic,
-    /// which is contained here so the caller keeps ownership of `id`.
-    fn build_index(&self, id: DocId) -> Option<Arc<DocIndex>> {
+    /// which is contained here so the caller keeps its lease.
+    fn build_index(&self, doc: &Document) -> Option<Arc<DocIndex>> {
         let limits = self.index_limits?;
         if self.ledger.state() >= PressureState::Yellow {
             self.pressure_no_index.fetch_add(1, Ordering::Relaxed);
@@ -372,15 +358,13 @@ impl DocumentCatalog {
         }
         let started = Instant::now();
         let guard = QueryGuard::new(limits);
-        match xqr_core::contain_panic(|| xqr_index::ensure_indexed(&self.store, id, &guard)) {
-            Ok(Some(index)) => {
+        match xqr_core::contain_panic(|| xqr_index::ensure_indexed(doc, &guard)) {
+            Ok(index) => {
                 self.index_builds.fetch_add(1, Ordering::Relaxed);
                 self.index_build_nanos
                     .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 Some(index)
             }
-            // Removed concurrently — nothing to index, nothing failed.
-            Ok(None) => None,
             Err(_) => {
                 self.index_build_failures.fetch_add(1, Ordering::Relaxed);
                 None
@@ -401,7 +385,7 @@ impl DocumentCatalog {
     pub(crate) fn lease_transient(&self, doc: Arc<Document>) -> Result<Lease> {
         xqr_faults::faultpoint!("catalog.load");
         let doc = self.store.lease_built(doc)?;
-        self.build_index(doc.id);
+        self.build_index(&doc.doc);
         Ok(doc)
     }
 
@@ -439,7 +423,7 @@ impl DocumentCatalog {
     /// `name`. Until the commit at the end only this lease holds the
     /// document, so an early return or an unwind frees it.
     fn commit(&self, name: &str, doc: Lease) -> Result<Lease> {
-        let built = self.build_index(doc.id);
+        let built = self.build_index(&doc.doc);
         // Wanted an index and got none: the document stays memory-only
         // (see above).
         let unindexed = self.index_limits.is_some() && built.is_none();
@@ -485,9 +469,6 @@ impl DocumentCatalog {
         if let Some(old) = inner.entries.remove(name) {
             // Un-name the old version; a query still reading it keeps it
             // alive until that query ends.
-            if let Some(old_id) = old.loaded_id() {
-                self.store.remove_document(old_id);
-            }
             inner.uncharge_entry(&old);
             // Replacing a quarantined entry releases its gauge bytes.
             self.quarantined_bytes
@@ -500,12 +481,11 @@ impl DocumentCatalog {
             }
         }
         self.make_room(&mut inner, bytes);
-        // Commit: the store keeps the document under `name`, and the
-        // entry accounts for it.
-        self.store.keep(&doc);
+        // Commit: the entry names the document, holds it and accounts
+        // for it.
         let entry = CatEntry {
             residency: Residency::Loaded {
-                id: doc.id,
+                lease: doc.clone(),
                 bytes,
                 index_bytes,
             },
@@ -577,18 +557,13 @@ impl DocumentCatalog {
             let Some(victim) = inner
                 .entries
                 .iter()
-                .filter(|(_, e)| e.loaded_id().is_some())
+                .filter(|(_, e)| matches!(e.residency, Residency::Loaded { .. }))
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             else {
                 // Nothing left to evict (only on-disk entries remain).
                 break;
             };
-            let entry = inner.entries.get(&victim).expect("victim exists");
-            let id = entry.loaded_id().expect("victim is loaded");
-            // Un-name in the store first: a panic there (the
-            // `store.remove` faultpoint) leaves the entry for a retry.
-            self.store.remove_document(id);
             let mut evicted = inner.entries.remove(&victim).expect("victim exists");
             inner.uncharge_entry(&evicted);
             if evicted.durable.is_some() {
@@ -633,17 +608,15 @@ impl DocumentCatalog {
             Ok((doc, index)) => {
                 let index_bytes = index.memory_bytes() as u64;
                 let bytes = doc.memory_bytes() as u64 + index_bytes;
+                xqr_index::attach_index(&doc, Arc::new(index));
                 let doc = self.store.lease_document(doc);
-                xqr_index::attach_index(&self.store, doc.id, Arc::new(index));
                 // Room first (the entry is still `OnDisk`, so not a
-                // victim); the store keeps the document only once nothing
-                // between here and the entry update can unwind.
+                // victim).
                 self.make_room(inner, bytes);
-                self.store.keep(&doc);
                 let entry = inner.entries.get_mut(name).expect("caller checked");
                 // OnDisk charged nothing, so no uncharge needed.
                 entry.residency = Residency::Loaded {
-                    id: doc.id,
+                    lease: doc.clone(),
                     bytes,
                     index_bytes,
                 };
@@ -668,21 +641,19 @@ impl DocumentCatalog {
         }
     }
 
-    /// Lease the document named `name`, reloading it from disk when
-    /// necessary. `Ok(None)` means the name is genuinely absent; a
-    /// quarantined entry propagates `err:XQRL0006`. This is the store's
-    /// URI-miss resolver under persistence.
+    /// Lease the document named `name`, refreshing its LRU position and
+    /// reloading it from disk when necessary. `Ok(None)` means the name
+    /// is genuinely absent; a quarantined entry propagates
+    /// `err:XQRL0006`. This is what `fn:doc` asks.
     pub fn resolve(&self, name: &str) -> Result<Option<Lease>> {
         let mut inner = lock_recover(&self.inner);
         let tick = self.next_tick();
         match inner.entries.get_mut(name) {
             None => Ok(None),
-            Some(e) => match e.residency {
-                Residency::Loaded { id, .. } => {
+            Some(e) => match &e.residency {
+                Residency::Loaded { lease, .. } => {
                     e.last_used = tick;
-                    // A loaded entry's document is kept by the store.
-                    let doc = self.store.document(id);
-                    Ok(Some(Lease { id, doc }))
+                    Ok(Some(lease.clone()))
                 }
                 Residency::OnDisk => self.reload_locked(&mut inner, name).map(Some),
                 Residency::Quarantined => Err(Error::corrupt_segment(format!(
@@ -707,7 +678,7 @@ impl DocumentCatalog {
         lock_recover(&self.inner).entries.contains_key(name)
     }
 
-    /// Remove a named document: drops the store's hold on it and, under
+    /// Remove a named document: drops the entry's lease on it and, under
     /// persistence, appends a deletion record and deletes the segment
     /// file (releasing any quarantined bytes). Returns `false` if the
     /// name is not present — or if the deletion record could not be
@@ -732,10 +703,6 @@ impl DocumentCatalog {
                 return false;
             }
             let _ = fs::remove_file(p.dir.join(&d.file));
-        }
-        // Un-name in the store first, as in `evict_to`.
-        if let Some(id) = entry.loaded_id() {
-            self.store.remove_document(id);
         }
         let e = inner.entries.remove(name).expect("entry checked above");
         inner.uncharge_entry(&e);
@@ -783,6 +750,17 @@ impl DocumentCatalog {
     }
 }
 
+/// The service engine's name map: every `fn:doc` resolves here.
+impl DocumentMap for DocumentCatalog {
+    fn put(&self, uri: &str, xml: &str) -> Result<DocId> {
+        DocumentCatalog::put(self, uri, xml)
+    }
+
+    fn resolve(&self, uri: &str) -> Result<Option<Lease>> {
+        DocumentCatalog::resolve(self, uri)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,6 +790,12 @@ mod tests {
     ) -> Arc<DocumentCatalog> {
         let dir = dir.map(Path::to_path_buf);
         DocumentCatalog::open(store, max_bytes, index_limits, dir, Arc::clone(ledger)).unwrap()
+    }
+
+    /// An engine whose `fn:doc` resolves through `cat`.
+    fn engine_over(cat: &Arc<DocumentCatalog>) -> xqr_core::Engine {
+        let options = xqr_core::EngineOptions::default();
+        xqr_core::Engine::with_documents(options, cat.store.clone(), cat.clone())
     }
 
     fn scratch(name: &str) -> PathBuf {
@@ -847,13 +831,25 @@ mod tests {
     }
 
     #[test]
+    fn a_lease_outlives_its_name() {
+        let store = Store::new();
+        let cat = open(store.clone(), None, None, None);
+        cat.put("doc.xml", "<v1/>").unwrap();
+        let reader = cat.resolve("doc.xml").unwrap().expect("named");
+        assert!(cat.remove("doc.xml"));
+        assert!(cat.resolve("doc.xml").unwrap().is_none());
+        assert_eq!(store.doc_count(), 1, "the reader's lease holds v1");
+        drop(reader);
+        assert_eq!(store.doc_count(), 0);
+    }
+
+    #[test]
     fn byte_budget_evicts_least_recently_used() {
         let store = Store::new();
         // Budget for roughly two of the three documents.
         let one_doc = {
-            let probe = Store::new();
-            let id = probe.load_xml(&doc_of_bytes(10_000), None).unwrap();
-            probe.document(id).memory_bytes() as u64
+            let probe = Store::new().lease_xml(&doc_of_bytes(10_000), None);
+            probe.unwrap().doc.memory_bytes() as u64
         };
         let ledger = Arc::new(MemoryLedger::unbounded());
         let budget = Some(one_doc * 2 + one_doc / 2);
@@ -932,19 +928,12 @@ mod tests {
     /// the indexed answers.
     #[test]
     fn failing_index_builds_serve_put_and_transient_loads_unindexed() {
-        use xqr_core::{DynamicContext, Engine, Item};
+        use xqr_core::{DynamicContext, Item};
         use xqr_faults::{FaultKind, FaultRule, FaultSchedule};
         let xml = "<bib><book><author/><title>a</title></book><book><title>b</title></book></bib>";
         let run = |fail_builds: bool| {
-            let engine = Engine::new();
-            let catalog = DocumentCatalog::open(
-                engine.store().clone(),
-                None,
-                Some(Limits::unlimited()),
-                None,
-                Arc::new(MemoryLedger::unbounded()),
-            )
-            .unwrap();
+            let catalog = open(Store::new(), None, Some(Limits::unlimited()), None);
+            let engine = engine_over(&catalog);
             let (entry, transient) = {
                 let _guard = fail_builds.then(|| {
                     xqr_faults::install(
@@ -986,9 +975,8 @@ mod tests {
 
     #[test]
     fn evicted_documents_vanish_from_doc_function() {
-        use xqr_core::Engine;
-        let engine = Engine::new();
-        let cat = open(engine.store().clone(), Some(1), None, None);
+        let cat = open(Store::new(), Some(1), None, None);
+        let engine = engine_over(&cat);
         cat.put("a.xml", "<a><b/></a>").unwrap();
         assert_eq!(engine.query(r#"count(doc("a.xml")//b)"#).unwrap(), "1");
         cat.put("z.xml", "<z/>").unwrap(); // budget of 1 byte: evicts a.xml

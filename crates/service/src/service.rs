@@ -24,7 +24,7 @@ use xqr_core::{Engine, EngineOptions, PreparedQuery};
 use xqr_parallel::WorkerPool;
 use xqr_pressure::{Category, Charge, MemoryLedger, PressureConfig, PressureState};
 use xqr_runtime::{DynamicContext, Item, StreamStats};
-use xqr_store::DocId;
+use xqr_store::{DocId, Store};
 use xqr_subscribe::{PublishReport, SubId, SubscriptionRegistry, SubscriptionSink};
 use xqr_xdm::{CancelHandle, Error, ErrorCode, LatencyHistogram, Limits, QueryGuard, Result};
 
@@ -238,7 +238,6 @@ impl QueryService {
     /// documents persisted by earlier incarnations are adopted lazily and
     /// read — checksum-verified — on first `doc("name")` touch.
     pub fn open(config: ServiceConfig) -> Result<Self> {
-        let engine = Arc::new(Engine::with_options(config.engine.clone()));
         // Catalog loads build structural indexes under the same budgets
         // queries run with; an index build is bounded work, like a query.
         let index_limits = config
@@ -247,13 +246,20 @@ impl QueryService {
             .then_some(config.per_query_limits);
         // Every subsystem that holds memory is born with the one ledger.
         let ledger = Arc::new(MemoryLedger::new(config.pressure));
+        // The catalog names the engine's documents: `fn:doc` asks it.
+        let store = Store::new();
         let catalog = DocumentCatalog::open(
-            engine.store().clone(),
+            store.clone(),
             config.catalog_max_bytes,
             index_limits,
             config.persist_dir.clone(),
             Arc::clone(&ledger),
         )?;
+        let engine = Arc::new(Engine::with_documents(
+            config.engine.clone(),
+            store,
+            catalog.clone(),
+        ));
         let plans = PlanCache::new(
             config.plan_cache_capacity,
             config.plan_cache_shards,
@@ -977,9 +983,7 @@ dropped-expired: {}",
         writeln!(
             f,
             "batch:   scan-shared-hits: {} batches: {} batch-queries: {}",
-            self.scan_shared_hits,
-            self.batches,
-            self.batch_queries
+            self.scan_shared_hits, self.batches, self.batch_queries
         )?;
         writeln!(
             f,

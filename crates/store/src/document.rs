@@ -280,12 +280,23 @@ impl Document {
         self.attributes(n).find(|&a| self.name(a) == Some(name))
     }
 
-    /// Approximate memory footprint (bytes) — the representation
-    /// experiment compares this against DOM and TokenStream figures.
+    /// Heap bytes the document holds: its arrays' capacities and its
+    /// string pool (allocator overhead aside). What the catalog budget
+    /// and the memory ledger charge; the representation experiment
+    /// compares it against DOM and TokenStream figures.
     pub fn memory_bytes(&self) -> usize {
-        let n = self.len();
-        n * (std::mem::size_of::<NodeKind>() + 4 /*names*/ + 4 * 4 /*links*/ + 2 /*level*/ + 4/*values*/)
-            + self.strings.payload_bytes()
+        fn heap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        heap(&self.kinds)
+            + heap(&self.node_names)
+            + heap(&self.parents)
+            + heap(&self.next_siblings)
+            + heap(&self.first_children)
+            + heap(&self.subtree_ends)
+            + heap(&self.levels)
+            + heap(&self.values)
+            + self.strings.memory_bytes()
     }
 
     /// The document's attachment, if one was set.
@@ -679,7 +690,23 @@ impl DocumentBuilder {
                 ));
             }
         }
-        let d = self.doc;
+        // A finished document only reads: it keeps no growth slack and
+        // no interning map, so it holds (and is charged) what a segment
+        // reload of it holds.
+        let mut d = self.doc;
+        d.kinds.shrink_to_fit();
+        d.node_names.shrink_to_fit();
+        d.levels.shrink_to_fit();
+        for links in [
+            &mut d.parents,
+            &mut d.next_siblings,
+            &mut d.first_children,
+            &mut d.subtree_ends,
+            &mut d.values,
+        ] {
+            links.shrink_to_fit();
+        }
+        d.strings.freeze();
         Ok(Arc::new(Document {
             names: d.names,
             kinds: d.kinds,
@@ -735,6 +762,28 @@ mod tests {
 
     fn doc(xml: &str) -> Arc<Document> {
         Document::parse(xml, Arc::new(NamePool::new())).unwrap()
+    }
+
+    #[test]
+    fn a_finished_document_charges_what_it_holds() {
+        let body: String = (0..200).map(|i| format!("<e a='v{i}'>t{i}</e>")).collect();
+        let xml = format!("<r>{body}</r>");
+        let names = Arc::new(NamePool::new());
+        let mut it = ParserTokenIterator::new(&xml, names.clone());
+        let mut b = DocumentBuilder::new(names);
+        while let Some(t) = it.next_token().unwrap() {
+            b.push_token(t, &it);
+        }
+        let interning = b.doc.strings.memory_bytes();
+        let d = b.finish().unwrap();
+        // `finish` drops the pool's interning map, a slot per string.
+        let map = d.strings.len() * std::mem::size_of::<(Arc<str>, xqr_tokenstream::StrId)>();
+        assert!(interning - d.strings.memory_bytes() >= map);
+        // Every array slot, every pooled string and its `Arc` header.
+        let slot = std::mem::size_of::<NodeKind>() + std::mem::size_of::<NameId>() + 4 * 5 + 2;
+        let strings = d.strings.len() * (16 + std::mem::size_of::<Arc<str>>());
+        let floor = d.len() * slot + d.strings.payload_bytes() + strings;
+        assert!(d.memory_bytes() >= floor, "{} < {floor}", d.memory_bytes());
     }
 
     #[test]

@@ -760,8 +760,7 @@ fn transient_doc(engine: &Engine, doc: Arc<Document>, publish_limits: Limits) ->
     let doc = engine.store().lease_built(doc)?;
     if engine.options().index_documents {
         let guard = QueryGuard::new(publish_limits);
-        let _ =
-            contain_panic(|| xqr_index::ensure_indexed(engine.store(), doc.id, &guard).map(|_| ()));
+        let _ = contain_panic(|| xqr_index::ensure_indexed(&doc.doc, &guard).map(|_| ()));
     }
     Ok(doc)
 }

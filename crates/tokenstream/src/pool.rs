@@ -87,6 +87,26 @@ impl StringPool {
         self.payload
     }
 
+    /// Heap bytes the pool holds: each string's `Arc` allocation (two
+    /// counts and the payload, 8-aligned), the id table's capacity and,
+    /// while the pool still interns, its map.
+    pub fn memory_bytes(&self) -> usize {
+        let arcs: usize = self.strings.iter().map(|s| (16 + s.len() + 7) & !7).sum();
+        let entry = std::mem::size_of::<(Arc<str>, StrId)>() + 1;
+        arcs + self.strings.capacity() * std::mem::size_of::<Arc<str>>()
+            + self.index.capacity() * entry
+    }
+
+    /// Stop interning: drop the map from strings to ids, which only
+    /// [`StringPool::intern`] reads, and the id table's growth slack. A
+    /// finished document's pool only resolves ids; a later `intern`
+    /// would pool a second copy of a string instead of finding the
+    /// first.
+    pub fn freeze(&mut self) {
+        self.index = HashMap::new();
+        self.strings.shrink_to_fit();
+    }
+
     /// Drop every pooled string and advance the id watermark: ids
     /// issued before the call become invalid, and resolving one panics
     /// instead of silently aliasing a newer string. Streaming
@@ -104,25 +124,21 @@ impl StringPool {
         self.payload = 0;
     }
 
-    /// Rebuild a pool from its dumped string list (segment load path).
-    /// Ids are assigned in order, so a pool dumped via [`StringPool::iter`]
-    /// and rebuilt here preserves every `StrId`. Duplicate entries keep
-    /// the first id, matching intern semantics.
+    /// Rebuild a pool from its dumped string list (segment load path),
+    /// frozen ([`StringPool::freeze`]) as the document it came from.
+    /// Ids are assigned in order, so a pool dumped via
+    /// [`StringPool::iter`] and rebuilt here preserves every `StrId`.
     pub fn from_strings<I, S>(strings: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut pool = StringPool::new();
-        for s in strings {
-            let s = s.as_ref();
-            let arc: Arc<str> = Arc::from(s);
-            let id = StrId(pool.strings.len() as u32);
-            pool.payload += arc.len();
-            pool.strings.push(arc.clone());
-            pool.index.entry(arc).or_insert(id);
+        let strings: Vec<Arc<str>> = strings.into_iter().map(|s| Arc::from(s.as_ref())).collect();
+        StringPool {
+            payload: strings.iter().map(|s| s.len()).sum(),
+            strings,
+            ..StringPool::default()
         }
-        pool
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (StrId, &str)> {
@@ -177,6 +193,23 @@ mod tests {
         assert_eq!(p.get(b), "fresh");
         assert_ne!(a, b);
         assert!(std::panic::catch_unwind(|| p.get(a)).is_err());
+    }
+
+    #[test]
+    fn freezing_drops_the_map_and_its_bytes() {
+        let mut p = StringPool::new();
+        let ids: Vec<StrId> = (0..100).map(|i| p.intern(&format!("s{i}"))).collect();
+        let interning = p.memory_bytes();
+        // Each string is at least its `Arc` header, its payload and a
+        // table slot.
+        assert!(interning >= 100 * (16 + 2 + 16) + p.index.capacity());
+        p.freeze();
+        assert!(p.memory_bytes() < interning);
+        assert_eq!(p.index.capacity(), 0);
+        assert_eq!(p.get(ids[42]), "s42", "ids still resolve");
+        let thawed = StringPool::from_strings(p.iter().map(|(_, s)| s));
+        assert_eq!(thawed.index.capacity(), 0, "a rebuilt pool is frozen");
+        assert_eq!(thawed.get(ids[99]), "s99");
     }
 
     #[test]

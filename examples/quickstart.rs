@@ -25,10 +25,10 @@ fn main() -> xqr::Result<()> {
          order by $b/price descending
          return <hit year=\"{$b/@year}\">{string($b/title)}</hit>",
     )?;
-    let doc = engine.store().load_xml(bib, None)?;
+    let doc = engine.store().lease_xml(bib, None)?;
     for limit in [50, 100, 200] {
         let mut ctx = DynamicContext::new();
-        ctx.context_item = Some(Item::Node(xqr::NodeRef::new(doc, xqr::NodeId(0))));
+        ctx.context_item = Some(Item::Node(doc.root()));
         bind(&mut ctx, "limit", vec![Item::integer(limit)]);
         let result = prepared.execute(&engine, &ctx)?;
         println!("under ${limit}: {}", result.serialize_guarded().unwrap());

@@ -216,8 +216,23 @@ fn constructed_documents_recycle_their_slots_without_removal() {
     }
     assert_eq!(engine.store().doc_count(), docs);
     assert_eq!(engine.store().live_bytes(), bytes);
-    let fresh = engine.store().load_xml("<fresh/>", None).unwrap();
-    assert!(fresh.index() < 64, "slot {}", fresh.index());
+    let fresh = engine.store().lease_xml("<fresh/>", None).unwrap();
+    assert!(fresh.id.index() < 64, "slot {}", fresh.id.index());
+}
+
+/// Loading a URI again un-names the version it had: a result still
+/// reading the old version keeps it, and dropping the result frees it.
+#[test]
+fn a_superseded_version_dies_with_its_last_reader() {
+    let engine = Engine::new();
+    engine.load_document("a.xml", "<v1/>").unwrap();
+    let reader = engine.compile(r#"doc("a.xml")/*"#).unwrap();
+    let held = reader.execute(&engine, &DynamicContext::new()).unwrap();
+    engine.load_document("a.xml", "<v2/>").unwrap();
+    assert_eq!(held.serialize_guarded().unwrap(), "<v1/>");
+    drop(held);
+    assert_eq!(engine.store().doc_count(), 1, "v1 died with its reader");
+    assert_eq!(engine.query(r#"doc("a.xml")"#).unwrap(), "<v2/>");
 }
 
 /// How many documents `f` registers in `engine`'s store: creation

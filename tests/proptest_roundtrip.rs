@@ -108,8 +108,7 @@ proptest! {
     #[test]
     fn store_loads_are_queryable(xml in arb_xml()) {
         let store = Store::new();
-        let id = store.load_xml(&xml, None).unwrap();
-        let doc = store.document(id);
+        let doc = store.lease_xml(&xml, None).unwrap().doc;
         // string-value of the root equals concatenated text.
         let sv = doc.string_value(doc.root());
         // cheap cross-check: every char of sv appears in the input

@@ -240,7 +240,10 @@ fn morsel_split_of_a_single_node_document() {
     assert_parallel_matches_serial("<a><b/></a>", "//a//b", 4);
 
     // And end to end through the engine, whose joins run serially.
-    assert_eq!(query_xml_both(&Engine::new(), "<a/>", "count(//a)").unwrap(), "1");
+    assert_eq!(
+        query_xml_both(&Engine::new(), "<a/>", "count(//a)").unwrap(),
+        "1"
+    );
 }
 
 /// A seeded medium-size random tree with enough repeated tags that every
@@ -289,10 +292,9 @@ fn constructed_nodes_follow_the_input_document_on_a_reused_store() {
     let store = engine.store();
     // Two documents come and go; the free list hands their slots back
     // highest first, so the input lands above the next free slot.
-    let a = store.load_xml("<gone/>", None).unwrap();
-    let b = store.load_xml("<gone/>", None).unwrap();
-    assert!(store.remove_document(a) && store.remove_document(b));
-    let input = store.load_xml("<in/>", Some("in.xml")).unwrap();
+    let gone = [(); 2].map(|_| store.lease_xml("<gone/>", None).unwrap());
+    drop(gone);
+    let input = engine.load_document("in.xml", "<in/>").unwrap();
     let query = r#"doc("in.xml")/in | <made/>"#;
     let prepared = engine.compile(query).unwrap();
     let result = prepared.execute(&engine, &Default::default()).unwrap();
@@ -311,7 +313,7 @@ fn constructed_nodes_follow_the_input_document_on_a_reused_store() {
     assert_eq!(result.serialize_guarded().unwrap(), "<in/><made/>");
     // And on a fresh store, where slot order and creation order agree.
     let fresh = Engine::new();
-    fresh.store().load_xml("<in/>", Some("in.xml")).unwrap();
+    fresh.load_document("in.xml", "<in/>").unwrap();
     assert_eq!(query_both(&fresh, query).unwrap(), "<in/><made/>");
 }
 

@@ -54,11 +54,7 @@ fn repeated_queries_hit_the_plan_cache_with_identical_results() {
 fn catalog_evicts_under_its_byte_budget() {
     // Size one representative document, then budget for two of them.
     let doc = |i: usize| format!("<d><pad>{}</pad><n>{i}</n></d>", "x".repeat(50_000));
-    let one_doc = {
-        let probe = Engine::new();
-        let id = probe.store().load_xml(&doc(0), None).unwrap();
-        probe.store().document(id).memory_bytes() as u64
-    };
+    let one_doc = doc_bytes(&doc(0));
     let service = QueryService::new(ServiceConfig {
         catalog_max_bytes: Some(one_doc * 2 + one_doc / 2),
         ..Default::default()
@@ -83,6 +79,32 @@ fn catalog_evicts_under_its_byte_budget() {
         service.engine().store().doc_count(),
         s.catalog_docs as usize
     );
+}
+
+/// What `xml` charges as a document, index aside.
+fn doc_bytes(xml: &str) -> u64 {
+    let probe = Engine::new().store().lease_xml(xml, None).unwrap();
+    probe.doc.memory_bytes() as u64
+}
+
+/// `fn:doc` resolves through the catalog, so a read refreshes the
+/// document's LRU position: with room for two documents, the one read
+/// since it was put outlives a later put.
+#[test]
+fn a_read_refreshes_the_catalog_lru_position() {
+    let doc = |i: usize| format!("<d><pad>{}</pad><n>{i}</n></d>", "x".repeat(50_000));
+    let one_doc = doc_bytes(&doc(0));
+    let service = QueryService::new(ServiceConfig {
+        catalog_max_bytes: Some(one_doc * 2 + one_doc / 2),
+        ..Default::default()
+    });
+    service.load_document("a.xml", &doc(0)).unwrap();
+    service.load_document("b.xml", &doc(1)).unwrap();
+    assert_eq!(service.run(r#"string(doc("a.xml")/d/n)"#).unwrap(), "0");
+    service.load_document("c.xml", &doc(2)).unwrap();
+    assert_eq!(service.stats().catalog_evictions, 1);
+    assert!(service.catalog().contains("a.xml"), "read since its put");
+    assert!(!service.catalog().contains("b.xml"), "least recently used");
 }
 
 #[test]
