@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn slots_stay_bounded_under_lease_churn() {
         let store = Store::new();
-        let kept: Vec<Lease> = (0..5)
+        let long_lived: Vec<Lease> = (0..5)
             .map(|_| store.lease_xml("<k/>", None).unwrap())
             .collect();
         let mut held = Vec::new();
@@ -308,7 +308,7 @@ mod tests {
             }
         }
         drop(held);
-        assert_eq!(store.doc_count(), kept.len());
+        assert_eq!(store.doc_count(), long_lived.len());
     }
 
     #[test]
