@@ -46,6 +46,7 @@
 
 use crate::stream_path::{StreamPattern, StreamStats};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 use xqr_store::{Document, DocumentBuilder};
 use xqr_tokenstream::{PushTokenizer, Token, TokenIterator, TokenResolve};
@@ -196,8 +197,12 @@ struct Matches {
     lens: Vec<u32>,
     /// Slots reserved at capture open and not yet in `ready`;
     /// `waiting[0]` is slot `moved`. A nested match closes before its
-    /// ancestor and waits here until every slot before it is filled.
-    waiting: VecDeque<Option<String>>,
+    /// ancestor and waits here, as its range of `parked`, until every
+    /// slot before it is filled.
+    waiting: VecDeque<Option<Range<usize>>>,
+    /// The waiting matches' bytes, emptied whenever `waiting` is: that
+    /// is, when this pattern's outermost open match closes.
+    parked: String,
     moved: usize,
 }
 
@@ -214,23 +219,30 @@ impl Matches {
             .map_err(|_| Error::new(ErrorCode::Limit, "a streamed match over 4 GiB"))?;
         let i = slot - self.moved;
         if i > 0 {
-            self.waiting[i] = Some(out.to_string());
+            let start = self.parked.len();
+            self.parked.push_str(out);
+            self.waiting[i] = Some(start..self.parked.len());
             return Ok(());
         }
         self.waiting.pop_front();
-        self.append(out);
+        self.append(out.len());
+        self.ready.push_str(out);
         while let Some(Some(_)) = self.waiting.front() {
             let m = self.waiting.pop_front().flatten().expect("checked above");
-            self.append(&m);
+            self.append(m.len());
+            self.ready.push_str(&self.parked[m]);
+        }
+        if self.waiting.is_empty() {
+            self.parked.clear();
         }
         Ok(())
     }
 
-    fn append(&mut self, m: &str) {
+    /// Record a match of `len` bytes about to be appended to `ready`.
+    fn append(&mut self, len: usize) {
         self.moved += 1;
-        self.ready.push_str(m);
         self.lens
-            .push(u32::try_from(m.len()).expect("checked when filled"));
+            .push(u32::try_from(len).expect("checked when filled"));
     }
 
     fn take(&mut self) -> Vec<String> {
@@ -251,17 +263,19 @@ impl Matches {
 }
 
 /// An in-flight capture: one matched element being serialized for one or
-/// more accepting patterns.
+/// more accepting patterns. Its serialization is the run's writer from
+/// `start` on: the writer has no indentation and no namespace fixup, so
+/// a nested element's bytes are exactly those its own writer would
+/// produce.
 struct Capture {
     /// Open-element depth of the captured element (captures form a
     /// stack: strictly increasing depth).
     depth: usize,
-    writer: XmlWriter,
-    /// `(pattern, reserved match slot)` recipients. The slot was
-    /// reserved at capture open (see [`Matches`]), so nested matches land
-    /// in document order of their start tags even though inner captures
-    /// close first.
-    recipients: Vec<(PatternId, usize)>,
+    /// Where the element's start tag begins in the run's writer.
+    start: usize,
+    /// Its recipients are the run's `recipients[first..]`, up to the
+    /// next capture's `first`.
+    first: usize,
 }
 
 /// What the driver should do after a pushed token.
@@ -306,10 +320,17 @@ pub struct CombinedRun {
     bounds: Vec<u32>,
     scratch: Vec<u32>,
     accepted: Vec<PatternId>,
-    // Every open capture's writer sees each token inside it, written
-    // as it arrives: a start tag stays open in the writer while its
-    // namespace and attribute tokens follow.
+    // One writer for every open capture: each token inside the
+    // outermost one is written once, as it arrives (a start tag stays
+    // open while its namespace and attribute tokens follow). It is
+    // cleared, keeping its buffer, when the outermost capture closes.
+    writer: XmlWriter,
     captures: Vec<Capture>,
+    // `(pattern, reserved match slot)` per open capture, outermost
+    // first. The slot was reserved at capture open (see [`Matches`]),
+    // so nested matches land in document order of their start tags even
+    // though inner captures close first.
+    recipients: Vec<(PatternId, usize)>,
     // Nonzero while inside a dead subtree a push driver couldn't skip:
     // open-element depth below the dead element's parent.
     skip_depth: usize,
@@ -329,7 +350,9 @@ impl CombinedRun {
             bounds: Vec::new(),
             scratch: Vec::new(),
             accepted: Vec::new(),
+            writer: XmlWriter::new(WriterOptions::default()),
             captures: Vec::new(),
+            recipients: Vec::new(),
             skip_depth: 0,
             capture: true,
         }
@@ -395,24 +418,23 @@ impl CombinedRun {
                     self.accepted.clear();
                 }
                 // Open at most one capture per element; all accepting
-                // patterns still collecting share its writer.
-                let mut recipients: Vec<(PatternId, usize)> = Vec::new();
+                // patterns still collecting share it.
+                let first = self.recipients.len();
                 for &pid in &self.accepted {
                     if let Ok(m) = &mut self.per_pattern[pid as usize] {
-                        recipients.push((pid, m.reserve()));
+                        self.recipients.push((pid, m.reserve()));
                     }
                 }
-                if !recipients.is_empty() {
+                if self.recipients.len() > first {
+                    let start = self.writer.node_start();
                     self.captures.push(Capture {
                         depth,
-                        writer: XmlWriter::new(WriterOptions::default()),
-                        recipients,
+                        start,
+                        first,
                     });
                 }
                 if !self.captures.is_empty() {
-                    for c in &mut self.captures {
-                        c.writer.start_element(name);
-                    }
+                    self.writer.start_element(name);
                 } else if self.scratch.is_empty() {
                     // No live state and nothing being serialized: no
                     // pattern can match anything below — skip the whole
@@ -424,50 +446,37 @@ impl CombinedRun {
                 }
             }
             // Namespace and attribute tokens follow their start tag, so an
-            // open capture means the tag was just written to every writer.
+            // open capture means the tag was just written.
             Token::Attribute(nid, vid) => {
                 if !self.captures.is_empty() {
-                    let (name, value) = (src.name(*nid), src.pooled_str(*vid));
-                    for c in &mut self.captures {
-                        c.writer.attribute(name, &value);
-                    }
+                    self.writer.attribute(src.name(*nid), &src.pooled_str(*vid));
                 }
             }
             Token::NamespaceDecl(pid, uid) => {
                 if !self.captures.is_empty() {
-                    let (prefix, uri) = (src.pooled_str(*pid), src.pooled_str(*uid));
-                    for c in &mut self.captures {
-                        c.writer.namespace(&prefix, &uri);
-                    }
+                    self.writer
+                        .namespace(&src.pooled_str(*pid), &src.pooled_str(*uid));
                 }
             }
             Token::Text(sid) => {
                 if !self.captures.is_empty() {
-                    let text = src.pooled_str(*sid);
-                    for c in &mut self.captures {
-                        c.writer.text(&text);
-                    }
+                    self.writer.text(&src.pooled_str(*sid));
                 }
             }
             Token::Comment(sid) => {
                 if !self.captures.is_empty() {
-                    let text = src.pooled_str(*sid);
-                    for c in &mut self.captures {
-                        c.writer.comment(&text);
-                    }
+                    self.writer.comment(&src.pooled_str(*sid));
                 }
             }
             Token::ProcessingInstruction(nid, did) => {
                 if !self.captures.is_empty() {
-                    let (target, data) = (src.name(*nid).local_name(), src.pooled_str(*did));
-                    for c in &mut self.captures {
-                        c.writer.pi(target, &data);
-                    }
+                    self.writer
+                        .pi(src.name(*nid).local_name(), &src.pooled_str(*did));
                 }
             }
             Token::EndElement => {
-                for c in &mut self.captures {
-                    c.writer.end_element();
+                if !self.captures.is_empty() {
+                    self.writer.end_element();
                 }
                 let depth = self.bounds.len();
                 if let Some(start) = self.bounds.pop() {
@@ -475,19 +484,21 @@ impl CombinedRun {
                 }
                 if self.captures.last().is_some_and(|c| c.depth == depth) {
                     let cap = self.captures.pop().expect("checked above");
-                    let out = cap.writer.into_string();
-                    for (pid, slot) in cap.recipients {
+                    let out = &self.writer.as_str()[cap.start..];
+                    for &(pid, slot) in &self.recipients[cap.first..] {
                         // A pattern that already failed (budget tripped
                         // on an earlier, possibly nested, match) stays
                         // failed; skip it.
                         if let Ok(m) = &mut self.per_pattern[pid as usize] {
-                            match charge(pid, out.len() as u64).and_then(|()| m.fill(slot, &out)) {
+                            match charge(pid, out.len() as u64).and_then(|()| m.fill(slot, out)) {
                                 Ok(()) => self.stats.matches += 1,
                                 Err(e) => self.per_pattern[pid as usize] = Err(e),
                             }
                         }
                     }
+                    self.recipients.truncate(cap.first);
                     if self.captures.is_empty() {
+                        self.writer.clear();
                         return PushAction::MatchReady;
                     }
                 }
@@ -616,11 +627,14 @@ where
 /// the run as it appears. Memory is bounded by the largest single
 /// syntactic unit plus the matches not yet taken. Skip hints are
 /// ignored — tokens arrive whether wanted or not; the run absorbs dead
-/// subtrees internally.
+/// subtrees internally. Given a builder ([`StreamingPass::building`]),
+/// each token also goes to it, as under [`run_document_building`]: the
+/// document is lexed once whatever needs it.
 pub struct StreamingPass {
     tokenizer: PushTokenizer,
     run: CombinedRun,
     guards: Vec<QueryGuard>,
+    doc: Option<DocumentBuilder>,
 }
 
 impl StreamingPass {
@@ -642,7 +656,15 @@ impl StreamingPass {
             tokenizer,
             run: CombinedRun::new(automaton),
             guards,
+            doc: None,
         }
+    }
+
+    /// Also build the document from the pass's tokens; `finish` hands
+    /// it over.
+    pub fn building(mut self, doc: DocumentBuilder) -> StreamingPass {
+        self.doc = Some(doc);
+        self
     }
 
     /// Feed one chunk; the run advances by however many tokens completed.
@@ -652,11 +674,15 @@ impl StreamingPass {
     }
 
     /// End of input: resolve constructs waiting on more bytes and yield
-    /// the per-pattern outcomes.
-    pub fn finish(mut self, automaton: &CombinedAutomaton) -> Result<CombinedOutcome> {
+    /// the per-pattern outcomes, and the document when building one.
+    pub fn finish(
+        mut self,
+        automaton: &CombinedAutomaton,
+    ) -> Result<(CombinedOutcome, Option<Arc<Document>>)> {
         self.tokenizer.finish()?;
         self.drain(automaton)?;
-        Ok(self.run.finish())
+        let doc = self.doc.map(DocumentBuilder::finish).transpose()?;
+        Ok((self.run.finish(), doc))
     }
 
     fn drain(&mut self, automaton: &CombinedAutomaton) -> Result<()> {
@@ -666,6 +692,9 @@ impl StreamingPass {
                 .push(automaton, &tok, &self.tokenizer, &mut |pid, bytes| {
                     guards[pid as usize].note_output_bytes(bytes)
                 });
+            if let Some(doc) = &mut self.doc {
+                doc.push_token(tok, &self.tokenizer);
+            }
         }
         Ok(())
     }
@@ -812,7 +841,7 @@ mod tests {
         assert_eq!(pass.take_matches(0).unwrap(), Vec::<String>::new());
         pass.feed(&a, b"ond</b></a>").unwrap();
         assert_eq!(pass.take_matches(0).unwrap(), vec!["<b>second</b>"]);
-        assert_eq!(pass.finish(&a).unwrap().stats.matches, 2);
+        assert_eq!(pass.finish(&a).unwrap().0.stats.matches, 2);
 
         // A closed nested match waits for its still-open ancestor.
         let a = CombinedAutomaton::build(&[pat("//b")]);

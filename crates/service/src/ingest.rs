@@ -510,7 +510,7 @@ impl StreamQuery<'_> {
                 automaton,
                 pass,
                 mut out,
-            } => xqr_core::contain_panic(|| pass.finish(&automaton)).and_then(|mut done| {
+            } => xqr_core::contain_panic(|| pass.finish(&automaton)).and_then(|(mut done, _)| {
                 self.service.record_publish_stream(&done.stats);
                 out.push_str(&done.per_pattern.remove(0)?);
                 Ok(out)

@@ -117,6 +117,48 @@ struct PublishPlan {
     fallback: Vec<(SubId, Arc<Subscription>)>,
 }
 
+/// How a shared pass ended: the automaton's outcome and, when it had a
+/// builder, the document built from its tokens.
+type PassEnd = (CombinedOutcome, Option<Arc<Document>>);
+
+/// What the publish tail takes from the pass: the outcome when a
+/// streamable subscription rode it, and the fallback copy (or why there
+/// is none) when a non-streamable one needs it.
+type Handoff = (Option<CombinedOutcome>, Option<Result<Arc<Document>>>);
+
+impl PublishPlan {
+    fn is_empty(&self) -> bool {
+        self.streamed.is_empty() && self.fallback.is_empty()
+    }
+
+    /// One output budget per streamable subscription, indexed by its
+    /// `PatternId`.
+    fn guards(&self) -> Vec<QueryGuard> {
+        self.streamed
+            .iter()
+            .map(|(_, s)| QueryGuard::new(s.limits))
+            .collect()
+    }
+
+    /// The builder of the fallback subscriptions' copy, when there are
+    /// any: the shared pass builds it from its own tokens.
+    fn builder(&self, engine: &Engine) -> Option<DocumentBuilder> {
+        (!self.fallback.is_empty()).then(|| DocumentBuilder::new(engine.names().clone()))
+    }
+
+    /// The tail's [`Handoff`] from how the shared pass ended. A document
+    /// the pass could not read fails the publish, unless the pass only
+    /// built the fallback copy: then it is every fallback subscription's
+    /// coded error.
+    fn pass_ended(&self, ended: Result<PassEnd>) -> Result<Handoff> {
+        match ended {
+            Ok((outcome, doc)) => Ok(((!self.streamed.is_empty()).then_some(outcome), doc.map(Ok))),
+            Err(e) if self.streamed.is_empty() => Ok((None, Some(Err(e)))),
+            Err(e) => Err(e),
+        }
+    }
+}
+
 #[derive(Default)]
 struct Inner {
     slots: Vec<SlotEntry>,
@@ -343,18 +385,11 @@ impl SubscriptionRegistry {
         F: FnOnce(Arc<Document>) -> Result<Lease>,
     {
         let plan = self.plan();
-        let build = !plan.fallback.is_empty();
-        let (shared, built) = if plan.streamed.is_empty() && !build {
+        let (shared, built) = if plan.is_empty() {
             (None, None)
         } else {
-            let builder = build.then(|| DocumentBuilder::new(engine.names().clone()));
-            match shared_pass(engine, &plan, xml, publish_limits, builder) {
-                Ok((outcome, doc)) => ((!plan.streamed.is_empty()).then_some(outcome), doc.map(Ok)),
-                // The pass only built the fallback copy: its failure is
-                // the fallback subscriptions' outcome.
-                Err(e) if plan.streamed.is_empty() => (None, Some(Err(e))),
-                Err(e) => return Err(e),
-            }
+            let builder = plan.builder(engine);
+            plan.pass_ended(shared_pass(engine, &plan, xml, publish_limits, builder))?
         };
         self.complete_publish(engine, name, &plan, shared, || {
             built
@@ -523,36 +558,25 @@ impl SubscriptionRegistry {
         publish_limits: Limits,
     ) -> PublishSession {
         let plan = self.plan();
-        // No streamable subscription: nothing to match incrementally.
-        // A parse error must then surface as the fallback subscriptions'
-        // per-subscription error, as on the whole-document path, not as
-        // a top-level publish failure.
-        let streaming = if plan.streamed.is_empty() {
-            None
-        } else {
-            let guards: Vec<QueryGuard> = plan
-                .streamed
-                .iter()
-                .map(|(_, s)| QueryGuard::new(s.limits))
-                .collect();
-            Some(StreamingPass::new(
+        // One push pass whatever the subscriptions: with only fallback
+        // ones it runs an empty automaton and just builds their copy.
+        let pass = (!plan.is_empty()).then(|| {
+            let pass = StreamingPass::new(
                 &plan.automaton,
                 engine.names().clone(),
                 QueryGuard::new(publish_limits),
-                guards,
-            ))
-        };
-        let fallback_buf = if plan.fallback.is_empty() {
-            None
-        } else {
-            Some(Vec::new())
-        };
+                plan.guards(),
+            );
+            match plan.builder(engine) {
+                Some(builder) => pass.building(builder),
+                None => pass,
+            }
+        });
         PublishSession {
             plan,
             document: name.to_string(),
-            publish_limits,
-            streaming,
-            fallback_buf,
+            pass,
+            unread: None,
             failed: None,
             bytes_fed: 0,
         }
@@ -597,10 +621,12 @@ impl SubscriptionRegistry {
 
 /// An in-flight chunked publish (see
 /// [`SubscriptionRegistry::begin_publish`]). Feed byte chunks as they
-/// arrive; streamable subscriptions are matched incrementally against
-/// whatever tokens complete, with memory bounded by the largest single
-/// syntactic unit — the document is buffered in full only when a
-/// non-streamable subscription will need a materialized copy.
+/// arrive; one push pass lexes each byte once, matches streamable
+/// subscriptions against whatever tokens complete and, when a
+/// non-streamable subscription needs a materialized copy, builds it from
+/// the same tokens. No raw copy of the document is kept: memory is the
+/// largest single syntactic unit, the matches not yet delivered and the
+/// copy under construction.
 ///
 /// Errors are sticky: a failed feed poisons the session, and
 /// [`PublishSession::finish`] returns the same error the whole-document
@@ -608,14 +634,13 @@ impl SubscriptionRegistry {
 pub struct PublishSession {
     plan: Arc<PublishPlan>,
     document: String,
-    publish_limits: Limits,
-    /// The incremental half: push tokenizer plus resumable automaton
-    /// run, present only when at least one streamable subscription
-    /// exists.
-    streaming: Option<StreamingPass>,
-    /// Raw document bytes, accumulated only when `plan.fallback` is
-    /// non-empty: `finish` builds the materialized copy from them.
-    fallback_buf: Option<Vec<u8>>,
+    /// The push tokenizer, resumable automaton run and fallback builder;
+    /// absent only when there is no subscription at all.
+    pass: Option<StreamingPass>,
+    /// Why the pass stopped, kept when it only builds the fallback copy:
+    /// `finish` reports it as every fallback subscription's coded error,
+    /// as the whole-document publish does.
+    unread: Option<Error>,
     failed: Option<Error>,
     bytes_fed: u64,
 }
@@ -640,25 +665,19 @@ impl PublishSession {
 
     /// Bytes parked in the lexer awaiting a complete syntactic unit.
     pub fn buffered_bytes(&self) -> usize {
-        self.streaming
-            .as_ref()
-            .map(|s| s.buffered_bytes())
-            .unwrap_or(0)
+        self.pass.as_ref().map(|s| s.buffered_bytes()).unwrap_or(0)
     }
 
     /// Matches delivered to streamable subscriptions so far — visible
     /// while bytes are still arriving, which is the point.
     pub fn matches_so_far(&self) -> u64 {
-        self.streaming
-            .as_ref()
-            .map(|s| s.stats().matches)
-            .unwrap_or(0)
+        self.pass.as_ref().map(|s| s.stats().matches).unwrap_or(0)
     }
 
-    /// Will `finish` need the full document text (non-streamable
+    /// Does the pass build a document for `finish` (non-streamable
     /// subscriptions present)?
     pub fn needs_fallback_doc(&self) -> bool {
-        self.fallback_buf.is_some()
+        !self.plan.fallback.is_empty()
     }
 
     /// Feed one chunk, split at any byte boundary. Streamable
@@ -666,22 +685,22 @@ impl PublishSession {
     pub fn feed(&mut self, chunk: &[u8]) -> Result<()> {
         self.check_failed()?;
         self.bytes_fed += chunk.len() as u64;
-        if let Some(buf) = &mut self.fallback_buf {
-            buf.extend_from_slice(chunk);
-        }
-        let Some(pass) = &mut self.streaming else {
+        let Some(pass) = self.pass.as_mut().filter(|_| self.unread.is_none()) else {
             return Ok(());
         };
         match contain_panic(|| pass.feed(&self.plan.automaton, chunk)) {
             Ok(()) => Ok(()),
+            Err(e) if self.plan.streamed.is_empty() => {
+                self.unread = Some(e);
+                Ok(())
+            }
             Err(e) => self.fail(e),
         }
     }
 
-    /// End of input: resolve constructs waiting on more bytes, run the
-    /// fallback evaluations (building the document from the buffered
-    /// bytes under the publish limits, then leasing it via
-    /// `materialize`), deliver every outcome, and report — identically
+    /// End of input: resolve constructs waiting on more bytes, lease the
+    /// document the pass built via `materialize`, run the fallback
+    /// evaluations on it, deliver every outcome, and report — identically
     /// to the whole-document publish.
     pub fn finish<F>(
         mut self,
@@ -693,24 +712,23 @@ impl PublishSession {
         F: FnOnce(Arc<Document>) -> Result<Lease>,
     {
         self.check_failed()?;
-        let shared = match self.streaming.take() {
-            Some(pass) => match contain_panic(|| pass.finish(&self.plan.automaton)) {
-                Ok(outcome) => Some(outcome),
-                Err(e) => return self.fail(e),
-            },
-            None => None,
+        let (shared, built) = match self.pass.take() {
+            None => (None, None),
+            Some(pass) => {
+                let ended = match self.unread.take() {
+                    Some(e) => Err(e),
+                    None => contain_panic(|| pass.finish(&self.plan.automaton)),
+                };
+                match self.plan.pass_ended(ended) {
+                    Ok(split) => split,
+                    Err(e) => return self.fail(e),
+                }
+            }
         };
-        let buf = self.fallback_buf.take().unwrap_or_default();
-        let limits = self.publish_limits;
         registry.complete_publish(engine, &self.document, &self.plan, shared, || {
-            // A streaming pass would have caught bad UTF-8 in feed; with
-            // only fallback subscriptions it surfaces here, as the error
-            // those subscriptions report.
-            let xml =
-                String::from_utf8(buf).map_err(|_| Error::syntax("invalid UTF-8 in document"))?;
-            let doc =
-                Document::from_tokens(&mut tokens(engine, &xml, limits), engine.names().clone())?;
-            materialize(doc)
+            built
+                .expect("built whenever a fallback needs it")
+                .and_then(materialize)
         })
     }
 }
@@ -725,12 +743,8 @@ fn shared_pass(
     xml: &str,
     publish_limits: Limits,
     builder: Option<DocumentBuilder>,
-) -> Result<(CombinedOutcome, Option<Arc<Document>>)> {
-    let guards: Vec<QueryGuard> = plan
-        .streamed
-        .iter()
-        .map(|(_, s)| QueryGuard::new(s.limits))
-        .collect();
+) -> Result<PassEnd> {
+    let guards = plan.guards();
     let charge = |pid: u32, bytes| guards[pid as usize].note_output_bytes(bytes);
     contain_panic(|| {
         let mut it = tokens(engine, xml, publish_limits);

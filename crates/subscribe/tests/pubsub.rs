@@ -313,24 +313,39 @@ fn publish_chunked_reports_the_same_error_as_publish() {
 }
 
 #[test]
-fn chunked_fallback_only_set_never_tokenizes_incrementally() {
-    // With no streamable subscription, a malformed document must become
-    // the fallback subscriptions' per-subscription error — not a
-    // top-level failure — exactly like the whole-document path.
+fn a_chunked_fallback_only_set_reports_a_bad_document_per_subscription() {
+    // With no streamable subscription the session's one push pass only
+    // builds the fallback copy: a malformed document must become each
+    // fallback subscription's coded error — not a top-level failure —
+    // exactly like the whole-document path.
     let engine = Engine::new();
     let reg = SubscriptionRegistry::new();
-    let id = register(&reg, &engine, "count(//b)");
-    let bad = "<a><b></a>";
-    let whole = reg
-        .publish(&engine, "bad", bad, Limits::unlimited())
-        .unwrap();
-    let chunks: Vec<&[u8]> = bad.as_bytes().chunks(3).collect();
-    let chunked = reg
-        .publish_chunked(&engine, "bad", chunks, Limits::unlimited())
-        .unwrap();
-    let w = whole.result_for(id).unwrap().as_ref().unwrap_err();
-    let c = chunked.result_for(id).unwrap().as_ref().unwrap_err();
-    assert_eq!(w.code, c.code);
+    let ids =
+        ["count(//b)", "for $b in /a/b where $b/@x return $b"].map(|q| register(&reg, &engine, q));
+    for bad in [
+        "<a><b></a>",
+        "<a>&bogus;</a>",
+        "<a/><b/>",
+        "<unclosed>",
+        "<a b='1' b='2'/>",
+    ] {
+        let whole = reg
+            .publish(&engine, "bad", bad, Limits::unlimited())
+            .unwrap();
+        assert_eq!((whole.shared_pass, whole.fallback), (0, 2));
+        for chunk in [1usize, 3, bad.len()] {
+            let chunks: Vec<&[u8]> = bad.as_bytes().chunks(chunk).collect();
+            let chunked = reg
+                .publish_chunked(&engine, "bad", chunks, Limits::unlimited())
+                .unwrap();
+            for id in ids {
+                let w = whole.result_for(id).unwrap().as_ref().unwrap_err();
+                let c = chunked.result_for(id).unwrap().as_ref().unwrap_err();
+                assert_eq!(w.code, c.code, "{bad:?} chunk {chunk}");
+            }
+            assert_reports_equal(&whole, &chunked);
+        }
+    }
     assert_eq!(engine.store().doc_count(), 0);
 }
 
@@ -378,18 +393,19 @@ fn a_publish_lexes_its_document_once() {
 
     // The registry's own publish.
     let engine = Engine::new();
-    let (mixed, streamed) = (SubscriptionRegistry::new(), SubscriptionRegistry::new());
+    let (mixed_registry, streamed_registry) =
+        (SubscriptionRegistry::new(), SubscriptionRegistry::new());
     for q in streamable {
-        register(&mixed, &engine, q);
-        register(&streamed, &engine, q);
+        register(&mixed_registry, &engine, q);
+        register(&streamed_registry, &engine, q);
     }
-    register(&mixed, &engine, fallback);
+    register(&mixed_registry, &engine, fallback);
     let publish = |reg: &SubscriptionRegistry| {
         let report = reg.publish(&engine, "d", xml, Limits::unlimited()).unwrap();
         assert!(report.results.iter().all(|(_, r)| r.is_ok()));
     };
-    let (mixed_reads, mixed_loads) = publish_cost(|| publish(&mixed));
-    let (streamed_reads, _) = publish_cost(|| publish(&streamed));
+    let (mixed_reads, mixed_loads) = publish_cost(|| publish(&mixed_registry));
+    let (streamed_reads, _) = publish_cost(|| publish(&streamed_registry));
     assert!(streamed_reads > 0);
     assert_eq!(mixed_reads, streamed_reads, "the fallback copy lexed again");
     assert_eq!(mixed_loads, 1);
@@ -423,6 +439,38 @@ fn a_publish_lexes_its_document_once() {
         assert_eq!(loads, 1, "retained: {retained}");
     }
     assert_eq!(mixed.run(r#"count(doc("d")//book)"#).unwrap(), "2");
+
+    // A chunked publish, at the registry and as a service chunk session:
+    // the copy is built from the push pass's tokens, so a fallback
+    // subscription costs no reader event.
+    let chunked = |reg: &SubscriptionRegistry| {
+        let chunks: Vec<&[u8]> = xml.as_bytes().chunks(7).collect();
+        let report = reg
+            .publish_chunked(&engine, "d", chunks, Limits::unlimited())
+            .unwrap();
+        assert!(report.results.iter().all(|(_, r)| r.is_ok()));
+    };
+    let (mixed_reads, mixed_loads) = publish_cost(|| chunked(&mixed_registry));
+    let (streamed_reads, _) = publish_cost(|| chunked(&streamed_registry));
+    assert!(streamed_reads > 0);
+    assert_eq!(
+        mixed_reads, streamed_reads,
+        "the chunked fallback copy lexed again"
+    );
+    assert_eq!(mixed_loads, 1);
+    let session = |svc: &QueryService| {
+        let id = svc.open_chunk_session("d").unwrap();
+        for c in xml.as_bytes().chunks(7) {
+            svc.feed_chunk(id, c).unwrap();
+        }
+        let report = svc.finish_chunk_session(id).unwrap();
+        assert!(report.results.iter().all(|(_, r)| r.is_ok()));
+    };
+    let (session_reads, session_loads) = publish_cost(|| session(&mixed));
+    assert_eq!(session_reads, streamed_reads);
+    assert_eq!(session_loads, 1);
+    let (session_reads, _) = publish_cost(|| session(&streamed));
+    assert_eq!(session_reads, streamed_reads);
 }
 
 #[test]

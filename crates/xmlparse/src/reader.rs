@@ -410,7 +410,7 @@ impl<'a> XmlReader<'a> {
     /// Read a (possibly prefixed) name; `:` is accepted here and the
     /// prefix/local split is validated by `split_name`. Returns the
     /// buffer range of the name (stable for the rest of this attempt:
-    /// compaction only happens between events).
+    /// compaction only happens in `feed`).
     fn read_name(&mut self) -> Result<Range<usize>> {
         let start = self.pos;
         let mut chars = self.src()[self.pos..].char_indices();
@@ -835,6 +835,7 @@ impl XmlReader<'static> {
     pub fn feed(&mut self, chunk: &[u8]) -> Result<()> {
         assert!(self.incremental, "feed() requires XmlReader::incremental()");
         assert!(!self.eof, "feed() after finish()");
+        self.compact();
         if self.carry.is_empty() {
             self.append_utf8(chunk)
         } else {
@@ -898,10 +899,7 @@ impl XmlReader<'static> {
         let save_started = self.started;
         self.need_more.set(false);
         match self.next_event_inner() {
-            Ok(ev) => {
-                self.compact();
-                Ok(Some(ev))
-            }
+            Ok(ev) => Ok(Some(ev)),
             Err(e) => {
                 if self.need_more.get() {
                     self.pos = save_pos;
@@ -915,7 +913,9 @@ impl XmlReader<'static> {
     }
 
     /// Drop consumed bytes from the front of the buffer so memory tracks
-    /// the in-progress event, not the document.
+    /// the in-progress event and the chunk being fed, not the document.
+    /// Once per `feed`, not per event: the unconsumed tail moves once a
+    /// chunk. A scan hint survives it, its offsets being absolute.
     fn compact(&mut self) {
         if self.pos == 0 {
             return;
@@ -925,7 +925,6 @@ impl XmlReader<'static> {
         }
         self.base += self.pos;
         self.pos = 0;
-        *self.hint.borrow_mut() = None;
     }
 }
 

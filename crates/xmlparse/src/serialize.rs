@@ -86,23 +86,48 @@ pub struct XmlWriter {
 
 impl XmlWriter {
     pub fn new(opts: WriterOptions) -> Self {
-        let mut out = String::new();
-        if opts.declaration {
-            out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-            if opts.indent.is_some() {
-                out.push('\n');
-            }
-        }
-        XmlWriter {
-            out,
+        let mut w = XmlWriter {
+            out: String::new(),
             opts,
             depth: 0,
             tag_open: false,
             tag_has_attrs: false,
             last_was_start: false,
             stack: Vec::new(),
-            mixed: vec![false],
+            mixed: Vec::new(),
+        };
+        w.clear();
+        w
+    }
+
+    /// Forget everything written: the writer is as [`XmlWriter::new`]
+    /// left it, but keeps its buffers' capacity.
+    pub fn clear(&mut self) {
+        self.out.clear();
+        if self.opts.declaration {
+            self.out
+                .push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+            if self.opts.indent.is_some() {
+                self.out.push('\n');
+            }
         }
+        self.depth = 0;
+        self.tag_open = false;
+        self.tag_has_attrs = false;
+        self.last_was_start = false;
+        self.stack.clear();
+        self.mixed.clear();
+        self.mixed.push(false);
+    }
+
+    /// Close a start tag still waiting for its `>` and return the length
+    /// written: the offset the next node starts at. Without indentation
+    /// the node's serialization then runs from there to the end of
+    /// whatever it writes, byte for byte what a writer of its own would
+    /// produce.
+    pub fn node_start(&mut self) -> usize {
+        self.close_tag_if_open();
+        self.out.len()
     }
 
     pub fn into_string(self) -> String {

@@ -374,3 +374,81 @@ fn stream_query_front_end_is_total() {
     let chunked = q.finish().unwrap_err();
     assert_eq!(chunked.code, whole.code);
 }
+
+/// Nested captures share the run's one writer: each match is a slice of
+/// its outermost ancestor's serialization. Pull, push at 1-byte chunks
+/// and the building driver must all produce what materialized
+/// evaluation does, over the constructs whose bytes a shared writer
+/// could get wrong: namespace declarations (prefixed, default and
+/// undeclared), attributes, empty elements, comments, processing
+/// instructions and escaped entities.
+#[test]
+fn nested_captures_serialize_as_materialized_evaluation_does() {
+    use std::sync::Arc;
+    use xqr::xqr_runtime::{run_document, run_document_building, CombinedAutomaton, StreamingPass};
+    use xqr::xqr_store::DocumentBuilder;
+    use xqr::xqr_tokenstream::ParserTokenIterator;
+    use xqr::xqr_xdm::QueryGuard;
+
+    let docs = [
+        "<a><a x=\"1\"><a/><b>t</b></a><a><!--c--><a>&amp;&lt;</a></a></a>",
+        r#"<p:a xmlns:p="urn:p" p:k="v"><p:a xmlns="urn:d"><a xmlns=""><p:a/><a k="1"><a/></a></a><e/></p:a></p:a>"#,
+        r#"<a k="&quot;x&quot;"><?pi data?><a><a xmlns="urn:d"><a xmlns="">x&gt;y</a></a><?t?></a><e k='1'/></a>"#,
+    ];
+    let queries = ["//*", "//a//a"];
+    let engine = Engine::new();
+    let names = engine.names().clone();
+    for query in queries {
+        let pattern = engine
+            .compile(query)
+            .unwrap()
+            .stream_pattern()
+            .cloned()
+            .expect("streamable");
+        let automaton = CombinedAutomaton::build(&[pattern]);
+        for xml in docs {
+            let want = engine.query_xml(xml, query).unwrap();
+            assert!(!want.is_empty(), "{query} over {xml}");
+
+            let mut it = ParserTokenIterator::new(xml, names.clone());
+            let pulled = run_document(&automaton, &mut it, |_, _| Ok(())).unwrap();
+            assert_eq!(
+                pulled.per_pattern[0].as_ref().unwrap(),
+                &want,
+                "pull: {query} {xml}"
+            );
+
+            let mut pass = StreamingPass::new(
+                &automaton,
+                names.clone(),
+                QueryGuard::unlimited(),
+                vec![QueryGuard::unlimited()],
+            )
+            .building(DocumentBuilder::new(names.clone()));
+            for byte in xml.as_bytes() {
+                pass.feed(&automaton, std::slice::from_ref(byte)).unwrap();
+            }
+            let (pushed, doc) = pass.finish(&automaton).unwrap();
+            assert_eq!(
+                pushed.per_pattern[0].as_ref().unwrap(),
+                &want,
+                "push: {query} {xml}"
+            );
+            let doc = doc.expect("a building pass builds");
+            assert_eq!(
+                doc.serialize_node(doc.root()),
+                xqr::xqr_xmlparse::reserialize(xml).unwrap()
+            );
+
+            let mut it = ParserTokenIterator::new(xml, names.clone());
+            let builder = DocumentBuilder::new(Arc::clone(&names));
+            let (built, _) =
+                run_document_building(&automaton, &mut it, builder, |_, _| Ok(())).unwrap();
+            assert_eq!(
+                built.per_pattern[0].as_ref().unwrap(),
+                &want,
+                "build: {query} {xml}"
+            );
+        }
+    }
+}
