@@ -52,10 +52,9 @@ use xqr_xmlgen::random_tree;
 /// because no case reaches them: `tokens.buffer` (only `BufferFactory`
 /// fills a token buffer), `store.read` (the queries read their context
 /// document, never `fn:doc`) and `subscribe.deliver` (the leg's
-/// subscriptions have no sink). Several of these a case reaches a few
-/// times, `plans.insert` once (the service leg's compile; the ingest
-/// leg then hits the cache), so a rule skips at most its first two
-/// hits: a longer skip would leave most rules on such a site dead.
+/// subscriptions have no sink). A case reaches `plans.insert` once (the
+/// service leg's compile; the ingest leg then hits the cache), so its
+/// rules skip no hits.
 pub const SITES: SiteWeights = SiteWeights {
     sites: &[
         "xml.read",
@@ -71,7 +70,8 @@ pub const SITES: SiteWeights = SiteWeights {
     ],
     favoured: (0, 0.0),
     kinds: [5, 2, 1, 1, 1],
-    max_skip: 3,
+    max_skip: 12,
+    hit_once: &["plans.insert"],
 };
 
 /// The chaos runner: a long-lived resilient service (so the plan

@@ -56,6 +56,7 @@ pub const SITES: SiteWeights = SiteWeights {
     favoured: (2, 0.6),
     kinds: [6, 2, 1, 1, 0],
     max_skip: 8,
+    hit_once: &[],
 };
 
 /// Split `len` bytes into seeded chunk lengths: mostly small (1–16

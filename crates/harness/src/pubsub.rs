@@ -53,6 +53,7 @@ pub const SITES: SiteWeights = SiteWeights {
     favoured: (1, 0.5),
     kinds: [5, 2, 1, 1, 1],
     max_skip: 8,
+    hit_once: &[],
 };
 
 /// Tally one comparison's verdict under the labels every

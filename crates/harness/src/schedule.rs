@@ -21,6 +21,9 @@ pub struct SiteWeights {
     /// Rules skip up to this many hits first, so a pipeline gets partway
     /// in before the fault lands mid-stream.
     pub max_skip: u64,
+    /// Sites a case reaches once: their rules skip no hits, since any
+    /// skip would leave them dead.
+    pub hit_once: &'static [&'static str],
 }
 
 /// Derive a schedule from a case RNG: one or two rules over the leg's
@@ -57,9 +60,12 @@ pub fn gen_schedule(rng: &mut StdRng, seed: u64, weights: &SiteWeights) -> Fault
             3 => FaultKind::Cancel,
             _ => FaultKind::BudgetTrip,
         };
-        let mut rule = FaultRule::new(site, kind)
-            .one_in(rng.gen_range(1..6))
-            .skip_first(rng.gen_range(0..weights.max_skip));
+        let one_in = rng.gen_range(1..6);
+        let mut skip = rng.gen_range(0..weights.max_skip);
+        if weights.hit_once.contains(&site) {
+            skip = 0;
+        }
+        let mut rule = FaultRule::new(site, kind).one_in(one_in).skip_first(skip);
         if rng.gen_range(0..4u32) > 0 {
             rule = rule.max_fires(rng.gen_range(1..4));
         }
@@ -100,8 +106,12 @@ mod tests {
             assert_eq!(mk(7), mk(7));
             assert_ne!(mk(7), mk(8));
             for seed in 0..200 {
-                for (site, kind, ..) in mk(seed) {
+                for (site, kind, _, skip, _) in mk(seed) {
                     assert!(weights.sites.contains(&site.as_str()), "{site}");
+                    assert!(
+                        skip == 0 || !weights.hit_once.contains(&site.as_str()),
+                        "{site} is hit once: a skip leaves its rule dead"
+                    );
                     assert!(
                         weights.kinds[4] > 0 || kind != FaultKind::BudgetTrip,
                         "weight 0 means never"

@@ -17,4 +17,4 @@ mod sync;
 
 pub use morsel::{parallel_twig_stack, ParallelConfig, ParallelRun};
 pub use pool::WorkerPool;
-pub use sync::{lock_recover, lock_recoveries, read_recover, try_lock_recover, write_recover};
+pub use sync::{lock_recover, lock_recoveries, try_lock_recover};

@@ -631,7 +631,9 @@ mod tests {
             let _guard = pool.shared.state.lock().unwrap();
             panic!("poison the admission lock");
         }));
-        assert!(pool.shared.state.is_poisoned());
+        // The worker may already have recovered the lock: it can be
+        // waiting on it when the panic releases it.
+        assert!(pool.shared.state.is_poisoned() || crate::sync::lock_recoveries() > before);
         // Admission, the workers and the gauges all recover the lock
         // rather than propagating the panic to every later caller.
         let (tx, rx) = mpsc::channel();

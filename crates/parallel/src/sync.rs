@@ -4,7 +4,7 @@
 //! gauge).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// Process-wide count of poisoned-lock recoveries: one per poisoning.
 static LOCK_RECOVERIES: AtomicU64 = AtomicU64::new(0);
@@ -40,24 +40,6 @@ pub fn try_lock_recover<T>(mutex: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
         }
         Err(TryLockError::WouldBlock) => None,
     }
-}
-
-/// [`lock_recover`] for the shared side of a reader-writer lock.
-pub fn read_recover<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|poisoned| {
-        LOCK_RECOVERIES.fetch_add(1, Ordering::Relaxed);
-        lock.clear_poison();
-        poisoned.into_inner()
-    })
-}
-
-/// [`lock_recover`] for the exclusive side of a reader-writer lock.
-pub fn write_recover<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(|poisoned| {
-        LOCK_RECOVERIES.fetch_add(1, Ordering::Relaxed);
-        lock.clear_poison();
-        poisoned.into_inner()
-    })
 }
 
 /// Total poisoned-lock recoveries since process start.

@@ -58,12 +58,12 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use xqr_core::DocumentMap;
 use xqr_index::DocIndex;
-use xqr_parallel::{read_recover, write_recover};
+use xqr_parallel::lock_recover;
 use xqr_pressure::{Category, MemoryLedger, PressureState};
 use xqr_segment::{
     clean_orphans, segment_bytes, write_segment_file, Manifest, ManifestRecord, Segment,
@@ -141,9 +141,7 @@ struct Durable {
 struct CatEntry {
     residency: Residency,
     durable: Option<Durable>,
-    /// The catalog tick of the last put, reload or read: stored under
-    /// the shared lock, so a resident hit never takes the exclusive one.
-    last_used: AtomicU64,
+    last_used: u64,
 }
 
 impl CatEntry {
@@ -219,9 +217,7 @@ pub struct DocumentCatalog {
     /// document, with the build guarded by `limits`.
     index_limits: Option<Limits>,
     persist: Option<Persistence>,
-    /// Shared for a resident `fn:doc` hit; exclusive for everything
-    /// that changes an entry (put, reload, eviction, removal).
-    inner: RwLock<CatalogInner>,
+    inner: Mutex<CatalogInner>,
     tick: AtomicU64,
     evictions: AtomicU64,
     index_builds: AtomicU64,
@@ -304,7 +300,7 @@ impl DocumentCatalog {
                                 file: l.file.clone(),
                                 disk_bytes,
                             }),
-                            last_used: AtomicU64::new(0),
+                            last_used: 0,
                         },
                     );
                 }
@@ -323,7 +319,7 @@ impl DocumentCatalog {
             max_bytes,
             index_limits,
             persist,
-            inner: RwLock::new(CatalogInner {
+            inner: Mutex::new(CatalogInner {
                 entries,
                 total_bytes: 0,
                 total_index_bytes: 0,
@@ -440,7 +436,7 @@ impl DocumentCatalog {
             (Some(p), false) => Some(self.write_segment(p, &doc.doc, built.as_deref())?),
             _ => None,
         };
-        let mut inner = write_recover(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         if let Some(p) = &self.persist {
             match &durable {
                 Some(d) => {
@@ -494,7 +490,7 @@ impl DocumentCatalog {
                 index_bytes,
             },
             durable,
-            last_used: AtomicU64::new(self.next_tick()),
+            last_used: self.next_tick(),
         };
         inner.charge(bytes, index_bytes);
         inner.entries.insert(name.to_string(), entry);
@@ -549,7 +545,7 @@ impl DocumentCatalog {
     /// memory-only victims are dropped. Cheap when already under the
     /// target (one lock, no scan).
     pub(crate) fn shed_cold(&self, target_bytes: u64) {
-        self.evict_to(&mut write_recover(&self.inner), target_bytes);
+        self.evict_to(&mut lock_recover(&self.inner), target_bytes);
     }
 
     /// Evict least-recently-used *loaded* entries until at most `budget`
@@ -562,7 +558,7 @@ impl DocumentCatalog {
                 .entries
                 .iter()
                 .filter(|(_, e)| matches!(e.residency, Residency::Loaded { .. }))
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             else {
                 // Nothing left to evict (only on-disk entries remain).
@@ -624,7 +620,7 @@ impl DocumentCatalog {
                     bytes,
                     index_bytes,
                 };
-                entry.last_used.store(self.next_tick(), Ordering::Relaxed);
+                entry.last_used = self.next_tick();
                 inner.charge(bytes, index_bytes);
                 self.segments_recovered.fetch_add(1, Ordering::Relaxed);
                 Ok(doc)
@@ -648,44 +644,23 @@ impl DocumentCatalog {
     /// Lease the document named `name`, refreshing its LRU position and
     /// reloading it from disk when necessary. `Ok(None)` means the name
     /// is genuinely absent; a quarantined entry propagates
-    /// `err:XQRL0006`. This is what `fn:doc` asks: a resident document
-    /// is served under the shared lock, so concurrent reads never wait
-    /// on each other; only a reload takes the exclusive one.
+    /// `err:XQRL0006`. This is what `fn:doc` asks.
     pub fn resolve(&self, name: &str) -> Result<Option<Lease>> {
-        match read_recover(&self.inner).entries.get(name) {
-            None => return Ok(None),
-            Some(e) => {
-                if let Some(served) = self.serve(name, e) {
-                    return served.map(Some);
-                }
-            }
-        }
-        // On disk: reload under the exclusive lock, unless another
-        // reader did (or a writer replaced or removed the entry) while
-        // this one waited for it.
-        let mut inner = write_recover(&self.inner);
-        match inner.entries.get(name) {
+        let mut inner = lock_recover(&self.inner);
+        let tick = self.next_tick();
+        match inner.entries.get_mut(name) {
             None => Ok(None),
-            Some(e) => match self.serve(name, e) {
-                Some(served) => served.map(Some),
-                None => self.reload_locked(&mut inner, name).map(Some),
+            Some(e) => match &e.residency {
+                Residency::Loaded { lease, .. } => {
+                    e.last_used = tick;
+                    Ok(Some(lease.clone()))
+                }
+                Residency::OnDisk => self.reload_locked(&mut inner, name).map(Some),
+                Residency::Quarantined => Err(Error::corrupt_segment(format!(
+                    "document {name:?} is quarantined: its segment failed integrity \
+                     verification"
+                ))),
             },
-        }
-    }
-
-    /// What a read of entry `name` gets without a reload: its lease
-    /// (refreshing its LRU position) or its quarantine error. `None`
-    /// for an entry on disk.
-    fn serve(&self, name: &str, e: &CatEntry) -> Option<Result<Lease>> {
-        match &e.residency {
-            Residency::Loaded { lease, .. } => {
-                e.last_used.store(self.next_tick(), Ordering::Relaxed);
-                Some(Ok(lease.clone()))
-            }
-            Residency::OnDisk => None,
-            Residency::Quarantined => Some(Err(Error::corrupt_segment(format!(
-                "document {name:?} is quarantined: its segment failed integrity verification"
-            )))),
         }
     }
 
@@ -700,7 +675,7 @@ impl DocumentCatalog {
     /// True while `name` has a catalog entry (loaded, on disk, or
     /// quarantined; does not refresh LRU position).
     pub fn contains(&self, name: &str) -> bool {
-        read_recover(&self.inner).entries.contains_key(name)
+        lock_recover(&self.inner).entries.contains_key(name)
     }
 
     /// Remove a named document: drops the entry's lease on it and, under
@@ -709,7 +684,7 @@ impl DocumentCatalog {
     /// name is not present — or if the deletion record could not be
     /// made durable, in which case the entry survives for a retry.
     pub fn remove(&self, name: &str) -> bool {
-        let mut inner = write_recover(&self.inner);
+        let mut inner = lock_recover(&self.inner);
         let Some(entry) = inner.entries.get(name) else {
             return false;
         };
@@ -737,7 +712,7 @@ impl DocumentCatalog {
     }
 
     pub fn len(&self) -> usize {
-        read_recover(&self.inner).entries.len()
+        lock_recover(&self.inner).entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -747,7 +722,7 @@ impl DocumentCatalog {
     /// Bytes charged against the budget (in-memory documents plus
     /// quarantined segments' disk bytes).
     pub fn total_bytes(&self) -> u64 {
-        read_recover(&self.inner).total_bytes
+        lock_recover(&self.inner).total_bytes
     }
 
     /// The directory a persistent catalog stores segments in.
@@ -756,7 +731,7 @@ impl DocumentCatalog {
     }
 
     pub fn stats(&self) -> CatalogStats {
-        let inner = read_recover(&self.inner);
+        let inner = lock_recover(&self.inner);
         CatalogStats {
             docs: inner.entries.len() as u64,
             bytes: inner.total_bytes,

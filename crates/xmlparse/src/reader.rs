@@ -1412,14 +1412,19 @@ mod tests {
     }
 
     #[test]
-    fn incremental_buffer_is_compacted_between_events() {
-        // Stream a long document; after draining, the buffer must hold
-        // only the unconsumed tail, not everything ever fed.
+    fn incremental_buffer_is_compacted_at_each_feed() {
+        // Stream a long document: each feed drops the consumed prefix
+        // before it appends, so the buffer holds the unconsumed tail
+        // plus the new chunk, never everything ever fed.
+        const CHUNK: &[u8] = b"<a>text</a>";
         let mut r = XmlReader::incremental();
         r.feed(b"<r>").unwrap();
         let mut n = 0;
         for _ in 0..1000 {
-            r.feed(b"<a>text</a>").unwrap();
+            let tail = r.buffered_bytes();
+            r.feed(CHUNK).unwrap();
+            assert_eq!(r.pos, 0, "feed compacts the consumed prefix away");
+            assert_eq!(r.buf.len(), tail + CHUNK.len());
             while let Some(_ev) = r.poll_event().unwrap() {
                 n += 1;
             }
