@@ -47,10 +47,11 @@
 use crate::stream_path::{StreamPattern, StreamStats};
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
+use xqr_parallel::lock_recover;
 use xqr_store::{Document, DocumentBuilder};
 use xqr_tokenstream::{PushTokenizer, Token, TokenIterator, TokenResolve};
-use xqr_xdm::{Error, ErrorCode, NamePool, QName, QueryGuard, Result};
+use xqr_xdm::{Error, ErrorCode, NameId, NamePool, QName, QueryGuard, Result};
 use xqr_xmlparse::{TreeWriter, WriterOptions, XmlWriter};
 
 /// Index of a pattern in the slice the automaton was built from.
@@ -67,11 +68,74 @@ struct Node {
     accepts: Vec<PatternId>,
 }
 
+/// One node's out-edges of one kind, keyed by name id in one pool.
+#[derive(Debug, Default)]
+struct Edges {
+    /// Named edges, sorted by id; a trie node has one edge per name.
+    named: Vec<(NameId, u32)>,
+    /// The wildcard edge.
+    any: Option<u32>,
+}
+
+impl Edges {
+    /// Key `edges` by id in `names`. A step name the pool does not hold
+    /// yet gets no edge (no token can carry it) and sets `missing`.
+    /// Names are looked up, not interned: the pool spells a name with
+    /// the prefix it first met it under, and that must stay the
+    /// document's, not the subscription's.
+    fn resolve(edges: &[(Option<QName>, u32)], names: &NamePool, missing: &mut bool) -> Edges {
+        let mut out = Edges::default();
+        for (name, t) in edges {
+            match name {
+                Some(q) => match names.get(q) {
+                    Some(id) => out.named.push((id, *t)),
+                    None => *missing = true,
+                },
+                None => out.any = Some(*t),
+            }
+        }
+        out.named.sort_unstable();
+        out
+    }
+
+    /// The targets of the edges an element named `name` takes.
+    fn targets(&self, name: NameId) -> impl Iterator<Item = u32> + '_ {
+        let named = self
+            .named
+            .binary_search_by_key(&name, |&(n, _)| n)
+            .ok()
+            .map(|i| self.named[i].1);
+        named.into_iter().chain(self.any)
+    }
+}
+
+/// The trie's edges matched by [`NameId`]: a start tag's name is looked
+/// up by id, not compared as a `QName` against every edge.
+#[derive(Debug)]
+struct EdgeTable {
+    /// `(child, descendant)` edges per trie node.
+    nodes: Vec<(Edges, Edges)>,
+    /// When some step name was not in the pool: the pool's length then.
+    /// A token named by an id at or above it carries a name interned
+    /// since, which may be that step's, so it refreshes the table.
+    stale_from: Option<u32>,
+}
+
+impl EdgeTable {
+    fn is_stale_for(&self, name: NameId) -> bool {
+        self.stale_from.is_some_and(|len| name.0 >= len)
+    }
+}
+
 /// The shared-prefix trie/NFA over a set of streamable patterns.
 #[derive(Debug)]
 pub struct CombinedAutomaton {
     nodes: Vec<Node>,
     patterns: usize,
+    /// The edge table resolved against the pool the last run's tokens
+    /// came from. The `Weak` keeps that pool's allocation from being
+    /// reused, so an equal address is the same pool.
+    table: Mutex<Option<(Weak<NamePool>, Arc<EdgeTable>)>>,
 }
 
 impl CombinedAutomaton {
@@ -109,7 +173,44 @@ impl CombinedAutomaton {
         CombinedAutomaton {
             nodes,
             patterns: patterns.len(),
+            table: Mutex::new(None),
         }
+    }
+
+    /// The edge table for tokens named in `names`: the cached one if it
+    /// was resolved against that pool and the pool has learnt no name
+    /// it lacked since, else a new one, which replaces it.
+    fn edges_for(&self, names: &Arc<NamePool>) -> Arc<EdgeTable> {
+        let mut slot = lock_recover(&self.table);
+        if let Some((pool, table)) = &*slot {
+            if std::ptr::eq(pool.as_ptr(), Arc::as_ptr(names))
+                && table
+                    .stale_from
+                    .is_none_or(|len| len as usize == names.len())
+            {
+                return Arc::clone(table);
+            }
+        }
+        // Read the length first: a name interned while the table is
+        // resolved then still counts as new.
+        let len = names.len() as u32;
+        let mut missing = false;
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| {
+                (
+                    Edges::resolve(&n.child_edges, names, &mut missing),
+                    Edges::resolve(&n.desc_edges, names, &mut missing),
+                )
+            })
+            .collect();
+        let table = Arc::new(EdgeTable {
+            nodes,
+            stale_from: missing.then_some(len),
+        });
+        *slot = Some((Arc::downgrade(names), Arc::clone(&table)));
+        table
     }
 
     #[cfg(test)]
@@ -129,8 +230,9 @@ impl CombinedAutomaton {
     #[inline]
     fn advance(
         &self,
+        edges: &EdgeTable,
         parent: &[u32],
-        name: &QName,
+        name: NameId,
         out: &mut Vec<u32>,
         accepted: &mut Vec<PatternId>,
     ) {
@@ -141,6 +243,8 @@ impl CombinedAutomaton {
         // contributes nothing below its element, and leaving it in the
         // set would stop a counting run from skipping the matched
         // subtree.
+        // Liveness is the trie's: a node whose edges' names the pool
+        // does not hold yet still has them.
         let mut enter = |t: u32, out: &mut Vec<u32>| {
             let node = &self.nodes[t as usize];
             accepted.extend_from_slice(&node.accepts);
@@ -149,21 +253,17 @@ impl CombinedAutomaton {
             }
         };
         for &s in parent {
-            let node = &self.nodes[(s >> 1) as usize];
+            let (child, desc) = &edges.nodes[(s >> 1) as usize];
             let residual = s & 1 == 1;
             if !residual {
-                for (n, t) in &node.child_edges {
-                    if n.as_ref().is_none_or(|q| q == name) {
-                        enter(*t, out);
-                    }
+                for t in child.targets(name) {
+                    enter(t, out);
                 }
             }
-            for (n, t) in &node.desc_edges {
-                if n.as_ref().is_none_or(|q| q == name) {
-                    enter(*t, out);
-                }
+            for t in desc.targets(name) {
+                enter(t, out);
             }
-            if !node.desc_edges.is_empty() {
+            if !self.nodes[(s >> 1) as usize].desc_edges.is_empty() {
                 // Survive below in residual mode: descendant edges stay
                 // live at any depth, child edges are spent.
                 out.push(s | 1);
@@ -313,6 +413,9 @@ pub(crate) enum PushAction {
 /// automaton; callers must pass the same automaton every time.
 pub struct CombinedRun {
     per_pattern: Vec<Result<Matches>>,
+    /// The automaton's edges in the pool of the tokens pushed, fetched
+    /// at the first start tag and again at a name newer than them.
+    edges: Option<Arc<EdgeTable>>,
     stats: StreamStats,
     // Flat state-set arena: `states[bounds[d]..bounds[d+1]]` is the set
     // for open-element depth d+1; the trailing segment is the top.
@@ -345,6 +448,7 @@ impl CombinedRun {
             per_pattern: (0..automaton.pattern_count())
                 .map(|_| Ok(Matches::default()))
                 .collect(),
+            edges: None,
             stats: StreamStats::default(),
             states: vec![0], // trie root, full mode
             bounds: Vec::new(),
@@ -402,11 +506,15 @@ impl CombinedRun {
         match tok {
             Token::StartDocument | Token::EndDocument => {}
             Token::StartElement(nid) => {
-                let name = src.name(*nid);
+                if self.edges.as_ref().is_none_or(|e| e.is_stale_for(*nid)) {
+                    self.edges = Some(automaton.edges_for(src.names()));
+                }
+                let edges = self.edges.as_deref().expect("fetched above");
                 let start = self.bounds.last().copied().unwrap_or(0) as usize;
                 automaton.advance(
+                    edges,
                     &self.states[start..],
-                    name,
+                    *nid,
                     &mut self.scratch,
                     &mut self.accepted,
                 );
@@ -434,7 +542,7 @@ impl CombinedRun {
                     });
                 }
                 if !self.captures.is_empty() {
-                    self.writer.start_element(name);
+                    self.writer.start_element(src.name(*nid));
                 } else if self.scratch.is_empty() {
                     // No live state and nothing being serialized: no
                     // pattern can match anything below — skip the whole

@@ -476,24 +476,6 @@ pub struct DocPartsOwned {
     pub uri: Option<String>,
 }
 
-/// A node's content on its way into the document's pool: borrowed text
-/// is copied in; a token source's pooled string is shared.
-pub(crate) trait Content: AsRef<str> {
-    fn pool(self, strings: &mut StringPool) -> u32;
-}
-
-impl Content for &str {
-    fn pool(self, strings: &mut StringPool) -> u32 {
-        strings.intern(self).0
-    }
-}
-
-impl Content for Arc<str> {
-    fn pool(self, strings: &mut StringPool) -> u32 {
-        strings.intern_shared(self).0
-    }
-}
-
 /// Streaming builder producing the struct-of-arrays representation.
 pub struct DocumentBuilder {
     doc: DocumentParts,
@@ -575,19 +557,18 @@ impl DocumentBuilder {
 
     /// Add one token, its ids resolved through `src`, the source that
     /// produced it: the one token-to-node mapping every document built
-    /// from tokens goes through. The document's pool shares the source's
-    /// strings rather than copying them.
+    /// from tokens goes through.
     pub fn push_token<R: TokenResolve + ?Sized>(&mut self, tok: Token, src: &R) {
         match tok {
             Token::StartDocument => self.start_document(),
             Token::EndDocument | Token::EndElement => self.end(),
             Token::StartElement(n) => self.start_element_id(n),
-            Token::Attribute(n, v) => self.attribute_id(n, src.pooled_str(v)),
-            Token::NamespaceDecl(p, u) => self.namespace(&src.pooled_str(p), src.pooled_str(u)),
-            Token::Text(s) => self.text(src.pooled_str(s)),
-            Token::Comment(s) => self.comment(src.pooled_str(s)),
+            Token::Attribute(n, v) => self.attribute_id(n, &src.pooled_str(v)),
+            Token::NamespaceDecl(p, u) => self.namespace(&src.pooled_str(p), &src.pooled_str(u)),
+            Token::Text(s) => self.text(&src.pooled_str(s)),
+            Token::Comment(s) => self.comment(&src.pooled_str(s)),
             Token::ProcessingInstruction(n, d) => {
-                self.pi(src.name(n).local_name(), src.pooled_str(d))
+                self.pi(src.name(n).local_name(), &src.pooled_str(d))
             }
         }
     }
@@ -627,18 +608,18 @@ impl DocumentBuilder {
         self.attribute_id(id, value);
     }
 
-    pub(crate) fn attribute_id(&mut self, name: NameId, value: impl Content) {
-        let value = value.pool(&mut self.doc.strings);
+    pub(crate) fn attribute_id(&mut self, name: NameId, value: &str) {
+        let value = self.doc.strings.intern(value).0;
         self.push_node(NodeKind::Attribute, name, value);
     }
 
-    pub(crate) fn namespace(&mut self, prefix: &str, uri: impl Content) {
+    pub(crate) fn namespace(&mut self, prefix: &str, uri: &str) {
         let id = self.doc.names.intern(&QName::local(prefix));
-        let uri = uri.pool(&mut self.doc.strings);
+        let uri = self.doc.strings.intern(uri).0;
         self.push_node(NodeKind::Namespace, id, uri);
     }
 
-    pub(crate) fn text(&mut self, content: impl Content) {
+    pub(crate) fn text(&mut self, content: &str) {
         self.start_document();
         // Adjacent text nodes merge, per the data model.
         if let Some(&last) = self.last_child.last() {
@@ -651,26 +632,26 @@ impl DocumentBuilder {
                     self.doc
                         .strings
                         .get(xqr_tokenstream::StrId(self.doc.values[last as usize])),
-                    content.as_ref()
+                    content
                 );
                 self.doc.values[last as usize] = self.doc.strings.intern(&merged).0;
                 return;
             }
         }
-        let content = content.pool(&mut self.doc.strings);
+        let content = self.doc.strings.intern(content).0;
         self.push_node(NodeKind::Text, NameId::NONE, content);
     }
 
-    pub(crate) fn comment(&mut self, content: impl Content) {
+    pub(crate) fn comment(&mut self, content: &str) {
         self.start_document();
-        let content = content.pool(&mut self.doc.strings);
+        let content = self.doc.strings.intern(content).0;
         self.push_node(NodeKind::Comment, NameId::NONE, content);
     }
 
-    pub(crate) fn pi(&mut self, target: &str, data: impl Content) {
+    pub(crate) fn pi(&mut self, target: &str, data: &str) {
         self.start_document();
         let id = self.doc.names.intern(&QName::local(target));
-        let data = data.pool(&mut self.doc.strings);
+        let data = self.doc.strings.intern(data).0;
         self.push_node(NodeKind::ProcessingInstruction, id, data);
     }
 

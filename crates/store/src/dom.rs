@@ -49,16 +49,14 @@ pub fn parse_dom(input: &str) -> Result<DomRef> {
         match reader.next_event()? {
             XmlEvent::StartDocument => {}
             XmlEvent::EndDocument => break,
-            XmlEvent::StartElement {
-                name, attributes, ..
-            } => {
+            XmlEvent::StartElement(tag) => {
                 let el = DomNode::new(NodeKind::Element);
                 {
                     let mut n = el.borrow_mut();
-                    n.name = Some(name);
-                    n.attributes = attributes
-                        .into_iter()
-                        .map(|a| (a.name, a.value.to_string()))
+                    n.name = Some(tag.name().to_qname());
+                    n.attributes = tag
+                        .attributes()
+                        .map(|a| (a.name.to_qname(), a.value.to_string()))
                         .collect();
                     n.parent = Rc::downgrade(stack.last().expect("stack non-empty"));
                 }
@@ -70,7 +68,7 @@ pub fn parse_dom(input: &str) -> Result<DomRef> {
                     .push(el.clone());
                 stack.push(el);
             }
-            XmlEvent::EndElement { .. } => {
+            XmlEvent::EndElement => {
                 stack.pop();
             }
             XmlEvent::Text(t) => {
@@ -98,7 +96,7 @@ pub fn parse_dom(input: &str) -> Result<DomRef> {
                 let pn = DomNode::new(NodeKind::ProcessingInstruction);
                 {
                     let mut n = pn.borrow_mut();
-                    n.name = Some(QName::local(&target));
+                    n.name = Some(QName::local(target));
                     n.value = data.to_string();
                 }
                 stack

@@ -7,20 +7,19 @@
 //! (E1) measure.
 
 use crate::iterator::{TokenIterator, TokenResolve};
-use crate::pool::StringPool;
+use crate::pool::TextWindow;
 use crate::stream::TokenStream;
 use crate::token::{StrId, Token};
-use std::collections::VecDeque;
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use xqr_xdm::{NamePool, QName, QueryGuard, Result};
-use xqr_xmlparse::{WriterOptions, XmlEvent, XmlReader, XmlWriter};
+use xqr_xdm::{NameId, NamePool, QueryGuard, Result};
+use xqr_xmlparse::{Name, TreeWriter, WriterOptions, XmlEvent, XmlReader, XmlWriter};
 
 /// Streaming adapter: XML text → tokens, one event at a time.
 pub struct ParserTokenIterator<'a> {
     reader: XmlReader<'a>,
-    pool: StringPool,
-    names: Arc<NamePool>,
-    queue: VecDeque<Token>,
+    tokens: EventTokens,
     finished: bool,
     last_opened: bool,
     guard: Option<QueryGuard>,
@@ -30,9 +29,7 @@ impl<'a> ParserTokenIterator<'a> {
     pub fn new(input: &'a str, names: Arc<NamePool>) -> Self {
         ParserTokenIterator {
             reader: XmlReader::new(input),
-            pool: StringPool::new(),
-            names,
-            queue: VecDeque::new(),
+            tokens: EventTokens::new(names),
             finished: false,
             last_opened: false,
             guard: None,
@@ -55,88 +52,133 @@ impl<'a> ParserTokenIterator<'a> {
     fn bytes_consumed(&self) -> usize {
         self.reader.position()
     }
-
-    fn enqueue_event(&mut self, ev: XmlEvent) {
-        if event_to_tokens(&ev, &self.names, &mut self.pool, &mut self.queue) {
-            self.finished = true;
-        }
-    }
 }
 
-/// The one mapping from parser events to data-model tokens, shared by the
-/// pull adapter above, the push tokenizer, and the chunked-ingestion
-/// channel consumer — every path MUST produce identical token sequences
-/// (the chunked-vs-whole differential oracle depends on it). Returns true
-/// when the event ends the document.
-pub(crate) fn event_to_tokens(
-    ev: &XmlEvent,
-    names: &NamePool,
-    pool: &mut StringPool,
-    queue: &mut VecDeque<Token>,
-) -> bool {
-    match ev {
-        XmlEvent::StartDocument => queue.push_back(Token::StartDocument),
-        XmlEvent::EndDocument => {
-            queue.push_back(Token::EndDocument);
-            return true;
-        }
-        XmlEvent::StartElement {
-            name,
-            attributes,
-            namespaces,
-            ..
-        } => {
-            let n = names.intern(name);
-            queue.push_back(Token::StartElement(n));
-            for d in namespaces {
-                let p = pool.intern(d.prefix.as_deref().unwrap_or(""));
-                let u = pool.intern(&d.uri);
-                queue.push_back(Token::NamespaceDecl(p, u));
-            }
-            for a in attributes {
-                let an = names.intern(&a.name);
-                let av = pool.intern(&a.value);
-                queue.push_back(Token::Attribute(an, av));
-            }
-        }
-        XmlEvent::EndElement { .. } => queue.push_back(Token::EndElement),
-        XmlEvent::Text(t) => {
-            let id = pool.intern(t);
-            queue.push_back(Token::Text(id));
-        }
-        XmlEvent::Comment(c) => {
-            let id = pool.intern(c);
-            queue.push_back(Token::Comment(id));
-        }
-        XmlEvent::ProcessingInstruction { target, data } => {
-            let tn = names.intern(&QName::local(target));
-            let dd = pool.intern(data);
-            queue.push_back(Token::ProcessingInstruction(tn, dd));
+/// The one mapping from parser events to data-model tokens, shared by
+/// the pull adapter above and the push tokenizer: both paths produce
+/// identical token sequences (the chunked-vs-whole differential oracle
+/// depends on it). It keeps what the mapping needs from token to token,
+/// so that a token costs no allocation and takes no lock once its name
+/// has been seen. Its string window holds the queued tokens' strings
+/// alone, recycled as the next event is queued, so a consumer resolves
+/// a token's strings before pulling past it.
+pub(crate) struct EventTokens {
+    names: Arc<NamePool>,
+    /// Names met so far, by the reader's namespace number and then the
+    /// local part: a repeated name is one lookup here, and only a new
+    /// one goes to the shared pool. The namespace number, not a URI or
+    /// prefix, keys it, so a prefix rebound to another URI cannot find
+    /// the name it spelled before.
+    memo: Vec<HashMap<Box<str>, NameId>>,
+    text: TextWindow,
+    queue: VecDeque<Token>,
+}
+
+impl EventTokens {
+    pub(crate) fn new(names: Arc<NamePool>) -> Self {
+        EventTokens {
+            names,
+            memo: Vec::new(),
+            text: TextWindow::default(),
+            queue: VecDeque::new(),
         }
     }
-    false
+
+    pub(crate) fn names(&self) -> &Arc<NamePool> {
+        &self.names
+    }
+
+    pub(crate) fn str(&self, id: StrId) -> &str {
+        self.text.get(id)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<Token> {
+        self.queue.pop_front()
+    }
+
+    fn name_id(&mut self, name: Name<'_>) -> NameId {
+        let ns = name.ns as usize;
+        if ns >= self.memo.len() {
+            self.memo.resize_with(ns + 1, HashMap::new);
+        }
+        if let Some(&id) = self.memo[ns].get(name.local) {
+            return id;
+        }
+        let uri = (ns != 0).then_some(name.uri);
+        let id = self.names.intern_parts(uri, name.prefix, name.local);
+        self.memo[ns].insert(name.local.into(), id);
+        id
+    }
+
+    /// Queue the tokens of `ev`, the queue being empty; true when it
+    /// ends the document. The tokens before it were consumed, so their
+    /// strings are dropped.
+    pub(crate) fn push(&mut self, ev: &XmlEvent<'_>) -> bool {
+        debug_assert!(self.queue.is_empty());
+        self.text.recycle();
+        let token = match *ev {
+            XmlEvent::StartDocument => Token::StartDocument,
+            XmlEvent::EndDocument => {
+                self.queue.push_back(Token::EndDocument);
+                return true;
+            }
+            XmlEvent::StartElement(tag) => {
+                let n = self.name_id(tag.name());
+                self.queue.push_back(Token::StartElement(n));
+                for d in tag.namespaces() {
+                    let p = self.text.push(d.prefix.unwrap_or(""));
+                    let u = self.text.push(d.uri);
+                    self.queue.push_back(Token::NamespaceDecl(p, u));
+                }
+                for a in tag.attributes() {
+                    let an = self.name_id(a.name);
+                    let av = self.text.push(a.value);
+                    self.queue.push_back(Token::Attribute(an, av));
+                }
+                return false;
+            }
+            XmlEvent::EndElement => Token::EndElement,
+            XmlEvent::Text(t) => Token::Text(self.text.push(t)),
+            XmlEvent::Comment(c) => Token::Comment(self.text.push(c)),
+            XmlEvent::ProcessingInstruction { target, data } => {
+                let target = Name {
+                    ns: 0,
+                    uri: "",
+                    prefix: None,
+                    local: target,
+                };
+                Token::ProcessingInstruction(self.name_id(target), self.text.push(data))
+            }
+        };
+        self.queue.push_back(token);
+        false
+    }
 }
 
 impl TokenResolve for ParserTokenIterator<'_> {
-    fn pooled_str(&self, id: StrId) -> Arc<str> {
-        self.pool.get_arc(id)
+    fn pooled_str(&self, id: StrId) -> Cow<'_, str> {
+        Cow::Borrowed(self.tokens.str(id))
     }
 
     fn names(&self) -> &Arc<NamePool> {
-        &self.names
+        self.tokens.names()
     }
 }
 
 impl<'a> TokenIterator for ParserTokenIterator<'a> {
     fn next_token(&mut self) -> Result<Option<Token>> {
-        while self.queue.is_empty() {
+        while self.tokens.is_empty() {
             if self.finished {
                 return Ok(None);
             }
             let ev = self.reader.next_event()?;
-            self.enqueue_event(ev);
+            self.finished = self.tokens.push(&ev);
         }
-        let t = self.queue.pop_front();
+        let t = self.tokens.pop();
         if t.is_some() {
             if let Some(guard) = &self.guard {
                 guard.note_tokens(1)?;
@@ -181,125 +223,27 @@ impl TokenStream {
         while let Some(t) = it.next_token()? {
             // Re-intern through the builder's own pool so ids are dense in
             // this stream.
-            let t = match t {
-                Token::Attribute(n, v) => Token::Attribute(n, b.intern_str(&it.pooled_str(v))),
-                Token::NamespaceDecl(p, u) => {
-                    let p2 = b.intern_str(&it.pooled_str(p));
-                    let u2 = b.intern_str(&it.pooled_str(u));
-                    Token::NamespaceDecl(p2, u2)
-                }
-                Token::Text(s) => Token::Text(b.intern_str(&it.pooled_str(s))),
-                Token::Comment(s) => Token::Comment(b.intern_str(&it.pooled_str(s))),
-                Token::ProcessingInstruction(n, d) => {
-                    Token::ProcessingInstruction(n, b.intern_str(&it.pooled_str(d)))
-                }
-                other => other,
-            };
+            let t = t.map_strs(|s| b.intern_str(&it.pooled_str(s)));
             b.push(t);
         }
         b.finish()
     }
 }
 
-/// Convert a token iterator back into parser events (for serialization).
-/// Groups trailing `Attribute`/`NamespaceDecl` tokens into their
-/// `StartElement` event.
-pub(crate) fn tokens_to_events(it: &mut dyn TokenIterator) -> Result<Vec<XmlEvent>> {
-    let mut events: Vec<XmlEvent> = Vec::new();
-    let mut pending: Option<(
-        QName,
-        Vec<xqr_xmlparse::Attribute>,
-        Vec<xqr_xmlparse::NamespaceDecl>,
-    )> = None;
-    let mut names_stack: Vec<QName> = Vec::new();
-
-    fn flush(
-        events: &mut Vec<XmlEvent>,
-        pending: &mut Option<(
-            QName,
-            Vec<xqr_xmlparse::Attribute>,
-            Vec<xqr_xmlparse::NamespaceDecl>,
-        )>,
-    ) {
-        if let Some((name, attributes, namespaces)) = pending.take() {
-            events.push(XmlEvent::StartElement {
-                name,
-                attributes,
-                namespaces,
-                empty: false,
-            });
-        }
-    }
-
-    while let Some(t) = it.next_token()? {
-        match t {
-            Token::StartDocument => {
-                flush(&mut events, &mut pending);
-                events.push(XmlEvent::StartDocument);
-            }
-            Token::EndDocument => {
-                flush(&mut events, &mut pending);
-                events.push(XmlEvent::EndDocument);
-            }
-            Token::StartElement(n) => {
-                flush(&mut events, &mut pending);
-                let q = it.name(n).clone();
-                names_stack.push(q.clone());
-                pending = Some((q, Vec::new(), Vec::new()));
-            }
-            Token::Attribute(n, v) => {
-                if let Some((_, attrs, _)) = pending.as_mut() {
-                    attrs.push(xqr_xmlparse::Attribute {
-                        name: it.name(n).clone(),
-                        value: it.pooled_str(v),
-                    });
-                }
-            }
-            Token::NamespaceDecl(p, u) => {
-                if let Some((_, _, decls)) = pending.as_mut() {
-                    let prefix = it.pooled_str(p);
-                    decls.push(xqr_xmlparse::NamespaceDecl {
-                        prefix: if prefix.is_empty() {
-                            None
-                        } else {
-                            Some(prefix)
-                        },
-                        uri: it.pooled_str(u),
-                    });
-                }
-            }
-            Token::EndElement => {
-                flush(&mut events, &mut pending);
-                let name = names_stack.pop().unwrap_or_else(|| QName::local(""));
-                events.push(XmlEvent::EndElement { name });
-            }
-            Token::Text(s) => {
-                flush(&mut events, &mut pending);
-                events.push(XmlEvent::Text(it.pooled_str(s)));
-            }
-            Token::Comment(s) => {
-                flush(&mut events, &mut pending);
-                events.push(XmlEvent::Comment(it.pooled_str(s)));
-            }
-            Token::ProcessingInstruction(n, d) => {
-                flush(&mut events, &mut pending);
-                events.push(XmlEvent::ProcessingInstruction {
-                    target: Arc::from(it.name(n).local_name()),
-                    data: it.pooled_str(d),
-                });
-            }
-        }
-    }
-    flush(&mut events, &mut pending);
-    Ok(events)
-}
-
 /// Serialize a token iterator to XML text.
 pub fn tokens_to_xml(it: &mut dyn TokenIterator, opts: WriterOptions) -> Result<String> {
-    let events = tokens_to_events(it)?;
     let mut w = XmlWriter::new(opts);
-    for ev in &events {
-        w.write(ev)?;
+    while let Some(t) = it.next_token()? {
+        match t {
+            Token::StartDocument | Token::EndDocument => {}
+            Token::StartElement(n) => w.start_element(it.name(n)),
+            Token::Attribute(n, v) => w.attribute(it.name(n), &it.pooled_str(v)),
+            Token::NamespaceDecl(p, u) => w.namespace(&it.pooled_str(p), &it.pooled_str(u)),
+            Token::EndElement => w.end_element(),
+            Token::Text(s) => w.text(&it.pooled_str(s)),
+            Token::Comment(s) => w.comment(&it.pooled_str(s)),
+            Token::ProcessingInstruction(n, d) => w.pi(it.name(n).local_name(), &it.pooled_str(d)),
+        }
     }
     Ok(w.into_string())
 }

@@ -9,7 +9,9 @@
 //! stream flows through.
 
 use crate::iterator::{TokenIterator, TokenResolve};
+use crate::pool::StringPool;
 use crate::token::{StrId, Token};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -18,6 +20,9 @@ use xqr_xdm::{NamePool, Result};
 struct Shared<I: TokenIterator> {
     upstream: I,
     buf: Vec<Token>,
+    /// The buffered tokens' strings: a streaming upstream resolves a
+    /// token's strings only until it is pulled again.
+    strings: StringPool,
     done: bool,
     /// How many tokens were pulled from upstream (== buf.len(); kept for
     /// instrumentation symmetry).
@@ -32,6 +37,7 @@ impl<I: TokenIterator> Shared<I> {
         while self.buf.len() <= n && !self.done {
             match self.upstream.next_token()? {
                 Some(t) => {
+                    let t = t.map_strs(|s| self.strings.intern(&self.upstream.pooled_str(s)));
                     self.buf.push(t);
                     self.pulled += 1;
                 }
@@ -54,6 +60,7 @@ impl<I: TokenIterator> BufferFactory<I> {
             shared: Rc::new(RefCell::new(Shared {
                 upstream,
                 buf: Vec::new(),
+                strings: StringPool::new(),
                 done: false,
                 pulled: 0,
             })),
@@ -89,8 +96,10 @@ pub struct BufferedIterator<I: TokenIterator> {
 }
 
 impl<I: TokenIterator> TokenResolve for BufferedIterator<I> {
-    fn pooled_str(&self, id: StrId) -> Arc<str> {
-        self.shared.borrow().upstream.pooled_str(id)
+    fn pooled_str(&self, id: StrId) -> Cow<'_, str> {
+        // The pool sits in a cell shared with the other consumers: its
+        // string cannot be lent past the borrow.
+        Cow::Owned(self.shared.borrow().strings.get(id).to_owned())
     }
 
     fn names(&self) -> &Arc<NamePool> {

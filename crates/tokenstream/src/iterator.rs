@@ -9,6 +9,7 @@
 //! ids, because consumers downstream of a pipe only hold the iterator.
 
 use crate::token::{StrId, Token};
+use std::borrow::Cow;
 use std::sync::Arc;
 use xqr_xdm::{NameId, NamePool, QName, Result};
 
@@ -34,8 +35,11 @@ pub trait TokenIterator: TokenResolve {
 /// `TokenIterator` is a `TokenResolve`, and push sources (e.g.
 /// `PushTokenizer`) implement it alone.
 pub trait TokenResolve {
-    /// Resolve a pooled string id from this source.
-    fn pooled_str(&self, id: StrId) -> Arc<str>;
+    /// Resolve a pooled string id from this source, borrowed where the
+    /// source can lend it. A streaming source (the tokenizers) reuses
+    /// its string storage once the queued tokens are consumed: resolve a
+    /// token's strings before pulling the token after it.
+    fn pooled_str(&self, id: StrId) -> Cow<'_, str>;
 
     /// The pool this source interns names into.
     fn names(&self) -> &Arc<NamePool>;
@@ -49,7 +53,7 @@ pub trait TokenResolve {
 
 /// Blanket impls so `Box<dyn TokenIterator>` composes.
 impl<T: TokenResolve + ?Sized> TokenResolve for Box<T> {
-    fn pooled_str(&self, id: StrId) -> Arc<str> {
+    fn pooled_str(&self, id: StrId) -> Cow<'_, str> {
         (**self).pooled_str(id)
     }
 

@@ -10,12 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An append-only interning pool of strings. Not thread-safe by design:
-/// one pool belongs to one `TokenStream` under construction.
-///
-/// Streaming consumers that resolve every id before pulling the next
-/// token can additionally call `StringPool::recycle` between tokens,
-/// capping the pool at a working window instead of every unique string
-/// in the document.
+/// one pool belongs to one `TokenStream` or document under construction.
 #[derive(Debug, Default, Clone)]
 pub struct StringPool {
     strings: Vec<Arc<str>>,
@@ -45,15 +40,6 @@ impl StringPool {
         }
     }
 
-    /// [`StringPool::intern`] of a string another pool already holds:
-    /// a new entry shares its allocation instead of copying it.
-    pub fn intern_shared(&mut self, s: Arc<str>) -> StrId {
-        match self.index.get(&s) {
-            Some(id) => *id,
-            None => self.insert(s),
-        }
-    }
-
     fn insert(&mut self, arc: Arc<str>) -> StrId {
         let id = StrId(
             self.base
@@ -68,10 +54,6 @@ impl StringPool {
 
     pub fn get(&self, id: StrId) -> &str {
         &self.strings[self.idx(id)]
-    }
-
-    pub(crate) fn get_arc(&self, id: StrId) -> Arc<str> {
-        self.strings[self.idx(id)].clone()
     }
 
     pub fn len(&self) -> usize {
@@ -107,23 +89,6 @@ impl StringPool {
         self.strings.shrink_to_fit();
     }
 
-    /// Drop every pooled string and advance the id watermark: ids
-    /// issued before the call become invalid, and resolving one panics
-    /// instead of silently aliasing a newer string. Streaming
-    /// tokenizers call this between tokens — their consumers resolve
-    /// ids before pulling the next token — so that pooled memory stays
-    /// O(working window) on unbounded documents rather than O(every
-    /// unique string seen).
-    pub(crate) fn recycle(&mut self) {
-        self.base = self
-            .base
-            .checked_add(self.strings.len() as u32)
-            .expect("string pool id space exhausted");
-        self.strings.clear();
-        self.index.clear();
-        self.payload = 0;
-    }
-
     /// Rebuild a pool from its dumped string list (segment load path),
     /// frozen ([`StringPool::freeze`]) as the document it came from.
     /// Ids are assigned in order, so a pool dumped via
@@ -147,6 +112,57 @@ impl StringPool {
             .iter()
             .enumerate()
             .map(move |(i, s)| (StrId(base + i as u32), &**s))
+    }
+}
+
+/// The strings of the tokens a tokenizer has handed out: one growing
+/// buffer and where each string ends in it, so a string costs a copy,
+/// never an allocation of its own. Unlike [`StringPool`] it does not
+/// look strings up: tokens in flight are read once, not stored.
+///
+/// The tokenizers recycle it ([`TextWindow::recycle`]) whenever their
+/// token queue runs dry, so it holds one event's strings, not every
+/// string of the document.
+#[derive(Debug, Default)]
+pub(crate) struct TextWindow {
+    text: String,
+    /// `ends[i]` is where string `base + i` ends in `text`; it starts
+    /// where the one before it ends.
+    ends: Vec<usize>,
+    /// Id of the first string in `text`; ids below it were recycled.
+    base: u32,
+}
+
+impl TextWindow {
+    pub(crate) fn push(&mut self, s: &str) -> StrId {
+        let id = StrId(
+            self.base
+                .checked_add(self.ends.len() as u32)
+                .expect("string pool id space exhausted"),
+        );
+        self.text.push_str(s);
+        self.ends.push(self.text.len());
+        id
+    }
+
+    pub(crate) fn get(&self, id: StrId) -> &str {
+        let i =
+            id.0.checked_sub(self.base)
+                .expect("stale StrId: the pooled string was recycled") as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+
+    /// Drop every string, keeping the buffers, and advance the id
+    /// watermark: ids issued before the call become invalid, and
+    /// resolving one panics instead of silently aliasing a newer string.
+    pub(crate) fn recycle(&mut self) {
+        self.base = self
+            .base
+            .checked_add(self.ends.len() as u32)
+            .expect("string pool id space exhausted");
+        self.text.clear();
+        self.ends.clear();
     }
 }
 
@@ -177,22 +193,23 @@ mod tests {
     }
 
     #[test]
-    fn recycle_frees_strings_and_invalidates_old_ids() {
-        let mut p = StringPool::new();
-        let a = p.intern("hello");
-        p.intern("world");
-        assert_eq!(p.payload_bytes(), 10);
+    fn a_recycled_window_invalidates_old_ids() {
+        let mut w = TextWindow::default();
+        let a = w.push("hello");
+        let b = w.push("");
+        let c = w.push("hello");
+        assert_ne!(a, c, "a window does not deduplicate");
+        assert_eq!((w.get(a), w.get(b), w.get(c)), ("hello", "", "hello"));
 
-        p.recycle();
-        assert_eq!(p.len(), 0);
-        assert_eq!(p.payload_bytes(), 0);
+        w.recycle();
+        assert!(w.text.is_empty() && w.ends.is_empty());
 
         // New ids live above the watermark; the old id is dead, not
         // aliased.
-        let b = p.intern("fresh");
-        assert_eq!(p.get(b), "fresh");
-        assert_ne!(a, b);
-        assert!(std::panic::catch_unwind(|| p.get(a)).is_err());
+        let d = w.push("fresh");
+        assert_eq!(w.get(d), "fresh");
+        assert!(d.0 > c.0);
+        assert!(std::panic::catch_unwind(|| w.get(a)).is_err());
     }
 
     #[test]

@@ -9,29 +9,20 @@
 //! adapter produces from the whole string — the invariant the chunked
 //! differential oracle enforces.
 
-use crate::adapter::event_to_tokens;
+use crate::adapter::EventTokens;
 use crate::iterator::TokenResolve;
-use crate::pool::StringPool;
 use crate::token::{StrId, Token};
-use std::collections::VecDeque;
+use std::borrow::Cow;
 use std::sync::Arc;
 use xqr_xdm::{Error, NamePool, QueryGuard, Result};
 use xqr_xmlparse::XmlReader;
-
-/// Pooled payload bytes a streaming tokenizer carries before recycling
-/// its pool at the next safe point (drained queue). Big enough that
-/// recurring names/values of a typical document stay interned between
-/// recycles, small enough that unbounded unique text stays O(window).
-const POOL_RECYCLE_BYTES: usize = 64 * 1024;
 
 /// Chunk-fed XML tokenizer. Errors are sticky: once `feed`, `finish` or
 /// `poll_token` fails, every later call returns the same error — a
 /// half-tokenized document must not look like a short valid one.
 pub struct PushTokenizer {
     reader: XmlReader<'static>,
-    pool: StringPool,
-    names: Arc<NamePool>,
-    queue: VecDeque<Token>,
+    tokens: EventTokens,
     /// EndDocument has been enqueued; the token stream is complete.
     done: bool,
     failed: Option<Error>,
@@ -42,9 +33,7 @@ impl PushTokenizer {
     pub fn new(names: Arc<NamePool>) -> Self {
         PushTokenizer {
             reader: XmlReader::incremental(),
-            pool: StringPool::new(),
-            names,
-            queue: VecDeque::new(),
+            tokens: EventTokens::new(names),
             done: false,
             failed: None,
             guard: None,
@@ -97,29 +86,17 @@ impl PushTokenizer {
     /// stream.
     pub fn poll_token(&mut self) -> Result<Option<Token>> {
         self.check_failed()?;
-        // With the queue drained, no outstanding token can reference
-        // the pool (callers resolve ids before polling again), so a
-        // grown pool is recycled here instead of being carried for the
-        // rest of the document — pooled memory stays O(window) even
-        // when every text node is unique.
-        if self.queue.is_empty() && self.pool.payload_bytes() > POOL_RECYCLE_BYTES {
-            self.pool.recycle();
-        }
-        while self.queue.is_empty() {
+        while self.tokens.is_empty() {
             if self.done {
                 return Ok(None);
             }
             match self.reader.poll_event() {
-                Ok(Some(ev)) => {
-                    if event_to_tokens(&ev, &self.names, &mut self.pool, &mut self.queue) {
-                        self.done = true;
-                    }
-                }
+                Ok(Some(ev)) => self.done = self.tokens.push(&ev),
                 Ok(None) => return Ok(None),
                 Err(e) => return self.fail(e),
             }
         }
-        let t = self.queue.pop_front();
+        let t = self.tokens.pop();
         if t.is_some() {
             if let Some(guard) = &self.guard {
                 if let Err(e) = guard.note_tokens(1) {
@@ -137,12 +114,12 @@ impl PushTokenizer {
 }
 
 impl TokenResolve for PushTokenizer {
-    fn pooled_str(&self, id: StrId) -> Arc<str> {
-        self.pool.get_arc(id)
+    fn pooled_str(&self, id: StrId) -> Cow<'_, str> {
+        Cow::Borrowed(self.tokens.str(id))
     }
 
     fn names(&self) -> &Arc<NamePool> {
-        &self.names
+        self.tokens.names()
     }
 }
 

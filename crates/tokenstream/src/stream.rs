@@ -9,6 +9,7 @@
 use crate::iterator::{TokenIterator, TokenResolve};
 use crate::pool::StringPool;
 use crate::token::{StrId, Token};
+use std::borrow::Cow;
 use std::sync::Arc;
 use xqr_xdm::{Error, NameId, NamePool, QName, Result};
 
@@ -164,8 +165,8 @@ pub struct StreamIterator<'s> {
 impl<'s> StreamIterator<'s> {}
 
 impl TokenResolve for StreamIterator<'_> {
-    fn pooled_str(&self, id: StrId) -> Arc<str> {
-        self.stream.pool.get_arc(id)
+    fn pooled_str(&self, id: StrId) -> Cow<'_, str> {
+        Cow::Borrowed(self.stream.pool.get(id))
     }
 
     fn names(&self) -> &Arc<NamePool> {

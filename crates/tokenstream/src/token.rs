@@ -45,6 +45,22 @@ impl Token {
     pub fn closes(self) -> bool {
         matches!(self, Token::EndElement | Token::EndDocument)
     }
+
+    /// This token with each string id mapped through `f`: how a token
+    /// moves from its source's strings into another pool.
+    pub(crate) fn map_strs(self, mut f: impl FnMut(StrId) -> StrId) -> Token {
+        match self {
+            Token::Attribute(n, v) => Token::Attribute(n, f(v)),
+            Token::NamespaceDecl(p, u) => {
+                let p = f(p);
+                Token::NamespaceDecl(p, f(u))
+            }
+            Token::Text(s) => Token::Text(f(s)),
+            Token::Comment(s) => Token::Comment(f(s)),
+            Token::ProcessingInstruction(n, d) => Token::ProcessingInstruction(n, f(d)),
+            other => other,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -94,6 +94,46 @@ impl std::hash::Hash for QName {
     }
 }
 
+/// An expanded name as its parts, `(namespace, local)`: the key the
+/// pool's index is searched by, so that a name given as parts is found
+/// without building a [`QName`]. Hashes and compares as `QName` does.
+trait NameKey {
+    fn parts(&self) -> (Option<&str>, &str);
+}
+
+impl NameKey for QName {
+    fn parts(&self) -> (Option<&str>, &str) {
+        (self.ns.as_deref(), &self.local)
+    }
+}
+
+impl NameKey for (Option<&str>, &str) {
+    fn parts(&self) -> (Option<&str>, &str) {
+        *self
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn NameKey + 'a> for QName {
+    fn borrow(&self) -> &(dyn NameKey + 'a) {
+        self
+    }
+}
+
+impl std::hash::Hash for dyn NameKey + '_ {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let (ns, local) = self.parts();
+        ns.hash(state);
+        local.hash(state);
+    }
+}
+
+impl PartialEq for dyn NameKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+impl Eq for dyn NameKey + '_ {}
+
 impl PartialOrd for QName {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -187,6 +227,21 @@ impl NamePool {
         id
     }
 
+    /// [`Self::intern`] of the name `local` in namespace `ns`, spelled
+    /// with `prefix` if the pool has not seen it: an interned name is
+    /// found by its parts, building no `QName`.
+    pub fn intern_parts(&self, ns: Option<&str>, prefix: Option<&str>, local: &str) -> NameId {
+        let key = (ns, local);
+        if let Some(id) = self.index.read().get(&key as &dyn NameKey) {
+            return *id;
+        }
+        self.intern(&match (ns, prefix) {
+            (None, _) => QName::local(local),
+            (Some(ns), None) => QName::ns(ns, local),
+            (Some(ns), Some(p)) => QName::prefixed(ns, p, local),
+        })
+    }
+
     /// Shorthand for interning a no-namespace name.
     pub fn intern_local(&self, local: &str) -> NameId {
         self.intern(&QName::local(local))
@@ -233,6 +288,22 @@ impl fmt::Debug for NamePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interning_by_parts_finds_the_interned_name() {
+        let pool = NamePool::new();
+        let a = pool.intern(&QName::prefixed("urn:x", "a", "name"));
+        assert_eq!(pool.intern_parts(Some("urn:x"), Some("b"), "name"), a);
+        assert_eq!(pool.intern_parts(None, None, ""), NameId::NONE);
+        let fresh = pool.intern_parts(Some("urn:y"), Some("p"), "name");
+        assert_ne!(fresh, a);
+        assert_eq!(pool.resolve(fresh).prefix(), Some("p"));
+        assert_eq!(pool.get(&QName::ns("urn:y", "name")), Some(fresh));
+        assert_eq!(
+            pool.intern_parts(None, None, "name"),
+            pool.intern_local("name")
+        );
+    }
 
     #[test]
     fn equality_ignores_prefix() {

@@ -13,6 +13,6 @@ mod event;
 mod reader;
 mod serialize;
 
-pub use event::{Attribute, NamespaceDecl, XmlEvent};
+pub use event::{Attribute, Name, NamespaceDecl, StartTag, XmlEvent};
 pub use reader::{is_name_char, is_name_start, XmlReader};
 pub use serialize::{reserialize, TreeWriter, WriterOptions, XmlWriter};

@@ -1,9 +1,13 @@
 //! A hand-written, namespace-aware XML 1.0 pull parser.
 //!
-//! Single pass, no lookahead buffer beyond one byte, no allocation for
-//! structure — strings are allocated only for the content that reaches
-//! the consumer. DTDs are skipped (internal subsets are tolerated but
-//! not interpreted; external entities are never fetched).
+//! Single pass, no lookahead buffer beyond one byte, and no allocation
+//! per event: an event borrows its strings from the input (or, when an
+//! entity or a `\r` rewrote them, from a scratch buffer the reader
+//! reuses), an end tag is matched byte for byte against the name its
+//! start tag spelled, and names resolve to the reader's namespace
+//! numbers without building a `QName`. DTDs are skipped (internal
+//! subsets are tolerated but not interpreted; external entities are
+//! never fetched).
 //!
 //! The reader runs in one of two modes over the same state machine:
 //!
@@ -25,19 +29,22 @@
 //! `pending_end`) only *after* a complete syntactic unit has been
 //! consumed; an attempt that runs out of buffered bytes only ever moved
 //! `pos`, which is restored. Consumed input is drained from the front of
-//! the buffer after every delivered event, so memory is bounded by the
-//! largest single event plus one chunk, not the document. All error
-//! positions are absolute byte offsets from the start of the document
-//! (`base + pos`), which stay meaningful when input arrives in chunks.
+//! the buffer at each `feed`, so memory is bounded by the largest single
+//! event plus one chunk, not the document. All error positions are
+//! absolute byte offsets from the start of the document (`base + pos`),
+//! which stay meaningful when input arrives in chunks.
 
-use crate::event::{Attribute, NamespaceDecl, XmlEvent};
+use crate::event::{AttrSpan, DeclSpan, NameSpan, Sources, Span, StartTag, XmlEvent};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
-use std::sync::Arc;
-use xqr_xdm::{Error, ErrorCode, QName, QueryGuard, Result};
+use xqr_xdm::{Error, ErrorCode, QueryGuard, Result};
 
 pub(crate) const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
+
+/// The reader's number for [`XML_NS`], which the `xml` prefix is bound
+/// to without a declaration; 0 is no namespace.
+const XML_NS_ID: u32 = 1;
 
 /// Hard cap on element nesting regardless of any [`QueryGuard`] limit:
 /// downstream consumers (store build, serializer) recurse over element
@@ -54,9 +61,36 @@ pub(crate) const DEFAULT_MAX_DEPTH: usize = 10_000;
 struct ScanHint {
     /// Absolute offset of `pos` when the failing scan started.
     origin: usize,
-    needle: String,
+    needle: &'static str,
     /// Absolute offset the scan covered (end of buffer at the time).
     scanned_to: usize,
+}
+
+/// An open element: where its raw name starts in `open_names`, and how
+/// many namespace bindings its start tag pushed.
+struct Frame {
+    name_start: usize,
+    decls: usize,
+}
+
+/// An in-scope namespace binding: its prefix as a range of
+/// `bound_prefixes` (empty for the default namespace) and the namespace
+/// number it binds (0 undeclares).
+struct Binding {
+    prefix: Range<usize>,
+    ns: u32,
+}
+
+/// What one lexing attempt produced, as positions in the reader's
+/// buffers; [`XmlReader::view`] lends it out as an [`XmlEvent`].
+enum Lexed {
+    StartDocument,
+    EndDocument,
+    StartElement { self_closing: bool },
+    EndElement,
+    Text(Span),
+    Comment(Span),
+    Pi { target: Range<usize>, data: Span },
 }
 
 /// Pull parser over an in-memory document, fragment, or a growing
@@ -80,24 +114,49 @@ pub struct XmlReader<'a> {
     /// chunk, prepended to the next chunk (≤ 3 bytes).
     carry: Vec<u8>,
     hint: RefCell<Option<ScanHint>>,
-    /// Stack of open element names (lexical, for end-tag matching) plus
-    /// the number of namespace bindings each frame pushed.
-    open: Vec<(QName, usize)>,
-    /// Namespace bindings, innermost last: (prefix, uri). `None` prefix is
-    /// the default namespace; an empty uri un-declares.
-    ns: Vec<(Option<Arc<str>>, Arc<str>)>,
+    open: Vec<Frame>,
+    /// The raw names of the open elements, concatenated: an end tag must
+    /// spell its element's name exactly, prefix included.
+    open_names: String,
+    /// Namespace bindings, innermost last.
+    bindings: Vec<Binding>,
+    bound_prefixes: String,
+    /// Namespace URIs by the reader's number: 0 is no namespace.
+    uris: Vec<Box<str>>,
     started: bool,
     finished: bool,
-    /// Pending EndElement to emit after an empty-element tag.
-    pending_end: Option<QName>,
+    /// An empty-element tag was delivered; its EndElement comes next.
+    pending_end: bool,
     seen_root: bool,
     /// Optional per-execution budget: nesting depth, document size.
     guard: Option<QueryGuard>,
+    // The last event's parts, reused from event to event: rewritten
+    // strings, the start tag's name, declarations and attributes, and
+    // its attributes before their names resolve.
+    scratch: String,
+    tag_name: NameSpan,
+    decls: Vec<DeclSpan>,
+    attrs: Vec<AttrSpan>,
+    raw_attrs: Vec<(Range<usize>, Span)>,
 }
 
 /// `rest` could still grow into `full` with more input.
 fn proper_prefix_of(rest: &[u8], full: &[u8]) -> bool {
     rest.len() < full.len() && full.starts_with(rest)
+}
+
+/// The number of namespace `uri`, numbering it if it is new.
+fn namespace_id(uris: &mut Vec<Box<str>>, uri: &str) -> u32 {
+    if uri.is_empty() {
+        return 0;
+    }
+    match uris.iter().position(|u| **u == *uri) {
+        Some(i) => i as u32,
+        None => {
+            uris.push(uri.into());
+            (uris.len() - 1) as u32
+        }
+    }
 }
 
 impl<'a> XmlReader<'a> {
@@ -112,12 +171,24 @@ impl<'a> XmlReader<'a> {
             carry: Vec::new(),
             hint: RefCell::new(None),
             open: Vec::new(),
-            ns: Vec::new(),
+            open_names: String::new(),
+            bindings: Vec::new(),
+            bound_prefixes: String::new(),
+            uris: vec!["".into(), XML_NS.into()],
             started: false,
             finished: false,
-            pending_end: None,
+            pending_end: false,
             seen_root: false,
             guard: None,
+            scratch: String::new(),
+            tag_name: NameSpan {
+                ns: 0,
+                prefix: None,
+                local: 0..0,
+            },
+            decls: Vec::new(),
+            attrs: Vec::new(),
+            raw_attrs: Vec::new(),
         }
     }
 
@@ -211,13 +282,52 @@ impl<'a> XmlReader<'a> {
     /// Pull the next event. After `EndDocument`, keeps returning
     /// `EndDocument`. Whole-document mode only; incremental readers use
     /// [`XmlReader::poll_event`].
-    pub fn next_event(&mut self) -> Result<XmlEvent> {
+    pub fn next_event(&mut self) -> Result<XmlEvent<'_>> {
         debug_assert!(self.eof || self.incremental);
         self.need_more.set(false);
-        self.next_event_inner()
+        let lexed = self.lex()?;
+        Ok(self.view(lexed))
     }
 
-    fn next_event_inner(&mut self) -> Result<XmlEvent> {
+    /// One lexing attempt, with the scratch buffer emptied for the
+    /// strings it rewrites (and put back, capacity kept, whatever the
+    /// outcome).
+    fn lex(&mut self) -> Result<Lexed> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        let lexed = self.lex_into(&mut scratch);
+        self.scratch = scratch;
+        lexed
+    }
+
+    /// Lend a lexed event out, its strings borrowed from the buffers.
+    fn view(&self, lexed: Lexed) -> XmlEvent<'_> {
+        let src = Sources {
+            buf: self.src(),
+            scratch: &self.scratch,
+            uris: &self.uris,
+        };
+        match lexed {
+            Lexed::StartDocument => XmlEvent::StartDocument,
+            Lexed::EndDocument => XmlEvent::EndDocument,
+            Lexed::StartElement { self_closing } => XmlEvent::StartElement(StartTag {
+                name: &self.tag_name,
+                decls: &self.decls,
+                attrs: &self.attrs,
+                self_closing,
+                src,
+            }),
+            Lexed::EndElement => XmlEvent::EndElement,
+            Lexed::Text(s) => XmlEvent::Text(src.str(s)),
+            Lexed::Comment(s) => XmlEvent::Comment(src.str(s)),
+            Lexed::Pi { target, data } => XmlEvent::ProcessingInstruction {
+                target: &self.src()[target],
+                data: src.str(data),
+            },
+        }
+    }
+
+    fn lex_into(&mut self, out: &mut String) -> Result<Lexed> {
         xqr_faults::faultpoint!("xml.read");
         if let Some(guard) = &self.guard {
             guard
@@ -227,14 +337,15 @@ impl<'a> XmlReader<'a> {
         if !self.started {
             self.started = true;
             self.skip_prolog()?;
-            return Ok(XmlEvent::StartDocument);
+            return Ok(Lexed::StartDocument);
         }
-        if let Some(name) = self.pending_end.take() {
+        if self.pending_end {
+            self.pending_end = false;
             self.pop_element();
-            return Ok(XmlEvent::EndElement { name });
+            return Ok(Lexed::EndElement);
         }
         if self.finished {
-            return Ok(XmlEvent::EndDocument);
+            return Ok(Lexed::EndDocument);
         }
         // Between-root-content handling: at top level, whitespace,
         // comments and PIs are allowed; anything else after the root
@@ -251,7 +362,7 @@ impl<'a> XmlReader<'a> {
                     return Err(self.err("document has no root element"));
                 }
                 self.finished = true;
-                return Ok(XmlEvent::EndDocument);
+                return Ok(Lexed::EndDocument);
             }
             if self.open.is_empty() {
                 // Only misc allowed at top level besides the single root.
@@ -276,13 +387,13 @@ impl<'a> XmlReader<'a> {
                         }
                     }
                     if self.eat("<!--") {
-                        return self.read_comment();
+                        return self.read_comment(out);
                     }
                     if self.eat("<![CDATA[") {
-                        return self.read_cdata();
+                        return self.read_cdata(out);
                     }
                     if self.eat("<?") {
-                        return self.read_pi();
+                        return self.read_pi(out);
                     }
                     if self.bytes().get(self.pos + 1) == Some(&b'/') {
                         self.pos += 2;
@@ -292,9 +403,9 @@ impl<'a> XmlReader<'a> {
                         return Err(self.err("unexpected markup declaration in content"));
                     }
                     self.pos += 1;
-                    return self.read_start_tag();
+                    return self.read_start_tag(out);
                 }
-                Some(_) => return self.read_text(),
+                Some(_) => return self.read_text(out),
                 None => continue,
             }
         }
@@ -377,7 +488,7 @@ impl<'a> XmlReader<'a> {
         Err(self.err_or_need("unterminated DOCTYPE"))
     }
 
-    fn find(&self, needle: &str) -> Option<usize> {
+    fn find(&self, needle: &'static str) -> Option<usize> {
         let s = self.src();
         let mut from = self.pos;
         if let Some(h) = self.hint.borrow().as_ref() {
@@ -398,7 +509,7 @@ impl<'a> XmlReader<'a> {
                     // next feed() resumes here instead of at `pos`.
                     *self.hint.borrow_mut() = Some(ScanHint {
                         origin: self.base + self.pos,
-                        needle: needle.to_string(),
+                        needle,
                         scanned_to: self.base + s.len(),
                     });
                 }
@@ -449,103 +560,92 @@ impl<'a> XmlReader<'a> {
         }
     }
 
-    fn resolve_range(&self, r: Range<usize>, is_attr: bool) -> Result<QName> {
-        let (pr, lr) = self.split_name(r)?;
-        let prefix = pr.map(|p| &self.src()[p]);
-        let local = &self.src()[lr];
-        self.resolve(prefix, local, is_attr)
-    }
-
-    fn resolve(&self, prefix: Option<&str>, local: &str, is_attr: bool) -> Result<QName> {
-        match prefix {
-            None => {
-                if is_attr {
-                    // Unprefixed attributes are in no namespace.
-                    return Ok(QName::local(local));
-                }
-                // Default namespace for elements.
-                for (p, uri) in self.ns.iter().rev() {
-                    if p.is_none() {
-                        if uri.is_empty() {
-                            return Ok(QName::local(local));
-                        }
-                        return Ok(QName::ns(uri, local));
-                    }
-                }
-                Ok(QName::local(local))
-            }
-            Some("xml") => Ok(QName::prefixed(XML_NS, "xml", local)),
+    /// Resolve the raw name at `r` against the bindings in scope.
+    fn name_span(&self, r: Range<usize>, is_attr: bool) -> Result<NameSpan> {
+        let (prefix, local) = self.split_name(r)?;
+        let ns = match &prefix {
+            // Unprefixed attributes are in no namespace; elements are in
+            // the default one, if any.
+            None if is_attr => 0,
+            None => self
+                .bindings
+                .iter()
+                .rev()
+                .find(|b| b.prefix.is_empty())
+                .map_or(0, |b| b.ns),
             Some(p) => {
-                for (bp, uri) in self.ns.iter().rev() {
-                    if bp.as_deref() == Some(p) {
-                        if uri.is_empty() {
+                let p = &self.src()[p.clone()];
+                if p == "xml" {
+                    XML_NS_ID
+                } else {
+                    match self.bindings.iter().rev().find(|b| {
+                        !b.prefix.is_empty() && self.bound_prefixes[b.prefix.clone()] == *p
+                    }) {
+                        Some(b) if b.ns != 0 => b.ns,
+                        Some(_) => {
                             return Err(Error::new(
                                 ErrorCode::UnboundPrefix,
                                 format!("prefix {p:?} has been undeclared"),
                             )
-                            .at(self.base + self.pos));
+                            .at(self.base + self.pos))
                         }
-                        return Ok(QName::prefixed(uri, p, local));
+                        None => {
+                            return Err(Error::new(
+                                ErrorCode::UnboundPrefix,
+                                format!("unbound prefix {p:?}"),
+                            )
+                            .at(self.base + self.pos))
+                        }
                     }
                 }
-                Err(
-                    Error::new(ErrorCode::UnboundPrefix, format!("unbound prefix {p:?}"))
-                        .at(self.base + self.pos),
-                )
             }
-        }
+        };
+        Ok(NameSpan { ns, prefix, local })
     }
 
-    fn read_start_tag(&mut self) -> Result<XmlEvent> {
+    fn read_start_tag(&mut self, out: &mut String) -> Result<Lexed> {
         let raw_name = self.read_name()?;
-        let mut raw_attrs: Vec<(Range<usize>, String)> = Vec::new();
-        let mut decls: Vec<NamespaceDecl> = Vec::new();
+        self.raw_attrs.clear();
+        self.decls.clear();
         loop {
             let ws_start = self.pos;
             self.skip_ws();
             match self.peek() {
                 Some(b'>') => {
                     self.pos += 1;
-                    return self.finish_start_tag(raw_name, raw_attrs, decls, false);
+                    return self.finish_start_tag(raw_name, false, out);
                 }
                 Some(b'/') => {
                     self.pos += 1;
                     self.expect(">")?;
-                    return self.finish_start_tag(raw_name, raw_attrs, decls, true);
+                    return self.finish_start_tag(raw_name, true, out);
                 }
                 Some(_) => {
                     if self.pos == ws_start {
                         return Err(self.err("expected whitespace before attribute"));
                     }
-                    if matches!(self.peek(), Some(b'>' | b'/')) {
-                        continue;
-                    }
                     let attr_name = self.read_name()?;
                     self.skip_ws();
                     self.expect("=")?;
                     self.skip_ws();
-                    let value = self.read_attr_value()?;
+                    let value = self.read_attr_value(out)?;
                     // Namespace declarations are bindings, not attributes.
-                    // `None` = plain attribute, `Some(prefix)` = binding.
-                    let binding: Option<Option<Arc<str>>> = {
-                        let an = &self.src()[attr_name.clone()];
-                        if an == "xmlns" {
-                            Some(None)
-                        } else if let Some(p) = an.strip_prefix("xmlns:") {
-                            if p.is_empty() {
-                                return Err(self.err("empty namespace prefix"));
-                            }
-                            Some(Some(Arc::from(p)))
-                        } else {
-                            None
+                    let an = &self.src()[attr_name.clone()];
+                    if an == "xmlns" {
+                        self.decls.push(DeclSpan {
+                            prefix: None,
+                            uri: value,
+                        });
+                    } else if let Some(p) = an.strip_prefix("xmlns:") {
+                        if p.is_empty() {
+                            return Err(self.err("empty namespace prefix"));
                         }
-                    };
-                    match binding {
-                        Some(prefix) => decls.push(NamespaceDecl {
-                            prefix,
-                            uri: Arc::from(value.as_str()),
-                        }),
-                        None => raw_attrs.push((attr_name, value)),
+                        self.decls.push(DeclSpan {
+                            prefix: Some(attr_name.end - p.len()..attr_name.end),
+                            uri: value,
+                        });
+                    } else {
+                        self.raw_attrs.push((attr_name, value));
                     }
                 }
                 None => return Err(self.err_or_need("unterminated start tag")),
@@ -553,13 +653,14 @@ impl<'a> XmlReader<'a> {
         }
     }
 
+    /// The start tag is consumed: bind its declarations, resolve its
+    /// names and open its element. `out` holds the strings it rewrote.
     fn finish_start_tag(
         &mut self,
         raw_name: Range<usize>,
-        raw_attrs: Vec<(Range<usize>, String)>,
-        decls: Vec<NamespaceDecl>,
-        empty: bool,
-    ) -> Result<XmlEvent> {
+        self_closing: bool,
+        out: &str,
+    ) -> Result<Lexed> {
         if self.open.is_empty() {
             if self.seen_root {
                 return Err(self.err("multiple root elements"));
@@ -579,67 +680,94 @@ impl<'a> XmlReader<'a> {
                 .map_err(|e| e.at(self.base + self.pos))?;
         }
         // Push bindings before resolving names on this element.
-        for d in &decls {
-            self.ns.push((d.prefix.clone(), d.uri.clone()));
+        for d in &self.decls {
+            let from = if d.uri.scratch { out } else { &*self.buf };
+            let ns = namespace_id(&mut self.uris, &from[d.uri.start..d.uri.end]);
+            let start = self.bound_prefixes.len();
+            if let Some(p) = d.prefix.clone() {
+                self.bound_prefixes.push_str(&self.buf[p]);
+            }
+            self.bindings.push(Binding {
+                prefix: start..self.bound_prefixes.len(),
+                ns,
+            });
         }
-        let name = self.resolve_range(raw_name, false)?;
-        let mut attributes = Vec::with_capacity(raw_attrs.len());
-        for (an, av) in &raw_attrs {
-            let qn = self.resolve_range(an.clone(), true)?;
-            if attributes.iter().any(|a: &Attribute| a.name == qn) {
+        self.tag_name = self.name_span(raw_name.clone(), false)?;
+        self.attrs.clear();
+        for i in 0..self.raw_attrs.len() {
+            let (raw, value) = self.raw_attrs[i].clone();
+            let name = self.name_span(raw.clone(), true)?;
+            let src = self.src();
+            if self.attrs.iter().any(|a| {
+                a.name.ns == name.ns && src[a.name.local.clone()] == src[name.local.clone()]
+            }) {
                 return Err(Error::new(
                     ErrorCode::DuplicateAttribute,
-                    format!("duplicate attribute {qn}"),
+                    format!("duplicate attribute {}", &src[raw]),
                 )
                 .at(self.base + self.pos));
             }
-            attributes.push(Attribute {
-                name: qn,
-                value: Arc::from(av.as_str()),
-            });
+            self.attrs.push(AttrSpan { name, value });
         }
-        if empty {
-            self.pending_end = Some(name.clone());
-            // The frame is popped when the pending end is delivered.
-            self.open.push((name.clone(), decls.len()));
-        } else {
-            self.open.push((name.clone(), decls.len()));
-        }
-        Ok(XmlEvent::StartElement {
-            name,
-            attributes,
-            namespaces: decls,
-            empty,
-        })
+        let name_start = self.open_names.len();
+        self.open_names.push_str(&self.buf[raw_name]);
+        self.open.push(Frame {
+            name_start,
+            decls: self.decls.len(),
+        });
+        // An empty-element tag's frame is popped when its pending end is
+        // delivered.
+        self.pending_end = self_closing;
+        Ok(Lexed::StartElement { self_closing })
     }
 
     fn pop_element(&mut self) {
-        if let Some((_, n_decls)) = self.open.pop() {
-            for _ in 0..n_decls {
-                self.ns.pop();
+        if let Some(frame) = self.open.pop() {
+            self.open_names.truncate(frame.name_start);
+            let keep = self.bindings.len() - frame.decls;
+            if let Some(b) = self.bindings.get(keep) {
+                self.bound_prefixes.truncate(b.prefix.start);
             }
+            self.bindings.truncate(keep);
         }
     }
 
-    fn read_end_tag(&mut self) -> Result<XmlEvent> {
+    /// An end tag must spell its element's start-tag name exactly
+    /// (XML 1.0's Element Type Match): the raw names are compared, so
+    /// two prefixes bound to one namespace do not match.
+    fn read_end_tag(&mut self) -> Result<Lexed> {
         let raw_name = self.read_name()?;
         self.skip_ws();
         self.expect(">")?;
-        let name = self.resolve_range(raw_name, false)?;
+        let found = &self.src()[raw_name];
         match self.open.last() {
-            Some((open_name, _)) if *open_name == name => {
+            Some(frame) if self.open_names[frame.name_start..] == *found => {
                 self.pop_element();
-                Ok(XmlEvent::EndElement { name })
+                Ok(Lexed::EndElement)
             }
-            Some((open_name, _)) => Err(self.err(format!(
-                "mismatched end tag: expected </{}>, found </{}>",
-                open_name, name
+            Some(frame) => Err(self.err(format!(
+                "mismatched end tag: expected </{}>, found </{found}>",
+                &self.open_names[frame.name_start..]
             ))),
-            None => Err(self.err(format!("unmatched end tag </{name}>"))),
+            None => Err(self.err(format!("unmatched end tag </{found}>"))),
         }
     }
 
-    fn read_text(&mut self) -> Result<XmlEvent> {
+    /// Advance over character data up to the next byte the text lexer
+    /// must look at: `<`, `&`, `\r`, or the `]` of `]]>`.
+    fn scan_chars(&mut self) {
+        let bytes = self.bytes();
+        let mut p = self.pos;
+        while let Some(&b) = bytes.get(p) {
+            if matches!(b, b'<' | b'&' | b'\r') || (b == b']' && bytes[p..].starts_with(b"]]>")) {
+                break;
+            }
+            p += 1;
+        }
+        self.pos = p;
+    }
+
+    fn read_text(&mut self, out: &mut String) -> Result<Lexed> {
         if self.open.is_empty() {
             return Err(self.err("text content outside the root element"));
         }
@@ -649,36 +777,38 @@ impl<'a> XmlReader<'a> {
         if !self.eof && self.find("<").is_none() {
             return Err(self.need());
         }
-        let mut out = String::new();
+        let start = self.pos;
+        self.scan_chars();
+        if matches!(self.peek(), None | Some(b'<')) {
+            return Ok(Lexed::Text(Span::buf(start..self.pos)));
+        }
+        // An entity, a '\r' or an error: the text is rewritten.
+        let from = out.len();
+        out.push_str(&self.src()[start..self.pos]);
         loop {
             match self.peek() {
                 None | Some(b'<') => break,
-                Some(b'&') => {
-                    let c = self.read_entity()?;
-                    out.push_str(&c);
-                }
+                Some(b'&') => self.read_entity(out)?,
                 Some(b']') if self.bytes()[self.pos..].starts_with(b"]]>") => {
                     return Err(self.err("']]>' not allowed in character data"));
                 }
+                Some(b'\r') => {
+                    out.push('\r');
+                    self.pos += 1;
+                }
                 Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'<'
-                            || b == b'&'
-                            || (b == b']' && self.bytes()[self.pos..].starts_with(b"]]>"))
-                        {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.src()[start..self.pos]);
+                    let run = self.pos;
+                    self.scan_chars();
+                    out.push_str(&self.src()[run..self.pos]);
                 }
             }
         }
-        Ok(XmlEvent::Text(normalize_newlines(&out).into()))
+        normalize_newlines(out, from);
+        Ok(Lexed::Text(Span::scratch(from, out.len())))
     }
 
-    fn read_entity(&mut self) -> Result<String> {
+    /// Decode the entity or character reference at `pos` onto `out`.
+    fn read_entity(&mut self, out: &mut String) -> Result<()> {
         debug_assert_eq!(self.peek(), Some(b'&'));
         self.pos += 1;
         let end = self
@@ -687,32 +817,29 @@ impl<'a> XmlReader<'a> {
         let start = self.pos;
         self.pos = end + 1;
         let name = &self.src()[start..end];
+        let code = |radix_digits: Result<u32>| -> Result<char> {
+            let cp = radix_digits?;
+            char::from_u32(cp).ok_or_else(|| self.err(format!("invalid codepoint in &{name};")))
+        };
+        let bad = || self.err(format!("bad character reference &{name};"));
         match name {
-            "lt" => Ok("<".into()),
-            "gt" => Ok(">".into()),
-            "amp" => Ok("&".into()),
-            "quot" => Ok("\"".into()),
-            "apos" => Ok("'".into()),
-            _ if name.starts_with("#x") || name.starts_with("#X") => {
-                let cp = u32::from_str_radix(&name[2..], 16)
-                    .map_err(|_| self.err(format!("bad character reference &{name};")))?;
-                Ok(char::from_u32(cp)
-                    .ok_or_else(|| self.err(format!("invalid codepoint in &{name};")))?
-                    .to_string())
-            }
+            "lt" => out.push('<'),
+            "gt" => out.push('>'),
+            "amp" => out.push('&'),
+            "quot" => out.push('"'),
+            "apos" => out.push('\''),
+            _ if name.starts_with("#x") || name.starts_with("#X") => out.push(code(
+                u32::from_str_radix(&name[2..], 16).map_err(|_| bad()),
+            )?),
             _ if name.starts_with('#') => {
-                let cp = name[1..]
-                    .parse::<u32>()
-                    .map_err(|_| self.err(format!("bad character reference &{name};")))?;
-                Ok(char::from_u32(cp)
-                    .ok_or_else(|| self.err(format!("invalid codepoint in &{name};")))?
-                    .to_string())
+                out.push(code(name[1..].parse::<u32>().map_err(|_| bad()))?)
             }
-            _ => Err(self.err(format!("unknown entity &{name}; (no DTD entity support)"))),
+            _ => return Err(self.err(format!("unknown entity &{name}; (no DTD entity support)"))),
         }
+        Ok(())
     }
 
-    fn read_attr_value(&mut self) -> Result<String> {
+    fn read_attr_value(&mut self, out: &mut String) -> Result<Span> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => {
                 self.pos += 1;
@@ -721,7 +848,19 @@ impl<'a> XmlReader<'a> {
             None if !self.eof => return Err(self.need()),
             _ => return Err(self.err("expected quoted attribute value")),
         };
-        let mut out = String::new();
+        let plain = |b: u8| !(b == quote || matches!(b, b'&' | b'<' | b'\t' | b'\n' | b'\r'));
+        let start = self.pos;
+        while self.peek().is_some_and(plain) {
+            self.pos += 1;
+        }
+        if self.peek() == Some(quote) {
+            self.pos += 1;
+            return Ok(Span::buf(start..self.pos - 1));
+        }
+        // An entity, whitespace to normalize or an error: the value is
+        // rewritten.
+        let from = out.len();
+        out.push_str(&self.src()[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err(self.err_or_need("unterminated attribute value")),
@@ -730,10 +869,7 @@ impl<'a> XmlReader<'a> {
                     break;
                 }
                 Some(b'<') => return Err(self.err("'<' not allowed in attribute value")),
-                Some(b'&') => {
-                    let c = self.read_entity()?;
-                    out.push_str(&c);
-                }
+                Some(b'&') => self.read_entity(out)?,
                 Some(b'\t') | Some(b'\n') | Some(b'\r') => {
                     // Attribute-value normalization: whitespace → space.
                     let was_cr = self.peek() == Some(b'\r');
@@ -751,27 +887,31 @@ impl<'a> XmlReader<'a> {
                     }
                 }
                 Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == quote
-                            || b == b'&'
-                            || b == b'<'
-                            || b == b'\t'
-                            || b == b'\n'
-                            || b == b'\r'
-                        {
-                            break;
-                        }
+                    let run = self.pos;
+                    while self.peek().is_some_and(plain) {
                         self.pos += 1;
                     }
-                    out.push_str(&self.src()[start..self.pos]);
+                    out.push_str(&self.src()[run..self.pos]);
                 }
             }
         }
-        Ok(out)
+        Ok(Span::scratch(from, out.len()))
     }
 
-    fn read_comment(&mut self) -> Result<XmlEvent> {
+    /// `r` with XML 1.0 end-of-line handling applied: itself, unless it
+    /// holds a `\r`, in which case a rewritten copy on `out`.
+    fn normalized(&self, r: Range<usize>, out: &mut String) -> Span {
+        let text = &self.src()[r.clone()];
+        if !text.contains('\r') {
+            return Span::buf(r);
+        }
+        let from = out.len();
+        out.push_str(text);
+        normalize_newlines(out, from);
+        Span::scratch(from, out.len())
+    }
+
+    fn read_comment(&mut self, out: &mut String) -> Result<Lexed> {
         let end = self
             .find("--")
             .ok_or_else(|| self.err_or_need("unterminated comment"))?;
@@ -782,24 +922,24 @@ impl<'a> XmlReader<'a> {
         if !self.src()[end..].starts_with("-->") {
             return Err(self.err("'--' not allowed inside a comment"));
         }
-        let text = normalize_newlines(&self.src()[self.pos..end]);
+        let text = self.normalized(self.pos..end, out);
         self.pos = end + 3;
-        Ok(XmlEvent::Comment(text.into()))
+        Ok(Lexed::Comment(text))
     }
 
-    fn read_cdata(&mut self) -> Result<XmlEvent> {
+    fn read_cdata(&mut self, out: &mut String) -> Result<Lexed> {
         if self.open.is_empty() {
             return Err(self.err("CDATA outside the root element"));
         }
         let end = self
             .find("]]>")
             .ok_or_else(|| self.err_or_need("unterminated CDATA section"))?;
-        let text = normalize_newlines(&self.src()[self.pos..end]);
+        let text = self.normalized(self.pos..end, out);
         self.pos = end + 3;
-        Ok(XmlEvent::Text(text.into()))
+        Ok(Lexed::Text(text))
     }
 
-    fn read_pi(&mut self) -> Result<XmlEvent> {
+    fn read_pi(&mut self, out: &mut String) -> Result<Lexed> {
         let target = self.read_name()?;
         if self.src()[target.clone()].eq_ignore_ascii_case("xml") {
             return Err(self.err("PI target 'xml' is reserved"));
@@ -807,11 +947,10 @@ impl<'a> XmlReader<'a> {
         let end = self
             .find("?>")
             .ok_or_else(|| self.err_or_need("unterminated PI"))?;
-        let target: Arc<str> = Arc::from(&self.src()[target]);
-        let data: Arc<str> =
-            Arc::from(normalize_newlines(self.src()[self.pos..end].trim_start()).as_str());
+        let data = &self.src()[self.pos..end];
+        let data = self.normalized(end - data.trim_start().len()..end, out);
         self.pos = end + 2;
-        Ok(XmlEvent::ProcessingInstruction { target, data })
+        Ok(Lexed::Pi { target, data })
     }
 }
 
@@ -891,24 +1030,21 @@ impl XmlReader<'static> {
     /// `EndDocument` has been delivered the stream is over: every later
     /// poll returns `Ok(None)` (unlike [`XmlReader::next_event`], which
     /// repeats `EndDocument` for its fused-iterator callers).
-    pub fn poll_event(&mut self) -> Result<Option<XmlEvent>> {
+    pub fn poll_event(&mut self) -> Result<Option<XmlEvent<'_>>> {
         if self.finished {
             return Ok(None);
         }
         let save_pos = self.pos;
         let save_started = self.started;
         self.need_more.set(false);
-        match self.next_event_inner() {
-            Ok(ev) => Ok(Some(ev)),
-            Err(e) => {
-                if self.need_more.get() {
-                    self.pos = save_pos;
-                    self.started = save_started;
-                    Ok(None)
-                } else {
-                    Err(e)
-                }
+        match self.lex() {
+            Ok(lexed) => Ok(Some(self.view(lexed))),
+            Err(_) if self.need_more.get() => {
+                self.pos = save_pos;
+                self.started = save_started;
+                Ok(None)
             }
+            Err(e) => Err(e),
         }
     }
 
@@ -928,12 +1064,14 @@ impl XmlReader<'static> {
     }
 }
 
-/// XML 1.0 end-of-line handling: `\r\n` and `\r` become `\n`.
-fn normalize_newlines(s: &str) -> String {
-    if !s.contains('\r') {
-        return s.to_string();
+/// XML 1.0 end-of-line handling on `out[from..]`: `\r\n` and `\r`
+/// become `\n`.
+fn normalize_newlines(out: &mut String, from: usize) {
+    if out[from..].contains('\r') {
+        let normalized = out[from..].replace("\r\n", "\n").replace('\r', "\n");
+        out.truncate(from);
+        out.push_str(&normalized);
     }
-    s.replace("\r\n", "\n").replace('\r', "\n")
 }
 
 pub fn is_name_start(c: char) -> bool {
@@ -947,13 +1085,77 @@ pub fn is_name_char(c: char) -> bool {
     is_name_start(c) || c.is_ascii_digit() || c == '-' || c == '.' || c == '\u{B7}'
 }
 
-/// Convenience: collect all events of a document, failing fast.
-pub(crate) fn parse_events(input: &str) -> Result<Vec<XmlEvent>> {
+/// An event with its strings copied out: the tests' record of what a
+/// reader delivered, comparable across readers.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Ev {
+    StartDocument,
+    EndDocument,
+    StartElement {
+        name: xqr_xdm::QName,
+        attributes: Vec<OwnedAttr>,
+        namespaces: Vec<(Option<String>, String)>,
+        /// The whole event's `Debug` form: prefixes and namespace
+        /// numbers included, which `QName` equality ignores.
+        raw: String,
+    },
+    EndElement,
+    Text(String),
+    Comment(String),
+    ProcessingInstruction {
+        target: String,
+        data: String,
+    },
+}
+
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct OwnedAttr {
+    pub(crate) name: xqr_xdm::QName,
+    pub(crate) value: String,
+}
+
+#[cfg(test)]
+impl From<&XmlEvent<'_>> for Ev {
+    fn from(ev: &XmlEvent<'_>) -> Ev {
+        match ev {
+            XmlEvent::StartDocument => Ev::StartDocument,
+            XmlEvent::EndDocument => Ev::EndDocument,
+            XmlEvent::StartElement(tag) => Ev::StartElement {
+                name: tag.name().to_qname(),
+                attributes: tag
+                    .attributes()
+                    .map(|a| OwnedAttr {
+                        name: a.name.to_qname(),
+                        value: a.value.to_string(),
+                    })
+                    .collect(),
+                namespaces: tag
+                    .namespaces()
+                    .map(|d| (d.prefix.map(str::to_string), d.uri.to_string()))
+                    .collect(),
+                raw: format!("{tag:?}"),
+            },
+            XmlEvent::EndElement => Ev::EndElement,
+            XmlEvent::Text(t) => Ev::Text(t.to_string()),
+            XmlEvent::Comment(c) => Ev::Comment(c.to_string()),
+            XmlEvent::ProcessingInstruction { target, data } => Ev::ProcessingInstruction {
+                target: target.to_string(),
+                data: data.to_string(),
+            },
+        }
+    }
+}
+
+/// Collect all events of a document, failing fast.
+#[cfg(test)]
+pub(crate) fn parse_events(input: &str) -> Result<Vec<Ev>> {
     let mut reader = XmlReader::new(input);
     let mut events = Vec::new();
     loop {
-        let ev = reader.next_event()?;
-        let done = ev == XmlEvent::EndDocument;
+        let ev = Ev::from(&reader.next_event()?);
+        let done = ev == Ev::EndDocument;
         events.push(ev);
         if done {
             return Ok(events);
@@ -965,12 +1167,13 @@ pub(crate) fn parse_events(input: &str) -> Result<Vec<XmlEvent>> {
 /// finish. The tests' oracle that chunk boundaries never change the
 /// result.
 #[cfg(test)]
-fn parse_events_chunked<'c>(chunks: impl IntoIterator<Item = &'c [u8]>) -> Result<Vec<XmlEvent>> {
+fn parse_events_chunked<'c>(chunks: impl IntoIterator<Item = &'c [u8]>) -> Result<Vec<Ev>> {
     let mut reader = XmlReader::incremental();
     let mut events = Vec::new();
-    let drain = |reader: &mut XmlReader<'static>, events: &mut Vec<XmlEvent>| -> Result<bool> {
+    let drain = |reader: &mut XmlReader<'static>, events: &mut Vec<Ev>| -> Result<bool> {
         while let Some(ev) = reader.poll_event()? {
-            let done = ev == XmlEvent::EndDocument;
+            let ev = Ev::from(&ev);
+            let done = ev == Ev::EndDocument;
             events.push(ev);
             if done {
                 return Ok(true);
@@ -985,29 +1188,21 @@ fn parse_events_chunked<'c>(chunks: impl IntoIterator<Item = &'c [u8]>) -> Resul
         }
     }
     reader.finish()?;
-    loop {
-        match reader.poll_event()? {
-            Some(ev) => {
-                let done = ev == XmlEvent::EndDocument;
-                events.push(ev);
-                if done {
-                    return Ok(events);
-                }
-            }
-            None => return Err(Error::internal("incremental reader stalled after finish()")),
-        }
+    if drain(&mut reader, &mut events)? {
+        return Ok(events);
     }
+    Err(Error::internal("incremental reader stalled after finish()"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn texts(events: &[XmlEvent]) -> Vec<String> {
+    fn texts(events: &[Ev]) -> Vec<String> {
         events
             .iter()
             .filter_map(|e| match e {
-                XmlEvent::Text(t) => Some(t.to_string()),
+                Ev::Text(t) => Some(t.to_string()),
                 _ => None,
             })
             .collect()
@@ -1017,7 +1212,7 @@ mod tests {
     fn simple_document() {
         let evs = parse_events("<a><b>hi</b></a>").unwrap();
         assert_eq!(evs.len(), 7); // SD, <a>, <b>, text, </b>, </a>, ED
-        assert!(matches!(&evs[1], XmlEvent::StartElement { name, .. } if name.local_name() == "a"));
+        assert!(matches!(&evs[1], Ev::StartElement { name, .. } if name.local_name() == "a"));
         assert_eq!(texts(&evs), vec!["hi"]);
     }
 
@@ -1026,12 +1221,9 @@ mod tests {
         let evs = parse_events("<a><b/></a>").unwrap();
         let starts = evs
             .iter()
-            .filter(|e| matches!(e, XmlEvent::StartElement { .. }))
+            .filter(|e| matches!(e, Ev::StartElement { .. }))
             .count();
-        let ends = evs
-            .iter()
-            .filter(|e| matches!(e, XmlEvent::EndElement { .. }))
-            .count();
+        let ends = evs.iter().filter(|e| matches!(e, Ev::EndElement)).count();
         assert_eq!(starts, 2);
         assert_eq!(ends, 2);
     }
@@ -1040,7 +1232,7 @@ mod tests {
     fn attributes_and_duplicates() {
         let evs = parse_events(r#"<book year="1967" title='x'/>"#).unwrap();
         match &evs[1] {
-            XmlEvent::StartElement { attributes, .. } => {
+            Ev::StartElement { attributes, .. } => {
                 assert_eq!(attributes.len(), 2);
                 assert_eq!(&*attributes[0].value, "1967");
             }
@@ -1057,7 +1249,7 @@ mod tests {
         )
         .unwrap();
         match &evs[1] {
-            XmlEvent::StartElement {
+            Ev::StartElement {
                 name, namespaces, ..
             } => {
                 assert_eq!(name.namespace(), Some("urn:b"));
@@ -1066,7 +1258,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match &evs[2] {
-            XmlEvent::StartElement {
+            Ev::StartElement {
                 name, attributes, ..
             } => {
                 assert_eq!(name.namespace(), Some("urn:a"));
@@ -1078,7 +1270,7 @@ mod tests {
         }
         // <title/> inherits the default namespace
         match &evs[4] {
-            XmlEvent::StartElement { name, .. } => assert_eq!(name.namespace(), Some("urn:b")),
+            Ev::StartElement { name, .. } => assert_eq!(name.namespace(), Some("urn:b")),
             other => panic!("{other:?}"),
         }
     }
@@ -1087,7 +1279,7 @@ mod tests {
     fn unprefixed_attribute_has_no_namespace() {
         let evs = parse_events(r#"<a xmlns="urn:x" b="1"/>"#).unwrap();
         match &evs[1] {
-            XmlEvent::StartElement { attributes, .. } => {
+            Ev::StartElement { attributes, .. } => {
                 assert_eq!(attributes[0].name.namespace(), None);
             }
             other => panic!("{other:?}"),
@@ -1098,7 +1290,7 @@ mod tests {
     fn default_namespace_undeclaration() {
         let evs = parse_events(r#"<a xmlns="urn:x"><b xmlns=""/></a>"#).unwrap();
         match &evs[2] {
-            XmlEvent::StartElement { name, .. } => assert_eq!(name.namespace(), None),
+            Ev::StartElement { name, .. } => assert_eq!(name.namespace(), None),
             other => panic!("{other:?}"),
         }
     }
@@ -1113,7 +1305,7 @@ mod tests {
     fn xml_prefix_is_predeclared() {
         let evs = parse_events(r#"<a xml:lang="en"/>"#).unwrap();
         match &evs[1] {
-            XmlEvent::StartElement { attributes, .. } => {
+            Ev::StartElement { attributes, .. } => {
                 assert_eq!(attributes[0].name.namespace(), Some(XML_NS));
             }
             other => panic!("{other:?}"),
@@ -1137,10 +1329,10 @@ mod tests {
     #[test]
     fn comments_and_pis() {
         let evs = parse_events("<a><!-- note --><?target some data?></a>").unwrap();
-        assert!(matches!(&evs[2], XmlEvent::Comment(c) if &**c == " note "));
+        assert!(matches!(&evs[2], Ev::Comment(c) if &**c == " note "));
         assert!(matches!(
             &evs[3],
-            XmlEvent::ProcessingInstruction { target, data }
+            Ev::ProcessingInstruction { target, data }
                 if &**target == "target" && &**data == "some data"
         ));
         assert!(parse_events("<a><!-- a -- b --></a>").is_err());
@@ -1150,9 +1342,7 @@ mod tests {
     fn prolog_is_skipped() {
         let doc = "<?xml version=\"1.0\"?>\n<!DOCTYPE a [<!ENTITY x \"y\">]>\n<!-- hi -->\n<a/>";
         let evs = parse_events(doc).unwrap();
-        assert!(evs
-            .iter()
-            .any(|e| matches!(e, XmlEvent::StartElement { .. })));
+        assert!(evs.iter().any(|e| matches!(e, Ev::StartElement { .. })));
     }
 
     #[test]
@@ -1169,18 +1359,64 @@ mod tests {
     }
 
     #[test]
+    fn an_end_tag_must_spell_its_start_tags_prefix() {
+        // Both prefixes name one namespace, but XML's Element Type Match
+        // compares the names as written.
+        let err = parse_events(r#"<a:x xmlns:a="u" xmlns:b="u"></b:x>"#).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Syntax, "{err}");
+        assert!(
+            err.message.contains("expected </a:x>, found </b:x>"),
+            "{err}"
+        );
+        assert!(parse_events(r#"<a:x xmlns:a="u" xmlns:b="u"></a:x>"#).is_ok());
+        assert_split_invariant(r#"<a:x xmlns:a="u" xmlns:b="u"></b:x>"#);
+    }
+
+    #[test]
+    fn names_carry_the_readers_namespace_numbers() {
+        // One number per URI, whichever prefix binds it; 0 is no
+        // namespace, and an undeclared default is no namespace again.
+        let doc = r#"<r xmlns:p="u1"><p:a/><q:a xmlns:q="u1"/><p:b xmlns:p="u2"/><c xmlns="u2"><d xmlns=""/></c></r>"#;
+        let mut reader = XmlReader::new(doc);
+        let mut seen = Vec::new();
+        loop {
+            match reader.next_event().unwrap() {
+                XmlEvent::StartElement(tag) => {
+                    let n = tag.name();
+                    seen.push((n.local.to_string(), n.ns, n.uri.to_string()));
+                }
+                XmlEvent::EndDocument => break,
+                _ => {}
+            }
+        }
+        let want = [
+            ("r", 0, ""),
+            ("a", 2, "u1"),
+            ("a", 2, "u1"),
+            ("b", 3, "u2"),
+            ("c", 3, "u2"),
+            ("d", 0, ""),
+        ];
+        let want: Vec<_> = want
+            .iter()
+            .map(|(l, n, u)| (l.to_string(), *n, u.to_string()))
+            .collect();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
     fn mixed_content_order_is_preserved() {
         let evs = parse_events("<s>The great <title>P</title> Even facts</s>").unwrap();
         let kinds: Vec<&str> = evs
             .iter()
             .map(|e| match e {
-                XmlEvent::StartDocument => "SD",
-                XmlEvent::EndDocument => "ED",
-                XmlEvent::StartElement { .. } => "SE",
-                XmlEvent::EndElement { .. } => "EE",
-                XmlEvent::Text(_) => "T",
-                XmlEvent::Comment(_) => "C",
-                XmlEvent::ProcessingInstruction { .. } => "PI",
+                Ev::StartDocument => "SD",
+                Ev::EndDocument => "ED",
+                Ev::StartElement { .. } => "SE",
+                Ev::EndElement => "EE",
+                Ev::Text(_) => "T",
+                Ev::Comment(_) => "C",
+                Ev::ProcessingInstruction { .. } => "PI",
             })
             .collect();
         assert_eq!(
@@ -1193,7 +1429,7 @@ mod tests {
     fn attribute_value_normalization() {
         let evs = parse_events("<a b=\"x\n\ty\"/>").unwrap();
         match &evs[1] {
-            XmlEvent::StartElement { attributes, .. } => {
+            Ev::StartElement { attributes, .. } => {
                 assert_eq!(&*attributes[0].value, "x  y");
             }
             other => panic!("{other:?}"),
@@ -1214,7 +1450,7 @@ mod tests {
         let uris: Vec<Option<String>> = evs
             .iter()
             .filter_map(|e| match e {
-                XmlEvent::StartElement { name, .. } if name.local_name() == "x" => {
+                Ev::StartElement { name, .. } if name.local_name() == "x" => {
                     Some(name.namespace().map(str::to_string))
                 }
                 _ => None,
@@ -1294,9 +1530,7 @@ mod tests {
     #[test]
     fn unicode_names_and_content() {
         let evs = parse_events("<données champ=\"é\">日本語</données>").unwrap();
-        assert!(
-            matches!(&evs[1], XmlEvent::StartElement { name, .. } if name.local_name() == "données")
-        );
+        assert!(matches!(&evs[1], Ev::StartElement { name, .. } if name.local_name() == "données"));
         assert_eq!(texts(&evs), vec!["日本語"]);
     }
 
@@ -1457,12 +1691,13 @@ mod tests {
         for b in doc.as_bytes() {
             r.feed(std::slice::from_ref(b)).unwrap();
             while let Some(ev) = r.poll_event().unwrap() {
-                events.push(ev);
+                events.push(Ev::from(&ev));
             }
         }
         r.finish().unwrap();
         while let Some(ev) = r.poll_event().unwrap() {
-            let done = ev == XmlEvent::EndDocument;
+            let ev = Ev::from(&ev);
+            let done = ev == Ev::EndDocument;
             events.push(ev);
             if done {
                 break;

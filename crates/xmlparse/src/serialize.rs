@@ -3,6 +3,7 @@
 //! query results — and produces well-formed markup with correct escaping.
 
 use crate::event::XmlEvent;
+use crate::reader::XmlReader;
 use xqr_xdm::{Error, QName, Result};
 
 /// Escape character data content.
@@ -180,24 +181,19 @@ impl XmlWriter {
     }
 
     /// Write one event. Events must arrive balanced and in order.
-    pub fn write(&mut self, event: &XmlEvent) -> Result<()> {
+    pub fn write(&mut self, event: &XmlEvent<'_>) -> Result<()> {
         match event {
             XmlEvent::StartDocument | XmlEvent::EndDocument => {}
-            XmlEvent::StartElement {
-                name,
-                attributes,
-                namespaces,
-                ..
-            } => {
-                self.start_element(name);
-                for d in namespaces {
-                    self.namespace(d.prefix.as_deref().unwrap_or(""), &d.uri);
+            XmlEvent::StartElement(tag) => {
+                self.start_element(&tag.name().to_qname());
+                for d in tag.namespaces() {
+                    self.namespace(d.prefix.unwrap_or(""), d.uri);
                 }
-                for a in attributes {
-                    self.attribute(&a.name, &a.value);
+                for a in tag.attributes() {
+                    self.attribute(&a.name.to_qname(), a.value);
                 }
             }
-            XmlEvent::EndElement { .. } => {
+            XmlEvent::EndElement => {
                 if self.stack.is_empty() {
                     return Err(Error::internal("unbalanced EndElement in serializer"));
                 }
@@ -306,28 +302,27 @@ impl TreeWriter for XmlWriter {
     }
 }
 
-/// Serialize a whole event stream to a string.
-pub(crate) fn serialize_events<'a>(
-    events: impl IntoIterator<Item = &'a XmlEvent>,
-    opts: WriterOptions,
-) -> Result<String> {
+/// Parse `input` and write its events with `opts`.
+fn serialize_document(input: &str, opts: WriterOptions) -> Result<String> {
+    let mut reader = XmlReader::new(input);
     let mut w = XmlWriter::new(opts);
-    for ev in events {
-        w.write(ev)?;
+    loop {
+        let ev = reader.next_event()?;
+        w.write(&ev)?;
+        if ev == XmlEvent::EndDocument {
+            return Ok(w.into_string());
+        }
     }
-    Ok(w.into_string())
 }
 
 /// Parse and re-serialize: the canonicalization used by roundtrip tests.
 pub fn reserialize(input: &str) -> Result<String> {
-    let events = crate::reader::parse_events(input)?;
-    serialize_events(&events, WriterOptions::default())
+    serialize_document(input, WriterOptions::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::parse_events;
 
     #[test]
     fn roundtrip_simple() {
@@ -337,8 +332,7 @@ mod tests {
 
     #[test]
     fn escaping_in_text_and_attrs() {
-        let events = parse_events("<a b=\"&quot;&lt;\">x &amp; y &lt; z</a>").unwrap();
-        let out = serialize_events(&events, WriterOptions::default()).unwrap();
+        let out = reserialize("<a b=\"&quot;&lt;\">x &amp; y &lt; z</a>").unwrap();
         assert_eq!(out, "<a b=\"&quot;&lt;\">x &amp; y &lt; z</a>");
         // and it parses back to the same content
         assert_eq!(reserialize(&out).unwrap(), out);
@@ -358,9 +352,8 @@ mod tests {
 
     #[test]
     fn indentation() {
-        let events = parse_events("<a><b><c/></b><d>t</d></a>").unwrap();
-        let out = serialize_events(
-            &events,
+        let out = serialize_document(
+            "<a><b><c/></b><d>t</d></a>",
             WriterOptions {
                 indent: Some("  ".into()),
                 declaration: false,
@@ -372,9 +365,8 @@ mod tests {
 
     #[test]
     fn declaration_emitted() {
-        let events = parse_events("<a/>").unwrap();
-        let out = serialize_events(
-            &events,
+        let out = serialize_document(
+            "<a/>",
             WriterOptions {
                 indent: None,
                 declaration: true,
@@ -400,9 +392,8 @@ mod tests {
 
     #[test]
     fn mixed_content_not_reindented() {
-        let events = parse_events("<p>one <b>two</b> three</p>").unwrap();
-        let out = serialize_events(
-            &events,
+        let out = serialize_document(
+            "<p>one <b>two</b> three</p>",
             WriterOptions {
                 indent: Some("  ".into()),
                 declaration: false,

@@ -34,31 +34,32 @@ const ADVERSARIAL: &[&str] = &[
     "<a  one = \"1\"\n\ttwo='2' ><b\n/></a>",
 ];
 
-fn whole_document_events(xml: &str) -> Vec<XmlEvent> {
+/// Each event's `Debug` form: every name part, namespace number and
+/// string it carries, kept past the next pull.
+fn whole_document_events(xml: &str) -> Vec<String> {
     let mut reader = XmlReader::new(xml);
     let mut events = Vec::new();
     loop {
         let ev = reader.next_event().expect("whole-document parse");
-        let end = ev == XmlEvent::EndDocument;
-        events.push(ev);
-        if end {
+        events.push(format!("{ev:?}"));
+        if ev == XmlEvent::EndDocument {
             return events;
         }
     }
 }
 
-fn chunked_events(chunks: &[&[u8]]) -> xqr::xqr_xdm::Result<Vec<XmlEvent>> {
+fn chunked_events(chunks: &[&[u8]]) -> xqr::xqr_xdm::Result<Vec<String>> {
     let mut reader = XmlReader::incremental();
     let mut events = Vec::new();
     for chunk in chunks {
         reader.feed(chunk)?;
         while let Some(ev) = reader.poll_event()? {
-            events.push(ev);
+            events.push(format!("{ev:?}"));
         }
     }
     reader.finish()?;
     while let Some(ev) = reader.poll_event()? {
-        events.push(ev);
+        events.push(format!("{ev:?}"));
     }
     Ok(events)
 }
@@ -450,5 +451,122 @@ fn nested_captures_serialize_as_materialized_evaluation_does() {
                 "build: {query} {xml}"
             );
         }
+    }
+}
+
+/// Names reach the automaton as ids through each tokenizer's memo, keyed
+/// by the reader's namespace numbers: a prefix rebound to another URI in
+/// a sibling subtree, an undeclared default namespace and the `xml`
+/// prefix must name what they name on every path. Each path runs over a
+/// pool that has never seen the document's names, so a step name is
+/// interned first by the edge table or by the document, after the
+/// automaton was built: pull, 1-byte and 4 KiB push all equal
+/// `Engine::query_xml`.
+#[test]
+fn names_match_by_id_on_every_path() {
+    use std::sync::Arc;
+    use xqr::xqr_runtime::{run_document, CombinedAutomaton, StreamingPass};
+    use xqr::xqr_tokenstream::ParserTokenIterator;
+    use xqr::xqr_xdm::{NamePool, QueryGuard};
+
+    let rebound = r#"<r><s xmlns:p="urn:one"><p:x k="1">1</p:x></s><s xmlns:p="urn:two"><p:x>2</p:x><p:late/></s></r>"#;
+    let undeclared = r#"<r xmlns="urn:d"><x>1</x><s xmlns=""><x>2</x><late/></s><x>3</x></r>"#;
+    let xml_prefix = r#"<r><x xml:lang="en">1</x><xml:late>2</xml:late></r>"#;
+    let cases = [
+        (rebound, r#"declare namespace q = "urn:two"; //q:x"#),
+        (rebound, r#"declare namespace q = "urn:one"; /r/s/q:x"#),
+        (rebound, r#"declare namespace q = "urn:two"; //q:late"#),
+        (undeclared, "//x"),
+        (undeclared, r#"declare namespace d = "urn:d"; /d:r/s/late"#),
+        (undeclared, r#"declare namespace d = "urn:d"; /d:r/d:x"#),
+        (xml_prefix, "//x"),
+        (xml_prefix, "//xml:late"),
+    ];
+    let engine = Engine::new();
+    for (xml, query) in cases {
+        let want = engine.query_xml(xml, query).unwrap();
+        assert!(!want.is_empty(), "{query} over {xml}");
+        let pattern = engine
+            .compile(query)
+            .unwrap()
+            .stream_pattern()
+            .cloned()
+            .unwrap_or_else(|| panic!("{query} is streamable"));
+        let automaton = CombinedAutomaton::build(&[pattern]);
+
+        let fresh = || Arc::new(NamePool::new());
+        let mut it = ParserTokenIterator::new(xml, fresh());
+        let pulled = run_document(&automaton, &mut it, |_, _| Ok(())).unwrap();
+        assert_eq!(
+            pulled.per_pattern[0].as_ref().unwrap(),
+            &want,
+            "pull: {query}"
+        );
+
+        for chunk in [1, 4096] {
+            let mut pass = StreamingPass::new(
+                &automaton,
+                fresh(),
+                QueryGuard::unlimited(),
+                vec![QueryGuard::unlimited()],
+            );
+            for bytes in xml.as_bytes().chunks(chunk) {
+                pass.feed(&automaton, bytes).unwrap();
+            }
+            let (pushed, _) = pass.finish(&automaton).unwrap();
+            assert_eq!(
+                pushed.per_pattern[0].as_ref().unwrap(),
+                &want,
+                "{chunk}-byte push: {query}"
+            );
+        }
+    }
+}
+
+/// An end tag must spell its start tag's name, prefix included (XML
+/// 1.0's Element Type Match), even when both prefixes bind one URI. The
+/// whole-document pull and 1-byte and 4 KiB push report the same error
+/// at the same offset.
+#[test]
+fn an_end_tag_with_another_prefix_for_the_same_uri_is_an_error_on_every_path() {
+    use std::sync::Arc;
+    use xqr::xqr_tokenstream::{ParserTokenIterator, PushTokenizer, TokenIterator};
+    use xqr::xqr_xdm::NamePool;
+
+    let mut xml = String::from(r#"<feed xmlns:a="urn:u" xmlns:b="urn:u">"#);
+    for i in 0..400 {
+        xml.push_str(&format!("<a:item n=\"{i}\">text {i}</a:item>"));
+    }
+    xml.push_str("<a:x>late</b:x></feed>");
+    assert!(xml.len() > 8192);
+
+    let mut it = ParserTokenIterator::new(&xml, Arc::new(NamePool::new()));
+    let whole = loop {
+        match it.next_token() {
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("parsed whole"),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(whole.code, ErrorCode::Syntax, "{whole}");
+    assert!(
+        whole.message.contains("expected </a:x>, found </b:x>"),
+        "{whole}"
+    );
+    assert_eq!(whole.position, Some(xml.len() - "</feed>".len()));
+
+    for chunk in [1, 4096] {
+        let mut tok = PushTokenizer::new(Arc::new(NamePool::new()));
+        let pushed = (|| -> xqr::xqr_xdm::Result<()> {
+            for bytes in xml.as_bytes().chunks(chunk) {
+                tok.feed(bytes)?;
+                while tok.poll_token()?.is_some() {}
+            }
+            tok.finish()?;
+            while tok.poll_token()?.is_some() {}
+            Ok(())
+        })()
+        .expect_err("the mismatched end tag fails the push");
+        assert_eq!(pushed, whole, "{chunk}-byte push");
     }
 }
