@@ -1,10 +1,11 @@
 //! A hand-written, namespace-aware XML 1.0 pull parser.
 //!
 //! Single pass, no lookahead buffer beyond one byte, and no allocation
-//! per event: an event borrows its strings from the input (or, when an
-//! entity or a `\r` rewrote them, from a scratch buffer the reader
-//! reuses), an end tag is matched byte for byte against the name its
-//! start tag spelled, and names resolve to the reader's namespace
+//! per event but for a string holding a `\r`, which end-of-line
+//! handling copies: an event borrows its strings from the input (or,
+//! when an entity or a `\r` rewrote them, from a scratch buffer the
+//! reader reuses), an end tag is matched byte for byte against the name
+//! its start tag spelled, and names resolve to the reader's namespace
 //! numbers without building a `QName`. DTDs are skipped (internal
 //! subsets are tolerated but not interpreted; external entities are
 //! never fetched).
