@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xqr_core::Engine;
 use xqr_runtime::{run_document, CombinedAutomaton};
 use xqr_subscribe::SubscriptionRegistry;
-use xqr_tokenstream::ParserTokenIterator;
+use xqr_tokenstream::Tokenizer;
 use xqr_xdm::Limits;
 
 /// A feed-shaped document: `items` entries under a shared `/feed/item`
@@ -121,7 +121,7 @@ fn bench_automaton_scaling(c: &mut Criterion) {
             let automaton = CombinedAutomaton::build(&patterns);
             group.bench_function(BenchmarkId::new(shape, n), |b| {
                 b.iter(|| {
-                    let mut it = ParserTokenIterator::new(&xml, engine.names().clone());
+                    let mut it = Tokenizer::new(&xml, engine.names().clone());
                     let outcome = run_document(&automaton, &mut it, |_, _| Ok(())).unwrap();
                     outcome.stats.matches
                 })

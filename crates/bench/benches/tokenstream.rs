@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use xqr_core::{DynamicContext, Engine, EngineOptions};
 use xqr_runtime::RuntimeOptions;
-use xqr_tokenstream::{decode, drain, encode, BufferFactory, ParserTokenIterator, TokenStream};
+use xqr_tokenstream::{decode, drain, encode, BufferFactory, TokenStream, Tokenizer};
 use xqr_xdm::NamePool;
 use xqr_xmlgen::{auction_site, XmarkConfig};
 
@@ -35,7 +35,7 @@ fn bench_buffer_sharing(c: &mut Criterion) {
     let names = Arc::new(NamePool::new());
     group.bench_function("three_consumers_buffered", |b| {
         b.iter(|| {
-            let f = BufferFactory::new(ParserTokenIterator::new(&xml, names.clone()));
+            let f = BufferFactory::new(Tokenizer::new(&xml, names.clone()));
             let mut total = 0usize;
             for _ in 0..3 {
                 total += drain(&mut f.consumer()).unwrap();
@@ -47,7 +47,7 @@ fn bench_buffer_sharing(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0usize;
             for _ in 0..3 {
-                total += drain(&mut ParserTokenIterator::new(&xml, names.clone())).unwrap();
+                total += drain(&mut Tokenizer::new(&xml, names.clone())).unwrap();
             }
             total
         })

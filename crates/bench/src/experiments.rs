@@ -16,7 +16,7 @@ use xqr_joins::{
 };
 use xqr_runtime::RuntimeOptions;
 use xqr_store::{dom, Document};
-use xqr_tokenstream::{drain, BufferFactory, ParserTokenIterator, TokenStream};
+use xqr_tokenstream::{drain, BufferFactory, TokenStream, Tokenizer};
 use xqr_xdm::NamePool;
 use xqr_xmlgen::{
     auction_site, bibliography, random_tree, trading_partners, RandomTreeConfig, XmarkConfig,
@@ -863,7 +863,7 @@ pub fn e12_memo(scale: Scale) -> Table {
     // Buffer sharing: 3 consumers over one parse vs 3 parses.
     let names = Arc::new(NamePool::new());
     let t0 = Instant::now();
-    let factory = BufferFactory::new(ParserTokenIterator::new(&xml, names.clone()));
+    let factory = BufferFactory::new(Tokenizer::new(&xml, names.clone()));
     let mut total = 0usize;
     for _ in 0..3 {
         let mut c = factory.consumer();
@@ -874,7 +874,7 @@ pub fn e12_memo(scale: Scale) -> Table {
     let t1 = Instant::now();
     let mut total2 = 0usize;
     for _ in 0..3 {
-        let mut it = ParserTokenIterator::new(&xml, names.clone());
+        let mut it = Tokenizer::new(&xml, names.clone());
         total2 += drain(&mut it).unwrap();
     }
     let reparsed = t1.elapsed();

@@ -6,12 +6,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 use xqr_compiler::{compile, CompileOptions, CompiledQuery};
 use xqr_runtime::{
-    evaluate, pull, serialize_sequence, CombinedAutomaton, CombinedRun, Counters, DocumentMap,
+    evaluate, serialize_sequence, CombinedAutomaton, CombinedRun, Counters, DocumentMap,
     DynamicContext, ExecState, Item, LeaseTable, Reply, RuntimeOptions, ScanCache, Sequence,
-    StreamPattern, StreamStats,
+    StreamPattern, StreamStats, StreamingPass,
 };
 use xqr_store::{DocId, Lease, NodeRef, Store};
-use xqr_tokenstream::ParserTokenIterator;
+use xqr_tokenstream::Tokenizer;
 use xqr_xdm::{Error, Limits, NamePool, QName, QueryGuard, Result};
 use xqr_xmlparse::{WriterOptions, XmlWriter};
 
@@ -367,39 +367,28 @@ impl PreparedQuery {
                 "query is not a streamable count; use execute()",
             )
         })?;
-        let automaton = CombinedAutomaton::build(std::slice::from_ref(pattern));
-        let mut run = CombinedRun::counting(&automaton);
-        self.pull_over(engine, xml, &automaton, &mut run, |_| Ok(()))?;
-        let stats = *run.stats();
+        let stats = self.stream_over(engine, xml, pattern, true, |_| Ok(()))?;
         Ok((stats.matches, stats))
     }
 
-    /// Pull `xml` through `run` under this plan's limits: the token
-    /// budget rides on the iterator, the output-byte budget is charged
-    /// per match, and a panic surfaces as `err:XQRL0000`.
-    fn pull_over(
+    /// Run `xml` through a one-pattern [`StreamingPass`] under this
+    /// plan's limits: the token budget rides on the tokenizer, the
+    /// output-byte budget is charged per match, and a panic surfaces as
+    /// `err:XQRL0000`.
+    fn stream_over(
         &self,
         engine: &Engine,
         xml: &str,
-        automaton: &CombinedAutomaton,
-        run: &mut CombinedRun,
+        pattern: &StreamPattern,
+        counting: bool,
         on_ready: impl FnMut(&mut CombinedRun) -> Result<()>,
-    ) -> Result<()> {
+    ) -> Result<StreamStats> {
+        let automaton = CombinedAutomaton::build(std::slice::from_ref(pattern));
         let guard = QueryGuard::new(self.runtime.limits);
-        let mut it = if guard.is_unlimited() {
-            ParserTokenIterator::new(xml, engine.names().clone())
-        } else {
-            ParserTokenIterator::with_guard(xml, engine.names().clone(), guard.clone())
-        };
-        contain_panic(|| {
-            pull(
-                automaton,
-                run,
-                &mut it,
-                |_, bytes| guard.note_output_bytes(bytes),
-                on_ready,
-            )
-        })
+        let tokenizer = Tokenizer::new(xml, engine.names().clone());
+        let pass = StreamingPass::new(&automaton, tokenizer, guard.clone(), vec![guard]);
+        let pass = if counting { pass.counting() } else { pass };
+        contain_panic(|| pass.finish(&automaton, on_ready)).map(|(outcome, _)| outcome.stats)
     }
 
     /// Whether execution needs node identities (E11's analysis).
@@ -536,15 +525,12 @@ impl PreparedQuery {
                 "query is not streamable; use execute()",
             )
         })?;
-        let automaton = CombinedAutomaton::build(std::slice::from_ref(pattern));
-        let mut run = CombinedRun::new(&automaton);
-        self.pull_over(engine, xml, &automaton, &mut run, |run| {
+        self.stream_over(engine, xml, pattern, false, |run| {
             for m in run.take_matches(0)? {
                 on_match(&m);
             }
             Ok(())
-        })?;
-        Ok(*run.stats())
+        })
     }
 }
 

@@ -36,13 +36,11 @@
 //!
 //! # Drivers
 //!
-//! Selected by what the caller holds: [`pull`] / [`run_document`] over a
-//! [`TokenIterator`] (a whole document in hand; skip hints become real
-//! `skip_subtree` calls), [`run_document_building`] over the same
-//! iterator when the document must also be built (every token is kept),
-//! and [`StreamingPass`] over a [`PushTokenizer`] (byte chunks arriving;
-//! dead subtrees are absorbed token by token). All produce identical
-//! [`CombinedOutcome`]s.
+//! XML text, whole or in chunks, goes through [`StreamingPass`]: one
+//! [`Tokenizer`], dead subtrees absorbed token by token, and optionally
+//! a document built from the same tokens. [`run_document`] over
+//! materialized tokens is the one place a skip is a real, O(1)
+//! `skip_subtree`. Both give identical [`CombinedOutcome`]s.
 
 use crate::stream_path::{StreamPattern, StreamStats};
 use std::collections::VecDeque;
@@ -50,7 +48,7 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, Weak};
 use xqr_parallel::lock_recover;
 use xqr_store::{Document, DocumentBuilder};
-use xqr_tokenstream::{PushTokenizer, Token, TokenIterator, TokenResolve};
+use xqr_tokenstream::{Token, TokenIterator, TokenResolve, Tokenizer};
 use xqr_xdm::{Error, ErrorCode, NameId, NamePool, QName, QueryGuard, Result};
 use xqr_xmlparse::{TreeWriter, WriterOptions, XmlWriter};
 
@@ -384,11 +382,10 @@ pub(crate) enum PushAction {
     /// Keep feeding tokens.
     Continue,
     /// The element just opened cannot contribute to any pattern:
-    /// a *pull* driver should `skip_subtree()` on its iterator and
-    /// report the count via [`CombinedRun::note_skipped`]. A *push*
-    /// driver (tokens arrive whether it wants them or not) may ignore
-    /// the hint — the run absorbs the dead subtree internally, at one
-    /// depth-counter tick per token.
+    /// [`run_document`] skips the subtree on its iterator and reports
+    /// the count via [`CombinedRun::note_skipped`]. [`StreamingPass`]
+    /// ignores the hint — the run absorbs the dead subtree internally,
+    /// at one depth-counter tick per token.
     SkipSubtree,
     /// The outermost open capture just closed: every match collected so
     /// far is complete and [`CombinedRun::take_matches`] will hand it
@@ -397,16 +394,9 @@ pub(crate) enum PushAction {
 }
 
 /// The resumable state of one document pass, liftable across chunk
-/// boundaries.
-///
-/// A pull driver (whole document in hand) loops `next_token` → `push`
-/// and honours `PushAction::SkipSubtree` with a real `skip_subtree`.
-/// A push driver (chunked ingestion: tokens appear as network bytes
-/// arrive) calls `push` for whatever is available, in any number of
-/// installments, and `finish`es when the producer signals end of
-/// document. Both drivers produce identical [`CombinedOutcome`]s —
-/// results, errors, and stats — which is what makes chunked evaluation
-/// byte-equivalent to whole-document evaluation.
+/// boundaries: tokens are pushed in any number of installments, and a
+/// skipped subtree and an absorbed one count alike, so every driver
+/// gives identical [`CombinedOutcome`]s — results, errors, and stats.
 ///
 /// The automaton is passed to `push` rather than stored so sessions
 /// can own the run alongside the `Arc` of the plan that holds the
@@ -434,7 +424,7 @@ pub struct CombinedRun {
     // so nested matches land in document order of their start tags even
     // though inner captures close first.
     recipients: Vec<(PatternId, usize)>,
-    // Nonzero while inside a dead subtree a push driver couldn't skip:
+    // Nonzero while inside a dead subtree the driver didn't skip:
     // open-element depth below the dead element's parent.
     skip_depth: usize,
     // False for a counting run: accepts bump `stats.matches` and nothing
@@ -443,7 +433,7 @@ pub struct CombinedRun {
 }
 
 impl CombinedRun {
-    pub fn new(automaton: &CombinedAutomaton) -> CombinedRun {
+    fn new(automaton: &CombinedAutomaton) -> CombinedRun {
         CombinedRun {
             per_pattern: (0..automaton.pattern_count())
                 .map(|_| Ok(Matches::default()))
@@ -459,17 +449,6 @@ impl CombinedRun {
             recipients: Vec::new(),
             skip_depth: 0,
             capture: true,
-        }
-    }
-
-    /// A run that only counts: every accept bumps `stats.matches`, no
-    /// match is serialized or charged, and a subtree is skipped whenever
-    /// the live state set is empty — `count(//path)` in pure streaming
-    /// mode.
-    pub fn counting(automaton: &CombinedAutomaton) -> CombinedRun {
-        CombinedRun {
-            capture: false,
-            ..CombinedRun::new(automaton)
         }
     }
 
@@ -490,8 +469,8 @@ impl CombinedRun {
         F: FnMut(PatternId, u64) -> Result<()>,
     {
         if self.skip_depth > 0 {
-            // Inside a dead subtree the push driver couldn't skip:
-            // count depth, touch nothing else. Matches the pull path's
+            // Inside a dead subtree the driver didn't skip: count
+            // depth, touch nothing else. Matches `run_document`'s
             // accounting exactly — skip_subtree counts every consumed
             // token including the matching close.
             self.stats.tokens_skipped += 1;
@@ -626,7 +605,7 @@ impl CombinedRun {
         }
     }
 
-    /// A pull driver skipped the dead subtree itself (in response to
+    /// [`run_document`] skipped the dead subtree itself (in response to
     /// [`PushAction::SkipSubtree`]): record the count and resume normal
     /// matching at the next token.
     pub(crate) fn note_skipped(&mut self, tokens: usize) {
@@ -658,107 +637,63 @@ impl CombinedRun {
     }
 }
 
-/// The pull driver over [`CombinedRun`]: feed `run` every token of
-/// `it`, honouring skip hints with the iterator's own `skip_subtree`
-/// (O(1) on materialized streams) and calling `on_ready` each time the
-/// matches collected so far are complete. An error means the document
-/// itself could not be read (parse error, token budget) or `on_ready`
-/// refused to go on.
-pub fn pull<I, F, G>(
-    automaton: &CombinedAutomaton,
-    run: &mut CombinedRun,
-    it: &mut I,
-    mut charge: F,
-    mut on_ready: G,
-) -> Result<()>
-where
-    I: TokenIterator,
-    F: FnMut(PatternId, u64) -> Result<()>,
-    G: FnMut(&mut CombinedRun) -> Result<()>,
-{
-    while let Some(tok) = it.next_token()? {
-        match run.push(automaton, &tok, it, &mut charge) {
-            PushAction::Continue => {}
-            PushAction::SkipSubtree => {
-                let skipped = it.skip_subtree()?;
-                run.note_skipped(skipped);
-            }
-            PushAction::MatchReady => on_ready(run)?,
-        }
-    }
-    Ok(())
-}
-
-/// Run one whole document through the automaton and collect every
-/// pattern's matches. A top-level error means the document itself could
-/// not be read: no per-pattern results exist in that case.
+/// Run one whole document, materialized as a [`TokenIterator`], through
+/// the automaton and collect every pattern's matches. The one driver
+/// that skips a dead subtree, with the iterator's own `skip_subtree`:
+/// only over materialized tokens is a skip O(1). XML
+/// text goes through [`StreamingPass`]. A top-level error means the
+/// document itself could not be read: no per-pattern results exist in
+/// that case.
 pub fn run_document<I, F>(
     automaton: &CombinedAutomaton,
     it: &mut I,
-    charge: F,
+    mut charge: F,
 ) -> Result<CombinedOutcome>
 where
     I: TokenIterator,
     F: FnMut(PatternId, u64) -> Result<()>,
 {
     let mut run = CombinedRun::new(automaton);
-    pull(automaton, &mut run, it, charge, |_| Ok(()))?;
+    while let Some(tok) = it.next_token()? {
+        if run.push(automaton, &tok, it, &mut charge) == PushAction::SkipSubtree {
+            let skipped = it.skip_subtree()?;
+            run.note_skipped(skipped);
+        }
+    }
     Ok(run.finish())
 }
 
-/// [`run_document`] that also builds the document: one pull, each token
-/// pushed through the run and then handed to `doc` — the shared pass's
-/// tokens are the fallback copy's too, so the document is lexed once.
-/// Skip hints are ignored, as under [`StreamingPass`]: the builder needs
-/// every token, and the run absorbs dead subtrees itself, with the same
-/// outcome and stats.
-pub fn run_document_building<I, F>(
-    automaton: &CombinedAutomaton,
-    it: &mut I,
-    mut doc: DocumentBuilder,
-    mut charge: F,
-) -> Result<(CombinedOutcome, Arc<Document>)>
-where
-    I: TokenIterator,
-    F: FnMut(PatternId, u64) -> Result<()>,
-{
-    let mut run = CombinedRun::new(automaton);
-    while let Some(tok) = it.next_token()? {
-        run.push(automaton, &tok, it, &mut charge);
-        doc.push_token(tok, it);
-    }
-    Ok((run.finish(), doc.finish()?))
-}
-
-/// The push driver over [`CombinedRun`]: a [`PushTokenizer`] fed byte
-/// chunks split at any boundary, every completed token pushed through
-/// the run as it appears. Memory is bounded by the largest single
-/// syntactic unit plus the matches not yet taken. Skip hints are
-/// ignored — tokens arrive whether wanted or not; the run absorbs dead
-/// subtrees internally. Given a builder ([`StreamingPass::building`]),
-/// each token also goes to it, as under [`run_document_building`]: the
+/// The driver over XML text: a [`Tokenizer`], over a whole borrowed
+/// string or byte chunks fed as they arrive, each token pushed through
+/// the run as it completes. A whole document is a one-chunk pass lexed
+/// in place. Memory is bounded by the largest single syntactic unit plus
+/// the matches not yet taken. Skip hints are ignored: a skip over a live
+/// parse lexes every skipped token anyway, so the run absorbs a dead
+/// subtree itself, with the stats a skip gives. Given a builder
+/// ([`StreamingPass::building`]), each token also goes to it: the
 /// document is lexed once whatever needs it.
-pub struct StreamingPass {
-    tokenizer: PushTokenizer,
+pub struct StreamingPass<'a> {
+    tokenizer: Tokenizer<'a>,
     run: CombinedRun,
     guards: Vec<QueryGuard>,
     doc: Option<DocumentBuilder>,
 }
 
-impl StreamingPass {
-    /// `pass_guard` bounds the shared work (tokens, depth, deadline);
-    /// `guards[p]` is charged the output bytes of pattern `p`'s matches,
-    /// so a budget trip degrades that pattern alone.
+impl<'a> StreamingPass<'a> {
+    /// `pass_guard` bounds the shared work (tokens, depth, deadline)
+    /// unless it is unlimited; `guards[p]` is charged the output bytes
+    /// of pattern `p`'s matches, so a budget trip degrades that pattern
+    /// alone.
     pub fn new(
         automaton: &CombinedAutomaton,
-        names: Arc<NamePool>,
+        tokenizer: Tokenizer<'a>,
         pass_guard: QueryGuard,
         guards: Vec<QueryGuard>,
-    ) -> StreamingPass {
+    ) -> StreamingPass<'a> {
         let tokenizer = if pass_guard.is_unlimited() {
-            PushTokenizer::new(names)
+            tokenizer
         } else {
-            PushTokenizer::with_guard(names, pass_guard)
+            tokenizer.guarded(pass_guard)
         };
         StreamingPass {
             tokenizer,
@@ -770,38 +705,59 @@ impl StreamingPass {
 
     /// Also build the document from the pass's tokens; `finish` hands
     /// it over.
-    pub fn building(mut self, doc: DocumentBuilder) -> StreamingPass {
+    pub fn building(mut self, doc: DocumentBuilder) -> StreamingPass<'a> {
         self.doc = Some(doc);
         self
     }
 
-    /// Feed one chunk; the run advances by however many tokens completed.
-    pub fn feed(&mut self, automaton: &CombinedAutomaton, chunk: &[u8]) -> Result<()> {
-        self.tokenizer.feed(chunk)?;
-        self.drain(automaton)
+    /// Only count: every accept bumps `stats.matches`, no match is
+    /// serialized or charged, and a matched subtree is dead like any
+    /// other — `count(//path)` in pure streaming mode.
+    pub fn counting(mut self) -> StreamingPass<'a> {
+        self.run.capture = false;
+        self
     }
 
-    /// End of input: resolve constructs waiting on more bytes and yield
-    /// the per-pattern outcomes, and the document when building one.
-    pub fn finish(
+    /// End of input: drain the tokenizer, calling `on_ready` each time
+    /// the matches collected so far are complete (so a whole document's
+    /// first match is out before its end is read), and yield the
+    /// per-pattern outcomes, and the document when building one. An
+    /// error means the document could not be read or `on_ready` refused
+    /// to go on.
+    pub fn finish<G>(
         mut self,
         automaton: &CombinedAutomaton,
-    ) -> Result<(CombinedOutcome, Option<Arc<Document>>)> {
+        mut on_ready: G,
+    ) -> Result<(CombinedOutcome, Option<Arc<Document>>)>
+    where
+        G: FnMut(&mut CombinedRun) -> Result<()>,
+    {
         self.tokenizer.finish()?;
-        self.drain(automaton)?;
+        self.drain(automaton, &mut on_ready)?;
+        // The run's and the lexer's buffers go before the document is
+        // finished, so they add nothing to its peak.
+        let outcome = self.run.finish();
+        drop(self.tokenizer);
         let doc = self.doc.map(DocumentBuilder::finish).transpose()?;
-        Ok((self.run.finish(), doc))
+        Ok((outcome, doc))
     }
 
-    fn drain(&mut self, automaton: &CombinedAutomaton) -> Result<()> {
+    fn drain<G>(&mut self, automaton: &CombinedAutomaton, on_ready: &mut G) -> Result<()>
+    where
+        G: FnMut(&mut CombinedRun) -> Result<()>,
+    {
         while let Some(tok) = self.tokenizer.poll_token()? {
             let guards = &self.guards;
-            self.run
+            let action = self
+                .run
                 .push(automaton, &tok, &self.tokenizer, &mut |pid, bytes| {
                     guards[pid as usize].note_output_bytes(bytes)
                 });
             if let Some(doc) = &mut self.doc {
                 doc.push_token(tok, &self.tokenizer);
+            }
+            if action == PushAction::MatchReady {
+                on_ready(&mut self.run)?;
             }
         }
         Ok(())
@@ -823,35 +779,144 @@ impl StreamingPass {
     }
 }
 
+impl StreamingPass<'static> {
+    /// Feed one chunk of an incremental pass; the run advances by
+    /// however many tokens completed.
+    pub fn feed(&mut self, automaton: &CombinedAutomaton, chunk: &[u8]) -> Result<()> {
+        self.tokenizer.feed(chunk)?;
+        self.drain(automaton, &mut |_| Ok(()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xqr_compiler::{compile, CompileOptions};
-    use xqr_tokenstream::ParserTokenIterator;
+    use xqr_tokenstream::TokenStream;
+    use xqr_xdm::Limits;
 
     fn pat(query: &str) -> StreamPattern {
         let q = compile(query, &CompileOptions::default()).expect("compiles");
         StreamPattern::extract(&q.module.body).expect("streamable")
     }
 
-    fn run_all(patterns: &[&str], xml: &str) -> (Vec<Result<Vec<String>>>, StreamStats) {
-        let pats: Vec<StreamPattern> = patterns.iter().map(|q| pat(q)).collect();
-        let a = CombinedAutomaton::build(&pats);
-        let mut it = ParserTokenIterator::new(xml, Arc::new(NamePool::new()));
-        let mut run = CombinedRun::new(&a);
-        pull(&a, &mut run, &mut it, |_, _| Ok(()), |_| Ok(())).expect("document reads");
-        taken(&a, run)
+    /// What one pass gave: each pattern's matches one by one (or its
+    /// error), the stats, and the document when it built one.
+    type Passed = (Vec<Result<Vec<String>>>, StreamStats, Option<Arc<Document>>);
+
+    /// One pass over `xml`: whole and borrowed (`chunk` = `None`) or fed
+    /// in chunks of `chunk` bytes, taking the matches whenever they are
+    /// ready. `guards[p]` is charged pattern `p`'s output.
+    fn pass(
+        a: &CombinedAutomaton,
+        xml: &str,
+        chunk: Option<usize>,
+        build: bool,
+        counting: bool,
+        guards: Vec<QueryGuard>,
+    ) -> Passed {
+        let names = Arc::new(NamePool::new());
+        let mut got = vec![Vec::new(); a.pattern_count()];
+        let mut take = |run: &mut CombinedRun| {
+            for (p, got) in got.iter_mut().enumerate() {
+                if let Ok(ms) = run.take_matches(p as PatternId) {
+                    got.extend(ms);
+                }
+            }
+            Ok(())
+        };
+        let builder = build.then(|| DocumentBuilder::new(names.clone()));
+        fn shape<'a>(
+            mut pass: StreamingPass<'a>,
+            builder: Option<DocumentBuilder>,
+            counting: bool,
+        ) -> StreamingPass<'a> {
+            if let Some(b) = builder {
+                pass = pass.building(b);
+            }
+            if counting {
+                pass = pass.counting();
+            }
+            pass
+        }
+        let unlimited = QueryGuard::unlimited();
+        let (out, doc) = match chunk {
+            None => {
+                let tokenizer = Tokenizer::new(xml, names.clone());
+                let pass = StreamingPass::new(a, tokenizer, unlimited, guards);
+                shape(pass, builder, counting).finish(a, &mut take)
+            }
+            Some(n) => {
+                let tokenizer = Tokenizer::incremental(names.clone());
+                let pass = StreamingPass::new(a, tokenizer, unlimited, guards);
+                let mut pass = shape(pass, builder, counting);
+                for c in xml.as_bytes().chunks(n) {
+                    pass.feed(a, c).expect("document reads");
+                    take(&mut pass.run).unwrap();
+                }
+                pass.finish(a, &mut take)
+            }
+        }
+        .expect("document reads");
+        let per_pattern = out
+            .per_pattern
+            .into_iter()
+            .zip(got)
+            .map(|(rest, got)| {
+                // Every match was ready, and taken, before the end.
+                assert_eq!(rest?, "");
+                Ok(got)
+            })
+            .collect();
+        (per_pattern, out.stats, doc)
     }
 
-    /// Every pattern's matches one by one, and the run's stats.
-    fn taken(
-        a: &CombinedAutomaton,
-        mut run: CombinedRun,
+    /// Every way to run the pass — whole, 1-byte and 4 KiB chunks, each
+    /// with and without a builder — must give what `run_document` gives
+    /// over materialized tokens, skipping for real: the same matches
+    /// and stats. A built document must equal a plain parse.
+    fn run_guarded(
+        patterns: &[&str],
+        xml: &str,
+        guards: impl Fn() -> Vec<QueryGuard>,
     ) -> (Vec<Result<Vec<String>>>, StreamStats) {
-        let per_pattern = (0..a.pattern_count() as PatternId)
-            .map(|p| run.take_matches(p))
-            .collect();
-        (per_pattern, run.finish().stats)
+        let pats: Vec<StreamPattern> = patterns.iter().map(|q| pat(q)).collect();
+        let a = CombinedAutomaton::build(&pats);
+        let names = Arc::new(NamePool::new());
+        let stream = TokenStream::from_xml(xml, names.clone()).unwrap();
+        let charges = guards();
+        let want = run_document(&a, &mut stream.iter(), |pid, bytes| {
+            charges[pid as usize].note_output_bytes(bytes)
+        })
+        .unwrap();
+        let parsed = Document::parse(xml, names).unwrap();
+        let mut first = None;
+        for chunk in [None, Some(1), Some(4096)] {
+            for build in [false, true] {
+                let how = format!("chunk {chunk:?}, build {build}: {xml}");
+                let (got, stats, doc) = pass(&a, xml, chunk, build, false, guards());
+                let concat: Vec<Result<String>> =
+                    got.iter().map(|m| m.clone().map(|m| m.concat())).collect();
+                assert_eq!(concat, want.per_pattern, "{how}");
+                assert_eq!(stats, want.stats, "{how}");
+                if let Some(doc) = doc {
+                    assert_eq!(
+                        doc.serialize_node(doc.root()),
+                        parsed.serialize_node(parsed.root()),
+                        "{how}"
+                    );
+                    assert_eq!(doc.len(), parsed.len(), "{how}");
+                }
+                first.get_or_insert((got, stats));
+            }
+        }
+        first.expect("ran")
+    }
+
+    fn run_all(patterns: &[&str], xml: &str) -> (Vec<Result<Vec<String>>>, StreamStats) {
+        run_guarded(patterns, xml, || {
+            vec![QueryGuard::unlimited(); patterns.len()]
+        })
     }
 
     fn oks(r: &[Result<Vec<String>>]) -> Vec<Vec<String>> {
@@ -864,13 +929,18 @@ mod tests {
         (r.remove(0).unwrap(), stats)
     }
 
-    /// The N=1 counting run.
+    /// The N=1 counting pass, the same in every mode.
     fn count_one(query: &str, xml: &str) -> StreamStats {
         let a = CombinedAutomaton::build(&[pat(query)]);
-        let mut run = CombinedRun::counting(&a);
-        let mut it = ParserTokenIterator::new(xml, Arc::new(NamePool::new()));
-        pull(&a, &mut run, &mut it, |_, _| Ok(()), |_| Ok(())).unwrap();
-        run.finish().stats
+        let unlimited = || vec![QueryGuard::unlimited()];
+        let stats = pass(&a, xml, None, false, true, unlimited()).1;
+        for chunk in [None, Some(1), Some(4096)] {
+            for build in [false, true] {
+                let (_, got, _) = pass(&a, xml, chunk, build, true, unlimited());
+                assert_eq!(got, stats, "chunk {chunk:?}, build {build}: {xml}");
+            }
+        }
+        stats
     }
 
     #[test]
@@ -934,31 +1004,57 @@ mod tests {
         );
     }
 
+    /// A pass fed in chunks.
+    fn chunked(a: &CombinedAutomaton) -> StreamingPass<'static> {
+        let tokenizer = Tokenizer::incremental(Arc::new(NamePool::new()));
+        StreamingPass::new(
+            a,
+            tokenizer,
+            QueryGuard::unlimited(),
+            vec![QueryGuard::unlimited()],
+        )
+    }
+
     #[test]
     fn first_match_is_ready_before_the_document_ends() {
         let a = CombinedAutomaton::build(&[pat("/a/b")]);
-        let mut pass = StreamingPass::new(
-            &a,
-            Arc::new(NamePool::new()),
-            QueryGuard::unlimited(),
-            vec![QueryGuard::unlimited()],
-        );
+        let mut pass = chunked(&a);
         pass.feed(&a, b"<a><b>first</b><b>sec").unwrap();
         assert_eq!(pass.take_matches(0).unwrap(), vec!["<b>first</b>"]);
         // The open second match is not ready; taking again is a no-op.
         assert_eq!(pass.take_matches(0).unwrap(), Vec::<String>::new());
         pass.feed(&a, b"ond</b></a>").unwrap();
         assert_eq!(pass.take_matches(0).unwrap(), vec!["<b>second</b>"]);
-        assert_eq!(pass.finish(&a).unwrap().0.stats.matches, 2);
+        assert_eq!(pass.finish(&a, |_| Ok(())).unwrap().0.stats.matches, 2);
 
-        // A closed nested match waits for its still-open ancestor.
-        let a = CombinedAutomaton::build(&[pat("//b")]);
-        let mut pass = StreamingPass::new(
+        // Over a whole string, `finish` hands the first match out while
+        // the rest is still unread.
+        let mut xml = String::from("<a><b>first</b>");
+        xml.extend((0..1000).map(|i| format!("<b>{i}</b>")));
+        xml.push_str("</a>");
+        let names = Arc::new(NamePool::new());
+        let tokenizer = Tokenizer::new(&xml, names);
+        let pass = StreamingPass::new(
             &a,
-            Arc::new(NamePool::new()),
+            tokenizer,
             QueryGuard::unlimited(),
             vec![QueryGuard::unlimited()],
         );
+        let mut first = None;
+        pass.finish(&a, |run| {
+            let seen = run.stats().tokens_seen;
+            let ms = run.take_matches(0)?;
+            first.get_or_insert((ms, seen));
+            Ok(())
+        })
+        .unwrap();
+        let (ms, seen) = first.expect("a match");
+        assert_eq!(ms, vec!["<b>first</b>"]);
+        assert!(seen < 10, "{seen} tokens seen at the first match");
+
+        // A closed nested match waits for its still-open ancestor.
+        let a = CombinedAutomaton::build(&[pat("//b")]);
+        let mut pass = chunked(&a);
         pass.feed(&a, b"<a><b>outer<b>inner</b>").unwrap();
         assert_eq!(pass.take_matches(0).unwrap(), Vec::<String>::new());
         pass.feed(&a, b"</b><b/>").unwrap();
@@ -972,12 +1068,24 @@ mod tests {
     fn empty_and_elementless_input_ends_cleanly() {
         // Either a clean end-of-stream or a coded parse error — never a
         // panic, a match, or an internal error.
+        let a = CombinedAutomaton::build(&[pat("/a/b")]);
         for xml in ["", "   "] {
-            let a = CombinedAutomaton::build(&[pat("/a/b")]);
-            let mut it = ParserTokenIterator::new(xml, Arc::new(NamePool::new()));
-            match run_document(&a, &mut it, |_, _| Ok(())) {
-                Ok(out) => assert_eq!(out.per_pattern[0].as_deref(), Ok("")),
-                Err(e) => assert_ne!(e.code, xqr_xdm::ErrorCode::Internal, "{xml:?}: {e}"),
+            let names = Arc::new(NamePool::new());
+            let whole = StreamingPass::new(
+                &a,
+                Tokenizer::new(xml, names),
+                QueryGuard::unlimited(),
+                vec![QueryGuard::unlimited()],
+            );
+            let mut fed = chunked(&a);
+            let fed = fed
+                .feed(&a, xml.as_bytes())
+                .and_then(|()| fed.finish(&a, |_| Ok(())));
+            for ended in [whole.finish(&a, |_| Ok(())), fed] {
+                match ended {
+                    Ok((out, _)) => assert_eq!(out.per_pattern[0].as_deref(), Ok("")),
+                    Err(e) => assert_ne!(e.code, xqr_xdm::ErrorCode::Internal, "{xml:?}: {e}"),
+                }
             }
         }
     }
@@ -1080,31 +1188,22 @@ mod tests {
 
     #[test]
     fn budget_trip_degrades_one_pattern_only() {
-        let pats = vec![pat("/a/b"), pat("/a/b"), pat("/a/c")];
-        let a = CombinedAutomaton::build(&pats);
-        let mut it =
-            ParserTokenIterator::new("<a><b>1</b><b>2</b><c>3</c></a>", Arc::new(NamePool::new()));
         // Pattern 1 trips after its first delivered match.
-        let mut p1_bytes = 0u64;
-        let out = run_document(&a, &mut it, |pid, bytes| {
-            if pid == 1 {
-                p1_bytes += bytes;
-                if p1_bytes > 8 {
-                    return Err(xqr_xdm::Error::new(
-                        xqr_xdm::ErrorCode::Limit,
-                        "output budget",
-                    ));
-                }
-            }
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(out.per_pattern[0].as_ref().unwrap(), "<b>1</b><b>2</b>");
-        assert_eq!(
-            out.per_pattern[1].as_ref().unwrap_err().code,
-            xqr_xdm::ErrorCode::Limit
+        let (out, _) = run_guarded(
+            &["/a/b", "/a/b", "/a/c"],
+            "<a><b>1</b><b>2</b><c>3</c></a>",
+            || {
+                let tight = Limits::unlimited().with_max_output_bytes(8);
+                vec![
+                    QueryGuard::unlimited(),
+                    QueryGuard::new(tight),
+                    QueryGuard::unlimited(),
+                ]
+            },
         );
-        assert_eq!(out.per_pattern[2].as_ref().unwrap(), "<c>3</c>");
+        assert_eq!(out[0].as_ref().unwrap(), &["<b>1</b>", "<b>2</b>"]);
+        assert_eq!(out[1].as_ref().unwrap_err().code, xqr_xdm::ErrorCode::Limit);
+        assert_eq!(out[2].as_ref().unwrap(), &["<c>3</c>"]);
     }
 
     #[test]
@@ -1116,115 +1215,37 @@ mod tests {
 
     #[test]
     fn empty_pattern_set_consumes_nothing() {
-        let a = CombinedAutomaton::build(&[]);
-        let mut it = ParserTokenIterator::new("<a><b/></a>", Arc::new(NamePool::new()));
-        let out = run_document(&a, &mut it, |_, _| Ok(())).unwrap();
-        assert!(out.per_pattern.is_empty());
+        let (out, stats) = run_all(&[], "<a><b/></a>");
+        assert!(out.is_empty());
         // The document element's subtree is skipped wholesale.
-        assert!(out.stats.tokens_skipped > 0);
+        assert!(stats.tokens_skipped > 0);
     }
 
-    /// Drive the run push-style (no skip available, every token pushed,
-    /// chunk-agnostic) and compare against the pull driver.
-    fn run_pushed(patterns: &[&str], xml: &str) -> (Vec<Result<Vec<String>>>, StreamStats) {
-        let pats: Vec<StreamPattern> = patterns.iter().map(|q| pat(q)).collect();
-        let a = CombinedAutomaton::build(&pats);
-        let mut tok = PushTokenizer::new(Arc::new(NamePool::new()));
-        tok.feed(xml.as_bytes()).unwrap();
-        tok.finish().unwrap();
-        let mut run = CombinedRun::new(&a);
-        let mut charge = |_: PatternId, _: u64| Ok(());
-        while let Some(t) = tok.poll_token().unwrap() {
-            // Ignore the skip hint: a push driver can't seek.
-            run.push(&a, &t, &tok, &mut charge);
-        }
-        taken(&a, run)
-    }
-
-    /// Drive the building driver, and check the document it built
-    /// against a plain parse of the same text.
-    fn run_built(patterns: &[&str], xml: &str) -> (Vec<Result<String>>, StreamStats) {
-        let pats: Vec<StreamPattern> = patterns.iter().map(|q| pat(q)).collect();
-        let a = CombinedAutomaton::build(&pats);
-        let names = Arc::new(NamePool::new());
-        let mut it = ParserTokenIterator::new(xml, names.clone());
-        let (out, doc) =
-            run_document_building(&a, &mut it, DocumentBuilder::new(names.clone()), |_, _| {
-                Ok(())
-            })
-            .unwrap();
-        let parsed = Document::parse(xml, names).unwrap();
-        assert_eq!(
-            doc.serialize_node(doc.root()),
-            parsed.serialize_node(parsed.root())
-        );
-        assert_eq!(doc.len(), parsed.len(), "{xml}");
-        (out.per_pattern, out.stats)
-    }
-
+    /// Skips and absorbed subtrees count alike, whatever the chunking
+    /// (`run_all` holds every mode to `run_document`'s stats), and the
+    /// run does not care where a chunk ends.
     #[test]
     fn pushed_run_equals_pulled_run_results_and_stats() {
         let patterns = ["/a/b", "/a/c", "//d", "//*"];
-        let docs = [
+        for doc in [
             "<a><b>1</b><c>2</c><x><d>3</d></x></a>",
             "<a><z><junk/><junk deep=\"1\"><q/></junk></z><b/></a>",
             r#"<a><b k="v">t<!--c--></b><?pi data?></a>"#,
             r#"<a xmlns:p="urn:p"><p:b xmlns="urn:d" k="v">t</p:b></a>"#,
             "<root/>",
-        ];
-        let concat = |r: &[Result<Vec<String>>]| -> Vec<String> {
-            oks(r).iter().map(|m| m.concat()).collect()
-        };
-        let built_oks =
-            |r: Vec<Result<String>>| -> Vec<String> { r.into_iter().map(|m| m.unwrap()).collect() };
-        for doc in docs {
-            let (pulled, pstats) = run_all(&patterns, doc);
-            let (pushed, sstats) = run_pushed(&patterns, doc);
-            let (built, bstats) = run_built(&patterns, doc);
-            assert_eq!(oks(&pulled), oks(&pushed), "{doc}");
-            assert_eq!(concat(&pulled), built_oks(built), "{doc}");
-            for stats in [sstats, bstats] {
-                assert_eq!(pstats.tokens_seen, stats.tokens_seen, "{doc}");
-                assert_eq!(pstats.tokens_skipped, stats.tokens_skipped, "{doc}");
-                assert_eq!(pstats.matches, stats.matches, "{doc}");
-            }
+        ] {
+            run_all(&patterns, doc);
         }
-        // Dead subtrees absorbed internally must also match the pull
-        // path's skip accounting when only child patterns are live.
-        let doc = "<a><z><j/><j/></z><b/></a>";
-        let (pulled, pstats) = run_all(&["/a/b"], doc);
-        let (pushed, sstats) = run_pushed(&["/a/b"], doc);
-        let (built, bstats) = run_built(&["/a/b"], doc);
-        assert_eq!(oks(&pulled), oks(&pushed));
-        assert_eq!(concat(&pulled), built_oks(built));
-        for stats in [sstats, bstats] {
-            assert!(stats.tokens_skipped > 0);
-            assert_eq!(pstats.tokens_skipped, stats.tokens_skipped);
-        }
-    }
-
-    #[test]
-    fn pushed_run_can_pause_at_any_token_boundary() {
-        // Feed the document byte-by-byte, pushing tokens as they
-        // complete — the run must not care where installments end.
-        let doc = "<a><b>outer<b>inner</b></b><c>x</c></a>";
-        let (want, _) = run_all(&["//b", "/a/c"], doc);
-        let pats = vec![pat("//b"), pat("/a/c")];
-        let a = CombinedAutomaton::build(&pats);
-        let mut tok = PushTokenizer::new(Arc::new(NamePool::new()));
-        let mut run = CombinedRun::new(&a);
-        let mut charge = |_: PatternId, _: u64| Ok(());
-        for byte in doc.as_bytes() {
-            tok.feed(std::slice::from_ref(byte)).unwrap();
-            while let Some(t) = tok.poll_token().unwrap() {
-                run.push(&a, &t, &tok, &mut charge);
-            }
-        }
-        tok.finish().unwrap();
-        while let Some(t) = tok.poll_token().unwrap() {
-            run.push(&a, &t, &tok, &mut charge);
-        }
-        assert_eq!(oks(&want), oks(&taken(&a, run).0));
+        let (_, stats) = run_all(&["/a/b"], "<a><z><j/><j/></z><b/></a>");
+        assert!(stats.tokens_skipped > 0);
+        let (r, _) = run_all(&["//b", "/a/c"], "<a><b>outer<b>inner</b></b><c>x</c></a>");
+        assert_eq!(
+            oks(&r),
+            vec![
+                vec!["<b>outer<b>inner</b></b>", "<b>inner</b>"],
+                vec!["<c>x</c>"],
+            ]
+        );
     }
 
     #[test]

@@ -18,10 +18,7 @@ mod reply;
 mod stream_path;
 mod value;
 
-pub use automaton::{
-    pull, run_document, run_document_building, CombinedAutomaton, CombinedOutcome, CombinedRun,
-    StreamingPass,
-};
+pub use automaton::{run_document, CombinedAutomaton, CombinedOutcome, CombinedRun, StreamingPass};
 pub use env::{DocumentMap, DynamicContext, ExecState, LeaseTable};
 pub use eval::{Counters, RuntimeOptions};
 pub use index_scan::ScanCache;

@@ -117,7 +117,7 @@ fn collect(core: &Core, steps: &mut Vec<StreamStep>, pending_dos: &mut bool) -> 
 }
 
 /// Instrumentation the streaming experiments read.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StreamStats {
     pub tokens_seen: u64,
     pub tokens_skipped: u64,

@@ -34,6 +34,7 @@ use xqr_parallel::{lock_recover, try_lock_recover};
 use xqr_pressure::{Category, Charge};
 use xqr_runtime::{CombinedAutomaton, StreamingPass};
 use xqr_subscribe::{PublishReport, PublishSession};
+use xqr_tokenstream::Tokenizer;
 use xqr_xdm::{Error, QueryGuard, Result};
 
 /// Baseline ledger charge for a live chunk session or stream query
@@ -58,7 +59,7 @@ impl fmt::Display for SessionId {
 
 struct SessionEntry {
     generation: u64,
-    session: PublishSession,
+    session: PublishSession<'static>,
     /// Session-wide budget: deadline from open, byte cap over the whole
     /// feed, cancellation.
     guard: QueryGuard,
@@ -365,12 +366,8 @@ impl QueryService {
             Some(pattern) => {
                 let automaton = CombinedAutomaton::build(std::slice::from_ref(pattern));
                 let guard = QueryGuard::new(self.limits());
-                let pass = StreamingPass::new(
-                    &automaton,
-                    self.engine().names().clone(),
-                    guard.clone(),
-                    vec![guard],
-                );
+                let tokenizer = Tokenizer::incremental(self.engine().names().clone());
+                let pass = StreamingPass::new(&automaton, tokenizer, guard.clone(), vec![guard]);
                 StreamQueryInner::Streamed {
                     automaton,
                     pass: Box::new(pass),
@@ -426,7 +423,7 @@ enum StreamQueryInner {
         automaton: CombinedAutomaton,
         // Boxed: the pass embeds the tokenizer's lexer state and would
         // otherwise dwarf the other variants.
-        pass: Box<StreamingPass>,
+        pass: Box<StreamingPass<'static>>,
         /// Matches completed so far, concatenated in document order.
         out: String,
     },
@@ -510,11 +507,13 @@ impl StreamQuery<'_> {
                 automaton,
                 pass,
                 mut out,
-            } => xqr_core::contain_panic(|| pass.finish(&automaton)).and_then(|(mut done, _)| {
-                self.service.record_publish_stream(&done.stats);
-                out.push_str(&done.per_pattern.remove(0)?);
-                Ok(out)
-            }),
+            } => xqr_core::contain_panic(|| pass.finish(&automaton, |_| Ok(()))).and_then(
+                |(mut done, _)| {
+                    self.service.record_publish_stream(&done.stats);
+                    out.push_str(&done.per_pattern.remove(0)?);
+                    Ok(out)
+                },
+            ),
             StreamQueryInner::Buffered { query, buf } => {
                 let xml = String::from_utf8(buf)
                     .map_err(|_| Error::syntax("invalid UTF-8 in document"))?;

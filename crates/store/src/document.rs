@@ -11,7 +11,7 @@
 
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
-use xqr_tokenstream::{ParserTokenIterator, StringPool, Token, TokenIterator, TokenResolve};
+use xqr_tokenstream::{StringPool, Token, TokenIterator, TokenResolve, Tokenizer};
 use xqr_xdm::{Error, NameId, NamePool, NodeKind, QName, Result};
 use xqr_xmlparse::{TreeWriter, WriterOptions, XmlWriter};
 
@@ -102,7 +102,7 @@ impl Document {
         names: Arc<NamePool>,
         uri: Option<&str>,
     ) -> Result<Arc<Document>> {
-        let mut it = ParserTokenIterator::new(input, names.clone());
+        let mut it = Tokenizer::new(input, names.clone());
         Self::from_tokens_with_uri(&mut it, names, uri)
     }
 
@@ -114,7 +114,7 @@ impl Document {
         uri: Option<&str>,
         guard: &xqr_xdm::QueryGuard,
     ) -> Result<Arc<Document>> {
-        let mut it = ParserTokenIterator::with_guard(input, names.clone(), guard.clone());
+        let mut it = Tokenizer::with_guard(input, names.clone(), guard.clone());
         Self::from_tokens_with_uri(&mut it, names, uri)
     }
 
@@ -750,7 +750,7 @@ mod tests {
         let body: String = (0..200).map(|i| format!("<e a='v{i}'>t{i}</e>")).collect();
         let xml = format!("<r>{body}</r>");
         let names = Arc::new(NamePool::new());
-        let mut it = ParserTokenIterator::new(&xml, names.clone());
+        let mut it = Tokenizer::new(&xml, names.clone());
         let mut b = DocumentBuilder::new(names);
         while let Some(t) = it.next_token().unwrap() {
             b.push_token(t, &it);

@@ -17,6 +17,7 @@
 //! subscription proceed untouched. Results are never cross-delivered:
 //! a subscription only ever sees matches for its own `SubId`.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -25,11 +26,11 @@ use xqr_core::{contain_panic, Engine, Item, PreparedQuery};
 use xqr_faults::deep_stack::on_deep_stack;
 use xqr_parallel::lock_recover;
 use xqr_runtime::{
-    run_document, run_document_building, CombinedAutomaton, CombinedOutcome, Counters,
-    DynamicContext, StreamPattern, StreamStats, StreamingPass,
+    CombinedAutomaton, CombinedOutcome, Counters, DynamicContext, StreamPattern, StreamStats,
+    StreamingPass,
 };
 use xqr_store::{Document, DocumentBuilder, Lease};
-use xqr_tokenstream::ParserTokenIterator;
+use xqr_tokenstream::Tokenizer;
 use xqr_xdm::{Error, Limits, QueryGuard, Result};
 
 /// Generation-checked subscription handle: slots are reused, but a
@@ -117,15 +118,6 @@ struct PublishPlan {
     fallback: Vec<(SubId, Arc<Subscription>)>,
 }
 
-/// How a shared pass ended: the automaton's outcome and, when it had a
-/// builder, the document built from its tokens.
-type PassEnd = (CombinedOutcome, Option<Arc<Document>>);
-
-/// What the publish tail takes from the pass: the outcome when a
-/// streamable subscription rode it, and the fallback copy (or why there
-/// is none) when a non-streamable one needs it.
-type Handoff = (Option<CombinedOutcome>, Option<Result<Arc<Document>>>);
-
 impl PublishPlan {
     fn is_empty(&self) -> bool {
         self.streamed.is_empty() && self.fallback.is_empty()
@@ -138,24 +130,6 @@ impl PublishPlan {
             .iter()
             .map(|(_, s)| QueryGuard::new(s.limits))
             .collect()
-    }
-
-    /// The builder of the fallback subscriptions' copy, when there are
-    /// any: the shared pass builds it from its own tokens.
-    fn builder(&self, engine: &Engine) -> Option<DocumentBuilder> {
-        (!self.fallback.is_empty()).then(|| DocumentBuilder::new(engine.names().clone()))
-    }
-
-    /// The tail's [`Handoff`] from how the shared pass ended. A document
-    /// the pass could not read fails the publish, unless the pass only
-    /// built the fallback copy: then it is every fallback subscription's
-    /// coded error.
-    fn pass_ended(&self, ended: Result<PassEnd>) -> Result<Handoff> {
-        match ended {
-            Ok((outcome, doc)) => Ok(((!self.streamed.is_empty()).then_some(outcome), doc.map(Ok))),
-            Err(e) if self.streamed.is_empty() => Ok((None, Some(Err(e)))),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -384,18 +358,9 @@ impl SubscriptionRegistry {
     where
         F: FnOnce(Arc<Document>) -> Result<Lease>,
     {
-        let plan = self.plan();
-        let (shared, built) = if plan.is_empty() {
-            (None, None)
-        } else {
-            let builder = plan.builder(engine);
-            plan.pass_ended(shared_pass(engine, &plan, xml, publish_limits, builder))?
-        };
-        self.complete_publish(engine, name, &plan, shared, || {
-            built
-                .expect("built whenever a fallback needs it")
-                .and_then(materialize)
-        })
+        let tokenizer = Tokenizer::new(xml, engine.names().clone());
+        self.open_session(engine, name.into(), publish_limits, tokenizer, false)
+            .finish(self, engine, materialize)
     }
 
     /// [`SubscriptionRegistry::publish_with_doc`] for a document that
@@ -415,12 +380,9 @@ impl SubscriptionRegistry {
     where
         F: FnOnce(Arc<Document>) -> Result<Lease>,
     {
-        let plan = self.plan();
-        let builder = DocumentBuilder::new(engine.names().clone()).with_uri(name);
-        let (outcome, doc) = shared_pass(engine, &plan, xml, publish_limits, Some(builder))?;
-        let doc = contain_panic(|| retain(doc.expect("a builder builds")))?;
-        let shared = (!plan.streamed.is_empty()).then_some(outcome);
-        self.complete_publish(engine, name, &plan, shared, || Ok(doc))
+        let tokenizer = Tokenizer::new(xml, engine.names().clone());
+        self.open_session(engine, name.into(), publish_limits, tokenizer, true)
+            .finish(self, engine, retain)
     }
 
     /// Everything downstream of the shared pass: fallback evaluation,
@@ -556,26 +518,49 @@ impl SubscriptionRegistry {
         engine: &Engine,
         name: &str,
         publish_limits: Limits,
-    ) -> PublishSession {
+    ) -> PublishSession<'static> {
+        let tokenizer = Tokenizer::incremental(engine.names().clone());
+        self.open_session(
+            engine,
+            name.to_string().into(),
+            publish_limits,
+            tokenizer,
+            false,
+        )
+    }
+
+    /// A session over `tokenizer`, publishing `document`. One pass
+    /// whatever the subscriptions: with only fallback ones it runs an
+    /// empty automaton and just builds their copy. A retaining session
+    /// always builds the document, under that name.
+    fn open_session<'a>(
+        &self,
+        engine: &Engine,
+        document: Cow<'a, str>,
+        publish_limits: Limits,
+        tokenizer: Tokenizer<'a>,
+        retain: bool,
+    ) -> PublishSession<'a> {
         let plan = self.plan();
-        // One push pass whatever the subscriptions: with only fallback
-        // ones it runs an empty automaton and just builds their copy.
-        let pass = (!plan.is_empty()).then(|| {
+        let pass = (retain || !plan.is_empty()).then(|| {
             let pass = StreamingPass::new(
                 &plan.automaton,
-                engine.names().clone(),
+                tokenizer,
                 QueryGuard::new(publish_limits),
                 plan.guards(),
             );
-            match plan.builder(engine) {
-                Some(builder) => pass.building(builder),
-                None => pass,
+            let builder = || DocumentBuilder::new(engine.names().clone());
+            match (retain, plan.fallback.is_empty()) {
+                (true, _) => pass.building(builder().with_uri(&*document)),
+                (false, false) => pass.building(builder()),
+                (false, true) => pass,
             }
         });
         PublishSession {
             plan,
-            document: name.to_string(),
+            document,
             pass,
+            retain,
             unread: None,
             failed: None,
             bytes_fed: 0,
@@ -630,13 +615,19 @@ impl SubscriptionRegistry {
 ///
 /// Errors are sticky: a failed feed poisons the session, and
 /// [`PublishSession::finish`] returns the same error the whole-document
-/// publish would have (the oracle's contract).
-pub struct PublishSession {
+/// publish would have (the oracle's contract). A whole-document publish
+/// is a session over the borrowed text, finished at once.
+pub struct PublishSession<'a> {
     plan: Arc<PublishPlan>,
-    document: String,
-    /// The push tokenizer, resumable automaton run and fallback builder;
-    /// absent only when there is no subscription at all.
-    pass: Option<StreamingPass>,
+    document: Cow<'a, str>,
+    /// The tokenizer, resumable automaton run and fallback builder;
+    /// absent only when there is no subscription at all and nothing is
+    /// retained.
+    pass: Option<StreamingPass<'a>>,
+    /// The document outlives the publish: `finish` hands it to its
+    /// callback before anything is evaluated, and a document that cannot
+    /// be read or retained fails the publish.
+    retain: bool,
     /// Why the pass stopped, kept when it only builds the fallback copy:
     /// `finish` reports it as every fallback subscription's coded error,
     /// as the whole-document publish does.
@@ -645,7 +636,7 @@ pub struct PublishSession {
     bytes_fed: u64,
 }
 
-impl PublishSession {
+impl PublishSession<'_> {
     fn check_failed(&self) -> Result<()> {
         match &self.failed {
             Some(e) => Err(e.clone()),
@@ -680,24 +671,6 @@ impl PublishSession {
         !self.plan.fallback.is_empty()
     }
 
-    /// Feed one chunk, split at any byte boundary. Streamable
-    /// subscriptions advance by however many tokens completed.
-    pub fn feed(&mut self, chunk: &[u8]) -> Result<()> {
-        self.check_failed()?;
-        self.bytes_fed += chunk.len() as u64;
-        let Some(pass) = self.pass.as_mut().filter(|_| self.unread.is_none()) else {
-            return Ok(());
-        };
-        match contain_panic(|| pass.feed(&self.plan.automaton, chunk)) {
-            Ok(()) => Ok(()),
-            Err(e) if self.plan.streamed.is_empty() => {
-                self.unread = Some(e);
-                Ok(())
-            }
-            Err(e) => self.fail(e),
-        }
-    }
-
     /// End of input: resolve constructs waiting on more bytes, lease the
     /// document the pass built via `materialize`, run the fallback
     /// evaluations on it, deliver every outcome, and report — identically
@@ -717,52 +690,52 @@ impl PublishSession {
             Some(pass) => {
                 let ended = match self.unread.take() {
                     Some(e) => Err(e),
-                    None => contain_panic(|| pass.finish(&self.plan.automaton)),
+                    None => contain_panic(|| pass.finish(&self.plan.automaton, |_| Ok(()))),
                 };
-                match self.plan.pass_ended(ended) {
-                    Ok(split) => split,
+                // A document the pass could not read fails the publish,
+                // unless the pass only built the fallback copy: then it
+                // is every fallback subscription's coded error.
+                match ended {
+                    Ok((outcome, doc)) => (
+                        (!self.plan.streamed.is_empty()).then_some(outcome),
+                        doc.map(Ok),
+                    ),
+                    Err(e) if self.plan.streamed.is_empty() && !self.retain => (None, Some(Err(e))),
                     Err(e) => return self.fail(e),
                 }
             }
         };
-        registry.complete_publish(engine, &self.document, &self.plan, shared, || {
+        let lease = |built: Option<Result<Arc<Document>>>| {
             built
                 .expect("built whenever a fallback needs it")
                 .and_then(materialize)
-        })
+        };
+        if self.retain {
+            let doc = contain_panic(|| lease(built))?;
+            registry.complete_publish(engine, &self.document, &self.plan, shared, || Ok(doc))
+        } else {
+            registry.complete_publish(engine, &self.document, &self.plan, shared, || lease(built))
+        }
     }
 }
 
-/// The shared pass over a whole document: one pull, charged to
-/// `publish_limits`, drives the automaton and — given a builder — builds
-/// the document from the same tokens. A builder costs the pass its
-/// `skip_subtree` calls: it needs every token.
-fn shared_pass(
-    engine: &Engine,
-    plan: &PublishPlan,
-    xml: &str,
-    publish_limits: Limits,
-    builder: Option<DocumentBuilder>,
-) -> Result<PassEnd> {
-    let guards = plan.guards();
-    let charge = |pid: u32, bytes| guards[pid as usize].note_output_bytes(bytes);
-    contain_panic(|| {
-        let mut it = tokens(engine, xml, publish_limits);
-        match builder {
-            None => Ok((run_document(&plan.automaton, &mut it, charge)?, None)),
-            Some(b) => run_document_building(&plan.automaton, &mut it, b, charge)
-                .map(|(outcome, doc)| (outcome, Some(doc))),
+impl PublishSession<'static> {
+    /// Feed one chunk, split at any byte boundary. Streamable
+    /// subscriptions advance by however many tokens completed.
+    pub fn feed(&mut self, chunk: &[u8]) -> Result<()> {
+        self.check_failed()?;
+        self.bytes_fed += chunk.len() as u64;
+        let Some(pass) = self.pass.as_mut().filter(|_| self.unread.is_none()) else {
+            return Ok(());
+        };
+        match contain_panic(|| pass.feed(&self.plan.automaton, chunk)) {
+            Ok(()) => Ok(()),
+            Err(e) if self.plan.streamed.is_empty() => {
+                self.unread = Some(e);
+                Ok(())
+            }
+            Err(e) => self.fail(e),
         }
-    })
-}
-
-/// The pull over `xml`, charged to `limits` unless they are unlimited.
-fn tokens<'a>(engine: &Engine, xml: &'a str, limits: Limits) -> ParserTokenIterator<'a> {
-    let guard = QueryGuard::new(limits);
-    if guard.is_unlimited() {
-        ParserTokenIterator::new(xml, engine.names().clone())
-    } else {
-        ParserTokenIterator::with_guard(xml, engine.names().clone(), guard)
     }
 }
 

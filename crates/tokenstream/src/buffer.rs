@@ -154,13 +154,13 @@ impl<I: TokenIterator> TokenIterator for BufferedIterator<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::ParserTokenIterator;
     use crate::iterator::drain;
+    use crate::tokenizer::Tokenizer;
 
     const DOC: &str = "<a><b>x</b><c>y</c></a>";
 
-    fn factory(doc: &str) -> BufferFactory<ParserTokenIterator<'_>> {
-        BufferFactory::new(ParserTokenIterator::new(doc, Arc::new(NamePool::new())))
+    fn factory(doc: &str) -> BufferFactory<Tokenizer<'_>> {
+        BufferFactory::new(Tokenizer::new(doc, Arc::new(NamePool::new())))
     }
 
     #[test]

@@ -365,8 +365,8 @@ mod tests {
         let bytes = encode(&s, true);
         let back = decode(bytes, Arc::new(NamePool::new())).unwrap();
         assert_eq!(s.len(), back.len());
-        let a = crate::adapter::tokens_to_xml(&mut s.iter(), Default::default()).unwrap();
-        let b = crate::adapter::tokens_to_xml(&mut back.iter(), Default::default()).unwrap();
+        let a = crate::tokenizer::tokens_to_xml(&mut s.iter(), Default::default()).unwrap();
+        let b = crate::tokenizer::tokens_to_xml(&mut back.iter(), Default::default()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -375,8 +375,8 @@ mod tests {
         let s = sample(5);
         let bytes = encode(&s, false);
         let back = decode(bytes, Arc::new(NamePool::new())).unwrap();
-        let a = crate::adapter::tokens_to_xml(&mut s.iter(), Default::default()).unwrap();
-        let b = crate::adapter::tokens_to_xml(&mut back.iter(), Default::default()).unwrap();
+        let a = crate::tokenizer::tokens_to_xml(&mut s.iter(), Default::default()).unwrap();
+        let b = crate::tokenizer::tokens_to_xml(&mut back.iter(), Default::default()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -422,7 +422,8 @@ mod tests {
         let s = TokenStream::from_xml(xml, Arc::new(NamePool::new())).unwrap();
         for pooled in [true, false] {
             let back = decode(encode(&s, pooled), Arc::new(NamePool::new())).unwrap();
-            let out = crate::adapter::tokens_to_xml(&mut back.iter(), Default::default()).unwrap();
+            let out =
+                crate::tokenizer::tokens_to_xml(&mut back.iter(), Default::default()).unwrap();
             assert_eq!(out, xml, "pooled={pooled}");
         }
     }

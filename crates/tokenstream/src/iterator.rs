@@ -28,12 +28,10 @@ pub trait TokenIterator: TokenResolve {
 
 /// Id resolution alone — what every token source offers.
 ///
-/// Push-mode consumers (the pub/sub automaton's resumable run, the
-/// chunked-ingestion pipeline) receive tokens rather than pulling them,
-/// so they can't be driven through `next_token`; they still need to
-/// resolve pooled ids against whatever source produced the tokens. Every
-/// `TokenIterator` is a `TokenResolve`, and push sources (e.g.
-/// `PushTokenizer`) implement it alone.
+/// Consumers handed tokens rather than pulling them (the automaton's
+/// resumable run, the document builder) still resolve pooled ids
+/// against whatever source produced them. Every `TokenIterator` is a
+/// `TokenResolve`.
 pub trait TokenResolve {
     /// Resolve a pooled string id from this source, borrowed where the
     /// source can lend it. A streaming source (the tokenizers) reuses

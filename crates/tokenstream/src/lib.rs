@@ -9,7 +9,8 @@
 //! * [`TokenStream`] — the materialized array with O(1) `skip()` links;
 //! * [`TokenIterator`] — the pull interface (`next`/`skip`), the
 //!   execution substrate of the whole engine;
-//! * [`ParserTokenIterator`] — SAX-parser-as-TokenIterator (streaming);
+//! * [`Tokenizer`] — SAX-parser-as-TokenIterator, over a whole string or
+//!   byte chunks as they arrive (streaming);
 //! * [`BufferFactory`] — buffered sharing for common sub-expressions and
 //!   multiply-used variables;
 //! * [`encode()`](encode())/[`decode`] — the binary wire format with pragma-token
@@ -30,20 +31,18 @@
 //! assert!(matches!(it.next_token().unwrap(), Some(Token::StartElement(_)))); // <c>
 //! ```
 
-mod adapter;
 mod buffer;
 pub mod encode;
 mod iterator;
 mod pool;
-mod push;
 mod stream;
 mod token;
+mod tokenizer;
 
-pub use adapter::{tokens_to_xml, ParserTokenIterator};
 pub use buffer::BufferFactory;
 pub use encode::{decode, encode};
 pub use iterator::{drain, TokenIterator, TokenResolve};
 pub use pool::StringPool;
-pub use push::PushTokenizer;
 pub use stream::TokenStream;
 pub use token::{StrId, Token};
+pub use tokenizer::{tokens_to_xml, ParserTokenIterator, PushTokenizer, Tokenizer};

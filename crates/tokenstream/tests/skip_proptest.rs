@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use xqr_tokenstream::{BufferFactory, ParserTokenIterator, Token, TokenIterator, TokenStream};
+use xqr_tokenstream::{BufferFactory, Token, TokenIterator, TokenStream, Tokenizer};
 use xqr_xdm::NamePool;
 use xqr_xmlgen::{random_tree, RandomTreeConfig};
 
@@ -93,11 +93,11 @@ proptest! {
 
         // Live parser iterator (depth-counting skip). Token ids differ
         // between pools; compare shapes + resolved names.
-        let got_parser = skip_at(ParserTokenIterator::new(&xml, names.clone()), k);
+        let got_parser = skip_at(Tokenizer::new(&xml, names.clone()), k);
         prop_assert_eq!(got_parser.len(), want.len(), "parser iterator length");
 
         // Buffered consumer.
-        let factory = BufferFactory::new(ParserTokenIterator::new(&xml, names.clone()));
+        let factory = BufferFactory::new(Tokenizer::new(&xml, names.clone()));
         let got_buffered = skip_at(factory.consumer(), k);
         prop_assert_eq!(got_buffered.len(), want.len(), "buffered iterator length");
     }

@@ -290,6 +290,49 @@ impl<'a> XmlReader<'a> {
         Ok(self.view(lexed))
     }
 
+    /// Mark end-of-input: constructs that were waiting for more bytes now
+    /// resolve (to completion or to the same error the whole-document
+    /// parse would report). Errors if the input ended inside a multi-byte
+    /// UTF-8 sequence. A no-op on a whole document.
+    pub fn finish(&mut self) -> Result<()> {
+        self.eof = true;
+        if !self.carry.is_empty() {
+            self.carry.clear();
+            return Err(Error::syntax("incomplete UTF-8 sequence at end of input")
+                .at(self.base + self.buf.len()));
+        }
+        Ok(())
+    }
+
+    /// Try to pull the next event from the buffered bytes. `Ok(None)`
+    /// means the buffer ends mid-construct: feed more bytes (or call
+    /// [`XmlReader::finish`]) and poll again — the attempt was rolled
+    /// back, so the eventual event sequence is identical to parsing the
+    /// whole document at once. After a real error the reader is poisoned
+    /// for document purposes; callers stop at the first `Err`. Once
+    /// `EndDocument` has been delivered the stream is over: every later
+    /// poll returns `Ok(None)` (unlike [`XmlReader::next_event`], which
+    /// repeats `EndDocument` for its fused-iterator callers). Over a
+    /// whole document ([`XmlReader::new`]) nothing waits on more input,
+    /// so no attempt rolls back: polling lexes what `next_event` lexes.
+    pub fn poll_event(&mut self) -> Result<Option<XmlEvent<'_>>> {
+        if self.finished {
+            return Ok(None);
+        }
+        let save_pos = self.pos;
+        let save_started = self.started;
+        self.need_more.set(false);
+        match self.lex() {
+            Ok(lexed) => Ok(Some(self.view(lexed))),
+            Err(_) if self.need_more.get() => {
+                self.pos = save_pos;
+                self.started = save_started;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
     /// One lexing attempt, with the scratch buffer emptied for the
     /// strings it rewrites (and put back, capacity kept, whatever the
     /// outcome).
@@ -793,9 +836,14 @@ impl<'a> XmlReader<'a> {
                 Some(b']') if self.bytes()[self.pos..].starts_with(b"]]>") => {
                     return Err(self.err("']]>' not allowed in character data"));
                 }
+                // A literal CR or CRLF is a line end (XML 1.0 §2.11); a
+                // reference decoded above is not, so it stays `\r`.
                 Some(b'\r') => {
-                    out.push('\r');
+                    out.push('\n');
                     self.pos += 1;
+                    if self.peek() == Some(b'\n') {
+                        self.pos += 1;
+                    }
                 }
                 Some(_) => {
                     let run = self.pos;
@@ -804,7 +852,6 @@ impl<'a> XmlReader<'a> {
                 }
             }
         }
-        normalize_newlines(out, from);
         Ok(Lexed::Text(Span::scratch(from, out.len())))
     }
 
@@ -1005,47 +1052,6 @@ impl XmlReader<'static> {
                 self.carry = rest.to_vec();
                 Ok(())
             }
-        }
-    }
-
-    /// Mark end-of-input: constructs that were waiting for more bytes now
-    /// resolve (to completion or to the same error the whole-document
-    /// parse would report). Errors if the input ended inside a multi-byte
-    /// UTF-8 sequence.
-    pub fn finish(&mut self) -> Result<()> {
-        self.eof = true;
-        if !self.carry.is_empty() {
-            self.carry.clear();
-            return Err(Error::syntax("incomplete UTF-8 sequence at end of input")
-                .at(self.base + self.buf.len()));
-        }
-        Ok(())
-    }
-
-    /// Try to pull the next event from the buffered bytes. `Ok(None)`
-    /// means the buffer ends mid-construct: feed more bytes (or call
-    /// [`XmlReader::finish`]) and poll again — the attempt was rolled
-    /// back, so the eventual event sequence is identical to parsing the
-    /// whole document at once. After a real error the reader is poisoned
-    /// for document purposes; callers stop at the first `Err`. Once
-    /// `EndDocument` has been delivered the stream is over: every later
-    /// poll returns `Ok(None)` (unlike [`XmlReader::next_event`], which
-    /// repeats `EndDocument` for its fused-iterator callers).
-    pub fn poll_event(&mut self) -> Result<Option<XmlEvent<'_>>> {
-        if self.finished {
-            return Ok(None);
-        }
-        let save_pos = self.pos;
-        let save_started = self.started;
-        self.need_more.set(false);
-        match self.lex() {
-            Ok(lexed) => Ok(Some(self.view(lexed))),
-            Err(_) if self.need_more.get() => {
-                self.pos = save_pos;
-                self.started = save_started;
-                Ok(None)
-            }
-            Err(e) => Err(e),
         }
     }
 
@@ -1441,6 +1447,20 @@ mod tests {
     fn newline_normalization_in_text() {
         let evs = parse_events("<a>x\r\ny\rz</a>").unwrap();
         assert_eq!(texts(&evs), vec!["x\ny\nz"]);
+    }
+
+    #[test]
+    fn a_reference_to_cr_is_not_a_line_end() {
+        // Only a literal CR is a line end; `&#13;` and `&#xD;` stay CR,
+        // beside literal line ends and other references in one run.
+        for (doc, want) in [
+            ("<a>x&#13;y</a>", "x\ry"),
+            ("<a>x&#xD;&#10;y</a>", "x\r\ny"),
+            ("<a>x\r\n&#13;\ry&amp;\r</a>", "x\n\r\ny&\n"),
+        ] {
+            assert_eq!(texts(&parse_events(doc).unwrap()), vec![want], "{doc:?}");
+            assert_split_invariant(doc);
+        }
     }
 
     #[test]

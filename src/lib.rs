@@ -25,9 +25,9 @@
 //! pool, poison-recovering locks and the experimental morsel-parallel
 //! join kernel), and [`xqr_service`] (the concurrent query service: plan cache, document catalog, admission
 //! control), and [`xqr_subscribe`] (standing continuous queries over
-//! document streams). Chunked push-based ingestion is the resumable
-//! lexer in [`xqr_xmlparse`], `PushTokenizer` in [`xqr_tokenstream`] and
-//! the service's chunk sessions and stream queries.
+//! document streams). Chunked ingestion is the same tokenizer fed
+//! chunks (`Tokenizer::incremental` in [`xqr_tokenstream`]) and the
+//! service's chunk sessions and stream queries.
 
 pub use xqr_core::*;
 

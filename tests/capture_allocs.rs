@@ -4,8 +4,10 @@
 //! through the run's one writer into one buffer per pattern, so heap
 //! allocations grow with buffer doublings, not with matches or tokens —
 //! a run over a document of 1,000 matching elements, nested matches
-//! included, makes at most 0.2 allocations per token. The tokenizers:
-//! at most 0.05 allocations per token, pull and push.
+//! included, makes at most 0.2 allocations per token. The tokenizer: at
+//! most 0.05 allocations per token, whole or chunked. A whole-document
+//! publish lexes the text in place: no allocation as large as half of
+//! it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,24 +21,27 @@ struct CountingAlloc;
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The largest of them, in bytes.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(size: usize) {
     // `try_with`: an allocation during thread teardown is not counted.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
 }
 
 #[allow(unsafe_code)] // a counting allocator is an unsafe trait impl
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -98,11 +103,11 @@ fn a_capture_run_allocates_per_buffer_growth_not_per_match() {
         .starts_with("<name>n0</name><name>n1</name>"));
 }
 
-/// A feed of 500 items, each with attributes, a prefixed name from the
-/// root's namespace declaration, an entity and a comment.
-fn feed_document() -> String {
+/// A feed of `items` items, each with attributes, a prefixed name from
+/// the root's namespace declaration, an entity and a comment.
+fn feed_document(items: usize) -> String {
     let mut xml = String::from("<feed xmlns:m=\"urn:meta\" version=\"2\">");
-    for i in 0..500 {
+    for i in 0..items {
         xml.push_str(&format!(
             "<item id=\"{i}\" kind=\"k{}\"><m:tag>t{i}</m:tag><title>title {i} &amp; more</title>\
              <!--c--><body>body text of item {i}</body></item>",
@@ -113,30 +118,31 @@ fn feed_document() -> String {
     xml
 }
 
-/// The tokenizers' allocation bound: events borrow the lexer's buffer,
+/// The tokenizer's allocation bound: events borrow the lexer's buffer,
 /// names map to ids through a per-tokenizer memo, and token strings land
-/// in one growing window, so both tokenizers allocate with buffer growth
-/// and new names, not with tokens. Pull and 4 KiB push each read at most
-/// 0.05 allocations per token (0.009 and 0.010 measured); before names
-/// were memoized and events borrowed, both read 2.65 on this document.
+/// in one growing window, so the tokenizer allocates with buffer growth
+/// and new names, not with tokens. Whole and fed in 4 KiB chunks, it
+/// reads at most 0.05 allocations per token (0.009 and 0.010 measured);
+/// before names were memoized and events borrowed, both read 2.65 on
+/// this document.
 #[test]
 fn the_tokenizers_allocate_per_buffer_growth_not_per_token() {
-    use xqr::xqr_tokenstream::{ParserTokenIterator, PushTokenizer, TokenIterator};
-    let xml = feed_document();
+    use xqr::xqr_tokenstream::Tokenizer;
+    let xml = feed_document(500);
     let engine = Engine::new();
     let names = Arc::clone(engine.names());
 
     let before = allocs();
-    let mut it = ParserTokenIterator::new(&xml, Arc::clone(&names));
+    let mut it = Tokenizer::new(&xml, Arc::clone(&names));
     let mut pulled = 0u64;
-    while it.next_token().unwrap().is_some() {
+    while it.poll_token().unwrap().is_some() {
         pulled += 1;
     }
     drop(it);
     let pull = (allocs() - before) as f64 / pulled as f64;
 
     let before = allocs();
-    let mut tok = PushTokenizer::new(Arc::clone(&names));
+    let mut tok = Tokenizer::incremental(Arc::clone(&names));
     let mut pushed = 0u64;
     for chunk in xml.as_bytes().chunks(4096) {
         tok.feed(chunk).unwrap();
@@ -155,4 +161,43 @@ fn the_tokenizers_allocate_per_buffer_growth_not_per_token() {
     assert!(pulled > 6000, "{pulled} tokens");
     assert!(pull <= 0.05, "pull: {pull:.3} allocations per token");
     assert!(push <= 0.05, "push: {push:.3} allocations per token");
+}
+
+/// A whole-document publish is a session over the borrowed text: the
+/// lexer reads it in place, so no allocation is as large as half of a
+/// 32 KiB document. Feeding it to an incremental tokenizer instead
+/// copies it into one buffer at least its size.
+#[test]
+fn a_whole_document_publish_copies_no_input() {
+    use xqr::xqr_subscribe::SubscriptionRegistry;
+    use xqr::xqr_xdm::Limits;
+
+    let xml = feed_document(270);
+    assert!((32 * 1024..40 * 1024).contains(&xml.len()), "{}", xml.len());
+    let engine = Engine::new();
+    let registry = SubscriptionRegistry::new();
+    for query in ["/feed/item/m:tag", "//body", "/feed/item/title"] {
+        let query = format!("declare namespace m = \"urn:meta\"; {query}");
+        let plan = Arc::new(engine.compile(&query).unwrap());
+        assert!(plan.is_streamable(), "{query}");
+        registry.register(&query, plan, Limits::unlimited(), None);
+    }
+    // The first publish builds the publish plan and interns the names.
+    registry
+        .publish(&engine, "feed", &xml, Limits::unlimited())
+        .unwrap();
+
+    LARGEST.with(|n| n.set(0));
+    let report = registry
+        .publish(&engine, "feed", &xml, Limits::unlimited())
+        .unwrap();
+    let largest = LARGEST.with(Cell::get);
+
+    assert!(report.results.iter().all(|(_, r)| r.is_ok()));
+    assert_eq!(report.fallback, 0);
+    assert!(
+        largest < xml.len() / 2,
+        "an allocation of {largest} bytes publishing {} bytes",
+        xml.len()
+    );
 }

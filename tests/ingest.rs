@@ -376,80 +376,105 @@ fn stream_query_front_end_is_total() {
     assert_eq!(chunked.code, whole.code);
 }
 
-/// Nested captures share the run's one writer: each match is a slice of
-/// its outermost ancestor's serialization. Pull, push at 1-byte chunks
-/// and the building driver must all produce what materialized
-/// evaluation does, over the constructs whose bytes a shared writer
-/// could get wrong: namespace declarations (prefixed, default and
-/// undeclared), attributes, empty elements, comments, processing
-/// instructions and escaped entities.
-#[test]
-fn nested_captures_serialize_as_materialized_evaluation_does() {
-    use std::sync::Arc;
-    use xqr::xqr_runtime::{run_document, run_document_building, CombinedAutomaton, StreamingPass};
+/// Every way the one pass runs `xml` through `automaton`: borrowed
+/// whole, in 1-byte and in 4 KiB chunks, each with and without a
+/// builder, each over a pool from `names`; and `run_document` over the
+/// materialized tokens, the one driver that skips. Each mode's name and
+/// its first pattern's matches. A built document must serialize as the
+/// text reserializes.
+fn every_pass(
+    automaton: &xqr::xqr_runtime::CombinedAutomaton,
+    xml: &str,
+    names: impl Fn() -> std::sync::Arc<xqr::xqr_xdm::NamePool>,
+) -> Vec<(String, String)> {
+    use xqr::xqr_runtime::{run_document, StreamingPass};
     use xqr::xqr_store::DocumentBuilder;
-    use xqr::xqr_tokenstream::ParserTokenIterator;
+    use xqr::xqr_tokenstream::{TokenStream, Tokenizer};
     use xqr::xqr_xdm::QueryGuard;
 
+    let unlimited = QueryGuard::unlimited;
+    let stream = TokenStream::from_xml(xml, names()).unwrap();
+    let skipped = run_document(automaton, &mut stream.iter(), |_, _| Ok(())).unwrap();
+    let mut out = vec![(
+        "run_document".to_string(),
+        skipped.per_pattern[0].clone().unwrap(),
+    )];
+    for chunk in [None, Some(1), Some(4096)] {
+        for build in [false, true] {
+            let pool = names();
+            let builder = build.then(|| DocumentBuilder::new(pool.clone()));
+            let (outcome, doc) = match chunk {
+                None => {
+                    let tokenizer = Tokenizer::new(xml, pool);
+                    let mut pass =
+                        StreamingPass::new(automaton, tokenizer, unlimited(), vec![unlimited()]);
+                    if let Some(b) = builder {
+                        pass = pass.building(b);
+                    }
+                    pass.finish(automaton, |_| Ok(()))
+                }
+                Some(n) => {
+                    let tokenizer = Tokenizer::incremental(pool);
+                    let mut pass =
+                        StreamingPass::new(automaton, tokenizer, unlimited(), vec![unlimited()]);
+                    if let Some(b) = builder {
+                        pass = pass.building(b);
+                    }
+                    for bytes in xml.as_bytes().chunks(n) {
+                        pass.feed(automaton, bytes).unwrap();
+                    }
+                    pass.finish(automaton, |_| Ok(()))
+                }
+            }
+            .unwrap();
+            let how = format!("chunk {chunk:?}, build {build}");
+            assert_eq!(doc.is_some(), build, "{how}");
+            if let Some(doc) = doc {
+                assert_eq!(
+                    doc.serialize_node(doc.root()),
+                    xqr::xqr_xmlparse::reserialize(xml).unwrap(),
+                    "{how}"
+                );
+            }
+            out.push((how, outcome.per_pattern[0].clone().unwrap()));
+        }
+    }
+    out
+}
+
+/// The streamable pattern of `query`, alone in an automaton.
+fn automaton_of(engine: &Engine, query: &str) -> xqr::xqr_runtime::CombinedAutomaton {
+    let pattern = engine
+        .compile(query)
+        .unwrap()
+        .stream_pattern()
+        .cloned()
+        .unwrap_or_else(|| panic!("{query} is streamable"));
+    xqr::xqr_runtime::CombinedAutomaton::build(&[pattern])
+}
+
+/// Nested captures share the run's one writer: each match is a slice of
+/// its outermost ancestor's serialization. Every mode of the pass must
+/// produce what materialized evaluation does, over the constructs whose
+/// bytes a shared writer could get wrong: namespace declarations
+/// (prefixed, default and undeclared), attributes, empty elements,
+/// comments, processing instructions and escaped entities.
+#[test]
+fn nested_captures_serialize_as_materialized_evaluation_does() {
     let docs = [
         "<a><a x=\"1\"><a/><b>t</b></a><a><!--c--><a>&amp;&lt;</a></a></a>",
         r#"<p:a xmlns:p="urn:p" p:k="v"><p:a xmlns="urn:d"><a xmlns=""><p:a/><a k="1"><a/></a></a><e/></p:a></p:a>"#,
         r#"<a k="&quot;x&quot;"><?pi data?><a><a xmlns="urn:d"><a xmlns="">x&gt;y</a></a><?t?></a><e k='1'/></a>"#,
     ];
-    let queries = ["//*", "//a//a"];
     let engine = Engine::new();
-    let names = engine.names().clone();
-    for query in queries {
-        let pattern = engine
-            .compile(query)
-            .unwrap()
-            .stream_pattern()
-            .cloned()
-            .expect("streamable");
-        let automaton = CombinedAutomaton::build(&[pattern]);
+    for query in ["//*", "//a//a"] {
+        let automaton = automaton_of(&engine, query);
         for xml in docs {
             let want = engine.query_xml(xml, query).unwrap();
             assert!(!want.is_empty(), "{query} over {xml}");
-
-            let mut it = ParserTokenIterator::new(xml, names.clone());
-            let pulled = run_document(&automaton, &mut it, |_, _| Ok(())).unwrap();
-            assert_eq!(
-                pulled.per_pattern[0].as_ref().unwrap(),
-                &want,
-                "pull: {query} {xml}"
-            );
-
-            let mut pass = StreamingPass::new(
-                &automaton,
-                names.clone(),
-                QueryGuard::unlimited(),
-                vec![QueryGuard::unlimited()],
-            )
-            .building(DocumentBuilder::new(names.clone()));
-            for byte in xml.as_bytes() {
-                pass.feed(&automaton, std::slice::from_ref(byte)).unwrap();
+            for (how, got) in every_pass(&automaton, xml, || engine.names().clone()) {
+                assert_eq!(got, want, "{how}: {query} {xml}");
             }
-            let (pushed, doc) = pass.finish(&automaton).unwrap();
-            assert_eq!(
-                pushed.per_pattern[0].as_ref().unwrap(),
-                &want,
-                "push: {query} {xml}"
-            );
-            let doc = doc.expect("a building pass builds");
-            assert_eq!(
-                doc.serialize_node(doc.root()),
-                xqr::xqr_xmlparse::reserialize(xml).unwrap()
-            );
-
-            let mut it = ParserTokenIterator::new(xml, names.clone());
-            let builder = DocumentBuilder::new(Arc::clone(&names));
-            let (built, _) =
-                run_document_building(&automaton, &mut it, builder, |_, _| Ok(())).unwrap();
-            assert_eq!(
-                built.per_pattern[0].as_ref().unwrap(),
-                &want,
-                "build: {query} {xml}"
-            );
         }
     }
 }
@@ -460,14 +485,11 @@ fn nested_captures_serialize_as_materialized_evaluation_does() {
 /// prefix must name what they name on every path. Each path runs over a
 /// pool that has never seen the document's names, so a step name is
 /// interned first by the edge table or by the document, after the
-/// automaton was built: pull, 1-byte and 4 KiB push all equal
-/// `Engine::query_xml`.
+/// automaton was built: every mode of the pass equals `Engine::query_xml`.
 #[test]
 fn names_match_by_id_on_every_path() {
     use std::sync::Arc;
-    use xqr::xqr_runtime::{run_document, CombinedAutomaton, StreamingPass};
-    use xqr::xqr_tokenstream::ParserTokenIterator;
-    use xqr::xqr_xdm::{NamePool, QueryGuard};
+    use xqr::xqr_xdm::NamePool;
 
     let rebound = r#"<r><s xmlns:p="urn:one"><p:x k="1">1</p:x></s><s xmlns:p="urn:two"><p:x>2</p:x><p:late/></s></r>"#;
     let undeclared = r#"<r xmlns="urn:d"><x>1</x><s xmlns=""><x>2</x><late/></s><x>3</x></r>"#;
@@ -486,51 +508,56 @@ fn names_match_by_id_on_every_path() {
     for (xml, query) in cases {
         let want = engine.query_xml(xml, query).unwrap();
         assert!(!want.is_empty(), "{query} over {xml}");
-        let pattern = engine
-            .compile(query)
-            .unwrap()
-            .stream_pattern()
-            .cloned()
-            .unwrap_or_else(|| panic!("{query} is streamable"));
-        let automaton = CombinedAutomaton::build(&[pattern]);
+        let automaton = automaton_of(&engine, query);
+        for (how, got) in every_pass(&automaton, xml, || Arc::new(NamePool::new())) {
+            assert_eq!(got, want, "{how}: {query}");
+        }
+    }
+}
 
-        let fresh = || Arc::new(NamePool::new());
-        let mut it = ParserTokenIterator::new(xml, fresh());
-        let pulled = run_document(&automaton, &mut it, |_, _| Ok(())).unwrap();
-        assert_eq!(
-            pulled.per_pattern[0].as_ref().unwrap(),
-            &want,
-            "pull: {query}"
-        );
+/// A whole-document publish is a session over the borrowed text; a
+/// chunked publish of the same text in one owned chunk must report the
+/// same: every subscription's result or coded error, and the stats.
+#[test]
+fn one_owned_chunk_publishes_as_the_borrowed_whole() {
+    use xqr::xqr_subscribe::SubscriptionRegistry;
+    use xqr::xqr_xdm::Limits;
 
-        for chunk in [1, 4096] {
-            let mut pass = StreamingPass::new(
-                &automaton,
-                fresh(),
-                QueryGuard::unlimited(),
-                vec![QueryGuard::unlimited()],
-            );
-            for bytes in xml.as_bytes().chunks(chunk) {
-                pass.feed(&automaton, bytes).unwrap();
+    let engine = Engine::new();
+    let registry = SubscriptionRegistry::new();
+    for query in ["/bib/book/title", "//price", "count(//book)"] {
+        let plan = std::sync::Arc::new(engine.compile(query).unwrap());
+        registry.register(query, plan, Limits::unlimited(), None);
+    }
+    let docs = [
+        BIB,
+        "<bib><book><title>x</title></bib>",
+        "<bib>&bad;</bib>",
+        "",
+    ];
+    for xml in docs.into_iter().chain(ADVERSARIAL.iter().copied()) {
+        let whole = registry.publish(&engine, "d", xml, Limits::unlimited());
+        let chunked = registry.publish_chunked(&engine, "d", [xml.as_bytes()], Limits::unlimited());
+        match (whole, chunked) {
+            (Ok(w), Ok(c)) => {
+                assert_eq!(w.results, c.results, "{xml}");
+                assert_eq!(w.stats, c.stats, "{xml}");
+                assert_eq!(w.matches, c.matches, "{xml}");
             }
-            let (pushed, _) = pass.finish(&automaton).unwrap();
-            assert_eq!(
-                pushed.per_pattern[0].as_ref().unwrap(),
-                &want,
-                "{chunk}-byte push: {query}"
-            );
+            (Err(w), Err(c)) => assert_eq!(w, c, "{xml}"),
+            (w, c) => panic!("{xml}: whole {w:?}, chunked {c:?}"),
         }
     }
 }
 
 /// An end tag must spell its start tag's name, prefix included (XML
 /// 1.0's Element Type Match), even when both prefixes bind one URI. The
-/// whole-document pull and 1-byte and 4 KiB push report the same error
-/// at the same offset.
+/// tokenizer over the whole string and fed 1-byte and 4 KiB chunks
+/// reports the same error at the same offset.
 #[test]
 fn an_end_tag_with_another_prefix_for_the_same_uri_is_an_error_on_every_path() {
     use std::sync::Arc;
-    use xqr::xqr_tokenstream::{ParserTokenIterator, PushTokenizer, TokenIterator};
+    use xqr::xqr_tokenstream::Tokenizer;
     use xqr::xqr_xdm::NamePool;
 
     let mut xml = String::from(r#"<feed xmlns:a="urn:u" xmlns:b="urn:u">"#);
@@ -540,9 +567,9 @@ fn an_end_tag_with_another_prefix_for_the_same_uri_is_an_error_on_every_path() {
     xml.push_str("<a:x>late</b:x></feed>");
     assert!(xml.len() > 8192);
 
-    let mut it = ParserTokenIterator::new(&xml, Arc::new(NamePool::new()));
+    let mut it = Tokenizer::new(&xml, Arc::new(NamePool::new()));
     let whole = loop {
-        match it.next_token() {
+        match it.poll_token() {
             Ok(Some(_)) => {}
             Ok(None) => panic!("parsed whole"),
             Err(e) => break e,
@@ -556,7 +583,7 @@ fn an_end_tag_with_another_prefix_for_the_same_uri_is_an_error_on_every_path() {
     assert_eq!(whole.position, Some(xml.len() - "</feed>".len()));
 
     for chunk in [1, 4096] {
-        let mut tok = PushTokenizer::new(Arc::new(NamePool::new()));
+        let mut tok = Tokenizer::incremental(Arc::new(NamePool::new()));
         let pushed = (|| -> xqr::xqr_xdm::Result<()> {
             for bytes in xml.as_bytes().chunks(chunk) {
                 tok.feed(bytes)?;

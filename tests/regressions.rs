@@ -360,3 +360,21 @@ fn a_path_step_sees_its_position_and_size() {
     assert_eq!(run("/r/b/position()"), "1 2 3");
     assert_eq!(run("/r/b/last()"), "3 3 3");
 }
+
+/// Only a literal CR is a line end (XML 1.0 §2.11): a character
+/// reference to CR stays CR in text as in attributes, and serializes
+/// back as `&#13;`. The reader used to normalize after decoding, so the
+/// text gave `120 10 121`.
+#[test]
+fn a_character_reference_to_cr_stays_cr() {
+    let engine = Engine::new();
+    let run = |xml, query| query_xml_both(&engine, xml, query).unwrap();
+    let codes = "string-to-codepoints(string(/a))";
+    assert_eq!(run("<a>x&#13;y</a>", codes), "120 13 121");
+    assert_eq!(
+        run("<a k=\"x&#13;y\"/>", "string-to-codepoints(/a/@k)"),
+        "120 13 121"
+    );
+    assert_eq!(run("<a>x&#13;y</a>", "/a"), "<a>x&#13;y</a>");
+    assert_eq!(run("<a>x\r\ny\rz</a>", codes), "120 10 121 10 122");
+}
