@@ -384,9 +384,9 @@ impl PreparedQuery {
         on_ready: impl FnMut(&mut CombinedRun) -> Result<()>,
     ) -> Result<StreamStats> {
         let automaton = CombinedAutomaton::build(std::slice::from_ref(pattern));
-        let guard = QueryGuard::new(self.runtime.limits);
-        let tokenizer = Tokenizer::new(xml, engine.names().clone());
-        let pass = StreamingPass::new(&automaton, tokenizer, guard.clone(), vec![guard]);
+        let limits = self.runtime.limits;
+        let tokenizer = Tokenizer::new(xml, engine.names().clone()).limited(limits);
+        let pass = StreamingPass::new(&automaton, tokenizer, vec![QueryGuard::new(limits)]);
         let pass = if counting { pass.counting() } else { pass };
         contain_panic(|| pass.finish(&automaton, on_ready)).map(|(outcome, _)| outcome.stats)
     }

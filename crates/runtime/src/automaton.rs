@@ -680,21 +680,15 @@ pub struct StreamingPass<'a> {
 }
 
 impl<'a> StreamingPass<'a> {
-    /// `pass_guard` bounds the shared work (tokens, depth, deadline)
-    /// unless it is unlimited; `guards[p]` is charged the output bytes
-    /// of pattern `p`'s matches, so a budget trip degrades that pattern
-    /// alone.
+    /// The tokenizer's own guard, if any, bounds the shared work
+    /// (tokens, depth, deadline); `guards[p]` is charged the output
+    /// bytes of pattern `p`'s matches, so a budget trip degrades that
+    /// pattern alone.
     pub fn new(
         automaton: &CombinedAutomaton,
         tokenizer: Tokenizer<'a>,
-        pass_guard: QueryGuard,
         guards: Vec<QueryGuard>,
     ) -> StreamingPass<'a> {
-        let tokenizer = if pass_guard.is_unlimited() {
-            tokenizer
-        } else {
-            tokenizer.guarded(pass_guard)
-        };
         StreamingPass {
             tokenizer,
             run: CombinedRun::new(automaton),
@@ -839,16 +833,15 @@ mod tests {
             }
             pass
         }
-        let unlimited = QueryGuard::unlimited();
         let (out, doc) = match chunk {
             None => {
                 let tokenizer = Tokenizer::new(xml, names.clone());
-                let pass = StreamingPass::new(a, tokenizer, unlimited, guards);
+                let pass = StreamingPass::new(a, tokenizer, guards);
                 shape(pass, builder, counting).finish(a, &mut take)
             }
             Some(n) => {
                 let tokenizer = Tokenizer::incremental(names.clone());
-                let pass = StreamingPass::new(a, tokenizer, unlimited, guards);
+                let pass = StreamingPass::new(a, tokenizer, guards);
                 let mut pass = shape(pass, builder, counting);
                 for c in xml.as_bytes().chunks(n) {
                     pass.feed(a, c).expect("document reads");
@@ -906,6 +899,11 @@ mod tests {
                         "{how}"
                     );
                     assert_eq!(doc.len(), parsed.len(), "{how}");
+                }
+                // Match by match, not just joined: a mode that split or
+                // merged matches must not pass.
+                if let Some((g, _)) = &first {
+                    assert_eq!(&got, g, "{how}");
                 }
                 first.get_or_insert((got, stats));
             }
@@ -1007,12 +1005,7 @@ mod tests {
     /// A pass fed in chunks.
     fn chunked(a: &CombinedAutomaton) -> StreamingPass<'static> {
         let tokenizer = Tokenizer::incremental(Arc::new(NamePool::new()));
-        StreamingPass::new(
-            a,
-            tokenizer,
-            QueryGuard::unlimited(),
-            vec![QueryGuard::unlimited()],
-        )
+        StreamingPass::new(a, tokenizer, vec![QueryGuard::unlimited()])
     }
 
     #[test]
@@ -1034,12 +1027,7 @@ mod tests {
         xml.push_str("</a>");
         let names = Arc::new(NamePool::new());
         let tokenizer = Tokenizer::new(&xml, names);
-        let pass = StreamingPass::new(
-            &a,
-            tokenizer,
-            QueryGuard::unlimited(),
-            vec![QueryGuard::unlimited()],
-        );
+        let pass = StreamingPass::new(&a, tokenizer, vec![QueryGuard::unlimited()]);
         let mut first = None;
         pass.finish(&a, |run| {
             let seen = run.stats().tokens_seen;
@@ -1074,7 +1062,6 @@ mod tests {
             let whole = StreamingPass::new(
                 &a,
                 Tokenizer::new(xml, names),
-                QueryGuard::unlimited(),
                 vec![QueryGuard::unlimited()],
             );
             let mut fed = chunked(&a);

@@ -365,9 +365,10 @@ impl QueryService {
         let inner = match plan.stream_pattern() {
             Some(pattern) => {
                 let automaton = CombinedAutomaton::build(std::slice::from_ref(pattern));
-                let guard = QueryGuard::new(self.limits());
-                let tokenizer = Tokenizer::incremental(self.engine().names().clone());
-                let pass = StreamingPass::new(&automaton, tokenizer, guard.clone(), vec![guard]);
+                let limits = self.limits();
+                let tokenizer =
+                    Tokenizer::incremental(self.engine().names().clone()).limited(limits);
+                let pass = StreamingPass::new(&automaton, tokenizer, vec![QueryGuard::new(limits)]);
                 StreamQueryInner::Streamed {
                     automaton,
                     pass: Box::new(pass),

@@ -114,7 +114,7 @@ impl Document {
         uri: Option<&str>,
         guard: &xqr_xdm::QueryGuard,
     ) -> Result<Arc<Document>> {
-        let mut it = Tokenizer::with_guard(input, names.clone(), guard.clone());
+        let mut it = Tokenizer::new(input, names.clone()).guarded(guard.clone());
         Self::from_tokens_with_uri(&mut it, names, uri)
     }
 

@@ -543,12 +543,8 @@ impl SubscriptionRegistry {
     ) -> PublishSession<'a> {
         let plan = self.plan();
         let pass = (retain || !plan.is_empty()).then(|| {
-            let pass = StreamingPass::new(
-                &plan.automaton,
-                tokenizer,
-                QueryGuard::new(publish_limits),
-                plan.guards(),
-            );
+            let tokenizer = tokenizer.limited(publish_limits);
+            let pass = StreamingPass::new(&plan.automaton, tokenizer, plan.guards());
             let builder = || DocumentBuilder::new(engine.names().clone());
             match (retain, plan.fallback.is_empty()) {
                 (true, _) => pass.building(builder().with_uri(&*document)),

@@ -18,7 +18,7 @@ use crate::token::{StrId, Token};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use xqr_xdm::{Error, NameId, NamePool, QueryGuard, Result};
+use xqr_xdm::{Error, Limits, NameId, NamePool, QueryGuard, Result};
 use xqr_xmlparse::{Name, TreeWriter, WriterOptions, XmlEvent, XmlReader, XmlWriter};
 
 /// XML text → tokens. Errors are sticky: once a call fails, every later
@@ -66,19 +66,25 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    /// [`Tokenizer::new`], guarded.
-    pub fn with_guard(input: &'a str, names: Arc<NamePool>, guard: QueryGuard) -> Self {
-        Tokenizer::new(input, names).guarded(guard)
-    }
-
     /// Guard the tokenizer: the reader enforces the guard's depth and
     /// size limits, and every token delivered (skipped ones included)
     /// charges the token budget, which also polls cancellation and the
-    /// deadline.
+    /// deadline. An unlimited guard still counts and can be cancelled.
     pub fn guarded(mut self, guard: QueryGuard) -> Self {
         self.reader = self.reader.with_guard(guard.clone());
         self.guard = Some(guard);
         self
+    }
+
+    /// Guard the tokenizer with a fresh guard under `limits`. With no
+    /// limit set, nothing could trip it and no one holds its cancel
+    /// handle, so the tokenizer stays unguarded and pays nothing.
+    pub fn limited(self, limits: Limits) -> Self {
+        if limits.is_unlimited() {
+            self
+        } else {
+            self.guarded(QueryGuard::new(limits))
+        }
     }
 
     fn fail<T>(&mut self, e: Error) -> Result<T> {
@@ -502,7 +508,7 @@ mod tests {
     fn guarded_iterator_charges_every_token_including_skips() {
         let names = Arc::new(NamePool::new());
         let guard = QueryGuard::unlimited();
-        let mut it = Tokenizer::with_guard("<a><b><c/><d/></b><e/></a>", names, guard.clone());
+        let mut it = Tokenizer::new("<a><b><c/><d/></b><e/></a>", names).guarded(guard.clone());
         it.next_token().unwrap(); // SD
         it.next_token().unwrap(); // <a>
         it.next_token().unwrap(); // <b>
@@ -510,10 +516,13 @@ mod tests {
         assert_eq!(guard.usage().tokens, 8);
 
         // And a tight budget trips mid-stream with the stable code,
-        // whole or chunked.
-        let budget = || QueryGuard::new(Limits::unlimited().with_max_tokens(3));
+        // whole or chunked, on a shared guard or on fresh limits.
+        let limits = Limits::unlimited().with_max_tokens(3);
+        let budget = || QueryGuard::new(limits);
         let names = Arc::new(NamePool::new());
-        let mut it = Tokenizer::with_guard("<a><b/><c/></a>", names.clone(), budget());
+        let mut it = Tokenizer::new("<a><b/><c/></a>", names.clone()).guarded(budget());
+        assert_eq!(first_error(&mut it).code, ErrorCode::Limit);
+        let mut it = Tokenizer::new("<a><b/><c/></a>", names.clone()).limited(limits);
         assert_eq!(first_error(&mut it).code, ErrorCode::Limit);
         let mut t = Tokenizer::incremental(names).guarded(budget());
         t.feed(b"<a><b/><c/></a>").unwrap();

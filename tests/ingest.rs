@@ -406,8 +406,7 @@ fn every_pass(
             let (outcome, doc) = match chunk {
                 None => {
                     let tokenizer = Tokenizer::new(xml, pool);
-                    let mut pass =
-                        StreamingPass::new(automaton, tokenizer, unlimited(), vec![unlimited()]);
+                    let mut pass = StreamingPass::new(automaton, tokenizer, vec![unlimited()]);
                     if let Some(b) = builder {
                         pass = pass.building(b);
                     }
@@ -415,8 +414,7 @@ fn every_pass(
                 }
                 Some(n) => {
                     let tokenizer = Tokenizer::incremental(pool);
-                    let mut pass =
-                        StreamingPass::new(automaton, tokenizer, unlimited(), vec![unlimited()]);
+                    let mut pass = StreamingPass::new(automaton, tokenizer, vec![unlimited()]);
                     if let Some(b) = builder {
                         pass = pass.building(b);
                     }
